@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark): per-evaluation cost of the placer
 // kernels on dp_alu32-sized data, including thread-count sweeps for the
-// parallel gradient kernels. Unless the caller passes --benchmark_out,
+// parallel gradient kernels, plus the density kernels on a spread
+// make_scaled(4000) placement. Unless the caller passes --benchmark_out,
 // results are also written to BENCH_gp_kernels.json (machine-readable,
 // consumed by CI).
 #include <benchmark/benchmark.h>
@@ -15,6 +16,7 @@
 #include "eval/incremental_hpwl.hpp"
 #include "extract/extractor.hpp"
 #include "gp/density.hpp"
+#include "gp/global_placer.hpp"
 #include "gp/wirelength.hpp"
 #include "legal/abacus.hpp"
 #include "util/prng.hpp"
@@ -111,6 +113,70 @@ void BM_DensityEvalThreads(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DensityEvalThreads)->Apply(thread_args);
+
+// The density kernels again, on a representative mid-GP placement: the
+// unplaced dp_alu32 start above piles every cell into a few bins, which
+// hides footprint-dependent costs. This is make_scaled(4000) after 10
+// global-placement outer iterations, the spread state most density
+// evaluations of a run see.
+struct SpreadFixture {
+  dp::dpgen::Benchmark bench;
+  dp::netlist::Placement pl;
+};
+
+const SpreadFixture& spread4k() {
+  static const SpreadFixture f = [] {
+    dp::bench::quiet_logs();
+    SpreadFixture s{dp::dpgen::make_scaled(4000), {}};
+    dp::gp::GpOptions opt;
+    opt.max_outer = 10;
+    opt.plateau_stall = 0;
+    opt.stop_overflow = 0.0;
+    s.pl = s.bench.placement;
+    dp::gp::GlobalPlacer(s.bench.netlist, s.bench.design, opt).place(s.pl);
+    return s;
+  }();
+  return f;
+}
+
+void BM_DensityGradientSpread4k(benchmark::State& state) {
+  const auto& f = spread4k();
+  const dp::gp::VarMap vars(f.bench.netlist);
+  dp::gp::DensityPenalty den(f.bench.netlist, f.bench.design);
+  std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
+  for (auto _ : state) {
+    std::fill(gx.begin(), gx.end(), 0.0);
+    std::fill(gy.begin(), gy.end(), 0.0);
+    benchmark::DoNotOptimize(den.eval(f.pl, vars, gx, gy));
+  }
+}
+BENCHMARK(BM_DensityGradientSpread4k);
+
+// Value only (passes 0-1): the cost of a rejected line-search probe.
+void BM_DensityValueSpread4k(benchmark::State& state) {
+  const auto& f = spread4k();
+  const dp::gp::VarMap vars(f.bench.netlist);
+  dp::gp::DensityPenalty den(f.bench.netlist, f.bench.design);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(den.value(f.pl, vars));
+  }
+}
+BENCHMARK(BM_DensityValueSpread4k);
+
+void BM_DensityEvalThreadsSpread4k(benchmark::State& state) {
+  const auto& f = spread4k();
+  const dp::gp::VarMap vars(f.bench.netlist);
+  dp::gp::DensityPenalty den(f.bench.netlist, f.bench.design);
+  den.set_thread_pool(std::make_shared<dp::util::ThreadPool>(
+      static_cast<std::size_t>(state.range(0))));
+  std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
+  for (auto _ : state) {
+    std::fill(gx.begin(), gx.end(), 0.0);
+    std::fill(gy.begin(), gy.end(), 0.0);
+    benchmark::DoNotOptimize(den.eval(f.pl, vars, gx, gy));
+  }
+}
+BENCHMARK(BM_DensityEvalThreadsSpread4k)->Apply(thread_args);
 
 // ---- detailed-placement kernels (recorded to BENCH_detail_kernels.json
 // by the filtered CI run: --benchmark_filter='^BM_Detail') -----------------

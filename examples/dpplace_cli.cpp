@@ -31,7 +31,7 @@
 //                         and detailed placement rejects moves that worsen
 //                         the WNS proxy; adds report lines and, with --svg,
 //                         a critical-path overlay
-//   --timing-weight W     criticality weight strength (default 8; implies
+//   --timing-weight W     criticality weight strength (default 4; implies
 //                         --timing)
 //   --timing-period P     clock period constraint (default 0 = auto: the
 //                         longest path just meets timing; implies --timing)

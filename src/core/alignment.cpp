@@ -78,6 +78,24 @@ void AlignmentPenalty::orient_by_placement(const netlist::Placement& pl) {
   }
 }
 
+namespace {
+
+/// Calls fn(c) for the cells of one lane of `g` in index order, skipping
+/// holes: bit slice `i` (`slice`) or stage column `i`. The same cells as
+/// StructureGroup::slice()/stage(), read in place instead of copied.
+template <typename Fn>
+void for_lane(const StructureGroup& g, bool slice, std::size_t i, Fn&& fn) {
+  const std::size_t count = slice ? g.stages : g.bits;
+  const std::size_t stride = slice ? 1 : g.stages;
+  const std::size_t base = slice ? i * g.stages : i;
+  for (std::size_t k = 0; k < count; ++k) {
+    const CellId c = g.cells[base + k * stride];
+    if (c != kInvalidId) fn(c);
+  }
+}
+
+}  // namespace
+
 double AlignmentPenalty::eval(const netlist::Placement& pl,
                               const gp::VarMap& vars, std::span<double> gx,
                               std::span<double> gy) const {
@@ -89,62 +107,43 @@ double AlignmentPenalty::eval(const netlist::Placement& pl,
 
     // Lines: bit slices share one coordinate, stages share the other.
     // For bits-along-y: slice coordinate = y, stage coordinate = x.
-    // The quadratic pull toward the mean has gradient 2*(c - mean).
-    auto align_line = [&](const std::vector<CellId>& cells, bool use_y) {
-      if (cells.size() < 2) return 0.0;
-      double mean = 0.0;
-      std::size_t n = 0;
-      for (CellId c : cells) {
-        if (!vars.is_movable(c)) continue;
-        mean += use_y ? pl[c].y : pl[c].x;
-        ++n;
+    // The quadratic pull toward the mean has gradient 2*(c - mean). Also
+    // records every lane's movable-cell mean and count for the springs.
+    auto align_lines = [&](bool slices, bool use_y, std::vector<double>& means,
+                           std::vector<std::size_t>& counts) {
+      const std::size_t lanes = slices ? g.bits : g.stages;
+      means.assign(lanes, 0.0);
+      counts.assign(lanes, 0);
+      for (std::size_t i = 0; i < lanes; ++i) {
+        double sum = 0.0;
+        std::size_t n = 0;
+        for_lane(g, slices, i, [&](CellId c) {
+          if (!vars.is_movable(c)) return;
+          sum += use_y ? pl[c].y : pl[c].x;
+          ++n;
+        });
+        if (n == 0) continue;
+        const double mean = sum / static_cast<double>(n);
+        means[i] = mean;
+        counts[i] = n;
+        if (n < 2) continue;
+        double local = 0.0;
+        for_lane(g, slices, i, [&](CellId c) {
+          const auto v = vars.var(c);
+          if (v == kInvalidId) return;
+          const double d = (use_y ? pl[c].y : pl[c].x) - mean;
+          local += d * d;
+          if (use_y) {
+            gy[v] += 2.0 * d;
+          } else {
+            gx[v] += 2.0 * d;
+          }
+        });
+        value += local;
       }
-      if (n < 2) return 0.0;
-      mean /= static_cast<double>(n);
-      double local = 0.0;
-      for (CellId c : cells) {
-        const auto v = vars.var(c);
-        if (v == kInvalidId) continue;
-        const double d = (use_y ? pl[c].y : pl[c].x) - mean;
-        local += d * d;
-        if (use_y) {
-          gy[v] += 2.0 * d;
-        } else {
-          gx[v] += 2.0 * d;
-        }
-      }
-      return local;
     };
-
-    std::vector<double> slice_mean(g.bits, 0.0);
-    std::vector<std::size_t> slice_n(g.bits, 0);
-    for (std::size_t b = 0; b < g.bits; ++b) {
-      const auto cells = g.slice(b);
-      value += align_line(cells, bits_y);
-      for (CellId c : cells) {
-        if (!vars.is_movable(c)) continue;
-        slice_mean[b] += bits_y ? pl[c].y : pl[c].x;
-        ++slice_n[b];
-      }
-      if (slice_n[b] > 0) {
-        slice_mean[b] /= static_cast<double>(slice_n[b]);
-      }
-    }
-
-    std::vector<double> stage_mean(g.stages, 0.0);
-    std::vector<std::size_t> stage_n(g.stages, 0);
-    for (std::size_t s = 0; s < g.stages; ++s) {
-      const auto cells = g.stage(s);
-      value += align_line(cells, !bits_y);
-      for (CellId c : cells) {
-        if (!vars.is_movable(c)) continue;
-        stage_mean[s] += bits_y ? pl[c].x : pl[c].y;
-        ++stage_n[s];
-      }
-      if (stage_n[s] > 0) {
-        stage_mean[s] /= static_cast<double>(stage_n[s]);
-      }
-    }
+    align_lines(/*slices=*/true, bits_y, slice_mean_, slice_n_);
+    align_lines(/*slices=*/false, !bits_y, stage_mean_, stage_n_);
 
     // Ordered ladder springs: consecutive slice (stage) centerlines at
     // exactly one *signed* pitch in index order. Unlike a symmetric
@@ -156,8 +155,7 @@ double AlignmentPenalty::eval(const netlist::Placement& pl,
     // an array that settled upside down is not forced to flip.
     auto pitch_spring = [&](const std::vector<double>& means,
                             const std::vector<std::size_t>& counts,
-                            double pitch, bool on_y,
-                            auto member_range) {
+                            double pitch, bool on_y, bool slices) {
       // Direction: sign of the overall span across occupied lanes.
       double first = 0.0, last = 0.0;
       bool have_first = false;
@@ -179,35 +177,26 @@ double AlignmentPenalty::eval(const netlist::Placement& pl,
         local += v * v;
         const double gi_lo = -2.0 * v / static_cast<double>(counts[i]);
         const double gi_hi = 2.0 * v / static_cast<double>(counts[i + 1]);
-        for (CellId c : member_range(i)) {
-          const auto vv = vars.var(c);
-          if (vv == kInvalidId) continue;
-          if (on_y) {
-            gy[vv] += gi_lo;
-          } else {
-            gx[vv] += gi_lo;
-          }
-        }
-        for (CellId c : member_range(i + 1)) {
-          const auto vv = vars.var(c);
-          if (vv == kInvalidId) continue;
-          if (on_y) {
-            gy[vv] += gi_hi;
-          } else {
-            gx[vv] += gi_hi;
-          }
+        for (const std::size_t lane : {i, i + 1}) {
+          const double step = lane == i ? gi_lo : gi_hi;
+          for_lane(g, slices, lane, [&](CellId c) {
+            const auto vv = vars.var(c);
+            if (vv == kInvalidId) return;
+            if (on_y) {
+              gy[vv] += step;
+            } else {
+              gx[vv] += step;
+            }
+          });
         }
       }
       return local;
     };
 
-    const double bit_pitch = design_->row_height();
-    value += pitch_spring(
-        slice_mean, slice_n, bit_pitch, bits_y,
-        [&](std::size_t b) { return g.slice(b); });
-    value += pitch_spring(
-        stage_mean, stage_n, stage_pitch_[gi], !bits_y,
-        [&](std::size_t s) { return g.stage(s); });
+    value += pitch_spring(slice_mean_, slice_n_, design_->row_height(),
+                          bits_y, /*slices=*/true);
+    value += pitch_spring(stage_mean_, stage_n_, stage_pitch_[gi], !bits_y,
+                          /*slices=*/false);
   }
 
   return value;

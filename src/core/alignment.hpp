@@ -52,6 +52,10 @@ class AlignmentPenalty final : public gp::ObjectiveTerm {
   std::vector<GroupOrientation> orientation_;
   /// Per group: mean movable-cell width (stage pitch reference).
   std::vector<double> stage_pitch_;
+  /// eval() scratch, reused across groups and calls: per-lane movable
+  /// mean coordinate and count of the current group.
+  mutable std::vector<double> slice_mean_, stage_mean_;
+  mutable std::vector<std::size_t> slice_n_, stage_n_;
 };
 
 }  // namespace dp::core

@@ -33,35 +33,42 @@ double PlateOverlapPenalty::eval(const netlist::Placement& pl,
                                  const gp::VarMap& vars, std::span<double> gx,
                                  std::span<double> gy) const {
   const std::size_t ng = groups_->groups.size();
-  std::vector<double> cx(ng, 0.0), cy(ng, 0.0);
-  std::vector<std::vector<std::pair<std::uint32_t, double>>> members(ng);
-  // members[g] caches (var, 1/n) pairs so gradients on group means can be
-  // distributed; duplicate vars (rigid bodies) accumulate naturally.
+  // Group mean centers and 1/n over movable members (0 for a group with
+  // none), so gradients on the means can be distributed over members.
+  cx_.assign(ng, 0.0);
+  cy_.assign(ng, 0.0);
+  inv_n_.assign(ng, 0.0);
   for (std::size_t g = 0; g < ng; ++g) {
     std::size_t n = 0;
     for (CellId c : groups_->groups[g].cells) {
       if (c == kInvalidId || !vars.is_movable(c)) continue;
-      cx[g] += pl[c].x;
-      cy[g] += pl[c].y;
+      cx_[g] += pl[c].x;
+      cy_[g] += pl[c].y;
       ++n;
     }
     if (n == 0) continue;
-    cx[g] /= static_cast<double>(n);
-    cy[g] /= static_cast<double>(n);
-    const double inv = 1.0 / static_cast<double>(n);
+    cx_[g] /= static_cast<double>(n);
+    cy_[g] /= static_cast<double>(n);
+    inv_n_[g] = 1.0 / static_cast<double>(n);
+  }
+  // Adds (dx, dy) / n to every movable member of group g; duplicate vars
+  // (rigid bodies) accumulate naturally.
+  auto spread = [&](std::size_t g, double dx, double dy) {
     for (CellId c : groups_->groups[g].cells) {
       if (c == kInvalidId || !vars.is_movable(c)) continue;
-      members[g].emplace_back(vars.var(c), inv);
+      const std::uint32_t var = vars.var(c);
+      gx[var] += dx * inv_n_[g];
+      gy[var] += dy * inv_n_[g];
     }
-  }
+  };
 
   double value = 0.0;
   for (std::size_t i = 0; i < ng; ++i) {
-    if (members[i].empty()) continue;
+    if (inv_n_[i] == 0.0) continue;
     for (std::size_t j = i + 1; j < ng; ++j) {
-      if (members[j].empty()) continue;
-      const double dx = cx[i] - cx[j];
-      const double dy = cy[i] - cy[j];
+      if (inv_n_[j] == 0.0) continue;
+      const double dx = cx_[i] - cx_[j];
+      const double dy = cy_[i] - cy_[j];
       const double ox = (width_[i] + width_[j]) / 2.0 - std::abs(dx);
       const double oy = (height_[i] + height_[j]) / 2.0 - std::abs(dy);
       if (ox <= 0.0 || oy <= 0.0) continue;
@@ -73,14 +80,8 @@ double PlateOverlapPenalty::eval(const netlist::Placement& pl,
       const double sy = dy >= 0.0 ? 1.0 : -1.0;
       const double gx_i = -2.0 * area * oy * sx;
       const double gy_i = -2.0 * area * ox * sy;
-      for (const auto& [var, inv] : members[i]) {
-        gx[var] += gx_i * inv;
-        gy[var] += gy_i * inv;
-      }
-      for (const auto& [var, inv] : members[j]) {
-        gx[var] -= gx_i * inv;
-        gy[var] -= gy_i * inv;
-      }
+      spread(i, gx_i, gy_i);
+      spread(j, -gx_i, -gy_i);  // x - a*b == x + (-a)*b, bit for bit
     }
   }
   return value;

@@ -40,6 +40,8 @@ class PlateOverlapPenalty final : public gp::ObjectiveTerm {
   const netlist::StructureAnnotation* groups_;
   std::vector<double> width_;
   std::vector<double> height_;
+  /// eval() scratch: per-group mean center and 1/n of movable members.
+  mutable std::vector<double> cx_, cy_, inv_n_;
 };
 
 }  // namespace dp::core

@@ -16,6 +16,10 @@ namespace {
 /// every pass produces the same floating-point result for any pool size.
 constexpr std::size_t kMaxParts = 64;
 constexpr std::size_t kMinCellsPerChunk = 512;
+/// Pass-1 accumulation blocks. Each block owns a run of whole value
+/// groups (see value()), so a cell whose footprint spans a few bin rows
+/// is visited once or twice per evaluation instead of once per row.
+constexpr std::size_t kAccumBlocks = 8;
 
 /// Smallest power of two >= x (x >= 1).
 std::size_t pow2_at_least(double x) {
@@ -24,15 +28,39 @@ std::size_t pow2_at_least(double x) {
   return p;
 }
 
-/// One axis of the bell-shaped potential and its signed derivative.
+/// Fixed cell chunking shared by passes 0 and 2.
+std::size_t cell_chunks(std::size_t n_mov) {
+  return std::clamp<std::size_t>(n_mov / kMinCellsPerChunk, 1, kMaxParts);
+}
+
+/// task(k) for k in [0, n), on the pool when there is one.
+template <typename Task>
+void run_tasks(util::ThreadPool* pool, std::size_t n, Task&& task) {
+  if (pool != nullptr) {
+    pool->run(n, task);
+  } else {
+    for (std::size_t k = 0; k < n; ++k) task(k);
+  }
+}
+
+/// body(k, v) for every cell index v of chunk k, over `chunks` fixed
+/// contiguous chunks of [0, n).
+template <typename Body>
+void for_cell_chunks(util::ThreadPool* pool, std::size_t n,
+                     std::size_t chunks, Body&& body) {
+  if (n == 0) return;
+  const std::size_t per_chunk = (n + chunks - 1) / chunks;
+  run_tasks(pool, chunks, [&](std::size_t k) {
+    const std::size_t v1 = std::min(n, (k + 1) * per_chunk);
+    for (std::size_t v = k * per_chunk; v < v1; ++v) body(k, v);
+  });
+}
+
+}  // namespace
+
 /// `d` is the signed distance cell-center minus bin-center; `wc` the cell
 /// extent on this axis, `wb` the bin extent.
-struct Bell {
-  double p = 0.0;   ///< potential in [0, 1]
-  double dp = 0.0;  ///< d(potential)/d(cell coordinate)
-};
-
-Bell bell(double d, double wc, double wb) {
+DensityPenalty::Bell DensityPenalty::bell(double d, double wc, double wb) {
   const double ad = std::abs(d);
   const double r1 = wc / 2.0 + wb;
   const double r2 = wc / 2.0 + 2.0 * wb;
@@ -50,7 +78,18 @@ Bell bell(double d, double wc, double wb) {
   return out;
 }
 
-}  // namespace
+const DensityPenalty::Bell* DensityPenalty::x_bells(std::size_t task,
+                                                    const Footprint& f,
+                                                    double cx,
+                                                    double wc) const {
+  const double lx = design_->core().lx;
+  Bell* row = &bell_rows_[task * nb_];
+  for (long long bx = f.bx0; bx <= f.bx1; ++bx) {
+    const double bcx = lx + (static_cast<double>(bx) + 0.5) * bw_;
+    row[bx - f.bx0] = bell(cx - bcx, wc, bw_);
+  }
+  return row;
+}
 
 DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
                                const netlist::Design& design,
@@ -119,6 +158,13 @@ void DensityPenalty::set_area_scale(std::vector<double> scale) {
 double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
                             std::span<double> gx,
                             std::span<double> gy) const {
+  const double v = value(pl, vars);
+  gradient(pl, vars, gx, gy);
+  return v;
+}
+
+double DensityPenalty::value(const netlist::Placement& pl,
+                             const VarMap& vars) const {
   const auto& nl = *nl_;
   const geom::Rect& core = design_->core();
   const auto nbi = static_cast<long long>(nb_);
@@ -127,28 +173,13 @@ double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
   const auto movable = vars.movable_cells();
   const std::size_t n_mov = movable.size();
   foot_.resize(n_mov);
-
-  // Fixed cell chunking shared by the footprint and gradient passes.
-  const std::size_t cell_chunks =
-      std::clamp<std::size_t>(n_mov / kMinCellsPerChunk, 1, kMaxParts);
-  const std::size_t cells_per_chunk =
-      n_mov > 0 ? (n_mov + cell_chunks - 1) / cell_chunks : 0;
-  auto for_cells = [&](auto&& body) {
-    if (n_mov == 0) return;
-    auto task = [&](std::size_t k) {
-      const std::size_t v1 =
-          std::min(n_mov, (k + 1) * cells_per_chunk);
-      for (std::size_t v = k * cells_per_chunk; v < v1; ++v) body(v);
-    };
-    if (pool_ != nullptr) {
-      pool_->run(cell_chunks, task);
-    } else {
-      for (std::size_t k = 0; k < cell_chunks; ++k) task(k);
-    }
-  };
+  const std::size_t chunks = cell_chunks(n_mov);
+  bell_rows_.resize(std::max(bell_rows_.size(),
+                             std::max(chunks, kAccumBlocks) * nb_));
 
   // Pass 0: footprints and per-cell normalization (independent per cell).
-  for_cells([&](std::size_t v) {
+  for_cell_chunks(pool_.get(), n_mov, chunks, [&](std::size_t k,
+                                                  std::size_t v) {
     const CellId c = movable[v];
     const double wc = nl.cell_width(c);
     const double hc = nl.cell_height(c);
@@ -167,27 +198,35 @@ double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
     f.by1 = std::min<long long>(
         nbi - 1, static_cast<long long>(std::floor((cy + ry - core.ly) / bh_)));
 
+    const Bell* px = x_bells(k, f, cx, wc);
     double norm = 0.0;
     for (long long by = f.by0; by <= f.by1; ++by) {
       const double bcy = core.ly + (static_cast<double>(by) + 0.5) * bh_;
       const Bell py = bell(cy - bcy, hc, bh_);
       if (py.p == 0.0) continue;
       for (long long bx = f.bx0; bx <= f.bx1; ++bx) {
-        const double bcx = core.lx + (static_cast<double>(bx) + 0.5) * bw_;
-        const Bell px = bell(cx - bcx, wc, bw_);
-        norm += px.p * py.p;
+        norm += px[bx - f.bx0].p * py.p;
       }
     }
     f.inv_norm = norm > 0.0 ? nl.cell_area(c) * area_scale_[c] / norm : 0.0;
     foot_[v] = f;
   });
 
-  // Pass 1: accumulate smoothed density, partitioned by bin-row blocks.
-  // Every bin row has exactly one owning block, which adds contributions
-  // in ascending cell order -- the same order as a serial sweep, so the
-  // grid is bitwise identical for any thread count, with no reduction.
-  const std::size_t num_blocks = std::min(nb_, kMaxParts);
-  const std::size_t rows_per_block = (nb_ + num_blocks - 1) / num_blocks;
+  // Pass 1: accumulate smoothed density over kAccumBlocks multi-row
+  // blocks. Every bin row has exactly one owning block, which adds
+  // contributions in ascending cell order -- the same order as a serial
+  // sweep, so the grid is bitwise identical for any thread count, with no
+  // reduction. The value is summed per value group (min(nb, 64) groups of
+  // whole rows, the grouping the value has always been summed in) and the
+  // group sums are added in order, so the value keeps its bits too; each
+  // block owns a run of whole groups.
+  const std::size_t num_groups = std::min(nb_, kMaxParts);
+  const std::size_t rows_per_group = (nb_ + num_groups - 1) / num_groups;
+  const std::size_t groups_per_block =
+      (num_groups + kAccumBlocks - 1) / kAccumBlocks;
+  const std::size_t num_blocks =
+      (num_groups + groups_per_block - 1) / groups_per_block;
+  const std::size_t rows_per_block = rows_per_group * groups_per_block;
   block_cells_.resize(num_blocks);
   for (auto& b : block_cells_) b.clear();
   for (std::size_t v = 0; v < n_mov; ++v) {
@@ -201,81 +240,86 @@ double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
 
   const bool one_sided = one_sided_cap_ >= 0.0;
   const double target = one_sided ? one_sided_cap_ : target_per_bin_;
-  block_value_.assign(num_blocks, 0.0);
+  group_value_.assign(num_groups, 0.0);
 
-  auto block_task = [&](std::size_t b) {
+  run_tasks(pool_.get(), num_blocks, [&](std::size_t b) {
     const auto r0 = static_cast<long long>(b * rows_per_block);
     const auto r1 = std::min<long long>(
         nbi, static_cast<long long>((b + 1) * rows_per_block));
     for (const std::uint32_t v : block_cells_[b]) {
       const Footprint& f = foot_[v];
       const CellId c = movable[v];
-      const double wc = nl.cell_width(c);
       const double hc = nl.cell_height(c);
-      const double cx = pl[c].x;
       const double cy = pl[c].y;
+      const Bell* px = x_bells(b, f, pl[c].x, nl.cell_width(c));
       const long long by_lo = std::max(f.by0, r0);
       const long long by_hi = std::min(f.by1, r1 - 1);
       for (long long by = by_lo; by <= by_hi; ++by) {
         const double bcy = core.ly + (static_cast<double>(by) + 0.5) * bh_;
         const Bell py = bell(cy - bcy, hc, bh_);
         if (py.p == 0.0) continue;
+        double* row = &density_[static_cast<std::size_t>(by) * nb_];
         for (long long bx = f.bx0; bx <= f.bx1; ++bx) {
-          const double bcx = core.lx + (static_cast<double>(bx) + 0.5) * bw_;
-          const Bell px = bell(cx - bcx, wc, bw_);
-          density_[static_cast<std::size_t>(by) * nb_ +
-                   static_cast<std::size_t>(bx)] += f.inv_norm * px.p * py.p;
+          row[bx] += f.inv_norm * px[bx - f.bx0].p * py.p;
         }
       }
     }
-    // The block's rows are final now; fold its share of the penalty
-    // value. In one-sided mode, under-full bins are free.
-    double value = 0.0;
-    const std::size_t i0 = static_cast<std::size_t>(r0) * nb_;
-    const std::size_t i1 = static_cast<std::size_t>(r1) * nb_;
-    for (std::size_t i = i0; i < i1; ++i) {
-      double e = density_[i] - target;
-      if (one_sided && e < 0.0) e = 0.0;
-      value += e * e;
+    // The block's rows are final now; fold its groups' share of the
+    // penalty value. In one-sided mode, under-full bins are free.
+    const std::size_t g1 = std::min(num_groups, (b + 1) * groups_per_block);
+    for (std::size_t g = b * groups_per_block; g < g1; ++g) {
+      const std::size_t i0 = std::min(g * rows_per_group, nb_) * nb_;
+      const std::size_t i1 = std::min((g + 1) * rows_per_group, nb_) * nb_;
+      double value = 0.0;
+      for (std::size_t i = i0; i < i1; ++i) {
+        double e = density_[i] - target;
+        if (one_sided && e < 0.0) e = 0.0;
+        value += e * e;
+      }
+      group_value_[g] = value;
     }
-    block_value_[b] = value;
-  };
-  if (pool_ != nullptr) {
-    pool_->run(num_blocks, block_task);
-  } else {
-    for (std::size_t b = 0; b < num_blocks; ++b) block_task(b);
-  }
+  });
   double value = 0.0;
-  for (const double v : block_value_) value += v;
+  for (const double v : group_value_) value += v;
+  return value;
+}
+
+void DensityPenalty::gradient(const netlist::Placement& pl,
+                              const VarMap& vars, std::span<double> gx,
+                              std::span<double> gy) const {
+  const auto& nl = *nl_;
+  const geom::Rect& core = design_->core();
+  const bool one_sided = one_sided_cap_ >= 0.0;
+  const double target = one_sided ? one_sided_cap_ : target_per_bin_;
+  const auto movable = vars.movable_cells();
+  const std::size_t n_mov = movable.size();
 
   // Pass 2: gradient via chain rule (normalization treated as constant,
   // the standard NTUplace approximation). Embarrassingly parallel over
   // cells into per-cell slots.
   cell_gx_.resize(n_mov);
   cell_gy_.resize(n_mov);
-  for_cells([&](std::size_t v) {
+  for_cell_chunks(pool_.get(), n_mov, cell_chunks(n_mov), [&](std::size_t k,
+                                                              std::size_t v) {
     const Footprint& f = foot_[v];
     cell_gx_[v] = 0.0;
     cell_gy_[v] = 0.0;
     if (f.inv_norm == 0.0) return;
     const CellId c = movable[v];
-    const double wc = nl.cell_width(c);
     const double hc = nl.cell_height(c);
-    const double cx = pl[c].x;
     const double cy = pl[c].y;
+    const Bell* px = x_bells(k, f, pl[c].x, nl.cell_width(c));
     double gx_acc = 0.0, gy_acc = 0.0;
     for (long long by = f.by0; by <= f.by1; ++by) {
       const double bcy = core.ly + (static_cast<double>(by) + 0.5) * bh_;
       const Bell py = bell(cy - bcy, hc, bh_);
+      const double* row = &density_[static_cast<std::size_t>(by) * nb_];
       for (long long bx = f.bx0; bx <= f.bx1; ++bx) {
-        const double bcx = core.lx + (static_cast<double>(bx) + 0.5) * bw_;
-        const Bell px = bell(cx - bcx, wc, bw_);
-        double err = density_[static_cast<std::size_t>(by) * nb_ +
-                              static_cast<std::size_t>(bx)] -
-                     target;
+        const Bell& pxb = px[bx - f.bx0];
+        double err = row[bx] - target;
         if (one_sided && err < 0.0) err = 0.0;
-        gx_acc += 2.0 * err * f.inv_norm * px.dp * py.p;
-        gy_acc += 2.0 * err * f.inv_norm * px.p * py.dp;
+        gx_acc += 2.0 * err * f.inv_norm * pxb.dp * py.p;
+        gy_acc += 2.0 * err * f.inv_norm * pxb.p * py.dp;
       }
     }
     cell_gx_[v] = gx_acc;
@@ -289,7 +333,6 @@ double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
     gx[var] += cell_gx_[v];
     gy[var] += cell_gy_[v];
   }
-  return value;
 }
 
 double DensityPenalty::overflow(const netlist::Placement& pl,

@@ -24,12 +24,18 @@ namespace dp::gp {
 /// (movable area spread uniformly). Fixed cells inside the core contribute
 /// their exact rectangle overlap to D_b as a constant preload.
 ///
-/// Evaluation parallelizes in three deterministic passes: footprints and
-/// normalizations per cell chunk, accumulation partitioned by bin-row
-/// blocks (each bin has exactly one owner, which adds contributions in
-/// fixed cell order -- no reduction races, bitwise identical to the serial
-/// loop), and the gradient embarrassingly parallel over cells with an
-/// ordered per-variable reduction.
+/// Evaluation runs in three deterministic passes, split so that a line
+/// search can reject a probe without paying for its gradient:
+///  - value() runs pass 0 (footprints and per-cell normalizations, per
+///    cell chunk) and pass 1 (smoothed density, accumulated over a few
+///    fixed multi-row blocks; every bin row has exactly one owning block,
+///    which adds contributions in ascending cell order -- no reduction
+///    races, bitwise identical to the serial loop);
+///  - gradient() runs pass 2 (embarrassingly parallel over cells) and an
+///    ordered per-variable reduction, on the footprints and grid the
+///    preceding value() left behind.
+/// Each pass computes a cell's x-bells once into a per-task row and reuses
+/// them for every bin row of the footprint.
 class DensityPenalty final : public ObjectiveTerm {
  public:
   DensityPenalty(const netlist::Netlist& nl, const netlist::Design& design,
@@ -65,12 +71,24 @@ class DensityPenalty final : public ObjectiveTerm {
   /// default to 1.
   void set_area_scale(std::vector<double> scale);
 
+  /// value() followed by gradient(): returns the penalty and adds its
+  /// gradient into gx/gy.
   double eval(const netlist::Placement& pl, const VarMap& vars,
               std::span<double> gx, std::span<double> gy) const override;
 
-  /// Hard-overflow metric from the most recent eval(): the fraction of
-  /// movable area in bins above `target` density (computed on the same
-  /// grid but with the *exact* cell rectangles, not the smoothed bells).
+  /// Passes 0-1: the penalty value. Keeps the footprints and the smoothed
+  /// grid for a following gradient() call.
+  double value(const netlist::Placement& pl, const VarMap& vars) const;
+
+  /// Pass 2 and the ordered reduction: adds the gradient at the placement
+  /// of the most recent value() call into gx/gy. `pl` and `vars` must be
+  /// the ones that value() saw, unchanged since.
+  void gradient(const netlist::Placement& pl, const VarMap& vars,
+                std::span<double> gx, std::span<double> gy) const;
+
+  /// Hard-overflow metric: the fraction of movable area in bins above
+  /// `target` density. Computed afresh from the *exact* cell rectangles on
+  /// the same grid, not from the smoothed bells of value().
   double overflow(const netlist::Placement& pl, const VarMap& vars,
                   double target_density) const;
 
@@ -106,10 +124,25 @@ class DensityPenalty final : public ObjectiveTerm {
     long long bx0, bx1, by0, by1;
     double inv_norm;
   };
+  /// One axis of a cell's bell potential at one bin.
+  struct Bell {
+    double p = 0.0;   ///< potential in [0, 1]
+    double dp = 0.0;  ///< d(potential)/d(cell coordinate)
+  };
+  static Bell bell(double d, double wc, double wb);
+
+  /// Fills task `task`'s row with the x-bells of the cell at `cx` (width
+  /// `wc`) over its footprint columns; entry i is bin column f.bx0 + i.
+  const Bell* x_bells(std::size_t task, const Footprint& f, double cx,
+                      double wc) const;
+
   mutable std::vector<Footprint> foot_;
   mutable std::vector<double> cell_gx_, cell_gy_;  ///< per movable index
-  mutable std::vector<double> block_value_;        ///< per row-block sums
+  mutable std::vector<double> group_value_;        ///< per value-group sums
   mutable std::vector<std::vector<std::uint32_t>> block_cells_;
+  /// One row of x-bells per concurrent task, each nb_ wide (the widest
+  /// possible footprint); grown on demand, never per cell.
+  mutable std::vector<Bell> bell_rows_;
 };
 
 }  // namespace dp::gp

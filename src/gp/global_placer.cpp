@@ -33,6 +33,15 @@ class CompositeObjective final : public Objective {
   void set_profile(EvalProfile* profile) { profile_ = profile; }
 
   double eval(std::span<const double> v, std::span<double> grad) override {
+    const double f = value(v);
+    gradient(grad);
+    return f;
+  }
+
+  /// Wirelength in full (its exps dominate value and gradient alike), the
+  /// density value only, and every extra term in full with its gradient
+  /// kept for gradient(); all at the core-clamped `v`.
+  double value(std::span<const double> v) override {
     const std::size_t n = vars_->num_vars();
     // Project into the core (keeps the bell-shaped density well-defined).
     clamped_.assign(v.begin(), v.end());
@@ -50,30 +59,48 @@ class CompositeObjective final : public Objective {
     if (profile_ != nullptr) profile_->wirelength.add(timer.seconds());
 
     timer.restart();
+    f += lambda_ * den_->value(*pl_, *vars_);
+    if (profile_ != nullptr) profile_->density.add(timer.seconds());
+
+    const std::size_t num_extras = extras_ != nullptr ? extras_->size() : 0;
+    extra_gx_.resize(num_extras);
+    extra_gy_.resize(num_extras);
+    for (std::size_t t = 0; t < num_extras; ++t) {
+      const double w = (*extra_weights_)[t];
+      if (w == 0.0) continue;
+      timer.restart();
+      extra_gx_[t].assign(n, 0.0);
+      extra_gy_[t].assign(n, 0.0);
+      f += w * (*extras_)[t].term->eval(*pl_, *vars_, extra_gx_[t],
+                                        extra_gy_[t]);
+      if (profile_ != nullptr) {
+        profile_->extra((*extras_)[t].name).add(timer.seconds());
+      }
+    }
+    return f;
+  }
+
+  /// Folds lambda * density gradient, then each weighted extra-term
+  /// gradient kept by value(), into the wirelength gradient -- the order
+  /// a single full evaluation has always used.
+  void gradient(std::span<double> grad) override {
+    const std::size_t n = vars_->num_vars();
+    util::Timer timer;
     dgx_.assign(n, 0.0);
     dgy_.assign(n, 0.0);
-    f += lambda_ * den_->eval(*pl_, *vars_, dgx_, dgy_);
+    den_->gradient(*pl_, *vars_, dgx_, dgy_);
     for (std::size_t i = 0; i < n; ++i) {
       gx_[i] += lambda_ * dgx_[i];
       gy_[i] += lambda_ * dgy_[i];
     }
-    if (profile_ != nullptr) profile_->density.add(timer.seconds());
+    if (profile_ != nullptr) profile_->density.seconds += timer.seconds();
 
-    if (extras_ != nullptr) {
-      for (std::size_t t = 0; t < extras_->size(); ++t) {
-        const double w = (*extra_weights_)[t];
-        if (w == 0.0) continue;
-        timer.restart();
-        dgx_.assign(n, 0.0);
-        dgy_.assign(n, 0.0);
-        f += w * (*extras_)[t].term->eval(*pl_, *vars_, dgx_, dgy_);
-        for (std::size_t i = 0; i < n; ++i) {
-          gx_[i] += w * dgx_[i];
-          gy_[i] += w * dgy_[i];
-        }
-        if (profile_ != nullptr) {
-          profile_->extra((*extras_)[t].name).add(timer.seconds());
-        }
+    for (std::size_t t = 0; t < extra_gx_.size(); ++t) {
+      const double w = (*extra_weights_)[t];
+      if (w == 0.0) continue;
+      for (std::size_t i = 0; i < n; ++i) {
+        gx_[i] += w * extra_gx_[t][i];
+        gy_[i] += w * extra_gy_[t][i];
       }
     }
 
@@ -81,7 +108,6 @@ class CompositeObjective final : public Objective {
       grad[i] = gx_[i];
       grad[n + i] = gy_[i];
     }
-    return f;
   }
 
   /// Gradient L1 norms of the individual terms at the current placement,
@@ -119,6 +145,8 @@ class CompositeObjective final : public Objective {
   const std::vector<double>* extra_weights_ = nullptr;
   EvalProfile* profile_ = nullptr;
   std::vector<double> clamped_, gx_, gy_, dgx_, dgy_;
+  /// Per extra term: its unweighted gradient from the last value().
+  std::vector<std::vector<double>> extra_gx_, extra_gy_;
 };
 
 }  // namespace
@@ -223,6 +251,7 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
     result.total_evaluations += inner.evaluations;
     result.profile.line_search.calls += inner.line_search_evals;
     result.profile.line_search.seconds += inner.line_search_seconds;
+    result.profile.gradients += inner.gradient_evals;
 
     // The objective evaluates a core-clamped copy of the variables; fold
     // that projection back into the iterate so positions (and the next

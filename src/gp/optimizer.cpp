@@ -23,6 +23,15 @@ double inf_norm(std::span<const double> a) {
 
 }  // namespace
 
+double Objective::value(std::span<const double> vars) {
+  kept_grad_.resize(vars.size());
+  return eval(vars, kept_grad_);
+}
+
+void Objective::gradient(std::span<double> grad) {
+  std::copy(kept_grad_.begin(), kept_grad_.end(), grad.begin());
+}
+
 CgResult minimize_cg(Objective& objective, std::vector<double>& vars,
                      const CgOptions& options) {
   CgResult result;
@@ -34,6 +43,7 @@ CgResult minimize_cg(Objective& objective, std::vector<double>& vars,
 
   double f = objective.eval(vars, grad);
   ++result.evaluations;
+  ++result.gradient_evals;
   for (std::size_t i = 0; i < n; ++i) dir[i] = -grad[i];
 
   for (std::size_t iter = 0; iter < options.max_iters; ++iter) {
@@ -57,8 +67,7 @@ CgResult minimize_cg(Objective& objective, std::vector<double>& vars,
     const util::Timer ls_timer;
     for (std::size_t bt = 0; bt <= options.max_backtracks; ++bt) {
       for (std::size_t i = 0; i < n; ++i) trial[i] = vars[i] + alpha * dir[i];
-      // Value-only probe: gradient span reused but overwritten on accept.
-      f_new = objective.eval(trial, prev_grad);
+      f_new = objective.value(trial);
       ++result.evaluations;
       ++result.line_search_evals;
       if (f_new <= f + options.armijo_c1 * alpha * g_dot_d) {
@@ -70,6 +79,9 @@ CgResult minimize_cg(Objective& objective, std::vector<double>& vars,
     result.line_search_seconds += ls_timer.seconds();
     if (!accepted) break;  // line search failed; gradient likely noisy
 
+    // Only the accepted probe pays for its gradient.
+    objective.gradient(prev_grad);
+    ++result.gradient_evals;
     vars.swap(trial);
     std::swap(grad, prev_grad);  // prev_grad now holds the OLD gradient
     const double f_old = f;

@@ -14,6 +14,20 @@ class Objective {
   /// returns the objective value.
   virtual double eval(std::span<const double> vars,
                       std::span<double> grad) = 0;
+
+  /// The value at `vars`, keeping what gradient() needs. The line search
+  /// calls this on every probe and asks for the gradient only once a probe
+  /// is accepted. The default runs eval() and keeps its gradient; an
+  /// objective whose gradient is costly overrides both to skip it on
+  /// rejected probes. value() then gradient() must equal eval() bitwise.
+  virtual double value(std::span<const double> vars);
+
+  /// Writes the gradient at the point of the most recent value() call
+  /// into `grad` (overwrite, not accumulate).
+  virtual void gradient(std::span<double> grad);
+
+ private:
+  std::vector<double> kept_grad_;
 };
 
 struct CgOptions {
@@ -33,11 +47,15 @@ struct CgResult {
   std::size_t iterations = 0;
   std::size_t evaluations = 0;
   double final_value = 0.0;
-  /// Value-only probes spent inside the Armijo backtracking loop (a
-  /// subset of `evaluations`), and their cumulative wall time; feeds the
+  /// Probes of the Armijo backtracking loop (a subset of `evaluations`),
+  /// each a value() call, and their cumulative wall time; feeds the
   /// line-search entry of gp::EvalProfile.
   std::size_t line_search_evals = 0;
   double line_search_seconds = 0.0;
+  /// Gradients computed: the initial eval() plus one per accepted probe.
+  /// Rejected probes cost a value only, so this is below `evaluations`
+  /// whenever a probe was rejected.
+  std::size_t gradient_evals = 0;
 };
 
 /// Polak-Ribiere+ nonlinear conjugate gradient with Armijo backtracking

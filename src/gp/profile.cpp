@@ -16,6 +16,7 @@ void EvalProfile::merge(const EvalProfile& other) {
   wirelength.merge(other.wirelength);
   density.merge(other.density);
   line_search.merge(other.line_search);
+  gradients += other.gradients;
   for (const auto& [name, term] : other.extras) extra(name).merge(term);
 }
 
@@ -32,6 +33,8 @@ std::string EvalProfile::to_string() const {
     out += " | " + fmt(name.c_str(), term);
   }
   out += " | " + fmt("line-search", line_search);
+  std::snprintf(buf, sizeof buf, " | gradients %zux", gradients);
+  out += buf;
   return out;
 }
 

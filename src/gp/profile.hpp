@@ -24,15 +24,20 @@ struct TermProfile {
 
 /// Per-term evaluation profile of a global-placement run: how often each
 /// objective term was evaluated and how much wall time it consumed, so
-/// kernel speedups are measured instead of guessed. The wirelength and
-/// density entries cover every CompositeObjective evaluation (gradient
-/// steps and line-search probes alike); `line_search` separately counts
-/// the value-only probes inside the CG backtracking loop, whose time is
-/// already included in the per-term entries.
+/// kernel speedups are measured instead of guessed. Every CompositeObjective
+/// evaluation -- the first one of a CG run or a line-search probe -- counts
+/// one call of wirelength, density and each active extra term. Only the
+/// density gradient is deferred: it runs for the first evaluation and the
+/// accepted probes alone, and its time is added to `density.seconds`
+/// without a call. `line_search` counts the Armijo probes (a subset of the
+/// evaluations; their value time is already in the per-term entries), and
+/// `gradients` the objective gradients computed: one per CG run plus one
+/// per accepted probe.
 struct EvalProfile {
   TermProfile wirelength;
   TermProfile density;
   TermProfile line_search;
+  std::size_t gradients = 0;
   /// Extra objective terms by name, in registration order (e.g.
   /// "alignment", "overlap" in the structure-aware flow).
   std::vector<std::pair<std::string, TermProfile>> extras;
@@ -43,7 +48,8 @@ struct EvalProfile {
   void merge(const EvalProfile& other);
 
   /// Compact one-line rendering for logs and the CLI, e.g.
-  ///   "wl 812x/0.41s | density 812x/0.77s | align 406x/0.08s | ls 590x/0.9s"
+  ///   "wl 812x/0.410s | density 812x/0.770s | alignment 406x/0.080s |
+  ///    line-search 590x/0.900s | gradients 310x"
   std::string to_string() const;
 };
 

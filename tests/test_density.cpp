@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <memory>
+
 #include "dpgen/benchmarks.hpp"
+#include "geom/rect.hpp"
 #include "gp/density.hpp"
+#include "gp/global_placer.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dp::gp {
 namespace {
@@ -20,6 +29,470 @@ struct SmallDesign {
   }
   std::optional<dpgen::Benchmark> bench;
 };
+
+// ---- 0-ulp reference -------------------------------------------------------
+//
+// A verbatim copy of the original DensityPenalty evaluation: every pass
+// recomputes the x-bell of each (row, column) pair, pass 1 runs over
+// min(nb, 64) one-group blocks, and the gradient is always computed. The
+// optimized kernel must reproduce its value and gradient bit for bit.
+namespace reference {
+
+/// Chunk/block counts are fixed (independent of the thread count), so
+/// every pass produces the same floating-point result for any pool size.
+constexpr std::size_t kMaxParts = 64;
+constexpr std::size_t kMinCellsPerChunk = 512;
+
+/// Smallest power of two >= x (x >= 1).
+std::size_t pow2_at_least(double x) {
+  std::size_t p = 1;
+  while (static_cast<double>(p) < x) p <<= 1;
+  return p;
+}
+
+/// One axis of the bell-shaped potential and its signed derivative.
+/// `d` is the signed distance cell-center minus bin-center; `wc` the cell
+/// extent on this axis, `wb` the bin extent.
+struct Bell {
+  double p = 0.0;   ///< potential in [0, 1]
+  double dp = 0.0;  ///< d(potential)/d(cell coordinate)
+};
+
+Bell bell(double d, double wc, double wb) {
+  const double ad = std::abs(d);
+  const double r1 = wc / 2.0 + wb;
+  const double r2 = wc / 2.0 + 2.0 * wb;
+  Bell out;
+  if (ad <= r1) {
+    const double a = 4.0 / ((wc + 2.0 * wb) * (wc + 4.0 * wb));
+    out.p = 1.0 - a * ad * ad;
+    out.dp = -2.0 * a * d;  // sign(d) * (-2 a |d|)
+  } else if (ad <= r2) {
+    const double b = 2.0 / (wb * (wc + 4.0 * wb));
+    const double t = ad - r2;
+    out.p = b * t * t;
+    out.dp = 2.0 * b * t * (d >= 0.0 ? 1.0 : -1.0);
+  }
+  return out;
+}
+
+class DensityPenalty {
+ public:
+  DensityPenalty(const netlist::Netlist& nl, const netlist::Design& design,
+                 std::size_t bins_per_side = 0);
+  void set_one_sided(double max_density) {
+    one_sided_cap_ = bw_ * bh_ * max_density;
+  }
+  void set_thread_pool(std::shared_ptr<util::ThreadPool> pool) {
+    pool_ = std::move(pool);
+  }
+  void preload_obstacles(const netlist::Placement& pl, const VarMap& vars);
+  void set_area_scale(std::vector<double> scale);
+  double eval(const netlist::Placement& pl, const VarMap& vars,
+              std::span<double> gx, std::span<double> gy) const;
+
+ private:
+  const netlist::Netlist* nl_;
+  const netlist::Design* design_;
+  std::size_t nb_ = 0;
+  double bw_ = 0.0, bh_ = 0.0;
+  double target_per_bin_ = 0.0;
+  double one_sided_cap_ = -1.0;
+  std::vector<double> preload_;
+  std::vector<double> area_scale_;
+  mutable std::vector<double> density_;
+  std::shared_ptr<util::ThreadPool> pool_;
+  mutable const VarMap* overflow_vars_ = nullptr;
+  struct Footprint {
+    long long bx0, bx1, by0, by1;
+    double inv_norm;
+  };
+  mutable std::vector<Footprint> foot_;
+  mutable std::vector<double> cell_gx_, cell_gy_;
+  mutable std::vector<double> block_value_;
+  mutable std::vector<std::vector<std::uint32_t>> block_cells_;
+};
+
+DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
+                               const netlist::Design& design,
+                               std::size_t bins_per_side)
+    : nl_(&nl), design_(&design) {
+  const std::size_t n_mov = nl.num_movable();
+  nb_ = bins_per_side != 0
+            ? bins_per_side
+            : std::clamp<std::size_t>(
+                  pow2_at_least(std::sqrt(static_cast<double>(n_mov))), 16,
+                  512);
+  const geom::Rect& core = design.core();
+  bw_ = core.width() / static_cast<double>(nb_);
+  bh_ = core.height() / static_cast<double>(nb_);
+  target_per_bin_ = nl.movable_area() / static_cast<double>(nb_ * nb_);
+
+  // Preload exact overlap of fixed cells that intrude into the core.
+  preload_.assign(nb_ * nb_, 0.0);
+  density_.assign(nb_ * nb_, 0.0);
+  area_scale_.assign(nl.num_cells(), 1.0);
+}
+
+void DensityPenalty::preload_obstacles(const netlist::Placement& pl,
+                                       const VarMap& vars) {
+  preload_.assign(nb_ * nb_, 0.0);
+  const geom::Rect& core = design_->core();
+  const auto nbi = static_cast<long long>(nb_);
+  for (CellId c = 0; c < nl_->num_cells(); ++c) {
+    if (vars.var(c) != netlist::kInvalidId) continue;
+    const geom::Rect r = geom::Rect::from_center(pl[c], nl_->cell_width(c),
+                                                 nl_->cell_height(c));
+    const auto bx0 = std::max<long long>(
+        0, static_cast<long long>(std::floor((r.lx - core.lx) / bw_)));
+    const auto bx1 = std::min<long long>(
+        nbi - 1, static_cast<long long>(std::floor((r.hx - core.lx) / bw_)));
+    const auto by0 = std::max<long long>(
+        0, static_cast<long long>(std::floor((r.ly - core.ly) / bh_)));
+    const auto by1 = std::min<long long>(
+        nbi - 1, static_cast<long long>(std::floor((r.hy - core.ly) / bh_)));
+    for (long long by = by0; by <= by1; ++by) {
+      for (long long bx = bx0; bx <= bx1; ++bx) {
+        const geom::Rect bin{core.lx + static_cast<double>(bx) * bw_,
+                             core.ly + static_cast<double>(by) * bh_,
+                             core.lx + static_cast<double>(bx + 1) * bw_,
+                             core.ly + static_cast<double>(by + 1) * bh_};
+        preload_[static_cast<std::size_t>(by) * nb_ +
+                 static_cast<std::size_t>(bx)] += r.overlap_area(bin);
+      }
+    }
+  }
+}
+
+void DensityPenalty::set_area_scale(std::vector<double> scale) {
+  area_scale_ = std::move(scale);
+  area_scale_.resize(nl_->num_cells(), 1.0);
+  double scaled_total = 0.0;
+  for (CellId c = 0; c < nl_->num_cells(); ++c) {
+    if (!nl_->cell(c).fixed) {
+      scaled_total += nl_->cell_area(c) * area_scale_[c];
+    }
+  }
+  target_per_bin_ = scaled_total / static_cast<double>(nb_ * nb_);
+  overflow_vars_ = nullptr;  // invalidate the cached overflow denominator
+}
+
+double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
+                            std::span<double> gx,
+                            std::span<double> gy) const {
+  const auto& nl = *nl_;
+  const geom::Rect& core = design_->core();
+  const auto nbi = static_cast<long long>(nb_);
+  density_ = preload_;
+
+  const auto movable = vars.movable_cells();
+  const std::size_t n_mov = movable.size();
+  foot_.resize(n_mov);
+
+  // Fixed cell chunking shared by the footprint and gradient passes.
+  const std::size_t cell_chunks =
+      std::clamp<std::size_t>(n_mov / kMinCellsPerChunk, 1, kMaxParts);
+  const std::size_t cells_per_chunk =
+      n_mov > 0 ? (n_mov + cell_chunks - 1) / cell_chunks : 0;
+  auto for_cells = [&](auto&& body) {
+    if (n_mov == 0) return;
+    auto task = [&](std::size_t k) {
+      const std::size_t v1 =
+          std::min(n_mov, (k + 1) * cells_per_chunk);
+      for (std::size_t v = k * cells_per_chunk; v < v1; ++v) body(v);
+    };
+    if (pool_ != nullptr) {
+      pool_->run(cell_chunks, task);
+    } else {
+      for (std::size_t k = 0; k < cell_chunks; ++k) task(k);
+    }
+  };
+
+  // Pass 0: footprints and per-cell normalization (independent per cell).
+  for_cells([&](std::size_t v) {
+    const CellId c = movable[v];
+    const double wc = nl.cell_width(c);
+    const double hc = nl.cell_height(c);
+    const double cx = pl[c].x;
+    const double cy = pl[c].y;
+    const double rx = wc / 2.0 + 2.0 * bw_;
+    const double ry = hc / 2.0 + 2.0 * bh_;
+
+    Footprint f;
+    f.bx0 = std::max<long long>(
+        0, static_cast<long long>(std::floor((cx - rx - core.lx) / bw_)));
+    f.bx1 = std::min<long long>(
+        nbi - 1, static_cast<long long>(std::floor((cx + rx - core.lx) / bw_)));
+    f.by0 = std::max<long long>(
+        0, static_cast<long long>(std::floor((cy - ry - core.ly) / bh_)));
+    f.by1 = std::min<long long>(
+        nbi - 1, static_cast<long long>(std::floor((cy + ry - core.ly) / bh_)));
+
+    double norm = 0.0;
+    for (long long by = f.by0; by <= f.by1; ++by) {
+      const double bcy = core.ly + (static_cast<double>(by) + 0.5) * bh_;
+      const Bell py = bell(cy - bcy, hc, bh_);
+      if (py.p == 0.0) continue;
+      for (long long bx = f.bx0; bx <= f.bx1; ++bx) {
+        const double bcx = core.lx + (static_cast<double>(bx) + 0.5) * bw_;
+        const Bell px = bell(cx - bcx, wc, bw_);
+        norm += px.p * py.p;
+      }
+    }
+    f.inv_norm = norm > 0.0 ? nl.cell_area(c) * area_scale_[c] / norm : 0.0;
+    foot_[v] = f;
+  });
+
+  // Pass 1: accumulate smoothed density, partitioned by bin-row blocks.
+  // Every bin row has exactly one owning block, which adds contributions
+  // in ascending cell order -- the same order as a serial sweep, so the
+  // grid is bitwise identical for any thread count, with no reduction.
+  const std::size_t num_blocks = std::min(nb_, kMaxParts);
+  const std::size_t rows_per_block = (nb_ + num_blocks - 1) / num_blocks;
+  block_cells_.resize(num_blocks);
+  for (auto& b : block_cells_) b.clear();
+  for (std::size_t v = 0; v < n_mov; ++v) {
+    if (foot_[v].inv_norm == 0.0) continue;
+    const auto b0 = static_cast<std::size_t>(foot_[v].by0) / rows_per_block;
+    const auto b1 = static_cast<std::size_t>(foot_[v].by1) / rows_per_block;
+    for (std::size_t b = b0; b <= b1; ++b) {
+      block_cells_[b].push_back(static_cast<std::uint32_t>(v));
+    }
+  }
+
+  const bool one_sided = one_sided_cap_ >= 0.0;
+  const double target = one_sided ? one_sided_cap_ : target_per_bin_;
+  block_value_.assign(num_blocks, 0.0);
+
+  auto block_task = [&](std::size_t b) {
+    const auto r0 = static_cast<long long>(b * rows_per_block);
+    const auto r1 = std::min<long long>(
+        nbi, static_cast<long long>((b + 1) * rows_per_block));
+    for (const std::uint32_t v : block_cells_[b]) {
+      const Footprint& f = foot_[v];
+      const CellId c = movable[v];
+      const double wc = nl.cell_width(c);
+      const double hc = nl.cell_height(c);
+      const double cx = pl[c].x;
+      const double cy = pl[c].y;
+      const long long by_lo = std::max(f.by0, r0);
+      const long long by_hi = std::min(f.by1, r1 - 1);
+      for (long long by = by_lo; by <= by_hi; ++by) {
+        const double bcy = core.ly + (static_cast<double>(by) + 0.5) * bh_;
+        const Bell py = bell(cy - bcy, hc, bh_);
+        if (py.p == 0.0) continue;
+        for (long long bx = f.bx0; bx <= f.bx1; ++bx) {
+          const double bcx = core.lx + (static_cast<double>(bx) + 0.5) * bw_;
+          const Bell px = bell(cx - bcx, wc, bw_);
+          density_[static_cast<std::size_t>(by) * nb_ +
+                   static_cast<std::size_t>(bx)] += f.inv_norm * px.p * py.p;
+        }
+      }
+    }
+    // The block's rows are final now; fold its share of the penalty
+    // value. In one-sided mode, under-full bins are free.
+    double value = 0.0;
+    const std::size_t i0 = static_cast<std::size_t>(r0) * nb_;
+    const std::size_t i1 = static_cast<std::size_t>(r1) * nb_;
+    for (std::size_t i = i0; i < i1; ++i) {
+      double e = density_[i] - target;
+      if (one_sided && e < 0.0) e = 0.0;
+      value += e * e;
+    }
+    block_value_[b] = value;
+  };
+  if (pool_ != nullptr) {
+    pool_->run(num_blocks, block_task);
+  } else {
+    for (std::size_t b = 0; b < num_blocks; ++b) block_task(b);
+  }
+  double value = 0.0;
+  for (const double v : block_value_) value += v;
+
+  // Pass 2: gradient via chain rule (normalization treated as constant,
+  // the standard NTUplace approximation). Embarrassingly parallel over
+  // cells into per-cell slots.
+  cell_gx_.resize(n_mov);
+  cell_gy_.resize(n_mov);
+  for_cells([&](std::size_t v) {
+    const Footprint& f = foot_[v];
+    cell_gx_[v] = 0.0;
+    cell_gy_[v] = 0.0;
+    if (f.inv_norm == 0.0) return;
+    const CellId c = movable[v];
+    const double wc = nl.cell_width(c);
+    const double hc = nl.cell_height(c);
+    const double cx = pl[c].x;
+    const double cy = pl[c].y;
+    double gx_acc = 0.0, gy_acc = 0.0;
+    for (long long by = f.by0; by <= f.by1; ++by) {
+      const double bcy = core.ly + (static_cast<double>(by) + 0.5) * bh_;
+      const Bell py = bell(cy - bcy, hc, bh_);
+      for (long long bx = f.bx0; bx <= f.bx1; ++bx) {
+        const double bcx = core.lx + (static_cast<double>(bx) + 0.5) * bw_;
+        const Bell px = bell(cx - bcx, wc, bw_);
+        double err = density_[static_cast<std::size_t>(by) * nb_ +
+                              static_cast<std::size_t>(bx)] -
+                     target;
+        if (one_sided && err < 0.0) err = 0.0;
+        gx_acc += 2.0 * err * f.inv_norm * px.dp * py.p;
+        gy_acc += 2.0 * err * f.inv_norm * px.p * py.dp;
+      }
+    }
+    cell_gx_[v] = gx_acc;
+    cell_gy_[v] = gy_acc;
+  });
+
+  // Ordered reduction into the variables (several cells may share one
+  // variable in rigid-body mode, so this stays serial and in cell order).
+  for (std::size_t v = 0; v < n_mov; ++v) {
+    const std::uint32_t var = vars.var(movable[v]);
+    gx[var] += cell_gx_[v];
+    gy[var] += cell_gy_[v];
+  }
+  return value;
+}
+
+}  // namespace reference
+
+// ---- fixtures for the 0-ulp comparison ----------------------------------------
+
+/// make_scaled(4000) with a spread placement taken after 10 global
+/// placement outer iterations, the state most density evaluations see.
+struct Scaled4k {
+  Scaled4k() : bench(dpgen::make_scaled(4000)) {
+    GpOptions opt;
+    opt.max_outer = 10;
+    opt.plateau_stall = 0;
+    opt.stop_overflow = 0.0;
+    GlobalPlacer gp(bench.netlist, bench.design, opt);
+    spread = bench.placement;
+    gp.place(spread);
+  }
+  dpgen::Benchmark bench;
+  Placement spread;
+};
+
+const Scaled4k& scaled4k() {
+  static const Scaled4k s;
+  return s;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// One kernel configuration: the grid size plus what is applied to both
+/// the reference and the kernel under test.
+struct Setup {
+  std::size_t bins = 0;
+  double one_sided = -1.0;
+  bool area_scale = false;
+};
+
+/// Runs reference and kernel on (pl, vars) at 1, 2 and 4 threads, and
+/// asserts value and gradient equal to the last bit -- through eval() and
+/// through value() followed by gradient(). Gradients accumulate onto a
+/// shared non-zero prefill, as the kernel's contract is +=.
+void expect_bitwise(const dpgen::Benchmark& b, const Placement& pl,
+                    const VarMap& vars, const Setup& setup,
+                    const char* label) {
+  const auto& nl = b.netlist;
+  std::vector<double> scale;
+  if (setup.area_scale) {
+    util::Rng rng(5);
+    for (CellId c = 0; c < nl.num_cells(); ++c) {
+      scale.push_back(rng.uniform(0.3, 1.0));
+    }
+  }
+  reference::DensityPenalty ref(nl, b.design, setup.bins);
+  if (setup.one_sided >= 0.0) ref.set_one_sided(setup.one_sided);
+  if (setup.area_scale) ref.set_area_scale(scale);
+  ref.preload_obstacles(pl, vars);
+
+  const std::size_t n = vars.num_vars();
+  std::vector<double> prefill(n);
+  util::Rng rng(7);
+  for (double& g : prefill) g = rng.uniform(-1.0, 1.0);
+  std::vector<double> rgx = prefill, rgy = prefill;
+  const double rv = ref.eval(pl, vars, rgx, rgy);
+
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(std::string(label) + " threads=" + std::to_string(threads));
+    DensityPenalty den(nl, b.design, setup.bins);
+    if (setup.one_sided >= 0.0) den.set_one_sided(setup.one_sided);
+    if (setup.area_scale) den.set_area_scale(scale);
+    den.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
+    den.preload_obstacles(pl, vars);
+
+    std::vector<double> gx = prefill, gy = prefill;
+    EXPECT_EQ(bits(den.eval(pl, vars, gx, gy)), bits(rv));
+    std::vector<double> sx = prefill, sy = prefill;
+    EXPECT_EQ(bits(den.value(pl, vars)), bits(rv));
+    den.gradient(pl, vars, sx, sy);
+    std::size_t mismatches = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+      mismatches += bits(gx[v]) != bits(rgx[v]) || bits(gy[v]) != bits(rgy[v]);
+      mismatches += bits(sx[v]) != bits(rgx[v]) || bits(sy[v]) != bits(rgy[v]);
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
+TEST(DensityBitwise, SpreadMidGpPlacement) {
+  const Scaled4k& s = scaled4k();
+  const VarMap vars(s.bench.netlist);
+  expect_bitwise(s.bench, s.spread, vars, {}, "spread");
+}
+
+TEST(DensityBitwise, PiledPlacement) {
+  const Scaled4k& s = scaled4k();
+  const VarMap vars(s.bench.netlist);
+  expect_bitwise(s.bench, s.bench.placement, vars, {}, "piled");
+}
+
+TEST(DensityBitwise, OneSidedAndAreaScale) {
+  const Scaled4k& s = scaled4k();
+  const VarMap vars(s.bench.netlist);
+  expect_bitwise(s.bench, s.spread, vars, {0, 0.9, false}, "one-sided");
+  expect_bitwise(s.bench, s.spread, vars, {0, -1.0, true}, "area-scale");
+  expect_bitwise(s.bench, s.spread, vars, {0, 0.9, true}, "both");
+}
+
+TEST(DensityBitwise, SubsetVarMapWithObstacles) {
+  const Scaled4k& s = scaled4k();
+  const auto& nl = s.bench.netlist;
+  std::vector<bool> mask(nl.num_cells(), false);
+  for (CellId c = 0; c < nl.num_cells(); c += 2) mask[c] = true;
+  const VarMap subset(nl, mask);
+  ASSERT_GT(subset.num_vars(), 0u);
+  ASSERT_LT(subset.num_vars(), VarMap(nl).num_vars());
+  expect_bitwise(s.bench, s.spread, subset, {}, "subset");
+}
+
+TEST(DensityBitwise, RigidBodyVarMap) {
+  const Scaled4k& s = scaled4k();
+  const auto& nl = s.bench.netlist;
+  // Bodies of four consecutive movable cells share one variable.
+  std::vector<std::vector<CellId>> bodies;
+  for (CellId c = 0; c < nl.num_cells(); ++c) {
+    if (nl.cell(c).fixed) continue;
+    if (bodies.empty() || bodies.back().size() == 4) bodies.emplace_back();
+    bodies.back().push_back(c);
+  }
+  const VarMap rigid(nl, s.spread, bodies);
+  ASSERT_LT(rigid.num_vars(), rigid.movable_cells().size());
+  expect_bitwise(s.bench, s.spread, rigid, {}, "rigid");
+}
+
+TEST(DensityBitwise, FineAndOddGrids) {
+  const Scaled4k& s = scaled4k();
+  const VarMap vars(s.bench.netlist);
+  // 128 bins: two rows per value group. 100 bins: the last value groups
+  // are empty. 5 bins: fewer groups than accumulation blocks.
+  for (const std::size_t bins : {128u, 100u, 5u}) {
+    expect_bitwise(s.bench, s.spread, vars, {bins, -1.0, false},
+                   ("bins=" + std::to_string(bins)).c_str());
+  }
+}
 
 TEST(Density, ValueNonNegativeAndFinite) {
   SmallDesign d;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "gp/optimizer.hpp"
 
@@ -36,6 +38,61 @@ class Rosenbrock final : public Objective {
     return f;
   }
 };
+
+/// Rosenbrock with value() and gradient() split the way CompositeObjective
+/// splits them: value() computes f alone and remembers the point, and
+/// gradient() computes the gradient there on demand.
+class SplitRosenbrock final : public Objective {
+ public:
+  double eval(std::span<const double> v, std::span<double> g) override {
+    const double f = value(v);
+    gradient(g);
+    return f;
+  }
+  double value(std::span<const double> v) override {
+    x_ = v[0];
+    y_ = v[1];
+    return 100 * (y_ - x_ * x_) * (y_ - x_ * x_) + (1 - x_) * (1 - x_);
+  }
+  void gradient(std::span<double> g) override {
+    ++gradients;
+    g[0] = -400 * x_ * (y_ - x_ * x_) - 2 * (1 - x_);
+    g[1] = 200 * (y_ - x_ * x_);
+  }
+  std::size_t gradients = 0;
+
+ private:
+  double x_ = 0.0, y_ = 0.0;
+};
+
+TEST(Cg, SplitObjectiveMatchesEvalOnly) {
+  CgOptions opt;
+  opt.max_iters = 200;
+  opt.step_ref = 0.1;
+  opt.rel_tol = 1e-14;
+  Rosenbrock whole;
+  SplitRosenbrock split;
+  std::vector<double> a{-1.2, 1.0}, b{-1.2, 1.0};
+  const CgResult ra = minimize_cg(whole, a, opt);
+  const CgResult rb = minimize_cg(split, b, opt);
+
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a[0]),
+            std::bit_cast<std::uint64_t>(b[0]));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a[1]),
+            std::bit_cast<std::uint64_t>(b[1]));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(ra.final_value),
+            std::bit_cast<std::uint64_t>(rb.final_value));
+  EXPECT_EQ(ra.iterations, rb.iterations);
+  EXPECT_EQ(ra.evaluations, rb.evaluations);
+  EXPECT_EQ(ra.line_search_evals, rb.line_search_evals);
+  EXPECT_EQ(ra.gradient_evals, rb.gradient_evals);
+
+  // Rejected probes cost a value only: the split objective computed
+  // exactly gradient_evals gradients, fewer than there were evaluations.
+  EXPECT_EQ(split.gradients, rb.gradient_evals);
+  EXPECT_LT(rb.gradient_evals, rb.evaluations);
+  EXPECT_GT(rb.line_search_evals, rb.iterations);  // some probes rejected
+}
 
 TEST(Cg, SolvesQuadraticBowl) {
   Bowl bowl({3.0, -2.0, 7.0});

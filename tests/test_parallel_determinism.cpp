@@ -122,8 +122,11 @@ TEST(ParallelDeterminism, ProfileCountsEvaluations) {
   EXPECT_GE(res.profile.wirelength.calls, res.total_evaluations);
   EXPECT_GT(res.profile.line_search.calls, 0u);
   EXPECT_LE(res.profile.line_search.calls, res.total_evaluations);
+  // Rejected line-search probes skip the gradient.
+  EXPECT_GT(res.profile.gradients, 0u);
+  EXPECT_LT(res.profile.gradients, res.total_evaluations);
   EXPECT_GE(res.profile.wirelength.seconds, 0.0);
-  EXPECT_FALSE(res.profile.to_string().empty());
+  EXPECT_NE(res.profile.to_string().find("gradients"), std::string::npos);
 }
 
 }  // namespace
