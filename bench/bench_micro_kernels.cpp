@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark): per-evaluation cost of the placer
 // kernels on dp_alu32-sized data, including thread-count sweeps for the
-// parallel gradient kernels, plus the density kernels on a spread
-// make_scaled(4000) placement. Unless the caller passes --benchmark_out,
+// parallel gradient kernels, plus the density and wirelength kernels on a
+// spread make_scaled(4000) placement. Unless the caller passes --benchmark_out,
 // results are also written to BENCH_gp_kernels.json (machine-readable,
 // consumed by CI).
 #include <benchmark/benchmark.h>
@@ -114,14 +114,17 @@ void BM_DensityEvalThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_DensityEvalThreads)->Apply(thread_args);
 
-// The density kernels again, on a representative mid-GP placement: the
-// unplaced dp_alu32 start above piles every cell into a few bins, which
-// hides footprint-dependent costs. This is make_scaled(4000) after 10
-// global-placement outer iterations, the spread state most density
-// evaluations of a run see.
+// The density and wirelength kernels again, on a representative mid-GP
+// placement: the unplaced dp_alu32 start above piles every cell into a
+// few bins and makes most pins coincide, which hides footprint-dependent
+// costs and flatters the wirelength kernel's exact-1 extreme-pin weights.
+// This is make_scaled(4000) after 10 global-placement outer iterations,
+// the spread state most evaluations of a run see, with the wirelength
+// gamma of the last of those iterations.
 struct SpreadFixture {
   dp::dpgen::Benchmark bench;
   dp::netlist::Placement pl;
+  double gamma = 0.0;
 };
 
 const SpreadFixture& spread4k() {
@@ -133,7 +136,10 @@ const SpreadFixture& spread4k() {
     opt.plateau_stall = 0;
     opt.stop_overflow = 0.0;
     s.pl = s.bench.placement;
-    dp::gp::GlobalPlacer(s.bench.netlist, s.bench.design, opt).place(s.pl);
+    s.gamma = dp::gp::GlobalPlacer(s.bench.netlist, s.bench.design, opt)
+                  .place(s.pl)
+                  .trace.back()
+                  .gamma;
     return s;
   }();
   return f;
@@ -177,6 +183,30 @@ void BM_DensityEvalThreadsSpread4k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DensityEvalThreadsSpread4k)->Apply(thread_args);
+
+void BM_WirelengthEvalSpread4k(benchmark::State& state) {
+  const auto& f = spread4k();
+  const dp::gp::VarMap vars(f.bench.netlist);
+  const dp::gp::SmoothWirelength wl(f.bench.netlist,
+                                    dp::gp::WirelengthModel::kWa, f.gamma);
+  std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
+  for (auto _ : state) {
+    std::fill(gx.begin(), gx.end(), 0.0);
+    std::fill(gy.begin(), gy.end(), 0.0);
+    benchmark::DoNotOptimize(wl.eval(f.pl, vars, gx, gy));
+  }
+}
+BENCHMARK(BM_WirelengthEvalSpread4k);
+
+void BM_WirelengthValueSpread4k(benchmark::State& state) {
+  const auto& f = spread4k();
+  const dp::gp::SmoothWirelength wl(f.bench.netlist,
+                                    dp::gp::WirelengthModel::kWa, f.gamma);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wl.value(f.pl));
+  }
+}
+BENCHMARK(BM_WirelengthValueSpread4k);
 
 // ---- detailed-placement kernels (recorded to BENCH_detail_kernels.json
 // by the filtered CI run: --benchmark_filter='^BM_Detail') -----------------

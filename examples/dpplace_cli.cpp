@@ -41,15 +41,24 @@
 //   --svg FILE            write an SVG rendering
 //   --groups FILE         write the extracted structure annotation
 //
+// A numeric value must be the whole argument, finite and non-negative, and
+// an integer where the flag takes N. A bad or missing value, or a design
+// that cannot be loaded, prints "dpplace_cli: error: ..." and exits 1; an
+// unknown flag prints the usage and exits 2.
+//
 // Note: Bookshelf designs carry no cell functions, so extraction runs on
 // connectivity signatures only; generated benchmarks retain functions.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <optional>
-#include <string>
-
+#include <exception>
 #include <fstream>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "core/report_json.hpp"
 #include "core/structure_placer.hpp"
@@ -74,9 +83,29 @@ int usage(const char* argv0) {
   return 2;
 }
 
-}  // namespace
+/// `text` as a number of type T: the whole token, finite and >= 0.
+/// Throws std::invalid_argument naming `flag` otherwise.
+template <typename T>
+T parse_number(const std::string& flag, std::string_view text) {
+  T value{};
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  bool ok = !text.empty() && ec == std::errc() &&
+            end == text.data() + text.size();
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(value) && value >= 0.0;
+  }
+  if (!ok) {
+    const char* expected = std::is_integral_v<T>
+                               ? "a non-negative integer"
+                               : "a finite non-negative number";
+    throw std::invalid_argument(flag + ": expected " + expected + ", got '" +
+                                std::string(text) + "'");
+  }
+  return value;
+}
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dp;
   util::Logger::set_level(util::LogLevel::kInfo);
 
@@ -86,36 +115,32 @@ int main(int argc, char** argv) {
   config.num_threads = 0;  // CLI default: use all hardware threads
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    auto next = [&]() -> std::string {
+      if (i + 1 >= argc) throw std::invalid_argument(arg + ": missing value");
+      return argv[++i];
     };
+    auto number = [&]() { return parse_number<double>(arg, next()); };
+    auto count = [&]() { return parse_number<std::size_t>(arg, next()); };
     if (arg == "--bench") {
-      if (const char* v = next()) bench_name = v;
+      bench_name = next();
     } else if (arg == "--aux") {
-      if (const char* v = next()) aux_path = v;
+      aux_path = next();
     } else if (arg == "--baseline") {
       config.structure_aware = false;
     } else if (arg == "--blocks") {
       config.legalization = core::LegalizationMode::kStructured;
     } else if (arg == "--weight") {
-      if (const char* v = next()) config.alignment_weight = std::atof(v);
+      config.alignment_weight = number();
     } else if (arg == "--threads") {
-      if (const char* v = next()) {
-        config.num_threads = static_cast<std::size_t>(std::atol(v));
-      }
+      config.num_threads = count();
     } else if (arg == "--swap-window") {
-      if (const char* v = next()) {
-        config.detail.swap_window = static_cast<std::size_t>(std::atol(v));
-      }
+      config.detail.swap_window = count();
     } else if (arg == "--paranoid") {
       config.detail.paranoid = true;
     } else if (arg == "--congestion") {
       config.congestion.measure = true;
     } else if (arg == "--congestion-bins") {
-      if (const char* v = next()) {
-        config.congestion.map.bins_per_side =
-            static_cast<std::size_t>(std::atol(v));
-      }
+      config.congestion.map.bins_per_side = count();
     } else if (arg == "--congestion-refine") {
       config.congestion.measure = true;
       config.congestion.refine = true;
@@ -125,21 +150,19 @@ int main(int argc, char** argv) {
     } else if (arg == "--timing-weight") {
       config.timing.measure = true;
       config.timing.driven = true;
-      if (const char* v = next()) config.timing.weight = std::atof(v);
+      config.timing.weight = number();
     } else if (arg == "--timing-period") {
       config.timing.measure = true;
       config.timing.driven = true;
-      if (const char* v = next()) {
-        config.timing.model.clock_period = std::atof(v);
-      }
+      config.timing.model.clock_period = number();
     } else if (arg == "--report-json") {
-      if (const char* v = next()) json_path = v;
+      json_path = next();
     } else if (arg == "--out") {
-      if (const char* v = next()) out_prefix = v;
+      out_prefix = next();
     } else if (arg == "--svg") {
-      if (const char* v = next()) svg_path = v;
+      svg_path = next();
     } else if (arg == "--groups") {
-      if (const char* v = next()) groups_path = v;
+      groups_path = next();
     } else {
       return usage(argv[0]);
     }
@@ -247,4 +270,15 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", json_path.c_str());
   }
   return report.legality.legal() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "dpplace_cli: error: %s\n", e.what());
+    return 1;
+  }
 }

@@ -394,6 +394,17 @@ PlaceReport StructurePlacer::place(netlist::Placement& pl,
   report.t_congestion = stage.seconds();
   stage.restart();
 
+  // Each group's bit direction, fixed since the alignment term was built;
+  // the structured legalizer and detail placement both follow it.
+  std::vector<bool> along_y;
+  if (alignment != nullptr) {
+    along_y.resize(report.structure.groups.size());
+    for (std::size_t g = 0; g < along_y.size(); ++g) {
+      along_y[g] =
+          alignment->orientation(g) == GroupOrientation::kBitsAlongY;
+    }
+  }
+
   // ---- phase 3: legalization ------------------------------------------------
   if (config_.structure_aware && alignment != nullptr &&
       config_.legalization == LegalizationMode::kGentle) {
@@ -401,11 +412,6 @@ PlaceReport StructurePlacer::place(netlist::Placement& pl,
     legalizer.run_all(pl);
     report.hpwl_first_legal = eval::hpwl(*nl_, pl);
   } else if (config_.structure_aware && alignment != nullptr) {
-    std::vector<bool> along_y(report.structure.groups.size());
-    for (std::size_t g = 0; g < along_y.size(); ++g) {
-      along_y[g] =
-          alignment->orientation(g) == GroupOrientation::kBitsAlongY;
-    }
     legal::StructureLegalizer legalizer(*nl_, *design_, report.structure,
                                         along_y);
     // Between plate commitment and glue legalization, re-place the glue
@@ -627,11 +633,6 @@ PlaceReport StructurePlacer::place(netlist::Placement& pl,
   }
   detail::DetailedPlacer detailer(*nl_, *design_);
   if (config_.structure_aware && alignment != nullptr) {
-    std::vector<bool> along_y(report.structure.groups.size());
-    for (std::size_t g = 0; g < along_y.size(); ++g) {
-      along_y[g] =
-          alignment->orientation(g) == GroupOrientation::kBitsAlongY;
-    }
     report.detail_stats = detailer.run_structured(pl, report.structure,
                                                   along_y, detail_opt);
   } else {

@@ -58,35 +58,36 @@ void for_cell_chunks(util::ThreadPool* pool, std::size_t n,
 
 }  // namespace
 
-/// `d` is the signed distance cell-center minus bin-center; `wc` the cell
-/// extent on this axis, `wb` the bin extent.
-DensityPenalty::Bell DensityPenalty::bell(double d, double wc, double wb) {
+DensityPenalty::BellShape DensityPenalty::bell_shape(double wc, double wb) {
+  return {wc / 2.0 + wb, wc / 2.0 + 2.0 * wb,
+          4.0 / ((wc + 2.0 * wb) * (wc + 4.0 * wb)),
+          2.0 / (wb * (wc + 4.0 * wb))};
+}
+
+/// `d` is the signed distance cell-center minus bin-center; `s` the shape
+/// of the cell's bell on this axis.
+DensityPenalty::Bell DensityPenalty::bell(double d, const BellShape& s) {
   const double ad = std::abs(d);
-  const double r1 = wc / 2.0 + wb;
-  const double r2 = wc / 2.0 + 2.0 * wb;
   Bell out;
-  if (ad <= r1) {
-    const double a = 4.0 / ((wc + 2.0 * wb) * (wc + 4.0 * wb));
-    out.p = 1.0 - a * ad * ad;
-    out.dp = -2.0 * a * d;  // sign(d) * (-2 a |d|)
-  } else if (ad <= r2) {
-    const double b = 2.0 / (wb * (wc + 4.0 * wb));
-    const double t = ad - r2;
-    out.p = b * t * t;
-    out.dp = 2.0 * b * t * (d >= 0.0 ? 1.0 : -1.0);
+  if (ad <= s.r1) {
+    out.p = 1.0 - s.a * ad * ad;
+    out.dp = -2.0 * s.a * d;  // sign(d) * (-2 a |d|)
+  } else if (ad <= s.r2) {
+    const double t = ad - s.r2;
+    out.p = s.b * t * t;
+    out.dp = 2.0 * s.b * t * (d >= 0.0 ? 1.0 : -1.0);
   }
   return out;
 }
 
-const DensityPenalty::Bell* DensityPenalty::x_bells(std::size_t task,
-                                                    const Footprint& f,
-                                                    double cx,
-                                                    double wc) const {
+const DensityPenalty::Bell* DensityPenalty::x_bells(
+    std::size_t task, long long bx0, long long bx1, double cx,
+    const BellShape& sx) const {
   const double lx = design_->core().lx;
   Bell* row = &bell_rows_[task * nb_];
-  for (long long bx = f.bx0; bx <= f.bx1; ++bx) {
+  for (long long bx = bx0; bx <= bx1; ++bx) {
     const double bcx = lx + (static_cast<double>(bx) + 0.5) * bw_;
-    row[bx - f.bx0] = bell(cx - bcx, wc, bw_);
+    row[bx - bx0] = bell(cx - bcx, sx);
   }
   return row;
 }
@@ -169,15 +170,23 @@ double DensityPenalty::value(const netlist::Placement& pl,
   const geom::Rect& core = design_->core();
   const auto nbi = static_cast<long long>(nb_);
   density_ = preload_;
+  err2_.resize(nb_ * nb_);
 
   const auto movable = vars.movable_cells();
   const std::size_t n_mov = movable.size();
   foot_.resize(n_mov);
   const std::size_t chunks = cell_chunks(n_mov);
-  bell_rows_.resize(std::max(bell_rows_.size(),
-                             std::max(chunks, kAccumBlocks) * nb_));
+  bell_rows_.resize(std::max(bell_rows_.size(), chunks * nb_));
+  chunk_bins_.assign(chunks, 0);
+  auto vanishes = [](const Bell& b) { return b.p == 0.0 && b.dp == 0.0; };
 
   // Pass 0: footprints and per-cell normalization (independent per cell).
+  // The floor-based window reaches about one column and one row past the
+  // bell; its leading and trailing columns and rows where the bell and
+  // its slope are both 0 are trimmed off. Every term they held, in any
+  // pass, is a product with a +-0 factor, so it is +-0, and x + (+-0) == x
+  // for every accumulator here: each starts at +0 or at the non-negative
+  // preload, and a sum is -0 only if both addends are.
   for_cell_chunks(pool_.get(), n_mov, chunks, [&](std::size_t k,
                                                   std::size_t v) {
     const CellId c = movable[v];
@@ -198,19 +207,36 @@ double DensityPenalty::value(const netlist::Placement& pl,
     f.by1 = std::min<long long>(
         nbi - 1, static_cast<long long>(std::floor((cy + ry - core.ly) / bh_)));
 
-    const Bell* px = x_bells(k, f, cx, wc);
+    const Bell* px = x_bells(k, f.bx0, f.bx1, cx, bell_shape(wc, bw_));
+    long long i0 = 0, i1 = f.bx1 - f.bx0;  // kept columns, as row indices
+    while (i0 <= i1 && vanishes(px[i0])) ++i0;
+    while (i1 >= i0 && vanishes(px[i1])) --i1;
+    const BellShape sy = bell_shape(hc, bh_);
+    long long by0 = f.by1 + 1, by1 = f.by0 - 1;  // kept rows
     double norm = 0.0;
     for (long long by = f.by0; by <= f.by1; ++by) {
       const double bcy = core.ly + (static_cast<double>(by) + 0.5) * bh_;
-      const Bell py = bell(cy - bcy, hc, bh_);
-      if (py.p == 0.0) continue;
-      for (long long bx = f.bx0; bx <= f.bx1; ++bx) {
-        norm += px[bx - f.bx0].p * py.p;
+      const Bell py = bell(cy - bcy, sy);
+      if (!vanishes(py)) {
+        by0 = std::min(by0, by);
+        by1 = by;
       }
+      if (py.p == 0.0) continue;
+      for (long long i = i0; i <= i1; ++i) norm += px[i].p * py.p;
     }
+    f.bx1 = f.bx0 + i1;
+    f.bx0 += i0;
+    f.by0 = by0;
+    f.by1 = by1;
     f.inv_norm = norm > 0.0 ? nl.cell_area(c) * area_scale_[c] / norm : 0.0;
+    if (f.inv_norm != 0.0) {
+      chunk_bins_[k] += static_cast<std::uint64_t>((f.bx1 - f.bx0 + 1) *
+                                                   (f.by1 - f.by0 + 1));
+    }
     foot_[v] = f;
   });
+  bins_visited_ = 0;
+  for (const std::uint64_t n : chunk_bins_) bins_visited_ += n;
 
   // Pass 1: accumulate smoothed density over kAccumBlocks multi-row
   // blocks. Every bin row has exactly one owning block, which adds
@@ -237,6 +263,7 @@ double DensityPenalty::value(const netlist::Placement& pl,
       block_cells_[b].push_back(static_cast<std::uint32_t>(v));
     }
   }
+  scaled_rows_.resize(std::max(scaled_rows_.size(), num_blocks * nb_));
 
   const bool one_sided = one_sided_cap_ >= 0.0;
   const double target = one_sided ? one_sided_cap_ : target_per_bin_;
@@ -246,26 +273,35 @@ double DensityPenalty::value(const netlist::Placement& pl,
     const auto r0 = static_cast<long long>(b * rows_per_block);
     const auto r1 = std::min<long long>(
         nbi, static_cast<long long>((b + 1) * rows_per_block));
+    double* q = &scaled_rows_[b * nb_];
     for (const std::uint32_t v : block_cells_[b]) {
       const Footprint& f = foot_[v];
       const CellId c = movable[v];
-      const double hc = nl.cell_height(c);
+      // The x-row scaled once per cell: inv_norm * px * py is evaluated
+      // as (inv_norm * px) * py, so q[i] * py keeps the bits.
+      const BellShape sx = bell_shape(nl.cell_width(c), bw_);
+      const double cx = pl[c].x;
+      for (long long bx = f.bx0; bx <= f.bx1; ++bx) {
+        const double bcx = core.lx + (static_cast<double>(bx) + 0.5) * bw_;
+        q[bx - f.bx0] = f.inv_norm * bell(cx - bcx, sx).p;
+      }
+      const auto w = static_cast<std::size_t>(f.bx1 - f.bx0 + 1);
+      const BellShape sy = bell_shape(nl.cell_height(c), bh_);
       const double cy = pl[c].y;
-      const Bell* px = x_bells(b, f, pl[c].x, nl.cell_width(c));
       const long long by_lo = std::max(f.by0, r0);
       const long long by_hi = std::min(f.by1, r1 - 1);
       for (long long by = by_lo; by <= by_hi; ++by) {
         const double bcy = core.ly + (static_cast<double>(by) + 0.5) * bh_;
-        const Bell py = bell(cy - bcy, hc, bh_);
+        const Bell py = bell(cy - bcy, sy);
         if (py.p == 0.0) continue;
-        double* row = &density_[static_cast<std::size_t>(by) * nb_];
-        for (long long bx = f.bx0; bx <= f.bx1; ++bx) {
-          row[bx] += f.inv_norm * px[bx - f.bx0].p * py.p;
-        }
+        double* row = &density_[static_cast<std::size_t>(by) * nb_ +
+                                static_cast<std::size_t>(f.bx0)];
+        for (std::size_t i = 0; i < w; ++i) row[i] += q[i] * py.p;
       }
     }
     // The block's rows are final now; fold its groups' share of the
-    // penalty value. In one-sided mode, under-full bins are free.
+    // penalty value and keep 2 * error per bin for gradient(). In
+    // one-sided mode, under-full bins are free.
     const std::size_t g1 = std::min(num_groups, (b + 1) * groups_per_block);
     for (std::size_t g = b * groups_per_block; g < g1; ++g) {
       const std::size_t i0 = std::min(g * rows_per_group, nb_) * nb_;
@@ -274,6 +310,7 @@ double DensityPenalty::value(const netlist::Placement& pl,
       for (std::size_t i = i0; i < i1; ++i) {
         double e = density_[i] - target;
         if (one_sided && e < 0.0) e = 0.0;
+        err2_[i] = 2.0 * e;
         value += e * e;
       }
       group_value_[g] = value;
@@ -289,8 +326,6 @@ void DensityPenalty::gradient(const netlist::Placement& pl,
                               std::span<double> gy) const {
   const auto& nl = *nl_;
   const geom::Rect& core = design_->core();
-  const bool one_sided = one_sided_cap_ >= 0.0;
-  const double target = one_sided ? one_sided_cap_ : target_per_bin_;
   const auto movable = vars.movable_cells();
   const std::size_t n_mov = movable.size();
 
@@ -306,20 +341,22 @@ void DensityPenalty::gradient(const netlist::Placement& pl,
     cell_gy_[v] = 0.0;
     if (f.inv_norm == 0.0) return;
     const CellId c = movable[v];
-    const double hc = nl.cell_height(c);
+    const Bell* px = x_bells(k, f.bx0, f.bx1, pl[c].x,
+                             bell_shape(nl.cell_width(c), bw_));
+    const BellShape sy = bell_shape(nl.cell_height(c), bh_);
     const double cy = pl[c].y;
-    const Bell* px = x_bells(k, f, pl[c].x, nl.cell_width(c));
+    const auto w = static_cast<std::size_t>(f.bx1 - f.bx0 + 1);
     double gx_acc = 0.0, gy_acc = 0.0;
     for (long long by = f.by0; by <= f.by1; ++by) {
       const double bcy = core.ly + (static_cast<double>(by) + 0.5) * bh_;
-      const Bell py = bell(cy - bcy, hc, bh_);
-      const double* row = &density_[static_cast<std::size_t>(by) * nb_];
-      for (long long bx = f.bx0; bx <= f.bx1; ++bx) {
-        const Bell& pxb = px[bx - f.bx0];
-        double err = row[bx] - target;
-        if (one_sided && err < 0.0) err = 0.0;
-        gx_acc += 2.0 * err * f.inv_norm * pxb.dp * py.p;
-        gy_acc += 2.0 * err * f.inv_norm * pxb.p * py.dp;
+      const Bell py = bell(cy - bcy, sy);
+      const double* e2 = &err2_[static_cast<std::size_t>(by) * nb_ +
+                                static_cast<std::size_t>(f.bx0)];
+      for (std::size_t i = 0; i < w; ++i) {
+        // 2 * err * inv_norm * px * py, in that association.
+        const double s = e2[i] * f.inv_norm;
+        gx_acc += s * px[i].dp * py.p;
+        gy_acc += s * px[i].p * py.dp;
       }
     }
     cell_gx_[v] = gx_acc;

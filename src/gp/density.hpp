@@ -36,6 +36,12 @@ namespace dp::gp {
 ///    preceding value() left behind.
 /// Each pass computes a cell's x-bells once into a per-task row and reuses
 /// them for every bin row of the footprint.
+///
+/// Work that cannot change a bit of the result is skipped: pass 0 trims
+/// each footprint to the columns and rows where the bell is non-zero (the
+/// dropped terms are all +-0, added to accumulators that are never -0),
+/// the bell constants are computed once per cell and axis, and pass 1
+/// stores twice each bin's clipped error for pass 2 to read.
 class DensityPenalty final : public ObjectiveTerm {
  public:
   DensityPenalty(const netlist::Netlist& nl, const netlist::Design& design,
@@ -76,8 +82,8 @@ class DensityPenalty final : public ObjectiveTerm {
   double eval(const netlist::Placement& pl, const VarMap& vars,
               std::span<double> gx, std::span<double> gy) const override;
 
-  /// Passes 0-1: the penalty value. Keeps the footprints and the smoothed
-  /// grid for a following gradient() call.
+  /// Passes 0-1: the penalty value. Keeps the footprints and the per-bin
+  /// errors for a following gradient() call.
   double value(const netlist::Placement& pl, const VarMap& vars) const;
 
   /// Pass 2 and the ordered reduction: adds the gradient at the placement
@@ -91,6 +97,11 @@ class DensityPenalty final : public ObjectiveTerm {
   /// the same grid, not from the smoothed bells of value().
   double overflow(const netlist::Placement& pl, const VarMap& vars,
                   double target_density) const;
+
+  /// Deterministic work counter: the bins covered by the (trimmed)
+  /// footprints of the cells spread by the last value() call. Pass 1 and
+  /// pass 2 each visit this many bins.
+  std::uint64_t bins_visited() const { return bins_visited_; }
 
   std::size_t bins_per_side() const { return nb_; }
   double bin_width() const { return bw_; }
@@ -129,20 +140,32 @@ class DensityPenalty final : public ObjectiveTerm {
     double p = 0.0;   ///< potential in [0, 1]
     double dp = 0.0;  ///< d(potential)/d(cell coordinate)
   };
-  static Bell bell(double d, double wc, double wb);
+  /// The constants of one cell's bell on one axis: the inner and outer
+  /// window radii and the two parabola coefficients.
+  struct BellShape {
+    double r1, r2, a, b;
+  };
+  static BellShape bell_shape(double wc, double wb);
+  static Bell bell(double d, const BellShape& s);
 
-  /// Fills task `task`'s row with the x-bells of the cell at `cx` (width
-  /// `wc`) over its footprint columns; entry i is bin column f.bx0 + i.
-  const Bell* x_bells(std::size_t task, const Footprint& f, double cx,
-                      double wc) const;
+  /// Fills task `task`'s row with the x-bells of the cell at `cx` over bin
+  /// columns [bx0, bx1]; entry i is bin column bx0 + i.
+  const Bell* x_bells(std::size_t task, long long bx0, long long bx1,
+                      double cx, const BellShape& sx) const;
 
   mutable std::vector<Footprint> foot_;
   mutable std::vector<double> cell_gx_, cell_gy_;  ///< per movable index
   mutable std::vector<double> group_value_;        ///< per value-group sums
   mutable std::vector<std::vector<std::uint32_t>> block_cells_;
-  /// One row of x-bells per concurrent task, each nb_ wide (the widest
+  /// One row of x-bells per pass-0/pass-2 chunk, each nb_ wide (the widest
   /// possible footprint); grown on demand, never per cell.
   mutable std::vector<Bell> bell_rows_;
+  /// Pass 1's x-row scaled by the cell's normalization, one per block.
+  mutable std::vector<double> scaled_rows_;
+  /// 2 * (clipped) error of every bin, written by value() for gradient().
+  mutable std::vector<double> err2_;
+  mutable std::vector<std::uint64_t> chunk_bins_;  ///< per pass-0 chunk
+  mutable std::uint64_t bins_visited_ = 0;
 };
 
 }  // namespace dp::gp

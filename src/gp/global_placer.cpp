@@ -56,11 +56,17 @@ class CompositeObjective final : public Objective {
     gx_.assign(n, 0.0);
     gy_.assign(n, 0.0);
     double f = wl_->eval(*pl_, *vars_, gx_, gy_);
-    if (profile_ != nullptr) profile_->wirelength.add(timer.seconds());
+    if (profile_ != nullptr) {
+      profile_->wirelength.add(timer.seconds());
+      profile_->wirelength_exps += wl_->exp_calls();
+    }
 
     timer.restart();
     f += lambda_ * den_->value(*pl_, *vars_);
-    if (profile_ != nullptr) profile_->density.add(timer.seconds());
+    if (profile_ != nullptr) {
+      profile_->density.add(timer.seconds());
+      profile_->density_bins += den_->bins_visited();
+    }
 
     const std::size_t num_extras = extras_ != nullptr ? extras_->size() : 0;
     extra_gx_.resize(num_extras);
@@ -108,29 +114,6 @@ class CompositeObjective final : public Objective {
       grad[i] = gx_[i];
       grad[n + i] = gy_[i];
     }
-  }
-
-  /// Gradient L1 norms of the individual terms at the current placement,
-  /// used for the lambda normalization.
-  std::pair<double, double> gradient_norms(std::span<const double> v) {
-    const std::size_t n = vars_->num_vars();
-    clamped_.assign(v.begin(), v.end());
-    vars_->scatter(clamped_, *pl_);
-    gx_.assign(n, 0.0);
-    gy_.assign(n, 0.0);
-    wl_->eval(*pl_, *vars_, gx_, gy_);
-    double wl_norm = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      wl_norm += std::abs(gx_[i]) + std::abs(gy_[i]);
-    }
-    gx_.assign(n, 0.0);
-    gy_.assign(n, 0.0);
-    den_->eval(*pl_, *vars_, gx_, gy_);
-    double den_norm = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      den_norm += std::abs(gx_[i]) + std::abs(gy_[i]);
-    }
-    return {wl_norm, den_norm};
   }
 
  private:
@@ -212,9 +195,12 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
   objective.set_profile(&result.profile);
 
   std::vector<double> v = vars_.gather(pl);
+  // Round-trip the iterate as every objective evaluation does (rigid
+  // bodies re-derive their cells' positions from the body origin).
+  vars_.scatter(v, pl);
 
   // Lambda normalization from the initial gradient ratio.
-  const auto [wl_norm, den_norm] = objective.gradient_norms(v);
+  const auto [wl_norm, den_norm] = probe_norms(*density_, pl);
   double lambda = den_norm > 0.0
                       ? options_.lambda_init_factor * wl_norm / den_norm
                       : 1.0;

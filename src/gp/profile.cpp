@@ -17,6 +17,8 @@ void EvalProfile::merge(const EvalProfile& other) {
   density.merge(other.density);
   line_search.merge(other.line_search);
   gradients += other.gradients;
+  density_bins += other.density_bins;
+  wirelength_exps += other.wirelength_exps;
   for (const auto& [name, term] : other.extras) extra(name).merge(term);
 }
 
@@ -33,7 +35,10 @@ std::string EvalProfile::to_string() const {
     out += " | " + fmt(name.c_str(), term);
   }
   out += " | " + fmt("line-search", line_search);
-  std::snprintf(buf, sizeof buf, " | gradients %zux", gradients);
+  std::snprintf(buf, sizeof buf,
+                " | gradients %zux | density-bins %llu | wl-exps %llu",
+                gradients, static_cast<unsigned long long>(density_bins),
+                static_cast<unsigned long long>(wirelength_exps));
   out += buf;
   return out;
 }

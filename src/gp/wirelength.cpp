@@ -61,6 +61,33 @@ double wa_axis(const double* coord, std::size_t n, double /*max_c*/,
   return hi - lo;
 }
 
+/// The max-shifted exponential weights of one net axis:
+///   wmax[i] = exp((coord[i] - max_c) / gamma),
+///   wmin[i] = exp((min_c - coord[i]) / gamma),
+/// bit for bit (for any gamma other than 0 or NaN), with fewer exp()
+/// calls. `imax`/`imin` are the first pins at max_c/min_c, or n if there
+/// is none. Their argument is +0 / gamma = +-0, and exp(+-0) is exactly 1
+/// (C Annex F). On a 2-pin net both remaining weights have the argument
+/// (min_c - max_c) / gamma, so one exp() serves both. With finite
+/// coordinates both extreme pins exist, so an axis costs 1 call on a
+/// 2-pin net and 2n - 2 calls otherwise.
+void exp_weights(const double* coord, std::size_t n, double max_c,
+                 double min_c, std::size_t imax, std::size_t imin,
+                 double gamma, double* wmax, double* wmin) {
+  if (n == 2 && imax < 2 && imin < 2) {
+    const double e = std::exp((min_c - max_c) / gamma);
+    wmax[imax] = 1.0;
+    wmax[1 - imax] = e;
+    wmin[imin] = 1.0;
+    wmin[1 - imin] = e;
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    wmax[i] = i == imax ? 1.0 : std::exp((coord[i] - max_c) / gamma);
+    wmin[i] = i == imin ? 1.0 : std::exp((min_c - coord[i]) / gamma);
+  }
+}
+
 }  // namespace
 
 SmoothWirelength::SmoothWirelength(const netlist::Netlist& nl,
@@ -74,6 +101,7 @@ SmoothWirelength::SmoothWirelength(const netlist::Netlist& nl,
     ++kept_nets;
     kept_pins += deg;
     max_degree_ = std::max(max_degree_, deg);
+    exp_calls_ += 2 * (deg == 2 ? 1 : 2 * deg - 2);
   }
   net_first_.reserve(kept_nets + 1);
   net_weight_.reserve(kept_nets);
@@ -146,26 +174,27 @@ double SmoothWirelength::kernel(const netlist::Placement& pl,
       double net_value = 0.0;
       // Per axis: gather coords, max-shift the exponents, evaluate.
       for (int axis = 0; axis < 2; ++axis) {
-        double max_c = -1e300, min_c = 1e300;
-        if (axis == 0) {
-          for (std::size_t i = 0; i < deg; ++i) {
-            const std::uint32_t c = pin_cell_[base + i];
-            coord[i] = pl[c].x + pin_dx_[base + i];
-            max_c = std::max(max_c, coord[i]);
-            min_c = std::min(min_c, coord[i]);
-          }
-        } else {
-          for (std::size_t i = 0; i < deg; ++i) {
-            const std::uint32_t c = pin_cell_[base + i];
-            coord[i] = pl[c].y + pin_dy_[base + i];
-            max_c = std::max(max_c, coord[i]);
-            min_c = std::min(min_c, coord[i]);
-          }
-        }
         for (std::size_t i = 0; i < deg; ++i) {
-          wmax[i] = std::exp((coord[i] - max_c) / gamma);
-          wmin[i] = std::exp((min_c - coord[i]) / gamma);
+          const std::uint32_t c = pin_cell_[base + i];
+          coord[i] = axis == 0 ? pl[c].x + pin_dx_[base + i]
+                               : pl[c].y + pin_dy_[base + i];
         }
+        // std::max/std::min semantics: an extreme is replaced only by a
+        // strictly larger / smaller coordinate, so max_c and min_c are the
+        // bits of the first pins that reach them.
+        double max_c = -1e300, min_c = 1e300;
+        std::size_t imax = deg, imin = deg;  // deg: no such pin
+        for (std::size_t i = 0; i < deg; ++i) {
+          if (max_c < coord[i]) {
+            max_c = coord[i];
+            imax = i;
+          }
+          if (coord[i] < min_c) {
+            min_c = coord[i];
+            imin = i;
+          }
+        }
+        exp_weights(coord, deg, max_c, min_c, imax, imin, gamma, wmax, wmin);
         double* grad = nullptr;
         if (with_grad) {
           grad = (axis == 0 ? gpin_x_.data() : gpin_y_.data()) + base;

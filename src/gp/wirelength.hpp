@@ -24,7 +24,9 @@ enum class WirelengthModel {
 /// small gamma = tight approximation of HPWL.
 ///
 /// Both models are stabilized against overflow by max-shifting the
-/// exponents, so they stay finite for any coordinates.
+/// exponents, so they stay finite for any coordinates. The extreme pins'
+/// weights are exactly 1 and are set without calling exp() (see
+/// exp_calls()).
 ///
 /// The hot loop runs over a flattened CSR net->pin layout built once in
 /// the constructor (contiguous cell ids and pin offsets, nets with < 2
@@ -54,6 +56,10 @@ class SmoothWirelength final : public ObjectiveTerm {
   /// Shares the chunked CSR kernel with eval() in null-gradient mode.
   double value(const netlist::Placement& pl) const;
 
+  /// Deterministic work counter: exp() calls per evaluation (eval() and
+  /// value() alike), fixed by the net degrees.
+  std::uint64_t exp_calls() const { return exp_calls_; }
+
   /// Rescale the effective weight of every net: the kernel uses
   /// `netlist_weight(n) * scale[n]` (scale is indexed by NetId, so it
   /// covers dropped < 2-pin nets too). An empty span resets to the plain
@@ -80,6 +86,7 @@ class SmoothWirelength final : public ObjectiveTerm {
   std::vector<double> pin_dx_, pin_dy_;   ///< pin offsets from cell center
   std::vector<std::uint32_t> chunk_first_;  ///< fixed chunk bounds (nets)
   std::size_t max_degree_ = 0;
+  std::uint64_t exp_calls_ = 0;
 
   // Gather transpose: variable -> pin slots, rebuilt when a different
   // VarMap is bound (keyed by address + num_vars; each GlobalPlacer owns

@@ -494,6 +494,112 @@ TEST(DensityBitwise, FineAndOddGrids) {
   }
 }
 
+// ---- footprint trimming ------------------------------------------------------
+//
+// SmallDesign's core is 6.75 x 6; on a 16-bin grid the bin extents, bin
+// centers, cell extents and bell radii are all short binary fractions, so
+// positions built from them are exact.
+constexpr std::size_t kEdgeBins = 16;
+
+/// Bins of the floor-based footprints (the window before trimming) of the
+/// cells inside the core.
+std::uint64_t floor_footprint_bins(const dpgen::Benchmark& b,
+                                   const Placement& pl, const VarMap& vars) {
+  const geom::Rect& core = b.design.core();
+  const double bw = core.width() / kEdgeBins;
+  const double bh = core.height() / kEdgeBins;
+  const auto last = static_cast<long long>(kEdgeBins) - 1;
+  auto span = [last](double lo, double hi) {
+    const long long i0 = std::max(0LL, static_cast<long long>(std::floor(lo)));
+    const long long i1 =
+        std::min(last, static_cast<long long>(std::floor(hi)));
+    return static_cast<std::uint64_t>(std::max(0LL, i1 - i0 + 1));
+  };
+  std::uint64_t bins = 0;
+  for (const CellId c : vars.movable_cells()) {
+    const double rx = b.netlist.cell_width(c) / 2.0 + 2.0 * bw;
+    const double ry = b.netlist.cell_height(c) / 2.0 + 2.0 * bh;
+    bins += span((pl[c].x - rx - core.lx) / bw, (pl[c].x + rx - core.lx) / bw) *
+            span((pl[c].y - ry - core.ly) / bh, (pl[c].y + ry - core.ly) / bh);
+  }
+  return bins;
+}
+
+TEST(DensityBitwise, WindowEdgeOnBinCenter) {
+  SmallDesign d;
+  const dpgen::Benchmark& b = *d.bench;
+  const auto& nl = b.netlist;
+  const VarMap vars(nl);
+  const geom::Rect& core = b.design.core();
+  const double bw = core.width() / kEdgeBins;
+  const double bh = core.height() / kEdgeBins;
+  // Every cell's bell window ends exactly on a bin center (|d| == r2, the
+  // one point inside the floor footprint where the bell and its slope
+  // are 0), on its right or left and upper or lower side in turn.
+  Placement pl = b.placement;
+  std::size_t k = 0;
+  for (const CellId c : vars.movable_cells()) {
+    const double r2x = nl.cell_width(c) / 2.0 + 2.0 * bw;
+    const double r2y = nl.cell_height(c) / 2.0 + 2.0 * bh;
+    const double bcx =
+        core.lx + (static_cast<double>(4 + k % 8) + 0.5) * bw;
+    const double bcy =
+        core.ly + (static_cast<double>(4 + (k / 2) % 8) + 0.5) * bh;
+    pl[c] = {k % 2 == 0 ? bcx + r2x : bcx - r2x,
+             k % 4 < 2 ? bcy + r2y : bcy - r2y};
+    ASSERT_TRUE(core.contains(pl[c]));
+    ++k;
+  }
+  expect_bitwise(b, pl, vars, {kEdgeBins, -1.0, false}, "edge");
+  expect_bitwise(b, pl, vars, {kEdgeBins, 0.5, false}, "edge one-sided");
+  expect_bitwise(b, pl, vars, {kEdgeBins, 0.5, true}, "edge both");
+
+  // Each cell loses at least its zero column and its zero row.
+  DensityPenalty den(nl, b.design, kEdgeBins);
+  den.value(pl, vars);
+  const std::uint64_t floor_bins = floor_footprint_bins(b, pl, vars);
+  EXPECT_LT(den.bins_visited(), floor_bins - 2 * vars.movable_cells().size());
+}
+
+TEST(DensityBitwise, CellsClippedAtCoreEdges) {
+  SmallDesign d;
+  const dpgen::Benchmark& b = *d.bench;
+  const VarMap vars(b.netlist);
+  const geom::Rect& core = b.design.core();
+  const double bw = core.width() / kEdgeBins;
+  const double bh = core.height() / kEdgeBins;
+  const double mx = core.center().x, my = core.center().y;
+  // Corners, edge midpoints, just outside each edge, and far outside
+  // (an empty footprint, spread nowhere).
+  const std::vector<geom::Point> spots = {
+      {core.lx, core.ly},           {core.hx, core.ly},
+      {core.lx, core.hy},           {core.hx, core.hy},
+      {mx, core.ly},                {mx, core.hy},
+      {core.lx, my},                {core.hx, my},
+      {core.lx - 0.3 * bw, my},     {core.hx + 0.3 * bw, my + bh},
+      {mx - bw, core.ly - 0.7 * bh}, {mx + bw, core.hy + 10.0 * bh}};
+  Placement pl = b.placement;
+  std::size_t k = 0;
+  for (const CellId c : vars.movable_cells()) pl[c] = spots[k++ % spots.size()];
+  expect_bitwise(b, pl, vars, {kEdgeBins, -1.0, false}, "clipped");
+  expect_bitwise(b, pl, vars, {kEdgeBins, 0.5, false}, "clipped one-sided");
+  expect_bitwise(b, pl, vars, {kEdgeBins, 0.5, true}, "clipped both");
+}
+
+TEST(DensityBitwise, BinsVisitedIsThreadIndependent) {
+  const Scaled4k& s = scaled4k();
+  const VarMap vars(s.bench.netlist);
+  std::uint64_t serial = 0;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    DensityPenalty den(s.bench.netlist, s.bench.design);
+    den.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
+    den.value(s.spread, vars);
+    if (threads == 1) serial = den.bins_visited();
+    EXPECT_EQ(den.bins_visited(), serial) << "threads=" << threads;
+  }
+  EXPECT_GT(serial, 0u);
+}
+
 TEST(Density, ValueNonNegativeAndFinite) {
   SmallDesign d;
   const auto& nl = d.bench->netlist;

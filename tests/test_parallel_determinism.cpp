@@ -127,6 +127,29 @@ TEST(ParallelDeterminism, ProfileCountsEvaluations) {
   EXPECT_LT(res.profile.gradients, res.total_evaluations);
   EXPECT_GE(res.profile.wirelength.seconds, 0.0);
   EXPECT_NE(res.profile.to_string().find("gradients"), std::string::npos);
+  EXPECT_NE(res.profile.to_string().find("density-bins"), std::string::npos);
+  EXPECT_NE(res.profile.to_string().find("wl-exps"), std::string::npos);
+}
+
+TEST(ParallelDeterminism, WorkCountersEqualAcrossThreadCounts) {
+  const auto& b = add32();
+  GpOptions opt;
+  opt.max_outer = 4;
+  std::vector<EvalProfile> profiles;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    opt.num_threads = threads;
+    Placement pl = b.placement;
+    profiles.push_back(GlobalPlacer(b.netlist, b.design, opt).place(pl).profile);
+  }
+  const EvalProfile& serial = profiles.front();
+  EXPECT_GT(serial.density_bins, 0u);
+  // Every evaluation runs the wirelength kernel once.
+  const SmoothWirelength wl(b.netlist, opt.wl_model, 1.0);
+  EXPECT_EQ(serial.wirelength_exps, serial.wirelength.calls * wl.exp_calls());
+  for (const EvalProfile& p : profiles) {
+    EXPECT_EQ(p.density_bins, serial.density_bins);
+    EXPECT_EQ(p.wirelength_exps, serial.wirelength_exps);
+  }
 }
 
 }  // namespace
