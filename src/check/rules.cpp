@@ -287,6 +287,9 @@ void rule_site_align(const CheckContext& ctx, DiagnosticSink& sink) {
 /// No two movable cells overlap, via the row-bucketed sweep shared with
 /// eval::check_legality.
 void rule_overlap(const CheckContext& ctx, DiagnosticSink& sink) {
+  // The sweep reads every cell's position; a short placement is reported
+  // by geom.finite instead.
+  if (ctx.placement->size() < ctx.netlist->num_cells()) return;
   bool truncated = false;
   const auto pairs = eval::overlap_pairs(*ctx.netlist, *ctx.design,
                                          *ctx.placement, ctx.tolerance,

@@ -40,7 +40,6 @@ class AlignmentPenalty final : public gp::ObjectiveTerm {
   GroupOrientation orientation(std::size_t group) const {
     return orientation_[group];
   }
-  std::size_t num_groups() const { return groups_->groups.size(); }
 
   double eval(const netlist::Placement& pl, const gp::VarMap& vars,
               std::span<double> gx, std::span<double> gy) const override;

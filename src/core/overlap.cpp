@@ -51,8 +51,7 @@ double PlateOverlapPenalty::eval(const netlist::Placement& pl,
     cy_[g] /= static_cast<double>(n);
     inv_n_[g] = 1.0 / static_cast<double>(n);
   }
-  // Adds (dx, dy) / n to every movable member of group g; duplicate vars
-  // (rigid bodies) accumulate naturally.
+  // Adds (dx, dy) / n to every movable member of group g.
   auto spread = [&](std::size_t g, double dx, double dy) {
     for (CellId c : groups_->groups[g].cells) {
       if (c == kInvalidId || !vars.is_movable(c)) continue;

@@ -12,13 +12,10 @@
 #include "gp/global_placer.hpp"
 #include "legal/abacus.hpp"
 #include "legal/structure_legal.hpp"
-#include "legal/tetris.hpp"
 #include "route/inflation.hpp"
 #include "timing/timing_analyzer.hpp"
 
 namespace dp::core {
-
-enum class BaselineLegalizer { kAbacus, kTetris };
 
 /// How the structure-aware flow legalizes.
 enum class LegalizationMode {
@@ -43,25 +40,17 @@ struct PlacerConfig {
   detail::DetailOptions detail;
   PartitionOptions partition;
 
-  /// Worker threads for every global-placement phase's gradient kernels
-  /// (0 = hardware concurrency). Copied into `gp.num_threads` at the
-  /// start of place(); results are bitwise identical for any value (see
-  /// gp::GpOptions::num_threads).
+  /// Worker threads of the run's one pool, shared by every global
+  /// placement's gradient kernels, the timing analyzer and the congestion
+  /// map (0 = hardware concurrency). Results are bitwise identical for any
+  /// value (see gp::GlobalPlacer::set_thread_pool).
   std::size_t num_threads = 1;
 
   /// Weight of the alignment penalty once activated. Swept by the
   /// reconstructed Fig. 5 ablation.
   double alignment_weight = 0.5;
-  /// Density-model area factor for datapath cells (macro-shrink): a plate
-  /// packs solid, so its cells are shrunk to the core utilization so the
-  /// settled plate is density-neutral. 0 = auto (movable area / core area).
-  double datapath_density_scale = 0.0;
-  /// The alignment term activates once density overflow first drops below
-  /// this threshold (aligning before cells are spread is wasted work):
-  /// phase A of the global placement spreads plainly down to this
-  /// overflow, then phase B runs with the alignment term on.
-  double alignment_activation_overflow = 0.5;
-  /// Outer iterations of the alignment phase (phase B). The alignment
+  /// Outer iterations of the alignment phase (phase B, which follows a
+  /// plain spreading phase A down to overflow 0.5). The alignment
   /// weight doubles each outer, so this bounds the total ramp.
   std::size_t align_outer = 12;
 
@@ -74,17 +63,6 @@ struct PlacerConfig {
   /// placer, conventional legalization); the template-block mode is this
   /// library's stricter extension, exercised by the ablation benches.
   LegalizationMode legalization = LegalizationMode::kGentle;
-
-  /// Rigid-body refinement (ablation): after legalization, rerun a short
-  /// global placement in which every datapath group is one rigid plate
-  /// and glue stays free, then legalize again. The default pipeline
-  /// already re-places glue around frozen plates, which supersedes this.
-  bool refine = false;
-  std::size_t refine_outer = 10;
-
-  /// Legalizer for the baseline flow. Abacus (default) is the stronger
-  /// baseline; Tetris matches what the structure flow uses for glue.
-  BaselineLegalizer baseline_legalizer = BaselineLegalizer::kAbacus;
 
   /// Invariant checking between pipeline phases (see check::run_checks):
   /// kOff = no checking (default), kCheap = the linear-time rules after
@@ -142,7 +120,7 @@ struct PlaceReport {
   /// Structure legalization outcome (structure-aware flow only).
   std::size_t legal_blocks = 0;
   std::size_t legal_fallback = 0;
-  double hpwl_first_legal = 0.0;  ///< before the rigid-body refinement
+  double hpwl_first_legal = 0.0;  ///< structure-aware flow, before repair
   eval::LegalityReport legality;
   /// Alignment quality measured against the annotation the placer used.
   eval::AlignmentScore alignment;

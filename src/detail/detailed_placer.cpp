@@ -66,26 +66,20 @@ class Engine {
     stats.hpwl_before = inc_.resync_total();
     ++profile_.resyncs;
     double current = stats.hpwl_before;
+    // Runs one pass, counted and timed in `prof`; returns its moves.
+    auto timed_pass = [](PassProfile& prof, auto&& pass) {
+      util::Timer t;
+      ++prof.passes;
+      const std::size_t moves = pass();
+      prof.seconds += t.seconds();
+      return moves;
+    };
     for (std::size_t pass = 0; pass < options_->max_passes; ++pass) {
       ++stats.passes;
-      {
-        util::Timer t;
-        ++profile_.slide.passes;
-        stats.slides += slide_pass();
-        profile_.slide.seconds += t.seconds();
-      }
-      {
-        util::Timer t;
-        ++profile_.swap.passes;
-        stats.swaps += swap_pass();
-        profile_.swap.seconds += t.seconds();
-      }
-      {
-        util::Timer t;
-        ++profile_.unit_slide.passes;
-        stats.slice_slides += unit_slide_pass();
-        profile_.unit_slide.seconds += t.seconds();
-      }
+      stats.slides += timed_pass(profile_.slide, [&] { return slide_pass(); });
+      stats.swaps += timed_pass(profile_.swap, [&] { return swap_pass(); });
+      stats.slice_slides += timed_pass(profile_.unit_slide,
+                                       [&] { return unit_slide_pass(); });
       const double next = inc_.resync_total();
       ++profile_.resyncs;
       const bool converged =
@@ -207,12 +201,7 @@ class Engine {
 
     ++prof.candidates;
     const auto t = inc_.trial_shift(moved_cells, dx, 0.0);
-    if (t.after + 1e-12 < t.before) {
-      if (!guard_allows_shift(moved_cells, dx)) {
-        inc_.rollback();
-        ++profile_.guard_vetoes;
-        return false;
-      }
+    if (t.after + 1e-12 < t.before && guard_allows()) {
       inc_.commit();
       e.lx = new_lx;
       ++prof.accepted;
@@ -306,11 +295,11 @@ class Engine {
           pair[1] = b.cell;
           centers[0] = {best_a_lx + a.width / 2.0, (*pl_)[a.cell].y};
           centers[1] = {best_b_lx + b.width / 2.0, (*pl_)[b.cell].y};
-          if (options_->move_guard && !options_->move_guard(pair, centers)) {
-            ++profile_.guard_vetoes;
+          inc_.trial_place(pair, centers);
+          if (!guard_allows()) {
+            inc_.rollback();
             continue;
           }
-          inc_.trial_place(pair, centers);
           inc_.commit();
           a.lx = best_a_lx;
           b.lx = best_b_lx;
@@ -345,15 +334,12 @@ class Engine {
     return moves;
   }
 
-  /// Consult the move guard (when set) for a rigid +dx shift of `cells`;
-  /// the placement still holds the pre-move positions.
-  bool guard_allows_shift(const std::vector<CellId>& cells, double dx) {
-    if (!options_->move_guard) return true;
-    guard_centers_.resize(cells.size());
-    for (std::size_t k = 0; k < cells.size(); ++k) {
-      guard_centers_[k] = {(*pl_)[cells[k]].x + dx, (*pl_)[cells[k]].y};
-    }
-    return options_->move_guard(cells, guard_centers_);
+  /// Consult the move guard (when set) on the staged trial; counts the
+  /// veto when it refuses.
+  bool guard_allows() {
+    if (!options_->move_guard || options_->move_guard(inc_)) return true;
+    ++profile_.guard_vetoes;
+    return false;
   }
 
   /// Paranoid cross-check: the maintained total must agree with a full
@@ -380,7 +366,6 @@ class Engine {
   Profile profile_;
   std::vector<std::vector<Entry>> rows_;
   std::vector<double> breakpoints_;
-  std::vector<geom::Point> guard_centers_;
   std::vector<std::uint32_t> moving_epoch_;
   std::uint32_t moving_stamp_ = 0;
 };

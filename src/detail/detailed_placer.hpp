@@ -1,11 +1,10 @@
 #pragma once
 
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "detail/profile.hpp"
-#include "geom/point.hpp"
+#include "eval/incremental_hpwl.hpp"
 #include "netlist/design.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/structure.hpp"
@@ -27,14 +26,13 @@ struct DetailOptions {
   /// full eval::hpwl recompute (tests/debugging only: restores the
   /// quadratic cost the incremental engine removes).
   bool paranoid = false;
-  /// Optional veto over HPWL-improving moves, consulted before commit
-  /// with the moved cells and their candidate centers (the placement
-  /// still holds the pre-move positions). Return false to reject; vetoes
-  /// are counted in Profile::guard_vetoes. The timing-driven flow uses
-  /// this to refuse moves that worsen the WNS proxy.
-  std::function<bool(std::span<const netlist::CellId>,
-                     std::span<const geom::Point>)>
-      move_guard;
+  /// Optional veto over HPWL-improving moves, consulted while the move is
+  /// staged on the detailer's incremental HPWL engine (see
+  /// eval::IncrementalHpwl::for_each_staged_net; the placement still holds
+  /// the pre-move positions). Return false to reject; vetoes are counted
+  /// in Profile::guard_vetoes. The timing-driven flow uses this to refuse
+  /// moves that worsen the WNS proxy.
+  std::function<bool(const eval::IncrementalHpwl&)> move_guard;
 };
 
 struct DetailStats {

@@ -84,6 +84,18 @@ class IncrementalHpwl {
   Trial trial_place(std::span<const netlist::CellId> cells,
                     std::span<const geom::Point> centers);
 
+  /// Calls `f(net, before, after)` for every net of the staged trial, in
+  /// ascending net order: the net's cached HPWL and its HPWL with the
+  /// staged move applied, each bitwise identical to `eval::net_hpwl` on
+  /// the placement without and with the move. Valid only while a trial is
+  /// staged (between trial_shift/trial_place and commit/rollback).
+  template <typename F>
+  void for_each_staged_net(F&& f) const {
+    for (const StagedNet& sn : staged_nets_) {
+      f(sn.net, net_hpwl(sn.net), box_hpwl(sn.net, sn.box));
+    }
+  }
+
   /// Apply the staged trial: mutate the placement (`+= d` for shifts,
   /// assignment for placements), update the cached extents, and advance
   /// the running total by the staged delta.

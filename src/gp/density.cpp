@@ -331,14 +331,10 @@ void DensityPenalty::gradient(const netlist::Placement& pl,
 
   // Pass 2: gradient via chain rule (normalization treated as constant,
   // the standard NTUplace approximation). Embarrassingly parallel over
-  // cells into per-cell slots.
-  cell_gx_.resize(n_mov);
-  cell_gy_.resize(n_mov);
+  // cells: variable v belongs to movable cell v alone.
   for_cell_chunks(pool_.get(), n_mov, cell_chunks(n_mov), [&](std::size_t k,
                                                               std::size_t v) {
     const Footprint& f = foot_[v];
-    cell_gx_[v] = 0.0;
-    cell_gy_[v] = 0.0;
     if (f.inv_norm == 0.0) return;
     const CellId c = movable[v];
     const Bell* px = x_bells(k, f.bx0, f.bx1, pl[c].x,
@@ -359,17 +355,9 @@ void DensityPenalty::gradient(const netlist::Placement& pl,
         gy_acc += s * px[i].p * py.dp;
       }
     }
-    cell_gx_[v] = gx_acc;
-    cell_gy_[v] = gy_acc;
+    gx[v] += gx_acc;
+    gy[v] += gy_acc;
   });
-
-  // Ordered reduction into the variables (several cells may share one
-  // variable in rigid-body mode, so this stays serial and in cell order).
-  for (std::size_t v = 0; v < n_mov; ++v) {
-    const std::uint32_t var = vars.var(movable[v]);
-    gx[var] += cell_gx_[v];
-    gy[var] += cell_gy_[v];
-  }
 }
 
 double DensityPenalty::overflow(const netlist::Placement& pl,

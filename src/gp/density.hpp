@@ -31,9 +31,9 @@ namespace dp::gp {
 ///    fixed multi-row blocks; every bin row has exactly one owning block,
 ///    which adds contributions in ascending cell order -- no reduction
 ///    races, bitwise identical to the serial loop);
-///  - gradient() runs pass 2 (embarrassingly parallel over cells) and an
-///    ordered per-variable reduction, on the footprints and grid the
-///    preceding value() left behind.
+///  - gradient() runs pass 2 (embarrassingly parallel over cells, each
+///    writing its own variable), on the footprints and grid the preceding
+///    value() left behind.
 /// Each pass computes a cell's x-bells once into a per-task row and reuses
 /// them for every bin row of the footprint.
 ///
@@ -86,8 +86,8 @@ class DensityPenalty final : public ObjectiveTerm {
   /// errors for a following gradient() call.
   double value(const netlist::Placement& pl, const VarMap& vars) const;
 
-  /// Pass 2 and the ordered reduction: adds the gradient at the placement
-  /// of the most recent value() call into gx/gy. `pl` and `vars` must be
+  /// Pass 2: adds the gradient at the placement of the most recent value()
+  /// call into gx/gy. `pl` and `vars` must be
   /// the ones that value() saw, unchanged since.
   void gradient(const netlist::Placement& pl, const VarMap& vars,
                 std::span<double> gx, std::span<double> gy) const;
@@ -154,8 +154,7 @@ class DensityPenalty final : public ObjectiveTerm {
                       double cx, const BellShape& sx) const;
 
   mutable std::vector<Footprint> foot_;
-  mutable std::vector<double> cell_gx_, cell_gy_;  ///< per movable index
-  mutable std::vector<double> group_value_;        ///< per value-group sums
+  mutable std::vector<double> group_value_;  ///< per value-group sums
   mutable std::vector<std::vector<std::uint32_t>> block_cells_;
   /// One row of x-bells per pass-0/pass-2 chunk, each nb_ wide (the widest
   /// possible footprint); grown on demand, never per cell.

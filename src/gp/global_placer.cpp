@@ -5,24 +5,27 @@
 
 #include "eval/metrics.hpp"
 #include "util/logger.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace dp::gp {
 
 namespace {
 
+// The fixed schedule GpOptions documents.
+constexpr std::size_t kInnerIters = 50;
+constexpr double kTargetDensity = 1.0;
+constexpr double kLambdaInitFactor = 0.1;
+constexpr double kLambdaMultiplier = 2.0;
+
 /// Combines wirelength + lambda*density + extra terms into the flat
 /// Objective interface consumed by the CG solver. Also clamps variables to
 /// the core region before every evaluation (projected descent).
 class CompositeObjective final : public Objective {
  public:
-  CompositeObjective(const netlist::Netlist& nl,
-                     const netlist::Design& design, const VarMap& vars,
+  CompositeObjective(const netlist::Design& design, const VarMap& vars,
                      const SmoothWirelength& wl, const DensityPenalty& den,
                      netlist::Placement& pl)
-      : nl_(&nl), design_(&design), vars_(&vars), wl_(&wl), den_(&den),
-        pl_(&pl) {}
+      : design_(&design), vars_(&vars), wl_(&wl), den_(&den), pl_(&pl) {}
 
   void set_lambda(double lambda) { lambda_ = lambda; }
   void set_extras(const std::vector<ExtraTerm>* extras,
@@ -117,7 +120,6 @@ class CompositeObjective final : public Objective {
   }
 
  private:
-  const netlist::Netlist* nl_;
   const netlist::Design* design_;
   const VarMap* vars_;
   const SmoothWirelength* wl_;
@@ -142,17 +144,19 @@ GlobalPlacer::GlobalPlacer(const netlist::Netlist& nl,
                            const netlist::Design& design, GpOptions options,
                            VarMap vars)
     : nl_(&nl), design_(&design), options_(options), vars_(std::move(vars)) {
-  pool_ = std::make_shared<util::ThreadPool>(options_.num_threads);
   density_ = std::make_unique<DensityPenalty>(nl, design,
                                               options_.bins_per_side);
   if (options_.one_sided_max_density >= 0.0) {
     density_->set_one_sided(options_.one_sided_max_density);
   }
-  density_->set_thread_pool(pool_);
   const double gamma0 = options_.gamma_init_bins * density_->bin_width();
   wirelength_ =
       std::make_unique<SmoothWirelength>(nl, options_.wl_model, gamma0);
-  wirelength_->set_thread_pool(pool_);
+}
+
+void GlobalPlacer::set_thread_pool(std::shared_ptr<util::ThreadPool> pool) {
+  density_->set_thread_pool(pool);
+  wirelength_->set_thread_pool(std::move(pool));
 }
 
 std::pair<double, double> GlobalPlacer::probe_norms(
@@ -184,36 +188,30 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
   density_->preload_obstacles(pl, vars_);
 
   if (options_.run_quadratic_init) {
-    quadratic_initial_placement(*nl_, *design_, vars_, pl,
-                                options_.quadratic);
+    quadratic_initial_placement(*nl_, *design_, vars_, pl);
   }
 
-  CompositeObjective objective(*nl_, *design_, vars_, *wirelength_,
-                               *density_, pl);
+  CompositeObjective objective(*design_, vars_, *wirelength_, *density_,
+                               pl);
   std::vector<double> extra_weights(extras_.size(), 0.0);
   objective.set_extras(&extras_, &extra_weights);
   objective.set_profile(&result.profile);
 
   std::vector<double> v = vars_.gather(pl);
-  // Round-trip the iterate as every objective evaluation does (rigid
-  // bodies re-derive their cells' positions from the body origin).
-  vars_.scatter(v, pl);
 
   // Lambda normalization from the initial gradient ratio.
   const auto [wl_norm, den_norm] = probe_norms(*density_, pl);
-  double lambda = den_norm > 0.0
-                      ? options_.lambda_init_factor * wl_norm / den_norm
-                      : 1.0;
+  double lambda =
+      den_norm > 0.0 ? kLambdaInitFactor * wl_norm / den_norm : 1.0;
 
   const double gamma0 = options_.gamma_init_bins * density_->bin_width();
   const double gamma1 = options_.gamma_final_bins * density_->bin_width();
 
   CgOptions cg;
-  cg.max_iters = options_.inner_iters;
+  cg.max_iters = kInnerIters;
   cg.step_ref = density_->bin_width();
 
-  double overflow =
-      density_->overflow(pl, vars_, options_.target_density);
+  double overflow = density_->overflow(pl, vars_, kTargetDensity);
   double best_overflow = overflow;
   std::size_t stall = 0;
 
@@ -252,7 +250,7 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
     }
 
     vars_.scatter(v, pl);
-    overflow = density_->overflow(pl, vars_, options_.target_density);
+    overflow = density_->overflow(pl, vars_, kTargetDensity);
     const double hp = eval::hpwl(*nl_, pl);
     result.trace.push_back(
         {outer, hp, wirelength_->value(pl), overflow, lambda, gamma});
@@ -270,7 +268,7 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
                ++stall >= options_.plateau_stall) {
       break;
     }
-    lambda *= options_.lambda_multiplier;
+    lambda *= kLambdaMultiplier;
   }
 
   vars_.scatter(v, pl);

@@ -18,14 +18,15 @@ class ThreadPool;
 
 namespace dp::gp {
 
+/// Options of one global-placement run. Fixed by the algorithm: 50 CG
+/// iterations per outer iteration, the overflow measured against a bin
+/// capacity of density 1, and a density weight starting at 0.1 of the
+/// wirelength/density gradient ratio and doubling every outer iteration.
 struct GpOptions {
   WirelengthModel wl_model = WirelengthModel::kWa;
-  /// Density threshold used by the overflow stop criterion.
-  double target_density = 1.0;
   /// Stop when the hard density overflow drops below this fraction.
   double stop_overflow = 0.08;
   std::size_t max_outer = 40;
-  std::size_t inner_iters = 50;
   /// Stop after this many outer iterations without overflow improvement
   /// (0 disables the plateau stop).
   std::size_t plateau_stall = 4;
@@ -33,22 +34,12 @@ struct GpOptions {
   /// penalized (see DensityPenalty::set_one_sided). < 0 keeps the default
   /// two-sided equality spreading.
   double one_sided_max_density = -1.0;
-  /// Density penalty weight multiplier per outer iteration.
-  double lambda_multiplier = 2.0;
-  /// Initial density weight relative to the gradient-ratio normalization.
-  double lambda_init_factor = 0.1;
   /// Wirelength smoothing: gamma in units of bin width, annealed
   /// geometrically from init to final across the outer iterations.
   double gamma_init_bins = 6.0;
   double gamma_final_bins = 0.8;
   std::size_t bins_per_side = 0;  ///< 0 = auto from design size
   bool run_quadratic_init = true;
-  QuadraticOptions quadratic;
-  /// Worker threads for the wirelength/density gradient kernels
-  /// (0 = hardware concurrency). Results are bitwise identical for every
-  /// thread count: the kernels use fixed chunk boundaries and ordered
-  /// reductions.
-  std::size_t num_threads = 1;
 };
 
 /// One sample of the convergence trace (reconstructed Fig. 3 series).
@@ -99,10 +90,16 @@ class GlobalPlacer {
   GlobalPlacer(const netlist::Netlist& nl, const netlist::Design& design,
                GpOptions options = {});
 
-  /// With an explicit variable map (e.g. rigid-body mode for the second
-  /// placement phase, where legalized datapath plates move as units).
+  /// With an explicit variable map (e.g. a subset map that moves only the
+  /// glue cells around frozen datapath plates).
   GlobalPlacer(const netlist::Netlist& nl, const netlist::Design& design,
                GpOptions options, VarMap vars);
+
+  /// Attach a worker pool for the wirelength and density kernels; null
+  /// (the default) runs them serially. Results are bitwise identical for
+  /// every pool size: the kernels use fixed chunk boundaries and ordered
+  /// reductions.
+  void set_thread_pool(std::shared_ptr<util::ThreadPool> pool);
 
   /// Register an extra objective term; must outlive place().
   void add_term(ExtraTerm term) { extras_.push_back(std::move(term)); }
@@ -129,8 +126,6 @@ class GlobalPlacer {
                                         const netlist::Placement& pl) const;
 
   const VarMap& vars() const { return vars_; }
-  const DensityPenalty& density() const { return *density_; }
-  const GpOptions& options() const { return options_; }
 
   /// Run global placement; `pl` provides fixed-cell positions and the
   /// movable starting point, and receives the result.
@@ -141,7 +136,6 @@ class GlobalPlacer {
   const netlist::Design* design_;
   GpOptions options_;
   VarMap vars_;
-  std::shared_ptr<util::ThreadPool> pool_;
   std::unique_ptr<SmoothWirelength> wirelength_;
   std::unique_ptr<DensityPenalty> density_;
   std::vector<ExtraTerm> extras_;

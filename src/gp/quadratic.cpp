@@ -2,23 +2,30 @@
 
 #include <algorithm>
 
+#include "util/prng.hpp"
+
 namespace dp::gp {
 
 using netlist::CellId;
 using netlist::NetId;
 using netlist::PinId;
 
+namespace {
+constexpr std::size_t kSweeps = 150;
+constexpr double kJitter = 0.25;  ///< in row heights
+constexpr std::uint64_t kJitterSeed = 42;
+}  // namespace
+
 void quadratic_initial_placement(const netlist::Netlist& nl,
                                  const netlist::Design& design,
-                                 const VarMap& vars, netlist::Placement& pl,
-                                 const QuadraticOptions& options) {
+                                 const VarMap& vars, netlist::Placement& pl) {
   const geom::Rect& core = design.core();
   const std::size_t num_nets = nl.num_nets();
 
   std::vector<double> net_sum_x(num_nets), net_sum_y(num_nets);
   std::vector<double> net_deg(num_nets);
 
-  for (std::size_t sweep = 0; sweep < options.sweeps; ++sweep) {
+  for (std::size_t sweep = 0; sweep < kSweeps; ++sweep) {
     // Net centroids from the current placement.
     for (NetId n = 0; n < num_nets; ++n) {
       double sx = 0.0, sy = 0.0;
@@ -53,13 +60,11 @@ void quadratic_initial_placement(const netlist::Netlist& nl,
     }
   }
 
-  if (options.jitter > 0.0) {
-    util::Rng rng(options.seed);
-    const double j = options.jitter * design.row_height();
-    for (const CellId c : vars.movable_cells()) {
-      pl[c].x = std::clamp(pl[c].x + rng.uniform(-j, j), core.lx, core.hx);
-      pl[c].y = std::clamp(pl[c].y + rng.uniform(-j, j), core.ly, core.hy);
-    }
+  util::Rng rng(kJitterSeed);
+  const double j = kJitter * design.row_height();
+  for (const CellId c : vars.movable_cells()) {
+    pl[c].x = std::clamp(pl[c].x + rng.uniform(-j, j), core.lx, core.hx);
+    pl[c].y = std::clamp(pl[c].y + rng.uniform(-j, j), core.ly, core.hy);
   }
 }
 

@@ -2,27 +2,18 @@
 
 #include "gp/vars.hpp"
 #include "netlist/design.hpp"
-#include "util/prng.hpp"
 
 namespace dp::gp {
 
-struct QuadraticOptions {
-  /// Jacobi sweeps of the quadratic (clique/star) net model.
-  std::size_t sweeps = 150;
-  /// Random jitter (fraction of a row height) added at the end to break
-  /// exact coordinate ties between identically connected cells.
-  double jitter = 0.25;
-  std::uint64_t seed = 42;
-};
-
 /// Quadratic-wirelength initial placement: every movable cell is iterated
-/// to the weighted average of its nets' other-pin centroids (a Jacobi
-/// relaxation of the clique-model normal equations), anchored by the fixed
-/// pads. Positions are clamped to the core. This provides the warm start
-/// for the nonlinear global placement.
+/// to the weighted average of its nets' other-pin centroids (150 Jacobi
+/// sweeps of the clique-model normal equations), anchored by the fixed
+/// pads. A seeded jitter of a quarter row height then breaks exact
+/// coordinate ties between identically connected cells. Positions are
+/// clamped to the core. This provides the warm start for the nonlinear
+/// global placement.
 void quadratic_initial_placement(const netlist::Netlist& nl,
                                  const netlist::Design& design,
-                                 const VarMap& vars, netlist::Placement& pl,
-                                 const QuadraticOptions& options = {});
+                                 const VarMap& vars, netlist::Placement& pl);
 
 }  // namespace dp::gp

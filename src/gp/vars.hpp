@@ -8,88 +8,36 @@
 namespace dp::gp {
 
 /// Maps between optimizer variables and the full Placement (all cells).
-///
-/// Two modes:
-///  - free mode (default): every movable cell owns one (x, y) variable;
-///  - rigid-body mode: cells may be grouped into rigid bodies that share a
-///    single variable, each cell at a fixed offset from the body origin.
-///    The second global-placement phase uses this to move legalized
-///    datapath plates as units while glue cells stay free.
+/// Every movable cell in the map owns one (x, y) variable: variable `v`
+/// belongs to `movable_cells()[v]`.
 ///
 /// Fixed cells never have variables; they contribute to objectives through
 /// their placement positions only.
 class VarMap {
  public:
   /// Free mode: one variable per movable cell.
-  explicit VarMap(const netlist::Netlist& nl) {
-    var_of_.assign(nl.num_cells(), netlist::kInvalidId);
-    offset_x_.assign(nl.num_cells(), 0.0);
-    offset_y_.assign(nl.num_cells(), 0.0);
-    for (netlist::CellId c = 0; c < nl.num_cells(); ++c) {
-      if (!nl.cell(c).fixed) {
-        var_of_[c] = static_cast<std::uint32_t>(num_vars_++);
-        movable_.push_back(c);
-        rep_.push_back(c);
-      }
-    }
-  }
+  explicit VarMap(const netlist::Netlist& nl)
+      : VarMap(nl, std::vector<bool>(nl.num_cells(), true)) {}
 
   /// Subset mode: only the masked movable cells get variables; everything
   /// else is treated as an obstacle at its current placement position.
   /// Used by the glue-only placement phase around frozen datapath plates.
   VarMap(const netlist::Netlist& nl, const std::vector<bool>& movable_mask) {
     var_of_.assign(nl.num_cells(), netlist::kInvalidId);
-    offset_x_.assign(nl.num_cells(), 0.0);
-    offset_y_.assign(nl.num_cells(), 0.0);
     for (netlist::CellId c = 0; c < nl.num_cells(); ++c) {
       if (!nl.cell(c).fixed && movable_mask[c]) {
-        var_of_[c] = static_cast<std::uint32_t>(num_vars_++);
+        var_of_[c] = static_cast<std::uint32_t>(movable_.size());
         movable_.push_back(c);
-        rep_.push_back(c);
       }
     }
   }
 
-  /// Rigid-body mode: each entry of `bodies` is a set of movable cells
-  /// sharing one variable; offsets are taken from their current relative
-  /// positions in `pl` (the first cell is the body origin). Movable cells
-  /// in no body each get their own variable.
-  VarMap(const netlist::Netlist& nl, const netlist::Placement& pl,
-         const std::vector<std::vector<netlist::CellId>>& bodies) {
-    var_of_.assign(nl.num_cells(), netlist::kInvalidId);
-    offset_x_.assign(nl.num_cells(), 0.0);
-    offset_y_.assign(nl.num_cells(), 0.0);
-    for (const auto& body : bodies) {
-      std::uint32_t var = netlist::kInvalidId;
-      netlist::CellId origin = netlist::kInvalidId;
-      for (netlist::CellId c : body) {
-        if (nl.cell(c).fixed || var_of_[c] != netlist::kInvalidId) continue;
-        if (var == netlist::kInvalidId) {
-          var = static_cast<std::uint32_t>(num_vars_++);
-          origin = c;
-          rep_.push_back(c);
-        }
-        var_of_[c] = var;
-        offset_x_[c] = pl[c].x - pl[origin].x;
-        offset_y_[c] = pl[c].y - pl[origin].y;
-        movable_.push_back(c);
-      }
-    }
-    for (netlist::CellId c = 0; c < nl.num_cells(); ++c) {
-      if (!nl.cell(c).fixed && var_of_[c] == netlist::kInvalidId) {
-        var_of_[c] = static_cast<std::uint32_t>(num_vars_++);
-        movable_.push_back(c);
-        rep_.push_back(c);
-      }
-    }
-  }
+  std::size_t num_vars() const { return movable_.size(); }
 
-  std::size_t num_vars() const { return num_vars_; }
+  /// The cell owning a variable.
+  netlist::CellId cell(std::size_t var) const { return movable_[var]; }
 
-  /// Representative cell of a variable (the body origin in rigid mode).
-  netlist::CellId cell(std::size_t var) const { return rep_[var]; }
-
-  /// All movable cells, each appearing once (several may share a var).
+  /// All cells with a variable, in variable order.
   std::span<const netlist::CellId> movable_cells() const { return movable_; }
 
   /// kInvalidId for fixed cells.
@@ -98,36 +46,29 @@ class VarMap {
     return var_of_[cell] != netlist::kInvalidId;
   }
 
-  double offset_x(netlist::CellId cell) const { return offset_x_[cell]; }
-  double offset_y(netlist::CellId cell) const { return offset_y_[cell]; }
-
   /// Copy variable vector (x0..xn-1, y0..yn-1) into the placement.
   void scatter(std::span<const double> vars, netlist::Placement& pl) const {
-    const std::size_t n = num_vars_;
-    for (netlist::CellId c : movable_) {
-      const std::uint32_t v = var_of_[c];
-      pl[c].x = vars[v] + offset_x_[c];
-      pl[c].y = vars[n + v] + offset_y_[c];
+    const std::size_t n = num_vars();
+    for (std::size_t v = 0; v < n; ++v) {
+      pl[movable_[v]].x = vars[v];
+      pl[movable_[v]].y = vars[n + v];
     }
   }
 
   /// Copy movable positions out of the placement into a variable vector.
   std::vector<double> gather(const netlist::Placement& pl) const {
-    const std::size_t n = num_vars_;
+    const std::size_t n = num_vars();
     std::vector<double> vars(2 * n);
     for (std::size_t v = 0; v < n; ++v) {
-      vars[v] = pl[rep_[v]].x;
-      vars[n + v] = pl[rep_[v]].y;
+      vars[v] = pl[movable_[v]].x;
+      vars[n + v] = pl[movable_[v]].y;
     }
     return vars;
   }
 
  private:
-  std::size_t num_vars_ = 0;
   std::vector<netlist::CellId> movable_;
-  std::vector<netlist::CellId> rep_;
   std::vector<std::uint32_t> var_of_;
-  std::vector<double> offset_x_, offset_y_;
 };
 
 /// One additive term of the global-placement objective. Implementations

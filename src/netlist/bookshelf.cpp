@@ -206,6 +206,17 @@ BookshelfDesign read_bookshelf(const std::string& aux_path) {
     std::string line;
     NetId current = kInvalidId;
     std::size_t net_count = 0;
+    std::size_t degree = 0;
+    // The pins listed under the current net must number its NetDegree.
+    auto check_degree = [&] {
+      if (current == kInvalidId) return;
+      const Net& net = builder.peek().net(current);
+      if (net.pins.size() == degree) return;
+      throw std::runtime_error(
+          "bookshelf: net '" + net.name + "' in " + nets_path +
+          " declares NetDegree " + std::to_string(degree) + " but lists " +
+          std::to_string(net.pins.size()) + " pin(s)");
+    };
     while (next_content_line(in, line)) {
       std::istringstream ls(line);
       std::string first;
@@ -214,8 +225,9 @@ BookshelfDesign read_bookshelf(const std::string& aux_path) {
         continue;
       }
       if (first == "NetDegree") {
+        check_degree();
         std::string colon, name;
-        std::size_t degree = 0;
+        degree = 0;
         ls >> colon >> degree >> name;
         if (name.empty()) name = "net_" + std::to_string(net_count);
         current = builder.add_net(name);
@@ -245,6 +257,7 @@ BookshelfDesign read_bookshelf(const std::string& aux_path) {
       const PinId pin = builder.connect(rec.cell, rec.next_port++, current);
       offsets.push_back({pin, ox, oy});
     }
+    check_degree();
   }
 
   Netlist netlist = builder.take();

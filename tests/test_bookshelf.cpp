@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <sstream>
+#include <vector>
 
 #include "dpgen/benchmarks.hpp"
 #include "eval/metrics.hpp"
@@ -82,6 +84,67 @@ TEST(Bookshelf, GroupsUnknownCellThrows) {
   }
   EXPECT_THROW(read_groups(path, bench.netlist), std::runtime_error);
 }
+
+// Malformed .nets files: one net's NetDegree disagrees with the pins
+// listed under it. The reader must reject the file, naming the net and
+// the file.
+struct DegreeCase {
+  const char* name;
+  bool last_net;  ///< corrupt the last net (checked at end of file)
+  int delta;      ///< added to the declared degree
+};
+
+class NetDegreeMismatch : public ::testing::TestWithParam<DegreeCase> {};
+
+TEST_P(NetDegreeMismatch, RejectedWithNetAndFile) {
+  const DegreeCase& dc = GetParam();
+  const auto bench = dpgen::make_benchmark("dp_add32");
+  const std::string base = ::testing::TempDir() + "bs_degree_" + dc.name;
+  write_bookshelf(base, bench.netlist, bench.design, bench.placement);
+
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(base + ".nets");
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  std::vector<std::size_t> degree_lines;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].starts_with("NetDegree")) degree_lines.push_back(i);
+  }
+  ASSERT_FALSE(degree_lines.empty());
+  std::string& target =
+      lines[dc.last_net ? degree_lines.back() : degree_lines.front()];
+  std::istringstream ls(target);
+  std::string keyword, colon, net;
+  int degree = 0;
+  ls >> keyword >> colon >> degree >> net;
+  target = "NetDegree : " + std::to_string(degree + dc.delta) + " " + net;
+  {
+    std::ofstream out(base + ".nets");
+    for (const std::string& line : lines) out << line << "\n";
+  }
+
+  try {
+    read_bookshelf(base + ".aux");
+    FAIL() << "accepted NetDegree " << degree + dc.delta << " on net " << net;
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'" + net + "'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("bs_degree_" + std::string(dc.name) + ".nets"),
+              std::string::npos)
+        << msg;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Bookshelf, NetDegreeMismatch,
+    testing::Values(DegreeCase{"first_too_high", false, 1},
+                    DegreeCase{"first_too_low", false, -1},
+                    DegreeCase{"last_too_high", true, 1},
+                    DegreeCase{"last_too_low", true, -1}),
+    [](const testing::TestParamInfo<DegreeCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 }  // namespace
 }  // namespace dp::netlist

@@ -468,21 +468,6 @@ TEST(DensityBitwise, SubsetVarMapWithObstacles) {
   expect_bitwise(s.bench, s.spread, subset, {}, "subset");
 }
 
-TEST(DensityBitwise, RigidBodyVarMap) {
-  const Scaled4k& s = scaled4k();
-  const auto& nl = s.bench.netlist;
-  // Bodies of four consecutive movable cells share one variable.
-  std::vector<std::vector<CellId>> bodies;
-  for (CellId c = 0; c < nl.num_cells(); ++c) {
-    if (nl.cell(c).fixed) continue;
-    if (bodies.empty() || bodies.back().size() == 4) bodies.emplace_back();
-    bodies.back().push_back(c);
-  }
-  const VarMap rigid(nl, s.spread, bodies);
-  ASSERT_LT(rigid.num_vars(), rigid.movable_cells().size());
-  expect_bitwise(s.bench, s.spread, rigid, {}, "rigid");
-}
-
 TEST(DensityBitwise, FineAndOddGrids) {
   const Scaled4k& s = scaled4k();
   const VarMap vars(s.bench.netlist);

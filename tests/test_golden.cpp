@@ -1,7 +1,8 @@
-// Golden placements: the final HPWL of a few full structure-aware runs,
-// pinned to the bit. Any change to the placer that moves a placement --
-// kernel reordering, a different reduction order, a new default -- fails
-// here, so drift is always declared, never silent.
+// Golden placements: the final HPWL of a few full placement runs, pinned
+// to the bit, plus the timing guard's veto count. Any change to the
+// placer that moves a placement -- kernel reordering, a different
+// reduction order, a new default -- fails here, so drift is always
+// declared, never silent.
 //
 // Re-recording after a declared drift: run this test, copy the "actual"
 // hex pattern each failing case prints into its `bits` entry below, and
@@ -23,10 +24,19 @@
 namespace dp::core {
 namespace {
 
+/// Which branch of StructurePlacer::place a case runs.
+enum class Flow {
+  kGentle,      ///< structure-aware, Abacus legalization
+  kStructured,  ///< structure-aware, template blocks + glue GP
+  kBaseline,    ///< structure-oblivious, Abacus legalization
+};
+
 struct Golden {
   const char* bench;
+  Flow flow;
   bool routed;  ///< timing-driven + congestion refinement on
   std::uint64_t bits;
+  std::size_t guard_vetoes;  ///< detail moves the timing guard refused
 };
 
 std::string hex(std::uint64_t bits) {
@@ -36,12 +46,14 @@ std::string hex(std::uint64_t bits) {
   return buf;
 }
 
-double place_hpwl(const Golden& g) {
+PlaceReport place(const Golden& g) {
   util::Logger::set_level(util::LogLevel::kError);
   auto b = dpgen::make_benchmark(g.bench);
   PlacerConfig c;
-  c.structure_aware = true;
-  c.legalization = LegalizationMode::kGentle;
+  c.structure_aware = g.flow != Flow::kBaseline;
+  c.legalization = g.flow == Flow::kStructured
+                       ? LegalizationMode::kStructured
+                       : LegalizationMode::kGentle;
   if (g.routed) {
     c.timing.driven = true;
     c.congestion.measure = true;
@@ -49,32 +61,52 @@ double place_hpwl(const Golden& g) {
   }
   StructurePlacer placer(b.netlist, b.design, c);
   auto pl = b.placement;
-  return placer.place(pl, &b.truth).hpwl_final;
+  return placer.place(pl, &b.truth);
 }
 
 class GoldenPlacement : public testing::TestWithParam<Golden> {};
 
 TEST_P(GoldenPlacement, FinalHpwlBitwise) {
   const Golden& g = GetParam();
-  const double hpwl = place_hpwl(g);
+  const PlaceReport report = place(g);
+  const double hpwl = report.hpwl_final;
   const std::uint64_t actual = std::bit_cast<std::uint64_t>(hpwl);
   EXPECT_EQ(hex(actual), hex(g.bits))
       << g.bench << (g.routed ? " (timing + congestion refine)" : "")
       << ": hpwl_final " << hpwl << " drifted from "
       << std::bit_cast<double>(g.bits);
+  EXPECT_EQ(report.detail_stats.profile.guard_vetoes, g.guard_vetoes);
+}
+
+std::string case_name(const testing::TestParamInfo<Golden>& param_info) {
+  const Golden& g = param_info.param;
+  std::string name = g.bench;
+  if (g.flow == Flow::kStructured) name += "_blocks";
+  if (g.flow == Flow::kBaseline) name += "_baseline";
+  return g.routed ? name + "_routed" : name;
 }
 
 // sa-gentle, structure-aware with the truth annotation. The mix25 routed
-// run exercises timing reweighting and one accepted congestion refinement.
+// run exercises timing reweighting, the detail move guard and one
+// accepted congestion refinement.
 INSTANTIATE_TEST_SUITE_P(
     SaGentle, GoldenPlacement,
-    testing::Values(Golden{"dp_add32", false, 0x40c3297477c9e6e7ULL},
-                    Golden{"mix25", false, 0x40ed4cc100f74e39ULL},
-                    Golden{"mix25", true, 0x40e5bbbdc609a912ULL}),
-    [](const testing::TestParamInfo<Golden>& param_info) {
-      return std::string(param_info.param.bench) +
-             (param_info.param.routed ? "_routed" : "");
-    });
+    testing::Values(
+        Golden{"dp_add32", Flow::kGentle, false, 0x40c3297477c9e6e7ULL, 0},
+        Golden{"mix25", Flow::kGentle, false, 0x40ed4cc100f74e39ULL, 0},
+        Golden{"mix25", Flow::kGentle, true, 0x40e5bbbdc609a912ULL, 313}),
+    case_name);
+
+// Template blocks (glue GP over a subset VarMap around frozen plates, the
+// structure legalizer) and the structure-oblivious baseline, plain and
+// routed (full-VarMap congestion spreader, guard in the plain detailer).
+INSTANTIATE_TEST_SUITE_P(
+    OtherFlows, GoldenPlacement,
+    testing::Values(
+        Golden{"mix25", Flow::kStructured, false, 0x40ec6167df279b84ULL, 0},
+        Golden{"mix25", Flow::kBaseline, false, 0x40ecaa3e66666668ULL, 0},
+        Golden{"mix25", Flow::kBaseline, true, 0x40e5e8cb9d76d29fULL, 213}),
+    case_name);
 
 }  // namespace
 }  // namespace dp::core

@@ -47,32 +47,6 @@ TEST(VarMap, ScatterGatherRoundTrip) {
   }
 }
 
-TEST(VarMap, RigidBodySharesVariable) {
-  SmallBench sb;
-  const auto& nl = sb.bench->netlist;
-  // First three movable cells form one body.
-  std::vector<CellId> body;
-  for (CellId c = 0; c < nl.num_cells() && body.size() < 3; ++c) {
-    if (!nl.cell(c).fixed) body.push_back(c);
-  }
-  Placement pl = sb.bench->placement;
-  pl[body[1]] = {pl[body[0]].x + 2.0, pl[body[0]].y};
-  pl[body[2]] = {pl[body[0]].x + 5.0, pl[body[0]].y + 1.0};
-  const VarMap vars(nl, pl, {body});
-  EXPECT_EQ(vars.num_vars(), nl.num_movable() - 2);
-  EXPECT_EQ(vars.var(body[0]), vars.var(body[1]));
-  EXPECT_EQ(vars.var(body[0]), vars.var(body[2]));
-
-  // Moving the shared variable moves all members rigidly.
-  auto v = vars.gather(pl);
-  v[vars.var(body[0])] += 10.0;
-  Placement moved = pl;
-  vars.scatter(v, moved);
-  EXPECT_DOUBLE_EQ(moved[body[1]].x - moved[body[0]].x, 2.0);
-  EXPECT_DOUBLE_EQ(moved[body[2]].x - moved[body[0]].x, 5.0);
-  EXPECT_DOUBLE_EQ(moved[body[0]].x, pl[body[0]].x + 10.0);
-}
-
 TEST(VarMap, SubsetModeFreezesOthers) {
   SmallBench sb;
   const auto& nl = sb.bench->netlist;

@@ -185,5 +185,79 @@ TEST(IncrementalHpwl, IncidentHpwlMatchesReference) {
   }
 }
 
+// for_each_staged_net visits exactly the moved cells' nets, in ascending
+// order, with before/after equal to a fresh eval::net_hpwl on the
+// placement without/with the move; weighted and summed, the per-net
+// deltas give the trial's after - before (up to the rounding of summing
+// differences instead of differencing sums).
+TEST(IncrementalHpwl, StagedNetsMatchFreshNetHpwl) {
+  dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
+  const netlist::Netlist& nl = bench.netlist;
+  Placement pl = bench.placement;
+  IncrementalHpwl eng(nl, pl);
+  util::Rng rng(23);
+  const geom::Rect core = bench.design.core();
+
+  std::vector<CellId> cells;
+  std::vector<geom::Point> centers;
+  std::vector<NetId> expect, visited;
+  Placement moved;
+  for (int iter = 0; iter < 2000; ++iter) {
+    cells.clear();
+    const std::size_t k = 1 + rng.index(4);
+    while (cells.size() < k) {
+      const CellId c = static_cast<CellId>(rng.index(nl.num_cells()));
+      if (nl.cell(c).fixed) continue;
+      if (std::find(cells.begin(), cells.end(), c) != cells.end()) continue;
+      cells.push_back(c);
+    }
+    moved = pl;
+    IncrementalHpwl::Trial t;
+    if (rng.chance(0.5)) {
+      centers.clear();
+      for (const CellId c : cells) {
+        centers.push_back({rng.uniform(core.lx, core.hx),
+                           rng.uniform(core.ly, core.hy)});
+        moved[c] = centers.back();
+      }
+      t = eng.trial_place(cells, centers);
+    } else {
+      const double dx = rng.uniform(-5.0, 5.0);
+      const double dy = rng.uniform(-5.0, 5.0);
+      for (const CellId c : cells) {
+        moved[c].x += dx;
+        moved[c].y += dy;
+      }
+      t = eng.trial_shift(cells, dx, dy);
+    }
+
+    expect.clear();
+    for (const CellId c : cells) {
+      for (const PinId p : nl.cell(c).pins) expect.push_back(nl.pin(p).net);
+    }
+    std::sort(expect.begin(), expect.end());
+    expect.erase(std::unique(expect.begin(), expect.end()), expect.end());
+
+    visited.clear();
+    double weighted_delta = 0.0;
+    eng.for_each_staged_net([&](NetId n, double before, double after) {
+      visited.push_back(n);
+      EXPECT_EQ(before, net_hpwl(nl, n, pl)) << "iter " << iter;
+      EXPECT_EQ(after, net_hpwl(nl, n, moved)) << "iter " << iter;
+      weighted_delta += nl.net(n).weight * (after - before);
+    });
+    ASSERT_EQ(visited, expect) << "iter " << iter;
+    EXPECT_NEAR(weighted_delta, t.after - t.before,
+                1e-12 * std::max(1.0, t.before + t.after))
+        << "iter " << iter;
+
+    if (rng.chance(0.5)) {
+      eng.commit();
+    } else {
+      eng.rollback();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dp::eval

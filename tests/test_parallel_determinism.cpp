@@ -93,13 +93,13 @@ TEST(ParallelDeterminism, GlobalPlacerFinalHpwlIdentical1VsN) {
   GpOptions opt;
   opt.max_outer = 12;  // enough outers to compound any divergence
 
-  opt.num_threads = 1;
   Placement pl1 = b.placement;
   const GpResult r1 = GlobalPlacer(b.netlist, b.design, opt).place(pl1);
 
-  opt.num_threads = 4;
   Placement pl4 = b.placement;
-  const GpResult r4 = GlobalPlacer(b.netlist, b.design, opt).place(pl4);
+  GlobalPlacer placer4(b.netlist, b.design, opt);
+  placer4.set_thread_pool(std::make_shared<util::ThreadPool>(4));
+  const GpResult r4 = placer4.place(pl4);
 
   EXPECT_EQ(r1.final_hpwl, r4.final_hpwl);
   EXPECT_EQ(r1.final_overflow, r4.final_overflow);
@@ -137,9 +137,10 @@ TEST(ParallelDeterminism, WorkCountersEqualAcrossThreadCounts) {
   opt.max_outer = 4;
   std::vector<EvalProfile> profiles;
   for (const std::size_t threads : {1u, 2u, 4u}) {
-    opt.num_threads = threads;
     Placement pl = b.placement;
-    profiles.push_back(GlobalPlacer(b.netlist, b.design, opt).place(pl).profile);
+    GlobalPlacer placer(b.netlist, b.design, opt);
+    placer.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
+    profiles.push_back(placer.place(pl).profile);
   }
   const EvalProfile& serial = profiles.front();
   EXPECT_GT(serial.density_bins, 0u);
