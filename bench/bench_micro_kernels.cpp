@@ -133,7 +133,6 @@ const SpreadFixture& spread4k() {
     SpreadFixture s{dp::dpgen::make_scaled(4000), {}};
     dp::gp::GpOptions opt;
     opt.max_outer = 10;
-    opt.plateau_stall = 0;
     opt.stop_overflow = 0.0;
     s.pl = s.bench.placement;
     s.gamma = dp::gp::GlobalPlacer(s.bench.netlist, s.bench.design, opt)

@@ -22,9 +22,12 @@
 //                         on the final placement; adds report lines and,
 //                         with --svg, a heatmap overlay layer
 //   --congestion-bins N   congestion grid side length (default 0 = auto)
-//   --congestion-refine   post-GP cell-inflation refinement: inflate cells
-//                         in overflowed bins and re-spread (implies
-//                         --congestion)
+//   --congestion-refine   routability inside GP: once GP overflow falls to
+//                         0.5, inflate the cells in congested bins so the
+//                         GP spreads them (implies --congestion). Nothing
+//                         guards the result: HPWL may grow, and on
+//                         structured placements the final peak can end
+//                         higher than without it
 //   --timing              static timing analysis (unit gate delay + linear
 //                         wire delay) and timing-driven placement: critical
 //                         nets get heavier GP weights each outer iteration
@@ -217,11 +220,9 @@ int run(int argc, char** argv) {
                 report.congestion_gp.overflow_frac * 100.0,
                 c.overflow_frac * 100.0);
     if (config.congestion.refine) {
-      std::printf(" (refine: %zu iter(s), %zu cells inflated, gp hpwl "
-                  "%.1f -> %.1f)",
+      std::printf(" (refine: %zu checkpoint(s), %zu cells inflated)",
                   report.congestion_refine_iters,
-                  report.congestion_inflated_cells, report.hpwl_pre_refine,
-                  report.hpwl_gp);
+                  report.congestion_inflated_cells);
     }
     std::printf("\n");
   }

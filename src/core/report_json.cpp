@@ -125,8 +125,6 @@ std::string report_to_json(const PlaceReport& report,
   out << "{\"schema_version\":" << kReportJsonSchemaVersion
       << ",\"hpwl\":{\"gp\":";
   append_number(out, report.hpwl_gp);
-  out << ",\"pre_refine\":";
-  append_number(out, report.hpwl_pre_refine);
   out << ",\"first_legal\":";
   append_number(out, report.hpwl_first_legal);
   out << ",\"legal\":";

@@ -23,6 +23,26 @@ namespace {
 /// then phase B runs with the alignment term on.
 constexpr double kAlignmentActivationOverflow = 0.5;
 
+/// Routability inflates the cells in congested bins once, at the first
+/// outer iteration of the main GP that starts at or below this overflow.
+/// It is the structured flow's phase A/B hand-off, which every suite
+/// design's GP passes, so phase B spreads the inflated cells for its whole
+/// alignment ramp. RUDY means something only once the quadratic start's
+/// pile-up has spread. Later checkpoints were measured and dropped: on the
+/// suite (seed 1) a second one at overflow 0.35, 0.3 or 0.2 raised the
+/// sa-gentle flow's geomean final peak by 1-6%, because phase B, capped at
+/// `align_outer` outers, then ends less spread and legalization
+/// concentrates the rest.
+constexpr double kInflationOverflow = kAlignmentActivationOverflow;
+
+/// Inflation may fill at most this share of the whitespace the movable
+/// cells leave in the core: at utilization u the scaled movable area grows
+/// to at most u + (1 - u) * share of the core (0.75 at the suite's 0.7).
+/// The GP cannot spread area the core cannot hold; on the suite a third of
+/// the whitespace (0.8 of the core) already stalls GP overflow near 0.09
+/// and runs it to the outer-iteration cap.
+constexpr double kInflationWhitespaceShare = 1.0 / 6.0;
+
 /// Weight schedule of a structure term: normalized against the wirelength
 /// force on first use, then doubled per outer iteration (capped at 4096x).
 std::function<double(const gp::TermContext&)> make_schedule(
@@ -53,6 +73,12 @@ class RunContext {
         pl_(pl),
         pool_(std::make_shared<util::ThreadPool>(config.num_threads)) {
     if (config_.check_level != check::CheckLevel::kOff) fixed_reference_ = pl;
+    // One map serves the in-GP inflation checkpoint, the GP-stage estimate
+    // and the final report; every build() starts from scratch.
+    if (config_.congestion.enabled()) {
+      cmap_.emplace(nl_, design_, config_.congestion.map);
+      cmap_->set_thread_pool(pool_);
+    }
     // The analyzer shares the run's pool: the GP outer hook runs between
     // the placer's fork-join regions, so the pool is never entered twice.
     if (config_.timing.enabled()) {
@@ -105,7 +131,7 @@ class RunContext {
       structured_gp();
     } else {
       gp::GlobalPlacer placer = make_placer(config_.gp, gp::VarMap(nl_));
-      install_timing_hook(placer, 1.0);
+      install_outer_hook(placer, 1.0);
       report.gp_result = placer.place(pl_);
     }
     report.hpwl_gp = report.gp_result.final_hpwl;
@@ -135,15 +161,10 @@ class RunContext {
     }
   }
 
-  // ---- phase 2b: congestion estimation + cell-inflation refinement ---------
+  // ---- phase 2b: congestion estimation -------------------------------------
   void congestion() {
     util::Timer stage;
-    report.hpwl_pre_refine = report.hpwl_gp;
-    if (config_.congestion.enabled()) {
-      // One map serves the GP-stage estimate, the refinement and the final
-      // report; every build() starts from scratch.
-      cmap_.emplace(nl_, design_, config_.congestion.map);
-      cmap_->set_thread_pool(pool_);
+    if (cmap_) {
       cmap_->build(pl_);
       report.congestion_measured = true;
       report.congestion_gp = cmap_->report();
@@ -153,7 +174,11 @@ class RunContext {
           report.congestion_gp.overflow_frac * 100.0,
           report.congestion_gp.overflowed_bins,
           report.congestion_gp.bins * report.congestion_gp.bins);
-      if (config_.congestion.refine) refine_congestion();
+      if (report.congestion_refine_iters > 0) {
+        util::Logger::info(
+            "congestion refine: %zu checkpoint(s), %zu cells inflated",
+            report.congestion_refine_iters, report.congestion_inflated_cells);
+      }
     }
     report.t_congestion = stage.seconds();
   }
@@ -261,23 +286,27 @@ class RunContext {
         std::max(config_.gp.stop_overflow, kAlignmentActivationOverflow);
     gp::GlobalPlacer phase_a =
         make_placer(opt_a, gp::VarMap(nl_), density_scale_);
-    install_timing_hook(phase_a, 1.0);
+    install_outer_hook(phase_a, 1.0);
     report.gp_result = phase_a.place(pl_);
 
-    // Phase B: alignment on from the start, weight normalized against the
+    // Phase B continues from phase A's placement and density scale:
+    // alignment on from the start, weight normalized against the
     // wirelength force and doubled each outer iteration so the plates
     // converge to tight ordered arrays instead of stalling at a force
     // equilibrium.
     const AlignmentPenalty alignment(nl_, report.structure, design_);
     const PlateOverlapPenalty plate_overlap(nl_, report.structure, design_);
+    gp::GpOptions opt_b = config_.gp;
+    opt_b.run_quadratic_init = false;
+    opt_b.max_outer = config_.align_outer;
+    opt_b.gamma_init_bins = 3.0;
     gp::GlobalPlacer phase_b =
-        make_placer(continuation(config_.align_outer, 3.0), gp::VarMap(nl_),
-                    density_scale_);
-    // Attenuated in phase B: the alignment/overlap schedules are normalized
-    // against the wirelength force once at the start, and strong
-    // reweighting under them makes the steering fight the plate arrays
-    // (consistent HPWL blowups on the datapath-heavy designs).
-    install_timing_hook(phase_b, 0.3);
+        make_placer(opt_b, gp::VarMap(nl_), density_scale_);
+    // Timing attenuated in phase B: the alignment/overlap schedules are
+    // normalized against the wirelength force once at the start, and
+    // strong reweighting under them makes the steering fight the plate
+    // arrays (consistent HPWL blowups on the datapath-heavy designs).
+    install_outer_hook(phase_b, 0.3);
     const double w = config_.alignment_weight;
     phase_b.add_term({&alignment, make_schedule(phase_b, alignment, pl_, w),
                       "alignment"});
@@ -309,89 +338,6 @@ class RunContext {
         eval::alignment_score(nl_, pl_, report.structure).rms_misalignment;
   }
 
-  void refine_congestion() {
-    const route::CongestionControl& cc = config_.congestion;
-    route::CongestionMap& cmap = *cmap_;
-    // In the structure-aware flow the datapath plates keep the alignment
-    // the GP phase bought: only glue cells inflate and re-spread, the
-    // plates act as density obstacles.
-    std::vector<bool> eligible(nl_.num_cells(), true);
-    if (structured_) {
-      for (const auto& g : report.structure.groups) {
-        for (netlist::CellId c : g.cells) {
-          if (c != netlist::kInvalidId) eligible[c] = false;
-        }
-      }
-    }
-    std::vector<double> base = density_scale_;
-    if (base.empty()) base.assign(nl_.num_cells(), 1.0);
-    std::vector<double> scale = base;
-
-    // Acceptance is judged on a cheap legalized proxy of each candidate
-    // (Abacus on a copy), not on the raw GP placement: legalization can
-    // amplify or even invert a GP-stage improvement, and the 1% final-
-    // HPWL budget only holds if the guard sees that amplification.
-    auto proxy_eval = [&](const netlist::Placement& cand) {
-      netlist::Placement copy = cand;
-      legal::AbacusLegalizer proxy_legalizer(nl_, design_);
-      proxy_legalizer.run_all(copy);
-      cmap.build(copy);
-      return std::make_pair(eval::hpwl(nl_, copy), cmap.report());
-    };
-    const auto [proxy_hpwl0, proxy_rep0] = proxy_eval(pl_);
-    double best_proxy_peak = proxy_rep0.peak;
-
-    route::CongestionReport cur = report.congestion_gp;
-    const double hpwl_before = report.hpwl_gp;
-    netlist::Placement accepted = pl_;
-    for (std::size_t iter = 0; iter < cc.max_iters; ++iter) {
-      if (cur.peak <= cc.stop_peak) break;
-      cmap.build(pl_);
-      const std::size_t grown = route::inflate_cells(
-          nl_, cmap, pl_, cc.inflation, base, eligible, scale);
-      if (grown == 0) break;
-
-      // One-sided density: only bins pushed over the target by the
-      // inflated cells spread; everything else stays at its wirelength
-      // optimum, which keeps the HPWL price of congestion relief small.
-      gp::GpOptions opt = continuation(cc.spread_outer, 2.0);
-      opt.one_sided_max_density = cc.spread_max_density;
-      gp::GlobalPlacer spreader =
-          make_placer(opt, gp::VarMap(nl_, eligible), scale);
-      const gp::GpResult res = spreader.place(pl_);
-      report.gp_result.profile.merge(res.profile);
-
-      cmap.build(pl_);
-      const route::CongestionReport after = cmap.report();
-      const auto [proxy_hpwl, proxy_rep] = proxy_eval(pl_);
-      const bool within_budget =
-          proxy_hpwl <= proxy_hpwl0 * (1.0 + cc.hpwl_guard) &&
-          proxy_rep.peak < best_proxy_peak;
-      util::Logger::debug(
-          "congestion refine %zu: %zu cells inflated, peak %.2f -> %.2f, "
-          "hpwl %.1f -> %.1f, proxy peak %.2f -> %.2f, proxy hpwl "
-          "%.1f -> %.1f%s",
-          iter + 1, grown, cur.peak, after.peak, hpwl_before,
-          res.final_hpwl, best_proxy_peak, proxy_rep.peak, proxy_hpwl0,
-          proxy_hpwl, within_budget ? "" : " (over budget, revert)");
-      if (!(after.peak < cur.peak && within_budget)) break;
-      best_proxy_peak = proxy_rep.peak;
-      cur = after;
-      accepted = pl_;
-      report.hpwl_gp = res.final_hpwl;
-      report.congestion_inflated_cells += grown;
-      ++report.congestion_refine_iters;
-    }
-    pl_ = accepted;
-    if (report.congestion_refine_iters > 0) {
-      util::Logger::info(
-          "congestion refine: %zu iteration(s), peak %.2f -> %.2f, "
-          "gp hpwl %.1f -> %.1f",
-          report.congestion_refine_iters, report.congestion_gp.peak,
-          cur.peak, hpwl_before, report.hpwl_gp);
-    }
-  }
-
   void legalize_blocks() {
     legal::StructureLegalizer legalizer(nl_, design_, report.structure,
                                         along_y_);
@@ -412,10 +358,6 @@ class RunContext {
       // phase; re-anchoring it to the frozen plates and pads lets the
       // nonlinear solve find a clean arrangement.
       opt.run_quadratic_init = true;
-      // The glue starts piled against its anchors; overflow improves only
-      // after lambda has ramped for a while, so the plateau stop must be
-      // off or it fires immediately.
-      opt.plateau_stall = 0;
       // One-sided density: let the glue cluster at its wirelength optimum
       // in the channels between plates instead of being spread uniformly
       // over every pocket of free space.
@@ -456,46 +398,102 @@ class RunContext {
     return placer;
   }
 
-  /// Options of a GP run continuing from the current placement: no
-  /// quadratic start, no plateau stop.
-  gp::GpOptions continuation(std::size_t max_outer,
-                             double gamma_init_bins) const {
-    gp::GpOptions opt = config_.gp;
-    opt.run_quadratic_init = false;
-    opt.max_outer = max_outer;
-    opt.plateau_stall = 0;
-    opt.gamma_init_bins = gamma_init_bins;
-    return opt;
+  /// The outer hook of a main GP phase: timing-driven criticality
+  /// reweighting at `timing_strength` times the configured strength, and
+  /// routability inflation once overflow reaches kInflationOverflow.
+  /// Installs nothing when neither is on, so such runs are untouched.
+  void install_outer_hook(gp::GlobalPlacer& placer, double timing_strength) {
+    const bool reweight = config_.timing.driven && timing_ != nullptr;
+    if (!reweight && !config_.congestion.refine) return;
+    placer.set_outer_hook([this, reweight, timing_strength](
+                              const gp::TermContext& ctx,
+                              const netlist::Placement& cur,
+                              gp::SmoothWirelength& wl,
+                              gp::DensityPenalty& density) {
+      if (reweight) reweight_nets(cur, wl, timing_strength);
+      if (config_.congestion.refine && !inflated_ &&
+          ctx.overflow <= kInflationOverflow) {
+        inflated_ = true;
+        inflate(cur, density);
+      }
+    });
   }
 
-  /// Timing-driven: re-derive criticality net weights every outer
-  /// iteration of `placer`, at `strength_mult` times the configured
-  /// strength.
-  void install_timing_hook(gp::GlobalPlacer& placer, double strength_mult) {
-    if (!config_.timing.driven || timing_ == nullptr) return;
-    placer.set_outer_hook([this, strength_mult](
-                              std::size_t, const netlist::Placement& cur,
-                              gp::SmoothWirelength& wl) {
-      timed([&] {
-        timing_->analyze(cur);
-        timing_->net_weight_scale(config_.timing.weight * strength_mult,
-                                  config_.timing.crit_floor, timing_scale_);
-        // Smooth across outer iterations: criticalities jump around while
-        // the placement is still fluid, and chasing each snapshot makes
-        // the objective non-stationary (costly in HPWL for little WNS).
-        constexpr double kBlend = 0.5;
-        if (timing_scale_ema_.size() != timing_scale_.size()) {
-          timing_scale_ema_ = timing_scale_;
-        } else {
-          for (std::size_t n = 0; n < timing_scale_.size(); ++n) {
-            timing_scale_ema_[n] = (1.0 - kBlend) * timing_scale_ema_[n] +
-                                   kBlend * timing_scale_[n];
-          }
+  /// Re-derives criticality net weights from `cur`, at `strength_mult`
+  /// times the configured strength.
+  void reweight_nets(const netlist::Placement& cur, gp::SmoothWirelength& wl,
+                     double strength_mult) {
+    timed([&] {
+      timing_->analyze(cur);
+      timing_->net_weight_scale(config_.timing.weight * strength_mult,
+                                config_.timing.crit_floor, timing_scale_);
+      // Smooth across outer iterations: criticalities jump around while
+      // the placement is still fluid, and chasing each snapshot makes the
+      // objective non-stationary (costly in HPWL for little WNS).
+      constexpr double kBlend = 0.5;
+      if (timing_scale_ema_.size() != timing_scale_.size()) {
+        timing_scale_ema_ = timing_scale_;
+      } else {
+        for (std::size_t n = 0; n < timing_scale_.size(); ++n) {
+          timing_scale_ema_[n] = (1.0 - kBlend) * timing_scale_ema_[n] +
+                                 kBlend * timing_scale_[n];
         }
-        wl.set_net_weight_scale(timing_scale_ema_);
-        ++report.timing_reweights;
-      });
+      }
+      wl.set_net_weight_scale(timing_scale_ema_);
+      ++report.timing_reweights;
     });
+  }
+
+  /// Estimates RUDY on `cur` and grows the density area of the cells in
+  /// overflowed bins, within the whitespace budget. In the structured flow
+  /// only glue cells inflate: the datapath plates keep their macro-shrink
+  /// scale and the alignment the GP is buying.
+  void inflate(const netlist::Placement& cur, gp::DensityPenalty& density) {
+    cmap_->build(cur);
+    if (density_scale_.empty()) density_scale_.assign(nl_.num_cells(), 1.0);
+    std::vector<bool> eligible(nl_.num_cells(), true);
+    for (const auto& g : report.structure.groups) {
+      for (netlist::CellId c : g.cells) {
+        if (c != netlist::kInvalidId) eligible[c] = false;
+      }
+    }
+    std::vector<double> next = density_scale_;
+    const std::size_t grown =
+        route::inflate_cells(nl_, *cmap_, cur, config_.congestion.inflation,
+                             density_scale_, eligible, next);
+    if (grown == 0) return;
+    // Shrink every cell's growth by one factor to fit the area budget.
+    double area = 0.0, growth = 0.0;
+    for (netlist::CellId c = 0; c < nl_.num_cells(); ++c) {
+      if (nl_.cell(c).fixed) continue;
+      area += nl_.cell_area(c) * density_scale_[c];
+      growth += nl_.cell_area(c) * (next[c] - density_scale_[c]);
+    }
+    const double core = design_.core().area();
+    const double utilization = nl_.movable_area() / core;
+    const double budget =
+        utilization + (1.0 - utilization) * kInflationWhitespaceShare;
+    const double room = budget * core - area;
+    if (room <= 0.0) {
+      util::Logger::warn(
+          "congestion inflation skipped: scaled movable area %.1f leaves no "
+          "room in the budget (utilization %.3f)",
+          area, utilization);
+      return;
+    }
+    const double keep = std::min(1.0, room / growth);
+    if (keep < 1.0) {
+      util::Logger::info(
+          "congestion inflation: area budget keeps %.0f%% of the growth "
+          "(utilization %.3f)",
+          keep * 100.0, utilization);
+    }
+    for (netlist::CellId c = 0; c < nl_.num_cells(); ++c) {
+      density_scale_[c] += keep * (next[c] - density_scale_[c]);
+    }
+    density.set_area_scale(density_scale_);
+    report.congestion_inflated_cells += grown;
+    ++report.congestion_refine_iters;
   }
 
   /// Runs `f`, charging its wall time to PlaceReport::t_timing.
@@ -555,8 +553,12 @@ class RunContext {
 
   /// Structure-aware flow with at least one datapath group.
   bool structured_ = false;
-  /// Density-model area factor per cell (structured flow only).
+  /// Density-model area factor per cell: the datapath macro-shrink
+  /// (structured flow), times any congestion inflation; empty while
+  /// neither applies.
   std::vector<double> density_scale_;
+  /// The run's one inflation checkpoint has been reached.
+  bool inflated_ = false;
   /// Each group's bit direction, fixed by the alignment term; the
   /// structured legalizer and detail placement both follow it.
   std::vector<bool> along_y_;

@@ -71,13 +71,13 @@ struct PlacerConfig {
   /// corruption is caught at the phase that introduced it.
   check::CheckLevel check_level = check::CheckLevel::kOff;
 
-  /// Routing-congestion estimation and the optional post-GP cell-inflation
-  /// refinement (see route::CongestionControl). Off by default; with
+  /// Routing-congestion estimation and the optional routability inside
+  /// global placement (see route::CongestionControl). Off by default; with
   /// `measure` set, PlaceReport::congestion_gp / congestion are filled;
-  /// with `refine` set, overflowed bins drive cell inflation and a short
-  /// density re-spread before legalization. In the structure-aware flow
-  /// only glue cells are inflated/re-spread -- datapath plates keep the
-  /// alignment the GP phase bought.
+  /// with `refine` set, the cells in overflowed RUDY bins inflate in the
+  /// density model at a fixed overflow checkpoint of the GP, which then
+  /// spreads them apart. In the structure-aware flow only glue cells
+  /// inflate -- datapath plates keep the alignment the GP is buying.
   route::CongestionControl congestion;
 
   /// Static timing analysis and the timing-driven feedback loop (see
@@ -109,7 +109,9 @@ struct PlaceReport {
   // Stage runtimes (seconds).
   double t_extract = 0.0;
   double t_gp = 0.0;
-  double t_congestion = 0.0;  ///< estimation + refinement (0 when off)
+  /// Post-GP estimation (0 when off); the in-GP inflation checkpoints
+  /// are part of t_gp.
+  double t_congestion = 0.0;
   double t_legal = 0.0;
   double t_detail = 0.0;
   double t_timing = 0.0;  ///< all timing analyses (0 when off)
@@ -132,17 +134,14 @@ struct PlaceReport {
   double extraction_seconds = 0.0;
 
   /// Routing congestion (filled when PlacerConfig::congestion is
-  /// enabled): after global placement (before any congestion-aware
-  /// refinement) and on the final detailed placement.
+  /// enabled): after global placement and on the final detailed placement.
   bool congestion_measured = false;
   route::CongestionReport congestion_gp;
   route::CongestionReport congestion;
-  /// Cell-inflation refinement outcome (when congestion.refine is set).
+  /// In-GP cell inflation (when congestion.refine is set): the overflow
+  /// checkpoints that inflated cells (at most one), and the cells grown.
   std::size_t congestion_refine_iters = 0;
   std::size_t congestion_inflated_cells = 0;
-  /// GP-stage HPWL before the refinement loop touched the placement
-  /// (== hpwl_gp when refinement is off or never triggered).
-  double hpwl_pre_refine = 0.0;
 
   /// Static timing (filled when PlacerConfig::timing is enabled): after
   /// global placement and on the final detailed placement.

@@ -212,11 +212,10 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
   cg.step_ref = density_->bin_width();
 
   double overflow = density_->overflow(pl, vars_, kTargetDensity);
-  double best_overflow = overflow;
-  std::size_t stall = 0;
 
   for (std::size_t outer = 0; outer < options_.max_outer; ++outer) {
-    if (outer_hook_) outer_hook_(outer, pl, *wirelength_);
+    const TermContext ctx{outer, overflow, lambda};
+    if (outer_hook_) outer_hook_(ctx, pl, *wirelength_, *density_);
     const double frac =
         options_.max_outer > 1
             ? static_cast<double>(outer) /
@@ -225,7 +224,6 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
     const double gamma = gamma0 * std::pow(gamma1 / gamma0, frac);
     wirelength_->set_gamma(gamma);
     objective.set_lambda(lambda);
-    const TermContext ctx{outer, overflow, lambda};
     for (std::size_t t = 0; t < extras_.size(); ++t) {
       extra_weights[t] = extras_[t].weight ? extras_[t].weight(ctx) : 0.0;
     }
@@ -258,16 +256,6 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
                         outer, hp, overflow, lambda);
 
     if (overflow <= options_.stop_overflow) break;
-    // Plateau stop: highly regular designs with alignment active cannot
-    // reach uniform density; once overflow stops improving, further
-    // lambda ramping only degrades wirelength.
-    if (overflow < best_overflow - 0.005) {
-      best_overflow = overflow;
-      stall = 0;
-    } else if (options_.plateau_stall > 0 &&
-               ++stall >= options_.plateau_stall) {
-      break;
-    }
     lambda *= kLambdaMultiplier;
   }
 

@@ -27,9 +27,6 @@ struct GpOptions {
   /// Stop when the hard density overflow drops below this fraction.
   double stop_overflow = 0.08;
   std::size_t max_outer = 40;
-  /// Stop after this many outer iterations without overflow improvement
-  /// (0 disables the plateau stop).
-  std::size_t plateau_stall = 4;
   /// One-sided density: only bins above `one_sided_max_density` are
   /// penalized (see DensityPenalty::set_one_sided). < 0 keeps the default
   /// two-sided equality spreading.
@@ -104,16 +101,16 @@ class GlobalPlacer {
   /// Register an extra objective term; must outlive place().
   void add_term(ExtraTerm term) { extras_.push_back(std::move(term)); }
 
-  /// Install a callback invoked at the start of every outer iteration
-  /// with the current placement and the wirelength term. Timing-driven
-  /// placement uses it to re-derive criticality-based net weight scales
-  /// (SmoothWirelength::set_net_weight_scale) between iterations.
-  void set_outer_hook(
-      std::function<void(std::size_t, const netlist::Placement&,
-                         SmoothWirelength&)>
-          hook) {
-    outer_hook_ = std::move(hook);
-  }
+  /// Callback invoked at the start of every outer iteration with the
+  /// iteration's schedule (including the overflow it starts from), the
+  /// current placement, and the wirelength and density terms it may
+  /// retune. Timing-driven placement re-derives criticality net weights
+  /// (SmoothWirelength::set_net_weight_scale); routability inflates
+  /// congested cells (DensityPenalty::set_area_scale).
+  using OuterHook =
+      std::function<void(const TermContext&, const netlist::Placement&,
+                         SmoothWirelength&, DensityPenalty&)>;
+  void set_outer_hook(OuterHook hook) { outer_hook_ = std::move(hook); }
 
   /// Forward a per-cell density area scale (see DensityPenalty).
   void set_density_area_scale(std::vector<double> scale) {
@@ -139,9 +136,7 @@ class GlobalPlacer {
   std::unique_ptr<SmoothWirelength> wirelength_;
   std::unique_ptr<DensityPenalty> density_;
   std::vector<ExtraTerm> extras_;
-  std::function<void(std::size_t, const netlist::Placement&,
-                     SmoothWirelength&)>
-      outer_hook_;
+  OuterHook outer_hook_;
 };
 
 }  // namespace dp::gp

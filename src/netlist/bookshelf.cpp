@@ -1,5 +1,6 @@
 #include "netlist/bookshelf.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <memory>
@@ -23,14 +24,24 @@ std::ifstream open_in(const std::string& path) {
   return in;
 }
 
-/// Strip comments and return whether any tokens remain.
-bool next_content_line(std::istream& in, std::string& line) {
+/// Strip comments and return whether any tokens remain. `line_no`, when
+/// given, counts every line read.
+bool next_content_line(std::istream& in, std::string& line,
+                       std::size_t* line_no = nullptr) {
   while (std::getline(in, line)) {
+    if (line_no != nullptr) ++*line_no;
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
     if (line.find_first_not_of(" \t\r\n") != std::string::npos) return true;
   }
   return false;
+}
+
+/// The whole of `token` as a double, "nan" and "inf" included.
+bool parse_double(const std::string& token, double& value) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  return !token.empty() && ec == std::errc() && ptr == end;
 }
 
 }  // namespace
@@ -303,15 +314,26 @@ BookshelfDesign read_bookshelf(const std::string& aux_path) {
   {
     auto in = open_in(pl_path);
     std::string line;
-    while (next_content_line(in, line)) {
+    std::size_t line_no = 0;
+    auto fail = [&](const std::string& what) {
+      throw std::runtime_error("bookshelf: " + pl_path + ":" +
+                               std::to_string(line_no) + ": " + what);
+    };
+    while (next_content_line(in, line, &line_no)) {
       std::istringstream ls(line);
-      std::string name;
+      std::string name, xs, ys;
       ls >> name;
       if (name == "UCLA") continue;
+      ls >> xs >> ys;
       double lx = 0.0, ly = 0.0;
-      if (!(ls >> lx >> ly)) continue;
+      if (!parse_double(xs, lx) || !parse_double(ys, ly)) {
+        fail("expected 'name x y', got '" + line + "'");
+      }
+      if (!std::isfinite(lx) || !std::isfinite(ly)) {
+        fail("non-finite position of node " + name);
+      }
       auto it = by_name.find(name);
-      if (it == by_name.end()) continue;
+      if (it == by_name.end()) fail("unknown node " + name);
       const CellId c = it->second.cell;
       placement[c] = {lx + netlist.cell_width(c) / 2.0,
                       ly + netlist.cell_height(c) / 2.0};

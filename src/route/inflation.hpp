@@ -8,39 +8,28 @@
 namespace dp::route {
 
 /// Cell-inflation feedback: how overflowed bins translate into density
-/// area scaling for the re-spreading pass.
+/// area scaling inside global placement.
 struct InflationOptions {
-  /// Bins with combined congestion ratio above this are overflowed.
-  double threshold = 1.0;
+  /// Bins with combined congestion ratio above this are overflowed. Mid-GP
+  /// peaks run 2-3x those of the final placement (cells are still
+  /// clumped), so only ratios above 2 count as hotspots there.
+  double threshold = 2.0;
   /// Area multiplier slope: a cell in a bin at ratio r gains
   /// `1 + rate * (r - threshold)` area (clamped below by 1).
   double rate = 0.25;
-  /// Cumulative per-cell inflation cap across refinement iterations.
+  /// Per-cell inflation cap, relative to the cell's scale before it.
   double max_scale = 2.5;
 };
 
-/// Congestion-aware placement refinement knobs (PlacerConfig::congestion).
+/// Congestion estimation and routability knobs (PlacerConfig::congestion).
 struct CongestionControl {
   /// Rasterize congestion and fill the PlaceReport congestion fields
   /// (after GP and on the final placement). Implied by `refine`.
   bool measure = false;
-  /// Post-GP cell-inflation loop: inflate cells in overflowed bins,
-  /// re-spread with the density machinery, repeat up to `max_iters`.
+  /// Routability inside global placement: at a fixed overflow checkpoint
+  /// of the GP, inflate the cells in overflowed bins in the density model
+  /// and let the GP spread them apart.
   bool refine = false;
-  std::size_t max_iters = 3;
-  /// Stop once the peak bin ratio is at or below this.
-  double stop_peak = 1.0;
-  /// Outer GP iterations of each re-spreading pass.
-  std::size_t spread_outer = 8;
-  /// One-sided density cap of the re-spreading pass (see
-  /// gp::GpOptions::one_sided_max_density): only bins above this density
-  /// are pushed apart, under-full regions keep their wirelength optimum.
-  double spread_max_density = 0.9;
-  /// Abort (and revert) a refinement iteration whose *legalized* HPWL
-  /// (measured on a cheap Abacus-legalized proxy of the candidate, so
-  /// legalization amplification is visible to the guard) exceeds the
-  /// pre-refinement legalized HPWL by more than this fraction.
-  double hpwl_guard = 0.01;
 
   CongestionOptions map;
   InflationOptions inflation;

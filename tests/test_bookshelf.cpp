@@ -146,5 +146,66 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(param_info.param.name);
     });
 
+// Malformed .pl files: one node line is replaced. The reader must reject
+// the file, naming it, the line, and what is wrong.
+struct PlCase {
+  const char* name;
+  /// The replacement line; "%" stands for the node's own name.
+  const char* line;
+  const char* error;  ///< expected fragment of the message
+};
+
+class PlMalformed : public ::testing::TestWithParam<PlCase> {};
+
+TEST_P(PlMalformed, RejectedWithFileAndLine) {
+  const PlCase& pc = GetParam();
+  const auto bench = dpgen::make_benchmark("dp_add32");
+  const std::string base = ::testing::TempDir() + "bs_pl_" + pc.name;
+  write_bookshelf(base, bench.netlist, bench.design, bench.placement);
+
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(base + ".pl");
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  // The last line places some node; keep its name for the replacement.
+  ASSERT_GT(lines.size(), 2u);
+  const std::size_t target = lines.size() - 1;
+  const std::string node = lines[target].substr(0, lines[target].find(' '));
+  std::string replacement = pc.line;
+  if (const auto pct = replacement.find('%'); pct != std::string::npos) {
+    replacement.replace(pct, 1, node);
+  }
+  lines[target] = replacement;
+  {
+    std::ofstream out(base + ".pl");
+    for (const std::string& line : lines) out << line << "\n";
+  }
+
+  try {
+    read_bookshelf(base + ".aux");
+    FAIL() << "accepted .pl line '" << replacement << "'";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("bs_pl_" + std::string(pc.name) + ".pl:" +
+                       std::to_string(target + 1) + ":"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find(pc.error), std::string::npos) << msg;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Bookshelf, PlMalformed,
+    testing::Values(
+        PlCase{"unknown_node", "no_such_cell 1 2 : N", "unknown node"},
+        PlCase{"missing_y", "% 1", "expected 'name x y'"},
+        PlCase{"not_a_number", "% 1x 2 : N", "expected 'name x y'"},
+        PlCase{"nan_x", "% nan 2 : N", "non-finite"},
+        PlCase{"inf_y", "% 1 -inf : N", "non-finite"}),
+    [](const testing::TestParamInfo<PlCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
+
 }  // namespace
 }  // namespace dp::netlist

@@ -363,7 +363,6 @@ struct Scaled4k {
   Scaled4k() : bench(dpgen::make_scaled(4000)) {
     GpOptions opt;
     opt.max_outer = 10;
-    opt.plateau_stall = 0;
     opt.stop_overflow = 0.0;
     GlobalPlacer gp(bench.netlist, bench.design, opt);
     spread = bench.placement;

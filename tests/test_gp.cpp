@@ -169,6 +169,39 @@ TEST(GlobalPlacer, ExtraTermWeightCallbackRuns) {
   EXPECT_LT(cx, sb.bench->design.core().center().x);
 }
 
+TEST(GlobalPlacer, OuterHookRescalesDensityForTheNextOuter) {
+  SmallBench sb;
+  GpOptions opt;
+  opt.stop_overflow = 0.0;
+  opt.max_outer = 4;
+  constexpr std::size_t kAt = 2;
+  auto run = [&](bool rescale) {
+    GlobalPlacer placer(sb.bench->netlist, sb.bench->design, opt);
+    std::vector<std::size_t> seen;
+    placer.set_outer_hook([&](const TermContext& ctx, const Placement&,
+                              SmoothWirelength&, DensityPenalty& density) {
+      seen.push_back(ctx.outer);
+      if (rescale && ctx.outer == kAt) {
+        density.set_area_scale(
+            std::vector<double>(sb.bench->netlist.num_cells(), 2.0));
+      }
+    });
+    Placement pl = sb.bench->placement;
+    const GpResult res = placer.place(pl);
+    EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3}));
+    return res.trace;
+  };
+  const auto plain = run(false);
+  const auto rescaled = run(true);
+  ASSERT_EQ(plain.size(), 4u);
+  ASSERT_EQ(rescaled.size(), 4u);
+  for (std::size_t k = 0; k < kAt; ++k) {
+    EXPECT_EQ(plain[k].overflow, rescaled[k].overflow) << "outer " << k;
+  }
+  // Doubled cell areas overfill bins the plain run had spread.
+  EXPECT_GT(rescaled[kAt].overflow, plain[kAt].overflow);
+}
+
 TEST(GlobalPlacer, TraceIsMonotoneInLambda) {
   SmallBench sb;
   GlobalPlacer placer(sb.bench->netlist, sb.bench->design);

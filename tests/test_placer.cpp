@@ -152,6 +152,18 @@ TEST(StructurePlacer, PureGlueSaEqualsBaseline) {
   EXPECT_DOUBLE_EQ(rb.hpwl_final, rs.hpwl_final);
 }
 
+// Overflow falls only ~0.001 per outer during mix25's lambda warm-up; a
+// stop that judged that a plateau ended this GP at outer 4, overflow 0.9,
+// and legalization then paid for the unspread cells.
+TEST(StructurePlacer, BaselineGpSpreadsMix25ToStopOverflow) {
+  Pipe pipe("mix25");
+  PlacerConfig c;
+  c.structure_aware = false;
+  const PlaceReport rep = pipe.run(c);
+  EXPECT_LE(rep.gp_result.final_overflow, c.gp.stop_overflow);
+  EXPECT_LT(rep.gp_result.trace.size(), c.gp.max_outer);
+}
+
 class SuitePlacement : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SuitePlacement, DefaultFlowLegalOnEveryBenchmark) {

@@ -1,14 +1,18 @@
 // route::CongestionMap (RUDY + pin density) and the cell-inflation
 // feedback: hand-computed rasterization, demand conservation, bitwise
 // determinism across thread counts (same discipline as the GP kernels),
-// report metric sanity, and inflation eligibility/clamping.
+// report metric sanity, inflation eligibility/clamping, and the placer's
+// inflation inside global placement.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 
 #include "core/structure_placer.hpp"
 #include "dpgen/benchmarks.hpp"
+#include "dpgen/generator.hpp"
 #include "route/congestion.hpp"
 #include "route/inflation.hpp"
 #include "util/thread_pool.hpp"
@@ -224,30 +228,89 @@ TEST(Inflation, ScalesOnlyEligibleCellsInOverflowedBins) {
   EXPECT_EQ(unchanged, base);
 }
 
-TEST(Refinement, PlacerMeasuresAndRefinesDeterministically) {
-  auto run = [&](std::size_t threads) {
-    dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
-    core::PlacerConfig c;
-    c.structure_aware = false;
-    c.num_threads = threads;
-    c.congestion.refine = true;
-    c.congestion.max_iters = 1;
-    Placement pl = bench.placement;
-    core::StructurePlacer placer(bench.netlist, bench.design, c);
-    return placer.place(pl, nullptr);
-  };
-  const core::PlaceReport r1 = run(1);
-  ASSERT_TRUE(r1.congestion_measured);
-  EXPECT_GT(r1.congestion_gp.peak, 0.0);
-  EXPECT_GT(r1.congestion.peak, 0.0);
-  EXPECT_TRUE(r1.legality.legal());
+/// One baseline-flow placement of dp_add32 with the given congestion
+/// switches.
+struct RoutedRun {
+  core::PlaceReport report;
+  Placement pl;
+};
 
-  const core::PlaceReport r4 = run(4);
-  EXPECT_EQ(r1.hpwl_final, r4.hpwl_final);
-  EXPECT_EQ(r1.congestion.peak, r4.congestion.peak);
-  EXPECT_EQ(r1.congestion_gp.peak, r4.congestion_gp.peak);
-  EXPECT_EQ(r1.congestion_refine_iters, r4.congestion_refine_iters);
-  EXPECT_EQ(r1.congestion_inflated_cells, r4.congestion_inflated_cells);
+RoutedRun place_add32(bool measure, bool refine, std::size_t threads) {
+  dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
+  core::PlacerConfig c;
+  c.structure_aware = false;
+  c.num_threads = threads;
+  c.congestion.measure = measure;
+  c.congestion.refine = refine;
+  RoutedRun run;
+  run.pl = bench.placement;
+  core::StructurePlacer placer(bench.netlist, bench.design, c);
+  run.report = placer.place(run.pl, nullptr);
+  return run;
+}
+
+bool same_bits(const Placement& a, const Placement& b) {
+  if (a.size() != b.size()) return false;
+  for (CellId c = 0; c < a.size(); ++c) {
+    if (std::bit_cast<std::uint64_t>(a[c].x) !=
+            std::bit_cast<std::uint64_t>(b[c].x) ||
+        std::bit_cast<std::uint64_t>(a[c].y) !=
+            std::bit_cast<std::uint64_t>(b[c].y)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(Inflation, PlacerInflatesInsideGpDeterministically) {
+  const RoutedRun measured = place_add32(true, false, 1);
+  ASSERT_TRUE(measured.report.congestion_measured);
+  EXPECT_GT(measured.report.congestion_gp.peak, 0.0);
+  EXPECT_EQ(measured.report.congestion_refine_iters, 0u);
+
+  // Measuring only reads the placement.
+  const RoutedRun plain = place_add32(false, false, 1);
+  EXPECT_FALSE(plain.report.congestion_measured);
+  EXPECT_TRUE(same_bits(plain.pl, measured.pl));
+
+  // Inflation moves it, and legally.
+  const RoutedRun refined = place_add32(true, true, 1);
+  EXPECT_GT(refined.report.congestion_refine_iters, 0u);
+  EXPECT_GT(refined.report.congestion_inflated_cells, 0u);
+  EXPECT_FALSE(same_bits(refined.pl, measured.pl));
+  EXPECT_TRUE(refined.report.legality.legal());
+
+  const RoutedRun refined4 = place_add32(true, true, 4);
+  EXPECT_TRUE(same_bits(refined.pl, refined4.pl));
+  EXPECT_EQ(refined.report.congestion.peak, refined4.report.congestion.peak);
+  EXPECT_EQ(refined.report.congestion_refine_iters,
+            refined4.report.congestion_refine_iters);
+  EXPECT_EQ(refined.report.congestion_inflated_cells,
+            refined4.report.congestion_inflated_cells);
+}
+
+// The inflation budget follows the design's own utilization: a design
+// denser than the suite's 0.7 (here above the 0.75 of the core that the
+// suite's budget works out to) still inflates at its checkpoint.
+TEST(Inflation, DenseDesignStillInflates) {
+  dpgen::Generator gen("dense_add", 1);
+  const dpgen::Bus a = gen.input_bus("a", 32);
+  const dpgen::Bus b = gen.input_bus("b", 32);
+  const dpgen::Bus sum = gen.add_pipelined_adder("add", a, b, 3);
+  const auto flags = gen.add_glue("ctl", 600, sum);
+  gen.output_bus("sum", sum);
+  gen.output_bus("flags", dpgen::Bus(flags.begin(), flags.end()));
+  dpgen::Benchmark bench = gen.finish(0.85);
+  ASSERT_GT(bench.netlist.movable_area() / bench.design.core().area(), 0.8);
+
+  core::PlacerConfig c;
+  c.structure_aware = false;
+  c.congestion.refine = true;
+  core::StructurePlacer placer(bench.netlist, bench.design, c);
+  const core::PlaceReport report = placer.place(bench.placement, nullptr);
+  EXPECT_EQ(report.congestion_refine_iters, 1u);
+  EXPECT_GT(report.congestion_inflated_cells, 0u);
+  EXPECT_TRUE(report.legality.legal());
 }
 
 }  // namespace

@@ -321,7 +321,6 @@ struct Spread4k {
   Spread4k() : bench(dpgen::make_scaled(4000)) {
     GpOptions opt;
     opt.max_outer = 10;
-    opt.plateau_stall = 0;
     opt.stop_overflow = 0.0;
     spread = bench.placement;
     const GpResult r =
