@@ -12,10 +12,6 @@
 //   --threads N           gradient-kernel worker threads (default 0 =
 //                         hardware concurrency; results are identical for
 //                         every N)
-//   --swap-window N       detailed-placement swap window (default 1 =
-//                         adjacent-only; larger windows consider distant
-//                         same-row swaps, affordable because candidates are
-//                         scored by incremental delta evaluation)
 //   --paranoid            cross-check every accepted detail move against a
 //                         full HPWL recompute (slow; debugging aid)
 //   --congestion          estimate routing congestion (RUDY) after GP and
@@ -77,9 +73,9 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s (--bench NAME | --aux FILE) [--baseline] "
-               "[--blocks] [--weight W] [--threads N] [--swap-window N] "
-               "[--paranoid] [--congestion] [--congestion-bins N] "
-               "[--congestion-refine] [--timing] [--timing-weight W] "
+               "[--blocks] [--weight W] [--threads N] [--paranoid] "
+               "[--congestion] [--congestion-bins N] [--congestion-refine] "
+               "[--timing] [--timing-weight W] "
                "[--timing-period P] [--report-json FILE] [--out PREFIX] "
                "[--svg FILE] [--groups FILE]\n",
                argv0);
@@ -136,8 +132,6 @@ int run(int argc, char** argv) {
       config.alignment_weight = number();
     } else if (arg == "--threads") {
       config.num_threads = count();
-    } else if (arg == "--swap-window") {
-      config.detail.swap_window = count();
     } else if (arg == "--paranoid") {
       config.detail.paranoid = true;
     } else if (arg == "--congestion") {

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const std::string out_dir = argc > 1 ? argv[1] : "/tmp";
 
   util::Table table({"design", "cells", "truth groups", "found", "precision",
-                     "recall", "lane acc", "seeds", "time [ms]"});
+                     "recall", "lane acc", "seeds"});
 
   for (const auto& name : dpgen::standard_benchmarks()) {
     const dpgen::Benchmark bench = dpgen::make_benchmark(name);
@@ -39,8 +39,7 @@ int main(int argc, char** argv) {
                    util::Table::num(quality.recall, 3),
                    util::Table::num(quality.lane_accuracy, 3),
                    util::Table::integer(
-                       static_cast<long long>(result.seeds_tried)),
-                   util::Table::num(result.seconds * 1e3, 1)});
+                       static_cast<long long>(result.seeds_tried))});
 
     if (name == "dp_alu32") {
       // Export this one for inspection: groups sidecar + SVG with the

@@ -10,12 +10,11 @@ using netlist::StructureGroup;
 
 netlist::StructureAnnotation partition_groups(
     const netlist::Netlist& nl, const netlist::Design& design,
-    const netlist::StructureAnnotation& annotation,
-    const PartitionOptions& options) {
+    const netlist::StructureAnnotation& annotation) {
   netlist::StructureAnnotation out;
-  const double max_width = design.core().width() * options.max_width_fraction;
+  const double max_width = design.core().width() * kPartitionMaxWidthFraction;
   const auto max_lanes = std::max<std::size_t>(
-      2, static_cast<std::size_t>(options.max_lane_fraction *
+      2, static_cast<std::size_t>(kPartitionMaxLaneFraction *
                                   static_cast<double>(design.num_rows())));
 
   for (const StructureGroup& g : annotation.groups) {

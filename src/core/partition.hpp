@@ -5,18 +5,16 @@
 
 namespace dp::core {
 
-struct PartitionOptions {
-  /// Maximum estimated group width as a fraction of the core width. A
-  /// group whose aligned layout would be wider is split into consecutive
-  /// stage spans (the classic "snaked" datapath floorplan). Kept below
-  /// one third of the core so the block packer can fit three plates per
-  /// row band -- wider plates fragment the rows they cross and quickly
-  /// make the remaining windows infeasible.
-  double max_width_fraction = 0.28;
-  /// Maximum lanes as a fraction of the core row count; taller groups are
-  /// split into lane bands.
-  double max_lane_fraction = 0.8;
-};
+/// Maximum estimated group width as a fraction of the core width. A group
+/// whose aligned layout would be wider is split into consecutive stage
+/// spans (the classic "snaked" datapath floorplan). Kept below one third
+/// of the core so the block packer can fit three plates per row band --
+/// wider plates fragment the rows they cross and quickly make the
+/// remaining windows infeasible.
+inline constexpr double kPartitionMaxWidthFraction = 0.28;
+/// Maximum lanes as a fraction of the core row count; taller groups are
+/// split into lane bands.
+inline constexpr double kPartitionMaxLaneFraction = 0.8;
 
 /// Split extracted groups into geometrically feasible sub-arrays.
 ///
@@ -27,7 +25,6 @@ struct PartitionOptions {
 /// detailed placement all operate on the partitioned annotation.
 netlist::StructureAnnotation partition_groups(
     const netlist::Netlist& nl, const netlist::Design& design,
-    const netlist::StructureAnnotation& annotation,
-    const PartitionOptions& options = {});
+    const netlist::StructureAnnotation& annotation);
 
 }  // namespace dp::core

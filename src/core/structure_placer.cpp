@@ -6,7 +6,9 @@
 #include <optional>
 
 #include "core/overlap.hpp"
+#include "core/partition.hpp"
 #include "eval/incremental_hpwl.hpp"
+#include "extract/extractor.hpp"
 #include "legal/repair.hpp"
 #include "route/congestion.hpp"
 #include "util/logger.hpp"
@@ -106,13 +108,11 @@ class RunContext {
       if (config_.use_truth_structure && truth != nullptr) {
         report.structure = *truth;
       } else {
-        auto ext = extract::extract_structures(nl_, config_.extraction);
+        auto ext = extract::extract_structures(nl_);
         report.structure = std::move(ext.annotation);
         report.extraction_seeds = ext.seeds_tried;
-        report.extraction_seconds = ext.seconds;
       }
-      report.structure =
-          partition_groups(nl_, design_, report.structure, config_.partition);
+      report.structure = partition_groups(nl_, design_, report.structure);
       util::Logger::info("structure: %zu groups, %zu cells",
                          report.structure.groups.size(),
                          report.structure.total_cells());
@@ -213,24 +213,23 @@ class RunContext {
     util::Timer stage;
     detail::DetailOptions opt = config_.detail;
     if (config_.timing.driven && timing_ != nullptr) {
-      // Veto detail moves whose criticality-weighted wire-delay increase on
-      // the critical nets exceeds the tolerance. Criticalities are frozen
-      // at the post-legal analysis (the detailer moves cells less than a
-      // row on average, so re-analysis per move would buy little for its
-      // cost).
+      // Veto detail moves that increase the criticality-weighted wire
+      // delay on the critical nets (beyond roundoff). Criticalities are
+      // frozen at the post-legal analysis (the detailer moves cells less
+      // than a row on average, so re-analysis per move would buy little
+      // for its cost).
       timed([&] { timing_->analyze(pl_); });
-      const timing::TimingControl& tc = config_.timing;
-      opt.move_guard = [crit = timing_->net_criticality(),
-                        &tc](const eval::IncrementalHpwl& inc) {
+      opt.move_guard = [crit = timing_->net_criticality()](
+                           const eval::IncrementalHpwl& inc) {
         double delta = 0.0;
         inc.for_each_staged_net(
             [&](netlist::NetId n, double before, double after) {
-              if (crit[n] >= tc.crit_floor) {
-                delta += crit[n] * tc.model.wire_delay_per_unit *
+              if (crit[n] >= timing::kCritFloor) {
+                delta += crit[n] * timing::kWireDelayPerUnit *
                          (after - before);
               }
             });
-        return delta <= tc.guard_tolerance + 1e-12;
+        return delta <= 1e-12;
       };
     }
     detail::DetailedPlacer detailer(nl_, design_);
@@ -365,6 +364,8 @@ class RunContext {
       const double before = eval::hpwl(nl_, pl);
       gp::GlobalPlacer glue_placer = make_placer(opt, std::move(vars));
       const auto res = glue_placer.place(pl);
+      report.gp_result.total_cg_iterations += res.total_cg_iterations;
+      report.gp_result.total_evaluations += res.total_evaluations;
       report.gp_result.profile.merge(res.profile);
       util::Logger::debug(
           "glue gp: %zu cells, hpwl %.1f -> %.1f (%zu outers, overflow "
@@ -426,7 +427,7 @@ class RunContext {
     timed([&] {
       timing_->analyze(cur);
       timing_->net_weight_scale(config_.timing.weight * strength_mult,
-                                config_.timing.crit_floor, timing_scale_);
+                                timing::kCritFloor, timing_scale_);
       // Smooth across outer iterations: criticalities jump around while
       // the placement is still fluid, and chasing each snapshot makes the
       // objective non-stationary (costly in HPWL for little WNS).
@@ -459,8 +460,8 @@ class RunContext {
     }
     std::vector<double> next = density_scale_;
     const std::size_t grown =
-        route::inflate_cells(nl_, *cmap_, cur, config_.congestion.inflation,
-                             density_scale_, eligible, next);
+        route::inflate_cells(nl_, *cmap_, cur, density_scale_, eligible,
+                             next);
     if (grown == 0) return;
     // Shrink every cell's growth by one factor to fit the area budget.
     double area = 0.0, growth = 0.0;

@@ -4,10 +4,8 @@
 
 #include "check/rules.hpp"
 #include "core/alignment.hpp"
-#include "core/partition.hpp"
 #include "detail/detailed_placer.hpp"
 #include "eval/metrics.hpp"
-#include "extract/extractor.hpp"
 #include "extract/metrics.hpp"
 #include "gp/global_placer.hpp"
 #include "legal/abacus.hpp"
@@ -36,9 +34,7 @@ struct PlacerConfig {
   bool structure_aware = true;
 
   gp::GpOptions gp;
-  extract::ExtractOptions extraction;
   detail::DetailOptions detail;
-  PartitionOptions partition;
 
   /// Worker threads of the run's one pool, shared by every global
   /// placement's gradient kernels, the timing analyzer and the congestion
@@ -131,7 +127,6 @@ struct PlaceReport {
   /// empty in the baseline flow.
   netlist::StructureAnnotation structure;
   std::size_t extraction_seeds = 0;
-  double extraction_seconds = 0.0;
 
   /// Routing congestion (filled when PlacerConfig::congestion is
   /// enabled): after global placement and on the final detailed placement.

@@ -20,6 +20,10 @@ namespace {
 
 constexpr int kNoUnit = -1;
 
+/// The pass loop stops once a full pass improves HPWL by less than this
+/// relative amount.
+constexpr double kRelImprovementFloor = 1e-4;
+
 /// One occupied interval of a row: a single free cell, or a whole datapath
 /// slice treated as an indivisible pseudo-cell.
 struct Entry {
@@ -66,24 +70,21 @@ class Engine {
     stats.hpwl_before = inc_.resync_total();
     ++profile_.resyncs;
     double current = stats.hpwl_before;
-    // Runs one pass, counted and timed in `prof`; returns its moves.
+    // Runs one pass, counted and timed in `prof`.
     auto timed_pass = [](PassProfile& prof, auto&& pass) {
       util::Timer t;
       ++prof.passes;
-      const std::size_t moves = pass();
+      pass();
       prof.seconds += t.seconds();
-      return moves;
     };
     for (std::size_t pass = 0; pass < options_->max_passes; ++pass) {
-      ++stats.passes;
-      stats.slides += timed_pass(profile_.slide, [&] { return slide_pass(); });
-      stats.swaps += timed_pass(profile_.swap, [&] { return swap_pass(); });
-      stats.slice_slides += timed_pass(profile_.unit_slide,
-                                       [&] { return unit_slide_pass(); });
+      timed_pass(profile_.slide, [&] { slide_pass(); });
+      timed_pass(profile_.swap, [&] { swap_pass(); });
+      timed_pass(profile_.unit_slide, [&] { unit_slide_pass(); });
       const double next = inc_.resync_total();
       ++profile_.resyncs;
       const bool converged =
-          current - next <= options_->rel_improvement_floor * current;
+          current - next <= kRelImprovementFloor * current;
       current = next;
       if (converged) break;
     }
@@ -178,9 +179,8 @@ class Engine {
 
   /// Try to move the entry at rows_[r][i] so its left edge becomes new_lx;
   /// keeps order and legality, commits only on HPWL improvement.
-  bool try_shift(std::size_t r, std::size_t i, double new_lx,
-                 const std::vector<CellId>& moved_cells,
-                 PassProfile& prof) {
+  void try_shift(std::size_t r, std::size_t i, double new_lx,
+                 const std::vector<CellId>& moved_cells, PassProfile& prof) {
     auto& row = rows_[r];
     Entry& e = row[i];
     const double lo_bound = i > 0 ? row[i - 1].hx() : design_->row(r).lx;
@@ -194,10 +194,10 @@ class Engine {
       const double site = design_->site_width();
       new_lx = design_->core().lx +
                std::ceil((new_lx - design_->core().lx) / site - 1e-9) * site;
-      if (new_lx + e.width > hi_bound + 1e-9) return false;
+      if (new_lx + e.width > hi_bound + 1e-9) return;
     }
     const double dx = new_lx - e.lx;
-    if (std::abs(dx) < 1e-12) return false;
+    if (std::abs(dx) < 1e-12) return;
 
     ++prof.candidates;
     const auto t = inc_.trial_shift(moved_cells, dx, 0.0);
@@ -206,14 +206,12 @@ class Engine {
       e.lx = new_lx;
       ++prof.accepted;
       paranoid_check();
-      return true;
+      return;
     }
     inc_.rollback();
-    return false;
   }
 
-  std::size_t slide_pass() {
-    std::size_t moves = 0;
+  void slide_pass() {
     std::vector<CellId> one(1);
     std::vector<double> rel{0.0};
     for (std::size_t r = 0; r < rows_.size(); ++r) {
@@ -226,95 +224,50 @@ class Engine {
         // center at X + rel[0]; with rel[0] = w/2, X is the left edge.
         const double x_opt = optimal_position(one, rel);
         if (!std::isfinite(x_opt)) continue;
-        if (try_shift(r, i, x_opt, one, profile_.slide)) ++moves;
+        try_shift(r, i, x_opt, one, profile_.slide);
       }
     }
-    return moves;
   }
 
-  std::size_t swap_pass() {
-    std::size_t moves = 0;
-    const std::size_t window =
-        std::max<std::size_t>(std::size_t{1}, options_->swap_window);
+  /// Adjacent-cell swaps: each free cell trades places with its free right
+  /// neighbor when that lowers HPWL, keeping the pair's outer extent and
+  /// inner gap.
+  void swap_pass() {
     std::vector<CellId> pair(2);
     std::vector<geom::Point> centers(2);
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      auto& row = rows_[r];
+    for (auto& row : rows_) {
       for (std::size_t i = 0; i + 1 < row.size(); ++i) {
-        if (row[i].unit != kNoUnit) continue;
-        // Evaluate every candidate partner in the window and remember the
-        // best improving one. With window = 1 this is exactly the
-        // classical adjacent-swap pass.
-        std::size_t best_j = 0;
-        double best_gain = 0.0;
-        double best_a_lx = 0.0, best_b_lx = 0.0;
-        for (std::size_t j = i + 1; j < row.size() && j <= i + window;
-             ++j) {
-          const Entry& a = row[i];
-          const Entry& b = row[j];
-          if (b.unit != kNoUnit) continue;
-          double new_a_lx = 0.0, new_b_lx = 0.0;
-          if (j == i + 1) {
-            // Swap order, preserving the pair's outer extent and inner
-            // gap.
-            const double gap = b.lx - a.hx();
-            new_b_lx = a.lx;
-            new_a_lx = a.lx + b.width + gap;
-          } else {
-            // Distant swap: the entries exchange slots; both must fit the
-            // other's gap (left edges are already site-aligned).
-            new_b_lx = a.lx;
-            new_a_lx = b.lx;
-            const double a_slot_hi = row[i + 1].lx;
-            const double b_slot_hi =
-                j + 1 < row.size() ? row[j + 1].lx : design_->row(r).hx;
-            if (new_b_lx + b.width > a_slot_hi + 1e-9) continue;
-            if (new_a_lx + a.width > b_slot_hi + 1e-9) continue;
-          }
-          pair[0] = a.cell;
-          pair[1] = b.cell;
-          centers[0] = {new_a_lx + a.width / 2.0, (*pl_)[a.cell].y};
-          centers[1] = {new_b_lx + b.width / 2.0, (*pl_)[b.cell].y};
-          ++profile_.swap.candidates;
-          const auto t = inc_.trial_place(pair, centers);
+        Entry& a = row[i];
+        Entry& b = row[i + 1];
+        if (a.unit != kNoUnit || b.unit != kNoUnit) continue;
+        const double new_b_lx = a.lx;
+        const double new_a_lx = a.lx + b.width + (b.lx - a.hx());
+        pair[0] = a.cell;
+        pair[1] = b.cell;
+        centers[0] = {new_a_lx + a.width / 2.0, (*pl_)[a.cell].y};
+        centers[1] = {new_b_lx + b.width / 2.0, (*pl_)[b.cell].y};
+        ++profile_.swap.candidates;
+        // Score the swap, then stage it afresh for the guard and the
+        // commit (the engine's rescan counter sees both stagings).
+        const auto t = inc_.trial_place(pair, centers);
+        inc_.rollback();
+        if (!(t.after + 1e-12 < t.before)) continue;
+        inc_.trial_place(pair, centers);
+        if (!guard_allows()) {
           inc_.rollback();
-          if (t.after + 1e-12 < t.before) {
-            const double gain = t.before - t.after;
-            if (best_j == 0 || gain > best_gain) {
-              best_j = j;
-              best_gain = gain;
-              best_a_lx = new_a_lx;
-              best_b_lx = new_b_lx;
-            }
-          }
+          continue;
         }
-        if (best_j != 0) {
-          Entry& a = row[i];
-          Entry& b = row[best_j];
-          pair[0] = a.cell;
-          pair[1] = b.cell;
-          centers[0] = {best_a_lx + a.width / 2.0, (*pl_)[a.cell].y};
-          centers[1] = {best_b_lx + b.width / 2.0, (*pl_)[b.cell].y};
-          inc_.trial_place(pair, centers);
-          if (!guard_allows()) {
-            inc_.rollback();
-            continue;
-          }
-          inc_.commit();
-          a.lx = best_a_lx;
-          b.lx = best_b_lx;
-          std::swap(row[i], row[best_j]);
-          ++moves;
-          ++profile_.swap.accepted;
-          paranoid_check();
-        }
+        inc_.commit();
+        a.lx = new_a_lx;
+        b.lx = new_b_lx;
+        std::swap(a, b);
+        ++profile_.swap.accepted;
+        paranoid_check();
       }
     }
-    return moves;
   }
 
-  std::size_t unit_slide_pass() {
-    std::size_t moves = 0;
+  void unit_slide_pass() {
     for (std::size_t r = 0; r < rows_.size(); ++r) {
       for (std::size_t i = 0; i < rows_[r].size(); ++i) {
         Entry& e = rows_[r][i];
@@ -328,10 +281,9 @@ class Engine {
         }
         const double x_opt = optimal_position(cells, rel);
         if (!std::isfinite(x_opt)) continue;
-        if (try_shift(r, i, x_opt, cells, profile_.unit_slide)) ++moves;
+        try_shift(r, i, x_opt, cells, profile_.unit_slide);
       }
     }
-    return moves;
   }
 
   /// Consult the move guard (when set) on the staged trial; counts the

@@ -12,16 +12,9 @@
 namespace dp::detail {
 
 struct DetailOptions {
+  /// Upper bound on passes; the loop also stops once a full pass improves
+  /// HPWL by less than a relative 1e-4.
   std::size_t max_passes = 4;
-  /// Stop a pass loop early when a full pass improves HPWL by less than
-  /// this relative amount.
-  double rel_improvement_floor = 1e-4;
-  /// Swap-pass window: each cell considers swapping with its `swap_window`
-  /// successors in the row. 1 (the default) is the classical adjacent-only
-  /// pass and reproduces the historical result bit for bit; larger windows
-  /// trade runtime for quality, a knob the incremental delta evaluation
-  /// makes affordable.
-  std::size_t swap_window = 1;
   /// Cross-check every accepted move's maintained HPWL total against a
   /// full eval::hpwl recompute (tests/debugging only: restores the
   /// quadratic cost the incremental engine removes).
@@ -38,10 +31,6 @@ struct DetailOptions {
 struct DetailStats {
   double hpwl_before = 0.0;
   double hpwl_after = 0.0;
-  std::size_t slides = 0;
-  std::size_t swaps = 0;
-  std::size_t slice_slides = 0;
-  std::size_t passes = 0;
   /// Per-pass candidate/accept counts, wall times, and incremental-engine
   /// bookkeeping (rescans, resyncs, paranoid checks).
   Profile profile;

@@ -27,7 +27,7 @@ struct PassProfile {
 /// O(pins-touched) cost model is measured instead of assumed.
 struct Profile {
   PassProfile slide;       ///< per-cell optimal-interval slides
-  PassProfile swap;        ///< (windowed) pairwise swaps
+  PassProfile swap;        ///< adjacent-pair swaps
   PassProfile unit_slide;  ///< whole-slice rigid slides
 
   /// Lazy full net rescans the incremental engine had to run because a

@@ -205,44 +205,4 @@ AlignmentScore alignment_score(const netlist::Netlist& nl,
   return score;
 }
 
-double density_overflow(const netlist::Netlist& nl,
-                        const netlist::Design& design,
-                        const netlist::Placement& pl, double target_density,
-                        std::size_t bins_per_side) {
-  const geom::Rect& core = design.core();
-  const std::size_t nb = bins_per_side;
-  const double bw = core.width() / static_cast<double>(nb);
-  const double bh = core.height() / static_cast<double>(nb);
-  std::vector<double> usage(nb * nb, 0.0);
-
-  for (CellId c = 0; c < nl.num_cells(); ++c) {
-    if (nl.cell(c).fixed) continue;
-    const geom::Rect r = geom::Rect::from_center(pl[c], nl.cell_width(c),
-                                                 nl.cell_height(c));
-    const auto bx0 = static_cast<long long>(std::floor((r.lx - core.lx) / bw));
-    const auto bx1 = static_cast<long long>(std::floor((r.hx - core.lx) / bw));
-    const auto by0 = static_cast<long long>(std::floor((r.ly - core.ly) / bh));
-    const auto by1 = static_cast<long long>(std::floor((r.hy - core.ly) / bh));
-    for (long long by = std::max(0LL, by0);
-         by <= std::min<long long>(static_cast<long long>(nb) - 1, by1); ++by) {
-      for (long long bx = std::max(0LL, bx0);
-           bx <= std::min<long long>(static_cast<long long>(nb) - 1, bx1);
-           ++bx) {
-        const geom::Rect bin{core.lx + static_cast<double>(bx) * bw,
-                             core.ly + static_cast<double>(by) * bh,
-                             core.lx + static_cast<double>(bx + 1) * bw,
-                             core.ly + static_cast<double>(by + 1) * bh};
-        usage[static_cast<std::size_t>(by) * nb +
-              static_cast<std::size_t>(bx)] += r.overlap_area(bin);
-      }
-    }
-  }
-
-  const double bin_cap = bw * bh * target_density;
-  double overflow = 0.0;
-  for (double u : usage) overflow += std::max(0.0, u - bin_cap);
-  const double movable = nl.movable_area();
-  return movable > 0.0 ? overflow / movable : 0.0;
-}
-
 }  // namespace dp::eval

@@ -80,11 +80,4 @@ AlignmentScore alignment_score(const netlist::Netlist& netlist,
                                const netlist::Placement& pl,
                                const netlist::StructureAnnotation& groups);
 
-/// Bin-based density overflow: fraction of movable area exceeding the
-/// target density, evaluated on a uniform grid with `bins_per_side` bins.
-double density_overflow(const netlist::Netlist& netlist,
-                        const netlist::Design& design,
-                        const netlist::Placement& pl, double target_density,
-                        std::size_t bins_per_side = 32);
-
 }  // namespace dp::eval

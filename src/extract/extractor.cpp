@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "util/timer.hpp"
-
 namespace dp::extract {
 
 using netlist::CellId;
@@ -17,6 +15,21 @@ using netlist::PinId;
 using netlist::StructureGroup;
 
 namespace {
+
+/// Minimum lanes (bit count) of a seed column / reported group.
+constexpr std::size_t kMinBits = 4;
+/// Minimum stage columns of a reported group.
+constexpr std::size_t kMinStages = 2;
+/// Adjacency edges (for chains and growth) only through nets with at most
+/// this many pins; larger nets are control/bus rails.
+constexpr std::size_t kMaxNetDegree = 8;
+/// Bus seeding considers shared nets with up to this many pins.
+constexpr std::size_t kMaxBusDegree = 256;
+/// A growth step is accepted when at least this fraction of lanes find a
+/// matching next-stage cell (tolerates boundary irregularity).
+constexpr double kGrowthTau = 0.7;
+/// Cap on stage columns per group (runaway guard).
+constexpr std::size_t kMaxStages = 512;
 
 std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   a ^= b + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2);
@@ -48,18 +61,16 @@ struct Column {
 
 }  // namespace
 
-ExtractResult extract_structures(const netlist::Netlist& nl,
-                                 const ExtractOptions& options) {
-  util::Timer timer;
+ExtractResult extract_structures(const netlist::Netlist& nl) {
   ExtractResult result;
   const std::size_t n = nl.num_cells();
-  const auto sig = cell_signatures(nl, options.signature);
+  const auto sig = cell_signatures(nl);
 
   // ---- labeled adjacency with per-cell unique labels --------------------
   std::vector<std::vector<Edge>> adj(n);
   for (NetId net = 0; net < nl.num_nets(); ++net) {
     const auto& pins = nl.net(net).pins;
-    if (pins.size() < 2 || pins.size() > options.max_net_degree) continue;
+    if (pins.size() < 2 || pins.size() > kMaxNetDegree) continue;
     for (PinId p : pins) {
       const auto& pin = nl.pin(p);
       if (nl.cell(pin.cell).fixed) continue;
@@ -126,7 +137,7 @@ ExtractResult extract_structures(const netlist::Netlist& nl,
       }
     }
     for (auto& [key, succ] : chains) {
-      if (succ.size() + 1 < options.min_bits) continue;
+      if (succ.size() + 1 < kMinBits) continue;
       std::unordered_map<CellId, int> indeg;
       for (auto& [u, v] : succ) ++indeg[v];
       for (auto& [u, v] : succ) {
@@ -141,7 +152,7 @@ ExtractResult extract_structures(const netlist::Netlist& nl,
           if (!on_path.insert(cur).second) break;  // cycle guard
           path.push_back(cur);
         }
-        if (path.size() >= options.min_bits) register_seed(std::move(path));
+        if (path.size() >= kMinBits) register_seed(std::move(path));
       }
     }
   }
@@ -149,10 +160,7 @@ ExtractResult extract_structures(const netlist::Netlist& nl,
   // (b) Bus columns: same-port same-signature sinks of one shared net.
   for (NetId net = 0; net < nl.num_nets(); ++net) {
     const auto& pins = nl.net(net).pins;
-    if (pins.size() < options.min_bits ||
-        pins.size() > options.max_bus_degree) {
-      continue;
-    }
+    if (pins.size() < kMinBits || pins.size() > kMaxBusDegree) continue;
     std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<CellId>>
         by_role;
     for (PinId p : pins) {
@@ -161,7 +169,7 @@ ExtractResult extract_structures(const netlist::Netlist& nl,
       by_role[{pin.port, sig[pin.cell]}].push_back(pin.cell);
     }
     for (auto& [role, cells] : by_role) {
-      if (cells.size() < options.min_bits) continue;
+      if (cells.size() < kMinBits) continue;
       std::unordered_set<CellId> distinct(cells.begin(), cells.end());
       if (distinct.size() != cells.size()) continue;
       register_seed(cells);
@@ -180,7 +188,7 @@ ExtractResult extract_structures(const netlist::Netlist& nl,
   for (const Column& seed : seeds) {
     std::size_t free_cells = 0;
     for (CellId c : seed.cells) free_cells += claimed[c] ? 0u : 1u;
-    if (free_cells < options.min_bits) continue;
+    if (free_cells < kMinBits) continue;
 
     const std::size_t lanes = seed.cells.size();
     std::vector<Column> columns;
@@ -196,7 +204,7 @@ ExtractResult extract_structures(const netlist::Netlist& nl,
     columns.push_back(std::move(first));
 
     std::vector<std::size_t> frontier{0};
-    while (!frontier.empty() && columns.size() < options.max_stages) {
+    while (!frontier.empty() && columns.size() < kMaxStages) {
       std::vector<std::size_t> next_frontier;
       for (std::size_t ci : frontier) {
         // Tally label -> lane extensions from every lane of this column.
@@ -221,10 +229,10 @@ ExtractResult extract_structures(const netlist::Netlist& nl,
             return claimed[h.second] || in_group.contains(h.second);
           });
           if (static_cast<double>(hits.size()) <
-              options.growth_tau * static_cast<double>(active)) {
+              kGrowthTau * static_cast<double>(active)) {
             continue;
           }
-          if (hits.size() < options.min_bits) continue;
+          if (hits.size() < kMinBits) continue;
           // Distinct targets, one per lane.
           std::unordered_set<CellId> targets;
           bool ok = true;
@@ -244,15 +252,14 @@ ExtractResult extract_structures(const netlist::Netlist& nl,
           }
           columns.push_back(std::move(grown));
           next_frontier.push_back(columns.size() - 1);
-          ++result.columns_grown;
-          if (columns.size() >= options.max_stages) break;
+          if (columns.size() >= kMaxStages) break;
         }
-        if (columns.size() >= options.max_stages) break;
+        if (columns.size() >= kMaxStages) break;
       }
       frontier = std::move(next_frontier);
     }
 
-    if (columns.size() < options.min_stages) continue;
+    if (columns.size() < kMinStages) continue;
 
     // Assemble: stable-sort columns by offset, stages in that order.
     std::stable_sort(
@@ -276,7 +283,7 @@ ExtractResult extract_structures(const netlist::Netlist& nl,
         if (c != kInvalidId) ++filled;
       }
     }
-    if (filled < options.min_bits * options.min_stages) continue;
+    if (filled < kMinBits * kMinStages) continue;
     g.confidence = static_cast<double>(filled) /
                    static_cast<double>(lanes * columns.size());
     for (CellId c : g.cells) {
@@ -285,7 +292,6 @@ ExtractResult extract_structures(const netlist::Netlist& nl,
     result.annotation.groups.push_back(std::move(g));
   }
 
-  result.seconds = timer.seconds();
   return result;
 }
 

@@ -8,29 +8,9 @@
 
 namespace dp::extract {
 
-struct ExtractOptions {
-  SignatureOptions signature;
-  /// Minimum lanes (bit count) of a seed column / reported group.
-  std::size_t min_bits = 4;
-  /// Minimum stage columns of a reported group.
-  std::size_t min_stages = 2;
-  /// Adjacency edges (for chains and growth) only through nets with at
-  /// most this many pins; larger nets are control/bus rails.
-  std::size_t max_net_degree = 8;
-  /// Bus seeding considers shared nets with up to this many pins.
-  std::size_t max_bus_degree = 256;
-  /// A growth step is accepted when at least this fraction of lanes find
-  /// a matching next-stage cell (tolerates boundary irregularity).
-  double growth_tau = 0.7;
-  /// Cap on stage columns per group (runaway guard).
-  std::size_t max_stages = 512;
-};
-
 struct ExtractResult {
   netlist::StructureAnnotation annotation;
   std::size_t seeds_tried = 0;
-  std::size_t columns_grown = 0;
-  double seconds = 0.0;
 };
 
 /// Datapath regularity extraction (the paper's first phase).
@@ -43,8 +23,8 @@ struct ExtractResult {
 /// column when >= tau of its lanes reach a signature-identical cell
 /// through the same (port, port, signature) edge label; (4) grown column
 /// sets are assembled into bits x stages groups, pruned, and cells are
-/// claimed first-come so groups never overlap.
-ExtractResult extract_structures(const netlist::Netlist& nl,
-                                 const ExtractOptions& options = {});
+/// claimed first-come so groups never overlap. Reported groups have at
+/// least 4 lanes and 2 stage columns.
+ExtractResult extract_structures(const netlist::Netlist& nl);
 
 }  // namespace dp::extract

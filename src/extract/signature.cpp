@@ -9,6 +9,16 @@ using netlist::PinId;
 
 namespace {
 
+/// Weisfeiler-Lehman-style refinement rounds. Round 0 hashes only the cell
+/// function; each further round folds in the neighbor signatures reachable
+/// through each pin. Few rounds keep array-boundary effects (bit 0 / bit
+/// N-1 see pads instead of neighbors) from contaminating interior bits.
+constexpr std::size_t kRounds = 2;
+/// Nets with more pins than this are treated as control/bus rails: they
+/// contribute only their degree bucket, not their pin multiset, so a
+/// shared select/clock net cannot distinguish (or blow up) bit slices.
+constexpr std::size_t kFanoutLimit = 12;
+
 std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) {
   // 64-bit mix (splitmix-style) folded into the running hash.
   v += 0x9E3779B97F4A7C15ULL;
@@ -20,8 +30,7 @@ std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) {
 
 }  // namespace
 
-std::vector<std::uint64_t> cell_signatures(const netlist::Netlist& nl,
-                                           const SignatureOptions& options) {
+std::vector<std::uint64_t> cell_signatures(const netlist::Netlist& nl) {
   const std::size_t n = nl.num_cells();
   std::vector<std::uint64_t> sig(n), next(n);
 
@@ -34,14 +43,14 @@ std::vector<std::uint64_t> cell_signatures(const netlist::Netlist& nl,
   }
 
   std::vector<std::uint64_t> neigh;
-  for (std::size_t round = 0; round < options.rounds; ++round) {
+  for (std::size_t round = 0; round < kRounds; ++round) {
     for (CellId c = 0; c < n; ++c) {
       std::uint64_t h = hash_combine(sig[c], 0xC0DEULL + round);
       for (PinId p : nl.cell(c).pins) {
         const auto& pin = nl.pin(p);
         const auto& net_pins = nl.net(pin.net).pins;
         std::uint64_t ph = hash_combine(0xBEEFULL, pin.port);
-        if (net_pins.size() > options.fanout_limit) {
+        if (net_pins.size() > kFanoutLimit) {
           // Control rail: only a coarse degree bucket.
           ph = hash_combine(ph, 0xFA40ULL + net_pins.size() / 8);
         } else {

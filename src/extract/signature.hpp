@@ -7,22 +7,8 @@
 
 namespace dp::extract {
 
-struct SignatureOptions {
-  /// Weisfeiler-Lehman-style refinement rounds. Round 0 hashes only the
-  /// cell function; each further round folds in the neighbor signatures
-  /// reachable through each pin. Small values keep array-boundary effects
-  /// (bit 0 / bit N-1 see pads instead of neighbors) from contaminating
-  /// interior bits.
-  std::size_t rounds = 2;
-  /// Nets with more pins than this are treated as control/bus rails: they
-  /// contribute only their degree bucket, not their pin multiset, so a
-  /// shared select/clock net cannot distinguish (or blow up) bit slices.
-  std::size_t fanout_limit = 12;
-};
-
 /// Per-cell structural signature: cells with equal signatures are
 /// candidates for being the same logic role in different bit slices.
-std::vector<std::uint64_t> cell_signatures(const netlist::Netlist& nl,
-                                           const SignatureOptions& options = {});
+std::vector<std::uint64_t> cell_signatures(const netlist::Netlist& nl);
 
 }  // namespace dp::extract

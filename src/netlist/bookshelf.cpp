@@ -44,6 +44,43 @@ bool parse_double(const std::string& token, double& value) {
   return !token.empty() && ec == std::errc() && ptr == end;
 }
 
+/// The content lines of one input file, counted so that errors name
+/// FILE:LINE.
+class LineReader {
+ public:
+  explicit LineReader(std::string path)
+      : path_(std::move(path)), in_(open_in(path_)) {}
+
+  bool next(std::string& line) {
+    return next_content_line(in_, line, &line_no_);
+  }
+
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::runtime_error("bookshelf: " + path_ + ":" +
+                             std::to_string(line_no_) + ": " + what);
+  }
+
+  /// The next token of `ls` as a finite number, > 0 when `positive`;
+  /// fails naming `what` otherwise.
+  double number(std::istringstream& ls, const std::string& what,
+                bool positive = false) const {
+    std::string token;
+    ls >> token;
+    double value = 0.0;
+    if (!parse_double(token, value) || !std::isfinite(value) ||
+        (positive && value <= 0.0)) {
+      fail(what + ": expected a finite" + (positive ? " positive" : "") +
+           " number, got '" + token + "'");
+    }
+    return value;
+  }
+
+ private:
+  std::string path_;
+  std::ifstream in_;
+  std::size_t line_no_ = 0;
+};
+
 }  // namespace
 
 void write_bookshelf(const std::string& basename, const Netlist& netlist,
@@ -151,9 +188,9 @@ BookshelfDesign read_bookshelf(const std::string& aux_path) {
   };
   std::vector<RawNode> raw_nodes;
   {
-    auto in = open_in(nodes_path);
+    LineReader in(nodes_path);
     std::string line;
-    while (next_content_line(in, line)) {
+    while (in.next(line)) {
       std::istringstream ls(line);
       std::string first;
       ls >> first;
@@ -162,9 +199,8 @@ BookshelfDesign read_bookshelf(const std::string& aux_path) {
       }
       RawNode r;
       r.name = first;
-      if (!(ls >> r.w >> r.h)) {
-        throw std::runtime_error("bookshelf: bad node line: " + line);
-      }
+      r.w = in.number(ls, "width of node " + first, true);
+      r.h = in.number(ls, "height of node " + first, true);
       std::string tail;
       ls >> tail;
       r.terminal = (tail == "terminal");
@@ -213,7 +249,7 @@ BookshelfDesign read_bookshelf(const std::string& aux_path) {
   };
   std::vector<PendingOffset> offsets;
   {
-    auto in = open_in(nets_path);
+    LineReader in(nets_path);
     std::string line;
     NetId current = kInvalidId;
     std::size_t net_count = 0;
@@ -228,7 +264,7 @@ BookshelfDesign read_bookshelf(const std::string& aux_path) {
           " declares NetDegree " + std::to_string(degree) + " but lists " +
           std::to_string(net.pins.size()) + " pin(s)");
     };
-    while (next_content_line(in, line)) {
+    while (in.next(line)) {
       std::istringstream ls(line);
       std::string first;
       ls >> first;
@@ -245,16 +281,22 @@ BookshelfDesign read_bookshelf(const std::string& aux_path) {
         ++net_count;
         continue;
       }
-      if (current == kInvalidId) {
-        throw std::runtime_error("bookshelf: pin before NetDegree");
-      }
+      if (current == kInvalidId) in.fail("pin before NetDegree");
       auto it = by_name.find(first);
-      if (it == by_name.end()) {
-        throw std::runtime_error("bookshelf: pin on unknown node " + first);
-      }
+      if (it == by_name.end()) in.fail("pin on unknown node " + first);
+      // "name DIR [: x_offset y_offset]"
       std::string dir, colon;
+      ls >> dir;
+      if (dir != "I" && dir != "O" && dir != "B") {
+        in.fail("pin direction of node " + first +
+                ": expected I, O or B, got '" + dir + "'");
+      }
       double ox = 0.0, oy = 0.0;
-      ls >> dir >> colon >> ox >> oy;
+      if (ls >> colon) {
+        if (colon != ":") in.fail("expected ':' after the pin direction");
+        ox = in.number(ls, "pin x offset of node " + first);
+        oy = in.number(ls, "pin y offset of node " + first);
+      }
       NodeRec& rec = it->second;
       // Grow the generic type's pin bank if this instance needs more ports.
       const CellTypeId tid = builder.peek().cell(rec.cell).type;
@@ -279,27 +321,33 @@ BookshelfDesign read_bookshelf(const std::string& aux_path) {
   // Pass 3: .scl rows.
   Design design;
   {
-    auto in = open_in(scl_path);
+    LineReader in(scl_path);
     std::string line;
     double row_height = 1.0, site_width = 1.0;
     double y = 0.0, origin = 0.0;
     double sites = 0.0;
     geom::Rect core;
     bool have_row = false;
-    while (next_content_line(in, line)) {
+    while (in.next(line)) {
       std::istringstream ls(line);
       std::string first;
       ls >> first;
       std::string colon;
       if (first == "Coordinate") {
-        ls >> colon >> y;
+        ls >> colon;
+        y = in.number(ls, "Coordinate");
       } else if (first == "Height") {
-        ls >> colon >> row_height;
+        ls >> colon;
+        row_height = in.number(ls, "Height", true);
       } else if (first == "Sitewidth") {
-        ls >> colon >> site_width;
+        ls >> colon;
+        site_width = in.number(ls, "Sitewidth", true);
       } else if (first == "SubrowOrigin") {
         std::string numsites;
-        ls >> colon >> origin >> numsites >> colon >> sites;
+        ls >> colon;
+        origin = in.number(ls, "SubrowOrigin");
+        ls >> numsites >> colon;
+        sites = in.number(ls, "NumSites", true);
         have_row = true;
         core.expand(geom::Point{origin, y});
         core.expand(geom::Point{origin + sites * site_width, y + row_height});
@@ -312,14 +360,9 @@ BookshelfDesign read_bookshelf(const std::string& aux_path) {
   // Pass 4: .pl positions (convert lower-left corners to centers).
   Placement placement(netlist.num_cells());
   {
-    auto in = open_in(pl_path);
+    LineReader in(pl_path);
     std::string line;
-    std::size_t line_no = 0;
-    auto fail = [&](const std::string& what) {
-      throw std::runtime_error("bookshelf: " + pl_path + ":" +
-                               std::to_string(line_no) + ": " + what);
-    };
-    while (next_content_line(in, line, &line_no)) {
+    while (in.next(line)) {
       std::istringstream ls(line);
       std::string name, xs, ys;
       ls >> name;
@@ -327,13 +370,13 @@ BookshelfDesign read_bookshelf(const std::string& aux_path) {
       ls >> xs >> ys;
       double lx = 0.0, ly = 0.0;
       if (!parse_double(xs, lx) || !parse_double(ys, ly)) {
-        fail("expected 'name x y', got '" + line + "'");
+        in.fail("expected 'name x y', got '" + line + "'");
       }
       if (!std::isfinite(lx) || !std::isfinite(ly)) {
-        fail("non-finite position of node " + name);
+        in.fail("non-finite position of node " + name);
       }
       auto it = by_name.find(name);
-      if (it == by_name.end()) fail("unknown node " + name);
+      if (it == by_name.end()) in.fail("unknown node " + name);
       const CellId c = it->second.cell;
       placement[c] = {lx + netlist.cell_width(c) / 2.0,
                       ly + netlist.cell_height(c) / 2.0};

@@ -30,18 +30,17 @@ std::size_t pow2_at_least(double x) {
 CongestionMap::CongestionMap(const netlist::Netlist& nl,
                              const netlist::Design& design,
                              CongestionOptions options)
-    : nl_(&nl), design_(&design), options_(options) {
+    : nl_(&nl), design_(&design) {
   const std::size_t n_mov = nl.num_movable();
-  nb_ = options_.bins_per_side != 0
-            ? options_.bins_per_side
+  nb_ = options.bins_per_side != 0
+            ? options.bins_per_side
             : std::clamp<std::size_t>(
                   pow2_at_least(std::sqrt(static_cast<double>(n_mov))), 16,
                   256);
   const geom::Rect& core = design.core();
   bw_ = core.width() / static_cast<double>(nb_);
   bh_ = core.height() / static_cast<double>(nb_);
-  cap_h_ = bw_ * bh_ * options_.h_tracks_per_area;
-  cap_v_ = bw_ * bh_ * options_.v_tracks_per_area;
+  cap_ = bw_ * bh_ * kTracksPerArea;
 
   demand_h_.assign(nb_ * nb_, 0.0);
   demand_v_.assign(nb_ * nb_, 0.0);
@@ -204,7 +203,7 @@ void CongestionMap::build(const netlist::Placement& pl) {
   std::fill(pins_.begin(), pins_.end(), 0.0);
 
   // Pass 1: rasterize RUDY demand and pin surcharge per bin-row block.
-  const double half_pin = options_.pin_weight / 2.0;
+  const double half_pin = kPinWeight / 2.0;
   auto block_task = [&](std::size_t b) {
     const auto r0 = static_cast<long long>(b * rows_per_block);
     const auto r1 = std::min<long long>(
@@ -246,7 +245,7 @@ void CongestionMap::build(const netlist::Placement& pl) {
 
 double CongestionMap::ratio(std::size_t bx, std::size_t by) const {
   const std::size_t i = by * nb_ + bx;
-  return std::max(demand_h_[i] / cap_h_, demand_v_[i] / cap_v_);
+  return std::max(demand_h_[i] / cap_, demand_v_[i] / cap_);
 }
 
 std::vector<double> CongestionMap::ratios() const {
@@ -265,14 +264,14 @@ CongestionReport CongestionMap::report() const {
   double total_demand = 0.0;
   std::vector<double> combined(nb_ * nb_, 0.0);
   for (std::size_t i = 0; i < nb_ * nb_; ++i) {
-    const double rh = demand_h_[i] / cap_h_;
-    const double rv = demand_v_[i] / cap_v_;
+    const double rh = demand_h_[i] / cap_;
+    const double rv = demand_v_[i] / cap_;
     rep.peak_h = std::max(rep.peak_h, rh);
     rep.peak_v = std::max(rep.peak_v, rv);
     combined[i] = std::max(rh, rv);
     total_demand += demand_h_[i] + demand_v_[i];
-    const double over = std::max(0.0, demand_h_[i] - cap_h_) +
-                        std::max(0.0, demand_v_[i] - cap_v_);
+    const double over = std::max(0.0, demand_h_[i] - cap_) +
+                        std::max(0.0, demand_v_[i] - cap_);
     rep.overflow_total += over;
     if (rh > 1.0 || rv > 1.0) ++rep.overflowed_bins;
   }

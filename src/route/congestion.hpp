@@ -15,24 +15,24 @@ class ThreadPool;
 
 namespace dp::route {
 
-/// Grid / capacity model of the congestion estimator.
+/// Routing supply per unit core area, per direction: a bin of area A can
+/// carry `A * kTracksPerArea` units of horizontal wire, and likewise
+/// vertically. Calibrated on the dpgen suite: the *average* RUDY demand
+/// density of a placed design is ~2 per direction, so 4.0 leaves ~2x
+/// headroom and only genuine hotspots (peak ratio 1.3-3x) read as
+/// overflowed.
+inline constexpr double kTracksPerArea = 4.0;
+/// Local-congestion surcharge per pin, in wirelength units, split evenly
+/// between the horizontal and vertical demand of the pin's bin (models the
+/// via/escape cost RUDY's bbox term misses).
+inline constexpr double kPinWeight = 0.5;
+
+/// Grid of the congestion estimator.
 struct CongestionOptions {
   /// Bins per side of the estimation grid (0 = auto: the same
   /// sqrt(movable)-derived power of two the density model uses, clamped
   /// to [16, 256]).
   std::size_t bins_per_side = 0;
-  /// Routing supply per unit core area, per direction: a bin of area A
-  /// can carry `A * h_tracks_per_area` units of horizontal wire (and
-  /// likewise vertically). The default is calibrated on the dpgen suite:
-  /// the *average* RUDY demand density of a placed design is ~2 per
-  /// direction, so 4.0 leaves ~2x headroom and only genuine hotspots
-  /// (peak ratio 1.3-3x) read as overflowed.
-  double h_tracks_per_area = 4.0;
-  double v_tracks_per_area = 4.0;
-  /// Local-congestion surcharge per pin, in wirelength units, split
-  /// evenly between the horizontal and vertical demand of the pin's bin
-  /// (models the via/escape cost RUDY's bbox term misses).
-  double pin_weight = 0.5;
 };
 
 /// Aggregate congestion metrics of one rasterized placement.
@@ -92,8 +92,6 @@ class CongestionMap {
   std::size_t bins_per_side() const { return nb_; }
   double bin_width() const { return bw_; }
   double bin_height() const { return bh_; }
-  double h_capacity() const { return cap_h_; }
-  double v_capacity() const { return cap_v_; }
 
   /// Per-bin wire demand of the last build (row-major, y * nb + x),
   /// pin surcharge included.
@@ -103,7 +101,7 @@ class CongestionMap {
   std::span<const double> pin_density() const { return pins_; }
 
   /// Combined congestion ratio of one bin:
-  /// max(demand_h / cap_h, demand_v / cap_v).
+  /// max(demand_h, demand_v) / capacity.
   double ratio(std::size_t bx, std::size_t by) const;
 
   /// Combined ratio grid (row-major); the SVG heatmap layer input.
@@ -116,10 +114,9 @@ class CongestionMap {
  private:
   const netlist::Netlist* nl_;
   const netlist::Design* design_;
-  CongestionOptions options_;
   std::size_t nb_ = 0;
   double bw_ = 0.0, bh_ = 0.0;
-  double cap_h_ = 0.0, cap_v_ = 0.0;
+  double cap_ = 0.0;  ///< per-bin wire capacity, each direction
 
   std::shared_ptr<util::ThreadPool> pool_;
 

@@ -9,7 +9,6 @@ using netlist::CellId;
 std::size_t inflate_cells(const netlist::Netlist& nl,
                           const CongestionMap& map,
                           const netlist::Placement& pl,
-                          const InflationOptions& opt,
                           const std::vector<double>& base,
                           const std::vector<bool>& eligible,
                           std::vector<double>& scale) {
@@ -17,9 +16,9 @@ std::size_t inflate_cells(const netlist::Netlist& nl,
   for (CellId c = 0; c < nl.num_cells(); ++c) {
     if (nl.cell(c).fixed || !eligible[c]) continue;
     const double r = map.ratio(map.bin_x(pl[c].x), map.bin_y(pl[c].y));
-    if (r <= opt.threshold) continue;
-    const double factor = 1.0 + opt.rate * (r - opt.threshold);
-    const double cap = base[c] * opt.max_scale;
+    if (r <= kInflationThreshold) continue;
+    const double factor = 1.0 + kInflationRate * (r - kInflationThreshold);
+    const double cap = base[c] * kInflationMaxScale;
     const double next = std::min(scale[c] * factor, cap);
     if (next > scale[c]) {
       scale[c] = next;

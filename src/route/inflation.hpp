@@ -9,17 +9,16 @@ namespace dp::route {
 
 /// Cell-inflation feedback: how overflowed bins translate into density
 /// area scaling inside global placement.
-struct InflationOptions {
-  /// Bins with combined congestion ratio above this are overflowed. Mid-GP
-  /// peaks run 2-3x those of the final placement (cells are still
-  /// clumped), so only ratios above 2 count as hotspots there.
-  double threshold = 2.0;
-  /// Area multiplier slope: a cell in a bin at ratio r gains
-  /// `1 + rate * (r - threshold)` area (clamped below by 1).
-  double rate = 0.25;
-  /// Per-cell inflation cap, relative to the cell's scale before it.
-  double max_scale = 2.5;
-};
+///
+/// Bins with combined congestion ratio above kInflationThreshold are
+/// overflowed. Mid-GP peaks run 2-3x those of the final placement (cells
+/// are still clumped), so only ratios above 2 count as hotspots there.
+inline constexpr double kInflationThreshold = 2.0;
+/// Area multiplier slope: a cell in a bin at ratio r gains
+/// `1 + kInflationRate * (r - kInflationThreshold)` area.
+inline constexpr double kInflationRate = 0.25;
+/// Per-cell inflation cap, relative to the cell's scale before it.
+inline constexpr double kInflationMaxScale = 2.5;
 
 /// Congestion estimation and routability knobs (PlacerConfig::congestion).
 struct CongestionControl {
@@ -32,14 +31,13 @@ struct CongestionControl {
   bool refine = false;
 
   CongestionOptions map;
-  InflationOptions inflation;
 
   bool enabled() const { return measure || refine; }
 };
 
 /// Multiply `scale` (density area factor per CellId) by the inflation of
 /// each movable cell's bin, clamping the cumulative factor to
-/// `opt.max_scale` times `base`. `base` holds the pre-inflation scale
+/// kInflationMaxScale times `base`. `base` holds the pre-inflation scale
 /// (the macro-shrink factors), so the cap is relative to the pipeline's
 /// own scaling, not absolute. Cells with `eligible[c] == false` are
 /// skipped (e.g. frozen datapath plate members). Returns the number of
@@ -47,7 +45,6 @@ struct CongestionControl {
 std::size_t inflate_cells(const netlist::Netlist& nl,
                           const CongestionMap& map,
                           const netlist::Placement& pl,
-                          const InflationOptions& opt,
                           const std::vector<double>& base,
                           const std::vector<bool>& eligible,
                           std::vector<double>& scale);

@@ -78,11 +78,11 @@ const TimingReport& TimingAnalyzer::analyze(const netlist::Placement& pl) {
       ly = std::min(ly, pos.y);
       hy = std::max(hy, pos.y);
     }
-    net_delay_[n] = options_.wire_delay_per_unit * ((hx - lx) + (hy - ly));
+    net_delay_[n] = kWireDelayPerUnit * ((hx - lx) + (hy - ly));
   });
   run_chunked(pool, g.num_arcs(), kMinNetsPerChunk, [&](std::size_t a) {
     arc_delay_[a] = g.arc_kind()[a] == ArcKind::kCell
-                        ? options_.gate_delay
+                        ? kGateDelay
                         : net_delay_[g.arc_net()[a]];
   });
 

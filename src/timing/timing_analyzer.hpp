@@ -17,9 +17,16 @@ namespace dp::timing {
 /// Delay model of the analyzer: a unit gate delay per cell arc and a
 /// linear wire delay per net arc, proportional to the net's HPWL at the
 /// analyzed placement (so timing responds to cell movement).
+inline constexpr double kGateDelay = 1.0;
+inline constexpr double kWireDelayPerUnit = 0.5;
+
+/// Criticality floor of the timing-driven flow: GP reweighting only boosts
+/// nets above it, and the detail move guard only considers nets at least
+/// this critical.
+inline constexpr double kCritFloor = 0.5;
+
+/// Clock constraint of the analyzer.
 struct TimingOptions {
-  double gate_delay = 1.0;
-  double wire_delay_per_unit = 0.5;
   /// Target clock period. <= 0 selects it automatically as the worst
   /// endpoint arrival of the analyzed placement (zero worst slack), which
   /// makes WNS/TNS useful as relative metrics without a real constraint.
@@ -56,12 +63,6 @@ struct TimingControl {
   /// Strength of the criticality reweight: a net at criticality 1 gets
   /// scale ~ 1 + weight (before unit-mean normalization).
   double weight = 4.0;
-  /// Criticality floor: GP reweighting only boosts nets above it, and
-  /// the detail guard only considers nets at least this critical.
-  double crit_floor = 0.5;
-  /// Detail guard allows moves worsening the WNS proxy by up to this
-  /// much (delay units).
-  double guard_tolerance = 0.0;
   TimingOptions model;
 
   bool enabled() const { return measure || driven; }
@@ -91,7 +92,6 @@ class TimingAnalyzer {
   }
 
   const TimingGraph& graph() const { return *graph_; }
-  const TimingOptions& options() const { return options_; }
 
   /// Propagate delays at `pl`. Reusable: each call overwrites all state.
   const TimingReport& analyze(const netlist::Placement& pl);

@@ -14,10 +14,8 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
-  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) { reseed(seed); }
-
-  /// Reset the state from a single 64-bit seed (SplitMix64 expansion).
-  void reseed(std::uint64_t seed) {
+  /// State from a single 64-bit seed (SplitMix64 expansion).
+  explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL) {
     for (auto& word : state_) {
       seed += 0x9E3779B97F4A7C15ULL;
       std::uint64_t z = seed;
@@ -72,14 +70,6 @@ class Rng {
     return static_cast<std::size_t>(below(static_cast<std::uint64_t>(n)));
   }
 
-  /// Approximately standard-normal variate (sum of uniforms is adequate
-  /// for the placement perturbations used here; no tail precision needed).
-  double gauss() {
-    double s = 0.0;
-    for (int i = 0; i < 12; ++i) s += uniform();
-    return s - 6.0;
-  }
-
   /// True with probability p.
   bool chance(double p) { return uniform() < p; }
 
@@ -90,17 +80,5 @@ class Rng {
 
   std::uint64_t state_[4]{};
 };
-
-/// Fisher-Yates shuffle using our deterministic Rng.
-template <typename Container>
-void shuffle(Container& c, Rng& rng) {
-  const std::size_t n = c.size();
-  if (n < 2) return;
-  for (std::size_t i = n - 1; i > 0; --i) {
-    const std::size_t j = rng.index(i + 1);
-    using std::swap;
-    swap(c[i], c[j]);
-  }
-}
 
 }  // namespace dp::util

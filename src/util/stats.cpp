@@ -5,18 +5,6 @@
 
 namespace dp::util {
 
-Summary summarize(std::span<const double> xs) {
-  Summary s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
-  s.mean = mean(xs);
-  s.stdev = std::sqrt(variance(xs));
-  auto [lo, hi] = std::minmax_element(xs.begin(), xs.end());
-  s.min = *lo;
-  s.max = *hi;
-  return s;
-}
-
 double mean(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
   double sum = 0.0;

@@ -5,18 +5,6 @@
 
 namespace dp::util {
 
-/// Summary statistics over a sample; used by the benchmark harnesses and by
-/// the extractor's regularity scoring.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stdev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-};
-
-Summary summarize(std::span<const double> xs);
-
 /// Arithmetic mean; 0 for an empty sample.
 double mean(std::span<const double> xs);
 

@@ -22,9 +22,6 @@ class Table {
   /// Render with column alignment (numbers right-aligned heuristically).
   std::string to_string() const;
 
-  /// Render as comma-separated values (header + rows).
-  std::string to_csv() const;
-
   std::size_t rows() const { return rows_.size(); }
 
  private:

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/alignment.hpp"
 #include "core/overlap.hpp"
 #include "core/partition.hpp"
@@ -212,43 +214,64 @@ TEST(Partition, CoversEveryCellExactlyOnce) {
 }
 
 TEST(Partition, WideGroupSplitIntoSeqChunks) {
-  // A very wide group: 8 bits x 30 stages of full adders.
+  // A very wide group: 8 bits x 30 stages of full adders, ~3.5x the
+  // 0.28-of-core width limit.
   dpgen::Generator gen("t", 36);
   auto a = gen.input_bus("a", 8);
   auto b = gen.input_bus("b", 8);
   gen.add_pipelined_adder("add", a, b, 10);  // 30 stage columns
   const auto bench = gen.finish();
-  PartitionOptions opt;
-  opt.max_width_fraction = 0.2;
-  const auto out =
-      partition_groups(bench.netlist, bench.design, bench.truth, opt);
+  const auto out = partition_groups(bench.netlist, bench.design, bench.truth);
   EXPECT_GT(out.groups.size(), 1u);
-  // Sub-groups carry chain metadata and cover all original cells.
+  // Sub-groups carry chain metadata, cover all original cells, and each
+  // multi-column span fits the width limit.
+  const double max_width =
+      bench.design.core().width() * kPartitionMaxWidthFraction;
   std::size_t covered = 0;
   for (std::size_t i = 0; i < out.groups.size(); ++i) {
-    EXPECT_EQ(out.groups[i].parent, bench.truth.groups[0].name);
-    EXPECT_EQ(out.groups[i].seq, i);
-    covered += out.groups[i].num_cells();
+    const auto& g = out.groups[i];
+    EXPECT_EQ(g.parent, bench.truth.groups[0].name);
+    EXPECT_EQ(g.seq, i);
+    EXPECT_EQ(g.bits, 8u);
+    covered += g.num_cells();
+    double width = 0.0;
+    for (std::size_t s = 0; s < g.stages; ++s) {
+      double col = 0.0;
+      for (std::size_t bit = 0; bit < g.bits; ++bit) {
+        if (g.at(bit, s) != netlist::kInvalidId) {
+          col = std::max(col, bench.netlist.cell_width(g.at(bit, s)));
+        }
+      }
+      width += col;
+    }
+    if (g.stages > 1) {
+      EXPECT_LE(width, max_width);
+    }
   }
   EXPECT_EQ(covered, bench.truth.groups[0].num_cells());
 }
 
 TEST(Partition, TallGroupSplitIntoLaneBands) {
+  // 64 lanes of a 3-column adder: narrow enough to stay one column span,
+  // taller than 0.8 of the core rows.
   dpgen::Generator gen("t", 37);
   auto a = gen.input_bus("a", 64);
   auto b = gen.input_bus("b", 64);
   gen.add_pipelined_adder("add", a, b, 1);
   const auto bench = gen.finish();
-  PartitionOptions opt;
-  opt.max_lane_fraction = 0.25;  // force banding
-  const auto out =
-      partition_groups(bench.netlist, bench.design, bench.truth, opt);
+  const auto max_lanes = static_cast<std::size_t>(
+      kPartitionMaxLaneFraction *
+      static_cast<double>(bench.design.num_rows()));
+  ASSERT_GT(bench.truth.groups[0].bits, max_lanes);
+  const auto out = partition_groups(bench.netlist, bench.design, bench.truth);
   EXPECT_GT(out.groups.size(), 1u);
+  std::size_t lanes = 0;
   for (const auto& g : out.groups) {
-    EXPECT_LE(g.bits, static_cast<std::size_t>(
-                          0.25 * static_cast<double>(bench.design.num_rows()) +
-                          2));
+    EXPECT_LE(g.bits, max_lanes);
+    EXPECT_EQ(g.stages, bench.truth.groups[0].stages);
+    lanes += g.bits;
   }
+  EXPECT_EQ(lanes, 64u);
 }
 
 }  // namespace

@@ -146,64 +146,116 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(param_info.param.name);
     });
 
-// Malformed .pl files: one node line is replaced. The reader must reject
-// the file, naming it, the line, and what is wrong.
-struct PlCase {
+// Malformed input files: one line of one file is replaced. The reader
+// must reject the file, naming it, the line, and what is wrong.
+struct MalformedCase {
   const char* name;
-  /// The replacement line; "%" stands for the node's own name.
+  const char* ext;  ///< the file to corrupt
+  /// The first line starting with this is replaced; null = the last line.
+  const char* prefix;
+  /// The replacement line; "%" stands for the line's first token (the
+  /// node's name on node, pin and placement lines).
   const char* line;
   const char* error;  ///< expected fragment of the message
 };
 
-class PlMalformed : public ::testing::TestWithParam<PlCase> {};
+class Malformed : public ::testing::TestWithParam<MalformedCase> {};
 
-TEST_P(PlMalformed, RejectedWithFileAndLine) {
-  const PlCase& pc = GetParam();
+TEST_P(Malformed, RejectedWithFileAndLine) {
+  const MalformedCase& mc = GetParam();
   const auto bench = dpgen::make_benchmark("dp_add32");
-  const std::string base = ::testing::TempDir() + "bs_pl_" + pc.name;
+  const std::string base = ::testing::TempDir() + "bs_bad_" + mc.name;
   write_bookshelf(base, bench.netlist, bench.design, bench.placement);
+  const std::string path = base + mc.ext;
 
   std::vector<std::string> lines;
   {
-    std::ifstream in(base + ".pl");
+    std::ifstream in(path);
     for (std::string line; std::getline(in, line);) lines.push_back(line);
   }
-  // The last line places some node; keep its name for the replacement.
   ASSERT_GT(lines.size(), 2u);
-  const std::size_t target = lines.size() - 1;
-  const std::string node = lines[target].substr(0, lines[target].find(' '));
-  std::string replacement = pc.line;
+  std::size_t target = lines.size() - 1;
+  if (mc.prefix != nullptr) {
+    target = 0;
+    while (target < lines.size() && !lines[target].starts_with(mc.prefix)) {
+      ++target;
+    }
+    ASSERT_LT(target, lines.size()) << "no line starts with " << mc.prefix;
+  }
+  std::istringstream first(lines[target]);
+  std::string token;
+  first >> token;
+  std::string replacement = mc.line;
   if (const auto pct = replacement.find('%'); pct != std::string::npos) {
-    replacement.replace(pct, 1, node);
+    replacement.replace(pct, 1, token);
   }
   lines[target] = replacement;
   {
-    std::ofstream out(base + ".pl");
+    std::ofstream out(path);
     for (const std::string& line : lines) out << line << "\n";
   }
 
   try {
     read_bookshelf(base + ".aux");
-    FAIL() << "accepted .pl line '" << replacement << "'";
+    FAIL() << "accepted " << mc.ext << " line '" << replacement << "'";
   } catch (const std::runtime_error& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("bs_pl_" + std::string(pc.name) + ".pl:" +
+    EXPECT_NE(msg.find("bs_bad_" + std::string(mc.name) + mc.ext + ":" +
                        std::to_string(target + 1) + ":"),
               std::string::npos)
         << msg;
-    EXPECT_NE(msg.find(pc.error), std::string::npos) << msg;
+    EXPECT_NE(msg.find(mc.error), std::string::npos) << msg;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Bookshelf, PlMalformed,
+    Bookshelf, Malformed,
     testing::Values(
-        PlCase{"unknown_node", "no_such_cell 1 2 : N", "unknown node"},
-        PlCase{"missing_y", "% 1", "expected 'name x y'"},
-        PlCase{"not_a_number", "% 1x 2 : N", "expected 'name x y'"},
-        PlCase{"nan_x", "% nan 2 : N", "non-finite"},
-        PlCase{"inf_y", "% 1 -inf : N", "non-finite"}),
-    [](const testing::TestParamInfo<PlCase>& param_info) {
+        MalformedCase{"pl_unknown_node", ".pl", nullptr,
+                      "no_such_cell 1 2 : N", "unknown node"},
+        MalformedCase{"pl_missing_y", ".pl", nullptr, "% 1",
+                      "expected 'name x y'"},
+        MalformedCase{"pl_not_a_number", ".pl", nullptr, "% 1x 2 : N",
+                      "expected 'name x y'"},
+        MalformedCase{"pl_nan_x", ".pl", nullptr, "% nan 2 : N",
+                      "non-finite"},
+        MalformedCase{"pl_inf_y", ".pl", nullptr, "% 1 -inf : N",
+                      "non-finite"},
+        MalformedCase{"nodes_zero_width", ".nodes", nullptr, "  % 0 1",
+                      "width of node"},
+        MalformedCase{"nodes_negative_height", ".nodes", nullptr,
+                      "  % 1 -1", "height of node"},
+        MalformedCase{"nodes_nan_width", ".nodes", nullptr, "  % nan 1",
+                      "width of node"},
+        MalformedCase{"nodes_inf_height", ".nodes", nullptr, "  % 1 inf",
+                      "height of node"},
+        MalformedCase{"nodes_missing_height", ".nodes", nullptr, "  % 1",
+                      "height of node"},
+        MalformedCase{"scl_zero_height", ".scl", "  Height",
+                      "  Height : 0", "Height"},
+        MalformedCase{"scl_nan_height", ".scl", "  Height",
+                      "  Height : nan", "Height"},
+        MalformedCase{"scl_negative_sitewidth", ".scl", "  Sitewidth",
+                      "  Sitewidth : -1", "Sitewidth"},
+        MalformedCase{"scl_inf_sitewidth", ".scl", "  Sitewidth",
+                      "  Sitewidth : inf", "Sitewidth"},
+        MalformedCase{"scl_zero_numsites", ".scl", "  SubrowOrigin",
+                      "  SubrowOrigin : 0 NumSites : 0", "NumSites"},
+        MalformedCase{"scl_bad_numsites", ".scl", "  SubrowOrigin",
+                      "  SubrowOrigin : 0 NumSites : many", "NumSites"},
+        MalformedCase{"nets_unknown_node", ".nets", nullptr,
+                      "  no_such_cell I : 0 0", "pin on unknown node"},
+        MalformedCase{"nets_bad_direction", ".nets", nullptr,
+                      "  % X : 0 0", "pin direction"},
+        MalformedCase{"nets_missing_colon", ".nets", nullptr, "  % I 0 0",
+                      "expected ':'"},
+        MalformedCase{"nets_bad_x_offset", ".nets", nullptr,
+                      "  % I : 0x 0", "pin x offset"},
+        MalformedCase{"nets_missing_y_offset", ".nets", nullptr,
+                      "  % O : 0.5", "pin y offset"},
+        MalformedCase{"nets_nan_y_offset", ".nets", nullptr,
+                      "  % O : 0.5 nan", "pin y offset"}),
+    [](const testing::TestParamInfo<MalformedCase>& param_info) {
       return std::string(param_info.param.name);
     });
 

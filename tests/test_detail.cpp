@@ -81,7 +81,7 @@ TEST(Detail, ActuallyImprovesRandomLegalPlacement) {
   DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
   const DetailStats stats = placer.run(lb.pl);
   EXPECT_LT(stats.hpwl_after, stats.hpwl_before);
-  EXPECT_GT(stats.slides + stats.swaps, 0u);
+  EXPECT_GT(stats.profile.slide.accepted + stats.profile.swap.accepted, 0u);
 }
 
 TEST(Detail, MaxPassesZeroIsNoop) {
@@ -137,8 +137,7 @@ class Engine {
       swap_pass();
       unit_slide_pass();
       const double next = eval::hpwl(*nl_, *pl_);
-      const bool converged =
-          current - next <= options.rel_improvement_floor * current;
+      const bool converged = current - next <= 1e-4 * current;
       current = next;
       if (converged) break;
     }
@@ -478,39 +477,18 @@ TEST(Detail, ParanoidModeMatchesSeedAndPassesAllChecks) {
   }
 }
 
-TEST(Detail, SwapWindowWidensTheSearch) {
-  LegalBench lb(5);
-  const double before = eval::hpwl(lb.bench->netlist, lb.pl);
-
-  Placement pl_wide = lb.pl;
-  DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
-  DetailOptions opt;
-  opt.swap_window = 4;
-  const DetailStats stats = placer.run(pl_wide, opt);
-
-  // Still legal, still monotone, and the pass actually looked at more
-  // candidates than the adjacent-only default.
-  EXPECT_TRUE(
-      eval::check_legality(lb.bench->netlist, lb.bench->design, pl_wide)
-          .legal());
-  EXPECT_LE(stats.hpwl_after, before + 1e-9);
-
-  DetailStats narrow = placer.run(lb.pl);
-  EXPECT_GT(stats.profile.swap.candidates, narrow.profile.swap.candidates);
-}
-
 TEST(Detail, ProfileCountsAreConsistent) {
   LegalBench lb(6);
   DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
   const DetailStats stats = placer.run(lb.pl);
   const Profile& p = stats.profile;
-  EXPECT_EQ(p.slide.accepted, stats.slides);
-  EXPECT_EQ(p.swap.accepted, stats.swaps);
-  EXPECT_EQ(p.unit_slide.accepted, stats.slice_slides);
   EXPECT_LE(p.slide.accepted, p.slide.candidates);
   EXPECT_LE(p.swap.accepted, p.swap.candidates);
-  // One resync before the pass loop plus one per executed pass.
-  EXPECT_EQ(p.resyncs, stats.passes + 1);
+  // Every executed pass runs each pass kind once, with one resync before
+  // the pass loop plus one per pass.
+  EXPECT_EQ(p.swap.passes, p.slide.passes);
+  EXPECT_EQ(p.unit_slide.passes, p.slide.passes);
+  EXPECT_EQ(p.resyncs, p.slide.passes + 1);
   EXPECT_FALSE(p.to_string().empty());
 }
 

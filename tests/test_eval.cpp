@@ -149,15 +149,6 @@ TEST(DatapathHpwl, SubsetOfTotal) {
   EXPECT_GT(dp, 0.0);
 }
 
-TEST(DensityOverflow, ZeroWithoutCells) {
-  netlist::NetlistBuilder b(netlist::standard_library());
-  b.add_cell("p", CellFunc::kPad, true);
-  const auto nl = b.take();
-  const netlist::Design design(geom::Rect{0, 0, 4, 4}, 1.0, 0.25);
-  Placement pl(1);
-  EXPECT_DOUBLE_EQ(density_overflow(nl, design, pl, 1.0), 0.0);
-}
-
 std::string read_and_remove(const std::string& path) {
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << path;

@@ -111,24 +111,55 @@ TEST(Extractor, Deterministic) {
   }
 }
 
-TEST(Extractor, MinBitsRespected) {
-  const auto bench = dpgen::make_benchmark("dp_add32");
-  ExtractOptions opt;
-  opt.min_bits = 8;
-  const auto result = extract_structures(bench.netlist, opt);
-  for (const auto& g : result.annotation.groups) {
-    EXPECT_GE(g.bits, 8u);
+/// A `bits` x `stages` array: per lane an AND2 gated by one shared enable
+/// net, followed by a chain of `stages - 1` inverters, between fixed pads.
+/// The enable net is the only bus seed; each lane's pipeline nets are the
+/// growth edges.
+netlist::Netlist gated_array(std::size_t bits, std::size_t stages) {
+  using netlist::CellFunc;
+  using netlist::PinDir;
+  netlist::NetlistBuilder b(netlist::standard_library());
+  const netlist::NetId en = b.add_net("en");
+  b.connect_dir(b.add_cell("pi_en", CellFunc::kPad, true), 0, en,
+                PinDir::kOutput);
+  for (std::size_t lane = 0; lane < bits; ++lane) {
+    const std::string l = std::to_string(lane);
+    netlist::NetId in = b.add_net("in" + l);
+    b.connect_dir(b.add_cell("pi" + l, CellFunc::kPad, true), 0, in,
+                  PinDir::kOutput);
+    const CellId gate = b.add_cell("and" + l, CellFunc::kAnd2);
+    b.connect(gate, "A", in);
+    b.connect(gate, "B", en);
+    in = b.add_net("s0_" + l);
+    b.connect(gate, "Y", in);
+    for (std::size_t s = 1; s < stages; ++s) {
+      const CellId inv =
+          b.add_cell("inv" + l + "_" + std::to_string(s), CellFunc::kInv);
+      b.connect(inv, "A", in);
+      in = b.add_net("s" + std::to_string(s) + "_" + l);
+      b.connect(inv, "Y", in);
+    }
+    b.connect_dir(b.add_cell("po" + l, CellFunc::kPad, true), 0, in,
+                  PinDir::kInput);
   }
+  return b.take();
+}
+
+TEST(Extractor, GatedArrayIsExtracted) {
+  const auto result = extract_structures(gated_array(4, 2));
+  ASSERT_EQ(result.annotation.groups.size(), 1u);
+  EXPECT_EQ(result.annotation.groups[0].bits, 4u);
+  EXPECT_EQ(result.annotation.groups[0].stages, 2u);
+}
+
+TEST(Extractor, MinBitsRespected) {
+  // Three lanes are one short of the 4-bit minimum.
+  EXPECT_TRUE(extract_structures(gated_array(3, 2)).annotation.groups.empty());
 }
 
 TEST(Extractor, MinStagesRespected) {
-  const auto bench = dpgen::make_benchmark("dp_add32");
-  ExtractOptions opt;
-  opt.min_stages = 3;
-  const auto result = extract_structures(bench.netlist, opt);
-  for (const auto& g : result.annotation.groups) {
-    EXPECT_GE(g.stages, 3u);
-  }
+  // One stage column is one short of the 2-stage minimum.
+  EXPECT_TRUE(extract_structures(gated_array(8, 1)).annotation.groups.empty());
 }
 
 class SuiteExtraction : public ::testing::TestWithParam<std::string> {};

@@ -56,6 +56,23 @@ TEST(StructurePlacer, StructuredFlowPerfectAlignment) {
   EXPECT_GT(rep.legal_blocks, 0u);
 }
 
+// Every GP run of a flow, the template-block flow's glue GP included, adds
+// its evaluation count next to its profile, and each objective evaluation
+// runs the density term once.
+TEST(StructurePlacer, GpCountersAgreeInEveryFlow) {
+  Pipe pipe("dp_add32");
+  PlacerConfig baseline;
+  baseline.structure_aware = false;
+  PlacerConfig gentle;
+  PlacerConfig blocks;
+  blocks.legalization = LegalizationMode::kStructured;
+  for (const PlacerConfig& c : {baseline, gentle, blocks}) {
+    const gp::GpResult gp = pipe.run(c).gp_result;
+    EXPECT_GT(gp.total_evaluations, 0u);
+    EXPECT_EQ(gp.total_evaluations, gp.profile.density.calls);
+  }
+}
+
 TEST(StructurePlacer, BaselineBeatsNothingOnAlignment) {
   Pipe pipe("dp_add32");
   PlacerConfig base;

@@ -5,6 +5,7 @@
 // inflation inside global placement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -15,6 +16,7 @@
 #include "dpgen/generator.hpp"
 #include "route/congestion.hpp"
 #include "route/inflation.hpp"
+#include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dp::route {
@@ -66,9 +68,8 @@ TEST(CongestionMap, TotalDemandConservedInsideCore) {
   map.build(pl);
 
   const geom::Rect box = f.pin_box(pl);
-  const CongestionOptions opt;  // defaults used above
   const double surcharge =
-      static_cast<double>(f.nl->num_pins()) * opt.pin_weight / 2.0;
+      static_cast<double>(f.nl->num_pins()) * kPinWeight / 2.0;
   EXPECT_NEAR(sum(map.demand_h()), 2.0 * box.width() + surcharge, 1e-9);
   EXPECT_NEAR(sum(map.demand_v()), 2.0 * box.height() + surcharge, 1e-9);
   EXPECT_DOUBLE_EQ(sum(map.pin_density()),
@@ -90,7 +91,7 @@ TEST(CongestionMap, HandComputedCornerToCornerSplit) {
 
   const geom::Rect box = f.pin_box(pl);
   const double wire_x = box.width();  // weight 1
-  const double half_pin = opt.pin_weight / 2.0;
+  const double half_pin = kPinWeight / 2.0;
   const auto d = map.demand_h();
   // Row-major: (0,0), (1,0), (0,1), (1,1). One pin lands in bin (0,0),
   // the other in (1,1); the off-diagonal bins are pure RUDY quarters.
@@ -111,12 +112,10 @@ TEST(CongestionMap, SinglePinNetContributesOnlySurcharge) {
   const netlist::Design design(geom::Rect{0, 0, 10, 10}, 1.0, 0.25);
   Placement pl(1);
   pl[c] = {5.0, 5.0};
-  CongestionOptions opt;
-  opt.pin_weight = 1.0;
-  CongestionMap map(nl, design, opt);
+  CongestionMap map(nl, design, {});
   map.build(pl);
-  EXPECT_NEAR(sum(map.demand_h()), 0.5, 1e-12);  // pin_weight / 2
-  EXPECT_NEAR(sum(map.demand_v()), 0.5, 1e-12);
+  EXPECT_DOUBLE_EQ(sum(map.demand_h()), kPinWeight / 2.0);
+  EXPECT_DOUBLE_EQ(sum(map.demand_v()), kPinWeight / 2.0);
   EXPECT_DOUBLE_EQ(sum(map.pin_density()), 1.0);
 }
 
@@ -188,44 +187,54 @@ TEST(CongestionReport, MetricsAreOrderedAndBounded) {
 
 TEST(Inflation, ScalesOnlyEligibleCellsInOverflowedBins) {
   const dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
-  CongestionMap map(bench.netlist, bench.design, {});
-  map.build(bench.placement);
-  const double peak = map.report().peak;
-  ASSERT_GT(peak, 0.0);
-
   const std::size_t n = bench.netlist.num_cells();
-  const std::vector<double> base(n, 1.0);
+  // Two base scales, so the cap is checked relative to each cell's own.
+  std::vector<double> base(n);
+  for (CellId c = 0; c < n; ++c) base[c] = c % 3 == 0 ? 0.5 : 1.0;
   std::vector<bool> eligible(n, true);
   for (CellId c = 0; c < n; c += 2) eligible[c] = false;
 
-  InflationOptions opt;
-  opt.threshold = peak / 2.0;  // guarantee some bins count as overflowed
-  opt.rate = 1.0;
-  opt.max_scale = 1.5;
-  std::vector<double> scale = base;
-  const std::size_t grown = inflate_cells(bench.netlist, map,
-                                          bench.placement, opt, base,
-                                          eligible, scale);
-  EXPECT_GT(grown, 0u);
-  std::size_t above = 0;
+  // The generated start piles every movable cell at the core center, so
+  // its peak bins lie far above the threshold and the cap binds; a
+  // uniform scatter leaves peaks between the threshold and the cap, where
+  // the slope sets the growth.
+  Placement scatter = bench.placement;
+  util::Rng rng(3);
+  const geom::Rect& core = bench.design.core();
   for (CellId c = 0; c < n; ++c) {
-    if (!eligible[c]) {
-      EXPECT_DOUBLE_EQ(scale[c], base[c]) << "ineligible cell " << c;
-      continue;
+    if (!bench.netlist.cell(c).fixed) {
+      scatter[c] = {rng.uniform(core.lx, core.hx),
+                    rng.uniform(core.ly, core.hy)};
     }
-    EXPECT_GE(scale[c], base[c]);
-    EXPECT_LE(scale[c], base[c] * opt.max_scale + 1e-12);
-    if (scale[c] > base[c]) ++above;
   }
-  EXPECT_EQ(above, grown);
-
-  // Threshold above the peak: nothing is overflowed, nothing inflates.
-  opt.threshold = peak + 1.0;
-  std::vector<double> unchanged = base;
-  EXPECT_EQ(inflate_cells(bench.netlist, map, bench.placement, opt, base,
-                          eligible, unchanged),
-            0u);
-  EXPECT_EQ(unchanged, base);
+  CongestionMap map(bench.netlist, bench.design, {});
+  std::size_t capped = 0, sloped = 0;
+  const Placement* const starts[] = {&bench.placement, &scatter};
+  for (const Placement* pl : starts) {
+    map.build(*pl);
+    ASSERT_GT(map.report().peak, kInflationThreshold);
+    std::vector<double> scale = base;
+    const std::size_t grown =
+        inflate_cells(bench.netlist, map, *pl, base, eligible, scale);
+    EXPECT_GT(grown, 0u);
+    std::size_t above = 0;
+    for (CellId c = 0; c < n; ++c) {
+      const double r = map.ratio(map.bin_x((*pl)[c].x), map.bin_y((*pl)[c].y));
+      double want = base[c];
+      if (!bench.netlist.cell(c).fixed && eligible[c] &&
+          r > kInflationThreshold) {
+        const double cap = base[c] * kInflationMaxScale;
+        want = std::min(
+            base[c] * (1.0 + kInflationRate * (r - kInflationThreshold)), cap);
+        ++above;
+        ++(want == cap ? capped : sloped);
+      }
+      EXPECT_EQ(scale[c], want) << "cell " << c << " ratio " << r;
+    }
+    EXPECT_EQ(above, grown);
+  }
+  EXPECT_GT(capped, 0u);
+  EXPECT_GT(sloped, 0u);
 }
 
 /// One baseline-flow placement of dp_add32 with the given congestion
@@ -287,6 +296,23 @@ TEST(Inflation, PlacerInflatesInsideGpDeterministically) {
             refined4.report.congestion_refine_iters);
   EXPECT_EQ(refined.report.congestion_inflated_cells,
             refined4.report.congestion_inflated_cells);
+}
+
+// A placed design's peak stays below the threshold: nothing inflates.
+TEST(Inflation, NoOpBelowThreshold) {
+  const dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
+  const RoutedRun placed = place_add32(false, false, 1);
+  CongestionMap map(bench.netlist, bench.design, {});
+  map.build(placed.pl);
+  ASSERT_LE(map.report().peak, kInflationThreshold);
+  const std::size_t n = bench.netlist.num_cells();
+  const std::vector<double> base(n, 1.0);
+  const std::vector<bool> eligible(n, true);
+  std::vector<double> scale = base;
+  EXPECT_EQ(
+      inflate_cells(bench.netlist, map, placed.pl, base, eligible, scale),
+      0u);
+  EXPECT_EQ(scale, base);
 }
 
 // The inflation budget follows the design's own utilization: a design

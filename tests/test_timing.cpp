@@ -166,10 +166,7 @@ TEST(TimingGraph, CombinationalLoopDetected) {
 TEST(TimingAnalyzer, ChainDelaysByHand) {
   Chain c;
   const TimingGraph g(*c.nl);
-  TimingOptions opt;
-  opt.gate_delay = 1.0;
-  opt.wire_delay_per_unit = 0.5;
-  TimingAnalyzer an(g, opt);
+  TimingAnalyzer an(g);
   const TimingReport& r = an.analyze(c.pl);
 
   // Pin offsets are zero-ish for these types? Compute expected from net
@@ -179,15 +176,15 @@ TEST(TimingAnalyzer, ChainDelaysByHand) {
   const double d3 = an.net_delay()[c.n3];
   EXPECT_GT(d1, 0.0);
   EXPECT_EQ(an.arrival()[c.inv_a], d1);
-  EXPECT_EQ(an.arrival()[c.inv_y], d1 + 1.0);
-  EXPECT_EQ(an.arrival()[c.ff_d], d1 + 1.0 + d2);
+  EXPECT_EQ(an.arrival()[c.inv_y], d1 + kGateDelay);
+  EXPECT_EQ(an.arrival()[c.ff_d], d1 + kGateDelay + d2);
   // The register output starts a fresh path.
   EXPECT_EQ(an.arrival()[c.ff_q], 0.0);
   EXPECT_EQ(an.arrival()[c.po_in], d3);
 
   // Auto period = worst endpoint arrival -> zero worst slack, no
   // violations.
-  EXPECT_EQ(r.clock_period, d1 + 1.0 + d2);
+  EXPECT_EQ(r.clock_period, d1 + kGateDelay + d2);
   EXPECT_EQ(r.wns, 0.0);
   EXPECT_EQ(r.tns, 0.0);
   EXPECT_EQ(r.violations, 0u);
@@ -200,6 +197,7 @@ TEST(TimingAnalyzer, ChainDelaysByHand) {
   EXPECT_EQ(r.critical_path.back().arrival, r.max_arrival);
 
   // An explicit tight period creates violations.
+  TimingOptions opt;
   opt.clock_period = 0.5;
   TimingAnalyzer tight(g, opt);
   const TimingReport& rt = tight.analyze(c.pl);
@@ -231,7 +229,7 @@ TEST(TimingAnalyzer, RandomizedSlackConsistency) {
       double at = 0.0;
       for (std::size_t a = g.fanin_first(p); a < g.fanin_first(p + 1); ++a) {
         const double d = g.arc_kind()[a] == ArcKind::kCell
-                             ? an.options().gate_delay
+                             ? kGateDelay
                              : an.net_delay()[g.arc_net()[a]];
         at = std::max(at, arrival[g.arc_src()[a]] + d);
       }
