@@ -197,6 +197,17 @@ int run(int argc, char** argv) {
       report.structure.groups.size(), report.alignment.rms_misalignment,
       report.legality.legal() ? "yes" : "NO",
       report.legality.overlap_truncated ? " (overlap sweep truncated)" : "");
+  const gp::GpResult& gp_result = report.gp_result;
+  std::printf("gp: %zu outers, stopped by %s at overflow %.3f; %zu CG "
+              "iterations, %zu evaluations; inner stops:",
+              gp_result.trace.size(), gp::to_string(gp_result.stop_reason),
+              gp_result.final_overflow, gp_result.total_cg_iterations,
+              gp_result.total_evaluations);
+  for (std::size_t r = 0; r < gp::kNumCgStops; ++r) {
+    std::printf(" %s=%zu", gp::to_string(static_cast<gp::CgStop>(r)),
+                gp_result.inner_stops[r]);
+  }
+  std::printf("\n");
   std::printf("gp eval profile: %s\n",
               report.gp_result.profile.to_string().c_str());
   std::printf("detail profile: %s\n",

@@ -172,7 +172,8 @@ std::string report_to_json(const PlaceReport& report,
       << ",\"legal_fallback\":" << report.legal_fallback
       << "},\"gp\":{\"final_overflow\":";
   append_number(out, report.gp_result.final_overflow);
-  out << ",\"outer_iterations\":" << report.gp_result.trace.size()
+  out << ",\"stop_reason\":\"" << gp::to_string(report.gp_result.stop_reason)
+      << "\",\"outer_iterations\":" << report.gp_result.trace.size()
       << ",\"cg_iterations\":" << report.gp_result.total_cg_iterations
       << ",\"evaluations\":" << report.gp_result.total_evaluations
       << "},\"congestion\":";

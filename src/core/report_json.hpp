@@ -9,7 +9,7 @@ namespace dp::core {
 /// Schema version of report_to_json()'s output, emitted as its first
 /// key. Bump on any breaking change (renamed or retyped keys), so
 /// harvesting scripts can fail fast on stale expectations.
-inline constexpr int kReportJsonSchemaVersion = 2;
+inline constexpr int kReportJsonSchemaVersion = 3;
 
 /// Escape a string for embedding in a JSON double-quoted literal:
 /// backslash, quote, and every control character below 0x20 (the ones

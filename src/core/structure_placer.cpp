@@ -61,6 +61,16 @@ std::function<double(const gp::TermContext&)> make_schedule(
   };
 }
 
+/// Warns when a main GP run (not the glue GP) used up its outer
+/// iterations above its stop overflow.
+void warn_if_capped(const char* phase, const gp::GpResult& res,
+                    const gp::GpOptions& options) {
+  if (res.stop_reason != gp::GpStop::kOuterCap) return;
+  util::Logger::warn(
+      "gp %s: stopped at the %zu-outer cap at overflow %.3f (stop %.3f)",
+      phase, options.max_outer, res.final_overflow, options.stop_overflow);
+}
+
 /// One StructurePlacer::place run, phase by phase: the placement being
 /// produced, the report filling up, and what one phase hands the next
 /// (the run's thread pool, timing analyzer, congestion map, density scale
@@ -133,6 +143,7 @@ class RunContext {
       gp::GlobalPlacer placer = make_placer(config_.gp, gp::VarMap(nl_));
       install_outer_hook(placer, 1.0);
       report.gp_result = placer.place(pl_);
+      warn_if_capped("baseline", report.gp_result, config_.gp);
     }
     report.hpwl_gp = report.gp_result.final_hpwl;
     report.t_gp = stage.seconds();
@@ -287,6 +298,7 @@ class RunContext {
         make_placer(opt_a, gp::VarMap(nl_), density_scale_);
     install_outer_hook(phase_a, 1.0);
     report.gp_result = phase_a.place(pl_);
+    warn_if_capped("phase A", report.gp_result, opt_a);
 
     // Phase B continues from phase A's placement and density scale:
     // alignment on from the start, weight normalized against the
@@ -313,6 +325,7 @@ class RunContext {
                       make_schedule(phase_b, plate_overlap, pl_, w),
                       "overlap"});
     const gp::GpResult res_b = phase_b.place(pl_);
+    warn_if_capped("phase B", res_b, opt_b);
 
     gp::GpResult& gp_result = report.gp_result;
     const std::size_t offset = gp_result.trace.size();
@@ -322,9 +335,8 @@ class RunContext {
     }
     gp_result.final_hpwl = res_b.final_hpwl;
     gp_result.final_overflow = res_b.final_overflow;
-    gp_result.total_cg_iterations += res_b.total_cg_iterations;
-    gp_result.total_evaluations += res_b.total_evaluations;
-    gp_result.profile.merge(res_b.profile);
+    gp_result.stop_reason = res_b.stop_reason;
+    gp_result.add_work(res_b);
 
     along_y_.resize(report.structure.groups.size());
     for (std::size_t g = 0; g < along_y_.size(); ++g) {
@@ -364,9 +376,7 @@ class RunContext {
       const double before = eval::hpwl(nl_, pl);
       gp::GlobalPlacer glue_placer = make_placer(opt, std::move(vars));
       const auto res = glue_placer.place(pl);
-      report.gp_result.total_cg_iterations += res.total_cg_iterations;
-      report.gp_result.total_evaluations += res.total_evaluations;
-      report.gp_result.profile.merge(res.profile);
+      report.gp_result.add_work(res);
       util::Logger::debug(
           "glue gp: %zu cells, hpwl %.1f -> %.1f (%zu outers, overflow "
           "%.3f)",

@@ -13,6 +13,7 @@ namespace {
 
 // The fixed schedule GpOptions documents.
 constexpr std::size_t kInnerIters = 50;
+constexpr double kInnerRelTol = 1e-4;
 constexpr double kTargetDensity = 1.0;
 constexpr double kLambdaInitFactor = 0.1;
 constexpr double kLambdaMultiplier = 2.0;
@@ -136,6 +137,25 @@ class CompositeObjective final : public Objective {
 
 }  // namespace
 
+const char* to_string(GpStop stop) {
+  switch (stop) {
+    case GpStop::kOverflowReached:
+      return "overflow_reached";
+    case GpStop::kOuterCap:
+      return "outer_cap";
+  }
+  return "unknown";
+}
+
+void GpResult::add_work(const GpResult& other) {
+  total_cg_iterations += other.total_cg_iterations;
+  total_evaluations += other.total_evaluations;
+  for (std::size_t r = 0; r < kNumCgStops; ++r) {
+    inner_stops[r] += other.inner_stops[r];
+  }
+  profile.merge(other.profile);
+}
+
 GlobalPlacer::GlobalPlacer(const netlist::Netlist& nl,
                            const netlist::Design& design, GpOptions options)
     : GlobalPlacer(nl, design, options, VarMap(nl)) {}
@@ -209,6 +229,7 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
 
   CgOptions cg;
   cg.max_iters = kInnerIters;
+  cg.rel_tol = kInnerRelTol;
   cg.step_ref = density_->bin_width();
 
   double overflow = density_->overflow(pl, vars_, kTargetDensity);
@@ -231,6 +252,7 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
     const CgResult inner = minimize_cg(objective, v, cg);
     result.total_cg_iterations += inner.iterations;
     result.total_evaluations += inner.evaluations;
+    ++result.inner_stops[static_cast<std::size_t>(inner.stop)];
     result.profile.line_search.calls += inner.line_search_evals;
     result.profile.line_search.seconds += inner.line_search_seconds;
     result.profile.gradients += inner.gradient_evals;
@@ -262,6 +284,9 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
   vars_.scatter(v, pl);
   result.final_hpwl = eval::hpwl(*nl_, pl);
   result.final_overflow = overflow;
+  result.stop_reason = overflow <= options_.stop_overflow
+                           ? GpStop::kOverflowReached
+                           : GpStop::kOuterCap;
   return result;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -18,10 +19,12 @@ class ThreadPool;
 
 namespace dp::gp {
 
-/// Options of one global-placement run. Fixed by the algorithm: 50 CG
-/// iterations per outer iteration, the overflow measured against a bin
-/// capacity of density 1, and a density weight starting at 0.1 of the
-/// wirelength/density gradient ratio and doubling every outer iteration.
+/// Options of one global-placement run. Fixed by the algorithm: at most 50
+/// CG iterations per outer iteration, stopped early by the first one that
+/// improves the objective by less than 1e-4 relative, the overflow
+/// measured against a bin capacity of density 1, and a density weight
+/// starting at 0.1 of the wirelength/density gradient ratio and doubling
+/// every outer iteration.
 struct GpOptions {
   WirelengthModel wl_model = WirelengthModel::kWa;
   /// Stop when the hard density overflow drops below this fraction.
@@ -49,14 +52,30 @@ struct GpTracePoint {
   double gamma = 0.0;
 };
 
+/// Why a global-placement run stopped.
+enum class GpStop {
+  kOverflowReached,  ///< overflow fell to `stop_overflow`
+  kOuterCap,         ///< `max_outer` outers ran, overflow still above
+};
+
+/// Snake-case name of a stop reason, e.g. "outer_cap".
+const char* to_string(GpStop stop);
+
 struct GpResult {
   std::vector<GpTracePoint> trace;
   double final_hpwl = 0.0;
   double final_overflow = 0.0;
+  GpStop stop_reason = GpStop::kOverflowReached;
   std::size_t total_cg_iterations = 0;
   std::size_t total_evaluations = 0;
+  /// Inner CG runs by the reason they stopped, indexed by CgStop.
+  std::array<std::size_t, kNumCgStops> inner_stops{};
   /// Per-term call counts and wall time of this run's evaluations.
   EvalProfile profile;
+
+  /// Adds another run's work (CG iterations, evaluations, inner stops and
+  /// profile) to this one's, for a placement made of several GP runs.
+  void add_work(const GpResult& other);
 };
 
 /// Scheduling context handed to extra-term weight callbacks each outer

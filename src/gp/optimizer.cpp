@@ -23,6 +23,20 @@ double inf_norm(std::span<const double> a) {
 
 }  // namespace
 
+const char* to_string(CgStop stop) {
+  switch (stop) {
+    case CgStop::kTolerance:
+      return "tolerance";
+    case CgStop::kIterationCap:
+      return "iteration_cap";
+    case CgStop::kLineSearchFailed:
+      return "line_search_failed";
+    case CgStop::kNoDescent:
+      return "no_descent";
+  }
+  return "unknown";
+}
+
 double Objective::value(std::span<const double> vars) {
   kept_grad_.resize(vars.size());
   return eval(vars, kept_grad_);
@@ -36,7 +50,10 @@ CgResult minimize_cg(Objective& objective, std::vector<double>& vars,
                      const CgOptions& options) {
   CgResult result;
   const std::size_t n = vars.size();
-  if (n == 0) return result;
+  if (n == 0) {
+    result.stop = CgStop::kNoDescent;
+    return result;
+  }
 
   std::vector<double> grad(n, 0.0), prev_grad(n, 0.0), dir(n, 0.0);
   std::vector<double> trial(n, 0.0);
@@ -54,11 +71,17 @@ CgResult minimize_cg(Objective& objective, std::vector<double>& vars,
       // Not a descent direction: restart with steepest descent.
       for (std::size_t i = 0; i < n; ++i) dir[i] = -grad[i];
       g_dot_d = dot(grad, dir);
-      if (g_dot_d >= 0.0) break;  // gradient is ~zero
+      if (g_dot_d >= 0.0) {  // gradient is ~zero
+        result.stop = CgStop::kNoDescent;
+        break;
+      }
     }
 
     const double dmax = inf_norm(dir);
-    if (dmax == 0.0) break;
+    if (dmax == 0.0) {
+      result.stop = CgStop::kNoDescent;
+      break;
+    }
     double alpha = options.step_ref / dmax;
 
     // Armijo backtracking.
@@ -77,7 +100,10 @@ CgResult minimize_cg(Objective& objective, std::vector<double>& vars,
       alpha *= 0.5;
     }
     result.line_search_seconds += ls_timer.seconds();
-    if (!accepted) break;  // line search failed; gradient likely noisy
+    if (!accepted) {  // gradient likely noisy
+      result.stop = CgStop::kLineSearchFailed;
+      break;
+    }
 
     // Only the accepted probe pays for its gradient.
     objective.gradient(prev_grad);
@@ -99,6 +125,7 @@ CgResult minimize_cg(Objective& objective, std::vector<double>& vars,
     for (std::size_t i = 0; i < n; ++i) dir[i] = -grad[i] + beta * dir[i];
 
     if (std::abs(f_old - f) <= options.rel_tol * (std::abs(f_old) + 1e-12)) {
+      result.stop = CgStop::kTolerance;
       break;
     }
   }

@@ -43,7 +43,20 @@ struct CgOptions {
   std::size_t max_backtracks = 12;
 };
 
+/// Why a minimize_cg run stopped.
+enum class CgStop {
+  kTolerance,         ///< an iteration improved f by less than `rel_tol`
+  kIterationCap,      ///< `max_iters` iterations ran
+  kLineSearchFailed,  ///< no Armijo step within `max_backtracks` halvings
+  kNoDescent,         ///< the gradient offers no descent direction
+};
+inline constexpr std::size_t kNumCgStops = 4;
+
+/// Snake-case name of a stop reason, e.g. "iteration_cap".
+const char* to_string(CgStop stop);
+
 struct CgResult {
+  CgStop stop = CgStop::kIterationCap;
   std::size_t iterations = 0;
   std::size_t evaluations = 0;
   double final_value = 0.0;

@@ -244,10 +244,15 @@ TEST(ReportJson, SchemaVersionLeadsAndEscapesHold) {
 
   core::PlaceReport report;
   const std::string json = core::report_to_json(report);
-  EXPECT_EQ(json.rfind("{\"schema_version\":2,", 0), 0u)
+  EXPECT_EQ(json.rfind("{\"schema_version\":3,", 0), 0u)
       << "schema_version must be the first key: " << json;
   EXPECT_NE(json.find("\"timing\":null"), std::string::npos)
       << "timing not measured -> null section";
+  EXPECT_NE(json.find("\"stop_reason\":\"overflow_reached\""),
+            std::string::npos);
+  report.gp_result.stop_reason = gp::GpStop::kOuterCap;
+  EXPECT_NE(core::report_to_json(report).find("\"stop_reason\":\"outer_cap\""),
+            std::string::npos);
 }
 
 TEST(ReportJson, TimingSectionCarriesCriticalPathNames) {

@@ -1,11 +1,12 @@
 // Golden placements: the final HPWL of a few full placement runs, pinned
-// to the bit, plus the timing guard's veto count. Any change to the
-// placer that moves a placement -- kernel reordering, a different
-// reduction order, a new default -- fails here, so drift is always
-// declared, never silent.
+// to the bit, plus the timing guard's veto count and the GP's CG
+// iterations and objective evaluations. Any change to the placer that
+// moves a placement -- kernel reordering, a different reduction order, a
+// new default -- fails here, and so does one that adds GP work without
+// moving it, so drift is always declared, never silent.
 //
 // Re-recording after a declared drift: run this test, copy the "actual"
-// hex pattern each failing case prints into its `bits` entry below, and
+// hex pattern and counts each failing case prints into its entry below, and
 // state the drift (what moved and why) in the change description. The
 // patterns are for IEEE-754 doubles on x86-64 without FMA contraction
 // (the default GCC/Clang codegen); another toolchain may legitimately
@@ -37,6 +38,8 @@ struct Golden {
   bool routed;  ///< timing-driven + in-GP congestion inflation on
   std::uint64_t bits;
   std::size_t guard_vetoes;  ///< detail moves the timing guard refused
+  std::size_t cg_iterations;  ///< over every GP run of the placement
+  std::size_t evaluations;    ///< objective evaluations, likewise
 };
 
 std::string hex(std::uint64_t bits) {
@@ -76,6 +79,8 @@ TEST_P(GoldenPlacement, FinalHpwlBitwise) {
       << ": hpwl_final " << hpwl << " drifted from "
       << std::bit_cast<double>(g.bits);
   EXPECT_EQ(report.detail_stats.profile.guard_vetoes, g.guard_vetoes);
+  EXPECT_EQ(report.gp_result.total_cg_iterations, g.cg_iterations);
+  EXPECT_EQ(report.gp_result.total_evaluations, g.evaluations);
 }
 
 std::string case_name(const testing::TestParamInfo<Golden>& param_info) {
@@ -92,9 +97,12 @@ std::string case_name(const testing::TestParamInfo<Golden>& param_info) {
 INSTANTIATE_TEST_SUITE_P(
     SaGentle, GoldenPlacement,
     testing::Values(
-        Golden{"dp_add32", Flow::kGentle, false, 0x40c3297477c9e6e7ULL, 0},
-        Golden{"mix25", Flow::kGentle, false, 0x40e56a83d95bc608ULL, 0},
-        Golden{"mix25", Flow::kGentle, true, 0x40e7589a7f8458dbULL, 646}),
+        Golden{"dp_add32", Flow::kGentle, false, 0x40c334584d4873efULL, 0,
+               179, 290},
+        Golden{"mix25", Flow::kGentle, false, 0x40e54cd942a81725ULL, 0,
+               385, 512},
+        Golden{"mix25", Flow::kGentle, true, 0x40e7c32b8c135224ULL, 664,
+               687, 778}),
     case_name);
 
 // Template blocks (glue GP over a subset VarMap around frozen plates, the
@@ -103,9 +111,12 @@ INSTANTIATE_TEST_SUITE_P(
 INSTANTIATE_TEST_SUITE_P(
     OtherFlows, GoldenPlacement,
     testing::Values(
-        Golden{"mix25", Flow::kStructured, false, 0x40e923e33521cfbfULL, 0},
-        Golden{"mix25", Flow::kBaseline, false, 0x40e46224de304d49ULL, 0},
-        Golden{"mix25", Flow::kBaseline, true, 0x40e911573521cfacULL, 796}),
+        Golden{"mix25", Flow::kStructured, false, 0x40e95c7c7d95bc65ULL, 0,
+               1152, 1540},
+        Golden{"mix25", Flow::kBaseline, false, 0x40e449e3c03dd391ULL, 0,
+               252, 344},
+        Golden{"mix25", Flow::kBaseline, true, 0x40e9281cdc41b0cbULL, 744,
+               970, 1081}),
     case_name);
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "dpgen/benchmarks.hpp"
 #include "eval/metrics.hpp"
 #include "gp/global_placer.hpp"
@@ -171,35 +174,89 @@ TEST(GlobalPlacer, ExtraTermWeightCallbackRuns) {
 
 TEST(GlobalPlacer, OuterHookRescalesDensityForTheNextOuter) {
   SmallBench sb;
+  const auto& nl = sb.bench->netlist;
+  const auto& design = sb.bench->design;
   GpOptions opt;
   opt.stop_overflow = 0.0;
   opt.max_outer = 4;
   constexpr std::size_t kAt = 2;
+  const std::vector<double> doubled(nl.num_cells(), 2.0);
+  struct Run {
+    std::vector<GpTracePoint> trace;
+    Placement after_at;  ///< the placement outer kAt ended with
+  };
   auto run = [&](bool rescale) {
-    GlobalPlacer placer(sb.bench->netlist, sb.bench->design, opt);
+    GlobalPlacer placer(nl, design, opt);
     std::vector<std::size_t> seen;
-    placer.set_outer_hook([&](const TermContext& ctx, const Placement&,
+    Run r;
+    placer.set_outer_hook([&](const TermContext& ctx, const Placement& pl,
                               SmoothWirelength&, DensityPenalty& density) {
       seen.push_back(ctx.outer);
-      if (rescale && ctx.outer == kAt) {
-        density.set_area_scale(
-            std::vector<double>(sb.bench->netlist.num_cells(), 2.0));
-      }
+      if (rescale && ctx.outer == kAt) density.set_area_scale(doubled);
+      if (ctx.outer == kAt + 1) r.after_at = pl;
     });
     Placement pl = sb.bench->placement;
-    const GpResult res = placer.place(pl);
+    r.trace = placer.place(pl).trace;
     EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3}));
-    return res.trace;
+    return r;
   };
-  const auto plain = run(false);
-  const auto rescaled = run(true);
-  ASSERT_EQ(plain.size(), 4u);
-  ASSERT_EQ(rescaled.size(), 4u);
-  for (std::size_t k = 0; k < kAt; ++k) {
-    EXPECT_EQ(plain[k].overflow, rescaled[k].overflow) << "outer " << k;
+  const Run plain = run(false);
+  const Run rescaled = run(true);
+  ASSERT_EQ(plain.trace.size(), 4u);
+  ASSERT_EQ(rescaled.trace.size(), 4u);
+  // The hook changes nothing before it rescales, and every outer from the
+  // rescaled one on.
+  for (std::size_t k = 0; k < 4; ++k) {
+    const bool same =
+        std::bit_cast<std::uint64_t>(plain.trace[k].hpwl) ==
+            std::bit_cast<std::uint64_t>(rescaled.trace[k].hpwl) &&
+        std::bit_cast<std::uint64_t>(plain.trace[k].overflow) ==
+            std::bit_cast<std::uint64_t>(rescaled.trace[k].overflow);
+    EXPECT_EQ(same, k < kAt) << "outer " << k;
   }
-  // Doubled cell areas overfill bins the plain run had spread.
-  EXPECT_GT(rescaled[kAt].overflow, plain[kAt].overflow);
+  // Outer kAt's overflow is measured with the doubled areas.
+  const VarMap vars(nl);
+  DensityPenalty scaled_density(nl, design);
+  scaled_density.preload_obstacles(sb.bench->placement, vars);
+  scaled_density.set_area_scale(doubled);
+  DensityPenalty unit_density(nl, design);
+  unit_density.preload_obstacles(sb.bench->placement, vars);
+  EXPECT_EQ(scaled_density.overflow(rescaled.after_at, vars, 1.0),
+            rescaled.trace[kAt].overflow);
+  EXPECT_NE(unit_density.overflow(rescaled.after_at, vars, 1.0),
+            rescaled.trace[kAt].overflow);
+}
+
+TEST(GlobalPlacer, StopReasonsAndInnerStopCounts) {
+  SmallBench sb;
+  GpOptions opt;
+  opt.stop_overflow = 0.0;
+  opt.max_outer = 3;
+  GlobalPlacer capped(sb.bench->netlist, sb.bench->design, opt);
+  Placement pl = sb.bench->placement;
+  const GpResult cap = capped.place(pl);
+  EXPECT_EQ(cap.stop_reason, GpStop::kOuterCap);
+  EXPECT_STREQ(to_string(cap.stop_reason), "outer_cap");
+
+  GlobalPlacer full(sb.bench->netlist, sb.bench->design);
+  pl = sb.bench->placement;
+  const GpResult done = full.place(pl);
+  EXPECT_EQ(done.stop_reason, GpStop::kOverflowReached);
+  EXPECT_LE(done.final_overflow, GpOptions{}.stop_overflow);
+
+  // One inner stop per outer iteration.
+  for (const GpResult* res : {&cap, &done}) {
+    std::size_t inner = 0;
+    for (const std::size_t count : res->inner_stops) inner += count;
+    EXPECT_EQ(inner, res->trace.size());
+  }
+  GpResult merged = cap;
+  merged.add_work(done);
+  for (std::size_t r = 0; r < kNumCgStops; ++r) {
+    EXPECT_EQ(merged.inner_stops[r], cap.inner_stops[r] + done.inner_stops[r]);
+  }
+  EXPECT_EQ(merged.total_evaluations,
+            cap.total_evaluations + done.total_evaluations);
 }
 
 TEST(GlobalPlacer, TraceIsMonotoneInLambda) {

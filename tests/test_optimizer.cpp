@@ -124,6 +124,7 @@ TEST(Cg, EmptyProblemIsNoop) {
   std::vector<double> v;
   const CgResult res = minimize_cg(bowl, v, {});
   EXPECT_EQ(res.iterations, 0u);
+  EXPECT_EQ(res.stop, CgStop::kNoDescent);
 }
 
 TEST(Cg, AlreadyOptimalStopsQuickly) {
@@ -148,6 +149,72 @@ TEST(Cg, MonotoneNonIncreasing) {
     EXPECT_LE(res.final_value, prev + 1e-12);
     prev = res.final_value;
   }
+}
+
+/// f(x) = sum x_i^2 reporting the gradient's negation, so every direction
+/// it calls descent goes uphill.
+class UphillGradient final : public Objective {
+ public:
+  double eval(std::span<const double> v, std::span<double> g) override {
+    double f = 0.0;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      f += v[i] * v[i];
+      g[i] = -2 * v[i];
+    }
+    return f;
+  }
+};
+
+TEST(CgStop, ToleranceEndsTheRunBeforeTheCap) {
+  // A unit step from 0 towards (100, 100) gains 2% of f, under rel_tol.
+  Bowl bowl({100.0, 100.0});
+  std::vector<double> v{0.0, 0.0};
+  CgOptions opt;
+  opt.step_ref = 1.0;
+  opt.rel_tol = 0.05;
+  const CgResult res = minimize_cg(bowl, v, opt);
+  EXPECT_EQ(res.stop, CgStop::kTolerance);
+  EXPECT_EQ(res.iterations, 1u);
+  EXPECT_EQ(v, (std::vector<double>{1.0, 1.0}));
+}
+
+TEST(CgStop, IterationCapWhenStillImproving) {
+  Rosenbrock f;
+  std::vector<double> v{-1.2, 1.0};
+  CgOptions opt;
+  opt.max_iters = 5;
+  opt.step_ref = 0.1;
+  opt.rel_tol = 1e-14;
+  const CgResult res = minimize_cg(f, v, opt);
+  EXPECT_EQ(res.stop, CgStop::kIterationCap);
+  EXPECT_EQ(res.iterations, 5u);
+}
+
+TEST(CgStop, LineSearchFailsOnAnUphillGradient) {
+  UphillGradient f;
+  std::vector<double> v{1.0, -2.0};
+  CgOptions opt;
+  const CgResult res = minimize_cg(f, v, opt);
+  EXPECT_EQ(res.stop, CgStop::kLineSearchFailed);
+  EXPECT_EQ(res.iterations, 1u);
+  EXPECT_EQ(res.line_search_evals, opt.max_backtracks + 1);
+  EXPECT_EQ(v, (std::vector<double>{1.0, -2.0}));  // no step taken
+}
+
+TEST(CgStop, NoDescentAtAStationaryPoint) {
+  Bowl bowl({1.0, 1.0});
+  std::vector<double> v{1.0, 1.0};
+  const CgResult res = minimize_cg(bowl, v, {});
+  EXPECT_EQ(res.stop, CgStop::kNoDescent);
+  EXPECT_EQ(res.iterations, 1u);
+  EXPECT_EQ(res.evaluations, 1u);
+}
+
+TEST(CgStop, NamesAreDistinct) {
+  EXPECT_STREQ(to_string(CgStop::kTolerance), "tolerance");
+  EXPECT_STREQ(to_string(CgStop::kIterationCap), "iteration_cap");
+  EXPECT_STREQ(to_string(CgStop::kLineSearchFailed), "line_search_failed");
+  EXPECT_STREQ(to_string(CgStop::kNoDescent), "no_descent");
 }
 
 TEST(Cg, CountsEvaluations) {
