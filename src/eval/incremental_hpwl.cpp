@@ -65,24 +65,6 @@ double IncrementalHpwl::resync_total() {
   return total;
 }
 
-double IncrementalHpwl::incident_hpwl(std::span<const CellId> cells) {
-  scratch_nets_.clear();
-  for (CellId c : cells) {
-    for (PinId p : nl_->cell(c).pins) {
-      scratch_nets_.push_back(nl_->pin(p).net);
-    }
-  }
-  std::sort(scratch_nets_.begin(), scratch_nets_.end());
-  scratch_nets_.erase(
-      std::unique(scratch_nets_.begin(), scratch_nets_.end()),
-      scratch_nets_.end());
-  double total = 0.0;
-  for (NetId n : scratch_nets_) {
-    total += nl_->net(n).weight * net_hpwl(n);
-  }
-  return total;
-}
-
 IncrementalHpwl::Trial IncrementalHpwl::trial_shift(
     std::span<const CellId> cells, double dx, double dy) {
   return stage(cells, Mode::kShift, dx, dy, {});
@@ -91,11 +73,6 @@ IncrementalHpwl::Trial IncrementalHpwl::trial_shift(
 IncrementalHpwl::Trial IncrementalHpwl::trial_place(
     std::span<const CellId> cells, std::span<const geom::Point> centers) {
   return stage(cells, Mode::kPlace, 0.0, 0.0, centers);
-}
-
-void IncrementalHpwl::refresh(std::span<const CellId> cells) {
-  stage(cells, Mode::kRefresh, 0.0, 0.0, {});
-  commit();
 }
 
 IncrementalHpwl::Trial IncrementalHpwl::stage(
@@ -131,10 +108,6 @@ IncrementalHpwl::Trial IncrementalHpwl::stage(
       case Mode::kPlace:
         cx = centers[k].x;
         cy = centers[k].y;
-        break;
-      case Mode::kRefresh:
-        cx = (*pl_)[c].x;
-        cy = (*pl_)[c].y;
         break;
     }
     for (PinId p : nl_->cell(c).pins) {
@@ -467,8 +440,6 @@ void IncrementalHpwl::commit() {
       for (std::size_t k = 0; k < staged_cells_.size(); ++k) {
         (*pl_)[staged_cells_[k]] = staged_centers_[k];
       }
-      break;
-    case Mode::kRefresh:
       break;
   }
   for (const StagedPin& sp : staged_pins_) {

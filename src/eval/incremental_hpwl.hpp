@@ -36,8 +36,8 @@ namespace dp::eval {
 /// per detailed-placement pass) to clamp the drift to zero.
 ///
 /// The engine holds a non-const reference to the placement: `commit()`
-/// applies the staged trial to it, and `refresh()` re-reads it after an
-/// external mutation. Cells passed to any call must be distinct.
+/// applies the staged trial to it. Cells passed to any call must be
+/// distinct.
 class IncrementalHpwl {
  public:
   IncrementalHpwl(const netlist::Netlist& nl, netlist::Placement& pl);
@@ -57,12 +57,6 @@ class IncrementalHpwl {
     if (nl_->net(n).pins.size() < 2) return 0.0;
     return (b.max_x - b.min_x) + (b.max_y - b.min_y);
   }
-
-  /// Weighted HPWL over the union of nets incident to `cells`, summed in
-  /// ascending net-id order: bitwise identical to the detailed placer's
-  /// historical full `nets_hpwl` rescan, at O(1) per net instead of
-  /// O(net degree).
-  double incident_hpwl(std::span<const netlist::CellId> cells);
 
   /// Result of a staged trial: the weighted HPWL of the incident nets
   /// before and after the candidate move, summed in ascending net order.
@@ -104,11 +98,6 @@ class IncrementalHpwl {
   /// Discard the staged trial. The placement was never touched.
   void rollback() { staged_ = false; }
 
-  /// Re-synchronize `cells` after their placement entries were mutated
-  /// externally (e.g. a legalizer wrote absolute positions). O(pins of
-  /// `cells`) plus any rescans.
-  void refresh(std::span<const netlist::CellId> cells);
-
   /// Full net rescans triggered by extreme pins moving inward.
   std::size_t rescans() const { return rescans_; }
 
@@ -132,7 +121,7 @@ class IncrementalHpwl {
     NetBox box;
   };
 
-  enum class Mode { kShift, kPlace, kRefresh };
+  enum class Mode { kShift, kPlace };
 
   /// Per-net accumulator filled in one pass over the staged pins: how many
   /// pins survive on each cached extreme once the moved pins' old
@@ -192,7 +181,6 @@ class IncrementalHpwl {
   std::vector<StagedNet> staged_nets_;
   double stage_before_ = 0.0, stage_after_ = 0.0;
 
-  std::vector<netlist::NetId> scratch_nets_;
   std::size_t rescans_ = 0;
 };
 

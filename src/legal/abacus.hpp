@@ -12,12 +12,14 @@ namespace dp::legal {
 /// cells are inserted in x order into the row segment minimizing their
 /// resulting displacement; within a segment, overlapping cells are merged
 /// into clusters whose optimal position is the mean of member targets,
-/// collapsed until no overlap remains. Produces far smaller displacement
-/// than Tetris because earlier cells yield to later arrivals.
+/// collapsed until no overlap remains, so earlier cells yield to later
+/// arrivals instead of pinning them behind a fill frontier.
 ///
 /// Operates on a free-space RowMap, so it handles rows fragmented by
-/// fixed macros or pre-placed datapath plates (the structure-aware flow
-/// uses it for the glue logic around the plates).
+/// fixed macros or pre-placed datapath plates. It is the only row
+/// legalizer: the flows run it on the bare core, the structure legalizer
+/// on the glue around the plates, and repair_legality on ripped-out
+/// cells.
 class AbacusLegalizer {
  public:
   AbacusLegalizer(const netlist::Netlist& nl, const netlist::Design& design);

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <vector>
+#include <cmath>
 
 #include "netlist/design.hpp"
 #include "netlist/netlist.hpp"
@@ -10,14 +10,12 @@ namespace dp::legal {
 /// Displacement statistics of a legalization run.
 struct LegalizeStats {
   double total_displacement = 0.0;
-  double max_displacement = 0.0;
   std::size_t cells_placed = 0;
   std::size_t cells_failed = 0;  ///< could not be placed (capacity exhausted)
 
   void record(double dx, double dy) {
     const double d = std::abs(dx) + std::abs(dy);
     total_displacement += d;
-    max_displacement = std::max(max_displacement, d);
     ++cells_placed;
   }
 

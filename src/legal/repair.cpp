@@ -4,10 +4,8 @@
 #include <cmath>
 #include <vector>
 
-#include "eval/incremental_hpwl.hpp"
 #include "legal/abacus.hpp"
 #include "legal/rowmap.hpp"
-#include "legal/tetris.hpp"
 #include "util/logger.hpp"
 
 namespace dp::legal {
@@ -64,12 +62,6 @@ std::size_t repair_legality(const netlist::Netlist& nl,
   }
   if (victims.empty()) return 0;
 
-  // Track the wirelength cost of the repair incrementally: only the
-  // victims move, so updating their incident nets is O(victim pins)
-  // instead of a second full eval::hpwl sweep.
-  eval::IncrementalHpwl hpwl_eng(nl, pl);
-  const double hpwl_before = hpwl_eng.total();
-
   // Free space = core minus every legally placed cell.
   RowMap free_map(design);
   for (std::size_t r = 0; r < rows.size(); ++r) {
@@ -78,37 +70,12 @@ std::size_t repair_legality(const netlist::Netlist& nl,
     }
   }
 
-  AbacusLegalizer abacus(nl, design);
-  std::vector<CellId> failed;
-  abacus.run(pl, victims, free_map, &failed);
-  if (!failed.empty()) {
-    // Re-derive free space (Abacus consumed some) and sweep with Tetris.
-    RowMap retry(design);
-    for (CellId c = 0; c < nl.num_cells(); ++c) {
-      if (nl.cell(c).fixed) continue;
-      bool is_failed = false;
-      for (CellId f : failed) {
-        if (f == c) {
-          is_failed = true;
-          break;
-        }
-      }
-      if (is_failed) continue;
-      retry.block(design.nearest_row(pl[c].y),
-                  pl[c].x - nl.cell_width(c) / 2.0,
-                  pl[c].x + nl.cell_width(c) / 2.0);
-    }
-    TetrisLegalizer tetris(nl, design);
-    std::vector<CellId> still_failed;
-    tetris.run(pl, failed, retry, &still_failed);
-    if (!still_failed.empty()) {
-      util::Logger::warn("repair_legality: %zu cells could not be placed",
-                         still_failed.size());
-    }
+  const std::size_t failed =
+      AbacusLegalizer(nl, design).run(pl, victims, free_map).cells_failed;
+  if (failed > 0) {
+    util::Logger::warn("repair_legality: %zu cells could not be placed",
+                       failed);
   }
-  hpwl_eng.refresh(victims);
-  util::Logger::debug("repair_legality: re-placed %zu cells (hpwl %.1f -> %.1f)",
-                      victims.size(), hpwl_before, hpwl_eng.total());
   return victims.size();
 }
 

@@ -7,9 +7,10 @@ namespace dp::legal {
 
 /// Legality guarantee pass: detects movable cells that overlap a
 /// neighbour, stick out of the core, or sit off the row/site grid, rips
-/// them out, and re-places them into the actual remaining free space
-/// (Abacus first, Tetris sweep for stragglers). Idempotent on legal input.
-/// Returns the number of cells that had to be re-placed.
+/// them out, and Abacus-places them into the actual remaining free space
+/// (every legally placed cell blocked out on its own). Cells that fit
+/// nowhere keep their positions and are reported with a warning.
+/// Idempotent on legal input. Returns the number of cells ripped out.
 std::size_t repair_legality(const netlist::Netlist& nl,
                             const netlist::Design& design,
                             netlist::Placement& pl);

@@ -8,10 +8,7 @@
 #include <optional>
 
 #include "eval/incremental_hpwl.hpp"
-#include "eval/metrics.hpp"
 #include "legal/abacus.hpp"
-#include "legal/tetris.hpp"
-#include "util/logger.hpp"
 
 namespace dp::legal {
 
@@ -198,6 +195,14 @@ StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl,
     double x = 0.0;  ///< left edge of the first strip
     std::size_t fold_rows = 1;
     std::size_t strips = 1;
+
+    /// Row and left edge of unit `u`: strips of `fold_rows` units side by
+    /// side, lanes top-down within a strip when they descend.
+    std::pair<std::size_t, double> slot(std::size_t u) const {
+      const std::size_t pos = u % fold_rows;
+      return {row0 + (chunk.lanes_descending ? fold_rows - 1 - pos : pos),
+              x + chunk.width * static_cast<double>(u / fold_rows)};
+    }
   };
   std::vector<PlacedChunk> committed;
 
@@ -217,13 +222,7 @@ StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl,
     for (const PlacedChunk& pc : committed) {
       if (&pc == skip) continue;
       for (std::size_t u = 0; u < pc.chunk.units.size(); ++u) {
-        const std::size_t strip = u / pc.fold_rows;
-        const std::size_t pos = u % pc.fold_rows;
-        const std::size_t r =
-            pc.row0 +
-            (pc.chunk.lanes_descending ? pc.fold_rows - 1 - pos : pos);
-        const double ux =
-            pc.x + pc.chunk.width * static_cast<double>(strip);
+        const auto [r, ux] = pc.slot(u);
         rows.block(r, ux, ux + pc.chunk.width);
       }
     }
@@ -274,25 +273,9 @@ StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl,
     return std::nullopt;
   };
 
-  // Write a placed chunk's cell positions into pl.
-  auto apply_chunk = [&](const PlacedChunk& pc) {
-    for (std::size_t u = 0; u < pc.chunk.units.size(); ++u) {
-      const RowUnit& unit = pc.chunk.units[u];
-      const std::size_t strip = u / pc.fold_rows;
-      const std::size_t pos = u % pc.fold_rows;
-      const std::size_t r =
-          pc.row0 + (pc.chunk.lanes_descending ? pc.fold_rows - 1 - pos : pos);
-      const double ux = pc.x + pc.chunk.width * static_cast<double>(strip);
-      const double uy = design.row(r).y + design.row_height() / 2.0;
-      for (std::size_t k = 0; k < unit.cells.size(); ++k) {
-        pl[unit.cells[k]] = {ux + unit.offsets[k], uy};
-      }
-    }
-  };
-
-  // Target coordinates of a chunk's cells at its current (row0, x); used
-  // to stage whole-plate relocations through the incremental HPWL engine
-  // without mutating pl first. Mirrors apply_chunk exactly.
+  // Cell centers of a chunk at its current (row0, x), staged in
+  // chunk_cells / chunk_centers: written into pl on commit, or scored as
+  // a whole-plate relocation through the incremental HPWL engine first.
   std::vector<CellId> chunk_cells;
   std::vector<geom::Point> chunk_centers;
   auto chunk_targets = [&](const PlacedChunk& pc) {
@@ -300,11 +283,7 @@ StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl,
     chunk_centers.clear();
     for (std::size_t u = 0; u < pc.chunk.units.size(); ++u) {
       const RowUnit& unit = pc.chunk.units[u];
-      const std::size_t strip = u / pc.fold_rows;
-      const std::size_t pos = u % pc.fold_rows;
-      const std::size_t r =
-          pc.row0 + (pc.chunk.lanes_descending ? pc.fold_rows - 1 - pos : pos);
-      const double ux = pc.x + pc.chunk.width * static_cast<double>(strip);
+      const auto [r, ux] = pc.slot(u);
       const double uy = design.row(r).y + design.row_height() / 2.0;
       for (std::size_t k = 0; k < unit.cells.size(); ++k) {
         chunk_cells.push_back(unit.cells[k]);
@@ -492,9 +471,10 @@ StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl,
     pc.x = wnd.x;
     pc.fold_rows = fold_of(pc.chunk);
     pc.strips = strips_of(pc.chunk);
-    apply_chunk(pc);
-    for (const RowUnit& unit : pc.chunk.units) {
-      for (CellId c : unit.cells) placed[c] = true;
+    chunk_targets(pc);
+    for (std::size_t k = 0; k < chunk_cells.size(); ++k) {
+      pl[chunk_cells[k]] = chunk_centers[k];
+      placed[chunk_cells[k]] = true;
     }
     committed.push_back(std::move(pc));
     rows = build_rows(nullptr);
@@ -635,7 +615,6 @@ StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl,
       if (t.after + 1e-9 < t.before) {
         plate_hpwl.commit();  // writes the staged centers into pl
         improved = true;
-        ++stats.plate_moves;
       } else {
         plate_hpwl.rollback();
         pc.row0 = saved_row0;
@@ -658,37 +637,15 @@ StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl,
   if (between) between(pl, placed);
 
   // ---- glue (and any leftovers) ----------------------------------------------
-  rows = build_rows(nullptr);
+  // Cells the plate-blocked free space cannot hold keep their positions;
+  // repair_legality places them into the space the plates leave free
+  // cell by cell.
   std::vector<CellId> rest = std::move(leftovers);
   for (CellId c = 0; c < nl_->num_cells(); ++c) {
     if (!nl_->cell(c).fixed && !placed[c]) rest.push_back(c);
   }
-  AbacusLegalizer abacus(*nl_, design);
-  std::vector<CellId> failed;
-  stats.rest = abacus.run(pl, rest, rows, &failed);
-  if (!failed.empty()) {
-    RowMap retry_rows(design);
-    for (CellId c = 0; c < nl_->num_cells(); ++c) {
-      if (nl_->cell(c).fixed) continue;
-      bool is_failed = false;
-      for (CellId f : failed) {
-        if (f == c) {
-          is_failed = true;
-          break;
-        }
-      }
-      if (is_failed) continue;
-      const std::size_t r = design.nearest_row(pl[c].y);
-      retry_rows.block(r, pl[c].x - nl_->cell_width(c) / 2.0,
-                       pl[c].x + nl_->cell_width(c) / 2.0);
-    }
-    TetrisLegalizer tetris(*nl_, design);
-    std::vector<CellId> still_failed;
-    const LegalizeStats retry =
-        tetris.run(pl, failed, retry_rows, &still_failed);
-    stats.rest.cells_failed = retry.cells_failed;
-    stats.rest.total_displacement += retry.total_displacement;
-  }
+  stats.rest =
+      AbacusLegalizer(*nl_, design).run(pl, rest, build_rows(nullptr));
   return stats;
 }
 

@@ -14,15 +14,16 @@ struct StructureLegalizeStats {
   LegalizeStats rest;    ///< displacement of remaining movable cells
   std::size_t groups_placed_as_blocks = 0;
   std::size_t groups_fallback = 0;  ///< packed per-unit instead of as a block
-  std::size_t plate_moves = 0;      ///< improvement relocations accepted
 };
 
 /// Structure-preserving legalization: each datapath group is legalized as
 /// a rectangular array (one "row unit" per bit slice — or per stage for
 /// transposed groups — on consecutive rows, stage columns sharing x
 /// offsets), folding arrays taller than the core into side-by-side strips.
-/// The remaining cells are then Tetris-legalized into the leftover free
-/// space.
+/// The remaining cells are then Abacus-legalized into the free space
+/// around the plates. Cells that do not fit there keep their positions
+/// (counted in `rest.cells_failed`); repair_legality places them next,
+/// into the gaps the plates leave free cell by cell.
 ///
 /// `bits_along_y[g]` gives group g's orientation: true = bit slices are
 /// horizontal rows (the usual datapath layout).

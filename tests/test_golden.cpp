@@ -107,12 +107,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Template blocks (glue GP over a subset VarMap around frozen plates, the
 // structure legalizer) and the structure-oblivious baseline, plain and
-// routed (inflation on a full VarMap, guard in the plain detailer).
+// routed (inflation on a full VarMap, guard in the plain detailer). On
+// mix75 the plates crowd glue out of the plate-blocked free space, so
+// repair_legality places those cells.
 INSTANTIATE_TEST_SUITE_P(
     OtherFlows, GoldenPlacement,
     testing::Values(
         Golden{"mix25", Flow::kStructured, false, 0x40e95c7c7d95bc65ULL, 0,
                1152, 1540},
+        Golden{"mix75", Flow::kStructured, false, 0x40f84456d4873eb4ULL, 0,
+               887, 1368},
         Golden{"mix25", Flow::kBaseline, false, 0x40e449e3c03dd391ULL, 0,
                252, 344},
         Golden{"mix25", Flow::kBaseline, true, 0x40e9281cdc41b0cbULL, 744,

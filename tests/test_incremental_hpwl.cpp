@@ -139,52 +139,6 @@ TEST(IncrementalHpwl, RandomizedMovesCommitsRollbacks) {
   EXPECT_EQ(eng.resync_total(), hpwl(nl, pl));
 }
 
-TEST(IncrementalHpwl, RefreshAbsorbsExternalMutation) {
-  dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
-  const netlist::Netlist& nl = bench.netlist;
-  Placement pl = bench.placement;
-  IncrementalHpwl eng(nl, pl);
-  util::Rng rng(7);
-  const geom::Rect core = bench.design.core();
-
-  std::vector<CellId> cells;
-  for (int round = 0; round < 50; ++round) {
-    cells.clear();
-    const std::size_t k = 1 + rng.index(8);
-    while (cells.size() < k) {
-      const CellId c = static_cast<CellId>(rng.index(nl.num_cells()));
-      if (std::find(cells.begin(), cells.end(), c) != cells.end()) continue;
-      cells.push_back(c);
-    }
-    // Mutate the placement behind the engine's back (as a legalizer
-    // does), then tell it which cells moved.
-    for (CellId c : cells) {
-      pl[c] = {rng.uniform(core.lx, core.hx), rng.uniform(core.ly, core.hy)};
-    }
-    eng.refresh(cells);
-    ASSERT_EQ(eng.resync_total(), hpwl(nl, pl)) << "round " << round;
-  }
-}
-
-TEST(IncrementalHpwl, IncidentHpwlMatchesReference) {
-  dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
-  const netlist::Netlist& nl = bench.netlist;
-  Placement pl = bench.placement;
-  IncrementalHpwl eng(nl, pl);
-  util::Rng rng(11);
-  std::vector<CellId> cells;
-  for (int round = 0; round < 100; ++round) {
-    cells.clear();
-    const std::size_t k = 1 + rng.index(6);
-    while (cells.size() < k) {
-      const CellId c = static_cast<CellId>(rng.index(nl.num_cells()));
-      if (std::find(cells.begin(), cells.end(), c) != cells.end()) continue;
-      cells.push_back(c);
-    }
-    EXPECT_EQ(eng.incident_hpwl(cells), ref_incident(nl, pl, cells));
-  }
-}
-
 // for_each_staged_net visits exactly the moved cells' nets, in ascending
 // order, with before/after equal to a fresh eval::net_hpwl on the
 // placement without/with the move; weighted and summed, the per-net

@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "dpgen/benchmarks.hpp"
+#include "dpgen/generator.hpp"
 #include "eval/metrics.hpp"
 #include "legal/abacus.hpp"
 #include "legal/repair.hpp"
 #include "legal/rowmap.hpp"
 #include "legal/structure_legal.hpp"
-#include "legal/tetris.hpp"
 #include "util/prng.hpp"
 
 namespace dp::legal {
@@ -75,21 +75,6 @@ struct RandomBench {
 
 class LegalizerProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(LegalizerProperty, TetrisProducesLegalPlacement) {
-  // Tetris wastes the gaps behind its fill tails, so give it headroom;
-  // at high utilization the pipeline backstops it with repair_legality.
-  RandomBench rb(GetParam(), 400, 0.6);
-  Placement pl = rb.random_start(GetParam() * 31 + 7);
-  TetrisLegalizer tetris(rb.bench->netlist, rb.bench->design);
-  const LegalizeStats stats = tetris.run_all(pl);
-  EXPECT_EQ(stats.cells_failed, 0u);
-  const auto rep =
-      eval::check_legality(rb.bench->netlist, rb.bench->design, pl);
-  EXPECT_TRUE(rep.legal()) << "ov=" << rep.overlaps << " row=" << rep.off_row
-                           << " site=" << rep.off_site
-                           << " out=" << rep.out_of_core;
-}
-
 TEST_P(LegalizerProperty, AbacusProducesLegalPlacement) {
   RandomBench rb(GetParam());
   Placement pl = rb.random_start(GetParam() * 13 + 5);
@@ -102,18 +87,6 @@ TEST_P(LegalizerProperty, AbacusProducesLegalPlacement) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LegalizerProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
-
-TEST(Abacus, SmallerDisplacementThanTetrisOnSpreadInput) {
-  RandomBench rb(42);
-  // Near-legal start: quadratic-ish spread.
-  Placement pl = rb.random_start(99);
-  Placement pl2 = pl;
-  TetrisLegalizer tetris(rb.bench->netlist, rb.bench->design);
-  AbacusLegalizer abacus(rb.bench->netlist, rb.bench->design);
-  const auto st = tetris.run_all(pl);
-  const auto sa = abacus.run_all(pl2);
-  EXPECT_LT(sa.avg_displacement(), st.avg_displacement() * 1.5);
-}
 
 TEST(Abacus, RespectsBlockedSegments) {
   RandomBench rb(7, 100);
@@ -144,8 +117,7 @@ TEST(Abacus, RespectsBlockedSegments) {
 TEST(Repair, FixesInjectedViolations) {
   RandomBench rb(11);
   Placement pl = rb.random_start(1);
-  TetrisLegalizer tetris(rb.bench->netlist, rb.bench->design);
-  tetris.run_all(pl);
+  AbacusLegalizer(rb.bench->netlist, rb.bench->design).run_all(pl);
   ASSERT_TRUE(
       eval::check_legality(rb.bench->netlist, rb.bench->design, pl).legal());
 
@@ -166,6 +138,37 @@ TEST(Repair, FixesInjectedViolations) {
   EXPECT_GT(repaired, 0u);
   EXPECT_TRUE(
       eval::check_legality(rb.bench->netlist, rb.bench->design, pl).legal());
+}
+
+// A core with less free space than the cells need: Abacus fails some
+// cells, and repair finds no room for them either. They keep their
+// positions, the placed cells do not move, and the call returns.
+TEST(Repair, LeavesUnplaceableCellsWhereTheyAre) {
+  RandomBench rb(17);
+  const netlist::Design& full = rb.bench->design;
+  const netlist::Design small(
+      geom::Rect{full.core().lx, full.core().ly,
+                 full.core().lx + full.core().width() * 0.6, full.core().hy},
+      full.row_height(), full.site_width());
+  Placement pl = rb.random_start(5);
+  const Placement start = pl;
+  const LegalizeStats stats =
+      AbacusLegalizer(rb.bench->netlist, small).run_all(pl);
+  ASSERT_GT(stats.cells_failed, 0u);
+
+  const Placement before = pl;
+  std::size_t untouched = 0;
+  for (CellId c = 0; c < rb.bench->netlist.num_cells(); ++c) {
+    if (rb.bench->netlist.cell(c).fixed) continue;
+    if (pl[c] == start[c]) ++untouched;
+  }
+  EXPECT_EQ(untouched, stats.cells_failed);
+
+  EXPECT_EQ(repair_legality(rb.bench->netlist, small, pl),
+            stats.cells_failed);
+  for (CellId c = 0; c < rb.bench->netlist.num_cells(); ++c) {
+    EXPECT_EQ(pl[c], before[c]) << rb.bench->netlist.cell(c).name;
+  }
 }
 
 TEST(Repair, NoopOnLegalInput) {
@@ -194,6 +197,50 @@ TEST(StructureLegalizer, ProducesLegalBlocksForAdder) {
   // Every slice of every block-placed group sits on one row, aligned.
   const auto score = eval::alignment_score(bench.netlist, pl, bench.truth);
   EXPECT_LT(score.rms_misalignment, 0.5);
+}
+
+// The plates crowd the glue out: a multiplier's plate blocks its whole
+// rectangle, holes included, and at 97% utilization the rest no longer
+// fits around it. The structure legalizer leaves the cells that fit
+// nowhere untouched; repair_legality places them into the holes without
+// moving any cell that was already legal.
+TEST(StructureLegalizer, RepairPlacesTheCellsThePlatesCrowdOut) {
+  dpgen::Generator gen("crowded", 3);
+  const dpgen::Bus a = gen.input_bus("a", 8);
+  const dpgen::Bus b = gen.input_bus("b", 8);
+  const dpgen::Bus p = gen.add_multiplier("mul", a, b);
+  gen.output_bus("o", p);
+  gen.add_glue("g", 150, p);
+  const dpgen::Benchmark bench = gen.finish(0.97);
+  const netlist::Netlist& nl = bench.netlist;
+
+  StructureLegalizer legalizer(
+      nl, bench.design, bench.truth,
+      std::vector<bool>(bench.truth.groups.size(), true));
+  Placement pl = bench.placement;
+  const StructureLegalizeStats stats = legalizer.run(pl);
+  ASSERT_EQ(stats.groups_fallback, 0u);
+  ASSERT_GT(stats.rest.cells_failed, 0u);
+
+  // The failed cells are exactly the movable cells still at their start.
+  std::vector<bool> failed(nl.num_cells(), false);
+  std::size_t num_failed = 0;
+  for (CellId c = 0; c < nl.num_cells(); ++c) {
+    if (nl.cell(c).fixed || !(pl[c] == bench.placement[c])) continue;
+    failed[c] = true;
+    ++num_failed;
+  }
+  EXPECT_EQ(num_failed, stats.rest.cells_failed);
+  ASSERT_FALSE(eval::check_legality(nl, bench.design, pl).legal());
+
+  const Placement before = pl;
+  EXPECT_EQ(repair_legality(nl, bench.design, pl), num_failed);
+  EXPECT_TRUE(eval::check_legality(nl, bench.design, pl).legal());
+  for (CellId c = 0; c < nl.num_cells(); ++c) {
+    if (!failed[c]) {
+      EXPECT_EQ(pl[c], before[c]) << nl.cell(c).name;
+    }
+  }
 }
 
 }  // namespace
