@@ -290,15 +290,18 @@ class RunContext {
       }
     }
 
-    // Phase A: plain spreading down to the activation overflow.
-    gp::GpOptions opt_a = config_.gp;
-    opt_a.stop_overflow =
-        std::max(config_.gp.stop_overflow, kAlignmentActivationOverflow);
-    gp::GlobalPlacer phase_a =
-        make_placer(opt_a, gp::VarMap(nl_), density_scale_);
-    install_outer_hook(phase_a, 1.0);
-    report.gp_result = phase_a.place(pl_);
-    warn_if_capped("phase A", report.gp_result, opt_a);
+    // Phase A: plain spreading down to the activation overflow. Its
+    // placer, with the kernels' scratch, is freed before phase B's.
+    {
+      gp::GpOptions opt_a = config_.gp;
+      opt_a.stop_overflow =
+          std::max(config_.gp.stop_overflow, kAlignmentActivationOverflow);
+      gp::GlobalPlacer phase_a =
+          make_placer(opt_a, gp::VarMap(nl_), density_scale_);
+      install_outer_hook(phase_a, 1.0);
+      report.gp_result = phase_a.place(pl_);
+      warn_if_capped("phase A", report.gp_result, opt_a);
+    }
 
     // Phase B continues from phase A's placement and density scale:
     // alignment on from the start, weight normalized against the

@@ -28,6 +28,14 @@ std::size_t pow2_at_least(double x) {
   return p;
 }
 
+/// The most bins the bell window of a cell `wc` wide can span on an axis
+/// of `nb` bins `wb` wide, wherever the cell is: the window is wc / wb + 4
+/// bins wide, truncating its two ends adds at most 2 bins, and 1 more
+/// absorbs the rounding of its ends.
+std::size_t max_window_bins(double wc, double wb, std::size_t nb) {
+  return std::min(nb, static_cast<std::size_t>(wc / wb) + 7);
+}
+
 /// Fixed cell chunking shared by passes 0 and 2.
 std::size_t cell_chunks(std::size_t n_mov) {
   return std::clamp<std::size_t>(n_mov / kMinCellsPerChunk, 1, kMaxParts);
@@ -43,16 +51,14 @@ void run_tasks(util::ThreadPool* pool, std::size_t n, Task&& task) {
   }
 }
 
-/// body(k, v) for every cell index v of chunk k, over `chunks` fixed
-/// contiguous chunks of [0, n).
+/// body(k, v0, v1) for each of `chunks` fixed contiguous chunks [v0, v1)
+/// of [0, n).
 template <typename Body>
 void for_cell_chunks(util::ThreadPool* pool, std::size_t n,
                      std::size_t chunks, Body&& body) {
-  if (n == 0) return;
   const std::size_t per_chunk = (n + chunks - 1) / chunks;
   run_tasks(pool, chunks, [&](std::size_t k) {
-    const std::size_t v1 = std::min(n, (k + 1) * per_chunk);
-    for (std::size_t v = k * per_chunk; v < v1; ++v) body(k, v);
+    body(k, std::min(n, k * per_chunk), std::min(n, (k + 1) * per_chunk));
   });
 }
 
@@ -66,7 +72,8 @@ DensityPenalty::BellShape DensityPenalty::bell_shape(double wc, double wb) {
 
 /// `d` is the signed distance cell-center minus bin-center; `s` the shape
 /// of the cell's bell on this axis.
-DensityPenalty::Bell DensityPenalty::bell(double d, const BellShape& s) {
+inline DensityPenalty::Bell DensityPenalty::bell(double d,
+                                                 const BellShape& s) {
   const double ad = std::abs(d);
   Bell out;
   if (ad <= s.r1) {
@@ -78,18 +85,6 @@ DensityPenalty::Bell DensityPenalty::bell(double d, const BellShape& s) {
     out.dp = 2.0 * s.b * t * (d >= 0.0 ? 1.0 : -1.0);
   }
   return out;
-}
-
-const DensityPenalty::Bell* DensityPenalty::x_bells(
-    std::size_t task, long long bx0, long long bx1, double cx,
-    const BellShape& sx) const {
-  const double lx = design_->core().lx;
-  Bell* row = &bell_rows_[task * nb_];
-  for (long long bx = bx0; bx <= bx1; ++bx) {
-    const double bcx = lx + (static_cast<double>(bx) + 0.5) * bw_;
-    row[bx - bx0] = bell(cx - bcx, sx);
-  }
-  return row;
 }
 
 DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
@@ -160,7 +155,7 @@ double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
                             std::span<double> gx,
                             std::span<double> gy) const {
   const double v = value(pl, vars);
-  gradient(pl, vars, gx, gy);
+  gradient(gx, gy);
   return v;
 }
 
@@ -176,67 +171,95 @@ double DensityPenalty::value(const netlist::Placement& pl,
   const std::size_t n_mov = movable.size();
   foot_.resize(n_mov);
   const std::size_t chunks = cell_chunks(n_mov);
-  bell_rows_.resize(std::max(bell_rows_.size(), chunks * nb_));
-  chunk_bins_.assign(chunks, 0);
+  chunks_.resize(chunks);
   auto vanishes = [](const Bell& b) { return b.p == 0.0 && b.dp == 0.0; };
 
-  // Pass 0: footprints and per-cell normalization (independent per cell).
-  // The floor-based window reaches about one column and one row past the
-  // bell; its leading and trailing columns and rows where the bell and
-  // its slope are both 0 are trimmed off. Every term they held, in any
-  // pass, is a product with a +-0 factor, so it is +-0, and x + (+-0) == x
-  // for every accumulator here: each starts at +0 or at the non-negative
-  // preload, and a sum is -0 only if both addends are.
+  // Pass 0: footprints, bells and per-cell normalization (independent per
+  // cell). The window reaches about one column and one row past the bell;
+  // its leading and trailing columns and rows where the bell and its slope
+  // are both 0 are trimmed off. Every term they held, in any pass, is a
+  // product with a +-0 factor, so it is +-0, and x + (+-0) == x for every
+  // accumulator here: each starts at +0 or at the non-negative preload,
+  // and a sum is -0 only if both addends are. The window bounds truncate,
+  // which trims to the floored window: for a bound >= 0 the two agree, a
+  // lower bound < 0 clamps to 0 either way, and an upper bound in (-1, 0)
+  // adds only column or row 0, more than r2 from the cell, where the bell
+  // and its slope vanish.
   for_cell_chunks(pool_.get(), n_mov, chunks, [&](std::size_t k,
-                                                  std::size_t v) {
-    const CellId c = movable[v];
-    const double wc = nl.cell_width(c);
-    const double hc = nl.cell_height(c);
-    const double cx = pl[c].x;
-    const double cy = pl[c].y;
-    const double rx = wc / 2.0 + 2.0 * bw_;
-    const double ry = hc / 2.0 + 2.0 * bh_;
+                                                  std::size_t v0,
+                                                  std::size_t v1) {
+    Chunk& chunk = chunks_[k];
+    std::size_t capacity = 0;
+    for (std::size_t v = v0; v < v1; ++v) {
+      capacity += max_window_bins(nl.cell_width(movable[v]), bw_, nb_) +
+                  max_window_bins(nl.cell_height(movable[v]), bh_, nb_);
+    }
+    if (chunk.bells.size() < capacity) chunk.bells.resize(capacity);
+    chunk.bins = 0;
+    chunk.bell_calls = 0;
 
-    Footprint f;
-    f.bx0 = std::max<long long>(
-        0, static_cast<long long>(std::floor((cx - rx - core.lx) / bw_)));
-    f.bx1 = std::min<long long>(
-        nbi - 1, static_cast<long long>(std::floor((cx + rx - core.lx) / bw_)));
-    f.by0 = std::max<long long>(
-        0, static_cast<long long>(std::floor((cy - ry - core.ly) / bh_)));
-    f.by1 = std::min<long long>(
-        nbi - 1, static_cast<long long>(std::floor((cy + ry - core.ly) / bh_)));
+    Bell* next = chunk.bells.data();
+    for (std::size_t v = v0; v < v1; ++v) {
+      const CellId c = movable[v];
+      const double cx = pl[c].x;
+      const double cy = pl[c].y;
+      const BellShape sx = bell_shape(nl.cell_width(c), bw_);
+      const BellShape sy = bell_shape(nl.cell_height(c), bh_);
 
-    const Bell* px = x_bells(k, f.bx0, f.bx1, cx, bell_shape(wc, bw_));
-    long long i0 = 0, i1 = f.bx1 - f.bx0;  // kept columns, as row indices
-    while (i0 <= i1 && vanishes(px[i0])) ++i0;
-    while (i1 >= i0 && vanishes(px[i1])) --i1;
-    const BellShape sy = bell_shape(hc, bh_);
-    long long by0 = f.by1 + 1, by1 = f.by0 - 1;  // kept rows
-    double norm = 0.0;
-    for (long long by = f.by0; by <= f.by1; ++by) {
-      const double bcy = core.ly + (static_cast<double>(by) + 0.5) * bh_;
-      const Bell py = bell(cy - bcy, sy);
-      if (!vanishes(py)) {
-        by0 = std::min(by0, by);
-        by1 = by;
+      Footprint& f = foot_[v];
+      f.bx0 = std::max<long long>(
+          0, static_cast<long long>((cx - sx.r2 - core.lx) / bw_));
+      f.bx1 = std::min<long long>(
+          nbi - 1, static_cast<long long>((cx + sx.r2 - core.lx) / bw_));
+      f.by0 = std::max<long long>(
+          0, static_cast<long long>((cy - sy.r2 - core.ly) / bh_));
+      f.by1 = std::min<long long>(
+          nbi - 1, static_cast<long long>((cy + sy.r2 - core.ly) / bh_));
+      const long long nx = std::max(0LL, f.bx1 - f.bx0 + 1);
+      const long long ny = std::max(0LL, f.by1 - f.by0 + 1);
+      chunk.bell_calls += static_cast<std::uint64_t>(nx + ny);
+
+      Bell* px = next;
+      for (long long bx = f.bx0; bx <= f.bx1; ++bx) {
+        const double bcx = core.lx + (static_cast<double>(bx) + 0.5) * bw_;
+        px[bx - f.bx0] = bell(cx - bcx, sx);
       }
-      if (py.p == 0.0) continue;
-      for (long long i = i0; i <= i1; ++i) norm += px[i].p * py.p;
+      long long i0 = 0, i1 = nx - 1;  // kept columns, as row indices
+      while (i0 <= i1 && vanishes(px[i0])) ++i0;
+      while (i1 >= i0 && vanishes(px[i1])) --i1;
+      Bell* py = px + nx;
+      long long by0 = f.by1 + 1, by1 = f.by0 - 1;  // kept rows
+      double norm = 0.0;
+      for (long long by = f.by0; by <= f.by1; ++by) {
+        const double bcy = core.ly + (static_cast<double>(by) + 0.5) * bh_;
+        const Bell b = bell(cy - bcy, sy);
+        py[by - f.by0] = b;
+        if (!vanishes(b)) {
+          by0 = std::min(by0, by);
+          by1 = by;
+        }
+        if (b.p == 0.0) continue;
+        for (long long i = i0; i <= i1; ++i) norm += px[i].p * b.p;
+      }
+      next = py + ny;
+      f.inv_norm = norm > 0.0 ? nl.cell_area(c) * area_scale_[c] / norm : 0.0;
+      if (f.inv_norm == 0.0) continue;  // spread nowhere; passes 1-2 skip it
+      f.px = px + i0;
+      f.py = py + (by0 - f.by0);
+      f.bx1 = f.bx0 + i1;
+      f.bx0 += i0;
+      f.by0 = by0;
+      f.by1 = by1;
+      chunk.bins += static_cast<std::uint64_t>((f.bx1 - f.bx0 + 1) *
+                                               (f.by1 - f.by0 + 1));
     }
-    f.bx1 = f.bx0 + i1;
-    f.bx0 += i0;
-    f.by0 = by0;
-    f.by1 = by1;
-    f.inv_norm = norm > 0.0 ? nl.cell_area(c) * area_scale_[c] / norm : 0.0;
-    if (f.inv_norm != 0.0) {
-      chunk_bins_[k] += static_cast<std::uint64_t>((f.bx1 - f.bx0 + 1) *
-                                                   (f.by1 - f.by0 + 1));
-    }
-    foot_[v] = f;
   });
   bins_visited_ = 0;
-  for (const std::uint64_t n : chunk_bins_) bins_visited_ += n;
+  bells_evaluated_ = 0;
+  for (const Chunk& chunk : chunks_) {
+    bins_visited_ += chunk.bins;
+    bells_evaluated_ += chunk.bell_calls;
+  }
 
   // Pass 1: accumulate smoothed density over kAccumBlocks multi-row
   // blocks. Every bin row has exactly one owning block, which adds
@@ -276,27 +299,18 @@ double DensityPenalty::value(const netlist::Placement& pl,
     double* q = &scaled_rows_[b * nb_];
     for (const std::uint32_t v : block_cells_[b]) {
       const Footprint& f = foot_[v];
-      const CellId c = movable[v];
       // The x-row scaled once per cell: inv_norm * px * py is evaluated
       // as (inv_norm * px) * py, so q[i] * py keeps the bits.
-      const BellShape sx = bell_shape(nl.cell_width(c), bw_);
-      const double cx = pl[c].x;
-      for (long long bx = f.bx0; bx <= f.bx1; ++bx) {
-        const double bcx = core.lx + (static_cast<double>(bx) + 0.5) * bw_;
-        q[bx - f.bx0] = f.inv_norm * bell(cx - bcx, sx).p;
-      }
       const auto w = static_cast<std::size_t>(f.bx1 - f.bx0 + 1);
-      const BellShape sy = bell_shape(nl.cell_height(c), bh_);
-      const double cy = pl[c].y;
+      for (std::size_t i = 0; i < w; ++i) q[i] = f.inv_norm * f.px[i].p;
       const long long by_lo = std::max(f.by0, r0);
       const long long by_hi = std::min(f.by1, r1 - 1);
       for (long long by = by_lo; by <= by_hi; ++by) {
-        const double bcy = core.ly + (static_cast<double>(by) + 0.5) * bh_;
-        const Bell py = bell(cy - bcy, sy);
-        if (py.p == 0.0) continue;
+        const double py = f.py[by - f.by0].p;
+        if (py == 0.0) continue;
         double* row = &density_[static_cast<std::size_t>(by) * nb_ +
                                 static_cast<std::size_t>(f.bx0)];
-        for (std::size_t i = 0; i < w; ++i) row[i] += q[i] * py.p;
+        for (std::size_t i = 0; i < w; ++i) row[i] += q[i] * py;
       }
     }
     // The block's rows are final now; fold its groups' share of the
@@ -321,42 +335,35 @@ double DensityPenalty::value(const netlist::Placement& pl,
   return value;
 }
 
-void DensityPenalty::gradient(const netlist::Placement& pl,
-                              const VarMap& vars, std::span<double> gx,
+void DensityPenalty::gradient(std::span<double> gx,
                               std::span<double> gy) const {
-  const auto& nl = *nl_;
-  const geom::Rect& core = design_->core();
-  const auto movable = vars.movable_cells();
-  const std::size_t n_mov = movable.size();
+  const std::size_t n_mov = foot_.size();
 
   // Pass 2: gradient via chain rule (normalization treated as constant,
   // the standard NTUplace approximation). Embarrassingly parallel over
   // cells: variable v belongs to movable cell v alone.
-  for_cell_chunks(pool_.get(), n_mov, cell_chunks(n_mov), [&](std::size_t k,
-                                                              std::size_t v) {
-    const Footprint& f = foot_[v];
-    if (f.inv_norm == 0.0) return;
-    const CellId c = movable[v];
-    const Bell* px = x_bells(k, f.bx0, f.bx1, pl[c].x,
-                             bell_shape(nl.cell_width(c), bw_));
-    const BellShape sy = bell_shape(nl.cell_height(c), bh_);
-    const double cy = pl[c].y;
-    const auto w = static_cast<std::size_t>(f.bx1 - f.bx0 + 1);
-    double gx_acc = 0.0, gy_acc = 0.0;
-    for (long long by = f.by0; by <= f.by1; ++by) {
-      const double bcy = core.ly + (static_cast<double>(by) + 0.5) * bh_;
-      const Bell py = bell(cy - bcy, sy);
-      const double* e2 = &err2_[static_cast<std::size_t>(by) * nb_ +
-                                static_cast<std::size_t>(f.bx0)];
-      for (std::size_t i = 0; i < w; ++i) {
-        // 2 * err * inv_norm * px * py, in that association.
-        const double s = e2[i] * f.inv_norm;
-        gx_acc += s * px[i].dp * py.p;
-        gy_acc += s * px[i].p * py.dp;
+  for_cell_chunks(pool_.get(), n_mov, cell_chunks(n_mov), [&](std::size_t,
+                                                              std::size_t v0,
+                                                              std::size_t v1) {
+    for (std::size_t v = v0; v < v1; ++v) {
+      const Footprint& f = foot_[v];
+      if (f.inv_norm == 0.0) continue;
+      const auto w = static_cast<std::size_t>(f.bx1 - f.bx0 + 1);
+      double gx_acc = 0.0, gy_acc = 0.0;
+      for (long long by = f.by0; by <= f.by1; ++by) {
+        const Bell py = f.py[by - f.by0];
+        const double* e2 = &err2_[static_cast<std::size_t>(by) * nb_ +
+                                  static_cast<std::size_t>(f.bx0)];
+        for (std::size_t i = 0; i < w; ++i) {
+          // 2 * err * inv_norm * px * py, in that association.
+          const double s = e2[i] * f.inv_norm;
+          gx_acc += s * f.px[i].dp * py.p;
+          gy_acc += s * f.px[i].p * py.dp;
+        }
       }
+      gx[v] += gx_acc;
+      gy[v] += gy_acc;
     }
-    gx[v] += gx_acc;
-    gy[v] += gy_acc;
   });
 }
 

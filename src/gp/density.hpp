@@ -26,22 +26,22 @@ namespace dp::gp {
 ///
 /// Evaluation runs in three deterministic passes, split so that a line
 /// search can reject a probe without paying for its gradient:
-///  - value() runs pass 0 (footprints and per-cell normalizations, per
-///    cell chunk) and pass 1 (smoothed density, accumulated over a few
-///    fixed multi-row blocks; every bin row has exactly one owning block,
-///    which adds contributions in ascending cell order -- no reduction
-///    races, bitwise identical to the serial loop);
+///  - value() runs pass 0 (per cell chunk: each cell's footprint, its x-
+///    and y-bells and its normalization) and pass 1 (smoothed density,
+///    accumulated over a few fixed multi-row blocks; every bin row has
+///    exactly one owning block, which adds contributions in ascending cell
+///    order -- no reduction races, bitwise identical to the serial loop);
 ///  - gradient() runs pass 2 (embarrassingly parallel over cells, each
-///    writing its own variable), on the footprints and grid the preceding
-///    value() left behind.
-/// Each pass computes a cell's x-bells once into a per-task row and reuses
-/// them for every bin row of the footprint.
+///    writing its own variable) on the footprints, bells and grid the
+///    preceding value() left behind.
+/// Pass 0 is the only one that evaluates a bell: it keeps each cell's
+/// bells in its chunk's storage, and passes 1 and 2 read them from there.
 ///
 /// Work that cannot change a bit of the result is skipped: pass 0 trims
-/// each footprint to the columns and rows where the bell is non-zero (the
-/// dropped terms are all +-0, added to accumulators that are never -0),
-/// the bell constants are computed once per cell and axis, and pass 1
-/// stores twice each bin's clipped error for pass 2 to read.
+/// each footprint to the columns and rows where the bell or its slope is
+/// non-zero (the dropped terms are all +-0, added to accumulators that are
+/// never -0), the bell constants are computed once per cell and axis, and
+/// pass 1 stores twice each bin's clipped error for pass 2 to read.
 class DensityPenalty final : public ObjectiveTerm {
  public:
   DensityPenalty(const netlist::Netlist& nl, const netlist::Design& design,
@@ -82,15 +82,13 @@ class DensityPenalty final : public ObjectiveTerm {
   double eval(const netlist::Placement& pl, const VarMap& vars,
               std::span<double> gx, std::span<double> gy) const override;
 
-  /// Passes 0-1: the penalty value. Keeps the footprints and the per-bin
+  /// Passes 0-1: the penalty value. Keeps the footprints, bells and per-bin
   /// errors for a following gradient() call.
   double value(const netlist::Placement& pl, const VarMap& vars) const;
 
   /// Pass 2: adds the gradient at the placement of the most recent value()
-  /// call into gx/gy. `pl` and `vars` must be
-  /// the ones that value() saw, unchanged since.
-  void gradient(const netlist::Placement& pl, const VarMap& vars,
-                std::span<double> gx, std::span<double> gy) const;
+  /// call into gx/gy, indexed like that call's VarMap.
+  void gradient(std::span<double> gx, std::span<double> gy) const;
 
   /// Hard-overflow metric: the fraction of movable area in bins above
   /// `target` density. Computed afresh from the *exact* cell rectangles on
@@ -102,6 +100,11 @@ class DensityPenalty final : public ObjectiveTerm {
   /// footprints of the cells spread by the last value() call. Pass 1 and
   /// pass 2 each visit this many bins.
   std::uint64_t bins_visited() const { return bins_visited_; }
+
+  /// Deterministic work counter: the bell evaluations of the last value()
+  /// call, one per column and one per row of every untrimmed footprint.
+  /// gradient() evaluates none.
+  std::uint64_t bells_evaluated() const { return bells_evaluated_; }
 
   std::size_t bins_per_side() const { return nb_; }
   double bin_width() const { return bw_; }
@@ -131,14 +134,18 @@ class DensityPenalty final : public ObjectiveTerm {
 
   // Per-evaluation scratch, persistent to keep allocation out of the hot
   // path (one evaluation in flight at a time).
-  struct Footprint {
-    long long bx0, bx1, by0, by1;
-    double inv_norm;
-  };
   /// One axis of a cell's bell potential at one bin.
   struct Bell {
     double p = 0.0;   ///< potential in [0, 1]
     double dp = 0.0;  ///< d(potential)/d(cell coordinate)
+  };
+  /// A cell's trimmed footprint and its bells there: px[i] is bin column
+  /// bx0 + i, py[j] bin row by0 + j, both in its pass-0 chunk's storage.
+  struct Footprint {
+    long long bx0, bx1, by0, by1;
+    double inv_norm;
+    const Bell* px;
+    const Bell* py;
   };
   /// The constants of one cell's bell on one axis: the inner and outer
   /// window radii and the two parabola coefficients.
@@ -148,23 +155,25 @@ class DensityPenalty final : public ObjectiveTerm {
   static BellShape bell_shape(double wc, double wb);
   static Bell bell(double d, const BellShape& s);
 
-  /// Fills task `task`'s row with the x-bells of the cell at `cx` over bin
-  /// columns [bx0, bx1]; entry i is bin column bx0 + i.
-  const Bell* x_bells(std::size_t task, long long bx0, long long bx1,
-                      double cx, const BellShape& sx) const;
+  /// What one pass-0 chunk of cells keeps and counts.
+  struct Chunk {
+    /// The chunk's bells, sized for the widest windows its cells can have
+    /// wherever they are, so it grows only with a VarMap of wider cells.
+    std::vector<Bell> bells;
+    std::uint64_t bins = 0;
+    std::uint64_t bell_calls = 0;
+  };
 
   mutable std::vector<Footprint> foot_;
+  mutable std::vector<Chunk> chunks_;
   mutable std::vector<double> group_value_;  ///< per value-group sums
   mutable std::vector<std::vector<std::uint32_t>> block_cells_;
-  /// One row of x-bells per pass-0/pass-2 chunk, each nb_ wide (the widest
-  /// possible footprint); grown on demand, never per cell.
-  mutable std::vector<Bell> bell_rows_;
   /// Pass 1's x-row scaled by the cell's normalization, one per block.
   mutable std::vector<double> scaled_rows_;
   /// 2 * (clipped) error of every bin, written by value() for gradient().
   mutable std::vector<double> err2_;
-  mutable std::vector<std::uint64_t> chunk_bins_;  ///< per pass-0 chunk
   mutable std::uint64_t bins_visited_ = 0;
+  mutable std::uint64_t bells_evaluated_ = 0;
 };
 
 }  // namespace dp::gp

@@ -70,6 +70,7 @@ class CompositeObjective final : public Objective {
     if (profile_ != nullptr) {
       profile_->density.add(timer.seconds());
       profile_->density_bins += den_->bins_visited();
+      profile_->density_bells += den_->bells_evaluated();
     }
 
     const std::size_t num_extras = extras_ != nullptr ? extras_->size() : 0;
@@ -98,7 +99,7 @@ class CompositeObjective final : public Objective {
     util::Timer timer;
     dgx_.assign(n, 0.0);
     dgy_.assign(n, 0.0);
-    den_->gradient(*pl_, *vars_, dgx_, dgy_);
+    den_->gradient(dgx_, dgy_);
     for (std::size_t i = 0; i < n; ++i) {
       gx_[i] += lambda_ * dgx_[i];
       gy_[i] += lambda_ * dgy_[i];
@@ -272,8 +273,7 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
     vars_.scatter(v, pl);
     overflow = density_->overflow(pl, vars_, kTargetDensity);
     const double hp = eval::hpwl(*nl_, pl);
-    result.trace.push_back(
-        {outer, hp, wirelength_->value(pl), overflow, lambda, gamma});
+    result.trace.push_back({outer, hp, overflow, lambda, gamma});
     util::Logger::debug("gp outer %zu: hpwl=%.1f overflow=%.4f lambda=%.3g",
                         outer, hp, overflow, lambda);
 

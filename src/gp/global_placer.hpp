@@ -46,7 +46,6 @@ struct GpOptions {
 struct GpTracePoint {
   std::size_t outer = 0;
   double hpwl = 0.0;
-  double smooth_wl = 0.0;
   double overflow = 0.0;
   double lambda = 0.0;
   double gamma = 0.0;

@@ -18,6 +18,7 @@ void EvalProfile::merge(const EvalProfile& other) {
   line_search.merge(other.line_search);
   gradients += other.gradients;
   density_bins += other.density_bins;
+  density_bells += other.density_bells;
   wirelength_exps += other.wirelength_exps;
   for (const auto& [name, term] : other.extras) extra(name).merge(term);
 }
@@ -36,8 +37,10 @@ std::string EvalProfile::to_string() const {
   }
   out += " | " + fmt("line-search", line_search);
   std::snprintf(buf, sizeof buf,
-                " | gradients %zux | density-bins %llu | wl-exps %llu",
+                " | gradients %zux | density-bins %llu | density-bells %llu"
+                " | wl-exps %llu",
                 gradients, static_cast<unsigned long long>(density_bins),
+                static_cast<unsigned long long>(density_bells),
                 static_cast<unsigned long long>(wirelength_exps));
   out += buf;
   return out;

@@ -426,7 +426,7 @@ void expect_bitwise(const dpgen::Benchmark& b, const Placement& pl,
     EXPECT_EQ(bits(den.eval(pl, vars, gx, gy)), bits(rv));
     std::vector<double> sx = prefill, sy = prefill;
     EXPECT_EQ(bits(den.value(pl, vars)), bits(rv));
-    den.gradient(pl, vars, sx, sy);
+    den.gradient(sx, sy);
     std::size_t mismatches = 0;
     for (std::size_t v = 0; v < n; ++v) {
       mismatches += bits(gx[v]) != bits(rgx[v]) || bits(gy[v]) != bits(rgy[v]);
@@ -582,6 +582,81 @@ TEST(DensityBitwise, BinsVisitedIsThreadIndependent) {
     EXPECT_EQ(den.bins_visited(), serial) << "threads=" << threads;
   }
   EXPECT_GT(serial, 0u);
+}
+
+// ---- the line search's call order --------------------------------------------
+//
+// The line search calls value() at probes it may reject and gradient() only
+// after the probe it accepts, so gradient() must see the last value() alone.
+
+/// The reference value and gradient at (pl, vars), obstacles preloaded
+/// from pl, gradients accumulated onto zeros.
+struct Expected {
+  double value = 0.0;
+  std::vector<double> gx, gy;
+};
+
+Expected reference_eval(const dpgen::Benchmark& b, const Placement& pl,
+                        const VarMap& vars) {
+  reference::DensityPenalty ref(b.netlist, b.design);
+  ref.preload_obstacles(pl, vars);
+  Expected e;
+  e.gx.assign(vars.num_vars(), 0.0);
+  e.gy.assign(vars.num_vars(), 0.0);
+  e.value = ref.eval(pl, vars, e.gx, e.gy);
+  return e;
+}
+
+/// value() at `probe`, then value() and gradient() at `pl`, on `den` with
+/// the obstacles of (pl, vars) preloaded: both must equal `want` bitwise.
+void expect_after_probe(DensityPenalty& den, const Placement& probe,
+                        const Placement& pl, const VarMap& vars,
+                        const Expected& want) {
+  den.preload_obstacles(pl, vars);
+  den.value(probe, vars);
+  EXPECT_EQ(bits(den.value(pl, vars)), bits(want.value));
+  std::vector<double> gx(vars.num_vars(), 0.0), gy(vars.num_vars(), 0.0);
+  den.gradient(gx, gy);
+  std::size_t mismatches = 0;
+  for (std::size_t v = 0; v < gx.size(); ++v) {
+    mismatches += bits(gx[v]) != bits(want.gx[v]) ||
+                  bits(gy[v]) != bits(want.gy[v]);
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(DensityBitwise, GradientAfterRejectedProbe) {
+  const Scaled4k& s = scaled4k();
+  const VarMap vars(s.bench.netlist);
+  const Expected want = reference_eval(s.bench, s.spread, vars);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    DensityPenalty den(s.bench.netlist, s.bench.design);
+    den.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
+    expect_after_probe(den, s.bench.placement, s.spread, vars, want);
+  }
+}
+
+TEST(DensityBitwise, SubsetAndFullVarMapsAlternate) {
+  const Scaled4k& s = scaled4k();
+  const auto& nl = s.bench.netlist;
+  std::vector<bool> mask(nl.num_cells(), false);
+  for (CellId c = 0; c < nl.num_cells(); c += 2) mask[c] = true;
+  const VarMap full(nl);
+  const VarMap subset(nl, mask);
+  const Expected want_full = reference_eval(s.bench, s.spread, full);
+  const Expected want_subset = reference_eval(s.bench, s.spread, subset);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    DensityPenalty den(nl, s.bench.design);
+    den.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
+    for (int round = 0; round < 2; ++round) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " round=" + std::to_string(round));
+      expect_after_probe(den, s.bench.placement, s.spread, full, want_full);
+      expect_after_probe(den, s.bench.placement, s.spread, subset,
+                         want_subset);
+    }
+  }
 }
 
 TEST(Density, ValueNonNegativeAndFinite) {
