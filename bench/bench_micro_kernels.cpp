@@ -13,7 +13,6 @@
 
 #include "common.hpp"
 #include "detail/detailed_placer.hpp"
-#include "eval/incremental_hpwl.hpp"
 #include "extract/extractor.hpp"
 #include "gp/density.hpp"
 #include "gp/global_placer.hpp"
@@ -207,25 +206,14 @@ void BM_WirelengthValueSpread4k(benchmark::State& state) {
 }
 BENCHMARK(BM_WirelengthValueSpread4k);
 
-// ---- detailed-placement kernels (recorded to BENCH_detail_kernels.json
-// by the filtered CI run: --benchmark_filter='^BM_Detail') -----------------
+// ---- detailed-placement kernel (recorded to BENCH_detail_kernels.json by
+// the filtered CI run: --benchmark_filter='^BM_Detail') --------------------
 
-/// Legalized dp_alu32 placement plus a fixed cycle of candidate moves,
-/// shared by the full-rescan and delta kernels so they score identical
-/// work. Each candidate shifts a run of `k` cells together -- k = 1 is a
-/// slide-pass move, larger k a unit slide of a datapath slice (the
-/// structure-aware hot path). With `hi_fanout` the single-cell candidates
-/// are drawn from the top 2% of cells by incident net degree (the
-/// control-broadcast cohort, ~145 incident pins each) -- the class where
-/// a full rescan hurts most and the cached-extent delta shines.
-struct DetailFixture {
-  dp::netlist::Placement pl;
-  std::vector<std::vector<dp::netlist::CellId>> moves;
-  std::vector<double> dxs;
-
-  explicit DetailFixture(std::size_t k, bool hi_fanout = false) {
-    const auto& b = bench_data();
-    pl = b.placement;
+/// End-to-end detailed-placement pass throughput on legalized dp_alu32.
+void BM_DetailPass(benchmark::State& state) {
+  const auto& b = bench_data();
+  static const dp::netlist::Placement legal = [&b] {
+    dp::netlist::Placement pl = b.placement;
     dp::util::Rng rng(17);
     const dp::geom::Rect& core = b.design.core();
     for (dp::netlist::CellId c = 0; c < b.netlist.num_cells(); ++c) {
@@ -235,146 +223,13 @@ struct DetailFixture {
       }
     }
     dp::legal::AbacusLegalizer(b.netlist, b.design).run_all(pl);
-
-    std::vector<dp::netlist::CellId> pool;
-    if (hi_fanout) {
-      std::vector<std::pair<std::size_t, dp::netlist::CellId>> by_degree;
-      std::vector<dp::netlist::NetId> nets;
-      for (dp::netlist::CellId c = 0; c < b.netlist.num_cells(); ++c) {
-        if (b.netlist.cell(c).fixed) continue;
-        nets.clear();
-        for (dp::netlist::PinId p : b.netlist.cell(c).pins) {
-          nets.push_back(b.netlist.pin(p).net);
-        }
-        std::sort(nets.begin(), nets.end());
-        nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
-        std::size_t degree = 0;
-        for (dp::netlist::NetId n : nets) {
-          degree += b.netlist.net(n).pins.size();
-        }
-        by_degree.push_back({degree, c});
-      }
-      std::sort(by_degree.begin(), by_degree.end());
-      const std::size_t cnt = std::max<std::size_t>(1, by_degree.size() / 50);
-      for (std::size_t i = by_degree.size() - cnt; i < by_degree.size(); ++i) {
-        pool.push_back(by_degree[i].second);
-      }
-    }
-
-    const double site = b.design.site_width();
-    const std::size_t n = b.netlist.num_cells();
-    while (moves.size() < 1024) {
-      std::vector<dp::netlist::CellId> set;
-      if (hi_fanout) {
-        set.push_back(pool[rng.index(pool.size())]);
-      } else {
-        const auto start = rng.index(n);
-        for (std::size_t c = start; c < n && set.size() < k; ++c) {
-          if (!b.netlist.cell(static_cast<dp::netlist::CellId>(c)).fixed) {
-            set.push_back(static_cast<dp::netlist::CellId>(c));
-          }
-        }
-        if (set.size() < k) continue;
-      }
-      const double dx = (static_cast<double>(rng.index(17)) - 8.0) * site;
-      if (dx == 0.0) continue;
-      moves.push_back(std::move(set));
-      dxs.push_back(dx);
-    }
-  }
-};
-
-/// Fixture cache keyed by (k, hi_fanout); hi-fanout uses slot 64.
-const DetailFixture& detail_fixture(std::size_t k, bool hi_fanout = false) {
-  static std::vector<std::unique_ptr<DetailFixture>> cache(65);
-  const std::size_t slot = hi_fanout ? 64 : k;
-  if (!cache[slot]) cache[slot] = std::make_unique<DetailFixture>(k, hi_fanout);
-  return *cache[slot];
-}
-
-/// Candidate-move evaluation the way the detailer did it before the
-/// incremental engine: walk the moved cells' incident nets and recompute
-/// each net's HPWL from every pin, before and after the move.
-void full_rescan_loop(benchmark::State& state, const DetailFixture& fx) {
-  const auto& b = bench_data();
-  auto pl = fx.pl;
-  std::vector<dp::netlist::NetId> nets;
-  auto nets_hpwl = [&](const std::vector<dp::netlist::CellId>& cells) {
-    nets.clear();
-    for (dp::netlist::CellId c : cells) {
-      for (dp::netlist::PinId p : b.netlist.cell(c).pins) {
-        nets.push_back(b.netlist.pin(p).net);
-      }
-    }
-    std::sort(nets.begin(), nets.end());
-    nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
-    double total = 0.0;
-    for (dp::netlist::NetId n : nets) {
-      total += b.netlist.net(n).weight * dp::eval::net_hpwl(b.netlist, n, pl);
-    }
-    return total;
-  };
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& cells = fx.moves[i];
-    const double dx = fx.dxs[i];
-    const double before = nets_hpwl(cells);
-    for (dp::netlist::CellId c : cells) pl[c].x += dx;
-    const double after = nets_hpwl(cells);
-    for (dp::netlist::CellId c : cells) pl[c].x -= dx;  // always reject
-    benchmark::DoNotOptimize(after - before);
-    if (++i == fx.moves.size()) i = 0;
-  }
-}
-
-/// The same candidate moves through eval::IncrementalHpwl::trial_shift:
-/// O(pins of the moved cells) against cached per-net extents.
-void delta_loop(benchmark::State& state, const DetailFixture& fx) {
-  const auto& b = bench_data();
-  auto pl = fx.pl;
-  dp::eval::IncrementalHpwl inc(b.netlist, pl);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto t = inc.trial_shift(fx.moves[i], fx.dxs[i], 0.0);
-    inc.rollback();
-    benchmark::DoNotOptimize(t.delta());
-    if (++i == fx.moves.size()) i = 0;
-  }
-}
-
-void BM_DetailCandidateFullRescan(benchmark::State& state) {
-  full_rescan_loop(
-      state, detail_fixture(static_cast<std::size_t>(state.range(0))));
-}
-BENCHMARK(BM_DetailCandidateFullRescan)->Arg(1)->Arg(8)->Arg(32);
-
-void BM_DetailCandidateDelta(benchmark::State& state) {
-  delta_loop(state, detail_fixture(static_cast<std::size_t>(state.range(0))));
-}
-BENCHMARK(BM_DetailCandidateDelta)->Arg(1)->Arg(8)->Arg(32);
-
-/// Single-cell candidates restricted to the control-broadcast cohort
-/// (top 2% incident net degree). This is where the detailer burns its
-/// time under full rescans -- each candidate touches ~145 pins -- and
-/// where the delta path's O(pins of the moved cell) bound pays off.
-void BM_DetailCandidateFullRescanHiFanout(benchmark::State& state) {
-  full_rescan_loop(state, detail_fixture(1, /*hi_fanout=*/true));
-}
-BENCHMARK(BM_DetailCandidateFullRescanHiFanout);
-
-void BM_DetailCandidateDeltaHiFanout(benchmark::State& state) {
-  delta_loop(state, detail_fixture(1, /*hi_fanout=*/true));
-}
-BENCHMARK(BM_DetailCandidateDeltaHiFanout);
-
-/// End-to-end detailed-placement pass throughput on legalized dp_alu32.
-void BM_DetailPass(benchmark::State& state) {
-  const auto& b = bench_data();
+    return pl;
+  }();
   dp::detail::DetailedPlacer placer(b.netlist, b.design);
   dp::detail::DetailOptions opt;
   opt.max_passes = 1;
   for (auto _ : state) {
-    auto pl = detail_fixture(1).pl;
+    auto pl = legal;
     const auto stats = placer.run(pl, opt);
     benchmark::DoNotOptimize(stats.hpwl_after);
   }

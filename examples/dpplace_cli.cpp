@@ -12,8 +12,6 @@
 //   --threads N           gradient-kernel worker threads (default 0 =
 //                         hardware concurrency; results are identical for
 //                         every N)
-//   --paranoid            cross-check every accepted detail move against a
-//                         full HPWL recompute (slow; debugging aid)
 //   --congestion          estimate routing congestion (RUDY) after GP and
 //                         on the final placement; adds report lines and,
 //                         with --svg, a heatmap overlay layer
@@ -73,7 +71,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s (--bench NAME | --aux FILE) [--baseline] "
-               "[--blocks] [--weight W] [--threads N] [--paranoid] "
+               "[--blocks] [--weight W] [--threads N] "
                "[--congestion] [--congestion-bins N] [--congestion-refine] "
                "[--timing] [--timing-weight W] "
                "[--timing-period P] [--report-json FILE] [--out PREFIX] "
@@ -132,8 +130,6 @@ int run(int argc, char** argv) {
       config.alignment_weight = number();
     } else if (arg == "--threads") {
       config.num_threads = count();
-    } else if (arg == "--paranoid") {
-      config.detail.paranoid = true;
     } else if (arg == "--congestion") {
       config.congestion.measure = true;
     } else if (arg == "--congestion-bins") {

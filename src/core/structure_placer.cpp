@@ -4,10 +4,10 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "core/overlap.hpp"
 #include "core/partition.hpp"
-#include "eval/incremental_hpwl.hpp"
 #include "extract/extractor.hpp"
 #include "legal/repair.hpp"
 #include "route/congestion.hpp"
@@ -231,15 +231,14 @@ class RunContext {
       // for its cost).
       timed([&] { timing_->analyze(pl_); });
       opt.move_guard = [crit = timing_->net_criticality()](
-                           const eval::IncrementalHpwl& inc) {
+                           std::span<const eval::NetChange> nets) {
         double delta = 0.0;
-        inc.for_each_staged_net(
-            [&](netlist::NetId n, double before, double after) {
-              if (crit[n] >= timing::kCritFloor) {
-                delta += crit[n] * timing::kWireDelayPerUnit *
-                         (after - before);
-              }
-            });
+        for (const eval::NetChange& nc : nets) {
+          if (crit[nc.net] >= timing::kCritFloor) {
+            delta += crit[nc.net] * timing::kWireDelayPerUnit *
+                     (nc.after - nc.before);
+          }
+        }
         return delta <= 1e-12;
       };
     }

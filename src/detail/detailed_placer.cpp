@@ -4,9 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "eval/incremental_hpwl.hpp"
 #include "eval/metrics.hpp"
-#include "util/logger.hpp"
 #include "util/timer.hpp"
 
 namespace dp::detail {
@@ -41,15 +39,9 @@ struct Unit {
   std::size_t row = 0;
 };
 
-/// Engine shared by the plain and structured entry points.
-///
-/// All candidate moves are scored through eval::IncrementalHpwl: a trial
-/// costs O(pins of the moved cells) instead of a full rescan of every
-/// incident net, and the per-pass convergence total is the engine's
-/// maintained sum (resynced in O(nets) at each pass boundary) instead of
-/// a full O(pins) eval::hpwl recompute. Accept thresholds, candidate
-/// ordering, and committed coordinates reproduce the historical
-/// full-rescan implementation bit for bit at the default options.
+/// Engine shared by the plain and structured entry points. Every
+/// candidate move is applied and scored by eval::MoveScorer, then kept or
+/// undone; each pass ends with a full eval::hpwl for the stop test.
 class Engine {
  public:
   Engine(const netlist::Netlist& nl, const netlist::Design& design,
@@ -60,15 +52,14 @@ class Engine {
         pl_(&pl),
         units_(&units),
         options_(&options),
-        inc_(nl, pl),
+        scorer_(nl, pl),
         moving_epoch_(nl.num_cells(), 0) {
     build_rows();
   }
 
   DetailStats optimize() {
     DetailStats stats;
-    stats.hpwl_before = inc_.resync_total();
-    ++profile_.resyncs;
+    stats.hpwl_before = eval::hpwl(*nl_, *pl_);
     double current = stats.hpwl_before;
     // Runs one pass, counted and timed in `prof`.
     auto timed_pass = [](PassProfile& prof, auto&& pass) {
@@ -81,15 +72,13 @@ class Engine {
       timed_pass(profile_.slide, [&] { slide_pass(); });
       timed_pass(profile_.swap, [&] { swap_pass(); });
       timed_pass(profile_.unit_slide, [&] { unit_slide_pass(); });
-      const double next = inc_.resync_total();
-      ++profile_.resyncs;
+      const double next = eval::hpwl(*nl_, *pl_);
       const bool converged =
           current - next <= kRelImprovementFloor * current;
       current = next;
       if (converged) break;
     }
     stats.hpwl_after = current;
-    profile_.rescans = inc_.rescans();
     stats.profile = profile_;
     return stats;
   }
@@ -200,15 +189,13 @@ class Engine {
     if (std::abs(dx) < 1e-12) return;
 
     ++prof.candidates;
-    const auto t = inc_.trial_shift(moved_cells, dx, 0.0);
-    if (t.after + 1e-12 < t.before && guard_allows()) {
-      inc_.commit();
-      e.lx = new_lx;
-      ++prof.accepted;
-      paranoid_check();
-      return;
+    centers_.clear();
+    for (CellId c : moved_cells) {
+      centers_.push_back({(*pl_)[c].x + dx, (*pl_)[c].y});
     }
-    inc_.rollback();
+    if (!keep_move(moved_cells, centers_)) return;
+    e.lx = new_lx;
+    ++prof.accepted;
   }
 
   void slide_pass() {
@@ -247,22 +234,11 @@ class Engine {
         centers[0] = {new_a_lx + a.width / 2.0, (*pl_)[a.cell].y};
         centers[1] = {new_b_lx + b.width / 2.0, (*pl_)[b.cell].y};
         ++profile_.swap.candidates;
-        // Score the swap, then stage it afresh for the guard and the
-        // commit (the engine's rescan counter sees both stagings).
-        const auto t = inc_.trial_place(pair, centers);
-        inc_.rollback();
-        if (!(t.after + 1e-12 < t.before)) continue;
-        inc_.trial_place(pair, centers);
-        if (!guard_allows()) {
-          inc_.rollback();
-          continue;
-        }
-        inc_.commit();
+        if (!keep_move(pair, centers)) continue;
         a.lx = new_a_lx;
         b.lx = new_b_lx;
         std::swap(a, b);
         ++profile_.swap.accepted;
-        paranoid_check();
       }
     }
   }
@@ -286,27 +262,20 @@ class Engine {
     }
   }
 
-  /// Consult the move guard (when set) on the staged trial; counts the
-  /// veto when it refuses.
-  bool guard_allows() {
-    if (!options_->move_guard || options_->move_guard(inc_)) return true;
-    ++profile_.guard_vetoes;
-    return false;
-  }
-
-  /// Paranoid cross-check: the maintained total must agree with a full
-  /// recompute after every accepted move.
-  void paranoid_check() {
-    if (!options_->paranoid) return;
-    ++profile_.paranoid_checks;
-    const double full = eval::hpwl(*nl_, *pl_);
-    const double got = inc_.total();
-    if (std::abs(got - full) > 1e-9 * std::max(1.0, std::abs(full))) {
-      ++profile_.paranoid_failures;
-      util::Logger::warn(
-          "detail paranoid: incremental total %.17g != recompute %.17g",
-          got, full);
+  /// Moves `cells` to `centers` and keeps the move if it lowers HPWL
+  /// and the move guard (when set) allows it; otherwise undoes it.
+  bool keep_move(const std::vector<CellId>& cells,
+                 const std::vector<geom::Point>& centers) {
+    const eval::MoveScorer::Score s = scorer_.move(cells, centers);
+    profile_.rescans += scorer_.nets().size();
+    if (s.after + 1e-12 < s.before) {
+      if (!options_->move_guard || options_->move_guard(scorer_.nets())) {
+        return true;
+      }
+      ++profile_.guard_vetoes;
     }
+    scorer_.undo();
+    return false;
   }
 
   const netlist::Netlist* nl_;
@@ -314,9 +283,10 @@ class Engine {
   netlist::Placement* pl_;
   const std::vector<Unit>* units_;
   const DetailOptions* options_;
-  eval::IncrementalHpwl inc_;
+  eval::MoveScorer scorer_;
   Profile profile_;
   std::vector<std::vector<Entry>> rows_;
+  std::vector<geom::Point> centers_;
   std::vector<double> breakpoints_;
   std::vector<std::uint32_t> moving_epoch_;
   std::uint32_t moving_stamp_ = 0;

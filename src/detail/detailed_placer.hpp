@@ -1,10 +1,11 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "detail/profile.hpp"
-#include "eval/incremental_hpwl.hpp"
+#include "eval/metrics.hpp"
 #include "netlist/design.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/structure.hpp"
@@ -15,24 +16,20 @@ struct DetailOptions {
   /// Upper bound on passes; the loop also stops once a full pass improves
   /// HPWL by less than a relative 1e-4.
   std::size_t max_passes = 4;
-  /// Cross-check every accepted move's maintained HPWL total against a
-  /// full eval::hpwl recompute (tests/debugging only: restores the
-  /// quadratic cost the incremental engine removes).
-  bool paranoid = false;
-  /// Optional veto over HPWL-improving moves, consulted while the move is
-  /// staged on the detailer's incremental HPWL engine (see
-  /// eval::IncrementalHpwl::for_each_staged_net; the placement still holds
-  /// the pre-move positions). Return false to reject; vetoes are counted
-  /// in Profile::guard_vetoes. The timing-driven flow uses this to refuse
+  /// Optional veto over HPWL-improving moves. It sees the moved cells'
+  /// nets in ascending order with their net_hpwl without and with the
+  /// move (eval::MoveScorer::nets); the placement then holds the moved
+  /// positions. Return false to reject; vetoes are counted in
+  /// Profile::guard_vetoes. The timing-driven flow uses this to refuse
   /// moves that worsen the WNS proxy.
-  std::function<bool(const eval::IncrementalHpwl&)> move_guard;
+  std::function<bool(std::span<const eval::NetChange>)> move_guard;
 };
 
 struct DetailStats {
   double hpwl_before = 0.0;
   double hpwl_after = 0.0;
-  /// Per-pass candidate/accept counts, wall times, and incremental-engine
-  /// bookkeeping (rescans, resyncs, paranoid checks).
+  /// Per-pass candidate/accept counts and wall times, nets scored and
+  /// guard vetoes.
   Profile profile;
 };
 

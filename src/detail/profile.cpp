@@ -9,9 +9,6 @@ void Profile::merge(const Profile& other) {
   swap.merge(other.swap);
   unit_slide.merge(other.unit_slide);
   rescans += other.rescans;
-  resyncs += other.resyncs;
-  paranoid_checks += other.paranoid_checks;
-  paranoid_failures += other.paranoid_failures;
   guard_vetoes += other.guard_vetoes;
 }
 
@@ -25,16 +22,10 @@ std::string Profile::to_string() const {
   std::string out = fmt("slide", slide);
   out += " | " + fmt("swap", swap);
   out += " | " + fmt("unit", unit_slide);
-  std::snprintf(buf, sizeof buf, " | rescans %zu | resyncs %zu", rescans,
-                resyncs);
+  std::snprintf(buf, sizeof buf, " | rescans %zu", rescans);
   out += buf;
   if (guard_vetoes > 0) {
     std::snprintf(buf, sizeof buf, " | guard vetoes %zu", guard_vetoes);
-    out += buf;
-  }
-  if (paranoid_checks > 0) {
-    std::snprintf(buf, sizeof buf, " | paranoid %zu/%zu ok",
-                  paranoid_checks - paranoid_failures, paranoid_checks);
     out += buf;
   }
   return out;

@@ -28,6 +28,41 @@ double hpwl(const netlist::Netlist& nl, const netlist::Placement& pl) {
   return total;
 }
 
+MoveScorer::Score MoveScorer::move(std::span<const CellId> cells,
+                                   std::span<const geom::Point> centers) {
+  nets_.clear();
+  for (CellId c : cells) {
+    for (PinId p : nl_->cell(c).pins) nets_.push_back({nl_->pin(p).net});
+  }
+  std::sort(nets_.begin(), nets_.end(),
+            [](const NetChange& a, const NetChange& b) {
+              return a.net < b.net;
+            });
+  nets_.erase(std::unique(nets_.begin(), nets_.end(),
+                          [](const NetChange& a, const NetChange& b) {
+                            return a.net == b.net;
+                          }),
+              nets_.end());
+  for (NetChange& nc : nets_) nc.before = net_hpwl(*nl_, nc.net, *pl_);
+  saved_.clear();
+  for (std::size_t k = 0; k < cells.size(); ++k) {
+    saved_.push_back({cells[k], (*pl_)[cells[k]]});
+    (*pl_)[cells[k]] = centers[k];
+  }
+  Score s;
+  for (NetChange& nc : nets_) {
+    nc.after = net_hpwl(*nl_, nc.net, *pl_);
+    const double w = nl_->net(nc.net).weight;
+    s.before += w * nc.before;
+    s.after += w * nc.after;
+  }
+  return s;
+}
+
+void MoveScorer::undo() {
+  for (const auto& [cell, pos] : saved_) (*pl_)[cell] = pos;
+}
+
 double datapath_hpwl(const netlist::Netlist& nl, const netlist::Placement& pl,
                      const netlist::StructureAnnotation& groups) {
   const auto member = groups.membership(nl.num_cells());

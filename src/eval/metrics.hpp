@@ -1,8 +1,11 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "geom/point.hpp"
 #include "netlist/design.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/structure.hpp"
@@ -15,6 +18,46 @@ double hpwl(const netlist::Netlist& netlist, const netlist::Placement& pl);
 /// HPWL of a single net.
 double net_hpwl(const netlist::Netlist& netlist, netlist::NetId net,
                 const netlist::Placement& pl);
+
+/// HPWL of one net without and with a candidate move.
+struct NetChange {
+  netlist::NetId net = netlist::kInvalidId;
+  double before = 0.0;
+  double after = 0.0;
+};
+
+/// Scores candidate moves by rescanning the moved cells' nets with
+/// `net_hpwl`. `move` writes the new centers into the placement, so a
+/// caller keeps a move by doing nothing and drops it with `undo`.
+class MoveScorer {
+ public:
+  MoveScorer(const netlist::Netlist& netlist, netlist::Placement& pl)
+      : nl_(&netlist), pl_(&pl) {}
+
+  /// Weighted HPWL of the moved cells' nets without and with the move.
+  struct Score {
+    double before = 0.0;
+    double after = 0.0;
+  };
+
+  /// Moves `cells[k]` (distinct) to center `centers[k]`. Both sums run
+  /// over the cells' nets, sorted and unique, in ascending net order.
+  Score move(std::span<const netlist::CellId> cells,
+             std::span<const geom::Point> centers);
+
+  /// The last move's nets in ascending order, with unweighted
+  /// `net_hpwl` values without and with the move.
+  std::span<const NetChange> nets() const { return nets_; }
+
+  /// Puts the last move's cells back at their saved positions.
+  void undo();
+
+ private:
+  const netlist::Netlist* nl_;
+  netlist::Placement* pl_;
+  std::vector<NetChange> nets_;
+  std::vector<std::pair<netlist::CellId, geom::Point>> saved_;
+};
 
 /// HPWL restricted to nets with at least one pin on a datapath cell
 /// (the "datapath wirelength" column of the headline table).

@@ -7,7 +7,7 @@
 #include <numeric>
 #include <optional>
 
-#include "eval/incremental_hpwl.hpp"
+#include "eval/metrics.hpp"
 #include "legal/abacus.hpp"
 
 namespace dp::legal {
@@ -275,7 +275,7 @@ StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl,
 
   // Cell centers of a chunk at its current (row0, x), staged in
   // chunk_cells / chunk_centers: written into pl on commit, or scored as
-  // a whole-plate relocation through the incremental HPWL engine first.
+  // a whole-plate relocation first.
   std::vector<CellId> chunk_cells;
   std::vector<geom::Point> chunk_centers;
   auto chunk_targets = [&](const PlacedChunk& pc) {
@@ -592,12 +592,10 @@ StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl,
   // around the centroid of its external connections; commit only on real
   // HPWL gain. This is what rescues plates the window search had to exile
   // far from their logic.
-  // Candidate relocations are scored as incremental trials over the nets
-  // incident to the chunk (internal nets are invariant under whole-chunk
-  // translation, so including them is harmless): O(chunk pins) per trial
-  // instead of re-walking every incident net's full pin list twice, and a
-  // rejected trial rolls back without touching pl at all.
-  eval::IncrementalHpwl plate_hpwl(*nl_, pl);
+  // A relocation is scored over the nets of the chunk's cells (internal
+  // nets are invariant under whole-chunk translation, so including them
+  // is harmless).
+  eval::MoveScorer plate_move(*nl_, pl);
   for (int pass = 0; pass < 3; ++pass) {
     bool improved = false;
     for (PlacedChunk& pc : committed) {
@@ -611,12 +609,11 @@ StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl,
       pc.row0 = window->row0;
       pc.x = window->x;
       chunk_targets(pc);
-      const auto t = plate_hpwl.trial_place(chunk_cells, chunk_centers);
-      if (t.after + 1e-9 < t.before) {
-        plate_hpwl.commit();  // writes the staged centers into pl
+      const auto s = plate_move.move(chunk_cells, chunk_centers);
+      if (s.after + 1e-9 < s.before) {
         improved = true;
       } else {
-        plate_hpwl.rollback();
+        plate_move.undo();
         pc.row0 = saved_row0;
         pc.x = saved_x;
       }

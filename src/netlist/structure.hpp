@@ -21,11 +21,6 @@ struct StructureGroup {
   std::vector<CellId> cells;
   /// Extraction confidence in [0,1]; 1 for ground truth.
   double confidence = 1.0;
-  /// Chain metadata set by feasibility partitioning: sub-groups cut from
-  /// one parent share `parent` and are consecutive in `seq` (stage
-  /// order). Placement keeps such siblings adjacent (snaked floorplan).
-  std::string parent;
-  std::size_t seq = 0;
 
   CellId at(std::size_t bit, std::size_t stage) const {
     return cells[bit * stages + stage];

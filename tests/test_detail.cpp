@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "detail/detailed_placer.hpp"
 #include "dpgen/benchmarks.hpp"
@@ -99,10 +100,9 @@ TEST(Detail, MaxPassesZeroIsNoop) {
 // ---------------------------------------------------------------------------
 // Bitwise equivalence against the original full-rescan implementation.
 //
-// The detailed placer was rewritten on top of eval::IncrementalHpwl; at the
-// default options its accept decisions and committed coordinates must be
-// indistinguishable from the historical engine, which is reproduced here
-// verbatim as the reference.
+// At the default options the detailer's accept decisions and committed
+// coordinates must be indistinguishable from the historical engine, which
+// is reproduced here verbatim as the reference.
 // ---------------------------------------------------------------------------
 namespace seedref {
 
@@ -456,24 +456,67 @@ TEST_P(DetailEquivalence, StructuredModeBitwiseIdentical) {
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, DetailEquivalence,
                          ::testing::ValuesIn(dpgen::standard_benchmarks()));
 
-TEST(Detail, ParanoidModeMatchesSeedAndPassesAllChecks) {
+// The move guard sees exactly the moved cells' nets, in ascending order,
+// with before/after equal to a fresh eval::net_hpwl on the placement
+// without and with the move.
+TEST(Detail, MoveGuardSeesMovedCellsNets) {
   dpgen::Benchmark bench = dpgen::make_benchmark("dp_alu32");
-  const Placement start = legalized_scatter(bench, 44);
-
-  Placement pl_ref = start;
-  seedref::run_plain(bench.netlist, bench.design, pl_ref);
-
-  Placement pl_new = start;
-  DetailedPlacer placer(bench.netlist, bench.design);
+  const netlist::Netlist& nl = bench.netlist;
+  Placement pl = legalized_scatter(bench, 44);
+  Placement before = pl;
+  std::size_t calls = 0;
   DetailOptions opt;
-  opt.paranoid = true;
-  const DetailStats stats = placer.run(pl_new, opt);
+  opt.move_guard = [&](std::span<const eval::NetChange> nets) {
+    ++calls;
+    // The placement holds the move; `before` holds the last accepted
+    // placement, so the moved cells are the ones that differ.
+    std::vector<netlist::NetId> expect;
+    for (CellId c = 0; c < nl.num_cells(); ++c) {
+      if (pl[c].x == before[c].x && pl[c].y == before[c].y) continue;
+      for (netlist::PinId p : nl.cell(c).pins) {
+        expect.push_back(nl.pin(p).net);
+      }
+    }
+    std::sort(expect.begin(), expect.end());
+    expect.erase(std::unique(expect.begin(), expect.end()), expect.end());
+    std::vector<netlist::NetId> seen;
+    for (const eval::NetChange& nc : nets) {
+      seen.push_back(nc.net);
+      EXPECT_EQ(nc.before, eval::net_hpwl(nl, nc.net, before));
+      EXPECT_EQ(nc.after, eval::net_hpwl(nl, nc.net, pl));
+    }
+    EXPECT_EQ(seen, expect);
+    before = pl;  // every move is allowed
+    return true;
+  };
+  DetailedPlacer placer(nl, bench.design);
+  const DetailStats stats = placer.run(pl, opt);
+  const Profile& p = stats.profile;
+  EXPECT_GT(calls, 0u);
+  EXPECT_EQ(calls, p.slide.accepted + p.swap.accepted + p.unit_slide.accepted);
+  EXPECT_EQ(p.guard_vetoes, 0u);
+}
 
-  EXPECT_GT(stats.profile.paranoid_checks, 0u);
-  EXPECT_EQ(stats.profile.paranoid_failures, 0u);
-  for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
-    ASSERT_EQ(pl_new[c].x, pl_ref[c].x) << "cell " << c;
-    ASSERT_EQ(pl_new[c].y, pl_ref[c].y) << "cell " << c;
+TEST(Detail, VetoingGuardLeavesPlacementUnchanged) {
+  dpgen::Benchmark bench = dpgen::make_benchmark("dp_alu32");
+  const Placement start = legalized_scatter(bench, 45);
+  std::vector<bool> along_y(bench.truth.groups.size(), true);
+  DetailOptions opt;
+  opt.move_guard = [](std::span<const eval::NetChange>) { return false; };
+  DetailedPlacer placer(bench.netlist, bench.design);
+  for (bool structured : {false, true}) {
+    Placement pl = start;
+    const DetailStats stats =
+        structured ? placer.run_structured(pl, bench.truth, along_y, opt)
+                   : placer.run(pl, opt);
+    const Profile& p = stats.profile;
+    EXPECT_GT(p.guard_vetoes, 0u);
+    EXPECT_EQ(p.slide.accepted + p.swap.accepted + p.unit_slide.accepted, 0u);
+    EXPECT_EQ(stats.hpwl_after, stats.hpwl_before);
+    for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
+      ASSERT_EQ(pl[c].x, start[c].x) << "cell " << c;
+      ASSERT_EQ(pl[c].y, start[c].y) << "cell " << c;
+    }
   }
 }
 
@@ -484,11 +527,12 @@ TEST(Detail, ProfileCountsAreConsistent) {
   const Profile& p = stats.profile;
   EXPECT_LE(p.slide.accepted, p.slide.candidates);
   EXPECT_LE(p.swap.accepted, p.swap.candidates);
-  // Every executed pass runs each pass kind once, with one resync before
-  // the pass loop plus one per pass.
+  // Every executed pass runs each pass kind once, and every candidate
+  // scores at least one net.
   EXPECT_EQ(p.swap.passes, p.slide.passes);
   EXPECT_EQ(p.unit_slide.passes, p.slide.passes);
-  EXPECT_EQ(p.resyncs, p.slide.passes + 1);
+  EXPECT_GE(p.rescans,
+            p.slide.candidates + p.swap.candidates + p.unit_slide.candidates);
   EXPECT_FALSE(p.to_string().empty());
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -7,6 +8,8 @@
 #include "dpgen/benchmarks.hpp"
 #include "eval/metrics.hpp"
 #include "eval/svg.hpp"
+#include "legal/abacus.hpp"
+#include "util/prng.hpp"
 
 namespace dp::eval {
 namespace {
@@ -147,6 +150,92 @@ TEST(DatapathHpwl, SubsetOfTotal) {
   const double dp = datapath_hpwl(bench.netlist, bench.placement, bench.truth);
   EXPECT_LE(dp, total + 1e-9);
   EXPECT_GT(dp, 0.0);
+}
+
+// Random single-cell relocations and whole-lane shifts on a legalized
+// design: the scores are the weighted net_hpwl sums over the moved cells'
+// nets, the per-net list is ascending and unique, and undo restores every
+// coordinate bitwise.
+TEST(MoveScorer, MatchesNetHpwlAndUndoesBitwise) {
+  const dpgen::Benchmark bench = dpgen::make_benchmark("dp_alu32");
+  const netlist::Netlist& nl = bench.netlist;
+  Placement pl = bench.placement;
+  util::Rng rng(7);
+  const geom::Rect& core = bench.design.core();
+  for (CellId c = 0; c < nl.num_cells(); ++c) {
+    if (!nl.cell(c).fixed) {
+      pl[c] = {rng.uniform(core.lx, core.hx), rng.uniform(core.ly, core.hy)};
+    }
+  }
+  legal::AbacusLegalizer(nl, bench.design).run_all(pl);
+  std::vector<std::vector<CellId>> lanes;
+  for (const auto& g : bench.truth.groups) {
+    for (auto& lane : netlist::row_lanes(g, true)) {
+      if (!lane.empty()) lanes.push_back(std::move(lane));
+    }
+  }
+  ASSERT_FALSE(lanes.empty());
+
+  MoveScorer scorer(nl, pl);
+  std::vector<CellId> cells;
+  std::vector<geom::Point> centers;
+  std::size_t kept = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    cells.clear();
+    centers.clear();
+    if (rng.chance(0.5)) {
+      CellId c = 0;
+      do {
+        c = static_cast<CellId>(rng.index(nl.num_cells()));
+      } while (nl.cell(c).fixed);
+      cells.push_back(c);
+      centers.push_back(
+          {rng.uniform(core.lx, core.hx), rng.uniform(core.ly, core.hy)});
+    } else {
+      cells = lanes[rng.index(lanes.size())];
+      const double dx = rng.uniform(-5.0, 5.0);
+      const double dy = rng.uniform(-5.0, 5.0);
+      for (CellId c : cells) centers.push_back({pl[c].x + dx, pl[c].y + dy});
+    }
+    const Placement start = pl;
+    Placement moved = pl;
+    for (std::size_t k = 0; k < cells.size(); ++k) moved[cells[k]] = centers[k];
+
+    const MoveScorer::Score s = scorer.move(cells, centers);
+    std::vector<netlist::NetId> expect;
+    for (CellId c : cells) {
+      for (netlist::PinId p : nl.cell(c).pins) expect.push_back(nl.pin(p).net);
+    }
+    std::sort(expect.begin(), expect.end());
+    expect.erase(std::unique(expect.begin(), expect.end()), expect.end());
+    std::vector<netlist::NetId> got;
+    double before = 0.0, after = 0.0;
+    for (const NetChange& nc : scorer.nets()) {
+      got.push_back(nc.net);
+      ASSERT_EQ(nc.before, net_hpwl(nl, nc.net, start)) << "iter " << iter;
+      ASSERT_EQ(nc.after, net_hpwl(nl, nc.net, moved)) << "iter " << iter;
+      before += nl.net(nc.net).weight * net_hpwl(nl, nc.net, start);
+      after += nl.net(nc.net).weight * net_hpwl(nl, nc.net, moved);
+    }
+    ASSERT_EQ(got, expect) << "iter " << iter;
+    ASSERT_EQ(s.before, before) << "iter " << iter;
+    ASSERT_EQ(s.after, after) << "iter " << iter;
+    for (CellId c = 0; c < nl.num_cells(); ++c) {
+      ASSERT_EQ(pl[c].x, moved[c].x);
+      ASSERT_EQ(pl[c].y, moved[c].y);
+    }
+
+    if (rng.chance(0.3)) {
+      ++kept;
+      continue;
+    }
+    scorer.undo();
+    for (CellId c = 0; c < nl.num_cells(); ++c) {
+      ASSERT_EQ(pl[c].x, start[c].x) << "iter " << iter << " cell " << c;
+      ASSERT_EQ(pl[c].y, start[c].y) << "iter " << iter << " cell " << c;
+    }
+  }
+  EXPECT_GT(kept, 100u);
 }
 
 std::string read_and_remove(const std::string& path) {
