@@ -13,7 +13,6 @@ AlignmentPenalty::AlignmentPenalty(const netlist::Netlist& nl,
                                    const netlist::StructureAnnotation& groups,
                                    const netlist::Design& design)
     : nl_(&nl), groups_(&groups), design_(&design) {
-  orientation_.assign(groups.groups.size(), GroupOrientation::kBitsAlongY);
   stage_pitch_.assign(groups.groups.size(), design.row_height());
   for (std::size_t g = 0; g < groups.groups.size(); ++g) {
     double total_w = 0.0;
@@ -24,57 +23,6 @@ AlignmentPenalty::AlignmentPenalty(const netlist::Netlist& nl,
       ++n;
     }
     if (n > 0) stage_pitch_[g] = total_w / static_cast<double>(n);
-  }
-  // Default orientation is the pipeline-wide convention: bits are rows.
-  // orient_by_shape()/orient_by_placement() remain available as ablations.
-}
-
-void AlignmentPenalty::orient_by_shape() {
-  for (std::size_t g = 0; g < groups_->groups.size(); ++g) {
-    const auto& grp = groups_->groups[g];
-    orientation_[g] = grp.bits >= grp.stages
-                          ? GroupOrientation::kBitsAlongY
-                          : GroupOrientation::kBitsAlongX;
-  }
-}
-
-namespace {
-
-/// Misalignment proxy: summed variance of slice-share coordinates plus
-/// stage-share coordinates for a candidate orientation.
-double orientation_cost(const StructureGroup& g,
-                        const netlist::Placement& pl, bool bits_along_y) {
-  double cost = 0.0;
-  auto spread = [&](const std::vector<CellId>& cells, bool use_y) {
-    if (cells.size() < 2) return 0.0;
-    double mean = 0.0;
-    for (CellId c : cells) mean += use_y ? pl[c].y : pl[c].x;
-    mean /= static_cast<double>(cells.size());
-    double acc = 0.0;
-    for (CellId c : cells) {
-      const double d = (use_y ? pl[c].y : pl[c].x) - mean;
-      acc += d * d;
-    }
-    return acc;
-  };
-  for (std::size_t b = 0; b < g.bits; ++b) {
-    cost += spread(g.slice(b), bits_along_y);
-  }
-  for (std::size_t s = 0; s < g.stages; ++s) {
-    cost += spread(g.stage(s), !bits_along_y);
-  }
-  return cost;
-}
-
-}  // namespace
-
-void AlignmentPenalty::orient_by_placement(const netlist::Placement& pl) {
-  for (std::size_t g = 0; g < groups_->groups.size(); ++g) {
-    const auto& grp = groups_->groups[g];
-    const double cy = orientation_cost(grp, pl, /*bits_along_y=*/true);
-    const double cx = orientation_cost(grp, pl, /*bits_along_y=*/false);
-    orientation_[g] = cy <= cx ? GroupOrientation::kBitsAlongY
-                               : GroupOrientation::kBitsAlongX;
   }
 }
 
@@ -103,13 +51,11 @@ double AlignmentPenalty::eval(const netlist::Placement& pl,
 
   for (std::size_t gi = 0; gi < groups_->groups.size(); ++gi) {
     const StructureGroup& g = groups_->groups[gi];
-    const bool bits_y = orientation_[gi] == GroupOrientation::kBitsAlongY;
 
-    // Lines: bit slices share one coordinate, stages share the other.
-    // For bits-along-y: slice coordinate = y, stage coordinate = x.
-    // The quadratic pull toward the mean has gradient 2*(c - mean). Also
-    // records every lane's movable-cell mean and count for the springs.
-    auto align_lines = [&](bool slices, bool use_y, std::vector<double>& means,
+    // Lines: bit slices share a y, stages share an x. The quadratic pull
+    // toward the mean has gradient 2*(c - mean). Also records every lane's
+    // movable-cell mean and count for the springs.
+    auto align_lines = [&](bool slices, std::vector<double>& means,
                            std::vector<std::size_t>& counts) {
       const std::size_t lanes = slices ? g.bits : g.stages;
       means.assign(lanes, 0.0);
@@ -119,7 +65,7 @@ double AlignmentPenalty::eval(const netlist::Placement& pl,
         std::size_t n = 0;
         for_lane(g, slices, i, [&](CellId c) {
           if (!vars.is_movable(c)) return;
-          sum += use_y ? pl[c].y : pl[c].x;
+          sum += slices ? pl[c].y : pl[c].x;
           ++n;
         });
         if (n == 0) continue;
@@ -131,9 +77,9 @@ double AlignmentPenalty::eval(const netlist::Placement& pl,
         for_lane(g, slices, i, [&](CellId c) {
           const auto v = vars.var(c);
           if (v == kInvalidId) return;
-          const double d = (use_y ? pl[c].y : pl[c].x) - mean;
+          const double d = (slices ? pl[c].y : pl[c].x) - mean;
           local += d * d;
-          if (use_y) {
+          if (slices) {
             gy[v] += 2.0 * d;
           } else {
             gx[v] += 2.0 * d;
@@ -142,8 +88,8 @@ double AlignmentPenalty::eval(const netlist::Placement& pl,
         value += local;
       }
     };
-    align_lines(/*slices=*/true, bits_y, slice_mean_, slice_n_);
-    align_lines(/*slices=*/false, !bits_y, stage_mean_, stage_n_);
+    align_lines(/*slices=*/true, slice_mean_, slice_n_);
+    align_lines(/*slices=*/false, stage_mean_, stage_n_);
 
     // Ordered ladder springs: consecutive slice (stage) centerlines at
     // exactly one *signed* pitch in index order. Unlike a symmetric
@@ -155,7 +101,7 @@ double AlignmentPenalty::eval(const netlist::Placement& pl,
     // an array that settled upside down is not forced to flip.
     auto pitch_spring = [&](const std::vector<double>& means,
                             const std::vector<std::size_t>& counts,
-                            double pitch, bool on_y, bool slices) {
+                            double pitch, bool slices) {
       // Direction: sign of the overall span across occupied lanes.
       double first = 0.0, last = 0.0;
       bool have_first = false;
@@ -182,7 +128,7 @@ double AlignmentPenalty::eval(const netlist::Placement& pl,
           for_lane(g, slices, lane, [&](CellId c) {
             const auto vv = vars.var(c);
             if (vv == kInvalidId) return;
-            if (on_y) {
+            if (slices) {
               gy[vv] += step;
             } else {
               gx[vv] += step;
@@ -194,8 +140,8 @@ double AlignmentPenalty::eval(const netlist::Placement& pl,
     };
 
     value += pitch_spring(slice_mean_, slice_n_, design_->row_height(),
-                          bits_y, /*slices=*/true);
-    value += pitch_spring(stage_mean_, stage_n_, stage_pitch_[gi], !bits_y,
+                          /*slices=*/true);
+    value += pitch_spring(stage_mean_, stage_n_, stage_pitch_[gi],
                           /*slices=*/false);
   }
 

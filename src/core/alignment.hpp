@@ -8,16 +8,14 @@
 
 namespace dp::core {
 
-/// Layout orientation of a datapath group.
-enum class GroupOrientation {
-  kBitsAlongY,  ///< bit slices are horizontal rows, stages are columns
-  kBitsAlongX,  ///< transposed
-};
-
 /// The paper's structure-aware objective term: quadratic penalties that
 /// pull every bit slice onto a common row, every stage onto a common
 /// column, and keep consecutive slice/stage centerlines at least one
 /// pitch apart (so the array cannot collapse onto a single line).
+///
+/// Bits run along y in every group: slices share a y, stages share an x.
+/// The paper's per-group choice of the transposed orientation is not
+/// reproduced; the legalizer and detailed placer treat slices as rows.
 ///
 /// All sub-terms are quadratic in the coordinates, so gradients are exact
 /// and cheap; the term plugs into the analytical global placer as an
@@ -28,19 +26,6 @@ class AlignmentPenalty final : public gp::ObjectiveTerm {
                    const netlist::StructureAnnotation& groups,
                    const netlist::Design& design);
 
-  /// Choose each group's orientation by its shape: wide arrays (bits >=
-  /// stages) lay bits along y. Called at construction; exposed for tests.
-  void orient_by_shape();
-
-  /// Re-choose each group's orientation to whichever fits the current
-  /// placement better (less misalignment). Called when the term activates
-  /// mid-placement.
-  void orient_by_placement(const netlist::Placement& pl);
-
-  GroupOrientation orientation(std::size_t group) const {
-    return orientation_[group];
-  }
-
   double eval(const netlist::Placement& pl, const gp::VarMap& vars,
               std::span<double> gx, std::span<double> gy) const override;
 
@@ -48,7 +33,6 @@ class AlignmentPenalty final : public gp::ObjectiveTerm {
   const netlist::Netlist* nl_;
   const netlist::StructureAnnotation* groups_;
   const netlist::Design* design_;
-  std::vector<GroupOrientation> orientation_;
   /// Per group: mean movable-cell width (stage pitch reference).
   std::vector<double> stage_pitch_;
   /// eval() scratch, reused across groups and calls: per-lane movable

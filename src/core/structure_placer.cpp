@@ -73,8 +73,8 @@ void warn_if_capped(const char* phase, const gp::GpResult& res,
 
 /// One StructurePlacer::place run, phase by phase: the placement being
 /// produced, the report filling up, and what one phase hands the next
-/// (the run's thread pool, timing analyzer, congestion map, density scale
-/// and group orientations).
+/// (the run's thread pool, timing analyzer, congestion map and density
+/// scale).
 class RunContext {
  public:
   RunContext(const netlist::Netlist& nl, const netlist::Design& design,
@@ -245,7 +245,7 @@ class RunContext {
     detail::DetailedPlacer detailer(nl_, design_);
     report.detail_stats =
         structured_
-            ? detailer.run_structured(pl_, report.structure, along_y_, opt)
+            ? detailer.run_structured(pl_, report.structure, opt)
             : detailer.run(pl_, opt);
     report.t_detail = stage.seconds();
     run_checks("detail", check::kCatGeometry | check::kCatLegality, 1e-6);
@@ -340,11 +340,6 @@ class RunContext {
     gp_result.stop_reason = res_b.stop_reason;
     gp_result.add_work(res_b);
 
-    along_y_.resize(report.structure.groups.size());
-    for (std::size_t g = 0; g < along_y_.size(); ++g) {
-      along_y_[g] =
-          alignment.orientation(g) == GroupOrientation::kBitsAlongY;
-    }
     log_group_boxes("post-GP");
     report.datapath_hpwl_gp = eval::datapath_hpwl(nl_, pl_, report.structure);
     report.alignment_gp =
@@ -352,8 +347,7 @@ class RunContext {
   }
 
   void legalize_blocks() {
-    legal::StructureLegalizer legalizer(nl_, design_, report.structure,
-                                        along_y_);
+    legal::StructureLegalizer legalizer(nl_, design_, report.structure);
     // Between plate commitment and glue legalization, re-place the glue
     // with a dedicated global placement around the frozen plates: the
     // plates become exact density obstacles and wirelength anchors, so
@@ -572,9 +566,6 @@ class RunContext {
   std::vector<double> density_scale_;
   /// The run's one inflation checkpoint has been reached.
   bool inflated_ = false;
-  /// Each group's bit direction, fixed by the alignment term; the
-  /// structured legalizer and detail placement both follow it.
-  std::vector<bool> along_y_;
 };
 
 }  // namespace

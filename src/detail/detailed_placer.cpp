@@ -307,20 +307,20 @@ DetailStats DetailedPlacer::run(netlist::Placement& pl,
 
 DetailStats DetailedPlacer::run_structured(
     netlist::Placement& pl, const netlist::StructureAnnotation& groups,
-    const std::vector<bool>& bits_along_y, const DetailOptions& options) {
+    const DetailOptions& options) {
   std::vector<Unit> units;
-  for (std::size_t g = 0; g < groups.groups.size(); ++g) {
-    const bool along_y = g < bits_along_y.size() ? bits_along_y[g] : true;
-    for (auto& lane : netlist::row_lanes(groups.groups[g], along_y)) {
-      if (lane.empty()) continue;
-      // A lane may have been folded across several rows by legalization;
+  for (const netlist::StructureGroup& group : groups.groups) {
+    for (std::size_t bit = 0; bit < group.bits; ++bit) {
+      std::vector<CellId> slice = group.slice(bit);
+      if (slice.empty()) continue;
+      // A slice may have been folded across several rows by legalization;
       // split it into per-row units.
-      std::sort(lane.begin(), lane.end(), [&](CellId a, CellId b) {
+      std::sort(slice.begin(), slice.end(), [&](CellId a, CellId b) {
         return pl[a].x < pl[b].x;
       });
       std::vector<std::pair<std::size_t, CellId>> by_row;
-      by_row.reserve(lane.size());
-      for (CellId c : lane) {
+      by_row.reserve(slice.size());
+      for (CellId c : slice) {
         by_row.emplace_back(design_->nearest_row(pl[c].y), c);
       }
       std::stable_sort(

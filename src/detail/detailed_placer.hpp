@@ -48,12 +48,11 @@ class DetailedPlacer {
   /// Plain detailed placement over all movable cells.
   DetailStats run(netlist::Placement& pl, const DetailOptions& options = {});
 
-  /// Structure-aware: group member cells move only as whole slices
-  /// (horizontal unit slides); all other cells get the plain moves.
-  /// `bits_along_y[g]` selects which axis forms the row units of group g.
+  /// Structure-aware: group member cells move only as whole bit slices
+  /// (horizontal unit slides, one unit per row a slice occupies); all
+  /// other cells get the plain moves.
   DetailStats run_structured(netlist::Placement& pl,
                              const netlist::StructureAnnotation& groups,
-                             const std::vector<bool>& bits_along_y,
                              const DetailOptions& options = {});
 
  private:

@@ -14,8 +14,10 @@ namespace {
 
 /// Chunk/block counts are fixed (independent of the thread count), so
 /// every pass produces the same floating-point result for any pool size.
-constexpr std::size_t kMaxParts = 64;
 constexpr std::size_t kMinCellsPerChunk = 512;
+/// The penalty value is summed per group of whole bin rows, at most this
+/// many groups, and the group sums are added in order.
+constexpr std::size_t kMaxValueGroups = 64;
 /// Pass-1 accumulation blocks. Each block owns a run of whole value
 /// groups (see value()), so a cell whose footprint spans a few bin rows
 /// is visited once or twice per evaluation instead of once per row.
@@ -36,30 +38,31 @@ std::size_t max_window_bins(double wc, double wb, std::size_t nb) {
   return std::min(nb, static_cast<std::size_t>(wc / wb) + 7);
 }
 
-/// Fixed cell chunking shared by passes 0 and 2.
-std::size_t cell_chunks(std::size_t n_mov) {
-  return std::clamp<std::size_t>(n_mov / kMinCellsPerChunk, 1, kMaxParts);
-}
-
-/// task(k) for k in [0, n), on the pool when there is one.
-template <typename Task>
-void run_tasks(util::ThreadPool* pool, std::size_t n, Task&& task) {
-  if (pool != nullptr) {
-    pool->run(n, task);
-  } else {
-    for (std::size_t k = 0; k < n; ++k) task(k);
+/// Adds `scale` times the exact overlap area of `r` with each bin it
+/// touches to `grid`: the row-major nb x nb grid of bw x bh bins whose
+/// lower left corner is `core`'s.
+void add_overlap(std::vector<double>& grid, const geom::Rect& r,
+                 double scale, const geom::Rect& core, double bw, double bh,
+                 std::size_t nb) {
+  const auto nbi = static_cast<long long>(nb);
+  const auto bx0 = std::max<long long>(
+      0, static_cast<long long>(std::floor((r.lx - core.lx) / bw)));
+  const auto bx1 = std::min<long long>(
+      nbi - 1, static_cast<long long>(std::floor((r.hx - core.lx) / bw)));
+  const auto by0 = std::max<long long>(
+      0, static_cast<long long>(std::floor((r.ly - core.ly) / bh)));
+  const auto by1 = std::min<long long>(
+      nbi - 1, static_cast<long long>(std::floor((r.hy - core.ly) / bh)));
+  for (long long by = by0; by <= by1; ++by) {
+    for (long long bx = bx0; bx <= bx1; ++bx) {
+      const geom::Rect bin{core.lx + static_cast<double>(bx) * bw,
+                           core.ly + static_cast<double>(by) * bh,
+                           core.lx + static_cast<double>(bx + 1) * bw,
+                           core.ly + static_cast<double>(by + 1) * bh};
+      grid[static_cast<std::size_t>(by) * nb +
+           static_cast<std::size_t>(bx)] += r.overlap_area(bin) * scale;
+    }
   }
-}
-
-/// body(k, v0, v1) for each of `chunks` fixed contiguous chunks [v0, v1)
-/// of [0, n).
-template <typename Body>
-void for_cell_chunks(util::ThreadPool* pool, std::size_t n,
-                     std::size_t chunks, Body&& body) {
-  const std::size_t per_chunk = (n + chunks - 1) / chunks;
-  run_tasks(pool, chunks, [&](std::size_t k) {
-    body(k, std::min(n, k * per_chunk), std::min(n, (k + 1) * per_chunk));
-  });
 }
 
 }  // namespace
@@ -111,30 +114,13 @@ DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
 void DensityPenalty::preload_obstacles(const netlist::Placement& pl,
                                        const VarMap& vars) {
   preload_.assign(nb_ * nb_, 0.0);
-  const geom::Rect& core = design_->core();
-  const auto nbi = static_cast<long long>(nb_);
   for (CellId c = 0; c < nl_->num_cells(); ++c) {
     if (vars.var(c) != netlist::kInvalidId) continue;
-    const geom::Rect r = geom::Rect::from_center(pl[c], nl_->cell_width(c),
-                                                 nl_->cell_height(c));
-    const auto bx0 = std::max<long long>(
-        0, static_cast<long long>(std::floor((r.lx - core.lx) / bw_)));
-    const auto bx1 = std::min<long long>(
-        nbi - 1, static_cast<long long>(std::floor((r.hx - core.lx) / bw_)));
-    const auto by0 = std::max<long long>(
-        0, static_cast<long long>(std::floor((r.ly - core.ly) / bh_)));
-    const auto by1 = std::min<long long>(
-        nbi - 1, static_cast<long long>(std::floor((r.hy - core.ly) / bh_)));
-    for (long long by = by0; by <= by1; ++by) {
-      for (long long bx = bx0; bx <= bx1; ++bx) {
-        const geom::Rect bin{core.lx + static_cast<double>(bx) * bw_,
-                             core.ly + static_cast<double>(by) * bh_,
-                             core.lx + static_cast<double>(bx + 1) * bw_,
-                             core.ly + static_cast<double>(by + 1) * bh_};
-        preload_[static_cast<std::size_t>(by) * nb_ +
-                 static_cast<std::size_t>(bx)] += r.overlap_area(bin);
-      }
-    }
+    // A scale of 1 keeps the bits: x * 1.0 == x.
+    add_overlap(preload_,
+                geom::Rect::from_center(pl[c], nl_->cell_width(c),
+                                        nl_->cell_height(c)),
+                1.0, design_->core(), bw_, bh_, nb_);
   }
 }
 
@@ -170,8 +156,7 @@ double DensityPenalty::value(const netlist::Placement& pl,
   const auto movable = vars.movable_cells();
   const std::size_t n_mov = movable.size();
   foot_.resize(n_mov);
-  const std::size_t chunks = cell_chunks(n_mov);
-  chunks_.resize(chunks);
+  chunks_.resize(util::num_chunks(n_mov, kMinCellsPerChunk));
   auto vanishes = [](const Bell& b) { return b.p == 0.0 && b.dp == 0.0; };
 
   // Pass 0: footprints, bells and per-cell normalization (independent per
@@ -185,9 +170,8 @@ double DensityPenalty::value(const netlist::Placement& pl,
   // lower bound < 0 clamps to 0 either way, and an upper bound in (-1, 0)
   // adds only column or row 0, more than r2 from the cell, where the bell
   // and its slope vanish.
-  for_cell_chunks(pool_.get(), n_mov, chunks, [&](std::size_t k,
-                                                  std::size_t v0,
-                                                  std::size_t v1) {
+  util::for_chunks(pool_.get(), n_mov, kMinCellsPerChunk,
+                   [&](std::size_t k, std::size_t v0, std::size_t v1) {
     Chunk& chunk = chunks_[k];
     std::size_t capacity = 0;
     for (std::size_t v = v0; v < v1; ++v) {
@@ -269,7 +253,7 @@ double DensityPenalty::value(const netlist::Placement& pl,
   // whole rows, the grouping the value has always been summed in) and the
   // group sums are added in order, so the value keeps its bits too; each
   // block owns a run of whole groups.
-  const std::size_t num_groups = std::min(nb_, kMaxParts);
+  const std::size_t num_groups = std::min(nb_, kMaxValueGroups);
   const std::size_t rows_per_group = (nb_ + num_groups - 1) / num_groups;
   const std::size_t groups_per_block =
       (num_groups + kAccumBlocks - 1) / kAccumBlocks;
@@ -292,7 +276,7 @@ double DensityPenalty::value(const netlist::Placement& pl,
   const double target = one_sided ? one_sided_cap_ : target_per_bin_;
   group_value_.assign(num_groups, 0.0);
 
-  run_tasks(pool_.get(), num_blocks, [&](std::size_t b) {
+  util::run(pool_.get(), num_blocks, [&](std::size_t b) {
     const auto r0 = static_cast<long long>(b * rows_per_block);
     const auto r1 = std::min<long long>(
         nbi, static_cast<long long>((b + 1) * rows_per_block));
@@ -342,9 +326,8 @@ void DensityPenalty::gradient(std::span<double> gx,
   // Pass 2: gradient via chain rule (normalization treated as constant,
   // the standard NTUplace approximation). Embarrassingly parallel over
   // cells: variable v belongs to movable cell v alone.
-  for_cell_chunks(pool_.get(), n_mov, cell_chunks(n_mov), [&](std::size_t,
-                                                              std::size_t v0,
-                                                              std::size_t v1) {
+  util::for_chunks(pool_.get(), n_mov, kMinCellsPerChunk,
+                   [&](std::size_t, std::size_t v0, std::size_t v1) {
     for (std::size_t v = v0; v < v1; ++v) {
       const Footprint& f = foot_[v];
       if (f.inv_norm == 0.0) continue;
@@ -371,32 +354,12 @@ double DensityPenalty::overflow(const netlist::Placement& pl,
                                 const VarMap& vars,
                                 double target_density) const {
   const auto& nl = *nl_;
-  const geom::Rect& core = design_->core();
   std::vector<double> usage = preload_;
-  const auto nbi = static_cast<long long>(nb_);
-
   for (const CellId c : vars.movable_cells()) {
-    const geom::Rect r = geom::Rect::from_center(pl[c], nl.cell_width(c),
-                                                 nl.cell_height(c));
-    const auto bx0 = std::max<long long>(
-        0, static_cast<long long>(std::floor((r.lx - core.lx) / bw_)));
-    const auto bx1 = std::min<long long>(
-        nbi - 1, static_cast<long long>(std::floor((r.hx - core.lx) / bw_)));
-    const auto by0 = std::max<long long>(
-        0, static_cast<long long>(std::floor((r.ly - core.ly) / bh_)));
-    const auto by1 = std::min<long long>(
-        nbi - 1, static_cast<long long>(std::floor((r.hy - core.ly) / bh_)));
-    for (long long by = by0; by <= by1; ++by) {
-      for (long long bx = bx0; bx <= bx1; ++bx) {
-        const geom::Rect bin{core.lx + static_cast<double>(bx) * bw_,
-                             core.ly + static_cast<double>(by) * bh_,
-                             core.lx + static_cast<double>(bx + 1) * bw_,
-                             core.ly + static_cast<double>(by + 1) * bh_};
-        usage[static_cast<std::size_t>(by) * nb_ +
-              static_cast<std::size_t>(bx)] +=
-            r.overlap_area(bin) * area_scale_[c];
-      }
-    }
+    add_overlap(usage,
+                geom::Rect::from_center(pl[c], nl.cell_width(c),
+                                        nl.cell_height(c)),
+                area_scale_[c], design_->core(), bw_, bh_, nb_);
   }
 
   const double cap = bw_ * bh_ * target_density;

@@ -9,15 +9,11 @@
 namespace dp::gp {
 
 using netlist::NetId;
-using netlist::PinId;
 
 namespace {
 
-/// Net chunks are balanced by pin count; boundaries depend only on the
-/// netlist (never on the thread count), so partial sums reduce in the
-/// same order no matter how many workers run.
-constexpr std::size_t kMinPinsPerChunk = 2048;
-constexpr std::size_t kMaxChunks = 64;
+/// The gradient gather's chunk minimum, in variables.
+constexpr std::size_t kMinVarsPerChunk = 2048;
 
 /// Log-sum-exp extent and (optional) per-pin gradient for one axis of one
 /// net. `grad`, when non-null, receives weight * d/dc_i.
@@ -92,68 +88,30 @@ void exp_weights(const double* coord, std::size_t n, double max_c,
 
 SmoothWirelength::SmoothWirelength(const netlist::Netlist& nl,
                                    WirelengthModel model, double gamma)
-    : nl_(&nl), model_(model), gamma_(gamma) {
-  // Flatten nets with >= 2 pins into contiguous arrays.
-  std::size_t kept_pins = 0, kept_nets = 0;
-  for (NetId n = 0; n < nl.num_nets(); ++n) {
-    const std::size_t deg = nl.net(n).pins.size();
-    if (deg < 2) continue;
-    ++kept_nets;
-    kept_pins += deg;
+    : nl_(&nl), model_(model), gamma_(gamma), flat_(nl, 2) {
+  for (std::size_t kn = 0; kn < flat_.num_nets(); ++kn) {
+    const std::size_t deg = flat_.net_first[kn + 1] - flat_.net_first[kn];
     max_degree_ = std::max(max_degree_, deg);
     exp_calls_ += 2 * (deg == 2 ? 1 : 2 * deg - 2);
   }
-  net_first_.reserve(kept_nets + 1);
-  net_weight_.reserve(kept_nets);
-  pin_cell_.reserve(kept_pins);
-  pin_dx_.reserve(kept_pins);
-  pin_dy_.reserve(kept_pins);
-  net_first_.push_back(0);
-  for (NetId n = 0; n < nl.num_nets(); ++n) {
-    const auto& pins = nl.net(n).pins;
-    if (pins.size() < 2) continue;
-    net_weight_.push_back(nl.net(n).weight);
-    net_id_.push_back(n);
-    for (const PinId p : pins) {
-      const auto& pin = nl.pin(p);
-      pin_cell_.push_back(pin.cell);
-      pin_dx_.push_back(pin.offset_x);
-      pin_dy_.push_back(pin.offset_y);
-    }
-    net_first_.push_back(static_cast<std::uint32_t>(pin_cell_.size()));
-  }
-
-  // Fixed pin-balanced chunk boundaries.
-  const std::size_t chunks = std::clamp<std::size_t>(
-      kept_pins / kMinPinsPerChunk, 1, kMaxChunks);
-  const std::size_t per_chunk = (kept_pins + chunks - 1) / chunks;
-  chunk_first_.push_back(0);
-  std::size_t acc = 0;
-  for (std::size_t kn = 0; kn < kept_nets; ++kn) {
-    acc += net_first_[kn + 1] - net_first_[kn];
-    if (acc >= per_chunk && kn + 1 < kept_nets) {
-      chunk_first_.push_back(static_cast<std::uint32_t>(kn + 1));
-      acc = 0;
-    }
-  }
-  chunk_first_.push_back(static_cast<std::uint32_t>(kept_nets));
 }
 
 void SmoothWirelength::set_net_weight_scale(std::span<const double> scale) {
-  for (std::size_t kn = 0; kn < net_id_.size(); ++kn) {
-    const double base = nl_->net(net_id_[kn]).weight;
-    net_weight_[kn] = scale.empty() ? base : base * scale[net_id_[kn]];
+  for (std::size_t kn = 0; kn < flat_.num_nets(); ++kn) {
+    const NetId n = flat_.net_id[kn];
+    const double base = nl_->net(n).weight;
+    flat_.net_weight[kn] = scale.empty() ? base : base * scale[n];
   }
 }
 
 double SmoothWirelength::kernel(const netlist::Placement& pl,
                                 bool with_grad) const {
-  const std::size_t nchunks = chunk_first_.size() - 1;
+  const std::size_t nchunks = flat_.num_chunks();
   chunk_value_.assign(nchunks, 0.0);
   if (with_grad) {
     // Every slot is overwritten (not accumulated), so no zero-fill.
-    gpin_x_.resize(pin_cell_.size());
-    gpin_y_.resize(pin_cell_.size());
+    gpin_x_.resize(flat_.pin_cell.size());
+    gpin_y_.resize(flat_.pin_cell.size());
   }
   chunk_scratch_.resize(nchunks);
   const double gamma = gamma_;
@@ -166,18 +124,18 @@ double SmoothWirelength::kernel(const netlist::Placement& pl,
     double* wmax = coord + max_degree_;
     double* wmin = wmax + max_degree_;
     double total = 0.0;
-    for (std::uint32_t kn = chunk_first_[k]; kn < chunk_first_[k + 1];
-         ++kn) {
-      const std::uint32_t base = net_first_[kn];
-      const std::size_t deg = net_first_[kn + 1] - base;
-      const double weight = net_weight_[kn];
+    for (std::uint32_t kn = flat_.chunk_first[k];
+         kn < flat_.chunk_first[k + 1]; ++kn) {
+      const std::uint32_t base = flat_.net_first[kn];
+      const std::size_t deg = flat_.net_first[kn + 1] - base;
+      const double weight = flat_.net_weight[kn];
       double net_value = 0.0;
       // Per axis: gather coords, max-shift the exponents, evaluate.
       for (int axis = 0; axis < 2; ++axis) {
         for (std::size_t i = 0; i < deg; ++i) {
-          const std::uint32_t c = pin_cell_[base + i];
-          coord[i] = axis == 0 ? pl[c].x + pin_dx_[base + i]
-                               : pl[c].y + pin_dy_[base + i];
+          const std::uint32_t c = flat_.pin_cell[base + i];
+          coord[i] = axis == 0 ? pl[c].x + flat_.pin_dx[base + i]
+                               : pl[c].y + flat_.pin_dy[base + i];
         }
         // std::max/std::min semantics: an extreme is replaced only by a
         // strictly larger / smaller coordinate, so max_c and min_c are the
@@ -210,11 +168,7 @@ double SmoothWirelength::kernel(const netlist::Placement& pl,
     chunk_value_[k] = total;
   };
 
-  if (pool_ != nullptr) {
-    pool_->run(nchunks, work);
-  } else {
-    for (std::size_t k = 0; k < nchunks; ++k) work(k);
-  }
+  util::run(pool_.get(), nchunks, work);
 
   // Ordered reduction: fixed chunk boundaries + fixed order make the
   // total independent of the thread count.
@@ -227,7 +181,7 @@ void SmoothWirelength::bind_vars(const VarMap& vars) const {
   if (bound_vars_ == &vars && bound_num_vars_ == vars.num_vars()) return;
   const std::size_t nv = vars.num_vars();
   var_first_.assign(nv + 1, 0);
-  for (const std::uint32_t c : pin_cell_) {
+  for (const std::uint32_t c : flat_.pin_cell) {
     const std::uint32_t v = vars.var(c);
     if (v != netlist::kInvalidId) ++var_first_[v + 1];
   }
@@ -235,8 +189,8 @@ void SmoothWirelength::bind_vars(const VarMap& vars) const {
   var_slot_.resize(var_first_[nv]);
   std::vector<std::uint32_t> cursor(var_first_.begin(),
                                     var_first_.end() - 1);
-  for (std::uint32_t s = 0; s < pin_cell_.size(); ++s) {
-    const std::uint32_t v = vars.var(pin_cell_[s]);
+  for (std::uint32_t s = 0; s < flat_.pin_cell.size(); ++s) {
+    const std::uint32_t v = vars.var(flat_.pin_cell[s]);
     if (v != netlist::kInvalidId) var_slot_[cursor[v]++] = s;
   }
   bound_vars_ = &vars;
@@ -252,8 +206,8 @@ double SmoothWirelength::eval(const netlist::Placement& pl,
   // Gather per-pin gradients into the variables. Each variable's slots
   // are summed in fixed CSR order, so the gather is both race-free and
   // deterministic for any thread count.
-  const std::size_t nv = vars.num_vars();
-  auto gather = [&](std::size_t v0, std::size_t v1) {
+  util::for_chunks(pool_.get(), vars.num_vars(), kMinVarsPerChunk,
+                   [&](std::size_t, std::size_t v0, std::size_t v1) {
     for (std::size_t v = v0; v < v1; ++v) {
       double sx = 0.0, sy = 0.0;
       for (std::uint32_t s = var_first_[v]; s < var_first_[v + 1]; ++s) {
@@ -263,17 +217,7 @@ double SmoothWirelength::eval(const netlist::Placement& pl,
       gx[v] += sx;
       gy[v] += sy;
     }
-  };
-  if (pool_ != nullptr && pool_->size() > 1 && nv >= 4096) {
-    const std::size_t chunks =
-        std::clamp<std::size_t>(nv / 2048, 1, kMaxChunks);
-    const std::size_t per = (nv + chunks - 1) / chunks;
-    pool_->run(chunks, [&](std::size_t k) {
-      gather(k * per, std::min(nv, (k + 1) * per));
-    });
-  } else {
-    gather(0, nv);
-  }
+  });
   return total;
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "gp/vars.hpp"
+#include "netlist/flat_nets.hpp"
 
 namespace dp::util {
 class ThreadPool;
@@ -28,12 +29,12 @@ enum class WirelengthModel {
 /// weights are exactly 1 and are set without calling exp() (see
 /// exp_calls()).
 ///
-/// The hot loop runs over a flattened CSR net->pin layout built once in
-/// the constructor (contiguous cell ids and pin offsets, nets with < 2
-/// pins dropped), split into fixed pin-balanced chunks. With a thread
-/// pool attached the chunks evaluate concurrently; per-pin gradients land
-/// in per-pin slots and are gathered per variable in fixed slot order, so
-/// the result is bitwise identical for every thread count.
+/// The hot loop runs over a netlist::FlatNets layout built once in the
+/// constructor (nets with < 2 pins dropped), split into its fixed
+/// pin-balanced chunks. With a thread pool attached the chunks evaluate
+/// concurrently; per-pin gradients land in per-pin slots and are gathered
+/// per variable in fixed slot order, so the result is bitwise identical
+/// for every thread count.
 class SmoothWirelength final : public ObjectiveTerm {
  public:
   SmoothWirelength(const netlist::Netlist& nl, WirelengthModel model,
@@ -78,13 +79,8 @@ class SmoothWirelength final : public ObjectiveTerm {
   double gamma_;
   std::shared_ptr<util::ThreadPool> pool_;
 
-  // Flattened CSR topology over nets with >= 2 pins (built once).
-  std::vector<std::uint32_t> net_first_;  ///< kept-net -> first pin slot
-  std::vector<double> net_weight_;
-  std::vector<netlist::NetId> net_id_;    ///< kept-net -> NetId
-  std::vector<std::uint32_t> pin_cell_;
-  std::vector<double> pin_dx_, pin_dy_;   ///< pin offsets from cell center
-  std::vector<std::uint32_t> chunk_first_;  ///< fixed chunk bounds (nets)
+  /// Nets with >= 2 pins; set_net_weight_scale() rewrites net_weight.
+  netlist::FlatNets flat_;
   std::size_t max_degree_ = 0;
   std::uint64_t exp_calls_ = 0;
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <numeric>
 #include <optional>
 
 #include "eval/metrics.hpp"
@@ -39,23 +38,17 @@ struct Chunk {
   bool lanes_descending = false;
 };
 
-/// Decompose a group into chunks of consecutive columns, each at most
-/// `max_width` wide (a single column may exceed it; it forms its own
-/// chunk). Lanes are bit slices (bits_along_y) or stages (transposed).
+/// Decompose a group into chunks of consecutive stage columns, each at
+/// most `max_width` wide (a single column may exceed it; it forms its own
+/// chunk). Each bit slice of a chunk is one row unit.
 std::vector<Chunk> make_chunks(const netlist::Netlist& nl,
                                const StructureGroup& g,
                                const netlist::Placement& pl,
-                               bool bits_along_y, double max_width) {
-  const std::size_t lanes = bits_along_y ? g.bits : g.stages;
-  const std::size_t cols = bits_along_y ? g.stages : g.bits;
-  auto cell_at = [&](std::size_t lane, std::size_t col) {
-    return bits_along_y ? g.at(lane, col) : g.at(col, lane);
-  };
-
-  std::vector<double> col_width(cols, 0.0);
-  for (std::size_t col = 0; col < cols; ++col) {
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      const CellId c = cell_at(lane, col);
+                               double max_width) {
+  std::vector<double> col_width(g.stages, 0.0);
+  for (std::size_t col = 0; col < g.stages; ++col) {
+    for (std::size_t bit = 0; bit < g.bits; ++bit) {
+      const CellId c = g.at(bit, col);
       if (c != kInvalidId) {
         col_width[col] = std::max(col_width[col], nl.cell_width(c));
       }
@@ -64,11 +57,12 @@ std::vector<Chunk> make_chunks(const netlist::Netlist& nl,
 
   std::vector<Chunk> chunks;
   std::size_t col = 0;
-  while (col < cols) {
+  while (col < g.stages) {
     // Greedy span of columns fitting in max_width.
     std::size_t end = col;
     double width = 0.0;
-    while (end < cols && (end == col || width + col_width[end] <= max_width)) {
+    while (end < g.stages &&
+           (end == col || width + col_width[end] <= max_width)) {
       width += col_width[end];
       ++end;
     }
@@ -80,8 +74,8 @@ std::vector<Chunk> make_chunks(const netlist::Netlist& nl,
     for (std::size_t c2 = col; c2 < end; ++c2) {
       double sx = 0.0;
       std::size_t nx = 0;
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        const CellId c = cell_at(lane, c2);
+      for (std::size_t bit = 0; bit < g.bits; ++bit) {
+        const CellId c = g.at(bit, c2);
         if (c != kInvalidId) {
           sx += pl[c].x;
           ++nx;
@@ -100,12 +94,12 @@ std::vector<Chunk> make_chunks(const netlist::Netlist& nl,
     chunk.width = width;
     double sum_cx = 0.0, sum_cy = 0.0;
     std::size_t count = 0;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
+    for (std::size_t bit = 0; bit < g.bits; ++bit) {
       RowUnit unit;
       double off = 0.0;
       double sy = 0.0;
       for (std::size_t c2 = col; c2 < end; ++c2) {
-        const CellId c = cell_at(lane, c2);
+        const CellId c = g.at(bit, c2);
         if (c != kInvalidId) {
           const double center = off + nl.cell_width(c) / 2.0;
           unit.cells.push_back(c);
@@ -174,10 +168,8 @@ std::vector<Segment> intersect_rows(const RowMap& rows, std::size_t row0,
 
 StructureLegalizer::StructureLegalizer(
     const netlist::Netlist& nl, const netlist::Design& design,
-    const netlist::StructureAnnotation& groups,
-    std::vector<bool> bits_along_y)
-    : nl_(&nl), design_(&design), groups_(&groups),
-      bits_along_y_(std::move(bits_along_y)) {}
+    const netlist::StructureAnnotation& groups)
+    : nl_(&nl), design_(&design), groups_(&groups) {}
 
 StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl,
                                                const BetweenHook& between) {
@@ -331,15 +323,9 @@ StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl,
     Chunk chunk;
   };
   std::vector<FlatChunk> flat;
-  {
-    std::vector<std::size_t> order(groups_->groups.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    for (std::size_t gi : order) {
-      const bool along_y = gi >= bits_along_y_.size() || bits_along_y_[gi];
-      for (Chunk& c :
-           make_chunks(*nl_, groups_->groups[gi], pl, along_y, max_chunk_w)) {
-        flat.push_back({gi, std::move(c)});
-      }
+  for (std::size_t gi = 0; gi < groups_->groups.size(); ++gi) {
+    for (Chunk& c : make_chunks(*nl_, groups_->groups[gi], pl, max_chunk_w)) {
+      flat.push_back({gi, std::move(c)});
     }
   }
 

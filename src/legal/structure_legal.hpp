@@ -17,22 +17,18 @@ struct StructureLegalizeStats {
 };
 
 /// Structure-preserving legalization: each datapath group is legalized as
-/// a rectangular array (one "row unit" per bit slice — or per stage for
-/// transposed groups — on consecutive rows, stage columns sharing x
-/// offsets), folding arrays taller than the core into side-by-side strips.
+/// a rectangular array (one "row unit" per bit slice on consecutive rows,
+/// stage columns sharing x offsets), folding arrays taller than the core
+/// into side-by-side strips.
 /// The remaining cells are then Abacus-legalized into the free space
 /// around the plates. Cells that do not fit there keep their positions
 /// (counted in `rest.cells_failed`); repair_legality places them next,
 /// into the gaps the plates leave free cell by cell.
-///
-/// `bits_along_y[g]` gives group g's orientation: true = bit slices are
-/// horizontal rows (the usual datapath layout).
 class StructureLegalizer {
  public:
   StructureLegalizer(const netlist::Netlist& nl,
                      const netlist::Design& design,
-                     const netlist::StructureAnnotation& groups,
-                     std::vector<bool> bits_along_y);
+                     const netlist::StructureAnnotation& groups);
 
   /// `between` (optional) is invoked after the plates are committed and
   /// improved but before the remaining cells are legalized; it receives
@@ -48,7 +44,6 @@ class StructureLegalizer {
   const netlist::Netlist* nl_;
   const netlist::Design* design_;
   const netlist::StructureAnnotation* groups_;
-  std::vector<bool> bits_along_y_;
 };
 
 }  // namespace dp::legal

@@ -30,17 +30,6 @@ std::vector<CellId> StructureGroup::stage(std::size_t s) const {
   return out;
 }
 
-std::vector<std::vector<CellId>> row_lanes(const StructureGroup& group,
-                                           bool bits_along_y) {
-  std::vector<std::vector<CellId>> lanes;
-  const std::size_t n = bits_along_y ? group.bits : group.stages;
-  lanes.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    lanes.push_back(bits_along_y ? group.slice(i) : group.stage(i));
-  }
-  return lanes;
-}
-
 std::size_t StructureAnnotation::total_cells() const {
   std::size_t n = 0;
   for (const auto& g : groups) n += g.num_cells();

@@ -49,12 +49,6 @@ struct StructureGroup {
   std::vector<CellId> stage(std::size_t s) const;
 };
 
-/// The group's horizontal lanes for a given orientation: bit slices when
-/// `bits_along_y`, stage columns otherwise. Shared by the structure-aware
-/// legalizer and detailed placer.
-std::vector<std::vector<CellId>> row_lanes(const StructureGroup& group,
-                                           bool bits_along_y);
-
 /// The set of datapath groups annotated on (or extracted from) a netlist.
 struct StructureAnnotation {
   std::vector<StructureGroup> groups;

@@ -9,15 +9,12 @@
 namespace dp::route {
 
 using netlist::CellId;
-using netlist::NetId;
-using netlist::PinId;
 
 namespace {
 
-/// Chunk/block counts are fixed (independent of the thread count), so
-/// every pass produces the same floating-point result for any pool size.
-constexpr std::size_t kMaxParts = 64;
-constexpr std::size_t kMinPinsPerChunk = 2048;
+/// The rasterization pass splits the grid into at most this many blocks
+/// of whole bin rows, fixed by the grid alone (never by the thread count).
+constexpr std::size_t kMaxRowBlocks = 64;
 
 std::size_t pow2_at_least(double x) {
   std::size_t p = 1;
@@ -30,7 +27,7 @@ std::size_t pow2_at_least(double x) {
 CongestionMap::CongestionMap(const netlist::Netlist& nl,
                              const netlist::Design& design,
                              CongestionOptions options)
-    : nl_(&nl), design_(&design) {
+    : nl_(&nl), design_(&design), flat_(nl, 1) {
   const std::size_t n_mov = nl.num_movable();
   nb_ = options.bins_per_side != 0
             ? options.bins_per_side
@@ -45,50 +42,6 @@ CongestionMap::CongestionMap(const netlist::Netlist& nl,
   demand_h_.assign(nb_ * nb_, 0.0);
   demand_v_.assign(nb_ * nb_, 0.0);
   pins_.assign(nb_ * nb_, 0.0);
-
-  // Flatten nets with >= 1 pin into contiguous arrays (single-pin nets
-  // still contribute their pin surcharge).
-  std::size_t kept_pins = 0, kept_nets = 0;
-  for (NetId n = 0; n < nl.num_nets(); ++n) {
-    const std::size_t deg = nl.net(n).pins.size();
-    if (deg < 1) continue;
-    ++kept_nets;
-    kept_pins += deg;
-  }
-  net_first_.reserve(kept_nets + 1);
-  net_weight_.reserve(kept_nets);
-  pin_cell_.reserve(kept_pins);
-  pin_dx_.reserve(kept_pins);
-  pin_dy_.reserve(kept_pins);
-  net_first_.push_back(0);
-  for (NetId n = 0; n < nl.num_nets(); ++n) {
-    const auto& pins = nl.net(n).pins;
-    if (pins.empty()) continue;
-    net_weight_.push_back(nl.net(n).weight);
-    for (const PinId p : pins) {
-      const auto& pin = nl.pin(p);
-      pin_cell_.push_back(pin.cell);
-      pin_dx_.push_back(pin.offset_x);
-      pin_dy_.push_back(pin.offset_y);
-    }
-    net_first_.push_back(static_cast<std::uint32_t>(pin_cell_.size()));
-  }
-
-  // Fixed pin-balanced chunk boundaries for the bbox pass.
-  const std::size_t chunks =
-      std::clamp<std::size_t>(kept_pins / kMinPinsPerChunk, 1, kMaxParts);
-  const std::size_t per_chunk = chunks > 0 ? (kept_pins + chunks - 1) / chunks
-                                           : 0;
-  chunk_first_.push_back(0);
-  std::size_t acc = 0;
-  for (std::size_t kn = 0; kn < kept_nets; ++kn) {
-    acc += net_first_[kn + 1] - net_first_[kn];
-    if (acc >= per_chunk && kn + 1 < kept_nets) {
-      chunk_first_.push_back(static_cast<std::uint32_t>(kn + 1));
-      acc = 0;
-    }
-  }
-  chunk_first_.push_back(static_cast<std::uint32_t>(kept_nets));
 }
 
 std::size_t CongestionMap::bin_x(double x) const {
@@ -108,28 +61,29 @@ std::size_t CongestionMap::bin_y(double y) const {
 void CongestionMap::build(const netlist::Placement& pl) {
   const geom::Rect& core = design_->core();
   const auto nbi = static_cast<long long>(nb_);
-  const std::size_t kept_nets = net_weight_.size();
+  const std::size_t kept_nets = flat_.num_nets();
   boxes_.resize(kept_nets);
-  pin_bin_.resize(pin_cell_.size());
+  pin_bin_.resize(flat_.pin_cell.size());
 
   // Pass 0: per-net expanded bounding boxes and per-pin bin indices,
   // embarrassingly parallel over fixed net chunks.
-  const std::size_t nchunks = chunk_first_.size() - 1;
-  auto chunk_task = [&](std::size_t k) {
-    for (std::uint32_t kn = chunk_first_[k]; kn < chunk_first_[k + 1]; ++kn) {
-      const std::uint32_t p0 = net_first_[kn];
-      const std::uint32_t p1 = net_first_[kn + 1];
+  util::run(pool_.get(), flat_.num_chunks(), [&](std::size_t k) {
+    for (std::uint32_t kn = flat_.chunk_first[k];
+         kn < flat_.chunk_first[k + 1]; ++kn) {
+      const std::uint32_t p0 = flat_.net_first[kn];
+      const std::uint32_t p1 = flat_.net_first[kn + 1];
       geom::Rect box;
       for (std::uint32_t p = p0; p < p1; ++p) {
-        const geom::Point pos{pl[pin_cell_[p]].x + pin_dx_[p],
-                              pl[pin_cell_[p]].y + pin_dy_[p]};
+        const CellId c = flat_.pin_cell[p];
+        const geom::Point pos{pl[c].x + flat_.pin_dx[p],
+                              pl[c].y + flat_.pin_dy[p]};
         box.expand(pos);
         pin_bin_[p] = static_cast<std::uint32_t>(bin_y(pos.y) * nb_ +
                                                  bin_x(pos.x));
       }
       NetBox nb;
-      nb.wire_x = net_weight_[kn] * box.width();
-      nb.wire_y = net_weight_[kn] * box.height();
+      nb.wire_x = flat_.net_weight[kn] * box.width();
+      nb.wire_y = flat_.net_weight[kn] * box.height();
       // Expand to at least one bin per axis (flat and point nets must
       // still land somewhere), then clip to the core.
       double lx = box.lx, hx = box.hx, ly = box.ly, hy = box.hy;
@@ -167,18 +121,13 @@ void CongestionMap::build(const netlist::Placement& pl) {
       }
       boxes_[kn] = nb;
     }
-  };
-  if (pool_ != nullptr) {
-    pool_->run(nchunks, chunk_task);
-  } else {
-    for (std::size_t k = 0; k < nchunks; ++k) chunk_task(k);
-  }
+  });
 
   // Ownership lists: every bin row belongs to exactly one block, each
   // block accumulates its rows' contributions in ascending net/pin order
   // -- the same order as a serial sweep, so the grids are bitwise
   // identical for any thread count.
-  const std::size_t num_blocks = std::min(nb_, kMaxParts);
+  const std::size_t num_blocks = std::min(nb_, kMaxRowBlocks);
   const std::size_t rows_per_block = (nb_ + num_blocks - 1) / num_blocks;
   block_nets_.resize(num_blocks);
   block_pins_.resize(num_blocks);
@@ -204,7 +153,7 @@ void CongestionMap::build(const netlist::Placement& pl) {
 
   // Pass 1: rasterize RUDY demand and pin surcharge per bin-row block.
   const double half_pin = kPinWeight / 2.0;
-  auto block_task = [&](std::size_t b) {
+  util::run(pool_.get(), num_blocks, [&](std::size_t b) {
     const auto r0 = static_cast<long long>(b * rows_per_block);
     const auto r1 = std::min<long long>(
         nbi, static_cast<long long>((b + 1) * rows_per_block));
@@ -235,12 +184,7 @@ void CongestionMap::build(const netlist::Placement& pl) {
       demand_h_[i] += half_pin;
       demand_v_[i] += half_pin;
     }
-  };
-  if (pool_ != nullptr) {
-    pool_->run(num_blocks, block_task);
-  } else {
-    for (std::size_t b = 0; b < num_blocks; ++b) block_task(b);
-  }
+  });
 }
 
 double CongestionMap::ratio(std::size_t bx, std::size_t by) const {

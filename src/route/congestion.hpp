@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "netlist/design.hpp"
+#include "netlist/flat_nets.hpp"
 #include "netlist/netlist.hpp"
 
 namespace dp::util {
@@ -66,8 +67,8 @@ struct CongestionReport {
 /// proportional to bin area.
 ///
 /// build() parallelizes on util::ThreadPool with the same discipline as
-/// the GP gradient kernels: net chunks with fixed, thread-count-
-/// independent boundaries for the bbox pass, bin-row blocks with a single
+/// the GP gradient kernels: netlist::FlatNets's fixed, thread-count-
+/// independent net chunks for the bbox pass, bin-row blocks with a single
 /// owner accumulating in ascending net order for the rasterization pass.
 /// Results are bitwise identical for any pool size
 /// (tests/test_route.cpp).
@@ -124,14 +125,8 @@ class CongestionMap {
   std::vector<double> demand_v_;  ///< row-major vertical wire demand
   std::vector<double> pins_;      ///< row-major pin count
 
-  // Flattened nets (>= 1 pin), built once: CSR pin lists like the
-  // wirelength kernel, plus fixed net-chunk boundaries balanced by pin
-  // count (independent of the thread count).
-  std::vector<std::uint32_t> net_first_;  ///< size kept_nets + 1
-  std::vector<std::uint32_t> pin_cell_;
-  std::vector<double> pin_dx_, pin_dy_;
-  std::vector<double> net_weight_;
-  std::vector<std::uint32_t> chunk_first_;  ///< net-chunk boundaries
+  /// Nets with >= 1 pin: single-pin nets still add their pin surcharge.
+  netlist::FlatNets flat_;
 
   /// Per-evaluation scratch, persistent to keep allocation out of build().
   struct NetBox {

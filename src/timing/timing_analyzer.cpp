@@ -18,27 +18,17 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Chunk counts are fixed (independent of the thread count) and every
 /// task writes only its own slots, so all passes are bitwise
 /// deterministic for any pool size.
-constexpr std::size_t kMaxChunks = 64;
 constexpr std::size_t kMinNodesPerChunk = 512;
 constexpr std::size_t kMinNetsPerChunk = 2048;
 
+/// body(i) for every i in [0, count), over util::for_chunks's fixed chunks.
 template <typename Fn>
 void run_chunked(util::ThreadPool* pool, std::size_t count,
                  std::size_t min_per_chunk, const Fn& body) {
-  if (count == 0) return;
-  const std::size_t chunks =
-      std::clamp<std::size_t>(count / min_per_chunk, 1, kMaxChunks);
-  const std::size_t per = (count + chunks - 1) / chunks;
-  auto task = [&](std::size_t k) {
-    const std::size_t lo = k * per;
-    const std::size_t hi = std::min(count, lo + per);
+  util::for_chunks(pool, count, min_per_chunk,
+                   [&](std::size_t, std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) body(i);
-  };
-  if (pool != nullptr && chunks > 1) {
-    pool->run(chunks, task);
-  } else {
-    for (std::size_t k = 0; k < chunks; ++k) task(k);
-  }
+  });
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -18,7 +19,7 @@ namespace dp::util {
 /// claimed from a shared atomic counter, so WHICH thread runs a given task
 /// is nondeterministic; callers that need reproducible floating-point
 /// results must give every task its own output slot and reduce the slots
-/// in fixed order afterwards (see SmoothWirelength / DensityPenalty).
+/// in fixed order afterwards (see for_chunks below).
 ///
 /// A pool of size 1 spawns no threads and runs everything inline, so the
 /// serial path is byte-for-byte the parallel path with one worker.
@@ -55,5 +56,38 @@ class ThreadPool {
   std::uint64_t generation_ = 0;
   bool stop_ = false;
 };
+
+/// task(k) for every k in [0, n): on `pool` when there is one, otherwise
+/// inline in ascending order.
+template <typename Task>
+void run(ThreadPool* pool, std::size_t n, Task&& task) {
+  if (pool != nullptr) {
+    pool->run(n, task);
+  } else {
+    for (std::size_t k = 0; k < n; ++k) task(k);
+  }
+}
+
+/// The fixed chunk count of `count` items with at least `min_per_chunk`
+/// per chunk: count / min_per_chunk, clamped to [1, 64]. It depends on the
+/// input size alone, never on the thread count.
+std::size_t num_chunks(std::size_t count, std::size_t min_per_chunk);
+
+/// The fixed-chunk contract every parallel kernel follows: splits
+/// [0, count) into num_chunks(count, min_per_chunk) contiguous chunks of
+/// ceil(count / chunks) items (trailing ones may be shorter or empty) and
+/// runs body(k, lo, hi) for each chunk k, via run(). A kernel that writes
+/// only chunk-owned slots and reduces them in chunk order gets the same
+/// bits for every pool size. `count == 0` still makes one empty chunk.
+template <typename Body>
+void for_chunks(ThreadPool* pool, std::size_t count,
+                std::size_t min_per_chunk, Body&& body) {
+  const std::size_t chunks = num_chunks(count, min_per_chunk);
+  const std::size_t per_chunk = (count + chunks - 1) / chunks;
+  run(pool, chunks, [&](std::size_t k) {
+    body(k, std::min(count, k * per_chunk),
+         std::min(count, (k + 1) * per_chunk));
+  });
+}
 
 }  // namespace dp::util

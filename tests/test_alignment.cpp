@@ -129,18 +129,6 @@ TEST(AlignmentPenalty, TranslationInvariant) {
   EXPECT_NEAR(v1, v2, 1e-6 * std::max(1.0, std::abs(v1)));
 }
 
-TEST(AlignmentPenalty, OrientationHelpers) {
-  AdderFixture f;
-  AlignmentPenalty term(f.bench->netlist, f.bench->truth, f.bench->design);
-  // Default: bits along y everywhere.
-  EXPECT_EQ(term.orientation(0), GroupOrientation::kBitsAlongY);
-  term.orient_by_shape();
-  // 8 bits x 6 stages: bits >= stages keeps bits along y.
-  EXPECT_EQ(term.orientation(0), GroupOrientation::kBitsAlongY);
-  term.orient_by_placement(f.aligned());
-  EXPECT_EQ(term.orientation(0), GroupOrientation::kBitsAlongY);
-}
-
 TEST(PlateOverlap, ZeroWhenDisjointPositiveWhenStacked) {
   AdderFixture f;
   dpgen::Generator gen2("t2", 34);

@@ -67,8 +67,7 @@ TEST_P(DetailProperty, PreservesLegality) {
 TEST_P(DetailProperty, StructuredModePreservesLegality) {
   LegalBench lb(GetParam());
   DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
-  std::vector<bool> along_y(lb.bench->truth.groups.size(), true);
-  placer.run_structured(lb.pl, lb.bench->truth, along_y);
+  placer.run_structured(lb.pl, lb.bench->truth);
   EXPECT_TRUE(
       eval::check_legality(lb.bench->netlist, lb.bench->design, lb.pl)
           .legal());
@@ -351,12 +350,11 @@ void run_plain(const netlist::Netlist& nl, const netlist::Design& design,
 void run_structured(const netlist::Netlist& nl,
                     const netlist::Design& design, netlist::Placement& pl,
                     const netlist::StructureAnnotation& groups,
-                    const std::vector<bool>& bits_along_y,
                     const DetailOptions& options = {}) {
   std::vector<Unit> units;
-  for (std::size_t g = 0; g < groups.groups.size(); ++g) {
-    const bool along_y = g < bits_along_y.size() ? bits_along_y[g] : true;
-    for (auto& lane : netlist::row_lanes(groups.groups[g], along_y)) {
+  for (const netlist::StructureGroup& group : groups.groups) {
+    for (std::size_t bit = 0; bit < group.bits; ++bit) {
+      std::vector<CellId> lane = group.slice(bit);
       if (lane.empty()) continue;
       std::sort(lane.begin(), lane.end(), [&](CellId a, CellId b) {
         return pl[a].x < pl[b].x;
@@ -437,15 +435,13 @@ TEST_P(DetailEquivalence, BitwiseIdenticalToSeedImplementation) {
 TEST_P(DetailEquivalence, StructuredModeBitwiseIdentical) {
   dpgen::Benchmark bench = dpgen::make_benchmark(GetParam());
   const Placement start = legalized_scatter(bench, 43);
-  std::vector<bool> along_y(bench.truth.groups.size(), true);
 
   Placement pl_ref = start;
-  seedref::run_structured(bench.netlist, bench.design, pl_ref, bench.truth,
-                          along_y);
+  seedref::run_structured(bench.netlist, bench.design, pl_ref, bench.truth);
 
   Placement pl_new = start;
   DetailedPlacer placer(bench.netlist, bench.design);
-  placer.run_structured(pl_new, bench.truth, along_y);
+  placer.run_structured(pl_new, bench.truth);
 
   for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
     ASSERT_EQ(pl_new[c].x, pl_ref[c].x) << "cell " << c;
@@ -500,14 +496,13 @@ TEST(Detail, MoveGuardSeesMovedCellsNets) {
 TEST(Detail, VetoingGuardLeavesPlacementUnchanged) {
   dpgen::Benchmark bench = dpgen::make_benchmark("dp_alu32");
   const Placement start = legalized_scatter(bench, 45);
-  std::vector<bool> along_y(bench.truth.groups.size(), true);
   DetailOptions opt;
   opt.move_guard = [](std::span<const eval::NetChange>) { return false; };
   DetailedPlacer placer(bench.netlist, bench.design);
   for (bool structured : {false, true}) {
     Placement pl = start;
     const DetailStats stats =
-        structured ? placer.run_structured(pl, bench.truth, along_y, opt)
+        structured ? placer.run_structured(pl, bench.truth, opt)
                    : placer.run(pl, opt);
     const Profile& p = stats.profile;
     EXPECT_GT(p.guard_vetoes, 0u);
@@ -540,7 +535,6 @@ TEST(Detail, StructuredModeKeepsContiguousLanesRigid) {
   // Build a placement where group lanes are perfectly packed, then check
   // relative offsets within each lane survive detailed placement.
   dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
-  std::vector<bool> along_y(bench.truth.groups.size(), true);
   legal::AbacusLegalizer ab(bench.netlist, bench.design);
   Placement pl = bench.placement;
   util::Rng rng(3);
@@ -553,7 +547,7 @@ TEST(Detail, StructuredModeKeepsContiguousLanesRigid) {
   ab.run_all(pl);
 
   DetailedPlacer placer(bench.netlist, bench.design);
-  placer.run_structured(pl, bench.truth, along_y);
+  placer.run_structured(pl, bench.truth);
   EXPECT_TRUE(eval::check_legality(bench.netlist, bench.design, pl).legal());
 }
 

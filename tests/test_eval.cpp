@@ -170,7 +170,8 @@ TEST(MoveScorer, MatchesNetHpwlAndUndoesBitwise) {
   legal::AbacusLegalizer(nl, bench.design).run_all(pl);
   std::vector<std::vector<CellId>> lanes;
   for (const auto& g : bench.truth.groups) {
-    for (auto& lane : netlist::row_lanes(g, true)) {
+    for (std::size_t bit = 0; bit < g.bits; ++bit) {
+      std::vector<CellId> lane = g.slice(bit);
       if (!lane.empty()) lanes.push_back(std::move(lane));
     }
   }

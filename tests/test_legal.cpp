@@ -185,9 +185,7 @@ TEST(Repair, NoopOnLegalInput) {
 TEST(StructureLegalizer, ProducesLegalBlocksForAdder) {
   dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
   // Use ground truth as the structure; start from the parked placement.
-  std::vector<bool> along_y(bench.truth.groups.size(), true);
-  StructureLegalizer legalizer(bench.netlist, bench.design, bench.truth,
-                               along_y);
+  StructureLegalizer legalizer(bench.netlist, bench.design, bench.truth);
   Placement pl = bench.placement;
   const StructureLegalizeStats stats = legalizer.run(pl);
   EXPECT_EQ(stats.rest.cells_failed, 0u);
@@ -214,9 +212,7 @@ TEST(StructureLegalizer, RepairPlacesTheCellsThePlatesCrowdOut) {
   const dpgen::Benchmark bench = gen.finish(0.97);
   const netlist::Netlist& nl = bench.netlist;
 
-  StructureLegalizer legalizer(
-      nl, bench.design, bench.truth,
-      std::vector<bool>(bench.truth.groups.size(), true));
+  StructureLegalizer legalizer(nl, bench.design, bench.truth);
   Placement pl = bench.placement;
   const StructureLegalizeStats stats = legalizer.run(pl);
   ASSERT_EQ(stats.groups_fallback, 0u);

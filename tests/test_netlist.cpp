@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "dpgen/benchmarks.hpp"
 #include "netlist/design.hpp"
+#include "netlist/flat_nets.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/stats.hpp"
 
@@ -116,6 +118,63 @@ TEST_F(BuilderTest, ConnectDirOverridesDirection) {
   const Netlist nl = builder_.take();
   EXPECT_EQ(nl.pin(p).dir, PinDir::kOutput);
   EXPECT_EQ(nl.driver(n), p);
+}
+
+TEST_F(BuilderTest, FlatNetsDropNetsBelowMinPins) {
+  const CellId a = builder_.add_cell("a", CellFunc::kInv);
+  const CellId b = builder_.add_cell("b", CellFunc::kInv);
+  const NetId in = builder_.add_net("in", 3.0);  // a.A alone
+  const NetId ab = builder_.add_net("ab", 2.0);  // a.Y -> b.A
+  builder_.connect(a, "A", in);
+  builder_.connect(a, "Y", ab);
+  builder_.connect(b, "A", ab);
+  const Netlist nl = builder_.take();
+
+  const FlatNets two(nl, 2);
+  EXPECT_EQ(two.net_id, (std::vector<NetId>{ab}));
+  EXPECT_EQ(two.net_first, (std::vector<std::uint32_t>{0, 2}));
+  EXPECT_EQ(two.net_weight, (std::vector<double>{2.0}));
+  EXPECT_EQ(two.pin_cell, (std::vector<CellId>{a, b}));
+
+  const FlatNets one(nl, 1);
+  EXPECT_EQ(one.net_id, (std::vector<NetId>{in, ab}));
+  EXPECT_EQ(one.net_first, (std::vector<std::uint32_t>{0, 1, 3}));
+  EXPECT_EQ(one.net_weight, (std::vector<double>{3.0, 2.0}));
+  EXPECT_EQ(one.chunk_first, (std::vector<std::uint32_t>{0, 2}));
+}
+
+TEST(FlatNets, PinsMatchTheNetlistAndChunksArePinBalanced) {
+  const dpgen::Benchmark bench = dpgen::make_scaled(4000);
+  const Netlist& nl = bench.netlist;
+  const FlatNets flat(nl, 2);
+
+  std::size_t slot = 0;
+  for (std::size_t kn = 0; kn < flat.num_nets(); ++kn) {
+    const auto& pins = nl.net(flat.net_id[kn]).pins;
+    ASSERT_GE(pins.size(), 2u);
+    ASSERT_EQ(flat.net_first[kn], slot);
+    for (const PinId p : pins) {
+      EXPECT_EQ(flat.pin_cell[slot], nl.pin(p).cell);
+      EXPECT_EQ(flat.pin_dx[slot], nl.pin(p).offset_x);
+      EXPECT_EQ(flat.pin_dy[slot], nl.pin(p).offset_y);
+      ++slot;
+    }
+  }
+  EXPECT_EQ(flat.net_first.back(), slot);
+  ASSERT_GT(slot, 4 * FlatNets::kMinPinsPerChunk);
+
+  ASSERT_GE(flat.num_chunks(), 2u);
+  EXPECT_LE(flat.num_chunks(), 64u);
+  EXPECT_EQ(flat.chunk_first.front(), 0u);
+  EXPECT_EQ(flat.chunk_first.back(), flat.num_nets());
+  for (std::size_t k = 0; k < flat.num_chunks(); ++k) {
+    ASSERT_LT(flat.chunk_first[k], flat.chunk_first[k + 1]);
+    if (k + 1 == flat.num_chunks()) continue;
+    EXPECT_GE(flat.net_first[flat.chunk_first[k + 1]] -
+                  flat.net_first[flat.chunk_first[k]],
+              FlatNets::kMinPinsPerChunk)
+        << "chunk " << k;
+  }
 }
 
 TEST(Design, RowsCoverCore) {

@@ -57,28 +57,5 @@ TEST(StructureAnnotation, MembershipAndTotals) {
   EXPECT_FALSE(ann.covers(4, 5));
 }
 
-TEST(RowLanes, BitsAlongYGivesSlices) {
-  auto g = StructureGroup::make("g", 2, 3);
-  g.at(0, 0) = 1;
-  g.at(0, 1) = 2;
-  g.at(1, 0) = 3;
-  const auto lanes = row_lanes(g, /*bits_along_y=*/true);
-  ASSERT_EQ(lanes.size(), 2u);
-  EXPECT_EQ(lanes[0], (std::vector<CellId>{1, 2}));
-  EXPECT_EQ(lanes[1], (std::vector<CellId>{3}));
-}
-
-TEST(RowLanes, TransposedGivesStages) {
-  auto g = StructureGroup::make("g", 2, 3);
-  g.at(0, 0) = 1;
-  g.at(1, 0) = 3;
-  g.at(0, 2) = 9;
-  const auto lanes = row_lanes(g, /*bits_along_y=*/false);
-  ASSERT_EQ(lanes.size(), 3u);
-  EXPECT_EQ(lanes[0], (std::vector<CellId>{1, 3}));
-  EXPECT_TRUE(lanes[1].empty());
-  EXPECT_EQ(lanes[2], (std::vector<CellId>{9}));
-}
-
 }  // namespace
 }  // namespace dp::netlist

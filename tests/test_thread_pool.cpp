@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -87,6 +89,44 @@ TEST(ThreadPool, PerSlotWritesReduceDeterministically) {
 TEST(ThreadPool, HardwareConcurrencyDefault) {
   ThreadPool pool(0);
   EXPECT_GE(pool.size(), 1u);
+}
+
+TEST(ForChunks, FixedContiguousChunksForAnyPool) {
+  ThreadPool one(1), two(2), four(4);
+  ThreadPool* const pools[] = {nullptr, &one, &two, &four};
+  const std::size_t counts[] = {0, 1, 511, 512, 4097, 200000};
+  for (const std::size_t min : {std::size_t{512}, std::size_t{2048}}) {
+    for (const std::size_t count : counts) {
+      const std::size_t n = num_chunks(count, min);
+      EXPECT_EQ(n, std::clamp<std::size_t>(count / min, 1, 64));
+      using Bounds = std::vector<std::pair<std::size_t, std::size_t>>;
+      Bounds serial;
+      for (ThreadPool* pool : pools) {
+        Bounds bounds(n);
+        std::atomic<std::size_t> calls{0};
+        for_chunks(pool, count, min,
+                   [&](std::size_t k, std::size_t lo, std::size_t hi) {
+          bounds[k] = {lo, hi};
+          calls.fetch_add(1, std::memory_order_relaxed);
+        });
+        ASSERT_EQ(calls.load(), n) << "count " << count << " min " << min;
+        // Contiguous from 0 to count with lo <= hi: every item lands in
+        // exactly one chunk.
+        std::size_t next = 0;
+        for (const auto& [lo, hi] : bounds) {
+          EXPECT_EQ(lo, next);
+          EXPECT_LE(lo, hi);
+          next = hi;
+        }
+        EXPECT_EQ(next, count);
+        if (pool == nullptr) {
+          serial = bounds;
+        } else {
+          EXPECT_EQ(bounds, serial) << pool->size() << " threads";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
