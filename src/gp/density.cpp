@@ -134,7 +134,36 @@ void DensityPenalty::set_area_scale(std::vector<double> scale) {
     }
   }
   target_per_bin_ = scaled_total / static_cast<double>(nb_ * nb_);
-  overflow_vars_ = nullptr;  // invalidate the cached overflow denominator
+  shape_cells_.clear();  // invalidate the per-VarMap cache
+}
+
+void DensityPenalty::cache_shapes(const VarMap& vars) const {
+  const auto movable = vars.movable_cells();
+  if (!shape_cells_.empty() && std::ranges::equal(shape_cells_, movable)) {
+    return;
+  }
+  const auto& nl = *nl_;
+  const std::size_t n_mov = movable.size();
+  shapes_.resize(n_mov);
+  scaled_total_ = 0.0;
+  for (std::size_t v = 0; v < n_mov; ++v) {
+    const CellId c = movable[v];
+    shapes_[v] = {bell_shape(nl.cell_width(c), bw_),
+                  bell_shape(nl.cell_height(c), bh_),
+                  nl.cell_area(c) * area_scale_[c]};
+    scaled_total_ += shapes_[v].area;
+  }
+  chunks_.resize(util::num_chunks(n_mov, kMinCellsPerChunk));
+  util::for_chunks(nullptr, n_mov, kMinCellsPerChunk,
+                   [&](std::size_t k, std::size_t v0, std::size_t v1) {
+    std::size_t capacity = 0;
+    for (std::size_t v = v0; v < v1; ++v) {
+      capacity += max_window_bins(nl.cell_width(movable[v]), bw_, nb_) +
+                  max_window_bins(nl.cell_height(movable[v]), bh_, nb_);
+    }
+    if (chunks_[k].bells.size() < capacity) chunks_[k].bells.resize(capacity);
+  });
+  shape_cells_.assign(movable.begin(), movable.end());
 }
 
 double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
@@ -147,16 +176,15 @@ double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
 
 double DensityPenalty::value(const netlist::Placement& pl,
                              const VarMap& vars) const {
-  const auto& nl = *nl_;
   const geom::Rect& core = design_->core();
   const auto nbi = static_cast<long long>(nb_);
   density_ = preload_;
   err2_.resize(nb_ * nb_);
+  cache_shapes(vars);
 
   const auto movable = vars.movable_cells();
   const std::size_t n_mov = movable.size();
   foot_.resize(n_mov);
-  chunks_.resize(util::num_chunks(n_mov, kMinCellsPerChunk));
   auto vanishes = [](const Bell& b) { return b.p == 0.0 && b.dp == 0.0; };
 
   // Pass 0: footprints, bells and per-cell normalization (independent per
@@ -173,12 +201,6 @@ double DensityPenalty::value(const netlist::Placement& pl,
   util::for_chunks(pool_.get(), n_mov, kMinCellsPerChunk,
                    [&](std::size_t k, std::size_t v0, std::size_t v1) {
     Chunk& chunk = chunks_[k];
-    std::size_t capacity = 0;
-    for (std::size_t v = v0; v < v1; ++v) {
-      capacity += max_window_bins(nl.cell_width(movable[v]), bw_, nb_) +
-                  max_window_bins(nl.cell_height(movable[v]), bh_, nb_);
-    }
-    if (chunk.bells.size() < capacity) chunk.bells.resize(capacity);
     chunk.bins = 0;
     chunk.bell_calls = 0;
 
@@ -187,8 +209,8 @@ double DensityPenalty::value(const netlist::Placement& pl,
       const CellId c = movable[v];
       const double cx = pl[c].x;
       const double cy = pl[c].y;
-      const BellShape sx = bell_shape(nl.cell_width(c), bw_);
-      const BellShape sy = bell_shape(nl.cell_height(c), bh_);
+      const BellShape& sx = shapes_[v].x;
+      const BellShape& sy = shapes_[v].y;
 
       Footprint& f = foot_[v];
       f.bx0 = std::max<long long>(
@@ -226,7 +248,7 @@ double DensityPenalty::value(const netlist::Placement& pl,
         for (long long i = i0; i <= i1; ++i) norm += px[i].p * b.p;
       }
       next = py + ny;
-      f.inv_norm = norm > 0.0 ? nl.cell_area(c) * area_scale_[c] / norm : 0.0;
+      f.inv_norm = norm > 0.0 ? shapes_[v].area / norm : 0.0;
       if (f.inv_norm == 0.0) continue;  // spread nowhere; passes 1-2 skip it
       f.px = px + i0;
       f.py = py + (by0 - f.by0);
@@ -319,8 +341,8 @@ double DensityPenalty::value(const netlist::Placement& pl,
   return value;
 }
 
-void DensityPenalty::gradient(std::span<double> gx,
-                              std::span<double> gy) const {
+void DensityPenalty::gradient(std::span<double> gx, std::span<double> gy,
+                              double scale) const {
   const std::size_t n_mov = foot_.size();
 
   // Pass 2: gradient via chain rule (normalization treated as constant,
@@ -344,8 +366,8 @@ void DensityPenalty::gradient(std::span<double> gx,
           gy_acc += s * f.px[i].p * py.dp;
         }
       }
-      gx[v] += gx_acc;
-      gy[v] += gy_acc;
+      gx[v] += scale * gx_acc;
+      gy[v] += scale * gy_acc;
     }
   });
 }
@@ -365,18 +387,8 @@ double DensityPenalty::overflow(const netlist::Placement& pl,
   const double cap = bw_ * bh_ * target_density;
   double over = 0.0;
   for (double u : usage) over += std::max(0.0, u - cap);
-  // The scaled movable-area denominator only changes with the VarMap or
-  // the area scale; cache it instead of rescanning every call.
-  if (overflow_vars_ != &vars || overflow_num_vars_ != vars.num_vars()) {
-    double scaled_total = 0.0;
-    for (const CellId c : vars.movable_cells()) {
-      scaled_total += nl.cell_area(c) * area_scale_[c];
-    }
-    overflow_vars_ = &vars;
-    overflow_num_vars_ = vars.num_vars();
-    overflow_scaled_total_ = scaled_total;
-  }
-  return overflow_scaled_total_ > 0.0 ? over / overflow_scaled_total_ : 0.0;
+  cache_shapes(vars);
+  return scaled_total_ > 0.0 ? over / scaled_total_ : 0.0;
 }
 
 }  // namespace dp::gp

@@ -40,8 +40,9 @@ namespace dp::gp {
 /// Work that cannot change a bit of the result is skipped: pass 0 trims
 /// each footprint to the columns and rows where the bell or its slope is
 /// non-zero (the dropped terms are all +-0, added to accumulators that are
-/// never -0), the bell constants are computed once per cell and axis, and
-/// pass 1 stores twice each bin's clipped error for pass 2 to read.
+/// never -0), the bell constants and scaled areas are computed once per
+/// VarMap, and pass 1 stores twice each bin's clipped error for pass 2 to
+/// read.
 class DensityPenalty final : public ObjectiveTerm {
  public:
   DensityPenalty(const netlist::Netlist& nl, const netlist::Design& design,
@@ -86,9 +87,10 @@ class DensityPenalty final : public ObjectiveTerm {
   /// errors for a following gradient() call.
   double value(const netlist::Placement& pl, const VarMap& vars) const;
 
-  /// Pass 2: adds the gradient at the placement of the most recent value()
-  /// call into gx/gy, indexed like that call's VarMap.
-  void gradient(std::span<double> gx, std::span<double> gy) const;
+  /// Pass 2: adds `scale` times the gradient at the placement of the most
+  /// recent value() call into gx/gy, indexed like that call's VarMap.
+  void gradient(std::span<double> gx, std::span<double> gy,
+                double scale = 1.0) const;
 
   /// Hard-overflow metric: the fraction of movable area in bins above
   /// `target` density. Computed afresh from the *exact* cell rectangles on
@@ -123,17 +125,6 @@ class DensityPenalty final : public ObjectiveTerm {
 
   std::shared_ptr<util::ThreadPool> pool_;
 
-  // Scaled movable-area total cache (satellite: was a full cell scan per
-  // overflow() call). The all-movable total feeds the per-bin target; the
-  // per-VarMap total (a subset in glue-only mode) is the overflow
-  // denominator, keyed by VarMap address and invalidated whenever the
-  // area scale changes.
-  mutable const VarMap* overflow_vars_ = nullptr;
-  mutable std::size_t overflow_num_vars_ = 0;
-  mutable double overflow_scaled_total_ = 0.0;
-
-  // Per-evaluation scratch, persistent to keep allocation out of the hot
-  // path (one evaluation in flight at a time).
   /// One axis of a cell's bell potential at one bin.
   struct Bell {
     double p = 0.0;   ///< potential in [0, 1]
@@ -155,6 +146,13 @@ class DensityPenalty final : public ObjectiveTerm {
   static BellShape bell_shape(double wc, double wb);
   static Bell bell(double d, const BellShape& s);
 
+  /// What does not move with the cells, per variable: the bell shapes on
+  /// both axes and the scaled area.
+  struct CellShape {
+    BellShape x, y;
+    double area;
+  };
+
   /// What one pass-0 chunk of cells keeps and counts.
   struct Chunk {
     /// The chunk's bells, sized for the widest windows its cells can have
@@ -164,6 +162,19 @@ class DensityPenalty final : public ObjectiveTerm {
     std::uint64_t bell_calls = 0;
   };
 
+  /// Fills shapes_, the chunks' bell storage and scaled_total_ for
+  /// `vars`, unless they are already for it.
+  void cache_shapes(const VarMap& vars) const;
+
+  // Per-VarMap cache, keyed by the VarMap's cells and emptied whenever the
+  // area scale changes. scaled_total_ (a subset in glue-only mode) is the
+  // overflow denominator.
+  mutable std::vector<netlist::CellId> shape_cells_;
+  mutable std::vector<CellShape> shapes_;
+  mutable double scaled_total_ = 0.0;
+
+  // Per-evaluation scratch, persistent to keep allocation out of the hot
+  // path (one evaluation in flight at a time).
   mutable std::vector<Footprint> foot_;
   mutable std::vector<Chunk> chunks_;
   mutable std::vector<double> group_value_;  ///< per value-group sums
