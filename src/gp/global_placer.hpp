@@ -23,7 +23,7 @@ namespace dp::gp {
 /// CG iterations per outer iteration, stopped early by the first one that
 /// improves the objective by less than 1e-4 relative, the overflow
 /// measured against a bin capacity of density 1, and a density weight
-/// starting at 0.1 of the wirelength/density gradient ratio and doubling
+/// starting at 2 times the wirelength/density gradient ratio and doubling
 /// every outer iteration.
 struct GpOptions {
   WirelengthModel wl_model = WirelengthModel::kWa;

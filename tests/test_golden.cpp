@@ -97,12 +97,12 @@ std::string case_name(const testing::TestParamInfo<Golden>& param_info) {
 INSTANTIATE_TEST_SUITE_P(
     SaGentle, GoldenPlacement,
     testing::Values(
-        Golden{"dp_add32", Flow::kGentle, false, 0x40c334584d4873efULL, 0,
-               179, 290},
-        Golden{"mix25", Flow::kGentle, false, 0x40e54cd942a81725ULL, 0,
-               385, 512},
-        Golden{"mix25", Flow::kGentle, true, 0x40e7c32b8c135224ULL, 664,
-               687, 778}),
+        Golden{"dp_add32", Flow::kGentle, false, 0x40bebcd6c323be51ULL, 0,
+               57, 60},
+        Golden{"mix25", Flow::kGentle, false, 0x40e4c9cf02e5eab4ULL, 0,
+               294, 357},
+        Golden{"mix25", Flow::kGentle, true, 0x40ea046a94c5124eULL, 729,
+               745, 807}),
     case_name);
 
 // Template blocks (glue GP over a subset VarMap around frozen plates, the
@@ -113,14 +113,14 @@ INSTANTIATE_TEST_SUITE_P(
 INSTANTIATE_TEST_SUITE_P(
     OtherFlows, GoldenPlacement,
     testing::Values(
-        Golden{"mix25", Flow::kStructured, false, 0x40e95c7c7d95bc65ULL, 0,
-               1152, 1540},
-        Golden{"mix75", Flow::kStructured, false, 0x40f84456d4873eb4ULL, 0,
-               887, 1368},
-        Golden{"mix25", Flow::kBaseline, false, 0x40e449e3c03dd391ULL, 0,
-               252, 344},
-        Golden{"mix25", Flow::kBaseline, true, 0x40e9281cdc41b0cbULL, 744,
-               970, 1081}),
+        Golden{"mix25", Flow::kStructured, false, 0x40e877d9be4f3717ULL, 0,
+               929, 1458},
+        Golden{"mix75", Flow::kStructured, false, 0x40fae862d76d297aULL, 0,
+               1331, 2335},
+        Golden{"mix25", Flow::kBaseline, false, 0x40e4127986477c9cULL, 0,
+               210, 247},
+        Golden{"mix25", Flow::kBaseline, true, 0x40e8a830342a816eULL, 897,
+               590, 668}),
     case_name);
 
 }  // namespace

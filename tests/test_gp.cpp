@@ -270,5 +270,31 @@ TEST(GlobalPlacer, TraceIsMonotoneInLambda) {
   }
 }
 
+// The initial density weight at a scale where it pays: lambda starts at
+// kInitFactor times the wirelength/density gradient ratio of the quadratic
+// start, and a plain GP on make_scaled(2000) reaches its stop overflow
+// within kMaxOuters outers (11 measured; 16 at the old factor of 0.1).
+TEST(GlobalPlacer, InitialDensityWeightSpreadsScaled2k) {
+  constexpr double kInitFactor = 2.0;
+  constexpr std::size_t kMaxOuters = 12;
+  const dpgen::Benchmark b = dpgen::make_scaled(2000);
+  const auto& nl = b.netlist;
+  GlobalPlacer placer(nl, b.design);
+
+  Placement start = b.placement;
+  quadratic_initial_placement(nl, b.design, placer.vars(), start);
+  DensityPenalty density(nl, b.design);
+  density.preload_obstacles(start, placer.vars());
+  const auto [wl_norm, den_norm] = placer.probe_norms(density, start);
+  ASSERT_GT(den_norm, 0.0);
+
+  Placement pl = b.placement;
+  const GpResult res = placer.place(pl);
+  ASSERT_FALSE(res.trace.empty());
+  EXPECT_EQ(res.trace.front().lambda, kInitFactor * wl_norm / den_norm);
+  EXPECT_EQ(res.stop_reason, GpStop::kOverflowReached);
+  EXPECT_LE(res.trace.size(), kMaxOuters);
+}
+
 }  // namespace
 }  // namespace dp::gp
