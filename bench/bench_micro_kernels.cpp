@@ -117,9 +117,10 @@ BENCHMARK(BM_DensityEvalThreads)->Apply(thread_args);
 // placement: the unplaced dp_alu32 start above piles every cell into a
 // few bins and makes most pins coincide, which hides footprint-dependent
 // costs and flatters the wirelength kernel's exact-1 extreme-pin weights.
-// This is make_scaled(4000) after 10 global-placement outer iterations,
-// the spread state most evaluations of a run see, with the wirelength
-// gamma of the last of those iterations.
+// This is make_scaled(4000) after 8 global-placement outer iterations,
+// with the wirelength gamma of the last of them: on the traced gp-sa4k
+// benchmark run at seed 1, half of a design's evaluations have run by its
+// 8th outer iteration (the median over its eight designs).
 struct SpreadFixture {
   dp::dpgen::Benchmark bench;
   dp::netlist::Placement pl;
@@ -131,7 +132,7 @@ const SpreadFixture& spread4k() {
     dp::bench::quiet_logs();
     SpreadFixture s{dp::dpgen::make_scaled(4000), {}};
     dp::gp::GpOptions opt;
-    opt.max_outer = 10;
+    opt.max_outer = 8;
     opt.stop_overflow = 0.0;
     s.pl = s.bench.placement;
     s.gamma = dp::gp::GlobalPlacer(s.bench.netlist, s.bench.design, opt)
