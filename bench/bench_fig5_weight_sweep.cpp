@@ -15,7 +15,7 @@ int main() {
   for (const double w : {0.0, 0.01, 0.1, 0.3, 1.0, 3.0, 10.0}) {
     core::PlacerConfig c = bench::flow_config(bench::Flow::kGentle);
     c.alignment_weight = w;
-    const auto r = bench::run_flow(b, bench::Flow::kGentle, c);
+    const auto r = bench::run_flow(b, c);
     table.add_row({util::Table::num(w, 2),
                    util::Table::num(r.report.hpwl_final, 0),
                    util::Table::pct((r.report.hpwl_final -

@@ -25,7 +25,7 @@ int main() {
          {gp::WirelengthModel::kLse, gp::WirelengthModel::kWa}) {
       core::PlacerConfig c = bench::flow_config(bench::Flow::kBaseline);
       c.gp.wl_model = model;
-      const auto r = bench::run_flow(b, bench::Flow::kBaseline, c);
+      const auto r = bench::run_flow(b, c);
       table.add_row({name,
                      model == gp::WirelengthModel::kLse ? "LSE" : "WA",
                      util::Table::num(r.report.hpwl_final, 0),

@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
     auto cs = bench::flow_config(bench::Flow::kGentle);
     cb.num_threads = num_threads;
     cs.num_threads = num_threads;
-    const auto rb = bench::run_flow(b, bench::Flow::kBaseline, cb);
-    const auto rs = bench::run_flow(b, bench::Flow::kGentle, cs);
+    const auto rb = bench::run_flow(b, cb);
+    const auto rs = bench::run_flow(b, cs);
     table.add_row({util::Table::integer((long long)b.netlist.num_movable()),
                    util::Table::num(rb.seconds, 2),
                    util::Table::num(rs.seconds, 2),

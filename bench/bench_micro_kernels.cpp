@@ -231,7 +231,7 @@ void BM_DetailPass(benchmark::State& state) {
   opt.max_passes = 1;
   for (auto _ : state) {
     auto pl = legal;
-    const auto stats = placer.run(pl, opt);
+    const auto stats = placer.run(pl, {}, opt);
     benchmark::DoNotOptimize(stats.hpwl_after);
   }
 }

@@ -17,12 +17,12 @@ int main() {
          {bench::Flow::kBaseline, bench::Flow::kGentle}) {
       core::PlacerConfig plain = bench::flow_config(flow);
       plain.congestion.measure = true;
-      const auto off = bench::run_flow(b, flow, plain);
+      const auto off = bench::run_flow(b, plain);
 
       core::PlacerConfig refined = bench::flow_config(flow);
       refined.congestion.measure = true;
       refined.congestion.refine = true;
-      const auto on = bench::run_flow(b, flow, refined);
+      const auto on = bench::run_flow(b, refined);
 
       const auto& c0 = off.report.congestion;
       const auto& c1 = on.report.congestion;

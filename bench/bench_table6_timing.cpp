@@ -23,18 +23,18 @@ int main() {
 
     core::PlacerConfig base_cfg = bench::flow_config(bench::Flow::kBaseline);
     base_cfg.timing.measure = true;
-    const auto base = bench::run_flow(b, bench::Flow::kBaseline, base_cfg);
+    const auto base = bench::run_flow(b, base_cfg);
 
     core::PlacerConfig sa_cfg = bench::flow_config(bench::Flow::kGentle);
     sa_cfg.timing.measure = true;
-    const auto sa = bench::run_flow(b, bench::Flow::kGentle, sa_cfg);
+    const auto sa = bench::run_flow(b, sa_cfg);
 
     // Pin the driven run's clock to the SA-only critical delay, so its
     // WNS/TNS read as the margin gained (or lost) against that flow.
     core::PlacerConfig driven_cfg = bench::flow_config(bench::Flow::kGentle);
     driven_cfg.timing.driven = true;
     driven_cfg.timing.model.clock_period = sa.report.timing.max_arrival;
-    const auto driven = bench::run_flow(b, bench::Flow::kGentle, driven_cfg);
+    const auto driven = bench::run_flow(b, driven_cfg);
 
     const double crit_sa = sa.report.timing.max_arrival;
     const double crit_driven = driven.report.timing.max_arrival;

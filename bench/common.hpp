@@ -43,7 +43,7 @@ struct FlowResult {
   double seconds = 0.0;
 };
 
-inline FlowResult run_flow(const dpgen::Benchmark& bench, Flow flow,
+inline FlowResult run_flow(const dpgen::Benchmark& bench,
                            core::PlacerConfig config) {
   FlowResult out;
   core::StructurePlacer placer(bench.netlist, bench.design, config);
@@ -51,12 +51,11 @@ inline FlowResult run_flow(const dpgen::Benchmark& bench, Flow flow,
   util::Timer timer;
   out.report = placer.place(out.placement, &bench.truth);
   out.seconds = timer.seconds();
-  (void)flow;
   return out;
 }
 
 inline FlowResult run_flow(const dpgen::Benchmark& bench, Flow flow) {
-  return run_flow(bench, flow, flow_config(flow));
+  return run_flow(bench, flow_config(flow));
 }
 
 /// Standard deviation of datapath-net HPWLs: the "wire predictability"

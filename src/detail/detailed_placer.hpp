@@ -34,10 +34,10 @@ struct DetailStats {
 };
 
 /// Row-based detailed placement: per-cell optimal-interval sliding within
-/// row gaps plus adjacent-cell swapping, iterated to convergence. In
-/// structure-aware mode the cells of extracted datapath groups are moved
-/// only as whole row units (slices), preserving the aligned arrays the
-/// structure-aware flow produced.
+/// row gaps plus adjacent-cell swapping, iterated to convergence. The
+/// perfectly packed bit slices of datapath groups are moved only as whole
+/// row units, preserving the aligned arrays the structure-aware flow
+/// produced.
 ///
 /// Precondition: `pl` is legal (row- and site-aligned, no overlaps);
 /// the placer maintains legality move by move.
@@ -45,15 +45,13 @@ class DetailedPlacer {
  public:
   DetailedPlacer(const netlist::Netlist& nl, const netlist::Design& design);
 
-  /// Plain detailed placement over all movable cells.
-  DetailStats run(netlist::Placement& pl, const DetailOptions& options = {});
-
-  /// Structure-aware: group member cells move only as whole bit slices
-  /// (horizontal unit slides, one unit per row a slice occupies); all
-  /// other cells get the plain moves.
-  DetailStats run_structured(netlist::Placement& pl,
-                             const netlist::StructureAnnotation& groups,
-                             const DetailOptions& options = {});
+  /// Detailed placement over all movable cells. Members of `groups` move
+  /// only as whole bit slices (horizontal unit slides, one unit per row a
+  /// slice occupies); all other cells get the plain moves. With no groups
+  /// every cell gets the plain moves.
+  DetailStats run(netlist::Placement& pl,
+                  const netlist::StructureAnnotation& groups,
+                  const DetailOptions& options = {});
 
  private:
   const netlist::Netlist* nl_;

@@ -47,7 +47,7 @@ TEST_P(DetailProperty, NeverIncreasesHpwl) {
   LegalBench lb(GetParam());
   const double before = eval::hpwl(lb.bench->netlist, lb.pl);
   DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
-  const DetailStats stats = placer.run(lb.pl);
+  const DetailStats stats = placer.run(lb.pl, {});
   EXPECT_LE(stats.hpwl_after, before + 1e-9);
   EXPECT_DOUBLE_EQ(stats.hpwl_before, before);
 }
@@ -58,7 +58,7 @@ TEST_P(DetailProperty, PreservesLegality) {
       eval::check_legality(lb.bench->netlist, lb.bench->design, lb.pl)
           .legal());
   DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
-  placer.run(lb.pl);
+  placer.run(lb.pl, {});
   EXPECT_TRUE(
       eval::check_legality(lb.bench->netlist, lb.bench->design, lb.pl)
           .legal());
@@ -67,7 +67,7 @@ TEST_P(DetailProperty, PreservesLegality) {
 TEST_P(DetailProperty, StructuredModePreservesLegality) {
   LegalBench lb(GetParam());
   DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
-  placer.run_structured(lb.pl, lb.bench->truth);
+  placer.run(lb.pl, lb.bench->truth);
   EXPECT_TRUE(
       eval::check_legality(lb.bench->netlist, lb.bench->design, lb.pl)
           .legal());
@@ -79,7 +79,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DetailProperty,
 TEST(Detail, ActuallyImprovesRandomLegalPlacement) {
   LegalBench lb(9);
   DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
-  const DetailStats stats = placer.run(lb.pl);
+  const DetailStats stats = placer.run(lb.pl, {});
   EXPECT_LT(stats.hpwl_after, stats.hpwl_before);
   EXPECT_GT(stats.profile.slide.accepted + stats.profile.swap.accepted, 0u);
 }
@@ -90,7 +90,7 @@ TEST(Detail, MaxPassesZeroIsNoop) {
   DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
   DetailOptions opt;
   opt.max_passes = 0;
-  placer.run(lb.pl, opt);
+  placer.run(lb.pl, {}, opt);
   for (CellId c = 0; c < lb.bench->netlist.num_cells(); ++c) {
     EXPECT_DOUBLE_EQ(lb.pl[c].x, before[c].x);
   }
@@ -423,7 +423,7 @@ TEST_P(DetailEquivalence, BitwiseIdenticalToSeedImplementation) {
 
   Placement pl_new = start;
   DetailedPlacer placer(bench.netlist, bench.design);
-  const DetailStats stats = placer.run(pl_new);
+  const DetailStats stats = placer.run(pl_new, {});
 
   for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
     ASSERT_EQ(pl_new[c].x, pl_ref[c].x) << "cell " << c;
@@ -441,7 +441,7 @@ TEST_P(DetailEquivalence, StructuredModeBitwiseIdentical) {
 
   Placement pl_new = start;
   DetailedPlacer placer(bench.netlist, bench.design);
-  placer.run_structured(pl_new, bench.truth);
+  placer.run(pl_new, bench.truth);
 
   for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
     ASSERT_EQ(pl_new[c].x, pl_ref[c].x) << "cell " << c;
@@ -486,7 +486,7 @@ TEST(Detail, MoveGuardSeesMovedCellsNets) {
     return true;
   };
   DetailedPlacer placer(nl, bench.design);
-  const DetailStats stats = placer.run(pl, opt);
+  const DetailStats stats = placer.run(pl, {}, opt);
   const Profile& p = stats.profile;
   EXPECT_GT(calls, 0u);
   EXPECT_EQ(calls, p.slide.accepted + p.swap.accepted + p.unit_slide.accepted);
@@ -499,11 +499,11 @@ TEST(Detail, VetoingGuardLeavesPlacementUnchanged) {
   DetailOptions opt;
   opt.move_guard = [](std::span<const eval::NetChange>) { return false; };
   DetailedPlacer placer(bench.netlist, bench.design);
+  const netlist::StructureAnnotation no_groups;
   for (bool structured : {false, true}) {
     Placement pl = start;
     const DetailStats stats =
-        structured ? placer.run_structured(pl, bench.truth, opt)
-                   : placer.run(pl, opt);
+        placer.run(pl, structured ? bench.truth : no_groups, opt);
     const Profile& p = stats.profile;
     EXPECT_GT(p.guard_vetoes, 0u);
     EXPECT_EQ(p.slide.accepted + p.swap.accepted + p.unit_slide.accepted, 0u);
@@ -518,7 +518,7 @@ TEST(Detail, VetoingGuardLeavesPlacementUnchanged) {
 TEST(Detail, ProfileCountsAreConsistent) {
   LegalBench lb(6);
   DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
-  const DetailStats stats = placer.run(lb.pl);
+  const DetailStats stats = placer.run(lb.pl, {});
   const Profile& p = stats.profile;
   EXPECT_LE(p.slide.accepted, p.slide.candidates);
   EXPECT_LE(p.swap.accepted, p.swap.candidates);
@@ -547,7 +547,7 @@ TEST(Detail, StructuredModeKeepsContiguousLanesRigid) {
   ab.run_all(pl);
 
   DetailedPlacer placer(bench.netlist, bench.design);
-  placer.run_structured(pl, bench.truth);
+  placer.run(pl, bench.truth);
   EXPECT_TRUE(eval::check_legality(bench.netlist, bench.design, pl).legal());
 }
 
