@@ -48,7 +48,7 @@ struct EvalProfile {
   std::uint64_t density_bells = 0;
   std::uint64_t wirelength_exps = 0;
   /// Extra objective terms by name, in registration order (e.g.
-  /// "alignment", "overlap" in the structure-aware flow).
+  /// "alignment" in the structure-aware flow).
   std::vector<std::pair<std::string, TermProfile>> extras;
 
   /// The entry for `name`, created on first use.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/alignment.hpp"
-#include "core/overlap.hpp"
 #include "core/partition.hpp"
 #include "dpgen/benchmarks.hpp"
 #include "util/prng.hpp"
@@ -127,61 +126,6 @@ TEST(AlignmentPenalty, TranslationInvariant) {
   gy.assign(vars.num_vars(), 0.0);
   const double v2 = term.eval(pl, vars, gx, gy);
   EXPECT_NEAR(v1, v2, 1e-6 * std::max(1.0, std::abs(v1)));
-}
-
-TEST(PlateOverlap, ZeroWhenDisjointPositiveWhenStacked) {
-  AdderFixture f;
-  dpgen::Generator gen2("t2", 34);
-  auto a = gen2.input_bus("a", 8);
-  auto b = gen2.input_bus("b", 8);
-  gen2.add_pipelined_adder("p", a, b, 1);
-  gen2.add_pipelined_adder("q", a, b, 1);
-  const auto bench = gen2.finish();
-  PlateOverlapPenalty term(bench.netlist, bench.truth, bench.design);
-  gp::VarMap vars(bench.netlist);
-
-  // Stack both groups at the core center: big overlap.
-  Placement piled = bench.placement;
-  std::vector<double> gx(vars.num_vars(), 0.0), gy(vars.num_vars(), 0.0);
-  EXPECT_GT(term.eval(piled, vars, gx, gy), 0.0);
-
-  // Separate them far apart: zero.
-  Placement apart = piled;
-  for (CellId c : bench.truth.groups[1].cells) {
-    if (c != netlist::kInvalidId) apart[c].y += 100.0;
-  }
-  gx.assign(vars.num_vars(), 0.0);
-  gy.assign(vars.num_vars(), 0.0);
-  EXPECT_DOUBLE_EQ(term.eval(apart, vars, gx, gy), 0.0);
-}
-
-TEST(PlateOverlap, GradientPushesApart) {
-  dpgen::Generator gen("t", 35);
-  auto a = gen.input_bus("a", 8);
-  auto b = gen.input_bus("b", 8);
-  gen.add_pipelined_adder("p", a, b, 1);
-  gen.add_pipelined_adder("q", a, b, 1);
-  const auto bench = gen.finish();
-  PlateOverlapPenalty term(bench.netlist, bench.truth, bench.design);
-  gp::VarMap vars(bench.netlist);
-  // Group q slightly to the right of group p, overlapping.
-  Placement pl = bench.placement;
-  for (CellId c : bench.truth.groups[1].cells) {
-    if (c != netlist::kInvalidId) pl[c].x += 1.0;
-  }
-  std::vector<double> gx(vars.num_vars(), 0.0), gy(vars.num_vars(), 0.0);
-  term.eval(pl, vars, gx, gy);
-  // Mean gradient on group p is positive-x... i.e. p pushed left means
-  // d f/d x_p > 0; q pushed right means d f / d x_q < 0.
-  double gp = 0.0, gq = 0.0;
-  for (CellId c : bench.truth.groups[0].cells) {
-    if (c != netlist::kInvalidId) gp += gx[vars.var(c)];
-  }
-  for (CellId c : bench.truth.groups[1].cells) {
-    if (c != netlist::kInvalidId) gq += gx[vars.var(c)];
-  }
-  EXPECT_GT(gp, 0.0);
-  EXPECT_LT(gq, 0.0);
 }
 
 TEST(Partition, CoversEveryCellExactlyOnce) {

@@ -97,11 +97,11 @@ std::string case_name(const testing::TestParamInfo<Golden>& param_info) {
 INSTANTIATE_TEST_SUITE_P(
     SaGentle, GoldenPlacement,
     testing::Values(
-        Golden{"dp_add32", Flow::kGentle, false, 0x40bebcd6c323be51ULL, 0,
-               57, 60},
-        Golden{"mix25", Flow::kGentle, false, 0x40e4c9cf02e5eab4ULL, 0,
-               294, 357},
-        Golden{"mix25", Flow::kGentle, true, 0x40ea046a94c5124eULL, 729,
+        Golden{"dp_add32", Flow::kGentle, false, 0x40bdd2abe4f37107ULL, 0,
+               70, 74},
+        Golden{"mix25", Flow::kGentle, false, 0x40e49cadbc609a8cULL, 0,
+               300, 361},
+        Golden{"mix25", Flow::kGentle, true, 0x40e998daf1826a38ULL, 760,
                745, 807}),
     case_name);
 
@@ -113,10 +113,10 @@ INSTANTIATE_TEST_SUITE_P(
 INSTANTIATE_TEST_SUITE_P(
     OtherFlows, GoldenPlacement,
     testing::Values(
-        Golden{"mix25", Flow::kStructured, false, 0x40e877d9be4f3717ULL, 0,
-               929, 1458},
-        Golden{"mix75", Flow::kStructured, false, 0x40fae862d76d297aULL, 0,
-               1331, 2335},
+        Golden{"mix25", Flow::kStructured, false, 0x40e880c957e8d0abULL, 0,
+               1028, 1304},
+        Golden{"mix75", Flow::kStructured, false, 0x40f901b5439f655cULL, 0,
+               1092, 1833},
         Golden{"mix25", Flow::kBaseline, false, 0x40e4127986477c9cULL, 0,
                210, 247},
         Golden{"mix25", Flow::kBaseline, true, 0x40e8a830342a816eULL, 897,

@@ -181,6 +181,42 @@ TEST(StructurePlacer, BaselineGpSpreadsMix25ToStopOverflow) {
   EXPECT_LT(rep.gp_result.trace.size(), c.gp.max_outer);
 }
 
+// A GP that leaves plates piled on each other hands Abacus overlaps to pull
+// apart, and legalization pays for them in wirelength. On the suite designs
+// with several plates, sa-gentle's HPWL growth from GP to legal stays under
+// a ceiling: the growth measured when this test was added (dp_alu32 1.071,
+// mix50 1.021, mix75 1.030) plus a margin of about 0.03.
+struct LegalGrowth {
+  const char* bench;
+  double ceiling;
+};
+
+class GentleLegalGrowth : public ::testing::TestWithParam<LegalGrowth> {};
+
+TEST_P(GentleLegalGrowth, PlatesLegalizeWithoutPilingCost) {
+  const LegalGrowth& g = GetParam();
+  Pipe pipe(g.bench);
+  PlacerConfig c;
+  c.structure_aware = true;
+  c.legalization = LegalizationMode::kGentle;
+  const PlaceReport rep = pipe.run(c);
+  ASSERT_GT(rep.structure.groups.size(), 1u) << g.bench;
+  EXPECT_LT(rep.hpwl_legal / rep.hpwl_gp, g.ceiling)
+      << g.bench << ": hpwl_gp " << rep.hpwl_gp << ", hpwl_legal "
+      << rep.hpwl_legal;
+}
+
+std::string bench_name(
+    const ::testing::TestParamInfo<LegalGrowth>& param_info) {
+  return param_info.param.bench;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MultiPlate, GentleLegalGrowth,
+    ::testing::Values(LegalGrowth{"dp_alu32", 1.10}, LegalGrowth{"mix50", 1.05},
+                      LegalGrowth{"mix75", 1.06}),
+    bench_name);
+
 class SuitePlacement : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SuitePlacement, DefaultFlowLegalOnEveryBenchmark) {
