@@ -112,8 +112,10 @@ std::vector<OverlapPair> overlap_pairs(const netlist::Netlist& netlist,
 /// common row (y spread) and each stage hugs a common column (x spread),
 /// normalized by row height; 0 = perfectly aligned arrays. Reported as the
 /// mean RMS deviation in row-height units over all slices/stages. The
-/// group's orientation (bits-as-rows vs bits-as-columns) is chosen to the
-/// better of the two, matching what the placer may choose.
+/// placer only lays bits out as rows, but each group is scored in the
+/// better of the two orientations (bits-as-rows vs bits-as-columns):
+/// extraction can return a group transposed (bits and stages swapped),
+/// and such a group is aligned when its stages share rows.
 struct AlignmentScore {
   double rms_misalignment = 0.0;  ///< mean RMS deviation, row heights
   double worst_group = 0.0;
