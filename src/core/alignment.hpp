@@ -1,17 +1,15 @@
 #pragma once
 
-#include <vector>
-
 #include "gp/vars.hpp"
-#include "netlist/design.hpp"
 #include "netlist/structure.hpp"
 
 namespace dp::core {
 
 /// The paper's structure-aware objective term: quadratic penalties that
-/// pull every bit slice onto a common row, every stage onto a common
-/// column, and keep consecutive slice/stage centerlines at least one
-/// pitch apart (so the array cannot collapse onto a single line).
+/// pull every bit slice onto a common row and every stage onto a common
+/// column. The value is the sum, over the slices' y and the stages' x, of
+/// each movable cell's squared distance to its lane's movable mean; where
+/// the lanes sit relative to each other carries no energy.
 ///
 /// Bits run along y in every group: slices share a y, stages share an x.
 /// The paper's per-group choice of the transposed orientation is not
@@ -22,23 +20,14 @@ namespace dp::core {
 /// ExtraTerm whose weight is scheduled against the density penalty.
 class AlignmentPenalty final : public gp::ObjectiveTerm {
  public:
-  AlignmentPenalty(const netlist::Netlist& nl,
-                   const netlist::StructureAnnotation& groups,
-                   const netlist::Design& design);
+  explicit AlignmentPenalty(const netlist::StructureAnnotation& groups)
+      : groups_(&groups) {}
 
   double eval(const netlist::Placement& pl, const gp::VarMap& vars,
               std::span<double> gx, std::span<double> gy) const override;
 
  private:
-  const netlist::Netlist* nl_;
   const netlist::StructureAnnotation* groups_;
-  const netlist::Design* design_;
-  /// Per group: mean movable-cell width (stage pitch reference).
-  std::vector<double> stage_pitch_;
-  /// eval() scratch, reused across groups and calls: per-lane movable
-  /// mean coordinate and count of the current group.
-  mutable std::vector<double> slice_mean_, stage_mean_;
-  mutable std::vector<std::size_t> slice_n_, stage_n_;
 };
 
 }  // namespace dp::core

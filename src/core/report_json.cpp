@@ -170,7 +170,9 @@ std::string report_to_json(const PlaceReport& report,
       << ",\"extraction_seeds\":" << report.extraction_seeds
       << ",\"legal_blocks\":" << report.legal_blocks
       << ",\"legal_fallback\":" << report.legal_fallback
-      << "},\"gp\":{\"final_overflow\":";
+      << ",\"plate_overlap_gp\":";
+  append_number(out, report.plate_overlap_gp);
+  out << "},\"gp\":{\"final_overflow\":";
   append_number(out, report.gp_result.final_overflow);
   out << ",\"stop_reason\":\"" << gp::to_string(report.gp_result.stop_reason)
       << "\",\"outer_iterations\":" << report.gp_result.trace.size()

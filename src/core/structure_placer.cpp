@@ -300,10 +300,10 @@ class RunContext {
 
     // Phase B continues from phase A's placement and density scale:
     // alignment on from the start, weight normalized against the
-    // wirelength force and doubled each outer iteration so the plates
-    // converge to tight ordered arrays instead of stalling at a force
+    // wirelength force and doubled each outer iteration so slices and
+    // stages converge onto their lines instead of stalling at a force
     // equilibrium.
-    const AlignmentPenalty alignment(nl_, report.structure, design_);
+    const AlignmentPenalty alignment(report.structure);
     gp::GpOptions opt_b = config_.gp;
     opt_b.run_quadratic_init = false;
     opt_b.max_outer = config_.align_outer;
@@ -336,6 +336,8 @@ class RunContext {
     report.datapath_hpwl_gp = eval::datapath_hpwl(nl_, pl_, report.structure);
     report.alignment_gp =
         eval::alignment_score(nl_, pl_, report.structure).rms_misalignment;
+    report.plate_overlap_gp =
+        eval::cross_group_overlap(nl_, design_, pl_, report.structure);
   }
 
   void legalize_blocks() {

@@ -101,6 +101,10 @@ struct PlaceReport {
   double datapath_hpwl_final = 0.0;
   /// Alignment RMS after global placement (before legalization snaps it).
   double alignment_gp = 0.0;
+  /// Plate piling after global placement: overlap area between cells of
+  /// different structure groups over the groups' cell area
+  /// (eval::cross_group_overlap; 0 in the baseline flow).
+  double plate_overlap_gp = 0.0;
 
   // Stage runtimes (seconds).
   double t_extract = 0.0;

@@ -97,11 +97,11 @@ std::string case_name(const testing::TestParamInfo<Golden>& param_info) {
 INSTANTIATE_TEST_SUITE_P(
     SaGentle, GoldenPlacement,
     testing::Values(
-        Golden{"dp_add32", Flow::kGentle, false, 0x40bdd2abe4f37107ULL, 0,
-               70, 74},
-        Golden{"mix25", Flow::kGentle, false, 0x40e49cadbc609a8cULL, 0,
-               300, 361},
-        Golden{"mix25", Flow::kGentle, true, 0x40e998daf1826a38ULL, 760,
+        Golden{"dp_add32", Flow::kGentle, false, 0x40be09a03dd38ff1ULL, 0,
+               69, 74},
+        Golden{"mix25", Flow::kGentle, false, 0x40e38dde98a24b5aULL, 0,
+               247, 308},
+        Golden{"mix25", Flow::kGentle, true, 0x40e911c5c41b0c8cULL, 723,
                745, 807}),
     case_name);
 
@@ -113,10 +113,10 @@ INSTANTIATE_TEST_SUITE_P(
 INSTANTIATE_TEST_SUITE_P(
     OtherFlows, GoldenPlacement,
     testing::Values(
-        Golden{"mix25", Flow::kStructured, false, 0x40e880c957e8d0abULL, 0,
-               1028, 1304},
-        Golden{"mix75", Flow::kStructured, false, 0x40f901b5439f655cULL, 0,
-               1092, 1833},
+        Golden{"mix25", Flow::kStructured, false, 0x40e872d5125acec1ULL, 0,
+               902, 1136},
+        Golden{"mix75", Flow::kStructured, false, 0x40f89b54ef93cdadULL, 0,
+               483, 1038},
         Golden{"mix25", Flow::kBaseline, false, 0x40e4127986477c9cULL, 0,
                210, 247},
         Golden{"mix25", Flow::kBaseline, true, 0x40e8a830342a816eULL, 897,
