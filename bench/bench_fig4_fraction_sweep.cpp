@@ -6,22 +6,19 @@ int main() {
   using namespace dp;
   bench::quiet_logs();
   util::Table table({"dp fraction", "base HPWL", "SA HPWL", "delta",
-                     "base misalign", "SA misalign"});
+                     "base truth misalign", "SA truth misalign"});
   for (const double frac : {0.0, 0.2, 0.4, 0.6, 0.8}) {
     const auto b = dpgen::make_mix(frac, 2000);
     const auto rb = bench::run_flow(b, bench::Flow::kBaseline);
     const auto rs = bench::run_flow(b, bench::Flow::kGentle);
-    const double base_mis =
-        eval::alignment_score(b.netlist, rb.placement, b.truth)
-            .rms_misalignment;
     table.add_row(
         {util::Table::pct(frac, 0), util::Table::num(rb.report.hpwl_final, 0),
          util::Table::num(rs.report.hpwl_final, 0),
          util::Table::pct((rs.report.hpwl_final - rb.report.hpwl_final) /
                               rb.report.hpwl_final,
                           1),
-         util::Table::num(base_mis, 2),
-         util::Table::num(rs.report.alignment.rms_misalignment, 2)});
+         util::Table::num(bench::truth_score(b, rb.placement).misalign, 2),
+         util::Table::num(bench::truth_score(b, rs.placement).misalign, 2)});
   }
   std::printf("Figure 4: effect of datapath fraction\n%s",
               table.to_string().c_str());

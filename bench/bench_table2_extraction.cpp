@@ -7,7 +7,8 @@ int main() {
   using namespace dp;
   bench::quiet_logs();
   util::Table table({"design", "truth groups", "found", "precision",
-                     "recall", "lane acc", "seeds", "time [ms]"});
+                     "recall", "lane acc", "transposed", "seeds",
+                     "time [ms]"});
   for (const auto& name : dpgen::standard_benchmarks()) {
     const auto b = dpgen::make_benchmark(name);
     const util::Timer timer;
@@ -20,6 +21,7 @@ int main() {
                    util::Table::num(q.precision, 3),
                    util::Table::num(q.recall, 3),
                    util::Table::num(q.lane_accuracy, 3),
+                   util::Table::integer((long long)q.transposed_groups),
                    util::Table::integer((long long)r.seeds_tried),
                    util::Table::num(seconds * 1e3, 1)});
   }

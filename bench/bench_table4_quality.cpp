@@ -1,14 +1,16 @@
 // Table 4 (reconstructed): legality and structure-quality detail --
 // overlaps (must be 0), alignment score, and wire predictability (stdev
 // of datapath net lengths; regular placement makes per-bit wires nearly
-// identical, the property datapath designers actually need).
+// identical, the property datapath designers actually need), all scored
+// against the generator's ground truth.
 #include "common.hpp"
 
 int main() {
   using namespace dp;
   bench::quiet_logs();
   util::Table table({"design", "flow", "overlaps", "off-grid",
-                     "misalign [rows]", "dp-net stdev", "dp-net stdev vs base"});
+                     "truth misalign [rows]", "dp-net stdev",
+                     "dp-net stdev vs base"});
   for (const auto& name : dpgen::standard_benchmarks()) {
     const auto b = dpgen::make_benchmark(name);
     if (b.truth.groups.empty()) continue;
@@ -16,14 +18,8 @@ int main() {
     for (const bench::Flow flow :
          {bench::Flow::kBaseline, bench::Flow::kGentle, bench::Flow::kBlocks}) {
       const auto r = bench::run_flow(b, flow);
-      const double stdev =
-          bench::datapath_net_stdev(b, r.placement, b.truth);
-      if (flow == bench::Flow::kBaseline) base_stdev = stdev;
-      const double mis =
-          flow == bench::Flow::kBaseline
-              ? eval::alignment_score(b.netlist, r.placement, b.truth)
-                    .rms_misalignment
-              : r.report.alignment.rms_misalignment;
+      const auto truth = bench::truth_score(b, r.placement);
+      if (flow == bench::Flow::kBaseline) base_stdev = truth.net_stdev;
       table.add_row(
           {name, bench::flow_name(flow),
            util::Table::integer((long long)r.report.legality.overlaps),
@@ -31,8 +27,9 @@ int main() {
                (long long)(r.report.legality.off_row +
                            r.report.legality.off_site +
                            r.report.legality.out_of_core)),
-           util::Table::num(mis, 2), util::Table::num(stdev, 2),
-           util::Table::pct((stdev - base_stdev) / base_stdev, 1)});
+           util::Table::num(truth.misalign, 2),
+           util::Table::num(truth.net_stdev, 2),
+           util::Table::pct((truth.net_stdev - base_stdev) / base_stdev, 1)});
     }
   }
   std::printf("Table 4: legality and structure quality\n%s",

@@ -4,6 +4,7 @@
 // binary prints the rows/series of one reconstructed table or figure of
 // the paper (see DESIGN.md section 4 for the experiment index).
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -58,24 +59,34 @@ inline FlowResult run_flow(const dpgen::Benchmark& bench, Flow flow) {
   return run_flow(bench, flow_config(flow));
 }
 
-/// Standard deviation of datapath-net HPWLs: the "wire predictability"
-/// metric -- regular placements give near-identical per-bit wires.
-inline double datapath_net_stdev(const dpgen::Benchmark& bench,
-                                 const netlist::Placement& pl,
-                                 const netlist::StructureAnnotation& groups) {
-  const auto member = groups.membership(bench.netlist.num_cells());
+/// A placement scored against the generator's ground-truth groups: one
+/// reference for every flow, whatever groups the flow itself placed.
+struct TruthScore {
+  double datapath_hpwl = 0.0;
+  double misalign = 0.0;  ///< RMS misalignment, rows
+  /// Standard deviation of datapath-net HPWLs: the "wire predictability"
+  /// metric -- regular placements give near-identical per-bit wires.
+  double net_stdev = 0.0;
+};
+
+inline TruthScore truth_score(const dpgen::Benchmark& bench,
+                              const netlist::Placement& pl) {
+  const netlist::Netlist& nl = bench.netlist;
+  const auto member = bench.truth.membership(nl.num_cells());
   std::vector<double> lengths;
-  for (netlist::NetId n = 0; n < bench.netlist.num_nets(); ++n) {
-    bool touches = false;
-    for (auto p : bench.netlist.net(n).pins) {
-      if (member[bench.netlist.pin(p).cell]) {
-        touches = true;
-        break;
-      }
+  TruthScore score;
+  for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
+    for (const netlist::PinId p : nl.net(n).pins) {
+      if (!member[nl.pin(p).cell]) continue;
+      lengths.push_back(eval::net_hpwl(nl, n, pl));
+      score.datapath_hpwl += nl.net(n).weight * lengths.back();
+      break;
     }
-    if (touches) lengths.push_back(eval::net_hpwl(bench.netlist, n, pl));
   }
-  return std::sqrt(util::variance(lengths));
+  score.misalign =
+      eval::alignment_score(nl, pl, bench.truth).rms_misalignment;
+  score.net_stdev = std::sqrt(util::variance(lengths));
+  return score;
 }
 
 inline void quiet_logs() { util::Logger::set_level(util::LogLevel::kError); }

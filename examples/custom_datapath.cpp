@@ -44,10 +44,11 @@ int main(int argc, char** argv) {
   core::StructurePlacer placer(bench.netlist, bench.design, config);
   netlist::Placement pl = bench.placement;
   const core::PlaceReport rep = placer.place(pl, &bench.truth);
-  std::printf("placed: hpwl=%.1f, %zu groups extracted, misalign=%.2f rows, "
-              "legal=%s\n",
+  std::printf("placed: hpwl=%.1f, %zu groups extracted, misalign vs truth="
+              "%.2f rows, legal=%s\n",
               rep.hpwl_final, rep.structure.groups.size(),
-              rep.alignment.rms_misalignment,
+              eval::alignment_score(bench.netlist, pl, bench.truth)
+                  .rms_misalignment,
               rep.legality.legal() ? "yes" : "NO");
 
   // ---- export ---------------------------------------------------------------

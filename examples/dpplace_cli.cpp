@@ -186,11 +186,15 @@ int run(int argc, char** argv) {
   util::Timer timer;
   core::StructurePlacer placer(nl, design, config);
   const core::PlaceReport report = placer.place(pl, truth);
+  // A generated benchmark is scored against its ground truth, the same
+  // reference for every flow; a Bookshelf design has only the run's groups.
   std::printf(
       "placed in %.2fs: HPWL=%.1f (gp %.1f, legal %.1f), %zu groups, "
-      "misalign=%.2f rows, legal=%s%s\n",
+      "misalign vs %s=%.2f rows, legal=%s%s\n",
       timer.seconds(), report.hpwl_final, report.hpwl_gp, report.hpwl_legal,
-      report.structure.groups.size(), report.alignment.rms_misalignment,
+      report.structure.groups.size(), truth ? "truth" : "own groups",
+      eval::alignment_score(nl, pl, truth ? *truth : report.structure)
+          .rms_misalignment,
       report.legality.legal() ? "yes" : "NO",
       report.legality.overlap_truncated ? " (overlap sweep truncated)" : "");
   const gp::GpResult& gp_result = report.gp_result;

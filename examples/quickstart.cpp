@@ -28,11 +28,13 @@ int main() {
     core::StructurePlacer placer(bench.netlist, bench.design, config);
     netlist::Placement pl = bench.placement;  // pads fixed, movables parked
     core::PlaceReport rep = placer.place(pl, &bench.truth);
+    // Both flows are scored against the generator's ground-truth groups.
     std::printf(
-        "%-9s hpwl=%9.1f dp_hpwl=%9.1f misalign=%5.2f rows  legal=%s  "
+        "%-9s hpwl=%9.1f truth dp_hpwl=%9.1f misalign=%5.2f rows  legal=%s  "
         "(gp %.2fs, legal %.2fs, dp %.2fs)\n",
         structure_aware ? "struct:" : "baseline:", rep.hpwl_final,
-        rep.datapath_hpwl_final, rep.alignment.rms_misalignment,
+        eval::datapath_hpwl(bench.netlist, pl, bench.truth),
+        eval::alignment_score(bench.netlist, pl, bench.truth).rms_misalignment,
         rep.legality.legal() ? "yes" : "NO", rep.t_gp, rep.t_legal,
         rep.t_detail);
     return rep;

@@ -284,8 +284,8 @@ void rule_site_align(const CheckContext& ctx, DiagnosticSink& sink) {
   }
 }
 
-/// No two movable cells overlap, via the row-bucketed sweep shared with
-/// eval::check_legality.
+/// No movable cell overlaps another or a fixed cell in the core, via the
+/// row-bucketed sweep shared with eval::check_legality.
 void rule_overlap(const CheckContext& ctx, DiagnosticSink& sink) {
   // The sweep reads every cell's position; a short placement is reported
   // by geom.finite instead.
@@ -548,7 +548,8 @@ constexpr Rule kRules[] = {
       "movable cells sit on the site grid"},
      rule_site_align, /*placement=*/true, /*design=*/true},
     {{"legal.overlap", kCatLegality, false,
-      "no two movable cells overlap (row-bucketed sweep)"},
+      "no movable cell overlaps another or an in-core fixed cell "
+      "(row-bucketed sweep)"},
      rule_overlap, /*placement=*/true, /*design=*/true},
     {{"structure.shape", kCatStructure, true,
       "groups are rectangular bits x stages arrays"},

@@ -248,7 +248,7 @@ class RunContext {
   }
 
   // ---- reporting -----------------------------------------------------------
-  void finish(const netlist::StructureAnnotation* truth) {
+  void finish() {
     report.hpwl_final = eval::hpwl(nl_, pl_);
     report.legality = eval::check_legality(nl_, design_, pl_);
     if (timing_ != nullptr) {
@@ -264,12 +264,9 @@ class RunContext {
       cmap_->build(pl_);
       report.congestion = cmap_->report();
     }
-    const netlist::StructureAnnotation* for_eval =
-        !report.structure.groups.empty() ? &report.structure : truth;
-    if (for_eval != nullptr) {
-      report.datapath_hpwl_final = eval::datapath_hpwl(nl_, pl_, *for_eval);
-      report.alignment = eval::alignment_score(nl_, pl_, *for_eval);
-    }
+    report.datapath_hpwl_final =
+        eval::datapath_hpwl(nl_, pl_, report.structure);
+    report.alignment = eval::alignment_score(nl_, pl_, report.structure);
   }
 
  private:
@@ -578,7 +575,7 @@ PlaceReport StructurePlacer::place(netlist::Placement& pl,
   run.congestion();
   run.legalize();
   run.detail();
-  run.finish(truth);
+  run.finish();
   run.report.t_total = total.seconds();
   return std::move(run.report);
 }

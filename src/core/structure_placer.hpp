@@ -96,10 +96,10 @@ struct PlaceReport {
   double hpwl_gp = 0.0;
   double hpwl_legal = 0.0;
   double hpwl_final = 0.0;
-  /// HPWL over nets touching (annotated) datapath cells.
+  /// HPWL over nets touching a cell of `structure` (0 when it is empty).
   double datapath_hpwl_gp = 0.0;
   double datapath_hpwl_final = 0.0;
-  /// Alignment RMS after global placement (before legalization snaps it).
+  /// Alignment RMS of `structure` after GP (before legalization snaps it).
   double alignment_gp = 0.0;
   /// Plate piling after global placement: overlap area between cells of
   /// different structure groups over the groups' cell area
@@ -124,7 +124,7 @@ struct PlaceReport {
   std::size_t legal_fallback = 0;
   double hpwl_first_legal = 0.0;  ///< structure-aware flow, before repair
   eval::LegalityReport legality;
-  /// Alignment quality measured against the annotation the placer used.
+  /// Final alignment of `structure`, the groups this run placed (0 if none).
   eval::AlignmentScore alignment;
 
   /// The structure annotation used (extracted, or truth if configured);
@@ -173,7 +173,7 @@ class StructurePlacer {
 
   /// Run the pipeline. `pl` must hold fixed-cell positions; movable
   /// positions are produced. `truth` is consumed only when
-  /// `use_truth_structure` is set (and by reports).
+  /// `use_truth_structure` is set.
   PlaceReport place(netlist::Placement& pl,
                     const netlist::StructureAnnotation* truth = nullptr);
 

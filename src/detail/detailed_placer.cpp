@@ -17,13 +17,15 @@ using netlist::PinId;
 namespace {
 
 constexpr int kNoUnit = -1;
+/// Entry::unit of a fixed cell's row block: an interval nothing moves.
+constexpr int kFixed = -2;
 
 /// The pass loop stops once a full pass improves HPWL by less than this
 /// relative amount.
 constexpr double kRelImprovementFloor = 1e-4;
 
-/// One occupied interval of a row: a single free cell, or a whole datapath
-/// slice treated as an indivisible pseudo-cell.
+/// One occupied interval of a row: a single free cell, a whole datapath
+/// slice treated as an indivisible pseudo-cell, or a fixed cell's block.
 struct Entry {
   double lx = 0.0;
   double width = 0.0;
@@ -104,17 +106,33 @@ class Engine {
       const std::size_t r = design_->nearest_row((*pl_)[c].y);
       rows_[r].push_back({(*pl_)[c].x - w / 2.0, w, c, kNoUnit});
     }
+    for (const netlist::RowBlock& b :
+         netlist::fixed_row_blocks(*nl_, *design_, *pl_)) {
+      rows_[b.row].push_back({b.lx, b.hx - b.lx, kInvalidId, kFixed});
+    }
     for (auto& row : rows_) {
       std::sort(row.begin(), row.end(),
                 [](const Entry& a, const Entry& b) { return a.lx < b.lx; });
-      // Safety net: entries that overlap a predecessor (possible when the
-      // incoming placement is not perfectly legal) are removed from the
-      // row model -- their cells keep their positions and are never moved,
-      // so the detailer cannot make things worse.
+      // Safety net: entries that overlap a predecessor or a fixed block
+      // (possible when the incoming placement is not perfectly legal) are
+      // removed from the row model -- their cells keep their positions and
+      // are never moved, so the detailer cannot make things worse. Fixed
+      // blocks always stay; overlapping ones merge into one.
       std::vector<Entry> clean;
       clean.reserve(row.size());
       for (const Entry& e : row) {
-        if (!clean.empty() && clean.back().hx() > e.lx + 1e-9) continue;
+        const bool fixed = e.unit == kFixed;
+        while (fixed && !clean.empty() && clean.back().unit != kFixed &&
+               clean.back().hx() > e.lx + 1e-9) {
+          clean.pop_back();
+        }
+        if (!clean.empty() && clean.back().hx() > e.lx + 1e-9) {
+          if (fixed) {
+            clean.back().width = std::max(clean.back().hx(), e.hx()) -
+                                 clean.back().lx;
+          }
+          continue;
+        }
         clean.push_back(e);
       }
       row = std::move(clean);
@@ -246,7 +264,7 @@ class Engine {
     for (std::size_t r = 0; r < rows_.size(); ++r) {
       for (std::size_t i = 0; i < rows_[r].size(); ++i) {
         Entry& e = rows_[r][i];
-        if (e.unit == kNoUnit) continue;
+        if (e.unit < 0) continue;  // a free cell or a fixed block
         const Unit& unit = (*units_)[static_cast<std::size_t>(e.unit)];
         // Relative member offsets from the unit's left edge.
         std::vector<CellId> cells = unit.cells;

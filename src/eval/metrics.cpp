@@ -86,13 +86,16 @@ namespace {
 struct Placed {
   double lx, hx;
   CellId cell;
+  bool fixed = false;
 };
 
-/// Movable cells bucketed by the row nearest their center, sorted by left
-/// edge. Shared by check_legality and overlap_pairs.
+/// Movable cells bucketed by the row nearest their center, plus the rows'
+/// netlist::fixed_row_blocks, sorted by left edge. Shared by
+/// check_legality and overlap_pairs.
 std::vector<std::vector<Placed>> bucket_by_row(const netlist::Netlist& nl,
                                                const netlist::Design& design,
-                                               const netlist::Placement& pl) {
+                                               const netlist::Placement& pl,
+                                               double tolerance) {
   std::vector<std::vector<Placed>> rows(design.num_rows());
   for (CellId c = 0; c < nl.num_cells(); ++c) {
     if (nl.cell(c).fixed) continue;
@@ -100,6 +103,10 @@ std::vector<std::vector<Placed>> bucket_by_row(const netlist::Netlist& nl,
     const double lx = pl[c].x - w / 2.0;
     const std::size_t r = design.nearest_row(pl[c].y);
     rows[r].push_back({lx, lx + w, c});
+  }
+  for (const netlist::RowBlock& b :
+       netlist::fixed_row_blocks(nl, design, pl, tolerance)) {
+    rows[b.row].push_back({b.lx, b.hx, b.cell, /*fixed=*/true});
   }
   for (auto& row : rows) {
     std::sort(row.begin(), row.end(),
@@ -118,15 +125,19 @@ std::vector<OverlapPair> overlap_pairs(const netlist::Netlist& nl,
                                        bool* truncated) {
   std::vector<OverlapPair> pairs;
   if (truncated != nullptr) *truncated = false;
-  const auto rows = bucket_by_row(nl, design, pl);
+  const auto rows = bucket_by_row(nl, design, pl, tolerance);
   for (const auto& row : rows) {
     for (std::size_t i = 0; i < row.size(); ++i) {
       for (std::size_t j = i + 1; j < row.size(); ++j) {
         const double ov = row[i].hx - row[j].lx;
         if (ov <= tolerance) break;  // sorted by lx: nothing further overlaps
+        if (row[i].fixed && row[j].fixed) continue;
         const double width = std::min(ov, row[j].hx - row[j].lx);
-        pairs.push_back(
-            {row[i].cell, row[j].cell, width * design.row_height()});
+        // The movable cell first, so a diagnostic anchors on it.
+        const bool swap = row[i].fixed;
+        pairs.push_back({swap ? row[j].cell : row[i].cell,
+                         swap ? row[i].cell : row[j].cell,
+                         width * design.row_height()});
         if (pairs.size() >= max_pairs) {
           if (truncated != nullptr) *truncated = true;
           return pairs;
@@ -213,37 +224,26 @@ double rms_spread(const std::vector<double>& xs) {
   return std::sqrt(acc / static_cast<double>(xs.size()));
 }
 
-/// Mean RMS misalignment of a group for one orientation.
-/// `bits_along_y`: slices share y and stages share x (the usual layout).
+/// Mean RMS misalignment of a group: the y spread of each bit slice and
+/// the x spread of each stage.
 double group_misalignment(const netlist::StructureGroup& g,
-                          const netlist::Placement& pl, bool bits_along_y) {
+                          const netlist::Placement& pl) {
   double acc = 0.0;
   std::size_t terms = 0;
+  auto add_line = [&](const std::vector<double>& coord) {
+    if (coord.size() < 2) return;
+    acc += rms_spread(coord);
+    ++terms;
+  };
   for (std::size_t b = 0; b < g.bits; ++b) {
-    std::vector<double> coord;
-    for (std::size_t s = 0; s < g.stages; ++s) {
-      const CellId c = g.at(b, s);
-      if (c != netlist::kInvalidId) {
-        coord.push_back(bits_along_y ? pl[c].y : pl[c].x);
-      }
-    }
-    if (coord.size() >= 2) {
-      acc += rms_spread(coord);
-      ++terms;
-    }
+    std::vector<double> ys;
+    for (CellId c : g.slice(b)) ys.push_back(pl[c].y);
+    add_line(ys);
   }
   for (std::size_t s = 0; s < g.stages; ++s) {
-    std::vector<double> coord;
-    for (std::size_t b = 0; b < g.bits; ++b) {
-      const CellId c = g.at(b, s);
-      if (c != netlist::kInvalidId) {
-        coord.push_back(bits_along_y ? pl[c].x : pl[c].y);
-      }
-    }
-    if (coord.size() >= 2) {
-      acc += rms_spread(coord);
-      ++terms;
-    }
+    std::vector<double> xs;
+    for (CellId c : g.stage(s)) xs.push_back(pl[c].x);
+    add_line(xs);
   }
   return terms == 0 ? 0.0 : acc / static_cast<double>(terms);
 }
@@ -257,9 +257,7 @@ AlignmentScore alignment_score(const netlist::Netlist& nl,
   if (groups.groups.empty()) return score;
   double acc = 0.0;
   for (const auto& g : groups.groups) {
-    const double m = std::min(group_misalignment(g, pl, true),
-                              group_misalignment(g, pl, false)) /
-                     netlist::kRowHeight;
+    const double m = group_misalignment(g, pl) / netlist::kRowHeight;
     acc += m;
     score.worst_group = std::max(score.worst_group, m);
   }

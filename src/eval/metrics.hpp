@@ -67,7 +67,9 @@ double datapath_hpwl(const netlist::Netlist& netlist,
 
 /// Legality violations of a row-based placement.
 struct LegalityReport {
-  std::size_t overlaps = 0;        ///< pairs of overlapping movable cells
+  /// Overlapping pairs: two movable cells, or a movable cell and a fixed
+  /// one reaching into the core (netlist::fixed_row_blocks).
+  std::size_t overlaps = 0;
   std::size_t off_row = 0;         ///< cells not aligned to a row
   std::size_t off_site = 0;        ///< cells not aligned to the site grid
   std::size_t out_of_core = 0;     ///< cells sticking out of the core
@@ -86,19 +88,22 @@ LegalityReport check_legality(const netlist::Netlist& netlist,
                               const netlist::Placement& pl,
                               double tolerance = 1e-6);
 
-/// One pair of overlapping movable cells found by the row sweep.
+/// One overlapping pair found by the row sweep: `a` is movable, `b` is
+/// movable or a fixed cell in the core.
 struct OverlapPair {
   netlist::CellId a = netlist::kInvalidId;
   netlist::CellId b = netlist::kInvalidId;
   double area = 0.0;
 };
 
-/// All pairs of overlapping movable cells, via a row-bucketed sweep
-/// (cells are assigned to the row nearest their center; off-row cells are
-/// the row-alignment check's problem). Collection stops after `max_pairs`
-/// so a fully collapsed placement cannot produce a quadratic result list;
-/// when that cap fires, `*truncated` (if non-null) is set so a capped
-/// sweep can't read as a complete one.
+/// All pairs of overlapping cells, via a row-bucketed sweep (movable cells
+/// are assigned to the row nearest their center; off-row cells are the
+/// row-alignment check's problem). A fixed cell in the core takes part in
+/// every row it blocks (netlist::fixed_row_blocks); two fixed cells never
+/// make a pair. Collection stops after `max_pairs` so a fully collapsed
+/// placement cannot produce a quadratic result list; when that cap fires,
+/// `*truncated` (if non-null) is set so a capped sweep can't read as a
+/// complete one.
 std::vector<OverlapPair> overlap_pairs(const netlist::Netlist& netlist,
                                        const netlist::Design& design,
                                        const netlist::Placement& pl,
@@ -121,11 +126,9 @@ double cross_group_overlap(const netlist::Netlist& netlist,
 /// For each group the score measures how tightly each bit slice hugs a
 /// common row (y spread) and each stage hugs a common column (x spread),
 /// normalized by row height; 0 = perfectly aligned arrays. Reported as the
-/// mean RMS deviation in row-height units over all slices/stages. The
-/// placer only lays bits out as rows, but each group is scored in the
-/// better of the two orientations (bits-as-rows vs bits-as-columns):
-/// extraction can return a group transposed (bits and stages swapped),
-/// and such a group is aligned when its stages share rows.
+/// mean RMS deviation in row-height units over all slices/stages. Bits
+/// run along y, as the placer lays them out, so a group placed transposed
+/// (its stages sharing rows) scores as misaligned.
 struct AlignmentScore {
   double rms_misalignment = 0.0;  ///< mean RMS deviation, row heights
   double worst_group = 0.0;

@@ -48,28 +48,38 @@ ExtractionQuality compare_extraction(
 
   // Same-lane pair consistency, over both lane directions of each
   // extracted group (bit slices and stage columns both claim alignment).
-  std::size_t pairs = 0, good = 0;
-  auto check_line = [&](const std::vector<CellId>& cells) {
+  struct LinePairs {
+    std::size_t pairs = 0, good = 0;
+    std::size_t same_bit = 0, same_stage = 0;  ///< on one truth bit / stage
+  };
+  auto check_line = [&](const std::vector<CellId>& cells, LinePairs& line) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
       for (std::size_t j = i + 1; j < cells.size(); ++j) {
         const TruthPos& a = pos[cells[i]];
         const TruthPos& b = pos[cells[j]];
-        ++pairs;
+        ++line.pairs;
         if (a.group < 0 || b.group < 0) continue;
+        line.same_bit += a.bit == b.bit ? 1u : 0u;
+        line.same_stage += a.group == b.group && a.stage == b.stage ? 1u : 0u;
         // Within one truth group: aligned iff same bit or same stage.
         // Across truth groups (chained units merged by extraction): the
         // same bit index is the correct datapath alignment.
         if (a.group == b.group
                 ? (a.bit == b.bit || a.stage == b.stage)
                 : a.bit == b.bit) {
-          ++good;
+          ++line.good;
         }
       }
     }
   };
+  std::size_t pairs = 0, good = 0;
   for (const auto& g : extracted.groups) {
-    for (std::size_t b = 0; b < g.bits; ++b) check_line(g.slice(b));
-    for (std::size_t s = 0; s < g.stages; ++s) check_line(g.stage(s));
+    LinePairs slices, stages;
+    for (std::size_t b = 0; b < g.bits; ++b) check_line(g.slice(b), slices);
+    for (std::size_t s = 0; s < g.stages; ++s) check_line(g.stage(s), stages);
+    pairs += slices.pairs + stages.pairs;
+    good += slices.good + stages.good;
+    q.transposed_groups += slices.same_stage > slices.same_bit ? 1u : 0u;
   }
   if (pairs > 0) {
     q.lane_accuracy = static_cast<double>(good) / static_cast<double>(pairs);

@@ -17,6 +17,11 @@ struct ExtractionQuality {
   /// also structurally related in the truth (same slice or same stage of
   /// one truth group); transposition-insensitive by construction.
   double lane_accuracy = 0.0;
+  /// Extracted groups whose same-slice cell pairs share a truth stage more
+  /// often than a truth bit: bits and stages swapped against the truth.
+  /// The placer lays every group's bits along y, so such a group is placed
+  /// transposed.
+  std::size_t transposed_groups = 0;
 };
 
 ExtractionQuality compare_extraction(

@@ -171,8 +171,7 @@ LegalizeStats AbacusLegalizer::run_all(netlist::Placement& pl) {
   for (CellId c = 0; c < nl_->num_cells(); ++c) {
     if (!nl_->cell(c).fixed) cells.push_back(c);
   }
-  RowMap rows(*design_);
-  return run(pl, cells, rows);
+  return run(pl, cells, RowMap(*design_, *nl_, pl));
 }
 
 }  // namespace dp::legal

@@ -32,7 +32,7 @@ class AbacusLegalizer {
                     const RowMap& rows,
                     std::vector<netlist::CellId>* failed = nullptr);
 
-  /// Legalize all movable cells on an obstacle-free row map.
+  /// Legalize all movable cells around the fixed cells in the core.
   LegalizeStats run_all(netlist::Placement& pl);
 
  private:

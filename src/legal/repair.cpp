@@ -18,14 +18,17 @@ std::size_t repair_legality(const netlist::Netlist& nl,
   const geom::Rect& core = design.core();
   const double tol = 1e-6;
 
-  // Classify: victims = cells violating any constraint. Overlap pairs keep
-  // the earlier (left) cell in place.
+  // Classify: victims = cells violating any constraint, a fixed cell's
+  // block included. Overlap pairs keep the earlier (left) cell in place.
   struct Placed {
     double lx, hx;
     CellId cell;
   };
   std::vector<std::vector<Placed>> rows(design.num_rows());
   std::vector<CellId> victims;
+  // Free space = core minus the fixed cells in it, then minus every legally
+  // placed cell.
+  RowMap free_map(design, nl, pl);
 
   for (CellId c = 0; c < nl.num_cells(); ++c) {
     if (nl.cell(c).fixed) continue;
@@ -47,12 +50,13 @@ std::size_t repair_legality(const netlist::Netlist& nl,
     rows[design.nearest_row(pl[c].y)].push_back({lx, lx + w, c});
   }
 
-  for (auto& row : rows) {
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    auto& row = rows[r];
     std::sort(row.begin(), row.end(),
               [](const Placed& a, const Placed& b) { return a.lx < b.lx; });
     double frontier = -1e300;
     for (auto& p : row) {
-      if (p.lx < frontier - tol) {
+      if (p.lx < frontier - tol || !free_map.fits(r, p.lx, p.hx, tol)) {
         victims.push_back(p.cell);
         p.cell = netlist::kInvalidId;  // excluded from the free-space map
       } else {
@@ -62,8 +66,6 @@ std::size_t repair_legality(const netlist::Netlist& nl,
   }
   if (victims.empty()) return 0;
 
-  // Free space = core minus every legally placed cell.
-  RowMap free_map(design);
   for (std::size_t r = 0; r < rows.size(); ++r) {
     for (const Placed& p : rows[r]) {
       if (p.cell != netlist::kInvalidId) free_map.block(r, p.lx, p.hx);

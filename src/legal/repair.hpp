@@ -6,7 +6,8 @@
 namespace dp::legal {
 
 /// Legality guarantee pass: detects movable cells that overlap a
-/// neighbour, stick out of the core, or sit off the row/site grid, rips
+/// neighbour or a fixed cell in the core (netlist::fixed_row_blocks),
+/// stick out of the core, or sit off the row/site grid, rips
 /// them out, and Abacus-places them into the actual remaining free space
 /// (every legally placed cell blocked out on its own). Cells that fit
 /// nowhere keep their positions and are reported with a warning.

@@ -12,6 +12,14 @@ RowMap::RowMap(const netlist::Design& design) : design_(&design) {
   }
 }
 
+RowMap::RowMap(const netlist::Design& design, const netlist::Netlist& nl,
+               const netlist::Placement& pl)
+    : RowMap(design) {
+  for (const auto& b : netlist::fixed_row_blocks(nl, design, pl)) {
+    block(b.row, b.lx, b.hx);
+  }
+}
+
 void RowMap::block(std::size_t row, double lx, double hx) {
   if (hx <= lx) return;
   std::vector<Segment> next;
@@ -31,6 +39,12 @@ double RowMap::free_width(std::size_t row) const {
   double w = 0.0;
   for (const Segment& s : segments_[row]) w += s.width();
   return w;
+}
+
+bool RowMap::fits(std::size_t row, double lx, double hx, double tol) const {
+  return std::any_of(
+      segments_[row].begin(), segments_[row].end(),
+      [&](const Segment& s) { return lx >= s.lx - tol && hx <= s.hx + tol; });
 }
 
 }  // namespace dp::legal

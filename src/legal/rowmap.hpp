@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "netlist/design.hpp"
+#include "netlist/netlist.hpp"
 
 namespace dp::legal {
 
@@ -20,6 +21,10 @@ class RowMap {
  public:
   explicit RowMap(const netlist::Design& design);
 
+  /// The rows minus every netlist::fixed_row_blocks block of `pl`.
+  RowMap(const netlist::Design& design, const netlist::Netlist& nl,
+         const netlist::Placement& pl);
+
   const netlist::Design& design() const { return *design_; }
   std::size_t num_rows() const { return segments_.size(); }
   const std::vector<Segment>& segments(std::size_t row) const {
@@ -31,6 +36,9 @@ class RowMap {
 
   /// Total free width of a row.
   double free_width(std::size_t row) const;
+
+  /// True iff [lx, hx] lies inside one free segment of `row`, up to `tol`.
+  bool fits(std::size_t row, double lx, double hx, double tol) const;
 
  private:
   const netlist::Design* design_;

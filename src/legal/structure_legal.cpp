@@ -207,10 +207,11 @@ StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl,
     return (chunk.units.size() + fold - 1) / fold;
   };
 
-  // Free-space map with every committed chunk (optionally minus one)
-  // blocked out.
+  // Free-space map with the fixed cells and every committed chunk
+  // (optionally minus one) blocked out.
+  const RowMap fixed_rows(design, *nl_, pl);
   auto build_rows = [&](const PlacedChunk* skip) {
-    RowMap rows(design);
+    RowMap rows = fixed_rows;
     for (const PlacedChunk& pc : committed) {
       if (&pc == skip) continue;
       for (std::size_t u = 0; u < pc.chunk.units.size(); ++u) {

@@ -1,5 +1,6 @@
 #include "netlist/bookshelf.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <fstream>
@@ -42,6 +43,13 @@ bool parse_double(const std::string& token, double& value) {
   const char* end = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(token.data(), end, value);
   return !token.empty() && ec == std::errc() && ptr == end;
+}
+
+/// `value` as an error message prints it.
+std::string fmt_number(double value) {
+  std::ostringstream out;
+  out << value;
+  return out.str();
 }
 
 /// The content lines of one input file, counted so that errors name
@@ -318,43 +326,63 @@ BookshelfDesign read_bookshelf(const std::string& aux_path) {
     netlist.set_pin_offset(o.pin, o.x, o.y);
   }
 
-  // Pass 3: .scl rows.
+  // Pass 3: .scl rows. A Design holds uniform full-width rows stacked
+  // without gaps, so every row must repeat the first row's Height,
+  // Sitewidth, SubrowOrigin and NumSites, sit directly on the row before
+  // it, and hold one subrow.
   Design design;
   {
     LineReader in(scl_path);
     std::string line;
-    double row_height = 1.0, site_width = 1.0;
-    double y = 0.0, origin = 0.0;
-    double sites = 0.0;
-    geom::Rect core;
-    bool have_row = false;
+    double row_height = 1.0, site_width = 1.0, origin = 0.0, sites = 0.0;
+    double y = 0.0, first_y = 0.0;
+    std::size_t rows = 0, subrows = 0;
+    // Sets `value` to `next`, which after the first row must not change it.
+    auto same_as_first = [&](double& value, const char* what, double next) {
+      if (rows > 0 && next != value) {
+        in.fail(std::string(what) + " " + fmt_number(next) +
+                " differs from the first row's " + fmt_number(value));
+      }
+      value = next;
+    };
     while (in.next(line)) {
       std::istringstream ls(line);
       std::string first;
       ls >> first;
       std::string colon;
-      if (first == "Coordinate") {
+      if (first == "CoreRow") {
+        subrows = 0;
+      } else if (first == "Coordinate") {
         ls >> colon;
         y = in.number(ls, "Coordinate");
+        const double want = first_y + static_cast<double>(rows) * row_height;
+        const double tol = 1e-6 * std::max(row_height, std::abs(want));
+        if (rows > 0 && std::abs(y - want) > tol) {
+          in.fail("row at Coordinate " + fmt_number(y) +
+                  " is not stacked on the row before it (expected " +
+                  fmt_number(want) + ")");
+        }
       } else if (first == "Height") {
         ls >> colon;
-        row_height = in.number(ls, "Height", true);
+        same_as_first(row_height, "Height", in.number(ls, "Height", true));
       } else if (first == "Sitewidth") {
         ls >> colon;
-        site_width = in.number(ls, "Sitewidth", true);
+        same_as_first(site_width, "Sitewidth",
+                      in.number(ls, "Sitewidth", true));
       } else if (first == "SubrowOrigin") {
+        if (++subrows > 1) in.fail("a second subrow in one row");
         std::string numsites;
         ls >> colon;
-        origin = in.number(ls, "SubrowOrigin");
+        same_as_first(origin, "SubrowOrigin", in.number(ls, "SubrowOrigin"));
         ls >> numsites >> colon;
-        sites = in.number(ls, "NumSites", true);
-        have_row = true;
-        core.expand(geom::Point{origin, y});
-        core.expand(geom::Point{origin + sites * site_width, y + row_height});
+        same_as_first(sites, "NumSites", in.number(ls, "NumSites", true));
+        if (rows++ == 0) first_y = y;
       }
     }
-    if (!have_row) throw std::runtime_error("bookshelf: scl has no rows");
-    design = Design(core, row_height, site_width);
+    if (rows == 0) throw std::runtime_error("bookshelf: scl has no rows");
+    design = Design({origin, first_y, origin + sites * site_width,
+                     first_y + static_cast<double>(rows) * row_height},
+                    row_height, site_width);
   }
 
   // Pass 4: .pl positions (convert lower-left corners to centers).

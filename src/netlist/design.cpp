@@ -59,4 +59,31 @@ double Design::snap_x(double x) const {
   return core_.lx + std::round(rel) * site_width_;
 }
 
+std::vector<RowBlock> fixed_row_blocks(const Netlist& netlist,
+                                       const Design& design,
+                                       const Placement& pl,
+                                       double tolerance) {
+  const geom::Rect& core = design.core();
+  std::vector<RowBlock> blocks;
+  for (CellId c = 0; c < netlist.num_cells(); ++c) {
+    if (!netlist.cell(c).fixed) continue;
+    const geom::Rect r = geom::Rect::from_center(
+        pl[c], netlist.cell_width(c), netlist.cell_height(c));
+    const double lx = std::max(r.lx, core.lx);
+    const double hx = std::min(r.hx, core.hx);
+    const double ly = std::max(r.ly, core.ly);
+    const double hy = std::min(r.hy, core.hy);
+    // Negated so that a non-finite position blocks nothing.
+    if (!(hx - lx > tolerance && hy - ly > tolerance)) continue;
+    for (std::size_t row = design.nearest_row(ly);
+         row < design.num_rows() && design.row(row).y < hy - tolerance;
+         ++row) {
+      if (design.row(row).y + design.row_height() > ly + tolerance) {
+        blocks.push_back({row, lx, hx, c});
+      }
+    }
+  }
+  return blocks;
+}
+
 }  // namespace dp::netlist

@@ -46,4 +46,23 @@ class Design {
   std::vector<Row> rows_;
 };
 
+/// The part of one row a fixed cell covers.
+struct RowBlock {
+  std::size_t row = 0;
+  double lx = 0.0;
+  double hx = 0.0;
+  CellId cell = kInvalidId;
+};
+
+/// The rows covered by fixed cells that reach into the core interior by
+/// more than `tolerance` in both x and y (in-core macros and terminals;
+/// pads on the core boundary only touch it). A cell blocks every row it
+/// overlaps by more than `tolerance`, over its x extent clipped to the
+/// core. Legalization places around these blocks, and the legality check
+/// counts a movable cell on one as an overlap.
+std::vector<RowBlock> fixed_row_blocks(const Netlist& netlist,
+                                       const Design& design,
+                                       const Placement& pl,
+                                       double tolerance = 1e-6);
+
 }  // namespace dp::netlist

@@ -151,7 +151,8 @@ INSTANTIATE_TEST_SUITE_P(
 struct MalformedCase {
   const char* name;
   const char* ext;  ///< the file to corrupt
-  /// The first line starting with this is replaced; null = the last line.
+  /// The last line starting with this is replaced (in a .scl, the last
+  /// row's); null = the last line.
   const char* prefix;
   /// The replacement line; "%" stands for the line's first token (the
   /// node's name on node, pin and placement lines).
@@ -176,11 +177,9 @@ TEST_P(Malformed, RejectedWithFileAndLine) {
   ASSERT_GT(lines.size(), 2u);
   std::size_t target = lines.size() - 1;
   if (mc.prefix != nullptr) {
-    target = 0;
-    while (target < lines.size() && !lines[target].starts_with(mc.prefix)) {
-      ++target;
-    }
-    ASSERT_LT(target, lines.size()) << "no line starts with " << mc.prefix;
+    while (target > 0 && !lines[target].starts_with(mc.prefix)) --target;
+    ASSERT_TRUE(lines[target].starts_with(mc.prefix))
+        << "no line starts with " << mc.prefix;
   }
   std::istringstream first(lines[target]);
   std::string token;
@@ -243,6 +242,21 @@ INSTANTIATE_TEST_SUITE_P(
                       "  SubrowOrigin : 0 NumSites : 0", "NumSites"},
         MalformedCase{"scl_bad_numsites", ".scl", "  SubrowOrigin",
                       "  SubrowOrigin : 0 NumSites : many", "NumSites"},
+        MalformedCase{"scl_height_differs", ".scl", "  Height",
+                      "  Height : 2", "Height 2 differs from the first row"},
+        MalformedCase{"scl_sitewidth_differs", ".scl", "  Sitewidth",
+                      "  Sitewidth : 0.5",
+                      "Sitewidth 0.5 differs from the first row"},
+        MalformedCase{"scl_origin_differs", ".scl", "  SubrowOrigin",
+                      "  SubrowOrigin : 1 NumSites : 1",
+                      "SubrowOrigin 1 differs from the first row"},
+        MalformedCase{"scl_numsites_differs", ".scl", "  SubrowOrigin",
+                      "  SubrowOrigin : 0 NumSites : 1",
+                      "NumSites 1 differs from the first row"},
+        MalformedCase{"scl_row_not_stacked", ".scl", "  Coordinate",
+                      "  Coordinate : 1000", "not stacked on the row before"},
+        MalformedCase{"scl_second_subrow", ".scl", nullptr,
+                      "  SubrowOrigin : 0 NumSites : 1", "second subrow"},
         MalformedCase{"nets_unknown_node", ".nets", nullptr,
                       "  no_such_cell I : 0 0", "pin on unknown node"},
         MalformedCase{"nets_bad_direction", ".nets", nullptr,

@@ -67,6 +67,36 @@ TEST(Legality, DetectsOffSite) {
   EXPECT_GT(check_legality(*rb.nl, *rb.design, pl).off_site, 0u);
 }
 
+// A fixed cell inside the core is an obstacle: a movable cell on it
+// overlaps. Two fixed cells never make a pair, and a pad that only
+// touches the core edge blocks nothing.
+TEST(Legality, DetectsCellOnFixedCellInCore) {
+  netlist::NetlistBuilder b(netlist::standard_library());
+  const CellId macro = b.add_cell("macro", CellFunc::kFullAdder, true);
+  const CellId macro2 = b.add_cell("macro2", CellFunc::kFullAdder, true);
+  const CellId pad = b.add_cell("pad", CellFunc::kInv, true);
+  const CellId inv = b.add_cell("inv", CellFunc::kInv);
+  const CellId above_pad = b.add_cell("above_pad", CellFunc::kInv);
+  const auto nl = b.take();
+  const netlist::Design design(geom::Rect{0, 0, 10, 4}, 1.0, 0.25);
+  Placement pl(5);
+  pl[macro] = {5.25, 1.5};       // FA, 2.5 wide: [4, 6.5] in row 1
+  pl[macro2] = {7.0, 1.5};       // [5.75, 8.25], overlapping `macro`
+  pl[pad] = {1.0, -0.5};         // below the core, touching its edge
+  pl[above_pad] = {1.125, 0.5};  // row 0, right above the pad
+  pl[inv] = {4.875, 1.5};        // [4.5, 5.25] in row 1, on `macro`
+  const auto rep = check_legality(nl, design, pl);
+  EXPECT_EQ(rep.overlaps, 1u);
+  EXPECT_EQ(rep.out_of_core, 0u);
+  const auto pairs = overlap_pairs(nl, design, pl);
+  ASSERT_EQ(pairs.size(), 1u);
+  EXPECT_EQ(pairs[0].a, inv);
+  EXPECT_EQ(pairs[0].b, macro);
+
+  pl[inv].y = 2.5;  // the same x one row up is free
+  EXPECT_TRUE(check_legality(nl, design, pl).legal());
+}
+
 TEST(OverlapPairs, WideCellOverlapsTwoNeighbors) {
   netlist::NetlistBuilder b(netlist::standard_library());
   // FA is 10 sites (2.5 units) wide; the two INVs (0.75) tuck under it.
@@ -157,6 +187,26 @@ TEST(AlignmentScore, PerfectArrayScoresZero) {
   one.groups.push_back(g);
   EXPECT_NEAR(alignment_score(bench.netlist, pl, one).rms_misalignment, 0.0,
               1e-12);
+}
+
+// Bits run along y: the same array with its slices in columns and its
+// stages in rows is misaligned, not scored in its better orientation.
+TEST(AlignmentScore, TransposedArrayIsMisaligned) {
+  dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
+  Placement pl = bench.placement;
+  const auto& g = bench.truth.groups[0];
+  for (std::size_t bit = 0; bit < g.bits; ++bit) {
+    for (std::size_t s = 0; s < g.stages; ++s) {
+      const CellId c = g.at(bit, s);
+      if (c != netlist::kInvalidId) {
+        pl[c] = {static_cast<double>(bit) * 3.0,
+                 static_cast<double>(s) * 1.0};
+      }
+    }
+  }
+  netlist::StructureAnnotation one;
+  one.groups.push_back(g);
+  EXPECT_GT(alignment_score(bench.netlist, pl, one).rms_misalignment, 2.0);
 }
 
 TEST(AlignmentScore, ScrambledArrayScoresHigh) {

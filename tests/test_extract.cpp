@@ -189,6 +189,29 @@ TEST(Metrics, PerfectMatchScoresOne) {
   EXPECT_DOUBLE_EQ(q.lane_accuracy, 1.0);
 }
 
+// A group whose slices run along truth stages is transposed; the truth
+// itself has none, and its transpose (bits <-> stages) has all.
+TEST(Metrics, CountsTransposedGroups) {
+  const auto bench = dpgen::make_benchmark("mix50");
+  EXPECT_EQ(
+      compare_extraction(bench.netlist, bench.truth, bench.truth)
+          .transposed_groups,
+      0u);
+  netlist::StructureAnnotation transposed;
+  for (const auto& g : bench.truth.groups) {
+    auto t = netlist::StructureGroup::make(g.name, g.stages, g.bits);
+    for (std::size_t b = 0; b < g.bits; ++b) {
+      for (std::size_t s = 0; s < g.stages; ++s) t.at(s, b) = g.at(b, s);
+    }
+    transposed.groups.push_back(std::move(t));
+  }
+  const auto q = compare_extraction(bench.netlist, transposed, bench.truth);
+  EXPECT_GT(q.groups_found, 1u);
+  EXPECT_EQ(q.transposed_groups, q.groups_found);
+  // Lane accuracy cannot tell the transpose from the truth.
+  EXPECT_DOUBLE_EQ(q.lane_accuracy, 1.0);
+}
+
 TEST(Metrics, EmptyExtractionScoresZeroRecall) {
   const auto bench = dpgen::make_benchmark("dp_add32");
   const netlist::StructureAnnotation empty;

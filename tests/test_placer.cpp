@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <fstream>
+
 #include "core/structure_placer.hpp"
 #include "dpgen/benchmarks.hpp"
 #include "eval/metrics.hpp"
+#include "netlist/bookshelf.hpp"
 
 namespace dp::core {
 namespace {
@@ -80,20 +84,59 @@ TEST(StructurePlacer, GpCountersAgreeInEveryFlow) {
   }
 }
 
+// Both flows are scored against dpgen's ground truth, one reference.
 TEST(StructurePlacer, BaselineBeatsNothingOnAlignment) {
   Pipe pipe("dp_add32");
-  PlacerConfig base;
-  base.structure_aware = false;
-  const PlaceReport rb = pipe.run(base);
-  const double base_mis =
-      eval::alignment_score(pipe.bench.netlist, pipe.pl, pipe.bench.truth)
-          .rms_misalignment;
+  auto truth_misalignment = [&](bool structure_aware) {
+    PlacerConfig c;
+    c.structure_aware = structure_aware;
+    pipe.run(c);
+    return eval::alignment_score(pipe.bench.netlist, pipe.pl,
+                                 pipe.bench.truth)
+        .rms_misalignment;
+  };
+  const double base_mis = truth_misalignment(false);
+  EXPECT_LT(truth_misalignment(true), base_mis);
+}
 
-  PlacerConfig sa;
-  sa.structure_aware = true;
-  const PlaceReport rs = pipe.run(sa);
-  EXPECT_LT(rs.alignment.rms_misalignment, base_mis);
-  (void)rb;
+// A fixed macro inside the core, as a Bookshelf terminal brings one to
+// `dpplace_cli --aux`, is an obstacle to legalization, repair and detailed
+// placement: no movable cell ends on it. The legality check sees it too.
+TEST(StructurePlacer, GentleFlowKeepsCellsOffFixedMacro) {
+  const dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
+  const std::string base = ::testing::TempDir() + "macro_in_core";
+  netlist::write_bookshelf(base, bench.netlist, bench.design, bench.placement);
+  // A 10 x 10 macro at the core's center, on the row and site grid.
+  const geom::Rect& core = bench.design.core();
+  const double lx = bench.design.snap_x(core.center().x - 5.0);
+  const double ly = core.ly + std::round(core.center().y - 5.0 - core.ly);
+  const geom::Rect macro(lx, ly, lx + 10.0, ly + 10.0);
+  std::ofstream(base + ".nodes", std::ios::app) << "  macro 10 10 terminal\n";
+  std::ofstream(base + ".pl", std::ios::app)
+      << "macro " << lx << " " << ly << " : N /FIXED\n";
+  const netlist::BookshelfDesign loaded =
+      netlist::read_bookshelf(base + ".aux");
+  const netlist::Netlist& nl = loaded.netlist;
+
+  StructurePlacer placer(nl, loaded.design, {});
+  Placement pl = loaded.placement;
+  const PlaceReport rep = placer.place(pl);
+  EXPECT_TRUE(rep.legality.legal());
+  std::size_t on_macro = 0;
+  netlist::CellId movable = netlist::kInvalidId;
+  for (netlist::CellId c = 0; c < nl.num_cells(); ++c) {
+    if (nl.cell(c).fixed) continue;
+    movable = c;
+    const geom::Rect r = geom::Rect::from_center(pl[c], nl.cell_width(c),
+                                                 nl.cell_height(c));
+    if (r.overlap_area(macro) > 1e-9) ++on_macro;
+  }
+  EXPECT_EQ(on_macro, 0u);
+
+  // Plant a cell on the macro, on the row and site grid.
+  pl[movable] = {lx + nl.cell_width(movable) / 2.0,
+                 ly + 4.0 + nl.cell_height(movable) / 2.0};
+  EXPECT_GT(eval::check_legality(nl, loaded.design, pl).overlaps, 0u);
 }
 
 TEST(StructurePlacer, Deterministic) {
