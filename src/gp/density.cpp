@@ -1,7 +1,9 @@
 #include "gp/density.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "geom/rect.hpp"
 #include "util/thread_pool.hpp"
@@ -113,6 +115,7 @@ DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
 
 void DensityPenalty::preload_obstacles(const netlist::Placement& pl,
                                        const VarMap& vars) {
+  kept_ = false;
   preload_.assign(nb_ * nb_, 0.0);
   for (CellId c = 0; c < nl_->num_cells(); ++c) {
     if (vars.var(c) != netlist::kInvalidId) continue;
@@ -135,6 +138,7 @@ void DensityPenalty::set_area_scale(std::vector<double> scale) {
   }
   target_per_bin_ = scaled_total / static_cast<double>(nb_ * nb_);
   shape_cells_.clear();  // invalidate the per-VarMap cache
+  kept_ = false;
 }
 
 void DensityPenalty::cache_shapes(const VarMap& vars) const {
@@ -142,6 +146,7 @@ void DensityPenalty::cache_shapes(const VarMap& vars) const {
   if (!shape_cells_.empty() && std::ranges::equal(shape_cells_, movable)) {
     return;
   }
+  kept_ = false;  // the footprints point into the chunks' bells
   const auto& nl = *nl_;
   const std::size_t n_mov = movable.size();
   shapes_.resize(n_mov);
@@ -166,6 +171,23 @@ void DensityPenalty::cache_shapes(const VarMap& vars) const {
   shape_cells_.assign(movable.begin(), movable.end());
 }
 
+bool DensityPenalty::at_kept_positions(const netlist::Placement& pl,
+                                       const VarMap& vars) const {
+  if (!kept_) return false;
+  const auto movable = vars.movable_cells();
+  const std::size_t n = movable.size();
+  auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  for (std::size_t v = 0; v < n; ++v) {
+    if (!same(kept_xy_[v], pl[movable[v]].x) ||
+        !same(kept_xy_[n + v], pl[movable[v]].y)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
                             std::span<double> gx,
                             std::span<double> gy) const {
@@ -176,15 +198,21 @@ double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
 
 double DensityPenalty::value(const netlist::Placement& pl,
                              const VarMap& vars) const {
+  cache_shapes(vars);
+  if (at_kept_positions(pl, vars)) {
+    bins_visited_ = 0;
+    bells_evaluated_ = 0;
+    return kept_value_;
+  }
   const geom::Rect& core = design_->core();
   const auto nbi = static_cast<long long>(nb_);
   density_ = preload_;
   err2_.resize(nb_ * nb_);
-  cache_shapes(vars);
 
   const auto movable = vars.movable_cells();
   const std::size_t n_mov = movable.size();
   foot_.resize(n_mov);
+  kept_xy_.resize(2 * n_mov);
   auto vanishes = [](const Bell& b) { return b.p == 0.0 && b.dp == 0.0; };
 
   // Pass 0: footprints, bells and per-cell normalization (independent per
@@ -209,6 +237,8 @@ double DensityPenalty::value(const netlist::Placement& pl,
       const CellId c = movable[v];
       const double cx = pl[c].x;
       const double cy = pl[c].y;
+      kept_xy_[v] = cx;
+      kept_xy_[n_mov + v] = cy;
       const BellShape& sx = shapes_[v].x;
       const BellShape& sy = shapes_[v].y;
 
@@ -338,6 +368,8 @@ double DensityPenalty::value(const netlist::Placement& pl,
   });
   double value = 0.0;
   for (const double v : group_value_) value += v;
+  kept_value_ = value;
+  kept_ = true;
   return value;
 }
 

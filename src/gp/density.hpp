@@ -42,7 +42,9 @@ namespace dp::gp {
 /// non-zero (the dropped terms are all +-0, added to accumulators that are
 /// never -0), the bell constants and scaled areas are computed once per
 /// VarMap, and pass 1 stores twice each bin's clipped error for pass 2 to
-/// read.
+/// read. A value() call at the bits of the previous call's positions
+/// returns the kept value and keeps its footprints, bells and errors; the
+/// setters that change the penalty drop them.
 class DensityPenalty final : public ObjectiveTerm {
  public:
   DensityPenalty(const netlist::Netlist& nl, const netlist::Design& design,
@@ -55,6 +57,7 @@ class DensityPenalty final : public ObjectiveTerm {
   /// frozen plates) cluster at its wirelength optimum instead.
   void set_one_sided(double max_density) {
     one_sided_cap_ = bw_ * bh_ * max_density;
+    kept_ = false;
   }
 
   /// Attach a worker pool for parallel evaluation; null (the default)
@@ -84,7 +87,9 @@ class DensityPenalty final : public ObjectiveTerm {
               std::span<double> gx, std::span<double> gy) const override;
 
   /// Passes 0-1: the penalty value. Keeps the footprints, bells and per-bin
-  /// errors for a following gradient() call.
+  /// errors for a following gradient() call. When every variable of `vars`
+  /// sits at the bits of the previous call's position and no setter ran
+  /// since, returns the kept value without a pass (bitwise equal to one).
   double value(const netlist::Placement& pl, const VarMap& vars) const;
 
   /// Pass 2: adds `scale` times the gradient at the placement of the most
@@ -99,13 +104,13 @@ class DensityPenalty final : public ObjectiveTerm {
                   double target_density) const;
 
   /// Deterministic work counter: the bins covered by the (trimmed)
-  /// footprints of the cells spread by the last value() call. Pass 1 and
-  /// pass 2 each visit this many bins.
+  /// footprints of the cells spread by the last value() call, 0 when it
+  /// returned the kept value. Pass 1 and pass 2 each visit this many bins.
   std::uint64_t bins_visited() const { return bins_visited_; }
 
   /// Deterministic work counter: the bell evaluations of the last value()
-  /// call, one per column and one per row of every untrimmed footprint.
-  /// gradient() evaluates none.
+  /// call, one per column and one per row of every untrimmed footprint
+  /// (none when it returned the kept value). gradient() evaluates none.
   std::uint64_t bells_evaluated() const { return bells_evaluated_; }
 
   std::size_t bins_per_side() const { return nb_; }
@@ -166,6 +171,10 @@ class DensityPenalty final : public ObjectiveTerm {
   /// `vars`, unless they are already for it.
   void cache_shapes(const VarMap& vars) const;
 
+  /// Whether the kept value is for `vars` at `pl`'s positions, bit for bit.
+  bool at_kept_positions(const netlist::Placement& pl,
+                         const VarMap& vars) const;
+
   // Per-VarMap cache, keyed by the VarMap's cells and emptied whenever the
   // area scale changes. scaled_total_ (a subset in glue-only mode) is the
   // overflow denominator.
@@ -185,6 +194,13 @@ class DensityPenalty final : public ObjectiveTerm {
   mutable std::vector<double> err2_;
   mutable std::uint64_t bins_visited_ = 0;
   mutable std::uint64_t bells_evaluated_ = 0;
+
+  // The last value() call: its variables' positions (x then y per
+  // variable, written by pass 0), its value, and whether they still
+  // describe the scratch above and the current penalty.
+  mutable std::vector<double> kept_xy_;
+  mutable double kept_value_ = 0.0;
+  mutable bool kept_ = false;
 };
 
 }  // namespace dp::gp
