@@ -19,10 +19,10 @@ namespace dp::core {
 namespace {
 
 /// The alignment term activates once density overflow first drops below
-/// this level (aligning before cells are spread is wasted work): phase A
-/// of the structure-aware global placement spreads plainly down to it,
-/// then phase B runs with the alignment term on.
-constexpr double kAlignmentActivationOverflow = 0.5;
+/// the GP's spread point (aligning before cells are spread is wasted
+/// work): phase A of the structure-aware global placement spreads plainly
+/// down to it, then phase B runs with the alignment term on.
+constexpr double kAlignmentActivationOverflow = gp::kSpreadOverflow;
 
 /// Routability inflates the cells in congested bins once, at the first
 /// outer iteration of the main GP that starts at or below this overflow.
@@ -34,7 +34,7 @@ constexpr double kAlignmentActivationOverflow = 0.5;
 /// sa-gentle flow's geomean final peak by 1-6%, because phase B, capped at
 /// `align_outer` outers, then ends less spread and legalization
 /// concentrates the rest.
-constexpr double kInflationOverflow = kAlignmentActivationOverflow;
+constexpr double kInflationOverflow = gp::kSpreadOverflow;
 
 /// Inflation may fill at most this share of the whitespace the movable
 /// cells leave in the core: at utilization u the scaled movable area grows

@@ -223,7 +223,6 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
   const double gamma1 = options_.gamma_final_bins * density_->bin_width();
 
   CgOptions cg;
-  cg.max_iters = kInnerIters;
   cg.rel_tol = kInnerRelTol;
   cg.step_ref = density_->bin_width();
 
@@ -244,6 +243,7 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
       extra_weights[t] = extras_[t].weight ? extras_[t].weight(ctx) : 0.0;
     }
 
+    cg.max_iters = overflow > kSpreadOverflow ? kSpreadInnerIters : kInnerIters;
     const CgResult inner = minimize_cg(objective, v, cg);
     result.total_cg_iterations += inner.iterations;
     result.total_evaluations += inner.evaluations;
@@ -267,9 +267,13 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
     vars_.scatter(v, pl);
     overflow = density_->overflow(pl, vars_, kTargetDensity);
     const double hp = eval::hpwl(*nl_, pl);
-    result.trace.push_back({outer, hp, overflow, lambda, gamma});
-    util::Logger::debug("gp outer %zu: hpwl=%.1f overflow=%.4f lambda=%.3g",
-                        outer, hp, overflow, lambda);
+    result.trace.push_back({outer, hp, overflow, lambda, gamma,
+                            inner.iterations, inner.evaluations, inner.stop});
+    util::Logger::debug(
+        "gp outer %zu: hpwl=%.1f overflow=%.4f lambda=%.3g cg=%zu evals=%zu "
+        "stop=%s",
+        outer, hp, overflow, lambda, inner.iterations, inner.evaluations,
+        to_string(inner.stop));
 
     if (overflow <= options_.stop_overflow) break;
     lambda *= kLambdaMultiplier;

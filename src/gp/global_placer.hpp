@@ -19,8 +19,17 @@ class ThreadPool;
 
 namespace dp::gp {
 
+/// The overflow above which cells are still spreading out of the
+/// quadratic start's pile-up. An outer iteration that starts above it
+/// runs at most kSpreadInnerIters CG iterations: the next outer doubles
+/// the density weight and reshapes the objective anyway. The structured
+/// flow hands phase A to phase B here and inflates congested cells here.
+inline constexpr double kSpreadOverflow = 0.5;
+inline constexpr std::size_t kSpreadInnerIters = 10;
+
 /// Options of one global-placement run. Fixed by the algorithm: at most 50
-/// CG iterations per outer iteration, stopped early by the first one that
+/// CG iterations per outer iteration (kSpreadInnerIters while the outer
+/// starts above kSpreadOverflow), stopped early by the first one that
 /// improves the objective by less than 1e-4 relative, the overflow
 /// measured against a bin capacity of density 1, and a density weight
 /// starting at 2 times the wirelength/density gradient ratio and doubling
@@ -42,13 +51,18 @@ struct GpOptions {
   bool run_quadratic_init = true;
 };
 
-/// One sample of the convergence trace (reconstructed Fig. 3 series).
+/// One sample of the convergence trace (reconstructed Fig. 3 series): the
+/// placement an outer iteration ended with, its schedule and its inner
+/// CG run's work.
 struct GpTracePoint {
   std::size_t outer = 0;
   double hpwl = 0.0;
   double overflow = 0.0;
   double lambda = 0.0;
   double gamma = 0.0;
+  std::size_t cg_iterations = 0;
+  std::size_t evaluations = 0;
+  CgStop inner_stop = CgStop::kIterationCap;
 };
 
 /// Why a global-placement run stopped.

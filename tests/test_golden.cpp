@@ -99,10 +99,10 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(
         Golden{"dp_add32", Flow::kGentle, false, 0x40be09a03dd38ff1ULL, 0,
                69, 74},
-        Golden{"mix25", Flow::kGentle, false, 0x40e38dde98a24b5aULL, 0,
-               247, 308},
-        Golden{"mix25", Flow::kGentle, true, 0x40e911c5c41b0c8cULL, 723,
-               745, 807}),
+        Golden{"mix25", Flow::kGentle, false, 0x40e3bd48a05cbd58ULL, 0,
+               225, 250},
+        Golden{"mix25", Flow::kGentle, true, 0x40e93bd5a71fe10dULL, 717,
+               376, 413}),
     case_name);
 
 // Template blocks (glue GP over a subset VarMap around frozen plates, the
@@ -113,14 +113,14 @@ INSTANTIATE_TEST_SUITE_P(
 INSTANTIATE_TEST_SUITE_P(
     OtherFlows, GoldenPlacement,
     testing::Values(
-        Golden{"mix25", Flow::kStructured, false, 0x40e872d5125acec1ULL, 0,
-               902, 1136},
-        Golden{"mix75", Flow::kStructured, false, 0x40f89b54ef93cdadULL, 0,
-               483, 1038},
-        Golden{"mix25", Flow::kBaseline, false, 0x40e4127986477c9cULL, 0,
-               210, 247},
-        Golden{"mix25", Flow::kBaseline, true, 0x40e8a830342a816eULL, 897,
-               590, 668}),
+        Golden{"mix25", Flow::kStructured, false, 0x40e8d8808ef93cdeULL, 0,
+               727, 1029},
+        Golden{"mix75", Flow::kStructured, false, 0x40fa0b255fa34291ULL, 0,
+               586, 1148},
+        Golden{"mix25", Flow::kBaseline, false, 0x40e4d6567ba71fe2ULL, 0,
+               267, 310},
+        Golden{"mix25", Flow::kBaseline, true, 0x40e86486cebb6942ULL, 976,
+               296, 313}),
     case_name);
 
 }  // namespace

@@ -231,6 +231,25 @@ TEST(StructurePlacer, BaselineGpSpreadsMix25ToStopOverflow) {
   EXPECT_LT(rep.gp_result.trace.size(), c.gp.max_outer);
 }
 
+// mix25 under the suite-routed flow (timing-driven, congestion refinement,
+// dpgen seed 1) is where solving every spreading outer to convergence
+// wasted the most: phase B ran all 12 of its outers and stopped at overflow
+// 0.094 after 807 evaluations. With the spreading outers capped at
+// gp::kSpreadInnerIters, phase B starts less collapsed and converges.
+TEST(StructurePlacer, RoutedMix25GpConverges) {
+  Pipe pipe("mix25");
+  PlacerConfig c;
+  c.structure_aware = true;
+  c.legalization = LegalizationMode::kGentle;
+  c.timing.driven = true;
+  c.congestion.measure = true;
+  c.congestion.refine = true;
+  const PlaceReport rep = pipe.run(c);
+  EXPECT_EQ(rep.gp_result.stop_reason, gp::GpStop::kOverflowReached)
+      << "overflow " << rep.gp_result.final_overflow;
+  EXPECT_LT(rep.gp_result.total_evaluations, 600u);
+}
+
 // A GP that leaves plates piled on each other hands Abacus overlaps to pull
 // apart, and legalization pays for them in wirelength. On the suite designs
 // with several plates, sa-gentle's post-GP overlap between cells of
