@@ -241,8 +241,14 @@ class RunContext {
         return delta <= 1e-12;
       };
     }
+    // Detail moves keep every cell in its row, so bit rows stay aligned;
+    // only the template blocks' plates are held in place.
+    const bool hold_plates =
+        structured_ && config_.legalization == LegalizationMode::kStructured;
+    const netlist::StructureAnnotation no_groups;
     detail::DetailedPlacer detailer(nl_, design_);
-    report.detail_stats = detailer.run(pl_, report.structure, opt);
+    report.detail_stats =
+        detailer.run(pl_, hold_plates ? report.structure : no_groups, opt);
     report.t_detail = stage.seconds();
     run_checks("detail", check::kCatGeometry | check::kCatLegality, 1e-6);
   }

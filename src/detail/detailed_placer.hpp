@@ -34,10 +34,9 @@ struct DetailStats {
 };
 
 /// Row-based detailed placement: per-cell optimal-interval sliding within
-/// row gaps plus adjacent-cell swapping, iterated to convergence. The
-/// perfectly packed bit slices of datapath groups are moved only as whole
-/// row units, preserving the aligned arrays the structure-aware flow
-/// produced.
+/// row gaps plus adjacent-cell swapping, iterated to convergence. Neither
+/// move changes a cell's row, so the bit rows a structure-aware GP aligned
+/// stay aligned.
 ///
 /// Precondition: `pl` is legal (row- and site-aligned, no overlaps);
 /// the placer maintains legality move by move.
@@ -45,10 +44,10 @@ class DetailedPlacer {
  public:
   DetailedPlacer(const netlist::Netlist& nl, const netlist::Design& design);
 
-  /// Detailed placement over all movable cells. Members of `groups` move
-  /// only as whole bit slices (horizontal unit slides, one unit per row a
-  /// slice occupies); all other cells get the plain moves. With no groups
-  /// every cell gets the plain moves.
+  /// Detailed placement over all movable cells except the members of
+  /// `groups`, which stay where they are as blocked row intervals, like
+  /// fixed cells. The template-block flow holds its plates this way; the
+  /// argument goes away with that flow.
   DetailStats run(netlist::Placement& pl,
                   const netlist::StructureAnnotation& groups,
                   const DetailOptions& options = {});

@@ -7,7 +7,6 @@ namespace dp::detail {
 void Profile::merge(const Profile& other) {
   slide.merge(other.slide);
   swap.merge(other.swap);
-  unit_slide.merge(other.unit_slide);
   rescans += other.rescans;
   guard_vetoes += other.guard_vetoes;
 }
@@ -21,7 +20,6 @@ std::string Profile::to_string() const {
   };
   std::string out = fmt("slide", slide);
   out += " | " + fmt("swap", swap);
-  out += " | " + fmt("unit", unit_slide);
   std::snprintf(buf, sizeof buf, " | rescans %zu", rescans);
   out += buf;
   if (guard_vetoes > 0) {

@@ -27,7 +27,9 @@ struct PassProfile {
 struct Profile {
   PassProfile slide;       ///< per-cell optimal-interval slides
   PassProfile swap;        ///< adjacent-pair swaps
-  PassProfile unit_slide;  ///< whole-slice rigid slides
+  /// Always zero (no whole-slice moves); kept while the end-to-end
+  /// benchmark reads it, until it drops the template-block flow.
+  PassProfile unit_slide;
 
   /// Nets scored: one per (candidate move, net of a moved cell) pair,
   /// each rescanned with eval::net_hpwl without and with the move.
@@ -40,7 +42,7 @@ struct Profile {
 
   /// Compact one-line rendering for logs and the CLI, e.g.
   ///   "slide 3x 412/1204 cand 0.002s | swap 3x 98/1188 cand 0.001s |
-  ///    unit 3x 4/36 cand 0.000s | rescans 7301"
+  ///    rescans 7301"
   std::string to_string() const;
 };
 

@@ -155,7 +155,7 @@ Benchmark make_mix(double datapath_fraction, std::size_t approx_cells,
   // Alternate ALU and adder units until the datapath budget is spent;
   // operands chain locally between consecutive units.
   while (gen.num_cells() < dp_target) {
-    const std::string uname = "u" + std::to_string(unit);
+    const std::string uname = std::string("u").append(std::to_string(unit));
     Bus nx = (unit % 2 == 0) ? gen.add_alu(uname, x, y)
                              : gen.add_pipelined_adder(uname, x, y, 2);
     y = x;

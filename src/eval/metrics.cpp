@@ -148,31 +148,33 @@ std::vector<OverlapPair> overlap_pairs(const netlist::Netlist& nl,
   return pairs;
 }
 
+CellLegality cell_legality(const netlist::Netlist& nl,
+                           const netlist::Design& design,
+                           const netlist::Placement& pl, CellId c,
+                           double tolerance) {
+  const geom::Rect& core = design.core();
+  const double w = nl.cell_width(c);
+  const double h = nl.cell_height(c);
+  const double lx = pl[c].x - w / 2.0;
+  const double ly = pl[c].y - h / 2.0;
+  const double row_rel = (ly - core.ly) / design.row_height();
+  const double site_rel = (lx - core.lx) / design.site_width();
+  return {std::abs(row_rel - std::round(row_rel)) > tolerance,
+          std::abs(site_rel - std::round(site_rel)) > tolerance,
+          lx < core.lx - tolerance || lx + w > core.hx + tolerance ||
+              ly < core.ly - tolerance || ly + h > core.hy + tolerance};
+}
+
 LegalityReport check_legality(const netlist::Netlist& nl,
                               const netlist::Design& design,
                               const netlist::Placement& pl, double tolerance) {
   LegalityReport rep;
-  const geom::Rect& core = design.core();
-
   for (CellId c = 0; c < nl.num_cells(); ++c) {
     if (nl.cell(c).fixed) continue;
-    const double w = nl.cell_width(c);
-    const double h = nl.cell_height(c);
-    const double lx = pl[c].x - w / 2.0;
-    const double ly = pl[c].y - h / 2.0;
-
-    if (lx < core.lx - tolerance || lx + w > core.hx + tolerance ||
-        ly < core.ly - tolerance || ly + h > core.hy + tolerance) {
-      ++rep.out_of_core;
-    }
-    const double row_rel = (ly - core.ly) / design.row_height();
-    if (std::abs(row_rel - std::round(row_rel)) > tolerance) {
-      ++rep.off_row;
-    }
-    const double site_rel = (lx - core.lx) / design.site_width();
-    if (std::abs(site_rel - std::round(site_rel)) > tolerance) {
-      ++rep.off_site;
-    }
+    const CellLegality cl = cell_legality(nl, design, pl, c, tolerance);
+    rep.off_row += cl.off_row;
+    rep.off_site += cl.off_site;
+    rep.out_of_core += cl.out_of_core;
   }
 
   for (const OverlapPair& p : overlap_pairs(nl, design, pl, tolerance,

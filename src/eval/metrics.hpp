@@ -83,6 +83,21 @@ struct LegalityReport {
   }
 };
 
+/// One movable cell's row-grid, site-grid and core violations (within
+/// `tolerance`): check_legality counts them, repair_legality rips up.
+struct CellLegality {
+  bool off_row = false;
+  bool off_site = false;
+  bool out_of_core = false;
+
+  bool legal() const { return !off_row && !off_site && !out_of_core; }
+};
+
+CellLegality cell_legality(const netlist::Netlist& netlist,
+                           const netlist::Design& design,
+                           const netlist::Placement& pl, netlist::CellId c,
+                           double tolerance = 1e-6);
+
 LegalityReport check_legality(const netlist::Netlist& netlist,
                               const netlist::Design& design,
                               const netlist::Placement& pl,

@@ -1,9 +1,9 @@
 #include "legal/repair.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
+#include "eval/metrics.hpp"
 #include "legal/abacus.hpp"
 #include "legal/rowmap.hpp"
 #include "util/logger.hpp"
@@ -15,7 +15,6 @@ using netlist::CellId;
 std::size_t repair_legality(const netlist::Netlist& nl,
                             const netlist::Design& design,
                             netlist::Placement& pl) {
-  const geom::Rect& core = design.core();
   const double tol = 1e-6;
 
   // Classify: victims = cells violating any constraint, a fixed cell's
@@ -32,21 +31,12 @@ std::size_t repair_legality(const netlist::Netlist& nl,
 
   for (CellId c = 0; c < nl.num_cells(); ++c) {
     if (nl.cell(c).fixed) continue;
-    const double w = nl.cell_width(c);
-    const double h = nl.cell_height(c);
-    const double lx = pl[c].x - w / 2.0;
-    const double ly = pl[c].y - h / 2.0;
-    const double row_rel = (ly - core.ly) / design.row_height();
-    const double site_rel = (lx - core.lx) / design.site_width();
-    const bool off_grid =
-        std::abs(row_rel - std::round(row_rel)) > tol ||
-        std::abs(site_rel - std::round(site_rel)) > tol;
-    const bool outside = lx < core.lx - tol || lx + w > core.hx + tol ||
-                         ly < core.ly - tol || ly + h > core.hy + tol;
-    if (off_grid || outside) {
+    if (!eval::cell_legality(nl, design, pl, c, tol).legal()) {
       victims.push_back(c);
       continue;
     }
+    const double w = nl.cell_width(c);
+    const double lx = pl[c].x - w / 2.0;
     rows[design.nearest_row(pl[c].y)].push_back({lx, lx + w, c});
   }
 

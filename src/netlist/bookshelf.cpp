@@ -310,8 +310,9 @@ BookshelfDesign read_bookshelf(const std::string& aux_path) {
       const CellTypeId tid = builder.peek().cell(rec.cell).type;
       CellType& type = library->mutable_type(tid);
       while (type.pins.size() <= rec.next_port) {
-        type.pins.push_back({"P" + std::to_string(type.pins.size()),
-                             PinDir::kInput, 0.0, 0.0});
+        type.pins.push_back(
+            {std::string("P").append(std::to_string(type.pins.size())),
+             PinDir::kInput, 0.0, 0.0});
       }
       type.pins[rec.next_port].dir =
           (dir == "O") ? PinDir::kOutput : PinDir::kInput;

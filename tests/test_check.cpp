@@ -324,8 +324,9 @@ TEST(Checker, LoopReportingCapsAtEight) {
   std::vector<CellId> cells;
   std::vector<netlist::NetId> nets;
   for (std::size_t i = 0; i < kRing; ++i) {
-    cells.push_back(b.add_cell("i" + std::to_string(i), CellFunc::kInv));
-    nets.push_back(b.add_net("n" + std::to_string(i)));
+    cells.push_back(
+        b.add_cell(std::string("i").append(std::to_string(i)), CellFunc::kInv));
+    nets.push_back(b.add_net(std::string("n").append(std::to_string(i))));
   }
   for (std::size_t i = 0; i < kRing; ++i) {
     b.connect(cells[i], "Y", nets[i]);

@@ -100,32 +100,24 @@ TEST(Detail, MaxPassesZeroIsNoop) {
 // Bitwise equivalence against the original full-rescan implementation.
 //
 // At the default options the detailer's accept decisions and committed
-// coordinates must be indistinguishable from the historical engine, which
-// is reproduced here verbatim as the reference.
+// coordinates must be indistinguishable from the historical engine, whose
+// plain mode (no slice units) is reproduced here as the reference.
 // ---------------------------------------------------------------------------
 namespace seedref {
-
-constexpr int kNoUnit = -1;
 
 struct Entry {
   double lx = 0.0;
   double width = 0.0;
   CellId cell = netlist::kInvalidId;
-  int unit = kNoUnit;
 
   double hx() const { return lx + width; }
-};
-
-struct Unit {
-  std::vector<CellId> cells;
-  std::size_t row = 0;
 };
 
 class Engine {
  public:
   Engine(const netlist::Netlist& nl, const netlist::Design& design,
-         netlist::Placement& pl, const std::vector<Unit>& units)
-      : nl_(&nl), design_(&design), pl_(&pl), units_(&units) {
+         netlist::Placement& pl)
+      : nl_(&nl), design_(&design), pl_(&pl) {
     build_rows();
   }
 
@@ -134,7 +126,6 @@ class Engine {
     for (std::size_t pass = 0; pass < options.max_passes; ++pass) {
       slide_pass();
       swap_pass();
-      unit_slide_pass();
       const double next = eval::hpwl(*nl_, *pl_);
       const bool converged = current - next <= 1e-4 * current;
       current = next;
@@ -145,25 +136,11 @@ class Engine {
  private:
   void build_rows() {
     rows_.assign(design_->num_rows(), {});
-    std::vector<bool> in_unit(nl_->num_cells(), false);
-    for (std::size_t u = 0; u < units_->size(); ++u) {
-      const Unit& unit = (*units_)[u];
-      if (unit.cells.empty()) continue;
-      double lo = std::numeric_limits<double>::infinity(), hi = -lo;
-      for (CellId c : unit.cells) {
-        in_unit[c] = true;
-        lo = std::min(lo, (*pl_)[c].x - nl_->cell_width(c) / 2.0);
-        hi = std::max(hi, (*pl_)[c].x + nl_->cell_width(c) / 2.0);
-      }
-      const std::size_t r = design_->nearest_row((*pl_)[unit.cells[0]].y);
-      rows_[r].push_back({lo, hi - lo, netlist::kInvalidId,
-                          static_cast<int>(u)});
-    }
     for (CellId c = 0; c < nl_->num_cells(); ++c) {
-      if (nl_->cell(c).fixed || in_unit[c]) continue;
+      if (nl_->cell(c).fixed) continue;
       const double w = nl_->cell_width(c);
       const std::size_t r = design_->nearest_row((*pl_)[c].y);
-      rows_[r].push_back({(*pl_)[c].x - w / 2.0, w, c, kNoUnit});
+      rows_[r].push_back({(*pl_)[c].x - w / 2.0, w, c});
     }
     for (auto& row : rows_) {
       std::sort(row.begin(), row.end(),
@@ -273,7 +250,6 @@ class Engine {
     for (std::size_t r = 0; r < rows_.size(); ++r) {
       for (std::size_t i = 0; i < rows_[r].size(); ++i) {
         Entry& e = rows_[r][i];
-        if (e.unit != kNoUnit) continue;
         one[0] = e.cell;
         rel[0] = nl_->cell_width(e.cell) / 2.0;
         const double x_opt = optimal_position(one, rel);
@@ -290,7 +266,6 @@ class Engine {
       for (std::size_t i = 0; i + 1 < row.size(); ++i) {
         Entry& a = row[i];
         Entry& b = row[i + 1];
-        if (a.unit != kNoUnit || b.unit != kNoUnit) continue;
         const double gap = b.lx - a.hx();
         const double new_b_lx = a.lx;
         const double new_a_lx = a.lx + b.width + gap;
@@ -313,28 +288,9 @@ class Engine {
     }
   }
 
-  void unit_slide_pass() {
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      for (std::size_t i = 0; i < rows_[r].size(); ++i) {
-        Entry& e = rows_[r][i];
-        if (e.unit == kNoUnit) continue;
-        const Unit& unit = (*units_)[static_cast<std::size_t>(e.unit)];
-        std::vector<CellId> cells = unit.cells;
-        std::vector<double> rel(cells.size());
-        for (std::size_t k = 0; k < cells.size(); ++k) {
-          rel[k] = (*pl_)[cells[k]].x - e.lx;
-        }
-        const double x_opt = optimal_position(cells, rel);
-        if (!std::isfinite(x_opt)) continue;
-        try_shift(r, i, x_opt, cells);
-      }
-    }
-  }
-
   const netlist::Netlist* nl_;
   const netlist::Design* design_;
   netlist::Placement* pl_;
-  const std::vector<Unit>* units_;
   std::vector<std::vector<Entry>> rows_;
   std::vector<netlist::NetId> scratch_nets_;
   std::vector<double> breakpoints_;
@@ -342,56 +298,7 @@ class Engine {
 
 void run_plain(const netlist::Netlist& nl, const netlist::Design& design,
                netlist::Placement& pl, const DetailOptions& options = {}) {
-  const std::vector<Unit> no_units;
-  Engine engine(nl, design, pl, no_units);
-  engine.optimize(options);
-}
-
-void run_structured(const netlist::Netlist& nl,
-                    const netlist::Design& design, netlist::Placement& pl,
-                    const netlist::StructureAnnotation& groups,
-                    const DetailOptions& options = {}) {
-  std::vector<Unit> units;
-  for (const netlist::StructureGroup& group : groups.groups) {
-    for (std::size_t bit = 0; bit < group.bits; ++bit) {
-      std::vector<CellId> lane = group.slice(bit);
-      if (lane.empty()) continue;
-      std::sort(lane.begin(), lane.end(), [&](CellId a, CellId b) {
-        return pl[a].x < pl[b].x;
-      });
-      std::vector<std::pair<std::size_t, CellId>> by_row;
-      by_row.reserve(lane.size());
-      for (CellId c : lane) {
-        by_row.emplace_back(design.nearest_row(pl[c].y), c);
-      }
-      std::stable_sort(
-          by_row.begin(), by_row.end(),
-          [](const auto& a, const auto& b) { return a.first < b.first; });
-      std::size_t start = 0;
-      while (start < by_row.size()) {
-        std::size_t end = start;
-        while (end < by_row.size() &&
-               by_row[end].first == by_row[start].first) {
-          ++end;
-        }
-        Unit u;
-        u.row = by_row[start].first;
-        double sum_w = 0.0, lo = 1e300, hi = -1e300;
-        for (std::size_t k = start; k < end; ++k) {
-          const CellId c = by_row[k].second;
-          u.cells.push_back(c);
-          sum_w += nl.cell_width(c);
-          lo = std::min(lo, pl[c].x - nl.cell_width(c) / 2.0);
-          hi = std::max(hi, pl[c].x + nl.cell_width(c) / 2.0);
-        }
-        if (hi - lo <= sum_w + 1e-9) {
-          units.push_back(std::move(u));
-        }
-        start = end;
-      }
-    }
-  }
-  Engine engine(nl, design, pl, units);
+  Engine engine(nl, design, pl);
   engine.optimize(options);
 }
 
@@ -430,23 +337,6 @@ TEST_P(DetailEquivalence, BitwiseIdenticalToSeedImplementation) {
     ASSERT_EQ(pl_new[c].y, pl_ref[c].y) << "cell " << c;
   }
   EXPECT_EQ(stats.hpwl_after, eval::hpwl(bench.netlist, pl_ref));
-}
-
-TEST_P(DetailEquivalence, StructuredModeBitwiseIdentical) {
-  dpgen::Benchmark bench = dpgen::make_benchmark(GetParam());
-  const Placement start = legalized_scatter(bench, 43);
-
-  Placement pl_ref = start;
-  seedref::run_structured(bench.netlist, bench.design, pl_ref, bench.truth);
-
-  Placement pl_new = start;
-  DetailedPlacer placer(bench.netlist, bench.design);
-  placer.run(pl_new, bench.truth);
-
-  for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
-    ASSERT_EQ(pl_new[c].x, pl_ref[c].x) << "cell " << c;
-    ASSERT_EQ(pl_new[c].y, pl_ref[c].y) << "cell " << c;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, DetailEquivalence,
@@ -489,7 +379,7 @@ TEST(Detail, MoveGuardSeesMovedCellsNets) {
   const DetailStats stats = placer.run(pl, {}, opt);
   const Profile& p = stats.profile;
   EXPECT_GT(calls, 0u);
-  EXPECT_EQ(calls, p.slide.accepted + p.swap.accepted + p.unit_slide.accepted);
+  EXPECT_EQ(calls, p.slide.accepted + p.swap.accepted);
   EXPECT_EQ(p.guard_vetoes, 0u);
 }
 
@@ -506,7 +396,7 @@ TEST(Detail, VetoingGuardLeavesPlacementUnchanged) {
         placer.run(pl, structured ? bench.truth : no_groups, opt);
     const Profile& p = stats.profile;
     EXPECT_GT(p.guard_vetoes, 0u);
-    EXPECT_EQ(p.slide.accepted + p.swap.accepted + p.unit_slide.accepted, 0u);
+    EXPECT_EQ(p.slide.accepted + p.swap.accepted, 0u);
     EXPECT_EQ(stats.hpwl_after, stats.hpwl_before);
     for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
       ASSERT_EQ(pl[c].x, start[c].x) << "cell " << c;
@@ -525,30 +415,33 @@ TEST(Detail, ProfileCountsAreConsistent) {
   // Every executed pass runs each pass kind once, and every candidate
   // scores at least one net.
   EXPECT_EQ(p.swap.passes, p.slide.passes);
-  EXPECT_EQ(p.unit_slide.passes, p.slide.passes);
-  EXPECT_GE(p.rescans,
-            p.slide.candidates + p.swap.candidates + p.unit_slide.candidates);
+  EXPECT_GE(p.rescans, p.slide.candidates + p.swap.candidates);
   EXPECT_FALSE(p.to_string().empty());
 }
 
-TEST(Detail, StructuredModeKeepsContiguousLanesRigid) {
-  // Build a placement where group lanes are perfectly packed, then check
-  // relative offsets within each lane survive detailed placement.
+TEST(Detail, GroupCellsStayPutAndOthersMove) {
+  // Cells of the groups passed in are held bit-for-bit where they are;
+  // the rest of the design still gets the plain moves.
   dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
-  legal::AbacusLegalizer ab(bench.netlist, bench.design);
-  Placement pl = bench.placement;
-  util::Rng rng(3);
-  const geom::Rect& core = bench.design.core();
-  for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
-    if (!bench.netlist.cell(c).fixed) {
-      pl[c] = {rng.uniform(core.lx, core.hx), rng.uniform(core.ly, core.hy)};
-    }
-  }
-  ab.run_all(pl);
-
+  const Placement start = legalized_scatter(bench, 3);
+  Placement pl = start;
   DetailedPlacer placer(bench.netlist, bench.design);
   placer.run(pl, bench.truth);
   EXPECT_TRUE(eval::check_legality(bench.netlist, bench.design, pl).legal());
+  const std::vector<bool> held =
+      bench.truth.membership(bench.netlist.num_cells());
+  std::size_t held_cells = 0, moved_others = 0;
+  for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
+    if (held[c]) {
+      ++held_cells;
+      EXPECT_EQ(pl[c].x, start[c].x) << "cell " << c;
+      EXPECT_EQ(pl[c].y, start[c].y) << "cell " << c;
+    } else if (pl[c].x != start[c].x || pl[c].y != start[c].y) {
+      ++moved_others;
+    }
+  }
+  EXPECT_GT(held_cells, 0u);
+  EXPECT_GT(moved_others, 0u);
 }
 
 }  // namespace

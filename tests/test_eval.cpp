@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 
@@ -118,7 +119,7 @@ TEST(OverlapPairs, WideCellOverlapsTwoNeighbors) {
 TEST(OverlapPairs, RespectsPairCap) {
   netlist::NetlistBuilder b(netlist::standard_library());
   for (int i = 0; i < 10; ++i) {
-    b.add_cell("c" + std::to_string(i), CellFunc::kInv);
+    b.add_cell(std::string("c").append(std::to_string(i)), CellFunc::kInv);
   }
   const auto nl = b.take();
   const netlist::Design design(geom::Rect{0, 0, 10, 4}, 1.0, 0.25);
@@ -168,6 +169,22 @@ TEST(Legality, DetectsOutOfCore) {
   pl[rb.c1] = {-5.0, 0.5};
   pl[rb.c2] = {5.0 + rb.w() / 2, 1.5};
   EXPECT_GT(check_legality(*rb.nl, *rb.design, pl).out_of_core, 0u);
+}
+
+// Each per-cell flag fires on its own violation only.
+TEST(Legality, CellLegalityFlagsOneViolationEach) {
+  RowBench rb;
+  Placement pl(2);
+  const auto flags = [&](geom::Point p) {
+    pl[rb.c1] = p;
+    const CellLegality cl = cell_legality(*rb.nl, *rb.design, pl, rb.c1);
+    return std::array<bool, 3>{cl.off_row, cl.off_site, cl.out_of_core};
+  };
+  const double cx = 1.0 + rb.w() / 2;
+  EXPECT_EQ(flags({cx, 0.5}), (std::array<bool, 3>{false, false, false}));
+  EXPECT_EQ(flags({cx, 0.7}), (std::array<bool, 3>{true, false, false}));
+  EXPECT_EQ(flags({cx + 0.1, 0.5}), (std::array<bool, 3>{false, true, false}));
+  EXPECT_EQ(flags({cx - 2.0, 0.5}), (std::array<bool, 3>{false, false, true}));
 }
 
 TEST(AlignmentScore, PerfectArrayScoresZero) {

@@ -136,7 +136,7 @@ netlist::Netlist gated_array(std::size_t bits, std::size_t stages) {
       const CellId inv =
           b.add_cell("inv" + l + "_" + std::to_string(s), CellFunc::kInv);
       b.connect(inv, "A", in);
-      in = b.add_net("s" + std::to_string(s) + "_" + l);
+      in = b.add_net(std::string("s").append(std::to_string(s)) + "_" + l);
       b.connect(inv, "Y", in);
     }
     b.connect_dir(b.add_cell("po" + l, CellFunc::kPad, true), 0, in,

@@ -206,7 +206,7 @@ TEST(Design, SnapX) {
 TEST(Design, ForNetlistMeetsUtilization) {
   NetlistBuilder b(standard_library());
   for (int i = 0; i < 100; ++i) {
-    b.add_cell("c" + std::to_string(i), CellFunc::kNand2);
+    b.add_cell(std::string("c").append(std::to_string(i)), CellFunc::kNand2);
   }
   const Netlist nl = b.take();
   const Design d = Design::for_netlist(nl, 0.7);

@@ -369,8 +369,9 @@ TEST(WirelengthBitwise, PiledStartAndNetWeightScale) {
 struct HandNets {
   HandNets() : builder(netlist::standard_library()) {
     for (int i = 0; i < 9; ++i) {
-      cells.push_back(builder.add_cell("c" + std::to_string(i),
-                                       CellFunc::kInv));
+      cells.push_back(
+          builder.add_cell(std::string("c").append(std::to_string(i)),
+                           CellFunc::kInv));
     }
     // 2-pin net between two input pins: coincident when the cells are.
     const NetId two = builder.add_net("two");
