@@ -31,17 +31,6 @@ const dp::dpgen::Benchmark& bench_data() {
   return b;
 }
 
-// DensityPenalty::value() returns its kept value when called again at the
-// same positions, so each density benchmark iteration first drops it
-// (untimed) and times a full evaluation.
-void drop_kept(benchmark::State& state, dp::gp::DensityPenalty& den,
-               const dp::netlist::Placement& pl,
-               const dp::gp::VarMap& vars) {
-  state.PauseTiming();
-  den.preload_obstacles(pl, vars);
-  state.ResumeTiming();
-}
-
 void BM_Hpwl(benchmark::State& state) {
   const auto& b = bench_data();
   for (auto _ : state) {
@@ -75,7 +64,6 @@ void BM_DensityGradient(benchmark::State& state) {
   std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
   auto pl = b.placement;
   for (auto _ : state) {
-    drop_kept(state, den, pl, vars);
     std::fill(gx.begin(), gx.end(), 0.0);
     std::fill(gy.begin(), gy.end(), 0.0);
     benchmark::DoNotOptimize(den.eval(pl, vars, gx, gy));
@@ -118,7 +106,6 @@ void BM_DensityEvalThreads(benchmark::State& state) {
   std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
   const auto& pl = b.placement;
   for (auto _ : state) {
-    drop_kept(state, den, pl, vars);
     std::fill(gx.begin(), gx.end(), 0.0);
     std::fill(gy.begin(), gy.end(), 0.0);
     benchmark::DoNotOptimize(den.eval(pl, vars, gx, gy));
@@ -164,7 +151,6 @@ void BM_DensityGradientSpread4k(benchmark::State& state) {
   dp::gp::DensityPenalty den(f.bench.netlist, f.bench.design);
   std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
   for (auto _ : state) {
-    drop_kept(state, den, f.pl, vars);
     std::fill(gx.begin(), gx.end(), 0.0);
     std::fill(gy.begin(), gy.end(), 0.0);
     benchmark::DoNotOptimize(den.eval(f.pl, vars, gx, gy));
@@ -178,7 +164,6 @@ void BM_DensityValueSpread4k(benchmark::State& state) {
   const dp::gp::VarMap vars(f.bench.netlist);
   dp::gp::DensityPenalty den(f.bench.netlist, f.bench.design);
   for (auto _ : state) {
-    drop_kept(state, den, f.pl, vars);
     benchmark::DoNotOptimize(den.value(f.pl, vars));
   }
 }
@@ -192,7 +177,6 @@ void BM_DensityEvalThreadsSpread4k(benchmark::State& state) {
       static_cast<std::size_t>(state.range(0))));
   std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
   for (auto _ : state) {
-    drop_kept(state, den, f.pl, vars);
     std::fill(gx.begin(), gx.end(), 0.0);
     std::fill(gy.begin(), gy.end(), 0.0);
     benchmark::DoNotOptimize(den.eval(f.pl, vars, gx, gy));

@@ -206,18 +206,17 @@ void rule_finite(const CheckContext& ctx, DiagnosticSink& sink) {
 }
 
 /// Movable cells sit fully inside the core (fixed pads legitimately ring
-/// the outside). Tolerance comes from the context, so the post-GP hook
-/// can allow boundary overhang before legalization snaps cells in.
+/// the outside), by eval::cell_legality. Tolerance comes from the context,
+/// so the post-GP hook can allow boundary overhang before legalization
+/// snaps cells in.
 void rule_in_core(const CheckContext& ctx, DiagnosticSink& sink) {
   const auto& nl = *ctx.netlist;
   const auto& pl = *ctx.placement;
-  const geom::Rect& core = ctx.design->core();
   for (CellId c = 0; c < nl.num_cells() && c < pl.size(); ++c) {
     if (nl.cell(c).fixed) continue;
     if (!std::isfinite(pl[c].x) || !std::isfinite(pl[c].y)) continue;
-    const geom::Rect r =
-        geom::Rect::from_center(pl[c], nl.cell_width(c), nl.cell_height(c));
-    if (!core.contains(r, ctx.tolerance)) {
+    if (eval::cell_legality(nl, *ctx.design, pl, c, ctx.tolerance)
+            .out_of_core) {
       sink.report(Severity::kError, "geom.in-core", Anchor::cell(c),
                   "cell at " + fmt("(%g, %g)", pl[c].x, pl[c].y) +
                       " extends outside the core");
@@ -246,41 +245,43 @@ void rule_fixed_immobile(const CheckContext& ctx, DiagnosticSink& sink) {
 
 // ---- legality: row/site discipline ----------------------------------------
 
-/// Movable cells' bottom edges land on row boundaries.
+/// Movable cells' bottom edges land on row boundaries, by
+/// eval::cell_legality.
 void rule_row_align(const CheckContext& ctx, DiagnosticSink& sink) {
   const auto& nl = *ctx.netlist;
   const auto& pl = *ctx.placement;
   const auto& design = *ctx.design;
   for (CellId c = 0; c < nl.num_cells() && c < pl.size(); ++c) {
     if (nl.cell(c).fixed) continue;
-    if (!std::isfinite(pl[c].y)) continue;
+    if (!eval::cell_legality(nl, design, pl, c, ctx.tolerance).off_row) {
+      continue;
+    }
     const double ly = pl[c].y - nl.cell_height(c) / 2.0;
     const double rel = (ly - design.core().ly) / design.row_height();
-    if (std::abs(rel - std::round(rel)) > ctx.tolerance) {
-      sink.report(Severity::kError, "legal.row-align", Anchor::cell(c),
-                  "bottom edge " + fmt("%g is %g rows", ly,
-                                       rel - std::round(rel)) +
-                      " off the row grid");
-    }
+    sink.report(Severity::kError, "legal.row-align", Anchor::cell(c),
+                "bottom edge " + fmt("%g is %g rows", ly,
+                                     rel - std::round(rel)) +
+                    " off the row grid");
   }
 }
 
-/// Movable cells' left edges land on the site grid.
+/// Movable cells' left edges land on the site grid, by
+/// eval::cell_legality.
 void rule_site_align(const CheckContext& ctx, DiagnosticSink& sink) {
   const auto& nl = *ctx.netlist;
   const auto& pl = *ctx.placement;
   const auto& design = *ctx.design;
   for (CellId c = 0; c < nl.num_cells() && c < pl.size(); ++c) {
     if (nl.cell(c).fixed) continue;
-    if (!std::isfinite(pl[c].x)) continue;
+    if (!eval::cell_legality(nl, design, pl, c, ctx.tolerance).off_site) {
+      continue;
+    }
     const double lx = pl[c].x - nl.cell_width(c) / 2.0;
     const double rel = (lx - design.core().lx) / design.site_width();
-    if (std::abs(rel - std::round(rel)) > ctx.tolerance) {
-      sink.report(Severity::kError, "legal.site-align", Anchor::cell(c),
-                  "left edge " + fmt("%g is %g sites", lx,
-                                     rel - std::round(rel)) +
-                      " off the site grid");
-    }
+    sink.report(Severity::kError, "legal.site-align", Anchor::cell(c),
+                "left edge " + fmt("%g is %g sites", lx,
+                                   rel - std::round(rel)) +
+                    " off the site grid");
   }
 }
 

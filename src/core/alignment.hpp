@@ -17,7 +17,8 @@ namespace dp::core {
 ///
 /// All sub-terms are quadratic in the coordinates, so gradients are exact
 /// and cheap; the term plugs into the analytical global placer as an
-/// ExtraTerm whose weight is scheduled against the density penalty.
+/// ExtraTerm whose weight is normalized against the wirelength force on
+/// first use and doubled every outer iteration.
 class AlignmentPenalty final : public gp::ObjectiveTerm {
  public:
   explicit AlignmentPenalty(const netlist::StructureAnnotation& groups)

@@ -60,8 +60,8 @@ std::function<double(const gp::TermContext&)> make_schedule(
   };
 }
 
-/// Warns when a main GP run (not the glue GP) used up its outer
-/// iterations above its stop overflow.
+/// Warns when a GP run used up its outer iterations above its stop
+/// overflow.
 void warn_if_capped(const char* phase, const gp::GpResult& res,
                     const gp::GpOptions& options) {
   if (res.stop_reason != gp::GpStop::kOuterCap) return;
@@ -139,7 +139,7 @@ class RunContext {
     if (structured_) {
       structured_gp();
     } else {
-      gp::GlobalPlacer placer = make_placer(config_.gp, gp::VarMap(nl_));
+      gp::GlobalPlacer placer = make_placer(config_.gp);
       install_outer_hook(placer, 1.0);
       report.gp_result = placer.place(pl_);
       warn_if_capped("baseline", report.gp_result, config_.gp);
@@ -294,8 +294,7 @@ class RunContext {
       gp::GpOptions opt_a = config_.gp;
       opt_a.stop_overflow =
           std::max(config_.gp.stop_overflow, kAlignmentActivationOverflow);
-      gp::GlobalPlacer phase_a =
-          make_placer(opt_a, gp::VarMap(nl_), density_scale_);
+      gp::GlobalPlacer phase_a = make_placer(opt_a, density_scale_);
       install_outer_hook(phase_a, 1.0);
       report.gp_result = phase_a.place(pl_);
       warn_if_capped("phase A", report.gp_result, opt_a);
@@ -311,8 +310,7 @@ class RunContext {
     opt_b.run_quadratic_init = false;
     opt_b.max_outer = config_.align_outer;
     opt_b.gamma_init_bins = 3.0;
-    gp::GlobalPlacer phase_b =
-        make_placer(opt_b, gp::VarMap(nl_), density_scale_);
+    gp::GlobalPlacer phase_b = make_placer(opt_b, density_scale_);
     // Timing attenuated in phase B: the alignment schedule is normalized
     // against the wirelength force once at the start, and strong
     // reweighting under it makes the steering fight the plate arrays
@@ -345,37 +343,7 @@ class RunContext {
 
   void legalize_blocks() {
     legal::StructureLegalizer legalizer(nl_, design_, report.structure);
-    // Between plate commitment and glue legalization, re-place the glue
-    // with a dedicated global placement around the frozen plates: the
-    // plates become exact density obstacles and wirelength anchors, so
-    // the glue no longer needs to be evicted from plate footprints by the
-    // legalizer.
-    auto glue_gp = [this](netlist::Placement& pl,
-                          const std::vector<bool>& frozen) {
-      std::vector<bool> glue = frozen;
-      glue.flip();
-      gp::VarMap vars(nl_, glue);
-      const std::size_t n = vars.num_vars();
-      if (n == 0) return;
-      gp::GpOptions opt = config_.gp;
-      // Fresh quadratic start: the glue arrives scrambled by the alignment
-      // phase; re-anchoring it to the frozen plates and pads lets the
-      // nonlinear solve find a clean arrangement.
-      opt.run_quadratic_init = true;
-      // One-sided density: let the glue cluster at its wirelength optimum
-      // in the channels between plates instead of being spread uniformly
-      // over every pocket of free space.
-      opt.one_sided_max_density = 0.8;
-      const double before = eval::hpwl(nl_, pl);
-      gp::GlobalPlacer glue_placer = make_placer(opt, std::move(vars));
-      const auto res = glue_placer.place(pl);
-      report.gp_result.add_work(res);
-      util::Logger::debug(
-          "glue gp: %zu cells, hpwl %.1f -> %.1f (%zu outers, overflow "
-          "%.3f)",
-          n, before, res.final_hpwl, res.trace.size(), res.final_overflow);
-    };
-    const auto stats = legalizer.run(pl_, glue_gp);
+    const auto stats = legalizer.run(pl_);
     if (stats.groups_fallback > 0) {
       util::Logger::warn("structure legalization: %zu groups fell back",
                          stats.groups_fallback);
@@ -392,9 +360,9 @@ class RunContext {
 
   /// A global placer on the run's pool; a non-empty `area_scale` goes to
   /// its density model.
-  gp::GlobalPlacer make_placer(const gp::GpOptions& options, gp::VarMap vars,
+  gp::GlobalPlacer make_placer(const gp::GpOptions& options,
                                std::vector<double> area_scale = {}) const {
-    gp::GlobalPlacer placer(nl_, design_, options, std::move(vars));
+    gp::GlobalPlacer placer(nl_, design_, options);
     placer.set_thread_pool(pool_);
     if (!area_scale.empty()) {
       placer.set_density_area_scale(std::move(area_scale));
@@ -402,7 +370,7 @@ class RunContext {
     return placer;
   }
 
-  /// The outer hook of a main GP phase: timing-driven criticality
+  /// The outer hook of a GP phase: timing-driven criticality
   /// reweighting at `timing_strength` times the configured strength, and
   /// routability inflation once overflow reaches kInflationOverflow.
   /// Installs nothing when neither is on, so such runs are untouched.

@@ -18,8 +18,9 @@ namespace dp::core {
 /// How the structure-aware flow legalizes.
 enum class LegalizationMode {
   /// Template blocks: every group becomes a perfect rectangular array
-  /// (plate packing + glue placement around frozen plates). Maximum
-  /// regularity; can cost wirelength on designs dominated by long chains.
+  /// (plate packing, then Abacus legalization of the other cells around
+  /// the plates). Maximum regularity; can cost wirelength on designs
+  /// dominated by long chains.
   kStructured,
   /// Gentle: plain Abacus legalization of the alignment-shaped global
   /// placement. Alignment is preserved approximately (cells move less

@@ -84,7 +84,9 @@ struct LegalityReport {
 };
 
 /// One movable cell's row-grid, site-grid and core violations (within
-/// `tolerance`): check_legality counts them, repair_legality rips up.
+/// `tolerance`): check_legality counts them, repair_legality rips up, and
+/// the lint rules geom.in-core, legal.row-align and legal.site-align
+/// report them.
 struct CellLegality {
   bool off_row = false;
   bool off_site = false;

@@ -1,9 +1,7 @@
 #include "gp/density.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdint>
 
 #include "geom/rect.hpp"
 #include "util/thread_pool.hpp"
@@ -115,7 +113,6 @@ DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
 
 void DensityPenalty::preload_obstacles(const netlist::Placement& pl,
                                        const VarMap& vars) {
-  kept_ = false;
   preload_.assign(nb_ * nb_, 0.0);
   for (CellId c = 0; c < nl_->num_cells(); ++c) {
     if (vars.var(c) != netlist::kInvalidId) continue;
@@ -137,16 +134,12 @@ void DensityPenalty::set_area_scale(std::vector<double> scale) {
     }
   }
   target_per_bin_ = scaled_total / static_cast<double>(nb_ * nb_);
-  shape_cells_.clear();  // invalidate the per-VarMap cache
-  kept_ = false;
+  shapes_ready_ = false;
 }
 
 void DensityPenalty::cache_shapes(const VarMap& vars) const {
+  if (shapes_ready_) return;
   const auto movable = vars.movable_cells();
-  if (!shape_cells_.empty() && std::ranges::equal(shape_cells_, movable)) {
-    return;
-  }
-  kept_ = false;  // the footprints point into the chunks' bells
   const auto& nl = *nl_;
   const std::size_t n_mov = movable.size();
   shapes_.resize(n_mov);
@@ -168,24 +161,7 @@ void DensityPenalty::cache_shapes(const VarMap& vars) const {
     }
     if (chunks_[k].bells.size() < capacity) chunks_[k].bells.resize(capacity);
   });
-  shape_cells_.assign(movable.begin(), movable.end());
-}
-
-bool DensityPenalty::at_kept_positions(const netlist::Placement& pl,
-                                       const VarMap& vars) const {
-  if (!kept_) return false;
-  const auto movable = vars.movable_cells();
-  const std::size_t n = movable.size();
-  auto same = [](double a, double b) {
-    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-  };
-  for (std::size_t v = 0; v < n; ++v) {
-    if (!same(kept_xy_[v], pl[movable[v]].x) ||
-        !same(kept_xy_[n + v], pl[movable[v]].y)) {
-      return false;
-    }
-  }
-  return true;
+  shapes_ready_ = true;
 }
 
 double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
@@ -198,21 +174,15 @@ double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
 
 double DensityPenalty::value(const netlist::Placement& pl,
                              const VarMap& vars) const {
-  cache_shapes(vars);
-  if (at_kept_positions(pl, vars)) {
-    bins_visited_ = 0;
-    bells_evaluated_ = 0;
-    return kept_value_;
-  }
   const geom::Rect& core = design_->core();
   const auto nbi = static_cast<long long>(nb_);
   density_ = preload_;
   err2_.resize(nb_ * nb_);
+  cache_shapes(vars);
 
   const auto movable = vars.movable_cells();
   const std::size_t n_mov = movable.size();
   foot_.resize(n_mov);
-  kept_xy_.resize(2 * n_mov);
   auto vanishes = [](const Bell& b) { return b.p == 0.0 && b.dp == 0.0; };
 
   // Pass 0: footprints, bells and per-cell normalization (independent per
@@ -237,8 +207,6 @@ double DensityPenalty::value(const netlist::Placement& pl,
       const CellId c = movable[v];
       const double cx = pl[c].x;
       const double cy = pl[c].y;
-      kept_xy_[v] = cx;
-      kept_xy_[n_mov + v] = cy;
       const BellShape& sx = shapes_[v].x;
       const BellShape& sy = shapes_[v].y;
 
@@ -324,8 +292,6 @@ double DensityPenalty::value(const netlist::Placement& pl,
   }
   scaled_rows_.resize(std::max(scaled_rows_.size(), num_blocks * nb_));
 
-  const bool one_sided = one_sided_cap_ >= 0.0;
-  const double target = one_sided ? one_sided_cap_ : target_per_bin_;
   group_value_.assign(num_groups, 0.0);
 
   util::run(pool_.get(), num_blocks, [&](std::size_t b) {
@@ -350,16 +316,14 @@ double DensityPenalty::value(const netlist::Placement& pl,
       }
     }
     // The block's rows are final now; fold its groups' share of the
-    // penalty value and keep 2 * error per bin for gradient(). In
-    // one-sided mode, under-full bins are free.
+    // penalty value and keep 2 * error per bin for gradient().
     const std::size_t g1 = std::min(num_groups, (b + 1) * groups_per_block);
     for (std::size_t g = b * groups_per_block; g < g1; ++g) {
       const std::size_t i0 = std::min(g * rows_per_group, nb_) * nb_;
       const std::size_t i1 = std::min((g + 1) * rows_per_group, nb_) * nb_;
       double value = 0.0;
       for (std::size_t i = i0; i < i1; ++i) {
-        double e = density_[i] - target;
-        if (one_sided && e < 0.0) e = 0.0;
+        const double e = density_[i] - target_per_bin_;
         err2_[i] = 2.0 * e;
         value += e * e;
       }
@@ -368,8 +332,6 @@ double DensityPenalty::value(const netlist::Placement& pl,
   });
   double value = 0.0;
   for (const double v : group_value_) value += v;
-  kept_value_ = value;
-  kept_ = true;
   return value;
 }
 

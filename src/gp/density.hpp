@@ -41,24 +41,12 @@ namespace dp::gp {
 /// each footprint to the columns and rows where the bell or its slope is
 /// non-zero (the dropped terms are all +-0, added to accumulators that are
 /// never -0), the bell constants and scaled areas are computed once per
-/// VarMap, and pass 1 stores twice each bin's clipped error for pass 2 to
-/// read. A value() call at the bits of the previous call's positions
-/// returns the kept value and keeps its footprints, bells and errors; the
-/// setters that change the penalty drop them.
+/// area scale, and pass 1 stores twice each bin's error for pass 2 to
+/// read.
 class DensityPenalty final : public ObjectiveTerm {
  public:
   DensityPenalty(const netlist::Netlist& nl, const netlist::Design& design,
                  std::size_t bins_per_side = 0 /* 0 = auto */);
-
-  /// Switch to a one-sided penalty: only bins denser than `max_density`
-  /// are penalized, under-full bins are free. The default (two-sided
-  /// equality to the uniform target) spreads cells evenly over all free
-  /// space; one-sided lets a sparse subset (e.g. glue placed around
-  /// frozen plates) cluster at its wirelength optimum instead.
-  void set_one_sided(double max_density) {
-    one_sided_cap_ = bw_ * bh_ * max_density;
-    kept_ = false;
-  }
 
   /// Attach a worker pool for parallel evaluation; null (the default)
   /// runs the same passes serially with identical results.
@@ -66,10 +54,10 @@ class DensityPenalty final : public ObjectiveTerm {
     pool_ = std::move(pool);
   }
 
-  /// Rebuild the fixed-area preload: every cell WITHOUT a variable in
-  /// `vars` (netlist-fixed cells and cells frozen by a subset VarMap, e.g.
-  /// committed datapath plates) contributes its exact rectangle overlap to
-  /// the bins. Called by GlobalPlacer::place() before optimization.
+  /// Rebuild the fixed-area preload: every cell without a variable in
+  /// `vars` -- the netlist's fixed cells -- contributes its exact
+  /// rectangle overlap to the bins, so a fixed cell inside the core is an
+  /// obstacle. Called by GlobalPlacer::place() before optimization.
   void preload_obstacles(const netlist::Placement& pl, const VarMap& vars);
 
   /// Per-cell area scaling for the density model (macro-shrink trick from
@@ -87,9 +75,7 @@ class DensityPenalty final : public ObjectiveTerm {
               std::span<double> gx, std::span<double> gy) const override;
 
   /// Passes 0-1: the penalty value. Keeps the footprints, bells and per-bin
-  /// errors for a following gradient() call. When every variable of `vars`
-  /// sits at the bits of the previous call's position and no setter ran
-  /// since, returns the kept value without a pass (bitwise equal to one).
+  /// errors for a following gradient() call.
   double value(const netlist::Placement& pl, const VarMap& vars) const;
 
   /// Pass 2: adds `scale` times the gradient at the placement of the most
@@ -104,13 +90,13 @@ class DensityPenalty final : public ObjectiveTerm {
                   double target_density) const;
 
   /// Deterministic work counter: the bins covered by the (trimmed)
-  /// footprints of the cells spread by the last value() call, 0 when it
-  /// returned the kept value. Pass 1 and pass 2 each visit this many bins.
+  /// footprints of the cells spread by the last value() call. Pass 1 and
+  /// pass 2 each visit this many bins.
   std::uint64_t bins_visited() const { return bins_visited_; }
 
   /// Deterministic work counter: the bell evaluations of the last value()
-  /// call, one per column and one per row of every untrimmed footprint
-  /// (none when it returned the kept value). gradient() evaluates none.
+  /// call, one per column and one per row of every untrimmed footprint.
+  /// gradient() evaluates none.
   std::uint64_t bells_evaluated() const { return bells_evaluated_; }
 
   std::size_t bins_per_side() const { return nb_; }
@@ -123,7 +109,6 @@ class DensityPenalty final : public ObjectiveTerm {
   std::size_t nb_ = 0;
   double bw_ = 0.0, bh_ = 0.0;
   double target_per_bin_ = 0.0;
-  double one_sided_cap_ = -1.0;  ///< <0: two-sided equality mode
   std::vector<double> preload_;         ///< fixed-cell area per bin
   std::vector<double> area_scale_;      ///< per-cell density area factor
   mutable std::vector<double> density_;  ///< scratch: smoothed D_b
@@ -168,17 +153,13 @@ class DensityPenalty final : public ObjectiveTerm {
   };
 
   /// Fills shapes_, the chunks' bell storage and scaled_total_ for
-  /// `vars`, unless they are already for it.
+  /// `vars` (every VarMap of the netlist has the same variables), unless
+  /// they are already filled.
   void cache_shapes(const VarMap& vars) const;
 
-  /// Whether the kept value is for `vars` at `pl`'s positions, bit for bit.
-  bool at_kept_positions(const netlist::Placement& pl,
-                         const VarMap& vars) const;
-
-  // Per-VarMap cache, keyed by the VarMap's cells and emptied whenever the
-  // area scale changes. scaled_total_ (a subset in glue-only mode) is the
-  // overflow denominator.
-  mutable std::vector<netlist::CellId> shape_cells_;
+  // Filled on first use and emptied whenever the area scale changes.
+  // scaled_total_ is the overflow denominator.
+  mutable bool shapes_ready_ = false;
   mutable std::vector<CellShape> shapes_;
   mutable double scaled_total_ = 0.0;
 
@@ -190,17 +171,10 @@ class DensityPenalty final : public ObjectiveTerm {
   mutable std::vector<std::vector<std::uint32_t>> block_cells_;
   /// Pass 1's x-row scaled by the cell's normalization, one per block.
   mutable std::vector<double> scaled_rows_;
-  /// 2 * (clipped) error of every bin, written by value() for gradient().
+  /// 2 * error of every bin, written by value() for gradient().
   mutable std::vector<double> err2_;
   mutable std::uint64_t bins_visited_ = 0;
   mutable std::uint64_t bells_evaluated_ = 0;
-
-  // The last value() call: its variables' positions (x then y per
-  // variable, written by pass 0), its value, and whether they still
-  // describe the scratch above and the current penalty.
-  mutable std::vector<double> kept_xy_;
-  mutable double kept_value_ = 0.0;
-  mutable bool kept_ = false;
 };
 
 }  // namespace dp::gp

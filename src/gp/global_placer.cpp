@@ -153,17 +153,9 @@ void GpResult::add_work(const GpResult& other) {
 
 GlobalPlacer::GlobalPlacer(const netlist::Netlist& nl,
                            const netlist::Design& design, GpOptions options)
-    : GlobalPlacer(nl, design, options, VarMap(nl)) {}
-
-GlobalPlacer::GlobalPlacer(const netlist::Netlist& nl,
-                           const netlist::Design& design, GpOptions options,
-                           VarMap vars)
-    : nl_(&nl), design_(&design), options_(options), vars_(std::move(vars)) {
+    : nl_(&nl), design_(&design), options_(options), vars_(nl) {
   density_ = std::make_unique<DensityPenalty>(nl, design,
                                               options_.bins_per_side);
-  if (options_.one_sided_max_density >= 0.0) {
-    density_->set_one_sided(options_.one_sided_max_density);
-  }
   const double gamma0 = options_.gamma_init_bins * density_->bin_width();
   wirelength_ =
       std::make_unique<SmoothWirelength>(nl, options_.wl_model, gamma0);
@@ -229,7 +221,7 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
   double overflow = density_->overflow(pl, vars_, kTargetDensity);
 
   for (std::size_t outer = 0; outer < options_.max_outer; ++outer) {
-    const TermContext ctx{outer, overflow, lambda};
+    const TermContext ctx{outer, overflow};
     if (outer_hook_) outer_hook_(ctx, pl, *wirelength_, *density_);
     const double frac =
         options_.max_outer > 1

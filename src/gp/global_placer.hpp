@@ -27,24 +27,23 @@ namespace dp::gp {
 inline constexpr double kSpreadOverflow = 0.5;
 inline constexpr std::size_t kSpreadInnerIters = 10;
 
-/// Options of one global-placement run. Fixed by the algorithm: at most 50
-/// CG iterations per outer iteration (kSpreadInnerIters while the outer
+/// Options of one global-placement run: smooth wirelength plus a
+/// two-sided density penalty (DensityPenalty) and any extra terms, over
+/// one variable per movable cell. Fixed by the algorithm: at most 50 CG
+/// iterations per outer iteration (kSpreadInnerIters while the outer
 /// starts above kSpreadOverflow), stopped early by the first one that
 /// improves the objective by less than 1e-4 relative, the overflow
 /// measured against a bin capacity of density 1, and a density weight
-/// starting at 2 times the wirelength/density gradient ratio and doubling
-/// every outer iteration.
+/// starting at 2 times the ratio of the L1 wirelength and density gradient
+/// norms at the start and doubling every outer iteration.
 struct GpOptions {
   WirelengthModel wl_model = WirelengthModel::kWa;
-  /// Stop when the hard density overflow drops below this fraction.
+  /// Stop once the hard density overflow is at or below this fraction.
   double stop_overflow = 0.08;
   std::size_t max_outer = 40;
-  /// One-sided density: only bins above `one_sided_max_density` are
-  /// penalized (see DensityPenalty::set_one_sided). < 0 keeps the default
-  /// two-sided equality spreading.
-  double one_sided_max_density = -1.0;
   /// Wirelength smoothing: gamma in units of bin width, annealed
-  /// geometrically from init to final across the outer iterations.
+  /// geometrically from init at outer 0 to final at outer max_outer - 1
+  /// (a run that stops earlier ends between the two).
   double gamma_init_bins = 6.0;
   double gamma_final_bins = 0.8;
   std::size_t bins_per_side = 0;  ///< 0 = auto from design size
@@ -91,14 +90,12 @@ struct GpResult {
   void add_work(const GpResult& other);
 };
 
-/// Scheduling context handed to extra-term weight callbacks each outer
-/// iteration. `lambda` is the current density weight: terms that must hold
-/// their ground against density spreading (like the structure alignment
-/// penalty) scale their weight with it.
+/// Scheduling context handed to the extra-term weight callbacks and the
+/// outer hook at the start of every outer iteration: the outer's index
+/// and the hard overflow it starts from.
 struct TermContext {
   std::size_t outer = 0;
   double overflow = 1.0;
-  double lambda = 0.0;
 };
 
 /// An additional objective term (e.g. the structure alignment penalty)
@@ -118,11 +115,6 @@ class GlobalPlacer {
  public:
   GlobalPlacer(const netlist::Netlist& nl, const netlist::Design& design,
                GpOptions options = {});
-
-  /// With an explicit variable map (e.g. a subset map that moves only the
-  /// glue cells around frozen datapath plates).
-  GlobalPlacer(const netlist::Netlist& nl, const netlist::Design& design,
-               GpOptions options, VarMap vars);
 
   /// Attach a worker pool for the wirelength and density kernels; null
   /// (the default) runs them serially. Results are bitwise identical for

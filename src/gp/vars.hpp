@@ -8,24 +8,17 @@
 namespace dp::gp {
 
 /// Maps between optimizer variables and the full Placement (all cells).
-/// Every movable cell in the map owns one (x, y) variable: variable `v`
-/// belongs to `movable_cells()[v]`.
+/// Every movable cell owns one (x, y) variable, in CellId order: variable
+/// `v` belongs to `movable_cells()[v]`.
 ///
 /// Fixed cells never have variables; they contribute to objectives through
 /// their placement positions only.
 class VarMap {
  public:
-  /// Free mode: one variable per movable cell.
-  explicit VarMap(const netlist::Netlist& nl)
-      : VarMap(nl, std::vector<bool>(nl.num_cells(), true)) {}
-
-  /// Subset mode: only the masked movable cells get variables; everything
-  /// else is treated as an obstacle at its current placement position.
-  /// Used by the glue-only placement phase around frozen datapath plates.
-  VarMap(const netlist::Netlist& nl, const std::vector<bool>& movable_mask) {
+  explicit VarMap(const netlist::Netlist& nl) {
     var_of_.assign(nl.num_cells(), netlist::kInvalidId);
     for (netlist::CellId c = 0; c < nl.num_cells(); ++c) {
-      if (!nl.cell(c).fixed && movable_mask[c]) {
+      if (!nl.cell(c).fixed) {
         var_of_[c] = static_cast<std::uint32_t>(movable_.size());
         movable_.push_back(c);
       }

@@ -171,8 +171,7 @@ StructureLegalizer::StructureLegalizer(
     const netlist::StructureAnnotation& groups)
     : nl_(&nl), design_(&design), groups_(&groups) {}
 
-StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl,
-                                               const BetweenHook& between) {
+StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl) {
   StructureLegalizeStats stats;
   const netlist::Design& design = *design_;
   const double site = design.site_width();
@@ -447,7 +446,6 @@ StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl,
 
   // ---- chain-aware block placement ---------------------------------------
   std::vector<bool> placed(nl_->num_cells(), false);
-  std::vector<CellId> leftovers;
   RowMap rows(design);
   std::vector<bool> group_ok(groups_->groups.size(), true);
 
@@ -500,10 +498,6 @@ StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl,
         continue;
       }
       group_ok[gi] = false;
-      for (const RowUnit& unit : chunk.units) {
-        leftovers.insert(leftovers.end(), unit.cells.begin(),
-                         unit.cells.end());
-      }
     }
     return last;
   };
@@ -618,13 +612,11 @@ StructureLegalizeStats StructureLegalizer::run(netlist::Placement& pl,
     }
   }
 
-  if (between) between(pl, placed);
-
-  // ---- glue (and any leftovers) ----------------------------------------------
+  // ---- glue and the cells of chunks no window held --------------------------
   // Cells the plate-blocked free space cannot hold keep their positions;
   // repair_legality places them into the space the plates leave free
   // cell by cell.
-  std::vector<CellId> rest = std::move(leftovers);
+  std::vector<CellId> rest;
   for (CellId c = 0; c < nl_->num_cells(); ++c) {
     if (!nl_->cell(c).fixed && !placed[c]) rest.push_back(c);
   }

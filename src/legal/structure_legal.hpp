@@ -1,8 +1,5 @@
 #pragma once
 
-#include <functional>
-#include <vector>
-
 #include "legal/legalizer.hpp"
 #include "legal/rowmap.hpp"
 #include "netlist/structure.hpp"
@@ -13,7 +10,9 @@ struct StructureLegalizeStats {
   LegalizeStats slices;  ///< displacement of datapath cells
   LegalizeStats rest;    ///< displacement of remaining movable cells
   std::size_t groups_placed_as_blocks = 0;
-  std::size_t groups_fallback = 0;  ///< packed per-unit instead of as a block
+  /// Groups with a chunk no window held: its cells are legalized with the
+  /// remaining cells, cell by cell.
+  std::size_t groups_fallback = 0;
 };
 
 /// Structure-preserving legalization: each datapath group is legalized as
@@ -30,15 +29,7 @@ class StructureLegalizer {
                      const netlist::Design& design,
                      const netlist::StructureAnnotation& groups);
 
-  /// `between` (optional) is invoked after the plates are committed and
-  /// improved but before the remaining cells are legalized; it receives
-  /// the placement and a mask of the frozen plate cells. The macro-style
-  /// flow uses it to run a glue-only global placement around the plates.
-  using BetweenHook =
-      std::function<void(netlist::Placement&, const std::vector<bool>&)>;
-
-  StructureLegalizeStats run(netlist::Placement& pl,
-                             const BetweenHook& between = nullptr);
+  StructureLegalizeStats run(netlist::Placement& pl);
 
  private:
   const netlist::Netlist* nl_;

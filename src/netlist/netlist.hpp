@@ -129,8 +129,9 @@ class Netlist {
 /// records that are otherwise append-only behind NetlistBuilder. Exists so
 /// the check/ subsystem's tests can break referential integrity on purpose
 /// (dangling pin ids, flipped directions, bad weights) and assert the
-/// matching rule fires. Production code must never use this — src/check
-/// exists to catch exactly the states it can create.
+/// matching rule fires, and so the density tests can fix cells in place.
+/// Production code must never use this — src/check exists to catch
+/// exactly the states it can create.
 class NetlistSurgeon {
  public:
   explicit NetlistSurgeon(Netlist& netlist) : netlist_(&netlist) {}

@@ -80,9 +80,6 @@ class DensityPenalty {
  public:
   DensityPenalty(const netlist::Netlist& nl, const netlist::Design& design,
                  std::size_t bins_per_side = 0);
-  void set_one_sided(double max_density) {
-    one_sided_cap_ = bw_ * bh_ * max_density;
-  }
   void set_thread_pool(std::shared_ptr<util::ThreadPool> pool) {
     pool_ = std::move(pool);
   }
@@ -97,7 +94,6 @@ class DensityPenalty {
   std::size_t nb_ = 0;
   double bw_ = 0.0, bh_ = 0.0;
   double target_per_bin_ = 0.0;
-  double one_sided_cap_ = -1.0;
   std::vector<double> preload_;
   std::vector<double> area_scale_;
   mutable std::vector<double> density_;
@@ -260,8 +256,6 @@ double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
     }
   }
 
-  const bool one_sided = one_sided_cap_ >= 0.0;
-  const double target = one_sided ? one_sided_cap_ : target_per_bin_;
   block_value_.assign(num_blocks, 0.0);
 
   auto block_task = [&](std::size_t b) {
@@ -290,13 +284,12 @@ double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
       }
     }
     // The block's rows are final now; fold its share of the penalty
-    // value. In one-sided mode, under-full bins are free.
+    // value.
     double value = 0.0;
     const std::size_t i0 = static_cast<std::size_t>(r0) * nb_;
     const std::size_t i1 = static_cast<std::size_t>(r1) * nb_;
     for (std::size_t i = i0; i < i1; ++i) {
-      double e = density_[i] - target;
-      if (one_sided && e < 0.0) e = 0.0;
+      const double e = density_[i] - target_per_bin_;
       value += e * e;
     }
     block_value_[b] = value;
@@ -331,10 +324,9 @@ double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
       for (long long bx = f.bx0; bx <= f.bx1; ++bx) {
         const double bcx = core.lx + (static_cast<double>(bx) + 0.5) * bw_;
         const Bell px = bell(cx - bcx, wc, bw_);
-        double err = density_[static_cast<std::size_t>(by) * nb_ +
-                              static_cast<std::size_t>(bx)] -
-                     target;
-        if (one_sided && err < 0.0) err = 0.0;
+        const double err = density_[static_cast<std::size_t>(by) * nb_ +
+                                    static_cast<std::size_t>(bx)] -
+                           target_per_bin_;
         gx_acc += 2.0 * err * f.inv_norm * px.dp * py.p;
         gy_acc += 2.0 * err * f.inv_norm * px.p * py.dp;
       }
@@ -383,7 +375,6 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 /// the reference and the kernel under test.
 struct Setup {
   std::size_t bins = 0;
-  double one_sided = -1.0;
   bool area_scale = false;
 };
 
@@ -403,7 +394,6 @@ void expect_bitwise(const dpgen::Benchmark& b, const Placement& pl,
     }
   }
   reference::DensityPenalty ref(nl, b.design, setup.bins);
-  if (setup.one_sided >= 0.0) ref.set_one_sided(setup.one_sided);
   if (setup.area_scale) ref.set_area_scale(scale);
   ref.preload_obstacles(pl, vars);
 
@@ -417,7 +407,6 @@ void expect_bitwise(const dpgen::Benchmark& b, const Placement& pl,
   for (const std::size_t threads : {1u, 2u, 4u}) {
     SCOPED_TRACE(std::string(label) + " threads=" + std::to_string(threads));
     DensityPenalty den(nl, b.design, setup.bins);
-    if (setup.one_sided >= 0.0) den.set_one_sided(setup.one_sided);
     if (setup.area_scale) den.set_area_scale(scale);
     den.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
     den.preload_obstacles(pl, vars);
@@ -448,23 +437,30 @@ TEST(DensityBitwise, PiledPlacement) {
   expect_bitwise(s.bench, s.bench.placement, vars, {}, "piled");
 }
 
-TEST(DensityBitwise, OneSidedAndAreaScale) {
+TEST(DensityBitwise, AreaScale) {
   const Scaled4k& s = scaled4k();
   const VarMap vars(s.bench.netlist);
-  expect_bitwise(s.bench, s.spread, vars, {0, 0.9, false}, "one-sided");
-  expect_bitwise(s.bench, s.spread, vars, {0, -1.0, true}, "area-scale");
-  expect_bitwise(s.bench, s.spread, vars, {0, 0.9, true}, "both");
+  expect_bitwise(s.bench, s.spread, vars, {0, true}, "area-scale");
 }
 
-TEST(DensityBitwise, SubsetVarMapWithObstacles) {
+/// `b` with every odd-numbered cell fixed: at a spread placement, half the
+/// cells are obstacles inside the core.
+dpgen::Benchmark with_odd_cells_fixed(const dpgen::Benchmark& b) {
+  dpgen::Benchmark fixed = b;
+  netlist::NetlistSurgeon surgeon(fixed.netlist);
+  for (CellId c = 1; c < fixed.netlist.num_cells(); c += 2) {
+    surgeon.cell(c).fixed = true;
+  }
+  return fixed;
+}
+
+TEST(DensityBitwise, FixedCellsInCore) {
   const Scaled4k& s = scaled4k();
-  const auto& nl = s.bench.netlist;
-  std::vector<bool> mask(nl.num_cells(), false);
-  for (CellId c = 0; c < nl.num_cells(); c += 2) mask[c] = true;
-  const VarMap subset(nl, mask);
-  ASSERT_GT(subset.num_vars(), 0u);
-  ASSERT_LT(subset.num_vars(), VarMap(nl).num_vars());
-  expect_bitwise(s.bench, s.spread, subset, {}, "subset");
+  const dpgen::Benchmark half = with_odd_cells_fixed(s.bench);
+  const VarMap vars(half.netlist);
+  ASSERT_GT(vars.num_vars(), 0u);
+  ASSERT_LT(vars.num_vars(), s.bench.netlist.num_movable());
+  expect_bitwise(half, s.spread, vars, {}, "fixed in core");
 }
 
 TEST(DensityBitwise, FineAndOddGrids) {
@@ -473,7 +469,7 @@ TEST(DensityBitwise, FineAndOddGrids) {
   // 128 bins: two rows per value group. 100 bins: the last value groups
   // are empty. 5 bins: fewer groups than accumulation blocks.
   for (const std::size_t bins : {128u, 100u, 5u}) {
-    expect_bitwise(s.bench, s.spread, vars, {bins, -1.0, false},
+    expect_bitwise(s.bench, s.spread, vars, {bins, false},
                    ("bins=" + std::to_string(bins)).c_str());
   }
 }
@@ -534,9 +530,8 @@ TEST(DensityBitwise, WindowEdgeOnBinCenter) {
     ASSERT_TRUE(core.contains(pl[c]));
     ++k;
   }
-  expect_bitwise(b, pl, vars, {kEdgeBins, -1.0, false}, "edge");
-  expect_bitwise(b, pl, vars, {kEdgeBins, 0.5, false}, "edge one-sided");
-  expect_bitwise(b, pl, vars, {kEdgeBins, 0.5, true}, "edge both");
+  expect_bitwise(b, pl, vars, {kEdgeBins, false}, "edge");
+  expect_bitwise(b, pl, vars, {kEdgeBins, true}, "edge area-scale");
 
   // Each cell loses at least its zero column and its zero row.
   DensityPenalty den(nl, b.design, kEdgeBins);
@@ -565,9 +560,8 @@ TEST(DensityBitwise, CellsClippedAtCoreEdges) {
   Placement pl = b.placement;
   std::size_t k = 0;
   for (const CellId c : vars.movable_cells()) pl[c] = spots[k++ % spots.size()];
-  expect_bitwise(b, pl, vars, {kEdgeBins, -1.0, false}, "clipped");
-  expect_bitwise(b, pl, vars, {kEdgeBins, 0.5, false}, "clipped one-sided");
-  expect_bitwise(b, pl, vars, {kEdgeBins, 0.5, true}, "clipped both");
+  expect_bitwise(b, pl, vars, {kEdgeBins, false}, "clipped");
+  expect_bitwise(b, pl, vars, {kEdgeBins, true}, "clipped area-scale");
 }
 
 TEST(DensityBitwise, BinsVisitedIsThreadIndependent) {
@@ -634,28 +628,6 @@ TEST(DensityBitwise, GradientAfterRejectedProbe) {
     DensityPenalty den(s.bench.netlist, s.bench.design);
     den.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
     expect_after_probe(den, s.bench.placement, s.spread, vars, want);
-  }
-}
-
-TEST(DensityBitwise, SubsetAndFullVarMapsAlternate) {
-  const Scaled4k& s = scaled4k();
-  const auto& nl = s.bench.netlist;
-  std::vector<bool> mask(nl.num_cells(), false);
-  for (CellId c = 0; c < nl.num_cells(); c += 2) mask[c] = true;
-  const VarMap full(nl);
-  const VarMap subset(nl, mask);
-  const Expected want_full = reference_eval(s.bench, s.spread, full);
-  const Expected want_subset = reference_eval(s.bench, s.spread, subset);
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    DensityPenalty den(nl, s.bench.design);
-    den.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
-    for (int round = 0; round < 2; ++round) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " round=" + std::to_string(round));
-      expect_after_probe(den, s.bench.placement, s.spread, full, want_full);
-      expect_after_probe(den, s.bench.placement, s.spread, subset,
-                         want_subset);
-    }
   }
 }
 
@@ -733,62 +705,6 @@ TEST(Density, GradientMatchesFiniteDifference) {
   }
 }
 
-/// Finite-difference validation of the one-sided mode (`one_sided_cap_ >=
-/// 0`): only over-full bins contribute, so value and gradient share the
-/// same clamped error and must stay consistent. (The two-sided path is
-/// covered by GradientMatchesFiniteDifference above.)
-TEST(Density, OneSidedGradientMatchesFiniteDifference) {
-  SmallDesign d;
-  const auto& nl = d.bench->netlist;
-  VarMap vars(nl);
-  DensityPenalty den(nl, d.bench->design, 16);
-  den.set_one_sided(0.5);  // low cap so a loose cluster still overfills
-  Placement pl = d.bench->placement;
-  util::Rng rng(13);
-  const geom::Rect& core = d.bench->design.core();
-  // Cluster cells in a central window (away from the core edges, where
-  // footprint clipping makes the constant-normalization approximation
-  // poor): guarantees bins above the cap, so the one-sided gradient is
-  // non-trivially exercised.
-  const auto ctr = core.center();
-  for (const CellId c : vars.movable_cells()) {
-    pl[c] = {rng.uniform(ctr.x - core.width() / 5, ctr.x + core.width() / 5),
-             rng.uniform(ctr.y - core.height() / 5,
-                         ctr.y + core.height() / 5)};
-  }
-  const std::size_t n = vars.num_vars();
-  std::vector<double> gx(n, 0.0), gy(n, 0.0);
-  den.eval(pl, vars, gx, gy);
-  EXPECT_GT(std::abs(gx[0]) + std::abs(gy[0]) +
-                std::abs(gx[n / 2]) + std::abs(gy[n / 2]),
-            0.0);
-
-  std::vector<double> dump_x(n), dump_y(n);
-  const double h = 1e-5;
-  for (std::size_t v = 0; v < std::min<std::size_t>(n, 8); ++v) {
-    const CellId c = vars.cell(v);
-    for (int axis = 0; axis < 2; ++axis) {
-      double& coord = axis == 0 ? pl[c].x : pl[c].y;
-      const double c0 = coord;
-      coord = c0 + h;
-      dump_x.assign(n, 0.0);
-      dump_y.assign(n, 0.0);
-      const double fp = den.eval(pl, vars, dump_x, dump_y);
-      coord = c0 - h;
-      dump_x.assign(n, 0.0);
-      dump_y.assign(n, 0.0);
-      const double fm = den.eval(pl, vars, dump_x, dump_y);
-      coord = c0;
-      const double fd = (fp - fm) / (2 * h);
-      const double analytic = axis == 0 ? gx[v] : gy[v];
-      // Same slack as the two-sided test: the normalization is treated
-      // as constant, and the one-sided clamp adds a kink at the cap.
-      EXPECT_NEAR(analytic, fd, std::max(0.05 * std::abs(fd), 0.05))
-          << "cell " << nl.cell(c).name << " axis " << axis;
-    }
-  }
-}
-
 TEST(Density, OverflowZeroForUniformSpread) {
   SmallDesign d;
   const auto& nl = d.bench->netlist;
@@ -837,49 +753,20 @@ TEST(Density, AreaScaleReducesContribution) {
 
 TEST(Density, PreloadObstaclesBlocksBins) {
   SmallDesign d;
-  const auto& nl = d.bench->netlist;
-  // Freeze every cell: subset VarMap with empty mask.
-  std::vector<bool> none(nl.num_cells(), false);
-  VarMap frozen(nl, none);
+  // Fix every cell where the design piles them, inside the core.
+  netlist::Netlist nl = d.bench->netlist;
+  netlist::NetlistSurgeon surgeon(nl);
+  for (CellId c = 0; c < nl.num_cells(); ++c) surgeon.cell(c).fixed = true;
+  const VarMap frozen(nl);
   EXPECT_EQ(frozen.num_vars(), 0u);
   DensityPenalty den(nl, d.bench->design, 8);
   den.preload_obstacles(d.bench->placement, frozen);
-  // All movable area is now preload: full overflow against a 0 target...
-  // overflow() with no movable cells returns 0 by definition; instead the
-  // penalty value must reflect the preloaded pile.
+  // All the pile is now preload against a 0 target. overflow() with no
+  // movable cells returns 0 by definition; instead the penalty value must
+  // reflect the preloaded pile.
   std::vector<double> gx, gy;
   const double v = den.eval(d.bench->placement, frozen, gx, gy);
   EXPECT_GT(v, 0.0);
-}
-
-TEST(Density, OneSidedIgnoresUnderfull) {
-  SmallDesign d;
-  const auto& nl = d.bench->netlist;
-  VarMap vars(nl);
-  DensityPenalty den(nl, d.bench->design, 8);
-  // Spread grid placement: nothing above 1.0 density.
-  Placement pl = d.bench->placement;
-  const geom::Rect& core = d.bench->design.core();
-  const auto movable = vars.movable_cells();
-  const auto side = static_cast<std::size_t>(
-      std::ceil(std::sqrt(static_cast<double>(movable.size()))));
-  for (std::size_t i = 0; i < movable.size(); ++i) {
-    pl[movable[i]] = {
-        core.lx + (static_cast<double>(i % side) + 0.5) /
-                      static_cast<double>(side) * core.width(),
-        core.ly + (static_cast<double>(i / side) + 0.5) /
-                      static_cast<double>(side) * core.height()};
-  }
-  std::vector<double> gx(vars.num_vars(), 0.0), gy(vars.num_vars(), 0.0);
-  const double two_sided = den.eval(pl, vars, gx, gy);
-  den.set_one_sided(1.0);
-  gx.assign(vars.num_vars(), 0.0);
-  gy.assign(vars.num_vars(), 0.0);
-  const double one_sided = den.eval(pl, vars, gx, gy);
-  // Under-full bins dominate a spread placement's two-sided penalty; the
-  // one-sided value keeps only the (tiny, quantization-level) overfull
-  // residue.
-  EXPECT_LT(one_sided, 0.05 * two_sided);
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ namespace {
 /// Which branch of StructurePlacer::place a case runs.
 enum class Flow {
   kGentle,      ///< structure-aware, Abacus legalization
-  kStructured,  ///< structure-aware, template blocks + glue GP
+  kStructured,  ///< structure-aware, template blocks
   kBaseline,    ///< structure-oblivious, Abacus legalization
 };
 
@@ -105,18 +105,18 @@ INSTANTIATE_TEST_SUITE_P(
                376, 413}),
     case_name);
 
-// Template blocks (glue GP over a subset VarMap around frozen plates, the
-// structure legalizer, a detailer that holds the plates) and the
-// structure-oblivious baseline, plain and routed (inflation on a full
-// VarMap, guard in the detailer). On mix75 the plates crowd glue out of
-// the plate-blocked free space, so repair_legality places those cells.
+// Template blocks (the structure legalizer, a detailer that holds the
+// plates) and the structure-oblivious baseline, plain and routed
+// (inflation in the GP, guard in the detailer). On mix75 the plates crowd
+// glue out of the plate-blocked free space, so repair_legality places
+// those cells.
 INSTANTIATE_TEST_SUITE_P(
     OtherFlows, GoldenPlacement,
     testing::Values(
-        Golden{"mix25", Flow::kStructured, false, 0x40e94681c22c7010ULL, 0,
-               727, 1029},
-        Golden{"mix75", Flow::kStructured, false, 0x40fb4816807ba70bULL, 0,
-               586, 1148},
+        Golden{"mix25", Flow::kStructured, false, 0x40e8a8412f55fa3cULL, 0,
+               225, 250},
+        Golden{"mix75", Flow::kStructured, false, 0x40fe87ac0d86475bULL, 0,
+               156, 194},
         Golden{"mix25", Flow::kBaseline, false, 0x40e4d6567ba71fe2ULL, 0,
                267, 310},
         Golden{"mix25", Flow::kBaseline, true, 0x40e86486cebb6942ULL, 976,

@@ -239,5 +239,25 @@ TEST(StructureLegalizer, RepairPlacesTheCellsThePlatesCrowdOut) {
   }
 }
 
+// A group with a chunk no window holds falls back: its cells go to the
+// Abacus pass with the glue, each cell once. Every movable cell is either
+// in a committed plate (counted in `slices`) or placed or failed there.
+TEST(StructureLegalizer, FallenBackCellsAreLegalizedOnce) {
+  dpgen::Generator gen("fallback", 3);
+  const dpgen::Bus a = gen.input_bus("a", 6);
+  const dpgen::Bus b = gen.input_bus("b", 6);
+  const dpgen::Bus p = gen.add_multiplier("mul", a, b);
+  gen.output_bus("o", p);
+  gen.add_glue("g", 40, {});
+  const dpgen::Benchmark bench = gen.finish(0.9);
+
+  StructureLegalizer legalizer(bench.netlist, bench.design, bench.truth);
+  Placement pl = bench.placement;
+  const StructureLegalizeStats stats = legalizer.run(pl);
+  ASSERT_GT(stats.groups_fallback, 0u);
+  EXPECT_EQ(stats.rest.cells_placed + stats.rest.cells_failed,
+            bench.netlist.num_movable() - stats.slices.cells_placed);
+}
+
 }  // namespace
 }  // namespace dp::legal

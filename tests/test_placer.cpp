@@ -67,9 +67,9 @@ TEST(StructurePlacer, StructuredFlowPerfectAlignment) {
   EXPECT_GT(rep.legal_blocks, 0u);
 }
 
-// Every GP run of a flow, the template-block flow's glue GP included, adds
-// its evaluation count next to its profile, and each objective evaluation
-// runs the density term once.
+// Every GP run of a flow adds its evaluation count next to its profile
+// and its outers to the trace, and each objective evaluation runs the
+// density term once: the totals are the sums over the trace.
 TEST(StructurePlacer, GpCountersAgreeInEveryFlow) {
   Pipe pipe("dp_add32");
   PlacerConfig baseline;
@@ -81,6 +81,13 @@ TEST(StructurePlacer, GpCountersAgreeInEveryFlow) {
     const gp::GpResult gp = pipe.run(c).gp_result;
     EXPECT_GT(gp.total_evaluations, 0u);
     EXPECT_EQ(gp.total_evaluations, gp.profile.density.calls);
+    std::size_t evaluations = 0, cg_iterations = 0;
+    for (const gp::GpTracePoint& p : gp.trace) {
+      evaluations += p.evaluations;
+      cg_iterations += p.cg_iterations;
+    }
+    EXPECT_EQ(gp.total_evaluations, evaluations);
+    EXPECT_EQ(gp.total_cg_iterations, cg_iterations);
   }
 }
 
