@@ -100,37 +100,47 @@ std::string format_text(const DiagnosticSink& sink,
   return out.str();
 }
 
-namespace {
-
-void append_json_string(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
     switch (c) {
       case '"':
-        out << "\\\"";
+        out += "\\\"";
         break;
       case '\\':
-        out << "\\\\";
+        out += "\\\\";
+        break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
         break;
       case '\n':
-        out << "\\n";
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
         break;
       case '\t':
-        out << "\\t";
+        out += "\\t";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
+          std::snprintf(buf, sizeof buf, "\\u%04x",
                         static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
+          out += buf;
         } else {
-          out << c;
+          out += c;
         }
     }
   }
-  out << '"';
+  return out;
 }
+
+namespace {
 
 const char* anchor_kind_name(AnchorKind kind) {
   switch (kind) {
@@ -162,7 +172,7 @@ std::string format_json(const DiagnosticSink& sink,
     if (!first) out << ",";
     first = false;
     out << "{\"severity\":\"" << to_string(d.severity) << "\",\"rule\":";
-    append_json_string(out, d.rule);
+    out << '"' << json_escape(d.rule) << '"';
     out << ",\"anchor\":{\"kind\":\"" << anchor_kind_name(d.anchor.kind)
         << "\",\"id\":";
     if (d.anchor.id == netlist::kInvalidId) {
@@ -174,17 +184,17 @@ std::string format_json(const DiagnosticSink& sink,
     bool have_name = false;
     if (nl != nullptr && d.anchor.id != netlist::kInvalidId) {
       if (d.anchor.kind == AnchorKind::kCell && d.anchor.id < nl->num_cells()) {
-        append_json_string(out, nl->cell(d.anchor.id).name);
+        out << '"' << json_escape(nl->cell(d.anchor.id).name) << '"';
         have_name = true;
       } else if (d.anchor.kind == AnchorKind::kNet &&
                  d.anchor.id < nl->num_nets()) {
-        append_json_string(out, nl->net(d.anchor.id).name);
+        out << '"' << json_escape(nl->net(d.anchor.id).name) << '"';
         have_name = true;
       }
     }
     if (!have_name) out << "null";
     out << "},\"message\":";
-    append_json_string(out, d.message);
+    out << '"' << json_escape(d.message) << '"';
     out << "}";
   }
   out << "]}";

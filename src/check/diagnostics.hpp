@@ -88,6 +88,12 @@ std::string describe(const Anchor& anchor, const netlist::Netlist* nl);
 std::string format_text(const DiagnosticSink& sink,
                         const netlist::Netlist* nl = nullptr);
 
+/// Escape a string for embedding in a JSON double-quoted literal:
+/// backslash, quote, and every control character below 0x20 (the ones
+/// JSON forbids raw) are encoded. Shared by every JSON writer of the
+/// library (format_json, core::report_to_json).
+std::string json_escape(const std::string& s);
+
 /// Machine-readable report: {"summary": {...}, "diagnostics": [...]}.
 std::string format_json(const DiagnosticSink& sink,
                         const netlist::Netlist* nl = nullptr);

@@ -17,8 +17,9 @@ namespace dp::core {
 ///
 /// All sub-terms are quadratic in the coordinates, so gradients are exact
 /// and cheap; the term plugs into the analytical global placer as an
-/// ExtraTerm whose weight is normalized against the wirelength force on
-/// first use and doubled every outer iteration.
+/// ExtraTerm, weighted like the density penalty: normalized against the
+/// wirelength force at the run's first outer iteration and doubled every
+/// outer iteration after it.
 class AlignmentPenalty final : public gp::ObjectiveTerm {
  public:
   explicit AlignmentPenalty(const netlist::StructureAnnotation& groups)

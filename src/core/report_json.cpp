@@ -1,7 +1,6 @@
 #include "core/report_json.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 namespace dp::core {
@@ -40,10 +39,10 @@ void append_timing(std::ostringstream& out, const timing::TimingReport& t,
     if (nl != nullptr && node.pin < nl->num_pins()) {
       const netlist::Pin& pin = nl->pin(node.pin);
       const netlist::CellType& type = nl->cell_type(pin.cell);
-      out << ",\"cell\":\"" << json_escape(nl->cell(pin.cell).name)
+      out << ",\"cell\":\"" << check::json_escape(nl->cell(pin.cell).name)
           << "\",\"port\":\""
           << (pin.port < type.pins.size()
-                  ? json_escape(type.pins[pin.port].name)
+                  ? check::json_escape(type.pins[pin.port].name)
                   : std::to_string(pin.port))
           << "\"";
     }
@@ -78,46 +77,6 @@ void append_congestion(std::ostringstream& out,
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\b':
-        out += "\\b";
-        break;
-      case '\f':
-        out += "\\f";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string report_to_json(const PlaceReport& report,
                            const netlist::Netlist* nl) {

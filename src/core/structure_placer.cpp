@@ -1,7 +1,6 @@
 #include "core/structure_placer.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <optional>
 #include <span>
@@ -43,22 +42,6 @@ constexpr double kInflationOverflow = gp::kSpreadOverflow;
 /// the whitespace (0.8 of the core) already stalls GP overflow near 0.09
 /// and runs it to the outer-iteration cap.
 constexpr double kInflationWhitespaceShare = 1.0 / 6.0;
-
-/// Weight schedule of phase B's alignment term: normalized against the
-/// wirelength force on first use, then doubled per outer iteration (up to
-/// 2^(align_outer - 1), 2048x at the default 12 outers).
-std::function<double(const gp::TermContext&)> make_schedule(
-    const gp::GlobalPlacer& owner, const gp::ObjectiveTerm& term,
-    const netlist::Placement& pl, double w) {
-  return [&owner, &term, &pl, w, base = std::optional<double>()](
-             const gp::TermContext& ctx) mutable {
-    if (!base) {
-      const auto [wl_norm, term_norm] = owner.probe_norms(term, pl);
-      base = term_norm > 0.0 ? w * wl_norm / term_norm : w;
-    }
-    return *base * std::pow(2.0, static_cast<double>(ctx.outer));
-  };
-}
 
 /// Warns when a GP run used up its outer iterations above its stop
 /// overflow.
@@ -300,14 +283,14 @@ class RunContext {
       warn_if_capped("phase A", report.gp_result, opt_a);
     }
 
-    // Phase B continues from phase A's placement and density scale:
+    // Phase B continues phase A's placement, density scale and record:
     // alignment on from the start, weight normalized against the
-    // wirelength force and doubled each outer iteration so slices and
+    // wirelength force and doubled each outer iteration (up to
+    // 2^(align_outer - 1), 2048x at the default 12 outers) so slices and
     // stages converge onto their lines instead of stalling at a force
     // equilibrium.
     const AlignmentPenalty alignment(report.structure);
     gp::GpOptions opt_b = config_.gp;
-    opt_b.run_quadratic_init = false;
     opt_b.max_outer = config_.align_outer;
     opt_b.gamma_init_bins = 3.0;
     gp::GlobalPlacer phase_b = make_placer(opt_b, density_scale_);
@@ -316,22 +299,9 @@ class RunContext {
     // reweighting under it makes the steering fight the plate arrays
     // (consistent HPWL blowups on the datapath-heavy designs).
     install_outer_hook(phase_b, 0.3);
-    const double w = config_.alignment_weight;
-    phase_b.add_term({&alignment, make_schedule(phase_b, alignment, pl_, w),
-                      "alignment"});
-    const gp::GpResult res_b = phase_b.place(pl_);
-    warn_if_capped("phase B", res_b, opt_b);
-
-    gp::GpResult& gp_result = report.gp_result;
-    const std::size_t offset = gp_result.trace.size();
-    for (auto point : res_b.trace) {
-      point.outer += offset;
-      gp_result.trace.push_back(point);
-    }
-    gp_result.final_hpwl = res_b.final_hpwl;
-    gp_result.final_overflow = res_b.final_overflow;
-    gp_result.stop_reason = res_b.stop_reason;
-    gp_result.add_work(res_b);
+    phase_b.add_term({&alignment, config_.alignment_weight, "alignment"});
+    report.gp_result = phase_b.place(pl_, std::move(report.gp_result));
+    warn_if_capped("phase B", report.gp_result, opt_b);
 
     log_group_boxes("post-GP");
     report.datapath_hpwl_gp = eval::datapath_hpwl(nl_, pl_, report.structure);

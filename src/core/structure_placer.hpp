@@ -43,8 +43,8 @@ struct PlacerConfig {
   /// value (see gp::GlobalPlacer::set_thread_pool).
   std::size_t num_threads = 1;
 
-  /// Weight of the alignment penalty once activated. Swept by the
-  /// reconstructed Fig. 5 ablation.
+  /// Weight factor of the alignment penalty once activated (see
+  /// gp::ExtraTerm). Swept by the reconstructed Fig. 5 ablation.
   double alignment_weight = 0.5;
   /// Outer iterations of the alignment phase (phase B, which follows a
   /// plain spreading phase A down to overflow 0.5). The alignment

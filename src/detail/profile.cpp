@@ -4,13 +4,6 @@
 
 namespace dp::detail {
 
-void Profile::merge(const Profile& other) {
-  slide.merge(other.slide);
-  swap.merge(other.swap);
-  rescans += other.rescans;
-  guard_vetoes += other.guard_vetoes;
-}
-
 std::string Profile::to_string() const {
   char buf[160];
   auto fmt = [&buf](const char* name, const PassProfile& p) {

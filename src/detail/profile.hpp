@@ -11,13 +11,6 @@ struct PassProfile {
   std::size_t candidates = 0;  ///< candidate moves scored
   std::size_t accepted = 0;    ///< candidates committed
   double seconds = 0.0;        ///< wall time inside the pass
-
-  void merge(const PassProfile& other) {
-    passes += other.passes;
-    candidates += other.candidates;
-    accepted += other.accepted;
-    seconds += other.seconds;
-  }
 };
 
 /// Per-pass evaluation profile of a detailed-placement run, the detail
@@ -37,8 +30,6 @@ struct Profile {
   /// HPWL-improving moves rejected by DetailOptions::move_guard (e.g. the
   /// timing-driven WNS-proxy guard).
   std::size_t guard_vetoes = 0;
-
-  void merge(const Profile& other);
 
   /// Compact one-line rendering for logs and the CLI, e.g.
   ///   "slide 3x 412/1204 cand 0.002s | swap 3x 98/1188 cand 0.001s |

@@ -103,12 +103,31 @@ DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
   const geom::Rect& core = design.core();
   bw_ = core.width() / static_cast<double>(nb_);
   bh_ = core.height() / static_cast<double>(nb_);
-  target_per_bin_ = nl.movable_area() / static_cast<double>(nb_ * nb_);
 
   // Preload exact overlap of fixed cells that intrude into the core.
   preload_.assign(nb_ * nb_, 0.0);
   density_.assign(nb_ * nb_, 0.0);
-  area_scale_.assign(nl.num_cells(), 1.0);
+
+  // The bell shapes and the chunks' bell storage depend on the cell sizes
+  // alone; set_area_scale() fills in the areas.
+  const VarMap vars(nl);
+  const auto movable = vars.movable_cells();
+  shapes_.resize(movable.size());
+  for (std::size_t v = 0; v < movable.size(); ++v) {
+    shapes_[v].x = bell_shape(nl.cell_width(movable[v]), bw_);
+    shapes_[v].y = bell_shape(nl.cell_height(movable[v]), bh_);
+  }
+  chunks_.resize(util::num_chunks(movable.size(), kMinCellsPerChunk));
+  util::for_chunks(nullptr, movable.size(), kMinCellsPerChunk,
+                   [&](std::size_t k, std::size_t v0, std::size_t v1) {
+    std::size_t capacity = 0;
+    for (std::size_t v = v0; v < v1; ++v) {
+      capacity += max_window_bins(nl.cell_width(movable[v]), bw_, nb_) +
+                  max_window_bins(nl.cell_height(movable[v]), bh_, nb_);
+    }
+    chunks_[k].bells.resize(capacity);
+  });
+  set_area_scale({});
 }
 
 void DensityPenalty::preload_obstacles(const netlist::Placement& pl,
@@ -127,41 +146,15 @@ void DensityPenalty::preload_obstacles(const netlist::Placement& pl,
 void DensityPenalty::set_area_scale(std::vector<double> scale) {
   area_scale_ = std::move(scale);
   area_scale_.resize(nl_->num_cells(), 1.0);
-  double scaled_total = 0.0;
-  for (CellId c = 0; c < nl_->num_cells(); ++c) {
-    if (!nl_->cell(c).fixed) {
-      scaled_total += nl_->cell_area(c) * area_scale_[c];
-    }
-  }
-  target_per_bin_ = scaled_total / static_cast<double>(nb_ * nb_);
-  shapes_ready_ = false;
-}
-
-void DensityPenalty::cache_shapes(const VarMap& vars) const {
-  if (shapes_ready_) return;
-  const auto movable = vars.movable_cells();
-  const auto& nl = *nl_;
-  const std::size_t n_mov = movable.size();
-  shapes_.resize(n_mov);
+  // Variable v is the v-th movable cell in CellId order.
   scaled_total_ = 0.0;
-  for (std::size_t v = 0; v < n_mov; ++v) {
-    const CellId c = movable[v];
-    shapes_[v] = {bell_shape(nl.cell_width(c), bw_),
-                  bell_shape(nl.cell_height(c), bh_),
-                  nl.cell_area(c) * area_scale_[c]};
-    scaled_total_ += shapes_[v].area;
+  std::size_t v = 0;
+  for (CellId c = 0; c < nl_->num_cells(); ++c) {
+    if (nl_->cell(c).fixed) continue;
+    shapes_[v].area = nl_->cell_area(c) * area_scale_[c];
+    scaled_total_ += shapes_[v++].area;
   }
-  chunks_.resize(util::num_chunks(n_mov, kMinCellsPerChunk));
-  util::for_chunks(nullptr, n_mov, kMinCellsPerChunk,
-                   [&](std::size_t k, std::size_t v0, std::size_t v1) {
-    std::size_t capacity = 0;
-    for (std::size_t v = v0; v < v1; ++v) {
-      capacity += max_window_bins(nl.cell_width(movable[v]), bw_, nb_) +
-                  max_window_bins(nl.cell_height(movable[v]), bh_, nb_);
-    }
-    if (chunks_[k].bells.size() < capacity) chunks_[k].bells.resize(capacity);
-  });
-  shapes_ready_ = true;
+  target_per_bin_ = scaled_total_ / static_cast<double>(nb_ * nb_);
 }
 
 double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
@@ -178,7 +171,6 @@ double DensityPenalty::value(const netlist::Placement& pl,
   const auto nbi = static_cast<long long>(nb_);
   density_ = preload_;
   err2_.resize(nb_ * nb_);
-  cache_shapes(vars);
 
   const auto movable = vars.movable_cells();
   const std::size_t n_mov = movable.size();
@@ -381,7 +373,6 @@ double DensityPenalty::overflow(const netlist::Placement& pl,
   const double cap = bw_ * bh_ * target_density;
   double over = 0.0;
   for (double u : usage) over += std::max(0.0, u - cap);
-  cache_shapes(vars);
   return scaled_total_ > 0.0 ? over / scaled_total_ : 0.0;
 }
 

@@ -145,23 +145,18 @@ class DensityPenalty final : public ObjectiveTerm {
 
   /// What one pass-0 chunk of cells keeps and counts.
   struct Chunk {
-    /// The chunk's bells, sized for the widest windows its cells can have
-    /// wherever they are, so it grows only with a VarMap of wider cells.
+    /// The chunk's bells, sized in the constructor for the widest windows
+    /// its cells can have wherever they are.
     std::vector<Bell> bells;
     std::uint64_t bins = 0;
     std::uint64_t bell_calls = 0;
   };
 
-  /// Fills shapes_, the chunks' bell storage and scaled_total_ for
-  /// `vars` (every VarMap of the netlist has the same variables), unless
-  /// they are already filled.
-  void cache_shapes(const VarMap& vars) const;
-
-  // Filled on first use and emptied whenever the area scale changes.
-  // scaled_total_ is the overflow denominator.
-  mutable bool shapes_ready_ = false;
-  mutable std::vector<CellShape> shapes_;
-  mutable double scaled_total_ = 0.0;
+  /// Per variable of the netlist's VarMap; the areas and their sum
+  /// scaled_total_ (the overflow denominator) are refilled by every
+  /// set_area_scale().
+  std::vector<CellShape> shapes_;
+  double scaled_total_ = 0.0;
 
   // Per-evaluation scratch, persistent to keep allocation out of the hot
   // path (one evaluation in flight at a time).

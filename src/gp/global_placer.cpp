@@ -142,15 +142,6 @@ const char* to_string(GpStop stop) {
   return "unknown";
 }
 
-void GpResult::add_work(const GpResult& other) {
-  total_cg_iterations += other.total_cg_iterations;
-  total_evaluations += other.total_evaluations;
-  for (std::size_t r = 0; r < kNumCgStops; ++r) {
-    inner_stops[r] += other.inner_stops[r];
-  }
-  profile.merge(other.profile);
-}
-
 GlobalPlacer::GlobalPlacer(const netlist::Netlist& nl,
                            const netlist::Design& design, GpOptions options)
     : nl_(&nl), design_(&design), options_(options), vars_(nl) {
@@ -185,8 +176,8 @@ std::pair<double, double> GlobalPlacer::probe_norms(
   return {wl_norm, term_norm};
 }
 
-GpResult GlobalPlacer::place(netlist::Placement& pl) {
-  GpResult result;
+GpResult GlobalPlacer::place(netlist::Placement& pl, GpResult so_far) {
+  GpResult result = std::move(so_far);
   if (vars_.num_vars() == 0) {
     result.final_hpwl = eval::hpwl(*nl_, pl);
     return result;
@@ -194,12 +185,14 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
 
   density_->preload_obstacles(pl, vars_);
 
-  if (options_.run_quadratic_init) {
+  const std::size_t first_outer = result.trace.size();
+  if (first_outer == 0) {
     quadratic_initial_placement(*nl_, *design_, vars_, pl);
   }
 
   CompositeObjective objective(*design_, vars_, *wirelength_, *density_,
                                pl);
+  std::vector<double> extra_base(extras_.size(), 0.0);
   std::vector<double> extra_weights(extras_.size(), 0.0);
   objective.set_extras(&extras_, &extra_weights);
   objective.set_profile(&result.profile);
@@ -232,7 +225,15 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
     wirelength_->set_gamma(gamma);
     objective.set_lambda(lambda);
     for (std::size_t t = 0; t < extras_.size(); ++t) {
-      extra_weights[t] = extras_[t].weight ? extras_[t].weight(ctx) : 0.0;
+      // Normalized where the outer hook and gamma of outer 0 apply.
+      if (outer == 0) {
+        const auto [wl, term_norm] = probe_norms(*extras_[t].term, pl);
+        extra_base[t] = term_norm > 0.0
+                            ? extras_[t].factor * wl / term_norm
+                            : extras_[t].factor;
+      }
+      extra_weights[t] =
+          extra_base[t] * std::pow(2.0, static_cast<double>(outer));
     }
 
     cg.max_iters = overflow > kSpreadOverflow ? kSpreadInnerIters : kInnerIters;
@@ -259,12 +260,13 @@ GpResult GlobalPlacer::place(netlist::Placement& pl) {
     vars_.scatter(v, pl);
     overflow = density_->overflow(pl, vars_, kTargetDensity);
     const double hp = eval::hpwl(*nl_, pl);
-    result.trace.push_back({outer, hp, overflow, lambda, gamma,
-                            inner.iterations, inner.evaluations, inner.stop});
+    result.trace.push_back({first_outer + outer, hp, overflow, lambda,
+                            gamma, inner.iterations, inner.evaluations,
+                            inner.stop});
     util::Logger::debug(
         "gp outer %zu: hpwl=%.1f overflow=%.4f lambda=%.3g cg=%zu evals=%zu "
         "stop=%s",
-        outer, hp, overflow, lambda, inner.iterations, inner.evaluations,
+        first_outer + outer, hp, overflow, lambda, inner.iterations, inner.evaluations,
         to_string(inner.stop));
 
     if (overflow <= options_.stop_overflow) break;

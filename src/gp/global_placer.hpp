@@ -35,7 +35,8 @@ inline constexpr std::size_t kSpreadInnerIters = 10;
 /// improves the objective by less than 1e-4 relative, the overflow
 /// measured against a bin capacity of density 1, and a density weight
 /// starting at 2 times the ratio of the L1 wirelength and density gradient
-/// norms at the start and doubling every outer iteration.
+/// norms at the start and doubling every outer iteration (ExtraTerm
+/// weights follow the same rule with their own factor).
 struct GpOptions {
   WirelengthModel wl_model = WirelengthModel::kWa;
   /// Stop once the hard density overflow is at or below this fraction.
@@ -47,7 +48,6 @@ struct GpOptions {
   double gamma_init_bins = 6.0;
   double gamma_final_bins = 0.8;
   std::size_t bins_per_side = 0;  ///< 0 = auto from design size
-  bool run_quadratic_init = true;
 };
 
 /// One sample of the convergence trace (reconstructed Fig. 3 series): the
@@ -73,6 +73,9 @@ enum class GpStop {
 /// Snake-case name of a stop reason, e.g. "outer_cap".
 const char* to_string(GpStop stop);
 
+/// The record of one global placement, made by one GlobalPlacer::place
+/// call or continued by several (see place()): the final values and stop
+/// reason are the last run's, the trace and work cover them all.
 struct GpResult {
   std::vector<GpTracePoint> trace;
   double final_hpwl = 0.0;
@@ -82,27 +85,26 @@ struct GpResult {
   std::size_t total_evaluations = 0;
   /// Inner CG runs by the reason they stopped, indexed by CgStop.
   std::array<std::size_t, kNumCgStops> inner_stops{};
-  /// Per-term call counts and wall time of this run's evaluations.
+  /// Per-term call counts and wall time of the evaluations.
   EvalProfile profile;
-
-  /// Adds another run's work (CG iterations, evaluations, inner stops and
-  /// profile) to this one's, for a placement made of several GP runs.
-  void add_work(const GpResult& other);
 };
 
-/// Scheduling context handed to the extra-term weight callbacks and the
-/// outer hook at the start of every outer iteration: the outer's index
-/// and the hard overflow it starts from.
+/// Scheduling context handed to the outer hook at the start of every
+/// outer iteration: the run's outer index (counted from 0 in every
+/// GlobalPlacer::place call) and the hard overflow it starts from.
 struct TermContext {
   std::size_t outer = 0;
   double overflow = 1.0;
 };
 
-/// An additional objective term (e.g. the structure alignment penalty)
-/// whose weight is re-evaluated at the start of every outer iteration.
+/// An additional objective term (e.g. the structure alignment penalty),
+/// weighted by the density weight's rule: at outer 0, after the outer
+/// hook, its base weight is `factor` times the ratio of the L1 wirelength
+/// and term gradient norms (`factor` alone when the term's norm is 0),
+/// and outer k uses base * 2^k.
 struct ExtraTerm {
   const ObjectiveTerm* term = nullptr;
-  std::function<double(const TermContext&)> weight;
+  double factor = 1.0;
   /// Label under which the term's evaluations are profiled.
   std::string name = "extra";
 };
@@ -141,16 +143,22 @@ class GlobalPlacer {
     density_->set_area_scale(std::move(scale));
   }
 
-  /// L1 gradient norms (wirelength, term) at the given placement; used by
-  /// weight schedules to normalize a term against the wirelength force.
+  /// L1 gradient norms (wirelength, term) at the given placement; place()
+  /// normalizes the density and extra-term weights against the wirelength
+  /// force with them.
   std::pair<double, double> probe_norms(const ObjectiveTerm& term,
                                         const netlist::Placement& pl) const;
 
   const VarMap& vars() const { return vars_; }
 
   /// Run global placement; `pl` provides fixed-cell positions and the
-  /// movable starting point, and receives the result.
-  GpResult place(netlist::Placement& pl);
+  /// movable starting point, and receives the result. A fresh run
+  /// (`so_far.trace` empty) starts from the quadratic placement; a run
+  /// continuing `so_far`, the record of earlier runs on `pl`, starts from
+  /// `pl` as given. The result is `so_far` with this run's outers
+  /// appended (numbered on from its trace), its work added to the totals
+  /// and profile, and its final values and stop reason.
+  GpResult place(netlist::Placement& pl, GpResult so_far = {});
 
  private:
   const netlist::Netlist* nl_;

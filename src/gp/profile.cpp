@@ -12,17 +12,6 @@ TermProfile& EvalProfile::extra(const std::string& name) {
   return extras.back().second;
 }
 
-void EvalProfile::merge(const EvalProfile& other) {
-  wirelength.merge(other.wirelength);
-  density.merge(other.density);
-  line_search.merge(other.line_search);
-  gradients += other.gradients;
-  density_bins += other.density_bins;
-  density_bells += other.density_bells;
-  wirelength_exps += other.wirelength_exps;
-  for (const auto& [name, term] : other.extras) extra(name).merge(term);
-}
-
 std::string EvalProfile::to_string() const {
   char buf[128];
   auto fmt = [&buf](const char* name, const TermProfile& t) {

@@ -17,10 +17,6 @@ struct TermProfile {
     ++calls;
     seconds += s;
   }
-  void merge(const TermProfile& other) {
-    calls += other.calls;
-    seconds += other.seconds;
-  }
 };
 
 /// Per-term evaluation profile of a global-placement run: how often each
@@ -53,8 +49,6 @@ struct EvalProfile {
 
   /// The entry for `name`, created on first use.
   TermProfile& extra(const std::string& name);
-
-  void merge(const EvalProfile& other);
 
   /// Compact one-line rendering for logs and the CLI, e.g.
   ///   "wl 812x/0.410s | density 812x/0.770s | alignment 406x/0.080s |

@@ -94,6 +94,23 @@ SmoothWirelength::SmoothWirelength(const netlist::Netlist& nl,
     max_degree_ = std::max(max_degree_, deg);
     exp_calls_ += 2 * (deg == 2 ? 1 : 2 * deg - 2);
   }
+
+  // Gather transpose: each variable's pin slots, in slot order.
+  const VarMap vars(nl);
+  const std::size_t nv = vars.num_vars();
+  var_first_.assign(nv + 1, 0);
+  for (const std::uint32_t c : flat_.pin_cell) {
+    const std::uint32_t v = vars.var(c);
+    if (v != netlist::kInvalidId) ++var_first_[v + 1];
+  }
+  for (std::size_t v = 0; v < nv; ++v) var_first_[v + 1] += var_first_[v];
+  var_slot_.resize(var_first_[nv]);
+  std::vector<std::uint32_t> cursor(var_first_.begin(),
+                                    var_first_.end() - 1);
+  for (std::uint32_t s = 0; s < flat_.pin_cell.size(); ++s) {
+    const std::uint32_t v = vars.var(flat_.pin_cell[s]);
+    if (v != netlist::kInvalidId) var_slot_[cursor[v]++] = s;
+  }
 }
 
 void SmoothWirelength::set_net_weight_scale(std::span<const double> scale) {
@@ -177,30 +194,9 @@ double SmoothWirelength::kernel(const netlist::Placement& pl,
   return total;
 }
 
-void SmoothWirelength::bind_vars(const VarMap& vars) const {
-  if (bound_vars_ == &vars && bound_num_vars_ == vars.num_vars()) return;
-  const std::size_t nv = vars.num_vars();
-  var_first_.assign(nv + 1, 0);
-  for (const std::uint32_t c : flat_.pin_cell) {
-    const std::uint32_t v = vars.var(c);
-    if (v != netlist::kInvalidId) ++var_first_[v + 1];
-  }
-  for (std::size_t v = 0; v < nv; ++v) var_first_[v + 1] += var_first_[v];
-  var_slot_.resize(var_first_[nv]);
-  std::vector<std::uint32_t> cursor(var_first_.begin(),
-                                    var_first_.end() - 1);
-  for (std::uint32_t s = 0; s < flat_.pin_cell.size(); ++s) {
-    const std::uint32_t v = vars.var(flat_.pin_cell[s]);
-    if (v != netlist::kInvalidId) var_slot_[cursor[v]++] = s;
-  }
-  bound_vars_ = &vars;
-  bound_num_vars_ = nv;
-}
-
 double SmoothWirelength::eval(const netlist::Placement& pl,
                               const VarMap& vars, std::span<double> gx,
                               std::span<double> gy) const {
-  bind_vars(vars);
   const double total = kernel(pl, true);
 
   // Gather per-pin gradients into the variables. Each variable's slots

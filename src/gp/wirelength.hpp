@@ -31,7 +31,9 @@ enum class WirelengthModel {
 ///
 /// The hot loop runs over a netlist::FlatNets layout built once in the
 /// constructor (nets with < 2 pins dropped), split into its fixed
-/// pin-balanced chunks. With a thread pool attached the chunks evaluate
+/// pin-balanced chunks. eval() takes the netlist's VarMap: its gradient
+/// gather runs over a variable -> pin-slot transpose built in the
+/// constructor too. With a thread pool attached the chunks evaluate
 /// concurrently; per-pin gradients land in per-pin slots and are gathered
 /// per variable in fixed slot order, so the result is bitwise identical
 /// for every thread count.
@@ -53,8 +55,9 @@ class SmoothWirelength final : public ObjectiveTerm {
   double eval(const netlist::Placement& pl, const VarMap& vars,
               std::span<double> gx, std::span<double> gy) const override;
 
-  /// Value only (no gradient); used by tests and the driver's telemetry.
-  /// Shares the chunked CSR kernel with eval() in null-gradient mode.
+  /// Value only (no gradient); used by tests and the kernel
+  /// microbenchmarks. Shares the chunked CSR kernel with eval() in
+  /// null-gradient mode.
   double value(const netlist::Placement& pl) const;
 
   /// Deterministic work counter: exp() calls per evaluation (eval() and
@@ -71,8 +74,6 @@ class SmoothWirelength final : public ObjectiveTerm {
  private:
   /// Evaluates all chunks; fills gpin_x_/gpin_y_ when `with_grad`.
   double kernel(const netlist::Placement& pl, bool with_grad) const;
-  /// (Re)build the var -> pin-slot gather transpose for `vars`.
-  void bind_vars(const VarMap& vars) const;
 
   const netlist::Netlist* nl_;
   WirelengthModel model_;
@@ -84,12 +85,9 @@ class SmoothWirelength final : public ObjectiveTerm {
   std::size_t max_degree_ = 0;
   std::uint64_t exp_calls_ = 0;
 
-  // Gather transpose: variable -> pin slots, rebuilt when a different
-  // VarMap is bound (keyed by address + num_vars; each GlobalPlacer owns
-  // one VarMap for its lifetime).
-  mutable const VarMap* bound_vars_ = nullptr;
-  mutable std::size_t bound_num_vars_ = 0;
-  mutable std::vector<std::uint32_t> var_first_, var_slot_;
+  // Gather transpose (CSR): variable v's pin slots are
+  // var_slot_[var_first_[v] .. var_first_[v + 1]).
+  std::vector<std::uint32_t> var_first_, var_slot_;
 
   // Persistent evaluation scratch (one evaluation in flight at a time;
   // chunk tasks touch disjoint slots).

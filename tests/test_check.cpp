@@ -430,6 +430,16 @@ TEST(Reporters, JsonHasSummaryAndAnchors) {
   EXPECT_NE(json.find("\"name\":\"c1\""), std::string::npos);
 }
 
+TEST(Reporters, JsonEscapesMessages) {
+  DiagnosticSink sink;
+  sink.report(Severity::kError, "r", Anchor::none(),
+              "say \"hi\" c:\\d\nnext\x01");
+  const std::string json = format_json(sink);
+  EXPECT_NE(json.find(R"("message":"say \"hi\" c:\\d\nnext\u0001")"),
+            std::string::npos)
+      << json;
+}
+
 // ---- pipeline phase hooks --------------------------------------------------
 
 TEST(PhaseHooks, FullPipelineRunsClean) {

@@ -418,12 +418,12 @@ TEST(Svg, CriticalPathLayerTogglesOnPoints) {
 
 TEST(ReportJson, SchemaVersionLeadsAndEscapesHold) {
   // json_escape must neutralize everything JSON forbids in a string.
-  EXPECT_EQ(core::json_escape("plain"), "plain");
-  EXPECT_EQ(core::json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(core::json_escape("l1\nl2\tt\rr"), "l1\\nl2\\tt\\rr");
-  EXPECT_EQ(core::json_escape(std::string("x\x01y\x1f", 4)),
+  EXPECT_EQ(check::json_escape("plain"), "plain");
+  EXPECT_EQ(check::json_escape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(check::json_escape("l1\nl2\tt\rr"), "l1\\nl2\\tt\\rr");
+  EXPECT_EQ(check::json_escape(std::string("x\x01y\x1f", 4)),
             "x\\u0001y\\u001f");
-  EXPECT_EQ(core::json_escape("\b\f"), "\\b\\f");
+  EXPECT_EQ(check::json_escape("\b\f"), "\\b\\f");
 
   core::PlaceReport report;
   const std::string json = core::report_to_json(report);

@@ -139,10 +139,10 @@ TEST(GlobalPlacer, Deterministic) {
                    eval::hpwl(sb.bench->netlist, p2));
 }
 
-TEST(GlobalPlacer, ExtraTermWeightCallbackRuns) {
+TEST(GlobalPlacer, ExtraTermPullsThePlacement) {
   SmallBench sb;
-  // A pull-everything-to-origin term; with a huge weight it must visibly
-  // drag the placement toward the corner.
+  // A pull-everything-to-origin term; weighted up to 32 times the
+  // wirelength force it must visibly drag the placement toward the corner.
   class Pull final : public ObjectiveTerm {
    public:
     double eval(const Placement& pl, const VarMap& vars,
@@ -157,17 +157,15 @@ TEST(GlobalPlacer, ExtraTermWeightCallbackRuns) {
     }
   };
   Pull pull;
-  int calls = 0;
   GpOptions opt;
   opt.max_outer = 6;
   GlobalPlacer placer(sb.bench->netlist, sb.bench->design, opt);
-  placer.add_term({&pull, [&calls](const TermContext&) {
-                     ++calls;
-                     return 1e3;
-                   }});
+  placer.add_term({&pull, 1.0, "pull"});
   Placement pl = sb.bench->placement;
-  placer.place(pl);
-  EXPECT_GT(calls, 0);
+  const GpResult res = placer.place(pl);
+  ASSERT_EQ(res.profile.extras.size(), 1u);
+  EXPECT_EQ(res.profile.extras[0].first, "pull");
+  EXPECT_GT(res.profile.extras[0].second.calls, 0u);
   // Center of gravity pulled toward the origin corner.
   double cx = 0.0;
   std::size_t n = 0;
@@ -257,13 +255,68 @@ TEST(GlobalPlacer, StopReasonsAndInnerStopCounts) {
     for (const std::size_t count : res->inner_stops) inner += count;
     EXPECT_EQ(inner, res->trace.size());
   }
-  GpResult merged = cap;
-  merged.add_work(done);
-  for (std::size_t r = 0; r < kNumCgStops; ++r) {
-    EXPECT_EQ(merged.inner_stops[r], cap.inner_stops[r] + done.inner_stops[r]);
+}
+
+// A run handed an earlier run's record starts from the placement as given
+// (no quadratic start) and continues the record: outers numbered on, work
+// added, the earlier outers kept as they were.
+TEST(GlobalPlacer, ContinuedRunExtendsTheRecord) {
+  SmallBench sb;
+  const auto& nl = sb.bench->netlist;
+  GpOptions opt;
+  opt.stop_overflow = 0.0;
+  opt.max_outer = 3;
+  Placement pl = sb.bench->placement;
+  const GpResult head = GlobalPlacer(nl, sb.bench->design, opt).place(pl);
+  ASSERT_EQ(head.trace.size(), 3u);
+  const Placement handed = pl;
+
+  GlobalPlacer next(nl, sb.bench->design, opt);
+  bool saw_outer0 = false;
+  next.set_outer_hook([&](const TermContext& ctx, const Placement& cur,
+                          SmoothWirelength&, DensityPenalty&) {
+    if (ctx.outer != 0) return;
+    saw_outer0 = true;
+    for (CellId c = 0; c < nl.num_cells(); ++c) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(cur[c].x),
+                std::bit_cast<std::uint64_t>(handed[c].x));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(cur[c].y),
+                std::bit_cast<std::uint64_t>(handed[c].y));
+    }
+  });
+  const GpResult res = next.place(pl, head);
+  EXPECT_TRUE(saw_outer0);
+
+  ASSERT_EQ(res.trace.size(), 6u);
+  std::size_t iterations = 0, evaluations = 0;
+  std::array<std::size_t, kNumCgStops> stops{};
+  for (std::size_t k = 0; k < res.trace.size(); ++k) {
+    EXPECT_EQ(res.trace[k].outer, k);
+    iterations += res.trace[k].cg_iterations;
+    evaluations += res.trace[k].evaluations;
+    ++stops[static_cast<std::size_t>(res.trace[k].inner_stop)];
   }
-  EXPECT_EQ(merged.total_evaluations,
-            cap.total_evaluations + done.total_evaluations);
+  EXPECT_EQ(iterations, res.total_cg_iterations);
+  EXPECT_EQ(evaluations, res.total_evaluations);
+  EXPECT_EQ(stops, res.inner_stops);
+
+  for (std::size_t k = 0; k < head.trace.size(); ++k) {
+    const GpTracePoint& a = head.trace[k];
+    const GpTracePoint& b = res.trace[k];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.hpwl),
+              std::bit_cast<std::uint64_t>(b.hpwl));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.overflow),
+              std::bit_cast<std::uint64_t>(b.overflow));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.lambda),
+              std::bit_cast<std::uint64_t>(b.lambda));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.gamma),
+              std::bit_cast<std::uint64_t>(b.gamma));
+    EXPECT_EQ(a.cg_iterations, b.cg_iterations);
+    EXPECT_EQ(a.evaluations, b.evaluations);
+    EXPECT_EQ(a.inner_stop, b.inner_stop);
+  }
+  EXPECT_EQ(res.final_overflow, res.trace.back().overflow);
+  EXPECT_EQ(res.stop_reason, GpStop::kOuterCap);
 }
 
 // The trace carries each outer's inner work: it sums to the run's totals,
