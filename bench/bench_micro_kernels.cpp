@@ -198,12 +198,14 @@ void BM_WirelengthEvalSpread4k(benchmark::State& state) {
 }
 BENCHMARK(BM_WirelengthEvalSpread4k);
 
+// Value with per-pin gradients, no gather: the cost of a line-search probe.
 void BM_WirelengthValueSpread4k(benchmark::State& state) {
   const auto& f = spread4k();
+  const dp::gp::VarMap vars(f.bench.netlist);
   const dp::gp::SmoothWirelength wl(f.bench.netlist,
                                     dp::gp::WirelengthModel::kWa, f.gamma);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(wl.value(f.pl));
+    benchmark::DoNotOptimize(wl.value(f.pl, vars));
   }
 }
 BENCHMARK(BM_WirelengthValueSpread4k);

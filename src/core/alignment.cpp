@@ -24,9 +24,10 @@ void for_lane(const StructureGroup& g, bool slice, std::size_t i, Fn&& fn) {
 
 }  // namespace
 
-double AlignmentPenalty::eval(const netlist::Placement& pl,
-                              const gp::VarMap& vars, std::span<double> gx,
-                              std::span<double> gy) const {
+double AlignmentPenalty::value(const netlist::Placement& pl,
+                               const gp::VarMap& vars) const {
+  gx_.assign(vars.num_vars(), 0.0);
+  gy_.assign(vars.num_vars(), 0.0);
   double value = 0.0;
 
   for (const StructureGroup& g : groups_->groups) {
@@ -51,9 +52,9 @@ double AlignmentPenalty::eval(const netlist::Placement& pl,
           const double d = (slices ? pl[c].y : pl[c].x) - mean;
           local += d * d;
           if (slices) {
-            gy[v] += 2.0 * d;
+            gy_[v] += 2.0 * d;
           } else {
-            gx[v] += 2.0 * d;
+            gx_[v] += 2.0 * d;
           }
         });
         value += local;
@@ -64,6 +65,14 @@ double AlignmentPenalty::eval(const netlist::Placement& pl,
   }
 
   return value;
+}
+
+void AlignmentPenalty::gradient(std::span<double> gx, std::span<double> gy,
+                                double scale) const {
+  for (std::size_t v = 0; v < gx_.size(); ++v) {
+    gx[v] += scale * gx_[v];
+    gy[v] += scale * gy_[v];
+  }
 }
 
 }  // namespace dp::core

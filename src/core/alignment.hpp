@@ -1,5 +1,7 @@
 #pragma once
 
+#include <vector>
+
 #include "gp/vars.hpp"
 #include "netlist/structure.hpp"
 
@@ -25,11 +27,18 @@ class AlignmentPenalty final : public gp::ObjectiveTerm {
   explicit AlignmentPenalty(const netlist::StructureAnnotation& groups)
       : groups_(&groups) {}
 
-  double eval(const netlist::Placement& pl, const gp::VarMap& vars,
-              std::span<double> gx, std::span<double> gy) const override;
+  /// The penalty; keeps its gradient, computed alongside.
+  double value(const netlist::Placement& pl,
+               const gp::VarMap& vars) const override;
+
+  /// Adds `scale` times the kept gradient, over every variable.
+  void gradient(std::span<double> gx, std::span<double> gy,
+                double scale) const override;
 
  private:
   const netlist::StructureAnnotation* groups_;
+  /// The gradient at the last value(), per variable.
+  mutable std::vector<double> gx_, gy_;
 };
 
 }  // namespace dp::core

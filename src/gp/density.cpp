@@ -157,14 +157,6 @@ void DensityPenalty::set_area_scale(std::vector<double> scale) {
   target_per_bin_ = scaled_total_ / static_cast<double>(nb_ * nb_);
 }
 
-double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
-                            std::span<double> gx,
-                            std::span<double> gy) const {
-  const double v = value(pl, vars);
-  gradient(gx, gy);
-  return v;
-}
-
 double DensityPenalty::value(const netlist::Placement& pl,
                              const VarMap& vars) const {
   const geom::Rect& core = design_->core();

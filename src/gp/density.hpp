@@ -24,8 +24,8 @@ namespace dp::gp {
 /// (movable area spread uniformly). Fixed cells inside the core contribute
 /// their exact rectangle overlap to D_b as a constant preload.
 ///
-/// Evaluation runs in three deterministic passes, split so that a line
-/// search can reject a probe without paying for its gradient:
+/// Evaluation runs in three deterministic passes, split between value()
+/// and gradient() like every ObjectiveTerm's:
 ///  - value() runs pass 0 (per cell chunk: each cell's footprint, its x-
 ///    and y-bells and its normalization) and pass 1 (smoothed density,
 ///    accumulated over a few fixed multi-row blocks; every bin row has
@@ -69,19 +69,14 @@ class DensityPenalty final : public ObjectiveTerm {
   /// default to 1.
   void set_area_scale(std::vector<double> scale);
 
-  /// value() followed by gradient(): returns the penalty and adds its
-  /// gradient into gx/gy.
-  double eval(const netlist::Placement& pl, const VarMap& vars,
-              std::span<double> gx, std::span<double> gy) const override;
-
   /// Passes 0-1: the penalty value. Keeps the footprints, bells and per-bin
   /// errors for a following gradient() call.
-  double value(const netlist::Placement& pl, const VarMap& vars) const;
+  double value(const netlist::Placement& pl,
+               const VarMap& vars) const override;
 
-  /// Pass 2: adds `scale` times the gradient at the placement of the most
-  /// recent value() call into gx/gy, indexed like that call's VarMap.
+  /// Pass 2: the gradient from what the last value() kept.
   void gradient(std::span<double> gx, std::span<double> gy,
-                double scale = 1.0) const;
+                double scale) const override;
 
   /// Hard-overflow metric: the fraction of movable area in bins above
   /// `target` density. Computed afresh from the *exact* cell rectangles on
@@ -99,9 +94,7 @@ class DensityPenalty final : public ObjectiveTerm {
   /// gradient() evaluates none.
   std::uint64_t bells_evaluated() const { return bells_evaluated_; }
 
-  std::size_t bins_per_side() const { return nb_; }
   double bin_width() const { return bw_; }
-  double bin_height() const { return bh_; }
 
  private:
   const netlist::Netlist* nl_;

@@ -37,15 +37,6 @@ const char* to_string(CgStop stop) {
   return "unknown";
 }
 
-double Objective::value(std::span<const double> vars) {
-  kept_grad_.resize(vars.size());
-  return eval(vars, kept_grad_);
-}
-
-void Objective::gradient(std::span<double> grad) {
-  std::copy(kept_grad_.begin(), kept_grad_.end(), grad.begin());
-}
-
 CgResult minimize_cg(Objective& objective, std::vector<double>& vars,
                      const CgOptions& options) {
   CgResult result;
@@ -58,7 +49,8 @@ CgResult minimize_cg(Objective& objective, std::vector<double>& vars,
   std::vector<double> grad(n, 0.0), prev_grad(n, 0.0), dir(n, 0.0);
   std::vector<double> trial(n, 0.0);
 
-  double f = objective.eval(vars, grad);
+  double f = objective.value(vars);
+  objective.gradient(grad);
   ++result.evaluations;
   ++result.gradient_evals;
   for (std::size_t i = 0; i < n; ++i) dir[i] = -grad[i];

@@ -1,33 +1,23 @@
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
 namespace dp::gp {
 
 /// A smooth function R^n -> R with gradient, minimized by the CG solver.
+/// The line search calls value() on every probe and asks for the gradient
+/// only once a probe is accepted, so a rejected probe costs no gradient.
 class Objective {
  public:
   virtual ~Objective() = default;
-  /// Writes the full gradient into `grad` (overwrite, not accumulate) and
-  /// returns the objective value.
-  virtual double eval(std::span<const double> vars,
-                      std::span<double> grad) = 0;
 
-  /// The value at `vars`, keeping what gradient() needs. The line search
-  /// calls this on every probe and asks for the gradient only once a probe
-  /// is accepted. The default runs eval() and keeps its gradient; an
-  /// objective whose gradient is costly overrides both to skip it on
-  /// rejected probes. value() then gradient() must equal eval() bitwise.
-  virtual double value(std::span<const double> vars);
+  /// The value at `vars`, keeping what gradient() needs.
+  virtual double value(std::span<const double> vars) = 0;
 
   /// Writes the gradient at the point of the most recent value() call
   /// into `grad` (overwrite, not accumulate).
-  virtual void gradient(std::span<double> grad);
-
- private:
-  std::vector<double> kept_grad_;
+  virtual void gradient(std::span<double> grad) = 0;
 };
 
 struct CgOptions {
@@ -65,7 +55,7 @@ struct CgResult {
   /// line-search entry of gp::EvalProfile.
   std::size_t line_search_evals = 0;
   double line_search_seconds = 0.0;
-  /// Gradients computed: the initial eval() plus one per accepted probe.
+  /// Gradients computed: one at the start plus one per accepted probe.
   /// Rejected probes cost a value only, so this is below `evaluations`
   /// whenever a probe was rejected.
   std::size_t gradient_evals = 0;

@@ -23,9 +23,9 @@ struct TermProfile {
 /// objective term was evaluated and how much wall time it consumed, so
 /// kernel speedups are measured instead of guessed. Every CompositeObjective
 /// evaluation -- the first one of a CG run or a line-search probe -- counts
-/// one call of wirelength, density and each active extra term. Only the
-/// density gradient is deferred: it runs for the first evaluation and the
-/// accepted probes alone, and its time is added to `density.seconds`
+/// one call of wirelength, density and each extra term weighted non-zero.
+/// Every term's gradient is deferred: it runs for the first evaluation and
+/// the accepted probes alone, and its time is added to the term's seconds
 /// without a call. `line_search` counts the Armijo probes (a subset of the
 /// evaluations; their value time is already in the per-term entries), and
 /// `gradients` the objective gradients computed: one per CG run plus one
@@ -44,7 +44,8 @@ struct EvalProfile {
   std::uint64_t density_bells = 0;
   std::uint64_t wirelength_exps = 0;
   /// Extra objective terms by name, in registration order (e.g.
-  /// "alignment" in the structure-aware flow).
+  /// "alignment" in the structure-aware flow). GlobalPlacer::place()
+  /// creates a run's entries before it takes their addresses.
   std::vector<std::pair<std::string, TermProfile>> extras;
 
   /// The entry for `name`, created on first use.

@@ -64,15 +64,32 @@ class VarMap {
   std::vector<std::uint32_t> var_of_;
 };
 
-/// One additive term of the global-placement objective. Implementations
-/// accumulate (+=) their gradient into gx/gy, indexed by variable.
+/// One additive term of the global-placement objective, evaluated in two
+/// steps so that a line search can reject a probe without paying for its
+/// gradient: value() first, gradient() only when asked.
 class ObjectiveTerm {
  public:
   virtual ~ObjectiveTerm() = default;
 
-  /// Returns the term's value; adds d(term)/dx into gx and d/dy into gy.
-  virtual double eval(const netlist::Placement& pl, const VarMap& vars,
-                      std::span<double> gx, std::span<double> gy) const = 0;
+  /// The term's value at `pl`. Keeps what a following gradient() needs.
+  virtual double value(const netlist::Placement& pl,
+                       const VarMap& vars) const = 0;
+
+  /// Adds `scale` times d(term)/dx into gx and d/dy into gy, at the
+  /// placement of the most recent value() call and indexed like that
+  /// call's VarMap: one `g[v] += scale * d` per variable, so a scale of 1
+  /// adds the gradient's bits.
+  virtual void gradient(std::span<double> gx, std::span<double> gy,
+                        double scale) const = 0;
+
+  /// value() then gradient(gx, gy, 1): returns the value and adds the
+  /// gradient into gx/gy.
+  double eval(const netlist::Placement& pl, const VarMap& vars,
+              std::span<double> gx, std::span<double> gy) const {
+    const double f = value(pl, vars);
+    gradient(gx, gy, 1.0);
+    return f;
+  }
 };
 
 }  // namespace dp::gp

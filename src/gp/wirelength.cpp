@@ -15,8 +15,8 @@ namespace {
 /// The gradient gather's chunk minimum, in variables.
 constexpr std::size_t kMinVarsPerChunk = 2048;
 
-/// Log-sum-exp extent and (optional) per-pin gradient for one axis of one
-/// net. `grad`, when non-null, receives weight * d/dc_i.
+/// Log-sum-exp extent and per-pin gradient for one axis of one net.
+/// `grad` receives weight * d/dc_i.
 double lse_axis(const double* coord, std::size_t n, double max_c,
                 double min_c, const double* wmax, const double* wmin,
                 double gamma, double weight, double* grad) {
@@ -25,16 +25,14 @@ double lse_axis(const double* coord, std::size_t n, double max_c,
     smax += wmax[i];
     smin += wmin[i];
   }
-  if (grad != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      grad[i] = weight * (wmax[i] / smax - wmin[i] / smin);
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    grad[i] = weight * (wmax[i] / smax - wmin[i] / smin);
   }
   (void)coord;
   return (max_c + gamma * std::log(smax)) - (min_c - gamma * std::log(smin));
 }
 
-/// Weighted-average extent and (optional) per-pin gradient for one axis.
+/// Weighted-average extent and per-pin gradient for one axis.
 double wa_axis(const double* coord, std::size_t n, double /*max_c*/,
                double /*min_c*/, const double* wmax, const double* wmin,
                double gamma, double weight, double* grad) {
@@ -47,12 +45,10 @@ double wa_axis(const double* coord, std::size_t n, double /*max_c*/,
   }
   const double hi = amax / smax;
   const double lo = amin / smin;
-  if (grad != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double ghi = wmax[i] / smax * (1.0 + (coord[i] - hi) / gamma);
-      const double glo = wmin[i] / smin * (1.0 - (coord[i] - lo) / gamma);
-      grad[i] = weight * (ghi - glo);
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    const double ghi = wmax[i] / smax * (1.0 + (coord[i] - hi) / gamma);
+    const double glo = wmin[i] / smin * (1.0 - (coord[i] - lo) / gamma);
+    grad[i] = weight * (ghi - glo);
   }
   return hi - lo;
 }
@@ -121,15 +117,13 @@ void SmoothWirelength::set_net_weight_scale(std::span<const double> scale) {
   }
 }
 
-double SmoothWirelength::kernel(const netlist::Placement& pl,
-                                bool with_grad) const {
+double SmoothWirelength::value(const netlist::Placement& pl,
+                               const VarMap& /*vars*/) const {
   const std::size_t nchunks = flat_.num_chunks();
   chunk_value_.assign(nchunks, 0.0);
-  if (with_grad) {
-    // Every slot is overwritten (not accumulated), so no zero-fill.
-    gpin_x_.resize(flat_.pin_cell.size());
-    gpin_y_.resize(flat_.pin_cell.size());
-  }
+  // Every slot is overwritten (not accumulated), so no zero-fill.
+  gpin_x_.resize(flat_.pin_cell.size());
+  gpin_y_.resize(flat_.pin_cell.size());
   chunk_scratch_.resize(nchunks);
   const double gamma = gamma_;
   const auto model = model_;
@@ -170,10 +164,7 @@ double SmoothWirelength::kernel(const netlist::Placement& pl,
           }
         }
         exp_weights(coord, deg, max_c, min_c, imax, imin, gamma, wmax, wmin);
-        double* grad = nullptr;
-        if (with_grad) {
-          grad = (axis == 0 ? gpin_x_.data() : gpin_y_.data()) + base;
-        }
+        double* grad = (axis == 0 ? gpin_x_.data() : gpin_y_.data()) + base;
         net_value += model == WirelengthModel::kLse
                          ? lse_axis(coord, deg, max_c, min_c, wmax, wmin,
                                     gamma, weight, grad)
@@ -194,15 +185,12 @@ double SmoothWirelength::kernel(const netlist::Placement& pl,
   return total;
 }
 
-double SmoothWirelength::eval(const netlist::Placement& pl,
-                              const VarMap& vars, std::span<double> gx,
-                              std::span<double> gy) const {
-  const double total = kernel(pl, true);
-
+void SmoothWirelength::gradient(std::span<double> gx, std::span<double> gy,
+                                double scale) const {
   // Gather per-pin gradients into the variables. Each variable's slots
   // are summed in fixed CSR order, so the gather is both race-free and
   // deterministic for any thread count.
-  util::for_chunks(pool_.get(), vars.num_vars(), kMinVarsPerChunk,
+  util::for_chunks(pool_.get(), var_first_.size() - 1, kMinVarsPerChunk,
                    [&](std::size_t, std::size_t v0, std::size_t v1) {
     for (std::size_t v = v0; v < v1; ++v) {
       double sx = 0.0, sy = 0.0;
@@ -210,15 +198,10 @@ double SmoothWirelength::eval(const netlist::Placement& pl,
         sx += gpin_x_[var_slot_[s]];
         sy += gpin_y_[var_slot_[s]];
       }
-      gx[v] += sx;
-      gy[v] += sy;
+      gx[v] += scale * sx;
+      gy[v] += scale * sy;
     }
   });
-  return total;
-}
-
-double SmoothWirelength::value(const netlist::Placement& pl) const {
-  return kernel(pl, false);
 }
 
 }  // namespace dp::gp

@@ -31,20 +31,18 @@ enum class WirelengthModel {
 ///
 /// The hot loop runs over a netlist::FlatNets layout built once in the
 /// constructor (nets with < 2 pins dropped), split into its fixed
-/// pin-balanced chunks. eval() takes the netlist's VarMap: its gradient
-/// gather runs over a variable -> pin-slot transpose built in the
-/// constructor too. With a thread pool attached the chunks evaluate
-/// concurrently; per-pin gradients land in per-pin slots and are gathered
-/// per variable in fixed slot order, so the result is bitwise identical
-/// for every thread count.
+/// pin-balanced chunks. value() evaluates the chunks and keeps every pin's
+/// gradient in its own slot; gradient() gathers the slots per variable of
+/// the netlist's VarMap, over a variable -> pin-slot transpose built in
+/// the constructor too. With a thread pool attached the chunks evaluate
+/// concurrently; the gather sums each variable's slots in fixed slot
+/// order, so the result is bitwise identical for every thread count.
 class SmoothWirelength final : public ObjectiveTerm {
  public:
   SmoothWirelength(const netlist::Netlist& nl, WirelengthModel model,
                    double gamma);
 
   void set_gamma(double gamma) { gamma_ = gamma; }
-  double gamma() const { return gamma_; }
-  WirelengthModel model() const { return model_; }
 
   /// Attach a worker pool for chunk-parallel evaluation; null (the
   /// default) evaluates the chunks serially, producing identical results.
@@ -52,16 +50,16 @@ class SmoothWirelength final : public ObjectiveTerm {
     pool_ = std::move(pool);
   }
 
-  double eval(const netlist::Placement& pl, const VarMap& vars,
-              std::span<double> gx, std::span<double> gy) const override;
+  /// The smoothed wirelength; keeps the per-pin gradients.
+  double value(const netlist::Placement& pl,
+               const VarMap& vars) const override;
 
-  /// Value only (no gradient); used by tests and the kernel
-  /// microbenchmarks. Shares the chunked CSR kernel with eval() in
-  /// null-gradient mode.
-  double value(const netlist::Placement& pl) const;
+  /// Gathers the kept per-pin gradients into the variables.
+  void gradient(std::span<double> gx, std::span<double> gy,
+                double scale) const override;
 
-  /// Deterministic work counter: exp() calls per evaluation (eval() and
-  /// value() alike), fixed by the net degrees.
+  /// Deterministic work counter: exp() calls per value(), fixed by the
+  /// net degrees.
   std::uint64_t exp_calls() const { return exp_calls_; }
 
   /// Rescale the effective weight of every net: the kernel uses
@@ -72,9 +70,6 @@ class SmoothWirelength final : public ObjectiveTerm {
   void set_net_weight_scale(std::span<const double> scale);
 
  private:
-  /// Evaluates all chunks; fills gpin_x_/gpin_y_ when `with_grad`.
-  double kernel(const netlist::Placement& pl, bool with_grad) const;
-
   const netlist::Netlist* nl_;
   WirelengthModel model_;
   double gamma_;

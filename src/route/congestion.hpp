@@ -91,8 +91,6 @@ class CongestionMap {
   CongestionReport report() const;
 
   std::size_t bins_per_side() const { return nb_; }
-  double bin_width() const { return bw_; }
-  double bin_height() const { return bh_; }
 
   /// Per-bin wire demand of the last build (row-major, y * nb + x),
   /// pin surcharge included.

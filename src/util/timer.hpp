@@ -10,9 +10,7 @@ class Timer {
  public:
   Timer() : start_(Clock::now()) {}
 
-  void restart() { start_ = Clock::now(); }
-
-  /// Elapsed seconds since construction or the last restart().
+  /// Elapsed seconds since construction.
   double seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }

@@ -415,7 +415,7 @@ void expect_bitwise(const dpgen::Benchmark& b, const Placement& pl,
     EXPECT_EQ(bits(den.eval(pl, vars, gx, gy)), bits(rv));
     std::vector<double> sx = prefill, sy = prefill;
     EXPECT_EQ(bits(den.value(pl, vars)), bits(rv));
-    den.gradient(sx, sy);
+    den.gradient(sx, sy, 1.0);
     std::size_t mismatches = 0;
     for (std::size_t v = 0; v < n; ++v) {
       mismatches += bits(gx[v]) != bits(rgx[v]) || bits(gy[v]) != bits(rgy[v]);
@@ -610,7 +610,7 @@ void expect_after_probe(DensityPenalty& den, const Placement& probe,
   den.value(probe, vars);
   EXPECT_EQ(bits(den.value(pl, vars)), bits(want.value));
   std::vector<double> gx(vars.num_vars(), 0.0), gy(vars.num_vars(), 0.0);
-  den.gradient(gx, gy);
+  den.gradient(gx, gy, 1.0);
   std::size_t mismatches = 0;
   for (std::size_t v = 0; v < gx.size(); ++v) {
     mismatches += bits(gx[v]) != bits(want.gx[v]) ||

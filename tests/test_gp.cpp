@@ -3,11 +3,14 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <string>
 
+#include "core/alignment.hpp"
 #include "dpgen/benchmarks.hpp"
 #include "eval/metrics.hpp"
 #include "gp/global_placer.hpp"
 #include "gp/quadratic.hpp"
+#include "util/prng.hpp"
 
 namespace dp::gp {
 namespace {
@@ -105,6 +108,109 @@ TEST(DensityPenalty, EveryValueCallSpreadsTheCells) {
             std::bit_cast<std::uint64_t>(first));
 }
 
+// ---- The ObjectiveTerm contract -------------------------------------------
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// The entries of `a` and `b` whose bits differ.
+std::size_t mismatches(std::span<const double> a, std::span<const double> b) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) n += bits(a[i]) != bits(b[i]);
+  return n;
+}
+
+/// Checks, at two placements `a` and `b`, what the composite objective
+/// relies on from every term: eval() is value() then gradient(..., 1) bit
+/// for bit; gradient(gx, gy, s) adds exactly s times the gradient; and
+/// after value(a), value(b), gradient() is b's gradient.
+void expect_term_contract(const ObjectiveTerm& term, const VarMap& vars,
+                          const Placement& a, const Placement& b) {
+  const std::size_t n = vars.num_vars();
+  std::vector<double> base(n);
+  util::Rng rng(11);
+  for (double& g : base) g = rng.uniform(-1.0, 1.0);
+
+  // b's value and gradient, added onto zero.
+  const double fb = term.value(b, vars);
+  std::vector<double> gx(n, 0.0), gy(n, 0.0);
+  term.gradient(gx, gy, 1.0);
+
+  std::vector<double> ex = base, ey = base;
+  EXPECT_EQ(bits(term.eval(b, vars, ex, ey)), bits(fb));
+  std::vector<double> sx = base, sy = base;
+  EXPECT_EQ(bits(term.value(b, vars)), bits(fb));
+  term.gradient(sx, sy, 1.0);
+  EXPECT_EQ(mismatches(ex, sx) + mismatches(ey, sy), 0u);
+
+  for (const double s : {0.25, 3.0}) {
+    SCOPED_TRACE("scale=" + std::to_string(s));
+    std::vector<double> tx = base, ty = base, want_x(n), want_y(n);
+    term.gradient(tx, ty, s);
+    for (std::size_t v = 0; v < n; ++v) {
+      want_x[v] = base[v] + s * gx[v];
+      want_y[v] = base[v] + s * gy[v];
+    }
+    EXPECT_EQ(mismatches(tx, want_x) + mismatches(ty, want_y), 0u);
+  }
+
+  // a's gradient differs from b's, so the last check can fail.
+  term.value(a, vars);
+  std::vector<double> ax(n, 0.0), ay(n, 0.0);
+  term.gradient(ax, ay, 1.0);
+  EXPECT_GT(mismatches(ax, gx) + mismatches(ay, gy), 0u);
+  EXPECT_EQ(bits(term.value(b, vars)), bits(fb));
+  std::vector<double> lx(n, 0.0), ly(n, 0.0);
+  term.gradient(lx, ly, 1.0);
+  EXPECT_EQ(mismatches(lx, gx) + mismatches(ly, gy), 0u);
+}
+
+/// The quadratic placement of SmallBench (`a`) and a jittered copy (`b`).
+struct TwoPlacements {
+  explicit TwoPlacements(const SmallBench& sb) : vars(sb.bench->netlist) {
+    a = sb.bench->placement;
+    quadratic_initial_placement(sb.bench->netlist, sb.bench->design, vars,
+                                a);
+    b = a;
+    util::Rng rng(9);
+    for (const CellId c : vars.movable_cells()) {
+      b[c].x += rng.uniform(-2.0, 2.0);
+      b[c].y += rng.uniform(-2.0, 2.0);
+    }
+  }
+  VarMap vars;
+  Placement a, b;
+};
+
+TEST(ObjectiveTerm, WirelengthKeepsTheContract) {
+  SmallBench sb;
+  const TwoPlacements p(sb);
+  for (const auto model : {WirelengthModel::kWa, WirelengthModel::kLse}) {
+    SCOPED_TRACE(model == WirelengthModel::kWa ? "WA" : "LSE");
+    const SmoothWirelength wl(sb.bench->netlist, model, 1.5);
+    expect_term_contract(wl, p.vars, p.a, p.b);
+  }
+}
+
+TEST(ObjectiveTerm, DensityWithAreaScaleKeepsTheContract) {
+  SmallBench sb;
+  const TwoPlacements p(sb);
+  const auto& nl = sb.bench->netlist;
+  DensityPenalty density(nl, sb.bench->design);
+  std::vector<double> scale(nl.num_cells(), 1.0);
+  for (CellId c = 0; c < nl.num_cells(); c += 2) scale[c] = 0.6;
+  density.set_area_scale(scale);
+  density.preload_obstacles(p.a, p.vars);
+  expect_term_contract(density, p.vars, p.a, p.b);
+}
+
+TEST(ObjectiveTerm, AlignmentKeepsTheContract) {
+  SmallBench sb;
+  const TwoPlacements p(sb);
+  ASSERT_FALSE(sb.bench->truth.groups.empty());
+  const core::AlignmentPenalty alignment(sb.bench->truth);
+  expect_term_contract(alignment, p.vars, p.a, p.b);
+}
+
 TEST(GlobalPlacer, ReducesOverflowBelowStop) {
   SmallBench sb;
   GpOptions opt;
@@ -145,16 +251,25 @@ TEST(GlobalPlacer, ExtraTermPullsThePlacement) {
   // wirelength force it must visibly drag the placement toward the corner.
   class Pull final : public ObjectiveTerm {
    public:
-    double eval(const Placement& pl, const VarMap& vars,
-                std::span<double> gx, std::span<double> gy) const override {
+    double value(const Placement& pl, const VarMap& vars) const override {
       double f = 0.0;
+      at_.clear();
       for (const CellId c : vars.movable_cells()) {
         f += pl[c].x * pl[c].x + pl[c].y * pl[c].y;
-        gx[vars.var(c)] += 2 * pl[c].x;
-        gy[vars.var(c)] += 2 * pl[c].y;
+        at_.push_back(pl[c]);
       }
       return f;
     }
+    void gradient(std::span<double> gx, std::span<double> gy,
+                  double scale) const override {
+      for (std::size_t v = 0; v < at_.size(); ++v) {
+        gx[v] += scale * 2 * at_[v].x;
+        gy[v] += scale * 2 * at_[v].y;
+      }
+    }
+
+   private:
+    mutable std::vector<geom::Point> at_;  ///< positions at the last value()
   };
   Pull pull;
   GpOptions opt;

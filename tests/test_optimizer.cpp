@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -9,8 +10,27 @@
 namespace dp::gp {
 namespace {
 
+/// An objective written as one full evaluation: value() runs eval() and
+/// keeps its gradient, gradient() hands the kept copy out.
+class WholeObjective : public Objective {
+ public:
+  /// Writes the full gradient into `g` and returns the value.
+  virtual double eval(std::span<const double> v, std::span<double> g) = 0;
+
+  double value(std::span<const double> v) final {
+    kept_.resize(v.size());
+    return eval(v, kept_);
+  }
+  void gradient(std::span<double> g) final {
+    std::copy(kept_.begin(), kept_.end(), g.begin());
+  }
+
+ private:
+  std::vector<double> kept_;
+};
+
 /// f(x) = sum (x_i - t_i)^2 -- convex bowl with known minimum.
-class Bowl final : public Objective {
+class Bowl final : public WholeObjective {
  public:
   explicit Bowl(std::vector<double> target) : target_(std::move(target)) {}
   double eval(std::span<const double> v, std::span<double> g) override {
@@ -28,7 +48,7 @@ class Bowl final : public Objective {
 };
 
 /// 2-D Rosenbrock: the classic narrow-valley stress test.
-class Rosenbrock final : public Objective {
+class Rosenbrock final : public WholeObjective {
  public:
   double eval(std::span<const double> v, std::span<double> g) override {
     const double x = v[0], y = v[1];
@@ -44,11 +64,6 @@ class Rosenbrock final : public Objective {
 /// gradient() computes the gradient there on demand.
 class SplitRosenbrock final : public Objective {
  public:
-  double eval(std::span<const double> v, std::span<double> g) override {
-    const double f = value(v);
-    gradient(g);
-    return f;
-  }
   double value(std::span<const double> v) override {
     x_ = v[0];
     y_ = v[1];
@@ -153,7 +168,7 @@ TEST(Cg, MonotoneNonIncreasing) {
 
 /// f(x) = sum x_i^2 reporting the gradient's negation, so every direction
 /// it calls descent goes uphill.
-class UphillGradient final : public Objective {
+class UphillGradient final : public WholeObjective {
  public:
   double eval(std::span<const double> v, std::span<double> g) override {
     double f = 0.0;

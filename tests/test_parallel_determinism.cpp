@@ -76,15 +76,16 @@ TEST(ParallelDeterminism, DensityKernelBitwiseAcrossThreadCounts) {
   expect_bitwise_equal(serial, eval_density(4));
 }
 
-TEST(ParallelDeterminism, NullGradientValueMatchesEval) {
-  // value() shares the CSR kernel with eval() in null-gradient mode, so
-  // the two paths must agree exactly.
+TEST(ParallelDeterminism, WirelengthValueMatchesEval) {
+  // value() alone and value() inside eval() run the same kernel, so the
+  // two must agree exactly.
   const auto& b = add32();
   const VarMap vars(b.netlist);
   for (const auto model : {WirelengthModel::kWa, WirelengthModel::kLse}) {
     SmoothWirelength wl(b.netlist, model, 1.5);
     std::vector<double> gx(vars.num_vars(), 0.0), gy(vars.num_vars(), 0.0);
-    EXPECT_EQ(wl.value(b.placement), wl.eval(b.placement, vars, gx, gy));
+    EXPECT_EQ(wl.value(b.placement, vars),
+              wl.eval(b.placement, vars, gx, gy));
   }
 }
 

@@ -304,7 +304,7 @@ void expect_wl_bitwise(const netlist::Netlist& nl, const Placement& pl,
       wl.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
       std::vector<double> gx = prefill, gy = prefill;
       EXPECT_EQ(bits(wl.eval(pl, vars, gx, gy)), bits(rv));
-      EXPECT_EQ(bits(wl.value(pl)), bits(rv));
+      EXPECT_EQ(bits(wl.value(pl, vars)), bits(rv));
       std::size_t mismatches = 0;
       for (std::size_t v = 0; v < n; ++v) {
         mismatches += bits(gx[v]) != bits(rgx[v]) ||
@@ -473,7 +473,7 @@ TEST(SmoothWirelength, LseUpperBoundsHpwl) {
   pl[f.a] = {0, 0};
   pl[f.b] = {7, 2};
   SmoothWirelength lse(*f.nl, WirelengthModel::kLse, 1.0);
-  EXPECT_GE(lse.value(pl), eval::hpwl(*f.nl, pl) - 1e-9);
+  EXPECT_GE(lse.value(pl, VarMap(*f.nl)), eval::hpwl(*f.nl, pl) - 1e-9);
 }
 
 TEST(SmoothWirelength, WaLowerBoundsHpwl) {
@@ -482,7 +482,7 @@ TEST(SmoothWirelength, WaLowerBoundsHpwl) {
   pl[f.a] = {0, 0};
   pl[f.b] = {7, 2};
   SmoothWirelength wa(*f.nl, WirelengthModel::kWa, 1.0);
-  EXPECT_LE(wa.value(pl), eval::hpwl(*f.nl, pl) + 1e-9);
+  EXPECT_LE(wa.value(pl, VarMap(*f.nl)), eval::hpwl(*f.nl, pl) + 1e-9);
 }
 
 class ModelConvergence
@@ -494,10 +494,11 @@ TEST_P(ModelConvergence, ApproachesHpwlAsGammaShrinks) {
   pl[f.a] = {0, 0};
   pl[f.b] = {10, 6};
   const double exact = eval::hpwl(*f.nl, pl);
+  const VarMap vars(*f.nl);
   SmoothWirelength model(*f.nl, GetParam(), 4.0);
-  const double loose = std::abs(model.value(pl) - exact);
+  const double loose = std::abs(model.value(pl, vars) - exact);
   model.set_gamma(0.05);
-  const double tight = std::abs(model.value(pl) - exact);
+  const double tight = std::abs(model.value(pl, vars) - exact);
   EXPECT_LT(tight, loose);
   EXPECT_LT(tight, 0.2);
 }
@@ -508,7 +509,7 @@ TEST_P(ModelConvergence, StableForDistantCells) {
   pl[f.a] = {0, 0};
   pl[f.b] = {1e6, 1e6};  // would overflow exp() without max-shift
   SmoothWirelength model(*f.nl, GetParam(), 0.5);
-  EXPECT_TRUE(std::isfinite(model.value(pl)));
+  EXPECT_TRUE(std::isfinite(model.value(pl, VarMap(*f.nl))));
 }
 
 /// Finite-difference gradient validation on a random small netlist.
@@ -538,9 +539,9 @@ TEST_P(ModelConvergence, GradientMatchesFiniteDifference) {
     const CellId c = vars.cell(v);
     const double x0 = pl[c].x;
     pl[c].x = x0 + h;
-    const double fp = model.value(pl);
+    const double fp = model.value(pl, vars);
     pl[c].x = x0 - h;
-    const double fm = model.value(pl);
+    const double fm = model.value(pl, vars);
     pl[c].x = x0;
     EXPECT_NEAR(gx[v], (fp - fm) / (2 * h), 1e-4)
         << "cell " << nl.cell(c).name;
@@ -568,6 +569,7 @@ TEST(SmoothWirelength, WaTighterThanLse) {
   }
   SmoothWirelength lse(bench.netlist, WirelengthModel::kLse, 1.0);
   SmoothWirelength wa(bench.netlist, WirelengthModel::kWa, 1.0);
+  const VarMap vars(bench.netlist);
   // The tightness claim is statistical, not per-instance: average the
   // approximation error over several random placements.
   double err_lse = 0.0, err_wa = 0.0;
@@ -578,8 +580,8 @@ TEST(SmoothWirelength, WaTighterThanLse) {
       }
     }
     const double exact = eval::hpwl(bench.netlist, pl);
-    err_lse += std::abs(lse.value(pl) - exact);
-    err_wa += std::abs(wa.value(pl) - exact);
+    err_lse += std::abs(lse.value(pl, vars) - exact);
+    err_wa += std::abs(wa.value(pl, vars) - exact);
   }
   EXPECT_LT(err_wa, err_lse);
 }
