@@ -16,7 +16,7 @@ int main() {
     if (b.truth.groups.empty()) continue;
     double base_stdev = 0.0;
     for (const bench::Flow flow :
-         {bench::Flow::kBaseline, bench::Flow::kGentle, bench::Flow::kBlocks}) {
+         {bench::Flow::kBaseline, bench::Flow::kGentle}) {
       const auto r = bench::run_flow(b, flow);
       const auto truth = bench::truth_score(b, r.placement);
       if (flow == bench::Flow::kBaseline) base_stdev = truth.net_stdev;

@@ -18,13 +18,12 @@
 
 namespace dp::bench {
 
-enum class Flow { kBaseline, kGentle, kBlocks };
+enum class Flow { kBaseline, kGentle };
 
 inline const char* flow_name(Flow flow) {
   switch (flow) {
     case Flow::kBaseline: return "baseline";
     case Flow::kGentle: return "sa-gentle";
-    case Flow::kBlocks: return "sa-blocks";
   }
   return "?";
 }
@@ -32,9 +31,6 @@ inline const char* flow_name(Flow flow) {
 inline core::PlacerConfig flow_config(Flow flow) {
   core::PlacerConfig config;
   config.structure_aware = flow != Flow::kBaseline;
-  config.legalization = flow == Flow::kBlocks
-                            ? core::LegalizationMode::kStructured
-                            : core::LegalizationMode::kGentle;
   return config;
 }
 

@@ -7,7 +7,6 @@
 //   dpplace_cli --aux path/to/design.aux [options]
 // Options:
 //   --baseline            structure-oblivious flow (default: structure-aware)
-//   --blocks              template-block legalization (default: gentle)
 //   --weight W            alignment weight (default 0.5)
 //   --threads N           gradient-kernel worker threads (default 0 =
 //                         hardware concurrency; results are identical for
@@ -71,7 +70,7 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s (--bench NAME | --aux FILE) [--baseline] "
-               "[--blocks] [--weight W] [--threads N] "
+               "[--weight W] [--threads N] "
                "[--congestion] [--congestion-bins N] [--congestion-refine] "
                "[--timing] [--timing-weight W] "
                "[--timing-period P] [--report-json FILE] [--out PREFIX] "
@@ -124,8 +123,6 @@ int run(int argc, char** argv) {
       aux_path = next();
     } else if (arg == "--baseline") {
       config.structure_aware = false;
-    } else if (arg == "--blocks") {
-      config.legalization = core::LegalizationMode::kStructured;
     } else if (arg == "--weight") {
       config.alignment_weight = number();
     } else if (arg == "--threads") {

@@ -1,8 +1,7 @@
 // Mixed-design walkthrough: place a design that is half datapath and half
-// random control logic with the baseline flow, the structure-aware flow
-// with gentle legalization, and the structure-aware flow with full
-// template-block legalization; compare wirelength, datapath wirelength,
-// alignment, and runtime. Writes SVG renderings of all three placements.
+// random control logic with the baseline flow and the structure-aware flow;
+// compare wirelength, datapath wirelength, alignment, and runtime. Writes
+// SVG renderings of both placements.
 //
 //   ./build/examples/mixed_design [output_dir]
 
@@ -31,18 +30,12 @@ int main(int argc, char** argv) {
   struct Variant {
     const char* name;
     bool structure_aware;
-    core::LegalizationMode mode;
   };
-  const Variant variants[] = {
-      {"baseline", false, core::LegalizationMode::kGentle},
-      {"sa-gentle", true, core::LegalizationMode::kGentle},
-      {"sa-blocks", true, core::LegalizationMode::kStructured},
-  };
+  const Variant variants[] = {{"baseline", false}, {"sa-gentle", true}};
 
   for (const Variant& v : variants) {
     core::PlacerConfig config;
     config.structure_aware = v.structure_aware;
-    config.legalization = v.mode;
     core::StructurePlacer placer(bench.netlist, bench.design, config);
     netlist::Placement pl = bench.placement;
     const core::PlaceReport rep = placer.place(pl, &bench.truth);

@@ -373,9 +373,9 @@ void rule_structure_members(const CheckContext& ctx, DiagnosticSink& sink) {
   }
 }
 
-/// Cells within one stage column share a cell type: the alignment term and
-/// plate legalizer assume a stage is one vertical slice of identical
-/// (signature-compatible) cells. Mixed stages place fine but misalign, so
+/// Cells within one stage column share a cell type: the alignment term
+/// assumes a stage is one vertical slice of identical (signature-compatible)
+/// cells. Mixed stages place fine but misalign, so
 /// this is a warning.
 void rule_structure_stage_types(const CheckContext& ctx,
                                 DiagnosticSink& sink) {

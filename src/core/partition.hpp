@@ -7,10 +7,9 @@ namespace dp::core {
 
 /// Maximum estimated group width as a fraction of the core width. A group
 /// whose aligned layout would be wider is split into consecutive stage
-/// spans (the classic "snaked" datapath floorplan). Kept below one third
-/// of the core so the block packer can fit three plates per row band --
-/// wider plates fragment the rows they cross and quickly make the
-/// remaining windows infeasible.
+/// spans (the classic "snaked" datapath floorplan). Every structure-aware
+/// placement depends on this value, so changing it is a quality change of
+/// its own, to be re-measured against the baseline on several seeds.
 inline constexpr double kPartitionMaxWidthFraction = 0.28;
 /// Maximum lanes as a fraction of the core row count; taller groups are
 /// split into lane bands.

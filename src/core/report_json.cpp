@@ -84,8 +84,6 @@ std::string report_to_json(const PlaceReport& report,
   out << "{\"schema_version\":" << kReportJsonSchemaVersion
       << ",\"hpwl\":{\"gp\":";
   append_number(out, report.hpwl_gp);
-  out << ",\"first_legal\":";
-  append_number(out, report.hpwl_first_legal);
   out << ",\"legal\":";
   append_number(out, report.hpwl_legal);
   out << ",\"final\":";
@@ -127,8 +125,6 @@ std::string report_to_json(const PlaceReport& report,
       << "},\"structure\":{\"groups\":" << report.structure.groups.size()
       << ",\"cells\":" << report.structure.total_cells()
       << ",\"extraction_seeds\":" << report.extraction_seeds
-      << ",\"legal_blocks\":" << report.legal_blocks
-      << ",\"legal_fallback\":" << report.legal_fallback
       << ",\"plate_overlap_gp\":";
   append_number(out, report.plate_overlap_gp);
   out << "},\"gp\":{\"final_overflow\":";

@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 
 #include "core/partition.hpp"
 #include "extract/extractor.hpp"
@@ -179,16 +180,9 @@ class RunContext {
   // ---- phase 3: legalization -----------------------------------------------
   void legalize() {
     util::Timer stage;
-    if (structured_ &&
-        config_.legalization == LegalizationMode::kStructured) {
-      legalize_blocks();
-    } else {
-      legal::AbacusLegalizer legalizer(nl_, design_);
-      legalizer.run_all(pl_);
-      if (structured_) report.hpwl_first_legal = eval::hpwl(nl_, pl_);
-    }
-    // Legality guarantee: whatever mode ran, overlaps and off-grid cells
-    // are ripped up and re-placed into real free space.
+    legal::AbacusLegalizer(nl_, design_).run_all(pl_);
+    // Legality guarantee: overlaps and off-grid cells Abacus left are
+    // ripped up and re-placed into real free space.
     legal::repair_legality(nl_, design_, pl_);
     if (util::Logger::level() <= util::LogLevel::kDebug) {
       const auto lr = eval::check_legality(nl_, design_, pl_);
@@ -224,14 +218,8 @@ class RunContext {
         return delta <= 1e-12;
       };
     }
-    // Detail moves keep every cell in its row, so bit rows stay aligned;
-    // only the template blocks' plates are held in place.
-    const bool hold_plates =
-        structured_ && config_.legalization == LegalizationMode::kStructured;
-    const netlist::StructureAnnotation no_groups;
-    detail::DetailedPlacer detailer(nl_, design_);
-    report.detail_stats =
-        detailer.run(pl_, hold_plates ? report.structure : no_groups, opt);
+    // Detail moves keep every cell in its row, so bit rows stay aligned.
+    report.detail_stats = detail::DetailedPlacer(nl_, design_).run(pl_, opt);
     report.t_detail = stage.seconds();
     run_checks("detail", check::kCatGeometry | check::kCatLegality, 1e-6);
   }
@@ -309,23 +297,6 @@ class RunContext {
         eval::alignment_score(nl_, pl_, report.structure).rms_misalignment;
     report.plate_overlap_gp =
         eval::cross_group_overlap(nl_, design_, pl_, report.structure);
-  }
-
-  void legalize_blocks() {
-    legal::StructureLegalizer legalizer(nl_, design_, report.structure);
-    const auto stats = legalizer.run(pl_);
-    if (stats.groups_fallback > 0) {
-      util::Logger::warn("structure legalization: %zu groups fell back",
-                         stats.groups_fallback);
-    }
-    report.hpwl_first_legal = eval::hpwl(nl_, pl_);
-    report.legal_blocks = stats.groups_placed_as_blocks;
-    report.legal_fallback = stats.groups_fallback;
-    util::Logger::debug("legal1: hpwl=%.1f slice_disp=%.2f rest_disp=%.2f",
-                        report.hpwl_first_legal,
-                        stats.slices.avg_displacement(),
-                        stats.rest.avg_displacement());
-    log_group_boxes("post-legal1");
   }
 
   /// A global placer on the run's pool; a non-empty `area_scale` goes to
@@ -508,7 +479,13 @@ class RunContext {
 StructurePlacer::StructurePlacer(const netlist::Netlist& nl,
                                  const netlist::Design& design,
                                  PlacerConfig config)
-    : nl_(&nl), design_(&design), config_(std::move(config)) {}
+    : nl_(&nl), design_(&design), config_(std::move(config)) {
+  if (config_.legalization != LegalizationMode::kGentle) {
+    throw std::invalid_argument(
+        "StructurePlacer: the template-block flow (kStructured) is deleted; "
+        "only kGentle legalization remains");
+  }
+}
 
 PlaceReport StructurePlacer::place(netlist::Placement& pl,
                                    const netlist::StructureAnnotation* truth) {

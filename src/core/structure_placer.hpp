@@ -9,22 +9,17 @@
 #include "extract/metrics.hpp"
 #include "gp/global_placer.hpp"
 #include "legal/abacus.hpp"
-#include "legal/structure_legal.hpp"
 #include "route/inflation.hpp"
 #include "timing/timing_analyzer.hpp"
 
 namespace dp::core {
 
-/// How the structure-aware flow legalizes.
+/// Kept only for `flowbench`, the end-to-end benchmark, which still names
+/// both values. The structure-aware flow has one legalization: Abacus, then
+/// repair_legality, then the detailer (kGentle). The template-block flow
+/// (kStructured) is deleted; StructurePlacer rejects it.
 enum class LegalizationMode {
-  /// Template blocks: every group becomes a perfect rectangular array
-  /// (plate packing, then Abacus legalization of the other cells around
-  /// the plates). Maximum regularity; can cost wirelength on designs
-  /// dominated by long chains.
   kStructured,
-  /// Gentle: plain Abacus legalization of the alignment-shaped global
-  /// placement. Alignment is preserved approximately (cells move less
-  /// than a row on average), wirelength stays close to the global result.
   kGentle,
 };
 
@@ -55,10 +50,8 @@ struct PlacerConfig {
   /// (extraction-oracle ablation).
   bool use_truth_structure = false;
 
-  /// Legalization style of the structure-aware flow (see LegalizationMode).
-  /// Gentle matches the paper's flow (alignment inside the analytical
-  /// placer, conventional legalization); the template-block mode is this
-  /// library's stricter extension, exercised by the ablation benches.
+  /// Kept only for `flowbench`, which still sets it: only kGentle is
+  /// accepted (see LegalizationMode).
   LegalizationMode legalization = LegalizationMode::kGentle;
 
   /// Invariant checking between pipeline phases (see check::run_checks):
@@ -120,10 +113,9 @@ struct PlaceReport {
 
   gp::GpResult gp_result;
   detail::DetailStats detail_stats;
-  /// Structure legalization outcome (structure-aware flow only).
+  /// Always 0; kept only for `flowbench`, which still reads them.
   std::size_t legal_blocks = 0;
   std::size_t legal_fallback = 0;
-  double hpwl_first_legal = 0.0;  ///< structure-aware flow, before repair
   eval::LegalityReport legality;
   /// Final alignment of `structure`, the groups this run placed (0 if none).
   eval::AlignmentScore alignment;
@@ -164,11 +156,13 @@ struct PlaceReport {
 
 /// The complete structure-aware placement pipeline of the paper:
 /// extraction -> alignment-augmented analytical global placement ->
-/// structure-preserving legalization -> structure-aware detailed
-/// placement. With `structure_aware = false` it degrades to the plain
-/// analytical flow used as the baseline in every experiment.
+/// row legalization (Abacus, then repair_legality) -> row-preserving
+/// detailed placement. With `structure_aware = false` it degrades to the
+/// plain analytical flow used as the baseline in every experiment.
 class StructurePlacer {
  public:
+  /// Throws std::invalid_argument when `config.legalization` is not
+  /// kGentle: a removed flow fails loudly instead of running another.
   StructurePlacer(const netlist::Netlist& nl, const netlist::Design& design,
                   PlacerConfig config = {});
 

@@ -22,7 +22,7 @@ namespace {
 constexpr double kRelImprovementFloor = 1e-4;
 
 /// One occupied interval of a row: a movable cell, or a blocked interval
-/// nothing moves (a fixed cell's row block or a held cell).
+/// nothing moves (a fixed cell's row block).
 struct Entry {
   double lx = 0.0;
   double width = 0.0;
@@ -38,14 +38,13 @@ struct Entry {
 class Engine {
  public:
   Engine(const netlist::Netlist& nl, const netlist::Design& design,
-         netlist::Placement& pl, const std::vector<bool>& held,
-         const DetailOptions& options)
+         netlist::Placement& pl, const DetailOptions& options)
       : nl_(&nl),
         design_(&design),
         pl_(&pl),
         options_(&options),
         scorer_(nl, pl) {
-    build_rows(held);
+    build_rows();
   }
 
   DetailStats optimize() {
@@ -74,14 +73,13 @@ class Engine {
   }
 
  private:
-  void build_rows(const std::vector<bool>& held) {
+  void build_rows() {
     rows_.assign(design_->num_rows(), {});
     for (CellId c = 0; c < nl_->num_cells(); ++c) {
       if (nl_->cell(c).fixed) continue;
       const double w = nl_->cell_width(c);
       const std::size_t r = design_->nearest_row((*pl_)[c].y);
-      rows_[r].push_back(
-          {(*pl_)[c].x - w / 2.0, w, held[c] ? kInvalidId : c});
+      rows_[r].push_back({(*pl_)[c].x - w / 2.0, w, c});
     }
     for (const netlist::RowBlock& b :
          netlist::fixed_row_blocks(*nl_, *design_, *pl_)) {
@@ -241,10 +239,8 @@ DetailedPlacer::DetailedPlacer(const netlist::Netlist& nl,
     : nl_(&nl), design_(&design) {}
 
 DetailStats DetailedPlacer::run(netlist::Placement& pl,
-                                const netlist::StructureAnnotation& groups,
                                 const DetailOptions& options) {
-  Engine engine(*nl_, *design_, pl, groups.membership(nl_->num_cells()),
-                options);
+  Engine engine(*nl_, *design_, pl, options);
   return engine.optimize();
 }
 

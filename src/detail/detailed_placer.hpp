@@ -8,7 +8,6 @@
 #include "eval/metrics.hpp"
 #include "netlist/design.hpp"
 #include "netlist/netlist.hpp"
-#include "netlist/structure.hpp"
 
 namespace dp::detail {
 
@@ -44,13 +43,9 @@ class DetailedPlacer {
  public:
   DetailedPlacer(const netlist::Netlist& nl, const netlist::Design& design);
 
-  /// Detailed placement over all movable cells except the members of
-  /// `groups`, which stay where they are as blocked row intervals, like
-  /// fixed cells. The template-block flow holds its plates this way; the
-  /// argument goes away with that flow.
-  DetailStats run(netlist::Placement& pl,
-                  const netlist::StructureAnnotation& groups,
-                  const DetailOptions& options = {});
+  /// Detailed placement over all movable cells; fixed cells are blocked
+  /// row intervals.
+  DetailStats run(netlist::Placement& pl, const DetailOptions& options = {});
 
  private:
   const netlist::Netlist* nl_;

@@ -20,8 +20,8 @@ struct PassProfile {
 struct Profile {
   PassProfile slide;       ///< per-cell optimal-interval slides
   PassProfile swap;        ///< adjacent-pair swaps
-  /// Always zero (no whole-slice moves); kept while the end-to-end
-  /// benchmark reads it, until it drops the template-block flow.
+  /// Always zero (no whole-slice moves); kept only for `flowbench`, the
+  /// end-to-end benchmark, which still reads it.
   PassProfile unit_slide;
 
   /// Nets scored: one per (candidate move, net of a moved cell) pair,

@@ -16,10 +16,8 @@ namespace dp::legal {
 /// arrivals instead of pinning them behind a fill frontier.
 ///
 /// Operates on a free-space RowMap, so it handles rows fragmented by
-/// fixed macros or pre-placed datapath plates. It is the only row
-/// legalizer: the flows run it on the bare core, the structure legalizer
-/// on the glue around the plates, and repair_legality on ripped-out
-/// cells.
+/// fixed macros. It is the only row legalizer: the flows run it on the
+/// core around the fixed cells, and repair_legality on ripped-out cells.
 class AbacusLegalizer {
  public:
   AbacusLegalizer(const netlist::Netlist& nl, const netlist::Design& design);

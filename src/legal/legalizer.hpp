@@ -18,12 +18,6 @@ struct LegalizeStats {
     total_displacement += d;
     ++cells_placed;
   }
-
-  double avg_displacement() const {
-    return cells_placed > 0
-               ? total_displacement / static_cast<double>(cells_placed)
-               : 0.0;
-  }
 };
 
 }  // namespace dp::legal

@@ -15,7 +15,7 @@ struct Segment {
 };
 
 /// Free-space map of the placement rows: each row is a sorted list of free
-/// segments, shrinking as obstacles (fixed cells, pre-placed slices) are
+/// segments, shrinking as obstacles (fixed cells, already-legal cells) are
 /// blocked out. Legalizers allocate cells from the remaining segments.
 class RowMap {
  public:

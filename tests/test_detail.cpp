@@ -47,7 +47,7 @@ TEST_P(DetailProperty, NeverIncreasesHpwl) {
   LegalBench lb(GetParam());
   const double before = eval::hpwl(lb.bench->netlist, lb.pl);
   DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
-  const DetailStats stats = placer.run(lb.pl, {});
+  const DetailStats stats = placer.run(lb.pl);
   EXPECT_LE(stats.hpwl_after, before + 1e-9);
   EXPECT_DOUBLE_EQ(stats.hpwl_before, before);
 }
@@ -58,16 +58,7 @@ TEST_P(DetailProperty, PreservesLegality) {
       eval::check_legality(lb.bench->netlist, lb.bench->design, lb.pl)
           .legal());
   DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
-  placer.run(lb.pl, {});
-  EXPECT_TRUE(
-      eval::check_legality(lb.bench->netlist, lb.bench->design, lb.pl)
-          .legal());
-}
-
-TEST_P(DetailProperty, StructuredModePreservesLegality) {
-  LegalBench lb(GetParam());
-  DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
-  placer.run(lb.pl, lb.bench->truth);
+  placer.run(lb.pl);
   EXPECT_TRUE(
       eval::check_legality(lb.bench->netlist, lb.bench->design, lb.pl)
           .legal());
@@ -79,7 +70,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DetailProperty,
 TEST(Detail, ActuallyImprovesRandomLegalPlacement) {
   LegalBench lb(9);
   DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
-  const DetailStats stats = placer.run(lb.pl, {});
+  const DetailStats stats = placer.run(lb.pl);
   EXPECT_LT(stats.hpwl_after, stats.hpwl_before);
   EXPECT_GT(stats.profile.slide.accepted + stats.profile.swap.accepted, 0u);
 }
@@ -90,7 +81,7 @@ TEST(Detail, MaxPassesZeroIsNoop) {
   DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
   DetailOptions opt;
   opt.max_passes = 0;
-  placer.run(lb.pl, {}, opt);
+  placer.run(lb.pl, opt);
   for (CellId c = 0; c < lb.bench->netlist.num_cells(); ++c) {
     EXPECT_DOUBLE_EQ(lb.pl[c].x, before[c].x);
   }
@@ -330,7 +321,7 @@ TEST_P(DetailEquivalence, BitwiseIdenticalToSeedImplementation) {
 
   Placement pl_new = start;
   DetailedPlacer placer(bench.netlist, bench.design);
-  const DetailStats stats = placer.run(pl_new, {});
+  const DetailStats stats = placer.run(pl_new);
 
   for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
     ASSERT_EQ(pl_new[c].x, pl_ref[c].x) << "cell " << c;
@@ -376,7 +367,7 @@ TEST(Detail, MoveGuardSeesMovedCellsNets) {
     return true;
   };
   DetailedPlacer placer(nl, bench.design);
-  const DetailStats stats = placer.run(pl, {}, opt);
+  const DetailStats stats = placer.run(pl, opt);
   const Profile& p = stats.profile;
   EXPECT_GT(calls, 0u);
   EXPECT_EQ(calls, p.slide.accepted + p.swap.accepted);
@@ -389,26 +380,22 @@ TEST(Detail, VetoingGuardLeavesPlacementUnchanged) {
   DetailOptions opt;
   opt.move_guard = [](std::span<const eval::NetChange>) { return false; };
   DetailedPlacer placer(bench.netlist, bench.design);
-  const netlist::StructureAnnotation no_groups;
-  for (bool structured : {false, true}) {
-    Placement pl = start;
-    const DetailStats stats =
-        placer.run(pl, structured ? bench.truth : no_groups, opt);
-    const Profile& p = stats.profile;
-    EXPECT_GT(p.guard_vetoes, 0u);
-    EXPECT_EQ(p.slide.accepted + p.swap.accepted, 0u);
-    EXPECT_EQ(stats.hpwl_after, stats.hpwl_before);
-    for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
-      ASSERT_EQ(pl[c].x, start[c].x) << "cell " << c;
-      ASSERT_EQ(pl[c].y, start[c].y) << "cell " << c;
-    }
+  Placement pl = start;
+  const DetailStats stats = placer.run(pl, opt);
+  const Profile& p = stats.profile;
+  EXPECT_GT(p.guard_vetoes, 0u);
+  EXPECT_EQ(p.slide.accepted + p.swap.accepted, 0u);
+  EXPECT_EQ(stats.hpwl_after, stats.hpwl_before);
+  for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
+    ASSERT_EQ(pl[c].x, start[c].x) << "cell " << c;
+    ASSERT_EQ(pl[c].y, start[c].y) << "cell " << c;
   }
 }
 
 TEST(Detail, ProfileCountsAreConsistent) {
   LegalBench lb(6);
   DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
-  const DetailStats stats = placer.run(lb.pl, {});
+  const DetailStats stats = placer.run(lb.pl);
   const Profile& p = stats.profile;
   EXPECT_LE(p.slide.accepted, p.slide.candidates);
   EXPECT_LE(p.swap.accepted, p.swap.candidates);
@@ -417,31 +404,6 @@ TEST(Detail, ProfileCountsAreConsistent) {
   EXPECT_EQ(p.swap.passes, p.slide.passes);
   EXPECT_GE(p.rescans, p.slide.candidates + p.swap.candidates);
   EXPECT_FALSE(p.to_string().empty());
-}
-
-TEST(Detail, GroupCellsStayPutAndOthersMove) {
-  // Cells of the groups passed in are held bit-for-bit where they are;
-  // the rest of the design still gets the plain moves.
-  dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
-  const Placement start = legalized_scatter(bench, 3);
-  Placement pl = start;
-  DetailedPlacer placer(bench.netlist, bench.design);
-  placer.run(pl, bench.truth);
-  EXPECT_TRUE(eval::check_legality(bench.netlist, bench.design, pl).legal());
-  const std::vector<bool> held =
-      bench.truth.membership(bench.netlist.num_cells());
-  std::size_t held_cells = 0, moved_others = 0;
-  for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
-    if (held[c]) {
-      ++held_cells;
-      EXPECT_EQ(pl[c].x, start[c].x) << "cell " << c;
-      EXPECT_EQ(pl[c].y, start[c].y) << "cell " << c;
-    } else if (pl[c].x != start[c].x || pl[c].y != start[c].y) {
-      ++moved_others;
-    }
-  }
-  EXPECT_GT(held_cells, 0u);
-  EXPECT_GT(moved_others, 0u);
 }
 
 }  // namespace

@@ -27,9 +27,8 @@ namespace {
 
 /// Which branch of StructurePlacer::place a case runs.
 enum class Flow {
-  kGentle,      ///< structure-aware, Abacus legalization
-  kStructured,  ///< structure-aware, template blocks
-  kBaseline,    ///< structure-oblivious, Abacus legalization
+  kGentle,    ///< structure-aware
+  kBaseline,  ///< structure-oblivious
 };
 
 struct Golden {
@@ -54,9 +53,6 @@ PlaceReport place(const Golden& g) {
   auto b = dpgen::make_benchmark(g.bench);
   PlacerConfig c;
   c.structure_aware = g.flow != Flow::kBaseline;
-  c.legalization = g.flow == Flow::kStructured
-                       ? LegalizationMode::kStructured
-                       : LegalizationMode::kGentle;
   if (g.routed) {
     c.timing.driven = true;
     c.congestion.measure = true;
@@ -86,7 +82,6 @@ TEST_P(GoldenPlacement, FinalHpwlBitwise) {
 std::string case_name(const testing::TestParamInfo<Golden>& param_info) {
   const Golden& g = param_info.param;
   std::string name = g.bench;
-  if (g.flow == Flow::kStructured) name += "_blocks";
   if (g.flow == Flow::kBaseline) name += "_baseline";
   return g.routed ? name + "_routed" : name;
 }
@@ -105,18 +100,11 @@ INSTANTIATE_TEST_SUITE_P(
                376, 413}),
     case_name);
 
-// Template blocks (the structure legalizer, a detailer that holds the
-// plates) and the structure-oblivious baseline, plain and routed
-// (inflation in the GP, guard in the detailer). On mix75 the plates crowd
-// glue out of the plate-blocked free space, so repair_legality places
-// those cells.
+// The structure-oblivious baseline, plain and routed (inflation in the GP,
+// guard in the detailer).
 INSTANTIATE_TEST_SUITE_P(
     OtherFlows, GoldenPlacement,
     testing::Values(
-        Golden{"mix25", Flow::kStructured, false, 0x40e8a8412f55fa3cULL, 0,
-               225, 250},
-        Golden{"mix75", Flow::kStructured, false, 0x40fe87ac0d86475bULL, 0,
-               156, 194},
         Golden{"mix25", Flow::kBaseline, false, 0x40e4d6567ba71fe2ULL, 0,
                267, 310},
         Golden{"mix25", Flow::kBaseline, true, 0x40e86486cebb6942ULL, 976,

@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
-#include "dpgen/benchmarks.hpp"
 #include "dpgen/generator.hpp"
 #include "eval/metrics.hpp"
 #include "legal/abacus.hpp"
 #include "legal/repair.hpp"
 #include "legal/rowmap.hpp"
-#include "legal/structure_legal.hpp"
 #include "util/prng.hpp"
 
 namespace dp::legal {
@@ -133,11 +131,22 @@ TEST(Repair, FixesInjectedViolations) {
   ASSERT_FALSE(
       eval::check_legality(rb.bench->netlist, rb.bench->design, pl).legal());
 
+  const Placement before = pl;
   const std::size_t repaired =
       repair_legality(rb.bench->netlist, rb.bench->design, pl);
   EXPECT_GT(repaired, 0u);
   EXPECT_TRUE(
       eval::check_legality(rb.bench->netlist, rb.bench->design, pl).legal());
+  // Repair moves only what it rips up: every cell outside the pile's row
+  // was legal and keeps its position bit for bit.
+  const std::size_t pile_row = rb.bench->design.nearest_row(spot.y);
+  std::size_t kept = 0;
+  for (CellId c = 0; c < rb.bench->netlist.num_cells(); ++c) {
+    if (rb.bench->design.nearest_row(before[c].y) == pile_row) continue;
+    EXPECT_EQ(pl[c], before[c]) << rb.bench->netlist.cell(c).name;
+    ++kept;
+  }
+  EXPECT_GT(kept, 0u);
 }
 
 // A core with less free space than the cells need: Abacus fails some
@@ -180,83 +189,6 @@ TEST(Repair, NoopOnLegalInput) {
   for (CellId c = 0; c < rb.bench->netlist.num_cells(); ++c) {
     EXPECT_DOUBLE_EQ(pl[c].x, before[c].x);
   }
-}
-
-TEST(StructureLegalizer, ProducesLegalBlocksForAdder) {
-  dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
-  // Use ground truth as the structure; start from the parked placement.
-  StructureLegalizer legalizer(bench.netlist, bench.design, bench.truth);
-  Placement pl = bench.placement;
-  const StructureLegalizeStats stats = legalizer.run(pl);
-  EXPECT_EQ(stats.rest.cells_failed, 0u);
-  EXPECT_TRUE(
-      eval::check_legality(bench.netlist, bench.design, pl).legal());
-
-  // Every slice of every block-placed group sits on one row, aligned.
-  const auto score = eval::alignment_score(bench.netlist, pl, bench.truth);
-  EXPECT_LT(score.rms_misalignment, 0.5);
-}
-
-// The plates crowd the glue out: a multiplier's plate blocks its whole
-// rectangle, holes included, and at 97% utilization the rest no longer
-// fits around it. The structure legalizer leaves the cells that fit
-// nowhere untouched; repair_legality places them into the holes without
-// moving any cell that was already legal.
-TEST(StructureLegalizer, RepairPlacesTheCellsThePlatesCrowdOut) {
-  dpgen::Generator gen("crowded", 3);
-  const dpgen::Bus a = gen.input_bus("a", 8);
-  const dpgen::Bus b = gen.input_bus("b", 8);
-  const dpgen::Bus p = gen.add_multiplier("mul", a, b);
-  gen.output_bus("o", p);
-  gen.add_glue("g", 150, p);
-  const dpgen::Benchmark bench = gen.finish(0.97);
-  const netlist::Netlist& nl = bench.netlist;
-
-  StructureLegalizer legalizer(nl, bench.design, bench.truth);
-  Placement pl = bench.placement;
-  const StructureLegalizeStats stats = legalizer.run(pl);
-  ASSERT_EQ(stats.groups_fallback, 0u);
-  ASSERT_GT(stats.rest.cells_failed, 0u);
-
-  // The failed cells are exactly the movable cells still at their start.
-  std::vector<bool> failed(nl.num_cells(), false);
-  std::size_t num_failed = 0;
-  for (CellId c = 0; c < nl.num_cells(); ++c) {
-    if (nl.cell(c).fixed || !(pl[c] == bench.placement[c])) continue;
-    failed[c] = true;
-    ++num_failed;
-  }
-  EXPECT_EQ(num_failed, stats.rest.cells_failed);
-  ASSERT_FALSE(eval::check_legality(nl, bench.design, pl).legal());
-
-  const Placement before = pl;
-  EXPECT_EQ(repair_legality(nl, bench.design, pl), num_failed);
-  EXPECT_TRUE(eval::check_legality(nl, bench.design, pl).legal());
-  for (CellId c = 0; c < nl.num_cells(); ++c) {
-    if (!failed[c]) {
-      EXPECT_EQ(pl[c], before[c]) << nl.cell(c).name;
-    }
-  }
-}
-
-// A group with a chunk no window holds falls back: its cells go to the
-// Abacus pass with the glue, each cell once. Every movable cell is either
-// in a committed plate (counted in `slices`) or placed or failed there.
-TEST(StructureLegalizer, FallenBackCellsAreLegalizedOnce) {
-  dpgen::Generator gen("fallback", 3);
-  const dpgen::Bus a = gen.input_bus("a", 6);
-  const dpgen::Bus b = gen.input_bus("b", 6);
-  const dpgen::Bus p = gen.add_multiplier("mul", a, b);
-  gen.output_bus("o", p);
-  gen.add_glue("g", 40, {});
-  const dpgen::Benchmark bench = gen.finish(0.9);
-
-  StructureLegalizer legalizer(bench.netlist, bench.design, bench.truth);
-  Placement pl = bench.placement;
-  const StructureLegalizeStats stats = legalizer.run(pl);
-  ASSERT_GT(stats.groups_fallback, 0u);
-  EXPECT_EQ(stats.rest.cells_placed + stats.rest.cells_failed,
-            bench.netlist.num_movable() - stats.slices.cells_placed);
 }
 
 }  // namespace

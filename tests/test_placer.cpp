@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <stdexcept>
 
 #include "core/structure_placer.hpp"
 #include "dpgen/benchmarks.hpp"
@@ -42,7 +43,6 @@ TEST(StructurePlacer, GentleFlowLegalAndAligned) {
   Pipe pipe("dp_add32");
   PlacerConfig c;
   c.structure_aware = true;
-  c.legalization = LegalizationMode::kGentle;
   const PlaceReport rep = pipe.run(c);
   EXPECT_TRUE(rep.legality.legal());
   EXPECT_FALSE(rep.structure.groups.empty());
@@ -56,15 +56,14 @@ TEST(StructurePlacer, GentleFlowLegalAndAligned) {
             2.2);
 }
 
-TEST(StructurePlacer, StructuredFlowPerfectAlignment) {
-  Pipe pipe("dp_add32");
+// The template-block flow is deleted; asking for it is an error, not a
+// quiet run of the one flow that remains.
+TEST(StructurePlacer, RejectsTheRemovedTemplateBlockFlow) {
+  const dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
   PlacerConfig c;
-  c.structure_aware = true;
   c.legalization = LegalizationMode::kStructured;
-  const PlaceReport rep = pipe.run(c);
-  EXPECT_TRUE(rep.legality.legal());
-  EXPECT_LT(rep.alignment.rms_misalignment, 0.2);
-  EXPECT_GT(rep.legal_blocks, 0u);
+  EXPECT_THROW(StructurePlacer(bench.netlist, bench.design, c),
+               std::invalid_argument);
 }
 
 // Every GP run of a flow adds its evaluation count next to its profile
@@ -75,9 +74,7 @@ TEST(StructurePlacer, GpCountersAgreeInEveryFlow) {
   PlacerConfig baseline;
   baseline.structure_aware = false;
   PlacerConfig gentle;
-  PlacerConfig blocks;
-  blocks.legalization = LegalizationMode::kStructured;
-  for (const PlacerConfig& c : {baseline, gentle, blocks}) {
+  for (const PlacerConfig& c : {baseline, gentle}) {
     const gp::GpResult gp = pipe.run(c).gp_result;
     EXPECT_GT(gp.total_evaluations, 0u);
     EXPECT_EQ(gp.total_evaluations, gp.profile.density.calls);
@@ -247,7 +244,6 @@ TEST(StructurePlacer, RoutedMix25GpConverges) {
   Pipe pipe("mix25");
   PlacerConfig c;
   c.structure_aware = true;
-  c.legalization = LegalizationMode::kGentle;
   c.timing.driven = true;
   c.congestion.measure = true;
   c.congestion.refine = true;
@@ -276,7 +272,6 @@ TEST_P(GentlePlateOverlap, PlatesDoNotPileUpInGp) {
   Pipe pipe(p.bench);
   PlacerConfig c;
   c.structure_aware = true;
-  c.legalization = LegalizationMode::kGentle;
   const PlaceReport rep = pipe.run(c);
   ASSERT_GT(rep.structure.groups.size(), 1u) << p.bench;
   EXPECT_LT(rep.plate_overlap_gp, p.ceiling) << p.bench;
