@@ -210,6 +210,18 @@ void BM_WirelengthValueSpread4k(benchmark::State& state) {
 }
 BENCHMARK(BM_WirelengthValueSpread4k);
 
+// Abacus on the spread placement: every movable cell legalized around the
+// fixed cells, as the flows run it after global placement.
+void BM_AbacusSpread4k(benchmark::State& state) {
+  const auto& f = spread4k();
+  dp::legal::AbacusLegalizer abacus(f.bench.netlist, f.bench.design);
+  for (auto _ : state) {
+    auto pl = f.pl;
+    benchmark::DoNotOptimize(abacus.run_all(pl).cells_failed);
+  }
+}
+BENCHMARK(BM_AbacusSpread4k);
+
 // ---- detailed-placement kernel (recorded to BENCH_detail_kernels.json by
 // the filtered CI run: --benchmark_filter='^BM_Detail') --------------------
 

@@ -1,7 +1,11 @@
 #include "gp/density.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cmath>
+#include <type_traits>
+#include <utility>
 
 #include "geom/rect.hpp"
 #include "util/thread_pool.hpp"
@@ -19,7 +23,7 @@ constexpr std::size_t kMinCellsPerChunk = 512;
 /// many groups, and the group sums are added in order.
 constexpr std::size_t kMaxValueGroups = 64;
 /// Pass-1 accumulation blocks. Each block owns a run of whole value
-/// groups (see value()), so a cell whose footprint spans a few bin rows
+/// groups (see value()), so a cell whose window spans a few bin rows
 /// is visited once or twice per evaluation instead of once per row.
 constexpr std::size_t kAccumBlocks = 8;
 
@@ -30,12 +34,101 @@ std::size_t pow2_at_least(double x) {
   return p;
 }
 
-/// The most bins the bell window of a cell `wc` wide can span on an axis
-/// of `nb` bins `wb` wide, wherever the cell is: the window is wc / wb + 4
-/// bins wide, truncating its two ends adds at most 2 bins, and 1 more
-/// absorbs the rounding of its ends.
-std::size_t max_window_bins(double wc, double wb, std::size_t nb) {
-  return std::min(nb, static_cast<std::size_t>(wc / wb) + 7);
+/// Both window extents the constant-width fast path is compiled for.
+constexpr std::size_t kFastWindow = 5;
+
+/// A bell support this close below a whole number of bins gets one more
+/// window bin, so the window's last bin clears the support by more than
+/// any rounding of the bin centers.
+constexpr double kWindowSlack = 1e-6;
+
+/// The bins of a bell window on an axis of `nb` bins `wb` wide, for a
+/// cell `wc` wide: floor(wc / wb + kWindowSlack) + 5, the most bin
+/// centers a closed interval of length wc + 4 wb (the bell's support,
+/// [c - r2, c + r2]) can hold, with the slack; at most nb. That is
+/// ceil(wc / wb) + 4 unless wc / wb is whole.
+std::size_t window_bins(double wc, double wb, std::size_t nb) {
+  return std::min(
+      nb, static_cast<std::size_t>(std::floor(wc / wb + kWindowSlack)) + 5);
+}
+
+/// Calls f(nx, ny) with the extents as compile-time constants for the
+/// kFastWindow x kFastWindow window, so its loops have fixed trip counts,
+/// and as plain values otherwise.
+template <class F>
+inline auto with_extents(std::size_t nx, std::size_t ny, F&& f) {
+  using Fast = std::integral_constant<std::size_t, kFastWindow>;
+  if (nx == kFastWindow && ny == kFastWindow) return f(Fast{}, Fast{});
+  return f(nx, ny);
+}
+
+/// The first bin of the `n`-bin window of a cell centered at `c` whose
+/// bell reaches `r2`, on an axis of `nb` bins `wb` wide starting at `lo`:
+/// the first bin where the bell or its slope is non-zero, clamped so the
+/// window lies in the grid.
+///
+/// Let k be (c - r2 - lo) / wb truncated. If k >= 0, bin k - 1's center
+/// lies at least wb / 2 left of c - r2 and bin k + 1's more than wb / 2
+/// right of it, far beyond any rounding, so the first non-zero bin is k
+/// or k + 1. Bin k decides, by the test lane_bell() makes on the same d:
+/// a bin vanishes iff d >= r2. If c - r2 lies left of the grid, bin 0's center
+/// lies more than wb / 2 right of it, and the window starts at bin 0.
+/// From its first non-zero bin, a window of window_bins() bins reaches
+/// past c + r2, so it holds every bin where the bell or its slope is
+/// non-zero. Clamping moves the start left only at the upper grid edge,
+/// where the window then still ends at the last bin.
+inline long long window_start(double c, double r2, double lo, double wb,
+                              long long nb, long long n) {
+  auto k = static_cast<long long>((c - r2 - lo) / wb);
+  if (c - (lo + (static_cast<double>(k) + 0.5) * wb) >= r2) ++k;
+  return std::clamp(k, 0LL, nb - n);
+}
+
+/// Two doubles, one per cell: passes 0 and 2 run two cells with the same
+/// window at once, each lane in exactly the arithmetic of one cell.
+using Lanes = double __attribute__((vector_size(16)));
+using LaneMask = std::int64_t __attribute__((vector_size(16)));
+
+/// `a` in the lanes where `m` is set, else `b`: a bit mask, no branch.
+inline Lanes pick(LaneMask m, Lanes a, Lanes b) {
+  return std::bit_cast<Lanes>((std::bit_cast<LaneMask>(a) & m) |
+                              (std::bit_cast<LaneMask>(b) & ~m));
+}
+
+/// The bell constants of two cells on one axis, one cell per lane.
+struct LaneShape {
+  template <class BellShape>
+  LaneShape(const BellShape& x, const BellShape& y)
+      : r1{x.r1, y.r1}, r2{x.r2, y.r2}, a{x.a, y.a}, b{x.b, y.b},
+        m2a{x.m2a, y.m2a}, b2{x.b2, y.b2} {}
+  Lanes r1, r2, a, b, m2a, b2;
+};
+
+/// Two bells, one per lane: the potential and its slope.
+struct LaneBell {
+  Lanes p, dp;
+};
+
+/// `d` is the signed distance cell-center minus bin-center; `s` the shape
+/// of the cells' bells on this axis. Each lane computes both pieces of
+/// the bell and keeps the one its distance falls in:
+///   |d| <= r1:  p = 1 - a d^2,        dp = -2 a d
+///   |d| <= r2:  p = b (|d| - r2)^2,   dp = 2 b (|d| - r2) sign(d)
+///   else:       p = dp = 0,
+/// with |d| and sign(d) as bit operations (sign(d) is copysign(1, d),
+/// which is right where it is used: d != 0 there).
+inline LaneBell lane_bell(Lanes d, const LaneShape& s) {
+  const LaneMask sign = {INT64_MIN, INT64_MIN};
+  const Lanes ad = std::bit_cast<Lanes>(std::bit_cast<LaneMask>(d) & ~sign);
+  const Lanes sgn = std::bit_cast<Lanes>(
+      std::bit_cast<LaneMask>(Lanes{1.0, 1.0}) |
+      (std::bit_cast<LaneMask>(d) & sign));
+  const Lanes t = ad - s.r2;
+  const Lanes zero = {0.0, 0.0};
+  const LaneMask inner = ad <= s.r1;
+  const LaneMask outer = ad <= s.r2;
+  return {pick(inner, 1.0 - s.a * ad * ad, pick(outer, s.b * t * t, zero)),
+          pick(inner, s.m2a * d, pick(outer, s.b2 * t * sgn, zero))};
 }
 
 /// Adds `scale` times the exact overlap area of `r` with each bin it
@@ -68,26 +161,19 @@ void add_overlap(std::vector<double>& grid, const geom::Rect& r,
 }  // namespace
 
 DensityPenalty::BellShape DensityPenalty::bell_shape(double wc, double wb) {
-  return {wc / 2.0 + wb, wc / 2.0 + 2.0 * wb,
-          4.0 / ((wc + 2.0 * wb) * (wc + 4.0 * wb)),
-          2.0 / (wb * (wc + 4.0 * wb))};
+  const double a = 4.0 / ((wc + 2.0 * wb) * (wc + 4.0 * wb));
+  const double b = 2.0 / (wb * (wc + 4.0 * wb));
+  return {wc / 2.0 + wb, wc / 2.0 + 2.0 * wb, a, b, -2.0 * a, 2.0 * b};
 }
 
-/// `d` is the signed distance cell-center minus bin-center; `s` the shape
-/// of the cell's bell on this axis.
-inline DensityPenalty::Bell DensityPenalty::bell(double d,
-                                                 const BellShape& s) {
-  const double ad = std::abs(d);
-  Bell out;
-  if (ad <= s.r1) {
-    out.p = 1.0 - s.a * ad * ad;
-    out.dp = -2.0 * s.a * d;  // sign(d) * (-2 a |d|)
-  } else if (ad <= s.r2) {
-    const double t = ad - s.r2;
-    out.p = s.b * t * t;
-    out.dp = 2.0 * s.b * t * (d >= 0.0 ? 1.0 : -1.0);
+std::pair<std::uint32_t, std::uint32_t> DensityPenalty::next_pair(
+    std::size_t& at, std::size_t end) const {
+  const std::uint32_t a = order_[at++];
+  if (at == end || shapes_[order_[at]].nx != shapes_[a].nx ||
+      shapes_[order_[at]].ny != shapes_[a].ny) {
+    return {a, a};
   }
-  return out;
+  return {a, order_[at++]};
 }
 
 DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
@@ -108,25 +194,34 @@ DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
   preload_.assign(nb_ * nb_, 0.0);
   density_.assign(nb_ * nb_, 0.0);
 
-  // The bell shapes and the chunks' bell storage depend on the cell sizes
-  // alone; set_area_scale() fills in the areas.
+  // The bell shapes, the windows and the bell storage depend on the cell
+  // sizes alone; set_area_scale() fills in the areas.
   const VarMap vars(nl);
   const auto movable = vars.movable_cells();
   shapes_.resize(movable.size());
   for (std::size_t v = 0; v < movable.size(); ++v) {
-    shapes_[v].x = bell_shape(nl.cell_width(movable[v]), bw_);
-    shapes_[v].y = bell_shape(nl.cell_height(movable[v]), bh_);
+    const double wc = nl.cell_width(movable[v]);
+    const double hc = nl.cell_height(movable[v]);
+    CellShape& sh = shapes_[v];
+    sh.x = bell_shape(wc, bw_);
+    sh.y = bell_shape(hc, bh_);
+    sh.nx = static_cast<std::uint32_t>(window_bins(wc, bw_, nb_));
+    sh.ny = static_cast<std::uint32_t>(window_bins(hc, bh_, nb_));
   }
-  chunks_.resize(util::num_chunks(movable.size(), kMinCellsPerChunk));
-  util::for_chunks(nullptr, movable.size(), kMinCellsPerChunk,
-                   [&](std::size_t k, std::size_t v0, std::size_t v1) {
-    std::size_t capacity = 0;
-    for (std::size_t v = v0; v < v1; ++v) {
-      capacity += max_window_bins(nl.cell_width(movable[v]), bw_, nb_) +
-                  max_window_bins(nl.cell_height(movable[v]), bh_, nb_);
-    }
-    chunks_[k].bells.resize(capacity);
+  order_.resize(movable.size());
+  for (std::uint32_t v = 0; v < order_.size(); ++v) order_[v] = v;
+  std::stable_sort(order_.begin(), order_.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+    return std::pair{shapes_[a].nx, shapes_[a].ny} <
+           std::pair{shapes_[b].nx, shapes_[b].ny};
   });
+  bells_per_value_ = 0;
+  for (const std::uint32_t v : order_) {
+    shapes_[v].first_bell = static_cast<std::uint32_t>(bells_per_value_);
+    bells_per_value_ += shapes_[v].nx + shapes_[v].ny;
+  }
+  bells_.resize(bells_per_value_);
+  chunk_bins_.resize(util::num_chunks(movable.size(), kMinCellsPerChunk));
   set_area_scale({});
 }
 
@@ -167,87 +262,76 @@ double DensityPenalty::value(const netlist::Placement& pl,
   const auto movable = vars.movable_cells();
   const std::size_t n_mov = movable.size();
   foot_.resize(n_mov);
-  auto vanishes = [](const Bell& b) { return b.p == 0.0 && b.dp == 0.0; };
 
-  // Pass 0: footprints, bells and per-cell normalization (independent per
-  // cell). The window reaches about one column and one row past the bell;
-  // its leading and trailing columns and rows where the bell and its slope
-  // are both 0 are trimmed off. Every term they held, in any pass, is a
-  // product with a +-0 factor, so it is +-0, and x + (+-0) == x for every
-  // accumulator here: each starts at +0 or at the non-negative preload,
-  // and a sum is -0 only if both addends are. The window bounds truncate,
-  // which trims to the floored window: for a bound >= 0 the two agree, a
-  // lower bound < 0 clamps to 0 either way, and an upper bound in (-1, 0)
-  // adds only column or row 0, more than r2 from the cell, where the bell
-  // and its slope vanish.
+  // Pass 0: windows, bells and per-cell normalization, two cells with the
+  // same window at a time (next_pair()). Each cell's window
+  // (window_start()) holds every bin where its bell or the bell's slope
+  // is non-zero. The window's other bins add terms to every pass that are
+  // products with a +-0 factor, so they are +-0, and x + (+-0) == x for
+  // every accumulator here: each starts at +0 or at the non-negative
+  // preload, and a sum is -0 only if both addends are.
   util::for_chunks(pool_.get(), n_mov, kMinCellsPerChunk,
-                   [&](std::size_t k, std::size_t v0, std::size_t v1) {
-    Chunk& chunk = chunks_[k];
-    chunk.bins = 0;
-    chunk.bell_calls = 0;
-
-    Bell* next = chunk.bells.data();
-    for (std::size_t v = v0; v < v1; ++v) {
-      const CellId c = movable[v];
-      const double cx = pl[c].x;
-      const double cy = pl[c].y;
-      const BellShape& sx = shapes_[v].x;
-      const BellShape& sy = shapes_[v].y;
-
-      Footprint& f = foot_[v];
-      f.bx0 = std::max<long long>(
-          0, static_cast<long long>((cx - sx.r2 - core.lx) / bw_));
-      f.bx1 = std::min<long long>(
-          nbi - 1, static_cast<long long>((cx + sx.r2 - core.lx) / bw_));
-      f.by0 = std::max<long long>(
-          0, static_cast<long long>((cy - sy.r2 - core.ly) / bh_));
-      f.by1 = std::min<long long>(
-          nbi - 1, static_cast<long long>((cy + sy.r2 - core.ly) / bh_));
-      const long long nx = std::max(0LL, f.bx1 - f.bx0 + 1);
-      const long long ny = std::max(0LL, f.by1 - f.by0 + 1);
-      chunk.bell_calls += static_cast<std::uint64_t>(nx + ny);
-
-      Bell* px = next;
-      for (long long bx = f.bx0; bx <= f.bx1; ++bx) {
-        const double bcx = core.lx + (static_cast<double>(bx) + 0.5) * bw_;
-        px[bx - f.bx0] = bell(cx - bcx, sx);
+                   [&](std::size_t k, std::size_t i0, std::size_t i1) {
+    std::uint64_t bins = 0;
+    for (std::size_t at = i0; at < i1;) {
+      const auto [a, b] = next_pair(at, i1);
+      for (const std::uint32_t v : {a, b}) {
+        const CellShape& sh = shapes_[v];
+        const geom::Point& c = pl[movable[v]];
+        Footprint& f = foot_[v];
+        f.bx0 = window_start(c.x, sh.x.r2, core.lx, bw_, nbi, sh.nx);
+        f.bx1 = f.bx0 + sh.nx - 1;
+        f.by0 = window_start(c.y, sh.y.r2, core.ly, bh_, nbi, sh.ny);
+        f.by1 = f.by0 + sh.ny - 1;
+        f.px = &bells_[sh.first_bell];
+        f.py = f.px + sh.nx;
       }
-      long long i0 = 0, i1 = nx - 1;  // kept columns, as row indices
-      while (i0 <= i1 && vanishes(px[i0])) ++i0;
-      while (i1 >= i0 && vanishes(px[i1])) --i1;
-      Bell* py = px + nx;
-      long long by0 = f.by1 + 1, by1 = f.by0 - 1;  // kept rows
-      double norm = 0.0;
-      for (long long by = f.by0; by <= f.by1; ++by) {
-        const double bcy = core.ly + (static_cast<double>(by) + 0.5) * bh_;
-        const Bell b = bell(cy - bcy, sy);
-        py[by - f.by0] = b;
-        if (!vanishes(b)) {
-          by0 = std::min(by0, by);
-          by1 = by;
+      const CellShape& sa = shapes_[a];
+      const CellShape& sb = shapes_[b];
+      const geom::Point& ca = pl[movable[a]];
+      const geom::Point& cb = pl[movable[b]];
+      Footprint& fa = foot_[a];
+      Footprint& fb = foot_[b];
+      const Lanes norm = with_extents(sa.nx, sa.ny, [&](auto nx, auto ny) {
+        // Bin k's center is lo + (k + 0.5) * w; k + 0.5 steps exactly.
+        const LaneShape shx(sa.x, sb.x);
+        const Lanes cx = {ca.x, cb.x};
+        Lanes kx = {static_cast<double>(fa.bx0) + 0.5,
+                    static_cast<double>(fb.bx0) + 0.5};
+        for (std::size_t i = 0; i < nx; ++i, kx += 1.0) {
+          const LaneBell e = lane_bell(cx - (core.lx + kx * bw_), shx);
+          fa.px[i] = {e.p[0], e.dp[0]};
+          fb.px[i] = {e.p[1], e.dp[1]};
         }
-        if (b.p == 0.0) continue;
-        for (long long i = i0; i <= i1; ++i) norm += px[i].p * b.p;
-      }
-      next = py + ny;
-      f.inv_norm = norm > 0.0 ? shapes_[v].area / norm : 0.0;
-      if (f.inv_norm == 0.0) continue;  // spread nowhere; passes 1-2 skip it
-      f.px = px + i0;
-      f.py = py + (by0 - f.by0);
-      f.bx1 = f.bx0 + i1;
-      f.bx0 += i0;
-      f.by0 = by0;
-      f.by1 = by1;
-      chunk.bins += static_cast<std::uint64_t>((f.bx1 - f.bx0 + 1) *
-                                               (f.by1 - f.by0 + 1));
+        const LaneShape shy(sa.y, sb.y);
+        const Lanes cy = {ca.y, cb.y};
+        Lanes ky = {static_cast<double>(fa.by0) + 0.5,
+                    static_cast<double>(fb.by0) + 0.5};
+        for (std::size_t j = 0; j < ny; ++j, ky += 1.0) {
+          const LaneBell e = lane_bell(cy - (core.ly + ky * bh_), shy);
+          fa.py[j] = {e.p[0], e.dp[0]};
+          fb.py[j] = {e.p[1], e.dp[1]};
+        }
+        Lanes sum = {0.0, 0.0};
+        for (std::size_t j = 0; j < ny; ++j) {
+          const Lanes py = {fa.py[j].p, fb.py[j].p};
+          for (std::size_t i = 0; i < nx; ++i) {
+            sum += Lanes{fa.px[i].p, fb.px[i].p} * py;
+          }
+        }
+        return sum;
+      });
+      fa.inv_norm = norm[0] > 0.0 ? sa.area / norm[0] : 0.0;
+      fb.inv_norm = norm[1] > 0.0 ? sb.area / norm[1] : 0.0;
+      // A cell spread nowhere is skipped by passes 1-2.
+      if (fa.inv_norm != 0.0) bins += std::uint64_t{sa.nx} * sa.ny;
+      if (b != a && fb.inv_norm != 0.0) bins += std::uint64_t{sb.nx} * sb.ny;
     }
+    chunk_bins_[k] = bins;
   });
   bins_visited_ = 0;
-  bells_evaluated_ = 0;
-  for (const Chunk& chunk : chunks_) {
-    bins_visited_ += chunk.bins;
-    bells_evaluated_ += chunk.bell_calls;
-  }
+  for (const std::uint64_t bins : chunk_bins_) bins_visited_ += bins;
+  bells_evaluated_ = bells_per_value_;
 
   // Pass 1: accumulate smoothed density over kAccumBlocks multi-row
   // blocks. Every bin row has exactly one owning block, which adds
@@ -285,19 +369,18 @@ double DensityPenalty::value(const netlist::Placement& pl,
     double* q = &scaled_rows_[b * nb_];
     for (const std::uint32_t v : block_cells_[b]) {
       const Footprint& f = foot_[v];
-      // The x-row scaled once per cell: inv_norm * px * py is evaluated
-      // as (inv_norm * px) * py, so q[i] * py keeps the bits.
-      const auto w = static_cast<std::size_t>(f.bx1 - f.bx0 + 1);
-      for (std::size_t i = 0; i < w; ++i) q[i] = f.inv_norm * f.px[i].p;
-      const long long by_lo = std::max(f.by0, r0);
-      const long long by_hi = std::min(f.by1, r1 - 1);
-      for (long long by = by_lo; by <= by_hi; ++by) {
-        const double py = f.py[by - f.by0].p;
-        if (py == 0.0) continue;
-        double* row = &density_[static_cast<std::size_t>(by) * nb_ +
-                                static_cast<std::size_t>(f.bx0)];
-        for (std::size_t i = 0; i < w; ++i) row[i] += q[i] * py;
-      }
+      with_extents(f.width(), f.height(), [&](auto nx, auto) {
+        // The x-row scaled once per cell: inv_norm * px * py is evaluated
+        // as (inv_norm * px) * py, so q[i] * py keeps the bits.
+        for (std::size_t i = 0; i < nx; ++i) q[i] = f.inv_norm * f.px[i].p;
+        const long long by_lo = std::max(f.by0, r0);
+        const long long by_hi = std::min(f.by1, r1 - 1);
+        for (long long by = by_lo; by <= by_hi; ++by) {
+          const double py = f.py[by - f.by0].p;
+          double* row = &density_[bin(f.bx0, by)];
+          for (std::size_t i = 0; i < nx; ++i) row[i] += q[i] * py;
+        }
+      });
     }
     // The block's rows are final now; fold its groups' share of the
     // penalty value and keep 2 * error per bin for gradient().
@@ -324,28 +407,42 @@ void DensityPenalty::gradient(std::span<double> gx, std::span<double> gy,
   const std::size_t n_mov = foot_.size();
 
   // Pass 2: gradient via chain rule (normalization treated as constant,
-  // the standard NTUplace approximation). Embarrassingly parallel over
-  // cells: variable v belongs to movable cell v alone.
+  // the standard NTUplace approximation), two cells with the same window
+  // at a time. Embarrassingly parallel over cells: variable v belongs to
+  // movable cell v alone.
   util::for_chunks(pool_.get(), n_mov, kMinCellsPerChunk,
-                   [&](std::size_t, std::size_t v0, std::size_t v1) {
-    for (std::size_t v = v0; v < v1; ++v) {
-      const Footprint& f = foot_[v];
-      if (f.inv_norm == 0.0) continue;
-      const auto w = static_cast<std::size_t>(f.bx1 - f.bx0 + 1);
-      double gx_acc = 0.0, gy_acc = 0.0;
-      for (long long by = f.by0; by <= f.by1; ++by) {
-        const Bell py = f.py[by - f.by0];
-        const double* e2 = &err2_[static_cast<std::size_t>(by) * nb_ +
-                                  static_cast<std::size_t>(f.bx0)];
-        for (std::size_t i = 0; i < w; ++i) {
-          // 2 * err * inv_norm * px * py, in that association.
-          const double s = e2[i] * f.inv_norm;
-          gx_acc += s * f.px[i].dp * py.p;
-          gy_acc += s * f.px[i].p * py.dp;
+                   [&](std::size_t, std::size_t i0, std::size_t i1) {
+    for (std::size_t at = i0; at < i1;) {
+      const auto [a, b] = next_pair(at, i1);
+      const Footprint& fa = foot_[a];
+      const Footprint& fb = foot_[b];
+      if (fa.inv_norm == 0.0 && fb.inv_norm == 0.0) continue;
+      const Lanes inv = {fa.inv_norm, fb.inv_norm};
+      const auto [ax, ay] =
+          with_extents(fa.width(), fa.height(), [&](auto nx, auto ny) {
+        Lanes sx = {0.0, 0.0}, sy = {0.0, 0.0};
+        for (std::size_t j = 0; j < ny; ++j) {
+          const Lanes pyp = {fa.py[j].p, fb.py[j].p};
+          const Lanes pyd = {fa.py[j].dp, fb.py[j].dp};
+          const double* ea = &err2_[bin(fa.bx0, fa.by0) + j * nb_];
+          const double* eb = &err2_[bin(fb.bx0, fb.by0) + j * nb_];
+          for (std::size_t i = 0; i < nx; ++i) {
+            // 2 * err * inv_norm * px * py, in that association.
+            const Lanes e = Lanes{ea[i], eb[i]} * inv;
+            sx += e * Lanes{fa.px[i].dp, fb.px[i].dp} * pyp;
+            sy += e * Lanes{fa.px[i].p, fb.px[i].p} * pyd;
+          }
         }
+        return std::pair{sx, sy};
+      });
+      if (fa.inv_norm != 0.0) {
+        gx[a] += scale * ax[0];
+        gy[a] += scale * ay[0];
       }
-      gx[v] += scale * gx_acc;
-      gy[v] += scale * gy_acc;
+      if (b != a && fb.inv_norm != 0.0) {
+        gx[b] += scale * ax[1];
+        gy[b] += scale * ay[1];
+      }
     }
   });
 }

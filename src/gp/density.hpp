@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "gp/vars.hpp"
@@ -26,23 +27,30 @@ namespace dp::gp {
 ///
 /// Evaluation runs in three deterministic passes, split between value()
 /// and gradient() like every ObjectiveTerm's:
-///  - value() runs pass 0 (per cell chunk: each cell's footprint, its x-
-///    and y-bells and its normalization) and pass 1 (smoothed density,
+///  - value() runs pass 0 (per cell chunk: each cell's window, its x- and
+///    y-bells and its normalization) and pass 1 (smoothed density,
 ///    accumulated over a few fixed multi-row blocks; every bin row has
 ///    exactly one owning block, which adds contributions in ascending cell
 ///    order -- no reduction races, bitwise identical to the serial loop);
 ///  - gradient() runs pass 2 (embarrassingly parallel over cells, each
-///    writing its own variable) on the footprints, bells and grid the
+///    writing its own variable) on the windows, bells and grid the
 ///    preceding value() left behind.
 /// Pass 0 is the only one that evaluates a bell: it keeps each cell's
-/// bells in its chunk's storage, and passes 1 and 2 read them from there.
+/// bells in bells_, and passes 1 and 2 read them from there.
 ///
-/// Work that cannot change a bit of the result is skipped: pass 0 trims
-/// each footprint to the columns and rows where the bell or its slope is
-/// non-zero (the dropped terms are all +-0, added to accumulators that are
-/// never -0), the bell constants and scaled areas are computed once per
-/// area scale, and pass 1 stores twice each bin's error for pass 2 to
-/// read.
+/// The window rule: each cell spreads over a window of
+/// ceil(w / bw) + 4 by ceil(h / bh) + 4 bins (one more where the ratio is
+/// whole), fixed in the constructor and clamped into the grid, that
+/// starts at the first bin where the bell or its slope is non-zero. It
+/// holds every bin where they are non-zero, so every term of its other
+/// bins is +-0, added to accumulators that are never -0: the result is
+/// the bits of the untrimmed, floor-bounded windows. Fixed extents give
+/// the loops fixed trip counts (compile-time ones for the common 5 x 5
+/// window), and passes 0 and 2, whose cells are independent, visit the
+/// cells by window shape and run two cells with the same window at once,
+/// one per lane of a two-double vector, in each cell's own arithmetic.
+/// The bell constants and scaled areas are computed once per area scale,
+/// and pass 1 stores twice each bin's error for pass 2 to read.
 class DensityPenalty final : public ObjectiveTerm {
  public:
   DensityPenalty(const netlist::Netlist& nl, const netlist::Design& design,
@@ -69,7 +77,7 @@ class DensityPenalty final : public ObjectiveTerm {
   /// default to 1.
   void set_area_scale(std::vector<double> scale);
 
-  /// Passes 0-1: the penalty value. Keeps the footprints, bells and per-bin
+  /// Passes 0-1: the penalty value. Keeps the windows, bells and per-bin
   /// errors for a following gradient() call.
   double value(const netlist::Placement& pl,
                const VarMap& vars) const override;
@@ -84,14 +92,15 @@ class DensityPenalty final : public ObjectiveTerm {
   double overflow(const netlist::Placement& pl, const VarMap& vars,
                   double target_density) const;
 
-  /// Deterministic work counter: the bins covered by the (trimmed)
-  /// footprints of the cells spread by the last value() call. Pass 1 and
-  /// pass 2 each visit this many bins.
+  /// Deterministic work counter: the bins in the windows of the cells
+  /// spread by the last value() call (a cell spreads nowhere when its
+  /// whole window lies beyond the bell). Pass 2 visits this many bins,
+  /// pass 1 as many or more (a window may straddle two of its blocks).
   std::uint64_t bins_visited() const { return bins_visited_; }
 
   /// Deterministic work counter: the bell evaluations of the last value()
-  /// call, one per column and one per row of every untrimmed footprint.
-  /// gradient() evaluates none.
+  /// call, one per column and one per row of every cell's window, so the
+  /// same for every placement. gradient() evaluates none.
   std::uint64_t bells_evaluated() const { return bells_evaluated_; }
 
   double bin_width() const { return bw_; }
@@ -113,36 +122,45 @@ class DensityPenalty final : public ObjectiveTerm {
     double p = 0.0;   ///< potential in [0, 1]
     double dp = 0.0;  ///< d(potential)/d(cell coordinate)
   };
-  /// A cell's trimmed footprint and its bells there: px[i] is bin column
-  /// bx0 + i, py[j] bin row by0 + j, both in its pass-0 chunk's storage.
+  /// A cell's window and its bells there: px[i] is bin column bx0 + i,
+  /// py[j] bin row by0 + j, both in bells_.
   struct Footprint {
     long long bx0, bx1, by0, by1;
     double inv_norm;
-    const Bell* px;
-    const Bell* py;
+    Bell* px;
+    Bell* py;
+    std::size_t width() const {
+      return static_cast<std::size_t>(bx1 - bx0 + 1);
+    }
+    std::size_t height() const {
+      return static_cast<std::size_t>(by1 - by0 + 1);
+    }
   };
   /// The constants of one cell's bell on one axis: the inner and outer
-  /// window radii and the two parabola coefficients.
+  /// radii, the two parabola coefficients, and their slope factors.
   struct BellShape {
     double r1, r2, a, b;
+    double m2a, b2;  ///< -2 a and 2 b
   };
   static BellShape bell_shape(double wc, double wb);
-  static Bell bell(double d, const BellShape& s);
+  /// The variables at order_[at] and, if it has the same window, at
+  /// order_[at + 1] (below `end`); else the first twice. Advances `at`
+  /// past them.
+  std::pair<std::uint32_t, std::uint32_t> next_pair(std::size_t& at,
+                                                    std::size_t end) const;
+  /// The index of bin (column bx, row by) in the row-major grids.
+  std::size_t bin(long long bx, long long by) const {
+    return static_cast<std::size_t>(by) * nb_ + static_cast<std::size_t>(bx);
+  }
 
   /// What does not move with the cells, per variable: the bell shapes on
-  /// both axes and the scaled area.
+  /// both axes, the window's columns and rows, where its bells are kept
+  /// in bells_ (nx x-bells, then ny y-bells), and the scaled area.
   struct CellShape {
     BellShape x, y;
+    std::uint32_t nx, ny;
+    std::uint32_t first_bell;
     double area;
-  };
-
-  /// What one pass-0 chunk of cells keeps and counts.
-  struct Chunk {
-    /// The chunk's bells, sized in the constructor for the widest windows
-    /// its cells can have wherever they are.
-    std::vector<Bell> bells;
-    std::uint64_t bins = 0;
-    std::uint64_t bell_calls = 0;
   };
 
   /// Per variable of the netlist's VarMap; the areas and their sum
@@ -150,11 +168,17 @@ class DensityPenalty final : public ObjectiveTerm {
   /// set_area_scale().
   std::vector<CellShape> shapes_;
   double scaled_total_ = 0.0;
+  /// The variables sorted by window shape (stable), the order passes 0
+  /// and 2 visit them in, so a chunk's cells mostly share one shape.
+  std::vector<std::uint32_t> order_;
+  /// The bells of every window, evaluated by every value().
+  std::uint64_t bells_per_value_ = 0;
 
   // Per-evaluation scratch, persistent to keep allocation out of the hot
   // path (one evaluation in flight at a time).
   mutable std::vector<Footprint> foot_;
-  mutable std::vector<Chunk> chunks_;
+  mutable std::vector<Bell> bells_;  ///< every window's bells, in order_
+  mutable std::vector<std::uint64_t> chunk_bins_;  ///< per pass-0 chunk
   mutable std::vector<double> group_value_;  ///< per value-group sums
   mutable std::vector<std::vector<std::uint32_t>> block_cells_;
   /// Pass 1's x-row scaled by the cell's normalization, one per block.

@@ -149,7 +149,8 @@ GpResult GlobalPlacer::place(netlist::Placement& pl, GpResult so_far) {
 
   const std::size_t first_outer = result.trace.size();
   if (first_outer == 0) {
-    quadratic_initial_placement(*nl_, *design_, vars_, pl);
+    quadratic_initial_placement(*nl_, *design_, vars_, wirelength_->nets(),
+                                pl);
   }
 
   std::vector<double> v = vars_.gather(pl);

@@ -31,7 +31,7 @@ struct TermProfile {
 /// `gradients` the objective gradients computed: one per CG run plus one
 /// per accepted probe. `density_bins`, `density_bells` and
 /// `wirelength_exps` are work counters, bitwise reproducible for any thread
-/// count: the bins covered by the density footprints, summed over the
+/// count: the bins covered by the density windows, summed over the
 /// density value passes (each gradient pass visits as many again), the
 /// bell evaluations of those passes (the gradient passes evaluate none),
 /// and the exp() calls of the wirelength evaluations.

@@ -19,24 +19,41 @@ constexpr std::uint64_t kJitterSeed = 42;
 void quadratic_initial_placement(const netlist::Netlist& nl,
                                  const netlist::Design& design,
                                  const VarMap& vars, netlist::Placement& pl) {
-  const geom::Rect& core = design.core();
-  const std::size_t num_nets = nl.num_nets();
+  quadratic_initial_placement(nl, design, vars, netlist::FlatNets(nl, 2),
+                              pl);
+}
 
-  std::vector<double> net_sum_x(num_nets), net_sum_y(num_nets);
-  std::vector<double> net_deg(num_nets);
+void quadratic_initial_placement(const netlist::Netlist& nl,
+                                 const netlist::Design& design,
+                                 const VarMap& vars,
+                                 const netlist::FlatNets& nets,
+                                 netlist::Placement& pl) {
+  const geom::Rect& core = design.core();
+
+  // What the cell loop reads of a net, indexed by NetId: its pin-position
+  // sums, degree and weight. Only nets of >= 2 pins (the flat ones) are
+  // read.
+  struct NetSum {
+    double x = 0.0, y = 0.0, deg = 0.0, weight = 0.0;
+  };
+  std::vector<NetSum> sums(nl.num_nets());
+  for (NetId n = 0; n < nl.num_nets(); ++n) {
+    sums[n].deg = static_cast<double>(nl.net(n).pins.size());
+    sums[n].weight = nl.net(n).weight;
+  }
 
   for (std::size_t sweep = 0; sweep < kSweeps; ++sweep) {
-    // Net centroids from the current placement.
-    for (NetId n = 0; n < num_nets; ++n) {
+    // Net pin-position sums from the current placement, in net pin order.
+    for (std::size_t kn = 0; kn < nets.num_nets(); ++kn) {
       double sx = 0.0, sy = 0.0;
-      for (PinId p : nl.net(n).pins) {
-        const geom::Point pos = nl.pin_position(p, pl);
-        sx += pos.x;
-        sy += pos.y;
+      for (std::uint32_t s = nets.net_first[kn]; s < nets.net_first[kn + 1];
+           ++s) {
+        const CellId c = nets.pin_cell[s];
+        sx += pl[c].x + nets.pin_dx[s];
+        sy += pl[c].y + nets.pin_dy[s];
       }
-      net_sum_x[n] = sx;
-      net_sum_y[n] = sy;
-      net_deg[n] = static_cast<double>(nl.net(n).pins.size());
+      sums[nets.net_id[kn]].x = sx;
+      sums[nets.net_id[kn]].y = sy;
     }
 
     // Jacobi update: each movable cell moves to the weighted average of
@@ -44,14 +61,13 @@ void quadratic_initial_placement(const netlist::Netlist& nl,
     for (const CellId c : vars.movable_cells()) {
       double acc_x = 0.0, acc_y = 0.0, acc_w = 0.0;
       for (PinId p : nl.cell(c).pins) {
-        const NetId n = nl.pin(p).net;
-        const double deg = net_deg[n];
-        if (deg < 2.0) continue;
+        const NetSum& net = sums[nl.pin(p).net];
+        if (net.deg < 2.0) continue;
         const geom::Point own = nl.pin_position(p, pl);
-        const double w = nl.net(n).weight;
+        const double w = net.weight;
         // Average position of the net's other pins.
-        acc_x += w * (net_sum_x[n] - own.x) / (deg - 1.0);
-        acc_y += w * (net_sum_y[n] - own.y) / (deg - 1.0);
+        acc_x += w * (net.x - own.x) / (net.deg - 1.0);
+        acc_y += w * (net.y - own.y) / (net.deg - 1.0);
         acc_w += w;
       }
       if (acc_w <= 0.0) continue;

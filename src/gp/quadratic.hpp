@@ -2,6 +2,7 @@
 
 #include "gp/vars.hpp"
 #include "netlist/design.hpp"
+#include "netlist/flat_nets.hpp"
 
 namespace dp::gp {
 
@@ -12,6 +13,17 @@ namespace dp::gp {
 /// coordinate ties between identically connected cells. Positions are
 /// clamped to the core. This provides the warm start for the nonlinear
 /// global placement.
+///
+/// `nets` must be `netlist::FlatNets(nl, 2)`: each sweep sums the nets'
+/// pin positions over it, in net pin order. The net weights are the
+/// netlist's (`Net::weight`), not `nets.net_weight`.
+void quadratic_initial_placement(const netlist::Netlist& nl,
+                                 const netlist::Design& design,
+                                 const VarMap& vars,
+                                 const netlist::FlatNets& nets,
+                                 netlist::Placement& pl);
+
+/// As above, over a FlatNets built for the call.
 void quadratic_initial_placement(const netlist::Netlist& nl,
                                  const netlist::Design& design,
                                  const VarMap& vars, netlist::Placement& pl);

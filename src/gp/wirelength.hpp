@@ -69,6 +69,10 @@ class SmoothWirelength final : public ObjectiveTerm {
   /// net criticality each outer iteration.
   void set_net_weight_scale(std::span<const double> scale);
 
+  /// The flattened nets (>= 2 pins); `net_weight` holds the scaled
+  /// weights.
+  const netlist::FlatNets& nets() const { return flat_; }
+
  private:
   const netlist::Netlist* nl_;
   WirelengthModel model_;

@@ -1,12 +1,49 @@
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
-#include "legal/legalizer.hpp"
 #include "legal/rowmap.hpp"
 #include "netlist/design.hpp"
 
 namespace dp::legal {
+
+/// What a legalization run could not do.
+struct LegalizeStats {
+  std::size_t cells_failed = 0;  ///< could not be placed (capacity exhausted)
+};
+
+/// One free row segment as Abacus fills it: its cells in arrival (x)
+/// order and the cluster chain they collapsed into.
+struct AbacusSegment {
+  struct Cell {
+    netlist::CellId cell = netlist::kInvalidId;
+    double target_lx = 0.0;  ///< desired left edge
+    double width = 0.0;
+  };
+  struct Cluster {
+    double x = 0.0;  ///< left edge after collapse
+    double e = 0.0;  ///< total weight
+    double q = 0.0;  ///< weighted target sum
+    double w = 0.0;  ///< total width
+    std::size_t first = 0;  ///< index of the first member in `cells`
+    std::size_t count = 0;
+  };
+
+  double lx = 0.0, hx = 0.0;
+  double used = 0.0;  ///< total width of `cells`
+  std::vector<Cell> cells;
+  std::vector<Cluster> clusters;
+
+  /// Appends `cell` (cells arrive in x order), collapses the chain and
+  /// returns the cell's left edge.
+  double insert(const Cell& cell);
+
+  /// The left edge insert(cell) would return, bit for bit, without
+  /// changing the segment: a read-only walk back over the clusters the
+  /// insertion would merge, in insert()'s arithmetic.
+  double trial(const Cell& cell) const;
+};
 
 /// Abacus row-based legalization (Spindler, Schlichtmann, Johannes):
 /// cells are inserted in x order into the row segment minimizing their

@@ -1,7 +1,9 @@
 #pragma once
 
-#include "legal/legalizer.hpp"
+#include <cstddef>
+
 #include "netlist/design.hpp"
+#include "netlist/netlist.hpp"
 
 namespace dp::legal {
 

@@ -474,33 +474,29 @@ TEST(DensityBitwise, FineAndOddGrids) {
   }
 }
 
-// ---- footprint trimming ------------------------------------------------------
+// ---- fixed windows -----------------------------------------------------------
 //
 // SmallDesign's core is 6.75 x 6; on a 16-bin grid the bin extents, bin
 // centers, cell extents and bell radii are all short binary fractions, so
 // positions built from them are exact.
 constexpr std::size_t kEdgeBins = 16;
 
-/// Bins of the floor-based footprints (the window before trimming) of the
-/// cells inside the core.
-std::uint64_t floor_footprint_bins(const dpgen::Benchmark& b,
-                                   const Placement& pl, const VarMap& vars) {
+/// The bins of the fixed windows of the cells: a cell w x h covers
+/// floor(w / bw) + 5 columns -- ceil(w / bw) + 4 unless w / bw is whole,
+/// the most bin centers its bell's support of length w + 4 bw can hold --
+/// and floor(h / bh) + 5 rows, at most the whole grid.
+std::uint64_t window_rule_bins(const dpgen::Benchmark& b, const VarMap& vars) {
   const geom::Rect& core = b.design.core();
   const double bw = core.width() / kEdgeBins;
   const double bh = core.height() / kEdgeBins;
-  const auto last = static_cast<long long>(kEdgeBins) - 1;
-  auto span = [last](double lo, double hi) {
-    const long long i0 = std::max(0LL, static_cast<long long>(std::floor(lo)));
-    const long long i1 =
-        std::min(last, static_cast<long long>(std::floor(hi)));
-    return static_cast<std::uint64_t>(std::max(0LL, i1 - i0 + 1));
+  auto extent = [](double cell, double bin) {
+    return std::min<std::uint64_t>(
+        kEdgeBins, static_cast<std::uint64_t>(std::floor(cell / bin)) + 5);
   };
   std::uint64_t bins = 0;
   for (const CellId c : vars.movable_cells()) {
-    const double rx = b.netlist.cell_width(c) / 2.0 + 2.0 * bw;
-    const double ry = b.netlist.cell_height(c) / 2.0 + 2.0 * bh;
-    bins += span((pl[c].x - rx - core.lx) / bw, (pl[c].x + rx - core.lx) / bw) *
-            span((pl[c].y - ry - core.ly) / bh, (pl[c].y + ry - core.ly) / bh);
+    bins += extent(b.netlist.cell_width(c), bw) *
+            extent(b.netlist.cell_height(c), bh);
   }
   return bins;
 }
@@ -533,11 +529,44 @@ TEST(DensityBitwise, WindowEdgeOnBinCenter) {
   expect_bitwise(b, pl, vars, {kEdgeBins, false}, "edge");
   expect_bitwise(b, pl, vars, {kEdgeBins, true}, "edge area-scale");
 
-  // Each cell loses at least its zero column and its zero row.
+  // Every cell lies inside the core, so every cell spreads over its
+  // whole window.
   DensityPenalty den(nl, b.design, kEdgeBins);
   den.value(pl, vars);
-  const std::uint64_t floor_bins = floor_footprint_bins(b, pl, vars);
-  EXPECT_LT(den.bins_visited(), floor_bins - 2 * vars.movable_cells().size());
+  EXPECT_EQ(den.bins_visited(), window_rule_bins(b, vars));
+}
+
+// Windows other than the 5 x 5 one take the kernel's generic path. On a
+// 160-bin grid every make_scaled(4000) cell spans at least 6 bin rows. On
+// a grid whose bins are exactly one row tall, every cell's support is a
+// whole 5 bins tall and its window gets a sixth row; placing the lower
+// end of a support exactly on a bin center puts its upper end exactly on
+// one too.
+TEST(DensityBitwise, GenericWindows) {
+  const Scaled4k& s = scaled4k();
+  const VarMap vars(s.bench.netlist);
+  const double bh = s.bench.design.core().height() / 160.0;
+  for (const CellId c : vars.movable_cells()) {
+    ASSERT_GE(std::floor(s.bench.netlist.cell_height(c) / bh) + 5, 6.0);
+  }
+  expect_bitwise(s.bench, s.spread, vars, {160, false}, "bins=160");
+
+  // One bin per row: every other cell's support starts on a bin center.
+  const geom::Rect& core = s.bench.design.core();
+  const double row = s.bench.design.row_height();
+  const auto bins = static_cast<std::size_t>(core.height() / row);
+  ASSERT_EQ(static_cast<double>(bins) * row, core.height());
+  Placement pl = s.spread;
+  std::size_t k = 0;
+  for (const CellId c : vars.movable_cells()) {
+    ASSERT_EQ(s.bench.netlist.cell_height(c), row);
+    if (k++ % 2 == 1) continue;
+    const double r2y = row / 2.0 + 2.0 * row;
+    const double bin = std::floor((pl[c].y - r2y - core.ly) / row);
+    pl[c].y = core.ly + (bin + 0.5) * row + r2y;
+  }
+  expect_bitwise(s.bench, pl, vars, {bins, false}, "one bin per row");
+  expect_bitwise(s.bench, pl, vars, {bins, true}, "one bin per row, scaled");
 }
 
 TEST(DensityBitwise, CellsClippedAtCoreEdges) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "dpgen/generator.hpp"
 #include "eval/metrics.hpp"
 #include "legal/abacus.hpp"
@@ -110,6 +113,66 @@ TEST(Abacus, RespectsBlockedSegments) {
               core.center().x - 1e-6)
         << rb.bench->netlist.cell(c).name;
   }
+}
+
+// The copy-free trial must return the left edge an insertion into a copy
+// of the segment returns, bit for bit. Each random segment is filled
+// exactly to its width, so the last cells fit with no slack; targets run
+// past both ends, so the clamps bite; and clustered targets make
+// insertions merge back over several clusters. Before every insertion,
+// several candidate cells are tried, not only the one inserted.
+TEST(Abacus, TrialMatchesInsertionIntoACopy) {
+  util::Rng rng(23);
+  std::size_t merges = 0, clamped_lo = 0, clamped_hi = 0, exact_fits = 0;
+  for (int round = 0; round < 200; ++round) {
+    AbacusSegment seg;
+    seg.lx = 0.25 * (static_cast<double>(rng.below(81)) - 40.0);
+    const int sites = 4 + static_cast<int>(rng.below(57));
+    seg.hx = seg.lx + 0.25 * sites;
+    // Cell widths of 1-4 sites that sum to the segment width.
+    std::vector<double> widths;
+    for (int left = sites; left > 0;) {
+      const int n = std::min(left, 1 + static_cast<int>(rng.below(4)));
+      widths.push_back(0.25 * n);
+      left -= n;
+    }
+    // Targets in x order: a random walk that piles up (merges) and starts
+    // or ends outside the segment (clamps).
+    const double span = seg.hx - seg.lx;
+    double target = seg.lx - rng.uniform(0.0, 0.5) * span;
+    const double step = 3.2 * span / static_cast<double>(widths.size());
+    for (std::size_t i = 0; i < widths.size(); ++i) {
+      const AbacusSegment::Cell cell{static_cast<CellId>(i), target,
+                                     widths[i]};
+      for (int probe = 0; probe < 4; ++probe) {
+        const AbacusSegment::Cell cand{
+            cell.cell, cell.target_lx + rng.uniform(-1.0, 1.0) * span,
+            0.25 * static_cast<double>(1 + rng.below(4))};
+        // Abacus tries a segment only where the cell fits.
+        if (seg.used + cand.width > span) continue;
+        AbacusSegment copy = seg;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(seg.trial(cand)),
+                  std::bit_cast<std::uint64_t>(copy.insert(cand)));
+      }
+      AbacusSegment copy = seg;
+      const double want = copy.insert(cell);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(seg.trial(cell)),
+                std::bit_cast<std::uint64_t>(want))
+          << "round " << round << " cell " << i;
+      const std::size_t before = seg.clusters.size();
+      seg.insert(cell);
+      // The insertion merged at least two clusters already there.
+      merges += seg.clusters.size() < before;
+      clamped_lo += cell.target_lx < seg.lx;
+      clamped_hi += cell.target_lx > seg.hx - cell.width;
+      target += rng.uniform(0.0, step);
+    }
+    exact_fits += seg.used == span;
+  }
+  EXPECT_GT(merges, 100u);
+  EXPECT_GT(clamped_lo, 100u);
+  EXPECT_GT(clamped_hi, 100u);
+  EXPECT_EQ(exact_fits, 200u);
 }
 
 TEST(Repair, FixesInjectedViolations) {
