@@ -214,10 +214,11 @@ BENCHMARK(BM_WirelengthValueSpread4k);
 // fixed cells, as the flows run it after global placement.
 void BM_AbacusSpread4k(benchmark::State& state) {
   const auto& f = spread4k();
-  dp::legal::AbacusLegalizer abacus(f.bench.netlist, f.bench.design);
   for (auto _ : state) {
     auto pl = f.pl;
-    benchmark::DoNotOptimize(abacus.run_all(pl).cells_failed);
+    benchmark::DoNotOptimize(
+        dp::legal::abacus_all(f.bench.netlist, f.bench.design, pl)
+            .cells_failed);
   }
 }
 BENCHMARK(BM_AbacusSpread4k);
@@ -238,15 +239,14 @@ void BM_DetailPass(benchmark::State& state) {
                  rng.uniform(core.ly, core.hy)};
       }
     }
-    dp::legal::AbacusLegalizer(b.netlist, b.design).run_all(pl);
+    dp::legal::abacus_all(b.netlist, b.design, pl);
     return pl;
   }();
-  dp::detail::DetailedPlacer placer(b.netlist, b.design);
   dp::detail::DetailOptions opt;
   opt.max_passes = 1;
   for (auto _ : state) {
     auto pl = legal;
-    const auto stats = placer.run(pl, opt);
+    const auto stats = dp::detail::detailed_place(b.netlist, b.design, pl, opt);
     benchmark::DoNotOptimize(stats.hpwl_after);
   }
 }

@@ -94,13 +94,12 @@ void BM_InflateCells(benchmark::State& state) {
                                       dp::gp::VarMap(b.netlist), pl);
   dp::route::CongestionMap map(b.netlist, b.design, {});
   map.build(pl);
-  const std::vector<double> base(b.netlist.num_cells(), 1.0);
   const std::vector<bool> eligible(b.netlist.num_cells(), true);
   std::vector<double> scale(b.netlist.num_cells(), 1.0);
   for (auto _ : state) {
     std::fill(scale.begin(), scale.end(), 1.0);
     benchmark::DoNotOptimize(dp::route::inflate_cells(
-        b.netlist, map, pl, base, eligible, scale));
+        b.netlist, map, pl, eligible, scale));
   }
 }
 BENCHMARK(BM_InflateCells);

@@ -15,16 +15,20 @@
 //   --json                machine-readable report on stdout
 //   --strict              exit nonzero on warnings as well as errors
 //   --max-diags N         retain at most N diagnostics (default 64)
+//
+// Exits 0 when clean, 1 on errors (or warnings with --strict), and 2 on a
+// usage error, a bad or missing flag value, or input that cannot be loaded.
 
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "check/rules.hpp"
 #include "dpgen/benchmarks.hpp"
 #include "netlist/bookshelf.hpp"
+#include "parse_number.hpp"
 #include "util/logger.hpp"
 
 namespace {
@@ -58,9 +62,7 @@ unsigned parse_categories(const std::string& list, bool* ok) {
   return mask;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dp;
   util::Logger::set_level(util::LogLevel::kWarn);
 
@@ -72,33 +74,31 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    auto next = [&]() -> std::string {
+      if (i + 1 >= argc) throw std::invalid_argument(arg + ": missing value");
+      return argv[++i];
     };
     if (arg == "--bench") {
-      if (const char* v = next()) bench_name = v;
+      bench_name = next();
     } else if (arg == "--aux") {
-      if (const char* v = next()) aux_path = v;
+      aux_path = next();
     } else if (arg == "--groups") {
-      if (const char* v = next()) groups_path = v;
+      groups_path = next();
     } else if (arg == "--level") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      const std::string s = v;
-      if (s == "cheap") level = check::CheckLevel::kCheap;
-      else if (s == "full") level = check::CheckLevel::kFull;
+      const std::string v = next();
+      if (v == "cheap") level = check::CheckLevel::kCheap;
+      else if (v == "full") level = check::CheckLevel::kFull;
       else return usage(argv[0]);
     } else if (arg == "--categories") {
-      const char* v = next();
       bool ok = false;
-      if (v != nullptr) categories = parse_categories(v, &ok);
-      if (v == nullptr || !ok || categories == 0) return usage(argv[0]);
+      categories = parse_categories(next(), &ok);
+      if (!ok || categories == 0) return usage(argv[0]);
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--strict") {
       strict = true;
     } else if (arg == "--max-diags") {
-      if (const char* v = next()) max_diags = std::strtoul(v, nullptr, 10);
+      max_diags = examples::parse_number<std::size_t>(arg, next());
     } else {
       return usage(argv[0]);
     }
@@ -108,25 +108,20 @@ int main(int argc, char** argv) {
   std::optional<dpgen::Benchmark> generated;
   std::optional<netlist::BookshelfDesign> loaded;
   std::optional<netlist::StructureAnnotation> sidecar;
-  try {
-    if (!bench_name.empty()) {
-      generated.emplace(dpgen::make_benchmark(bench_name));
-      if (categories == 0) {
-        categories =
-            check::kCatNetlist | check::kCatStructure | check::kCatTiming;
-      }
-    } else {
-      loaded.emplace(netlist::read_bookshelf(aux_path));
-      if (categories == 0) categories = check::kCatAll;
+  if (!bench_name.empty()) {
+    generated.emplace(dpgen::make_benchmark(bench_name));
+    if (categories == 0) {
+      categories =
+          check::kCatNetlist | check::kCatStructure | check::kCatTiming;
     }
-    if (!groups_path.empty()) {
-      const netlist::Netlist& for_groups =
-          generated ? generated->netlist : loaded->netlist;
-      sidecar.emplace(netlist::read_groups(groups_path, for_groups));
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "dpplace_check: %s\n", e.what());
-    return 2;
+  } else {
+    loaded.emplace(netlist::read_bookshelf(aux_path));
+    if (categories == 0) categories = check::kCatAll;
+  }
+  if (!groups_path.empty()) {
+    const netlist::Netlist& for_groups =
+        generated ? generated->netlist : loaded->netlist;
+    sidecar.emplace(netlist::read_groups(groups_path, for_groups));
   }
   const netlist::Netlist& nl =
       generated ? generated->netlist : loaded->netlist;
@@ -155,4 +150,15 @@ int main(int argc, char** argv) {
   if (sink.num_errors() > 0) return 1;
   if (strict && sink.num_warnings() > 0) return 1;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "dpplace_check: %s\n", e.what());
+    return 2;
+  }
 }

@@ -38,29 +38,28 @@
 //   --groups FILE         write the extracted structure annotation
 //
 // A numeric value must be the whole argument, finite and non-negative, and
-// an integer where the flag takes N. A bad or missing value, or a design
-// that cannot be loaded, prints "dpplace_cli: error: ..." and exits 1; an
-// unknown flag prints the usage and exits 2.
+// an integer where the flag takes N. A bad or missing value, a design that
+// cannot be loaded, or an output file that cannot be written prints
+// "dpplace_cli: error: ..." and exits 1; an unknown flag prints the usage
+// and exits 2.
 //
 // Note: Bookshelf designs carry no cell functions, so extraction runs on
 // connectivity signatures only; generated benchmarks retain functions.
 
-#include <charconv>
-#include <cmath>
+#include <array>
 #include <cstdio>
 #include <exception>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
-#include <type_traits>
 
 #include "core/report_json.hpp"
 #include "core/structure_placer.hpp"
 #include "dpgen/benchmarks.hpp"
 #include "eval/svg.hpp"
 #include "netlist/bookshelf.hpp"
+#include "parse_number.hpp"
 #include "route/congestion.hpp"
 #include "util/logger.hpp"
 #include "util/timer.hpp"
@@ -79,30 +78,9 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// `text` as a number of type T: the whole token, finite and >= 0.
-/// Throws std::invalid_argument naming `flag` otherwise.
-template <typename T>
-T parse_number(const std::string& flag, std::string_view text) {
-  T value{};
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  bool ok = !text.empty() && ec == std::errc() &&
-            end == text.data() + text.size();
-  if constexpr (std::is_floating_point_v<T>) {
-    ok = ok && std::isfinite(value) && value >= 0.0;
-  }
-  if (!ok) {
-    const char* expected = std::is_integral_v<T>
-                               ? "a non-negative integer"
-                               : "a finite non-negative number";
-    throw std::invalid_argument(flag + ": expected " + expected + ", got '" +
-                                std::string(text) + "'");
-  }
-  return value;
-}
-
 int run(int argc, char** argv) {
   using namespace dp;
+  using examples::parse_number;
   util::Logger::set_level(util::LogLevel::kInfo);
 
   std::string bench_name, aux_path, out_prefix, svg_path, groups_path,
@@ -200,9 +178,13 @@ int run(int argc, char** argv) {
               gp_result.trace.size(), gp::to_string(gp_result.stop_reason),
               gp_result.final_overflow, gp_result.total_cg_iterations,
               gp_result.total_evaluations);
+  std::array<std::size_t, gp::kNumCgStops> inner_stops{};
+  for (const gp::GpTracePoint& p : gp_result.trace) {
+    ++inner_stops[static_cast<std::size_t>(p.inner_stop)];
+  }
   for (std::size_t r = 0; r < gp::kNumCgStops; ++r) {
     std::printf(" %s=%zu", gp::to_string(static_cast<gp::CgStop>(r)),
-                gp_result.inner_stops[r]);
+                inner_stops[r]);
   }
   std::printf("\n");
   std::printf("gp eval profile: %s\n",
@@ -270,6 +252,9 @@ int run(int argc, char** argv) {
   if (!json_path.empty()) {
     std::ofstream json_out(json_path);
     json_out << core::report_to_json(report, &nl) << "\n";
+    if (!json_out) {
+      throw std::runtime_error("report-json: cannot write " + json_path);
+    }
     std::printf("wrote %s\n", json_path.c_str());
   }
   return report.legality.legal() ? 0 : 1;

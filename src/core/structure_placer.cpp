@@ -180,16 +180,10 @@ class RunContext {
   // ---- phase 3: legalization -----------------------------------------------
   void legalize() {
     util::Timer stage;
-    legal::AbacusLegalizer(nl_, design_).run_all(pl_);
+    legal::abacus_all(nl_, design_, pl_);
     // Legality guarantee: overlaps and off-grid cells Abacus left are
     // ripped up and re-placed into real free space.
     legal::repair_legality(nl_, design_, pl_);
-    if (util::Logger::level() <= util::LogLevel::kDebug) {
-      const auto lr = eval::check_legality(nl_, design_, pl_);
-      util::Logger::debug(
-          "post-repair legality: ov=%zu row=%zu site=%zu out=%zu",
-          lr.overlaps, lr.off_row, lr.off_site, lr.out_of_core);
-    }
     report.hpwl_legal = eval::hpwl(nl_, pl_);
     report.t_legal = stage.seconds();
     run_checks("legal", check::kCatGeometry | check::kCatLegality, 1e-6);
@@ -198,7 +192,7 @@ class RunContext {
   // ---- phase 4: detailed placement -----------------------------------------
   void detail() {
     util::Timer stage;
-    detail::DetailOptions opt = config_.detail;
+    detail::DetailOptions opt;
     if (config_.timing.driven && timing_ != nullptr) {
       // Veto detail moves that increase the criticality-weighted wire
       // delay on the critical nets (beyond roundoff). Criticalities are
@@ -219,14 +213,15 @@ class RunContext {
       };
     }
     // Detail moves keep every cell in its row, so bit rows stay aligned.
-    report.detail_stats = detail::DetailedPlacer(nl_, design_).run(pl_, opt);
+    report.detail_stats = detail::detailed_place(nl_, design_, pl_, opt);
     report.t_detail = stage.seconds();
     run_checks("detail", check::kCatGeometry | check::kCatLegality, 1e-6);
   }
 
   // ---- reporting -----------------------------------------------------------
   void finish() {
-    report.hpwl_final = eval::hpwl(nl_, pl_);
+    // The detailer's last measurement is of this placement.
+    report.hpwl_final = report.detail_stats.hpwl_after;
     report.legality = eval::check_legality(nl_, design_, pl_);
     if (timing_ != nullptr) {
       timed([&] { report.timing = timing_->analyze(pl_); });
@@ -291,7 +286,6 @@ class RunContext {
     report.gp_result = phase_b.place(pl_, std::move(report.gp_result));
     warn_if_capped("phase B", report.gp_result, opt_b);
 
-    log_group_boxes("post-GP");
     report.datapath_hpwl_gp = eval::datapath_hpwl(nl_, pl_, report.structure);
     report.alignment_gp =
         eval::alignment_score(nl_, pl_, report.structure).rms_misalignment;
@@ -372,8 +366,7 @@ class RunContext {
     }
     std::vector<double> next = density_scale_;
     const std::size_t grown =
-        route::inflate_cells(nl_, *cmap_, cur, density_scale_, eligible,
-                             next);
+        route::inflate_cells(nl_, *cmap_, cur, eligible, next);
     if (grown == 0) return;
     // Shrink every cell's growth by one factor to fit the area budget.
     double area = 0.0, growth = 0.0;
@@ -435,19 +428,6 @@ class RunContext {
     if (summary.errors > 0) {
       util::Logger::warn("check[%s]: %zu error(s), %zu warning(s)", phase,
                          summary.errors, summary.warnings);
-    }
-  }
-
-  void log_group_boxes(const char* stage) const {
-    if (util::Logger::level() > util::LogLevel::kDebug) return;
-    for (const auto& g : report.structure.groups) {
-      geom::Rect box;
-      for (netlist::CellId c : g.cells) {
-        if (c != netlist::kInvalidId) box.expand(pl_[c]);
-      }
-      util::Logger::debug("%s %s: %.1fx%.1f at (%.1f, %.1f)", stage,
-                          g.name.c_str(), box.width(), box.height(),
-                          box.center().x, box.center().y);
     }
   }
 

@@ -30,7 +30,6 @@ struct PlacerConfig {
   bool structure_aware = true;
 
   gp::GpOptions gp;
-  detail::DetailOptions detail;
 
   /// Worker threads of the run's one pool, shared by every global
   /// placement's gradient kernels, the timing analyzer and the congestion

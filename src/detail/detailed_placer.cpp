@@ -234,14 +234,11 @@ class Engine {
 
 }  // namespace
 
-DetailedPlacer::DetailedPlacer(const netlist::Netlist& nl,
-                               const netlist::Design& design)
-    : nl_(&nl), design_(&design) {}
-
-DetailStats DetailedPlacer::run(netlist::Placement& pl,
-                                const DetailOptions& options) {
-  Engine engine(*nl_, *design_, pl, options);
-  return engine.optimize();
+DetailStats detailed_place(const netlist::Netlist& nl,
+                           const netlist::Design& design,
+                           netlist::Placement& pl,
+                           const DetailOptions& options) {
+  return Engine(nl, design, pl, options).optimize();
 }
 
 }  // namespace dp::detail

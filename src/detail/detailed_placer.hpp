@@ -32,24 +32,17 @@ struct DetailStats {
   Profile profile;
 };
 
-/// Row-based detailed placement: per-cell optimal-interval sliding within
-/// row gaps plus adjacent-cell swapping, iterated to convergence. Neither
+/// Row-based detailed placement over all movable cells: per-cell
+/// optimal-interval sliding within row gaps plus adjacent-cell swapping,
+/// iterated to convergence; fixed cells are blocked row intervals. Neither
 /// move changes a cell's row, so the bit rows a structure-aware GP aligned
 /// stay aligned.
 ///
 /// Precondition: `pl` is legal (row- and site-aligned, no overlaps);
 /// the placer maintains legality move by move.
-class DetailedPlacer {
- public:
-  DetailedPlacer(const netlist::Netlist& nl, const netlist::Design& design);
-
-  /// Detailed placement over all movable cells; fixed cells are blocked
-  /// row intervals.
-  DetailStats run(netlist::Placement& pl, const DetailOptions& options = {});
-
- private:
-  const netlist::Netlist* nl_;
-  const netlist::Design* design_;
-};
+DetailStats detailed_place(const netlist::Netlist& nl,
+                           const netlist::Design& design,
+                           netlist::Placement& pl,
+                           const DetailOptions& options = {});
 
 }  // namespace dp::detail

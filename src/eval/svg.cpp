@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 
 #include "geom/rect.hpp"
 
@@ -30,7 +31,7 @@ void write_svg(const std::string& path, const netlist::Netlist& nl,
                const netlist::Design& design, const netlist::Placement& pl,
                const SvgOptions& options) {
   std::ofstream out(path);
-  if (!out) return;
+  if (!out) throw std::runtime_error("svg: cannot write " + path);
   const geom::Rect& core = design.core();
   const double scale = 900.0 / std::max(core.width(), core.height());
   const double margin = 20.0;

@@ -31,7 +31,8 @@ struct SvgOptions {
 /// optional congestion heatmap bins (class 'heat'), movable cells (class
 /// 'cell', or 'cell dp' with a per-group color for datapath cells), and
 /// an optional critical-path polyline (class 'critpath'). Debugging and
-/// documentation aid.
+/// documentation aid. Throws std::runtime_error ("svg: cannot write
+/// PATH") when `path` cannot be opened.
 void write_svg(const std::string& path, const netlist::Netlist& nl,
                const netlist::Design& design, const netlist::Placement& pl,
                const SvgOptions& options);

@@ -211,7 +211,6 @@ GpResult GlobalPlacer::place(netlist::Placement& pl, GpResult so_far) {
     const CgResult inner = minimize_cg(objective, v, cg);
     result.total_cg_iterations += inner.iterations;
     result.total_evaluations += inner.evaluations;
-    ++result.inner_stops[static_cast<std::size_t>(inner.stop)];
     result.profile.line_search.calls += inner.line_search_evals;
     result.profile.line_search.seconds += inner.line_search_seconds;
     result.profile.gradients += inner.gradient_evals;
@@ -243,8 +242,10 @@ GpResult GlobalPlacer::place(netlist::Placement& pl, GpResult so_far) {
     if (overflow <= options_.stop_overflow) break;
   }
 
-  vars_.scatter(v, pl);
-  result.final_hpwl = eval::hpwl(*nl_, pl);
+  // The last outer scattered `v` into `pl` and measured it.
+  result.final_hpwl = result.trace.size() > first_outer
+                          ? result.trace.back().hpwl
+                          : eval::hpwl(*nl_, pl);
   result.final_overflow = overflow;
   result.stop_reason = overflow <= options_.stop_overflow
                            ? GpStop::kOverflowReached

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -83,8 +82,6 @@ struct GpResult {
   GpStop stop_reason = GpStop::kOverflowReached;
   std::size_t total_cg_iterations = 0;
   std::size_t total_evaluations = 0;
-  /// Inner CG runs by the reason they stopped, indexed by CgStop.
-  std::array<std::size_t, kNumCgStops> inner_stops{};
   /// Per-term call counts and wall time of the evaluations.
   EvalProfile profile;
 };

@@ -80,12 +80,12 @@ CgResult minimize_cg(Objective& objective, std::vector<double>& vars,
     double f_new = f;
     bool accepted = false;
     const util::Timer ls_timer;
-    for (std::size_t bt = 0; bt <= options.max_backtracks; ++bt) {
+    for (std::size_t bt = 0; bt <= kMaxBacktracks; ++bt) {
       for (std::size_t i = 0; i < n; ++i) trial[i] = vars[i] + alpha * dir[i];
       f_new = objective.value(trial);
       ++result.evaluations;
       ++result.line_search_evals;
-      if (f_new <= f + options.armijo_c1 * alpha * g_dot_d) {
+      if (f_new <= f + kArmijoC1 * alpha * g_dot_d) {
         accepted = true;
         break;
       }

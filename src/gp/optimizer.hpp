@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -20,6 +21,11 @@ class Objective {
   virtual void gradient(std::span<double> grad) = 0;
 };
 
+/// Armijo sufficient-decrease constant of the line search.
+inline constexpr double kArmijoC1 = 1e-4;
+/// Step halvings the line search tries before it gives up.
+inline constexpr std::size_t kMaxBacktracks = 12;
+
 struct CgOptions {
   std::size_t max_iters = 100;
   /// Stop when the objective improves by less than this relative amount
@@ -28,16 +34,13 @@ struct CgOptions {
   /// Reference trial-step length: the first line-search trial moves the
   /// fastest coordinate by this distance (typically one bin width).
   double step_ref = 1.0;
-  /// Armijo sufficient-decrease constant.
-  double armijo_c1 = 1e-4;
-  std::size_t max_backtracks = 12;
 };
 
 /// Why a minimize_cg run stopped.
 enum class CgStop {
   kTolerance,         ///< an iteration improved f by less than `rel_tol`
   kIterationCap,      ///< `max_iters` iterations ran
-  kLineSearchFailed,  ///< no Armijo step within `max_backtracks` halvings
+  kLineSearchFailed,  ///< no Armijo step within kMaxBacktracks halvings
   kNoDescent,         ///< the gradient offers no descent direction
 };
 inline constexpr std::size_t kNumCgStops = 4;

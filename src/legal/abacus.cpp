@@ -74,16 +74,10 @@ double AbacusSegment::trial(const Cell& cell) const {
   }
 }
 
-AbacusLegalizer::AbacusLegalizer(const netlist::Netlist& nl,
-                                 const netlist::Design& design)
-    : nl_(&nl), design_(&design) {}
-
-LegalizeStats AbacusLegalizer::run(netlist::Placement& pl,
-                                   const std::vector<CellId>& cells,
-                                   const RowMap& rows,
-                                   std::vector<CellId>* failed) {
+LegalizeStats abacus(const netlist::Netlist& nl, const netlist::Design& design,
+                     netlist::Placement& pl, const std::vector<CellId>& cells,
+                     const RowMap& rows, std::vector<CellId>* failed) {
   LegalizeStats stats;
-  const netlist::Design& design = *design_;
   const double site = design.site_width();
   const double core_lx = design.core().lx;
 
@@ -101,13 +95,13 @@ LegalizeStats AbacusLegalizer::run(netlist::Placement& pl,
 
   std::vector<CellId> order = cells;
   std::sort(order.begin(), order.end(), [&](CellId a, CellId b) {
-    return pl[a].x - nl_->cell_width(a) / 2.0 <
-           pl[b].x - nl_->cell_width(b) / 2.0;
+    return pl[a].x - nl.cell_width(a) / 2.0 <
+           pl[b].x - nl.cell_width(b) / 2.0;
   });
 
   for (CellId c : order) {
-    const double w = nl_->cell_width(c);
-    const double h = nl_->cell_height(c);
+    const double w = nl.cell_width(c);
+    const double h = nl.cell_height(c);
     const AbacusSegment::Cell rec{c, pl[c].x - w / 2.0, w};
     const double want_ly = pl[c].y - h / 2.0;
 
@@ -153,7 +147,7 @@ LegalizeStats AbacusLegalizer::run(netlist::Placement& pl,
         for (std::size_t i = cl.first; i < cl.first + cl.count; ++i) {
           const AbacusSegment::Cell& rc = seg.cells[i];
           pl[rc.cell] = {cursor + rc.width / 2.0,
-                         row.y + nl_->cell_height(rc.cell) / 2.0};
+                         row.y + nl.cell_height(rc.cell) / 2.0};
           cursor += rc.width;
         }
       }
@@ -162,12 +156,14 @@ LegalizeStats AbacusLegalizer::run(netlist::Placement& pl,
   return stats;
 }
 
-LegalizeStats AbacusLegalizer::run_all(netlist::Placement& pl) {
+LegalizeStats abacus_all(const netlist::Netlist& nl,
+                         const netlist::Design& design,
+                         netlist::Placement& pl) {
   std::vector<CellId> cells;
-  for (CellId c = 0; c < nl_->num_cells(); ++c) {
-    if (!nl_->cell(c).fixed) cells.push_back(c);
+  for (CellId c = 0; c < nl.num_cells(); ++c) {
+    if (!nl.cell(c).fixed) cells.push_back(c);
   }
-  return run(pl, cells, RowMap(*design_, *nl_, pl));
+  return abacus(nl, design, pl, cells, RowMap(design, nl, pl));
 }
 
 }  // namespace dp::legal

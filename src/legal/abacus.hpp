@@ -55,24 +55,19 @@ struct AbacusSegment {
 /// Operates on a free-space RowMap, so it handles rows fragmented by
 /// fixed macros. It is the only row legalizer: the flows run it on the
 /// core around the fixed cells, and repair_legality on ripped-out cells.
-class AbacusLegalizer {
- public:
-  AbacusLegalizer(const netlist::Netlist& nl, const netlist::Design& design);
+///
+/// Legalizes `cells` into the free space of `rows`. Space is tracked
+/// internally; `rows` is not modified. Cells that fit nowhere are appended
+/// to `failed` (positions untouched) if provided.
+LegalizeStats abacus(const netlist::Netlist& nl, const netlist::Design& design,
+                     netlist::Placement& pl,
+                     const std::vector<netlist::CellId>& cells,
+                     const RowMap& rows,
+                     std::vector<netlist::CellId>* failed = nullptr);
 
-  /// Legalize `cells` into the free space of `rows`. Space is tracked
-  /// internally; `rows` is not modified. Cells that fit nowhere are
-  /// appended to `failed` (positions untouched) if provided.
-  LegalizeStats run(netlist::Placement& pl,
-                    const std::vector<netlist::CellId>& cells,
-                    const RowMap& rows,
-                    std::vector<netlist::CellId>* failed = nullptr);
-
-  /// Legalize all movable cells around the fixed cells in the core.
-  LegalizeStats run_all(netlist::Placement& pl);
-
- private:
-  const netlist::Netlist* nl_;
-  const netlist::Design* design_;
-};
+/// Abacus-legalizes all movable cells around the fixed cells in the core.
+LegalizeStats abacus_all(const netlist::Netlist& nl,
+                         const netlist::Design& design,
+                         netlist::Placement& pl);
 
 }  // namespace dp::legal

@@ -63,7 +63,7 @@ std::size_t repair_legality(const netlist::Netlist& nl,
   }
 
   const std::size_t failed =
-      AbacusLegalizer(nl, design).run(pl, victims, free_map).cells_failed;
+      abacus(nl, design, pl, victims, free_map).cells_failed;
   if (failed > 0) {
     util::Logger::warn("repair_legality: %zu cells could not be placed",
                        failed);

@@ -9,7 +9,6 @@ using netlist::CellId;
 std::size_t inflate_cells(const netlist::Netlist& nl,
                           const CongestionMap& map,
                           const netlist::Placement& pl,
-                          const std::vector<double>& base,
                           const std::vector<bool>& eligible,
                           std::vector<double>& scale) {
   std::size_t grown = 0;
@@ -18,7 +17,7 @@ std::size_t inflate_cells(const netlist::Netlist& nl,
     const double r = map.ratio(map.bin_x(pl[c].x), map.bin_y(pl[c].y));
     if (r <= kInflationThreshold) continue;
     const double factor = 1.0 + kInflationRate * (r - kInflationThreshold);
-    const double cap = base[c] * kInflationMaxScale;
+    const double cap = scale[c] * kInflationMaxScale;
     const double next = std::min(scale[c] * factor, cap);
     if (next > scale[c]) {
       scale[c] = next;

@@ -36,16 +36,15 @@ struct CongestionControl {
 };
 
 /// Multiply `scale` (density area factor per CellId) by the inflation of
-/// each movable cell's bin, clamping the cumulative factor to
-/// kInflationMaxScale times `base`. `base` holds the pre-inflation scale
-/// (the macro-shrink factors), so the cap is relative to the pipeline's
-/// own scaling, not absolute. Cells with `eligible[c] == false` are
-/// skipped (e.g. frozen datapath plate members). Returns the number of
-/// cells whose scale grew. Deterministic: cells are visited in id order.
+/// each movable cell's bin, capped at kInflationMaxScale times the scale
+/// the cell comes in with (in the placer, which inflates once per run, the
+/// macro-shrink factor), so the cap is relative to the pipeline's own
+/// scaling, not absolute. Cells with `eligible[c] == false` are skipped (e.g. frozen datapath
+/// plate members). Returns the number of cells whose scale grew.
+/// Deterministic: cells are visited in id order.
 std::size_t inflate_cells(const netlist::Netlist& nl,
                           const CongestionMap& map,
                           const netlist::Placement& pl,
-                          const std::vector<double>& base,
                           const std::vector<bool>& eligible,
                           std::vector<double>& scale);
 

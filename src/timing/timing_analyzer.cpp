@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "eval/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dp::timing {
@@ -55,20 +56,8 @@ const TimingReport& TimingAnalyzer::analyze(const netlist::Placement& pl) {
 
   // Pass 0: per-net wire delay, linear in the net's HPWL at `pl`.
   run_chunked(pool, num_nets, kMinNetsPerChunk, [&](std::size_t n) {
-    const auto& pins = nl.net(static_cast<NetId>(n)).pins;
-    if (pins.size() < 2) {
-      net_delay_[n] = 0.0;
-      return;
-    }
-    double lx = kInf, ly = kInf, hx = -kInf, hy = -kInf;
-    for (const PinId p : pins) {
-      const geom::Point pos = nl.pin_position(p, pl);
-      lx = std::min(lx, pos.x);
-      hx = std::max(hx, pos.x);
-      ly = std::min(ly, pos.y);
-      hy = std::max(hy, pos.y);
-    }
-    net_delay_[n] = kWireDelayPerUnit * ((hx - lx) + (hy - ly));
+    net_delay_[n] =
+        kWireDelayPerUnit * eval::net_hpwl(nl, static_cast<NetId>(n), pl);
   });
   run_chunked(pool, g.num_arcs(), kMinNetsPerChunk, [&](std::size_t a) {
     arc_delay_[a] = g.arc_kind()[a] == ArcKind::kCell

@@ -35,7 +35,7 @@ struct LegalBench {
                  rng.uniform(core.ly, core.hy)};
       }
     }
-    legal::AbacusLegalizer(bench->netlist, bench->design).run_all(pl);
+    legal::abacus_all(bench->netlist, bench->design, pl);
   }
   std::optional<dpgen::Benchmark> bench;
   Placement pl;
@@ -46,8 +46,8 @@ class DetailProperty : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(DetailProperty, NeverIncreasesHpwl) {
   LegalBench lb(GetParam());
   const double before = eval::hpwl(lb.bench->netlist, lb.pl);
-  DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
-  const DetailStats stats = placer.run(lb.pl);
+  const DetailStats stats =
+      detailed_place(lb.bench->netlist, lb.bench->design, lb.pl);
   EXPECT_LE(stats.hpwl_after, before + 1e-9);
   EXPECT_DOUBLE_EQ(stats.hpwl_before, before);
 }
@@ -57,8 +57,7 @@ TEST_P(DetailProperty, PreservesLegality) {
   ASSERT_TRUE(
       eval::check_legality(lb.bench->netlist, lb.bench->design, lb.pl)
           .legal());
-  DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
-  placer.run(lb.pl);
+  detailed_place(lb.bench->netlist, lb.bench->design, lb.pl);
   EXPECT_TRUE(
       eval::check_legality(lb.bench->netlist, lb.bench->design, lb.pl)
           .legal());
@@ -69,8 +68,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DetailProperty,
 
 TEST(Detail, ActuallyImprovesRandomLegalPlacement) {
   LegalBench lb(9);
-  DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
-  const DetailStats stats = placer.run(lb.pl);
+  const DetailStats stats =
+      detailed_place(lb.bench->netlist, lb.bench->design, lb.pl);
   EXPECT_LT(stats.hpwl_after, stats.hpwl_before);
   EXPECT_GT(stats.profile.slide.accepted + stats.profile.swap.accepted, 0u);
 }
@@ -78,10 +77,9 @@ TEST(Detail, ActuallyImprovesRandomLegalPlacement) {
 TEST(Detail, MaxPassesZeroIsNoop) {
   LegalBench lb(10);
   const Placement before = lb.pl;
-  DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
   DetailOptions opt;
   opt.max_passes = 0;
-  placer.run(lb.pl, opt);
+  detailed_place(lb.bench->netlist, lb.bench->design, lb.pl, opt);
   for (CellId c = 0; c < lb.bench->netlist.num_cells(); ++c) {
     EXPECT_DOUBLE_EQ(lb.pl[c].x, before[c].x);
   }
@@ -306,7 +304,7 @@ Placement legalized_scatter(const dpgen::Benchmark& bench,
       pl[c] = {rng.uniform(core.lx, core.hx), rng.uniform(core.ly, core.hy)};
     }
   }
-  legal::AbacusLegalizer(bench.netlist, bench.design).run_all(pl);
+  legal::abacus_all(bench.netlist, bench.design, pl);
   return pl;
 }
 
@@ -320,8 +318,7 @@ TEST_P(DetailEquivalence, BitwiseIdenticalToSeedImplementation) {
   seedref::run_plain(bench.netlist, bench.design, pl_ref);
 
   Placement pl_new = start;
-  DetailedPlacer placer(bench.netlist, bench.design);
-  const DetailStats stats = placer.run(pl_new);
+  const DetailStats stats = detailed_place(bench.netlist, bench.design, pl_new);
 
   for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
     ASSERT_EQ(pl_new[c].x, pl_ref[c].x) << "cell " << c;
@@ -366,8 +363,7 @@ TEST(Detail, MoveGuardSeesMovedCellsNets) {
     before = pl;  // every move is allowed
     return true;
   };
-  DetailedPlacer placer(nl, bench.design);
-  const DetailStats stats = placer.run(pl, opt);
+  const DetailStats stats = detailed_place(nl, bench.design, pl, opt);
   const Profile& p = stats.profile;
   EXPECT_GT(calls, 0u);
   EXPECT_EQ(calls, p.slide.accepted + p.swap.accepted);
@@ -379,9 +375,9 @@ TEST(Detail, VetoingGuardLeavesPlacementUnchanged) {
   const Placement start = legalized_scatter(bench, 45);
   DetailOptions opt;
   opt.move_guard = [](std::span<const eval::NetChange>) { return false; };
-  DetailedPlacer placer(bench.netlist, bench.design);
   Placement pl = start;
-  const DetailStats stats = placer.run(pl, opt);
+  const DetailStats stats =
+      detailed_place(bench.netlist, bench.design, pl, opt);
   const Profile& p = stats.profile;
   EXPECT_GT(p.guard_vetoes, 0u);
   EXPECT_EQ(p.slide.accepted + p.swap.accepted, 0u);
@@ -394,8 +390,8 @@ TEST(Detail, VetoingGuardLeavesPlacementUnchanged) {
 
 TEST(Detail, ProfileCountsAreConsistent) {
   LegalBench lb(6);
-  DetailedPlacer placer(lb.bench->netlist, lb.bench->design);
-  const DetailStats stats = placer.run(lb.pl);
+  const DetailStats stats =
+      detailed_place(lb.bench->netlist, lb.bench->design, lb.pl);
   const Profile& p = stats.profile;
   EXPECT_LE(p.slide.accepted, p.slide.candidates);
   EXPECT_LE(p.swap.accepted, p.swap.candidates);

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 
 #include "core/report_json.hpp"
 #include "dpgen/benchmarks.hpp"
@@ -260,7 +261,7 @@ TEST(MoveScorer, MatchesNetHpwlAndUndoesBitwise) {
       pl[c] = {rng.uniform(core.lx, core.hx), rng.uniform(core.ly, core.hy)};
     }
   }
-  legal::AbacusLegalizer(nl, bench.design).run_all(pl);
+  legal::abacus_all(nl, bench.design, pl);
   std::vector<std::vector<CellId>> lanes;
   for (const auto& g : bench.truth.groups) {
     for (std::size_t bit = 0; bit < g.bits; ++bit) {
@@ -414,6 +415,14 @@ TEST(Svg, CriticalPathLayerTogglesOnPoints) {
   write_svg(path, bench.netlist, bench.design, bench.placement, options);
   EXPECT_EQ(count_occurrences(read_and_remove(path), "class='critpath'"),
             0u);
+}
+
+TEST(Svg, UnwritablePathThrows) {
+  const dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
+  const std::string path = ::testing::TempDir() + "no_such_dir/x.svg";
+  EXPECT_THROW(
+      write_svg(path, bench.netlist, bench.design, bench.placement),
+      std::runtime_error);
 }
 
 TEST(ReportJson, SchemaVersionLeadsAndEscapesHold) {

@@ -79,8 +79,8 @@ class LegalizerProperty : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(LegalizerProperty, AbacusProducesLegalPlacement) {
   RandomBench rb(GetParam());
   Placement pl = rb.random_start(GetParam() * 13 + 5);
-  AbacusLegalizer abacus(rb.bench->netlist, rb.bench->design);
-  const LegalizeStats stats = abacus.run_all(pl);
+  const LegalizeStats stats =
+      abacus_all(rb.bench->netlist, rb.bench->design, pl);
   EXPECT_EQ(stats.cells_failed, 0u);
   EXPECT_TRUE(
       eval::check_legality(rb.bench->netlist, rb.bench->design, pl).legal());
@@ -102,9 +102,8 @@ TEST(Abacus, RespectsBlockedSegments) {
   for (CellId c = 0; c < rb.bench->netlist.num_cells(); ++c) {
     if (!rb.bench->netlist.cell(c).fixed) cells.push_back(c);
   }
-  AbacusLegalizer abacus(rb.bench->netlist, rb.bench->design);
   std::vector<CellId> failed;
-  abacus.run(pl, cells, rows, &failed);
+  abacus(rb.bench->netlist, rb.bench->design, pl, cells, rows, &failed);
   for (CellId c : cells) {
     bool is_failed = false;
     for (CellId f : failed) is_failed |= (f == c);
@@ -178,7 +177,7 @@ TEST(Abacus, TrialMatchesInsertionIntoACopy) {
 TEST(Repair, FixesInjectedViolations) {
   RandomBench rb(11);
   Placement pl = rb.random_start(1);
-  AbacusLegalizer(rb.bench->netlist, rb.bench->design).run_all(pl);
+  abacus_all(rb.bench->netlist, rb.bench->design, pl);
   ASSERT_TRUE(
       eval::check_legality(rb.bench->netlist, rb.bench->design, pl).legal());
 
@@ -224,8 +223,7 @@ TEST(Repair, LeavesUnplaceableCellsWhereTheyAre) {
       full.row_height(), full.site_width());
   Placement pl = rb.random_start(5);
   const Placement start = pl;
-  const LegalizeStats stats =
-      AbacusLegalizer(rb.bench->netlist, small).run_all(pl);
+  const LegalizeStats stats = abacus_all(rb.bench->netlist, small, pl);
   ASSERT_GT(stats.cells_failed, 0u);
 
   const Placement before = pl;
@@ -246,7 +244,7 @@ TEST(Repair, LeavesUnplaceableCellsWhereTheyAre) {
 TEST(Repair, NoopOnLegalInput) {
   RandomBench rb(13);
   Placement pl = rb.random_start(1);
-  AbacusLegalizer(rb.bench->netlist, rb.bench->design).run_all(pl);
+  abacus_all(rb.bench->netlist, rb.bench->design, pl);
   const Placement before = pl;
   EXPECT_EQ(repair_legality(rb.bench->netlist, rb.bench->design, pl), 0u);
   for (CellId c = 0; c < rb.bench->netlist.num_cells(); ++c) {

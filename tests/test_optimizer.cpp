@@ -208,11 +208,10 @@ TEST(CgStop, IterationCapWhenStillImproving) {
 TEST(CgStop, LineSearchFailsOnAnUphillGradient) {
   UphillGradient f;
   std::vector<double> v{1.0, -2.0};
-  CgOptions opt;
-  const CgResult res = minimize_cg(f, v, opt);
+  const CgResult res = minimize_cg(f, v, {});
   EXPECT_EQ(res.stop, CgStop::kLineSearchFailed);
   EXPECT_EQ(res.iterations, 1u);
-  EXPECT_EQ(res.line_search_evals, opt.max_backtracks + 1);
+  EXPECT_EQ(res.line_search_evals, kMaxBacktracks + 1);
   EXPECT_EQ(v, (std::vector<double>{1.0, -2.0}));  // no step taken
 }
 

@@ -215,7 +215,7 @@ TEST(Inflation, ScalesOnlyEligibleCellsInOverflowedBins) {
     ASSERT_GT(map.report().peak, kInflationThreshold);
     std::vector<double> scale = base;
     const std::size_t grown =
-        inflate_cells(bench.netlist, map, *pl, base, eligible, scale);
+        inflate_cells(bench.netlist, map, *pl, eligible, scale);
     EXPECT_GT(grown, 0u);
     std::size_t above = 0;
     for (CellId c = 0; c < n; ++c) {
@@ -309,9 +309,8 @@ TEST(Inflation, NoOpBelowThreshold) {
   const std::vector<double> base(n, 1.0);
   const std::vector<bool> eligible(n, true);
   std::vector<double> scale = base;
-  EXPECT_EQ(
-      inflate_cells(bench.netlist, map, placed.pl, base, eligible, scale),
-      0u);
+  EXPECT_EQ(inflate_cells(bench.netlist, map, placed.pl, eligible, scale),
+            0u);
   EXPECT_EQ(scale, base);
 }
 
