@@ -217,8 +217,7 @@ void BM_AbacusSpread4k(benchmark::State& state) {
   for (auto _ : state) {
     auto pl = f.pl;
     benchmark::DoNotOptimize(
-        dp::legal::abacus_all(f.bench.netlist, f.bench.design, pl)
-            .cells_failed);
+        dp::legal::abacus_all(f.bench.netlist, f.bench.design, pl).size());
   }
 }
 BENCHMARK(BM_AbacusSpread4k);

@@ -105,35 +105,32 @@ int run(int argc, char** argv) {
   }
   if (bench_name.empty() == aux_path.empty()) return usage(argv[0]);
 
-  std::optional<dpgen::Benchmark> generated;
-  std::optional<netlist::BookshelfDesign> loaded;
+  // Only a generated benchmark has a ground truth, and its initial
+  // placement is deliberately unplaced.
+  const bool generated = !bench_name.empty();
+  const netlist::Problem problem = generated
+                                       ? dpgen::make_benchmark(bench_name)
+                                       : netlist::read_bookshelf(aux_path);
+  if (categories == 0) {
+    categories =
+        generated
+            ? check::kCatNetlist | check::kCatStructure | check::kCatTiming
+            : check::kCatAll;
+  }
   std::optional<netlist::StructureAnnotation> sidecar;
-  if (!bench_name.empty()) {
-    generated.emplace(dpgen::make_benchmark(bench_name));
-    if (categories == 0) {
-      categories =
-          check::kCatNetlist | check::kCatStructure | check::kCatTiming;
-    }
-  } else {
-    loaded.emplace(netlist::read_bookshelf(aux_path));
-    if (categories == 0) categories = check::kCatAll;
-  }
   if (!groups_path.empty()) {
-    const netlist::Netlist& for_groups =
-        generated ? generated->netlist : loaded->netlist;
-    sidecar.emplace(netlist::read_groups(groups_path, for_groups));
+    sidecar.emplace(netlist::read_groups(groups_path, problem.netlist));
   }
-  const netlist::Netlist& nl =
-      generated ? generated->netlist : loaded->netlist;
+  const netlist::Netlist& nl = problem.netlist;
 
   check::CheckContext ctx;
   ctx.netlist = &nl;
-  ctx.design = generated ? &generated->design : &loaded->design;
-  ctx.placement = generated ? &generated->placement : &loaded->placement;
+  ctx.design = &problem.design;
+  ctx.placement = &problem.placement;
   if (sidecar) {
     ctx.structure = &*sidecar;
   } else if (generated) {
-    ctx.structure = &generated->truth;
+    ctx.structure = &problem.truth;
   }
 
   check::DiagnosticSink sink(max_diags);

@@ -9,12 +9,13 @@
 //   --baseline            structure-oblivious flow (default: structure-aware)
 //   --weight W            alignment weight (default 0.5)
 //   --threads N           gradient-kernel worker threads (default 0 =
-//                         hardware concurrency; results are identical for
-//                         every N)
+//                         hardware concurrency; at most 64, the most tasks
+//                         a kernel runs; results are identical for every N)
 //   --congestion          estimate routing congestion (RUDY) after GP and
 //                         on the final placement; adds report lines and,
 //                         with --svg, a heatmap overlay layer
-//   --congestion-bins N   congestion grid side length (default 0 = auto)
+//   --congestion-bins N   congestion grid side length (default 0 = auto;
+//                         at most 1024)
 //   --congestion-refine   routability inside GP: once GP overflow falls to
 //                         0.5, inflate the cells in congested bins so the
 //                         GP spreads them (implies --congestion). Nothing
@@ -38,10 +39,10 @@
 //   --groups FILE         write the extracted structure annotation
 //
 // A numeric value must be the whole argument, finite and non-negative, and
-// an integer where the flag takes N. A bad or missing value, a design that
-// cannot be loaded, or an output file that cannot be written prints
-// "dpplace_cli: error: ..." and exits 1; an unknown flag prints the usage
-// and exits 2.
+// an integer where the flag takes N. A bad, missing or too large value, a
+// design that cannot be loaded, or an output file that cannot be written
+// prints "dpplace_cli: error: ..." and exits 1; an unknown flag prints the
+// usage and exits 2.
 //
 // Note: Bookshelf designs carry no cell functions, so extraction runs on
 // connectivity signatures only; generated benchmarks retain functions.
@@ -50,7 +51,6 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -60,11 +60,16 @@
 #include "eval/svg.hpp"
 #include "netlist/bookshelf.hpp"
 #include "parse_number.hpp"
-#include "route/congestion.hpp"
 #include "util/logger.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace {
+
+/// The largest --congestion-bins: each of the map's three grids holds N x N
+/// doubles, and the auto grids top out at 256 (congestion) and 512
+/// (density) bins per side.
+constexpr std::size_t kMaxCongestionBins = 1024;
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
@@ -94,7 +99,17 @@ int run(int argc, char** argv) {
       return argv[++i];
     };
     auto number = [&]() { return parse_number<double>(arg, next()); };
-    auto count = [&]() { return parse_number<std::size_t>(arg, next()); };
+    // A count, rejected above `max` before anything is sized by it.
+    auto count = [&](std::size_t max) {
+      const std::string text = next();
+      const auto n = parse_number<std::size_t>(arg, text);
+      if (n > max) {
+        throw std::invalid_argument(arg + ": expected at most " +
+                                    std::to_string(max) + ", got '" + text +
+                                    "'");
+      }
+      return n;
+    };
     if (arg == "--bench") {
       bench_name = next();
     } else if (arg == "--aux") {
@@ -104,11 +119,11 @@ int run(int argc, char** argv) {
     } else if (arg == "--weight") {
       config.alignment_weight = number();
     } else if (arg == "--threads") {
-      config.num_threads = count();
+      config.num_threads = count(util::kMaxChunks);
     } else if (arg == "--congestion") {
       config.congestion.measure = true;
     } else if (arg == "--congestion-bins") {
-      config.congestion.map.bins_per_side = count();
+      config.congestion.map.bins_per_side = count(kMaxCongestionBins);
     } else if (arg == "--congestion-refine") {
       config.congestion.measure = true;
       config.congestion.refine = true;
@@ -137,22 +152,17 @@ int run(int argc, char** argv) {
   }
   if (bench_name.empty() == aux_path.empty()) return usage(argv[0]);
 
-  // Load the problem from either source.
-  std::optional<dpgen::Benchmark> generated;
-  std::optional<netlist::BookshelfDesign> loaded;
-  if (!bench_name.empty()) {
-    generated.emplace(dpgen::make_benchmark(bench_name));
-  } else {
-    loaded.emplace(netlist::read_bookshelf(aux_path));
-  }
-  const netlist::Netlist& nl =
-      generated ? generated->netlist : loaded->netlist;
-  const netlist::Design& design =
-      generated ? generated->design : loaded->design;
-  netlist::Placement pl =
-      generated ? generated->placement : loaded->placement;
+  // Load the problem from either source; only a generated benchmark has a
+  // ground truth to score against.
+  const bool generated = !bench_name.empty();
+  const netlist::Problem problem = generated
+                                       ? dpgen::make_benchmark(bench_name)
+                                       : netlist::read_bookshelf(aux_path);
+  const netlist::Netlist& nl = problem.netlist;
+  const netlist::Design& design = problem.design;
+  netlist::Placement pl = problem.placement;
   const netlist::StructureAnnotation* truth =
-      generated ? &generated->truth : nullptr;
+      generated ? &problem.truth : nullptr;
 
   std::printf("design: %zu cells (%zu movable), %zu nets, core %.0fx%.0f\n",
               nl.num_cells(), nl.num_movable(), nl.num_nets(),
@@ -232,10 +242,8 @@ int run(int argc, char** argv) {
     svg_options.groups =
         report.structure.groups.empty() ? nullptr : &report.structure;
     if (report.congestion_measured) {
-      route::CongestionMap cmap(nl, design, config.congestion.map);
-      cmap.build(pl);
-      svg_options.heatmap_bins = cmap.bins_per_side();
-      svg_options.heatmap = cmap.ratios();
+      svg_options.heatmap_bins = report.congestion.bins;
+      svg_options.heatmap = report.congestion.ratios;
     }
     if (report.timing_measured) {
       for (const auto& node : report.timing.critical_path) {

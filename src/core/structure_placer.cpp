@@ -106,9 +106,6 @@ class RunContext {
         report.extraction_seeds = ext.seeds_tried;
       }
       report.structure = partition_groups(nl_, design_, report.structure);
-      util::Logger::info("structure: %zu groups, %zu cells",
-                         report.structure.groups.size(),
-                         report.structure.total_cells());
     }
     structured_ = config_.structure_aware && !report.structure.groups.empty();
     report.t_extract = stage.seconds();
@@ -133,12 +130,6 @@ class RunContext {
     if (timing_ != nullptr) {
       timed([&] { report.timing_gp = timing_->analyze(pl_); });
       report.timing_measured = true;
-      util::Logger::info(
-          "timing (gp): wns=%.2f tns=%.2f period=%.2f crit_delay=%.2f "
-          "endpoints=%zu",
-          report.timing_gp.wns, report.timing_gp.tns,
-          report.timing_gp.clock_period, report.timing_gp.max_arrival,
-          report.timing_gp.endpoints);
     }
     // Cells are not yet snapped to rows and the optimizer clamps centers
     // (not edges) to the core, so tolerate up to the widest movable cell's
@@ -162,17 +153,6 @@ class RunContext {
       cmap_->build(pl_);
       report.congestion_measured = true;
       report.congestion_gp = cmap_->report();
-      util::Logger::info(
-          "congestion (gp): peak=%.2f overflow=%.1f%% bins>cap=%zu/%zu",
-          report.congestion_gp.peak,
-          report.congestion_gp.overflow_frac * 100.0,
-          report.congestion_gp.overflowed_bins,
-          report.congestion_gp.bins * report.congestion_gp.bins);
-      if (report.congestion_refine_iters > 0) {
-        util::Logger::info(
-            "congestion refine: %zu checkpoint(s), %zu cells inflated",
-            report.congestion_refine_iters, report.congestion_inflated_cells);
-      }
     }
     report.t_congestion = stage.seconds();
   }
@@ -184,7 +164,6 @@ class RunContext {
     // Legality guarantee: overlaps and off-grid cells Abacus left are
     // ripped up and re-placed into real free space.
     legal::repair_legality(nl_, design_, pl_);
-    report.hpwl_legal = eval::hpwl(nl_, pl_);
     report.t_legal = stage.seconds();
     run_checks("legal", check::kCatGeometry | check::kCatLegality, 1e-6);
   }
@@ -214,6 +193,8 @@ class RunContext {
     }
     // Detail moves keep every cell in its row, so bit rows stay aligned.
     report.detail_stats = detail::detailed_place(nl_, design_, pl_, opt);
+    // The detailer opens by measuring the legalized placement.
+    report.hpwl_legal = report.detail_stats.hpwl_before;
     report.t_detail = stage.seconds();
     run_checks("detail", check::kCatGeometry | check::kCatLegality, 1e-6);
   }
@@ -225,12 +206,6 @@ class RunContext {
     report.legality = eval::check_legality(nl_, design_, pl_);
     if (timing_ != nullptr) {
       timed([&] { report.timing = timing_->analyze(pl_); });
-      util::Logger::info(
-          "timing (final): wns=%.2f tns=%.2f period=%.2f crit_delay=%.2f "
-          "violations=%zu/%zu",
-          report.timing.wns, report.timing.tns, report.timing.clock_period,
-          report.timing.max_arrival, report.timing.violations,
-          report.timing.endpoints);
     }
     if (cmap_) {
       cmap_->build(pl_);

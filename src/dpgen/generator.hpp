@@ -3,9 +3,7 @@
 #include <string>
 #include <vector>
 
-#include "netlist/design.hpp"
-#include "netlist/netlist.hpp"
-#include "netlist/structure.hpp"
+#include "netlist/problem.hpp"
 #include "util/prng.hpp"
 
 namespace dp::dpgen {
@@ -13,16 +11,9 @@ namespace dp::dpgen {
 /// A bundle of nets carrying a multi-bit signal, LSB first.
 using Bus = std::vector<netlist::NetId>;
 
-/// A complete generated placement problem: netlist + floorplan + initial
-/// placement (fixed pads positioned, movables at the core center) + the
-/// ground-truth datapath structure.
-struct Benchmark {
-  std::string name;
-  netlist::Netlist netlist;
-  netlist::Design design;
-  netlist::Placement placement;
-  netlist::StructureAnnotation truth;
-};
+/// A generated placement problem: its initial placement has the fixed
+/// pads positioned and the movables at the core center.
+using Benchmark = netlist::Problem;
 
 /// Composable generator of datapath-intensive netlists.
 ///

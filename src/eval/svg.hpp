@@ -16,7 +16,7 @@ struct SvgOptions {
   /// Color datapath groups (one color per group); null = all cells grey.
   const netlist::StructureAnnotation* groups = nullptr;
   /// Congestion heatmap overlay: a `heatmap_bins` x `heatmap_bins`
-  /// row-major grid of congestion ratios (route::CongestionMap::ratios()),
+  /// row-major grid of congestion ratios (route::CongestionReport::ratios),
   /// rendered as translucent bins between the core outline and the cells.
   /// 0 bins = no heatmap layer.
   std::size_t heatmap_bins = 0;

@@ -42,13 +42,12 @@ class CompositeObjective final : public Objective {
   double value(std::span<const double> v) override {
     const std::size_t n = vars_->num_vars();
     // Project into the core (keeps the bell-shaped density well-defined).
-    clamped_.assign(v.begin(), v.end());
     const geom::Rect& core = design_->core();
     for (std::size_t i = 0; i < n; ++i) {
-      clamped_[i] = std::clamp(clamped_[i], core.lx, core.hx);
-      clamped_[n + i] = std::clamp(clamped_[n + i], core.ly, core.hy);
+      geom::Point& p = (*pl_)[vars_->cell(i)];
+      p.x = std::clamp(v[i], core.lx, core.hx);
+      p.y = std::clamp(v[n + i], core.ly, core.hy);
     }
-    vars_->scatter(clamped_, *pl_);
 
     double f = 0.0;
     for (const WeightedTerm& t : terms_) {
@@ -67,17 +66,12 @@ class CompositeObjective final : public Objective {
   /// added to its profile entry without a call.
   void gradient(std::span<double> grad) override {
     const std::size_t n = vars_->num_vars();
-    gx_.assign(n, 0.0);
-    gy_.assign(n, 0.0);
+    std::fill(grad.begin(), grad.end(), 0.0);
     for (const WeightedTerm& t : terms_) {
       if (t.weight == 0.0) continue;
       const util::Timer timer;
-      t.term->gradient(gx_, gy_, t.weight);
+      t.term->gradient(grad.first(n), grad.subspan(n), t.weight);
       t.profile->seconds += timer.seconds();
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      grad[i] = gx_[i];
-      grad[n + i] = gy_[i];
     }
   }
 
@@ -89,7 +83,6 @@ class CompositeObjective final : public Objective {
   const SmoothWirelength* wl_;
   const DensityPenalty* den_;
   EvalProfile* profile_;
-  std::vector<double> clamped_, gx_, gy_;
 };
 
 }  // namespace

@@ -74,10 +74,12 @@ double AbacusSegment::trial(const Cell& cell) const {
   }
 }
 
-LegalizeStats abacus(const netlist::Netlist& nl, const netlist::Design& design,
-                     netlist::Placement& pl, const std::vector<CellId>& cells,
-                     const RowMap& rows, std::vector<CellId>* failed) {
-  LegalizeStats stats;
+std::vector<CellId> abacus(const netlist::Netlist& nl,
+                           const netlist::Design& design,
+                           netlist::Placement& pl,
+                           const std::vector<CellId>& cells,
+                           const RowMap& rows) {
+  std::vector<CellId> failed;
   const double site = design.site_width();
   const double core_lx = design.core().lx;
 
@@ -128,8 +130,7 @@ LegalizeStats abacus(const netlist::Netlist& nl, const netlist::Design& design,
     }
 
     if (best_seg == nullptr) {
-      ++stats.cells_failed;
-      if (failed != nullptr) failed->push_back(c);
+      failed.push_back(c);
       continue;
     }
     best_seg->insert(rec);
@@ -153,12 +154,12 @@ LegalizeStats abacus(const netlist::Netlist& nl, const netlist::Design& design,
       }
     }
   }
-  return stats;
+  return failed;
 }
 
-LegalizeStats abacus_all(const netlist::Netlist& nl,
-                         const netlist::Design& design,
-                         netlist::Placement& pl) {
+std::vector<CellId> abacus_all(const netlist::Netlist& nl,
+                               const netlist::Design& design,
+                               netlist::Placement& pl) {
   std::vector<CellId> cells;
   for (CellId c = 0; c < nl.num_cells(); ++c) {
     if (!nl.cell(c).fixed) cells.push_back(c);

@@ -8,11 +8,6 @@
 
 namespace dp::legal {
 
-/// What a legalization run could not do.
-struct LegalizeStats {
-  std::size_t cells_failed = 0;  ///< could not be placed (capacity exhausted)
-};
-
 /// One free row segment as Abacus fills it: its cells in arrival (x)
 /// order and the cluster chain they collapsed into.
 struct AbacusSegment {
@@ -57,17 +52,19 @@ struct AbacusSegment {
 /// core around the fixed cells, and repair_legality on ripped-out cells.
 ///
 /// Legalizes `cells` into the free space of `rows`. Space is tracked
-/// internally; `rows` is not modified. Cells that fit nowhere are appended
-/// to `failed` (positions untouched) if provided.
-LegalizeStats abacus(const netlist::Netlist& nl, const netlist::Design& design,
-                     netlist::Placement& pl,
-                     const std::vector<netlist::CellId>& cells,
-                     const RowMap& rows,
-                     std::vector<netlist::CellId>* failed = nullptr);
+/// internally; `rows` is not modified. Returns the cells that fit nowhere
+/// (capacity exhausted), in the left-edge order Abacus tries cells in;
+/// their positions are untouched.
+std::vector<netlist::CellId> abacus(const netlist::Netlist& nl,
+                                    const netlist::Design& design,
+                                    netlist::Placement& pl,
+                                    const std::vector<netlist::CellId>& cells,
+                                    const RowMap& rows);
 
-/// Abacus-legalizes all movable cells around the fixed cells in the core.
-LegalizeStats abacus_all(const netlist::Netlist& nl,
-                         const netlist::Design& design,
-                         netlist::Placement& pl);
+/// Abacus-legalizes all movable cells around the fixed cells in the core;
+/// returns the cells that fit nowhere.
+std::vector<netlist::CellId> abacus_all(const netlist::Netlist& nl,
+                                        const netlist::Design& design,
+                                        netlist::Placement& pl);
 
 }  // namespace dp::legal

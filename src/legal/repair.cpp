@@ -63,7 +63,7 @@ std::size_t repair_legality(const netlist::Netlist& nl,
   }
 
   const std::size_t failed =
-      abacus(nl, design, pl, victims, free_map).cells_failed;
+      abacus(nl, design, pl, victims, free_map).size();
   if (failed > 0) {
     util::Logger::warn("repair_legality: %zu cells could not be placed",
                        failed);

@@ -159,7 +159,7 @@ void write_bookshelf(const std::string& basename, const Netlist& netlist,
   }
 }
 
-BookshelfDesign read_bookshelf(const std::string& aux_path) {
+Problem read_bookshelf(const std::string& aux_path) {
   std::string nodes_path, nets_path, pl_path, scl_path;
   {
     auto in = open_in(aux_path);
@@ -412,8 +412,8 @@ BookshelfDesign read_bookshelf(const std::string& aux_path) {
     }
   }
 
-  return BookshelfDesign{std::move(library), std::move(netlist),
-                         std::move(design), std::move(placement)};
+  return Problem{{}, std::move(netlist), std::move(design),
+                 std::move(placement), {}};
 }
 
 void write_groups(const std::string& path, const Netlist& netlist,

@@ -1,22 +1,10 @@
 #pragma once
 
-#include <memory>
 #include <string>
 
-#include "netlist/design.hpp"
-#include "netlist/netlist.hpp"
-#include "netlist/structure.hpp"
+#include "netlist/problem.hpp"
 
 namespace dp::netlist {
-
-/// A complete placement problem as stored on disk.
-struct BookshelfDesign {
-  /// Owns the generic types referenced by `netlist` (which shares it).
-  std::shared_ptr<const Library> library;
-  Netlist netlist;
-  Design design;
-  Placement placement;
-};
 
 /// Writes `basename.nodes/.nets/.pl/.scl/.aux` in the GSRC Bookshelf
 /// subset used by the ISPD placement contests. Fixed cells are emitted as
@@ -27,8 +15,8 @@ void write_bookshelf(const std::string& basename, const Netlist& netlist,
 
 /// Reads a Bookshelf design written by write_bookshelf (or any design in
 /// the same subset of the format). Cell functions are kGeneric since the
-/// format carries no logic information.
-BookshelfDesign read_bookshelf(const std::string& aux_path);
+/// format carries no logic information; `truth` is empty.
+Problem read_bookshelf(const std::string& aux_path);
 
 /// Sidecar format for structure annotations:
 ///   group <name> <bits> <stages>

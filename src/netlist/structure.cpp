@@ -36,11 +36,6 @@ std::size_t StructureAnnotation::total_cells() const {
   return n;
 }
 
-bool StructureAnnotation::covers(CellId cell,
-                                 std::size_t num_cells_in_netlist) const {
-  return membership(num_cells_in_netlist)[cell];
-}
-
 std::vector<bool> StructureAnnotation::membership(
     std::size_t num_cells_in_netlist) const {
   std::vector<bool> in(num_cells_in_netlist, false);

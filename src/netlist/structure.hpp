@@ -55,9 +55,6 @@ struct StructureAnnotation {
 
   std::size_t total_cells() const;
 
-  /// True iff `cell` belongs to some group.
-  bool covers(CellId cell, std::size_t num_cells_in_netlist) const;
-
   /// Membership bitmap over all cells of the netlist.
   std::vector<bool> membership(std::size_t num_cells_in_netlist) const;
 };

@@ -12,10 +12,6 @@ using netlist::CellId;
 
 namespace {
 
-/// The rasterization pass splits the grid into at most this many blocks
-/// of whole bin rows, fixed by the grid alone (never by the thread count).
-constexpr std::size_t kMaxRowBlocks = 64;
-
 std::size_t pow2_at_least(double x) {
   std::size_t p = 1;
   while (static_cast<double>(p) < x) p <<= 1;
@@ -126,8 +122,9 @@ void CongestionMap::build(const netlist::Placement& pl) {
   // Ownership lists: every bin row belongs to exactly one block, each
   // block accumulates its rows' contributions in ascending net/pin order
   // -- the same order as a serial sweep, so the grids are bitwise
-  // identical for any thread count.
-  const std::size_t num_blocks = std::min(nb_, kMaxRowBlocks);
+  // identical for any thread count. The block count is fixed by the grid
+  // alone.
+  const std::size_t num_blocks = std::min(nb_, util::kMaxChunks);
   const std::size_t rows_per_block = (nb_ + num_blocks - 1) / num_blocks;
   block_nets_.resize(num_blocks);
   block_pins_.resize(num_blocks);
@@ -192,27 +189,17 @@ double CongestionMap::ratio(std::size_t bx, std::size_t by) const {
   return std::max(demand_h_[i] / cap_, demand_v_[i] / cap_);
 }
 
-std::vector<double> CongestionMap::ratios() const {
-  std::vector<double> out(nb_ * nb_, 0.0);
-  for (std::size_t by = 0; by < nb_; ++by) {
-    for (std::size_t bx = 0; bx < nb_; ++bx) {
-      out[by * nb_ + bx] = ratio(bx, by);
-    }
-  }
-  return out;
-}
-
 CongestionReport CongestionMap::report() const {
   CongestionReport rep;
   rep.bins = nb_;
   double total_demand = 0.0;
-  std::vector<double> combined(nb_ * nb_, 0.0);
+  rep.ratios.assign(nb_ * nb_, 0.0);
   for (std::size_t i = 0; i < nb_ * nb_; ++i) {
     const double rh = demand_h_[i] / cap_;
     const double rv = demand_v_[i] / cap_;
     rep.peak_h = std::max(rep.peak_h, rh);
     rep.peak_v = std::max(rep.peak_v, rv);
-    combined[i] = std::max(rh, rv);
+    rep.ratios[i] = std::max(rh, rv);
     total_demand += demand_h_[i] + demand_v_[i];
     const double over = std::max(0.0, demand_h_[i] - cap_) +
                         std::max(0.0, demand_v_[i] - cap_);
@@ -224,6 +211,7 @@ CongestionReport CongestionMap::report() const {
       total_demand > 0.0 ? rep.overflow_total / total_demand : 0.0;
 
   // ACE-style percentiles: mean combined ratio of the worst x% of bins.
+  std::vector<double> combined = rep.ratios;
   std::sort(combined.begin(), combined.end(), std::greater<double>());
   auto ace = [&](double frac) {
     const std::size_t n = std::max<std::size_t>(

@@ -53,6 +53,9 @@ struct CongestionReport {
   double ace_1 = 0.0;
   double ace_2 = 0.0;
   double ace_5 = 0.0;
+  /// Combined ratio max(demand_h, demand_v) / capacity of every bin,
+  /// row-major (y * bins + x); the SVG heatmap layer input.
+  std::vector<double> ratios;
 
   bool overflowed() const { return overflowed_bins > 0; }
 };
@@ -102,9 +105,6 @@ class CongestionMap {
   /// Combined congestion ratio of one bin:
   /// max(demand_h, demand_v) / capacity.
   double ratio(std::size_t bx, std::size_t by) const;
-
-  /// Combined ratio grid (row-major); the SVG heatmap layer input.
-  std::vector<double> ratios() const;
 
   /// Bin containing a point (clamped to the grid).
   std::size_t bin_x(double x) const;

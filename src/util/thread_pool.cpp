@@ -76,7 +76,7 @@ void ThreadPool::worker_loop() {
 }
 
 std::size_t num_chunks(std::size_t count, std::size_t min_per_chunk) {
-  return std::clamp<std::size_t>(count / min_per_chunk, 1, 64);
+  return std::clamp<std::size_t>(count / min_per_chunk, 1, kMaxChunks);
 }
 
 }  // namespace dp::util

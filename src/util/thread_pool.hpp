@@ -68,9 +68,13 @@ void run(ThreadPool* pool, std::size_t n, Task&& task) {
   }
 }
 
+/// The most tasks any kernel splits its work into, so a pool with more
+/// workers than this leaves the rest idle.
+inline constexpr std::size_t kMaxChunks = 64;
+
 /// The fixed chunk count of `count` items with at least `min_per_chunk`
-/// per chunk: count / min_per_chunk, clamped to [1, 64]. It depends on the
-/// input size alone, never on the thread count.
+/// per chunk: count / min_per_chunk, clamped to [1, kMaxChunks]. It
+/// depends on the input size alone, never on the thread count.
 std::size_t num_chunks(std::size_t count, std::size_t min_per_chunk);
 
 /// The fixed-chunk contract every parallel kernel follows: splits

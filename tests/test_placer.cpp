@@ -118,7 +118,7 @@ TEST(StructurePlacer, GentleFlowKeepsCellsOffFixedMacro) {
   std::ofstream(base + ".nodes", std::ios::app) << "  macro 10 10 terminal\n";
   std::ofstream(base + ".pl", std::ios::app)
       << "macro " << lx << " " << ly << " : N /FIXED\n";
-  const netlist::BookshelfDesign loaded =
+  const netlist::Problem loaded =
       netlist::read_bookshelf(base + ".aux");
   const netlist::Netlist& nl = loaded.netlist;
 

@@ -179,9 +179,17 @@ TEST(CongestionReport, MetricsAreOrderedAndBounded) {
   EXPECT_GE(rep.overflow_frac, 0.0);
   EXPECT_LE(rep.overflow_frac, 1.0);
   EXPECT_EQ(rep.overflowed(), rep.overflowed_bins > 0);
-  // ratios() is the report's per-bin view: its max is the peak.
+  // ratios is the report's per-bin view, bit-equal to the ratio() that
+  // inflation reads: its max is the peak.
+  ASSERT_EQ(rep.ratios.size(), rep.bins * rep.bins);
   double max_ratio = 0.0;
-  for (const double r : map.ratios()) max_ratio = std::max(max_ratio, r);
+  for (std::size_t by = 0; by < rep.bins; ++by) {
+    for (std::size_t bx = 0; bx < rep.bins; ++bx) {
+      const double r = rep.ratios[by * rep.bins + bx];
+      EXPECT_EQ(r, map.ratio(bx, by)) << bx << "," << by;
+      max_ratio = std::max(max_ratio, r);
+    }
+  }
   EXPECT_DOUBLE_EQ(max_ratio, rep.peak);
 }
 

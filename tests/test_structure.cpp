@@ -53,8 +53,7 @@ TEST(StructureAnnotation, MembershipAndTotals) {
   EXPECT_TRUE(member[0]);
   EXPECT_FALSE(member[1]);
   EXPECT_TRUE(member[3]);
-  EXPECT_TRUE(ann.covers(3, 5));
-  EXPECT_FALSE(ann.covers(4, 5));
+  EXPECT_FALSE(member[4]);
 }
 
 }  // namespace
