@@ -42,11 +42,7 @@ BENCHMARK(BM_Hpwl);
 void BM_WirelengthGradient(benchmark::State& state) {
   const auto& b = bench_data();
   const dp::gp::VarMap vars(b.netlist);
-  dp::gp::SmoothWirelength wl(
-      b.netlist,
-      state.range(0) == 0 ? dp::gp::WirelengthModel::kLse
-                          : dp::gp::WirelengthModel::kWa,
-      1.0);
+  dp::gp::SmoothWirelength wl(b.netlist, dp::gp::WirelengthModel::kWa, 1.0);
   std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
   auto pl = b.placement;
   for (auto _ : state) {
@@ -55,7 +51,7 @@ void BM_WirelengthGradient(benchmark::State& state) {
     benchmark::DoNotOptimize(wl.eval(pl, vars, gx, gy));
   }
 }
-BENCHMARK(BM_WirelengthGradient)->Arg(0)->Arg(1);
+BENCHMARK(BM_WirelengthGradient);
 
 void BM_DensityGradient(benchmark::State& state) {
   const auto& b = bench_data();

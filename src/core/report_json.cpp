@@ -125,9 +125,7 @@ std::string report_to_json(const PlaceReport& report,
       << "},\"structure\":{\"groups\":" << report.structure.groups.size()
       << ",\"cells\":" << report.structure.total_cells()
       << ",\"extraction_seeds\":" << report.extraction_seeds
-      << ",\"plate_overlap_gp\":";
-  append_number(out, report.plate_overlap_gp);
-  out << "},\"gp\":{\"final_overflow\":";
+      << "},\"gp\":{\"final_overflow\":";
   append_number(out, report.gp_result.final_overflow);
   out << ",\"stop_reason\":\"" << gp::to_string(report.gp_result.stop_reason)
       << "\",\"outer_iterations\":" << report.gp_result.trace.size()

@@ -264,8 +264,6 @@ class RunContext {
     report.datapath_hpwl_gp = eval::datapath_hpwl(nl_, pl_, report.structure);
     report.alignment_gp =
         eval::alignment_score(nl_, pl_, report.structure).rms_misalignment;
-    report.plate_overlap_gp =
-        eval::cross_group_overlap(nl_, design_, pl_, report.structure);
   }
 
   /// A global placer on the run's pool; a non-empty `area_scale` goes to

@@ -94,10 +94,6 @@ struct PlaceReport {
   double datapath_hpwl_final = 0.0;
   /// Alignment RMS of `structure` after GP (before legalization snaps it).
   double alignment_gp = 0.0;
-  /// Plate piling after global placement: overlap area between cells of
-  /// different structure groups over the groups' cell area
-  /// (eval::cross_group_overlap; 0 in the baseline flow).
-  double plate_overlap_gp = 0.0;
 
   // Stage runtimes (seconds).
   double t_extract = 0.0;
@@ -170,8 +166,6 @@ class StructurePlacer {
   /// `use_truth_structure` is set.
   PlaceReport place(netlist::Placement& pl,
                     const netlist::StructureAnnotation* truth = nullptr);
-
-  const PlacerConfig& config() const { return config_; }
 
  private:
   const netlist::Netlist* nl_;

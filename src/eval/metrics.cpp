@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "geom/rect.hpp"
 
@@ -184,33 +183,6 @@ LegalityReport check_legality(const netlist::Netlist& nl,
     rep.total_overlap_area += p.area;
   }
   return rep;
-}
-
-double cross_group_overlap(const netlist::Netlist& nl,
-                           const netlist::Design& design,
-                           const netlist::Placement& pl,
-                           const netlist::StructureAnnotation& groups) {
-  std::vector<std::size_t> group_of(nl.num_cells(), netlist::kInvalidId);
-  double cell_area = 0.0;
-  for (std::size_t g = 0; g < groups.groups.size(); ++g) {
-    for (CellId c : groups.groups[g].cells) {
-      if (c == netlist::kInvalidId) continue;
-      group_of[c] = g;
-      cell_area += nl.cell_width(c) * nl.cell_height(c);
-    }
-  }
-  if (cell_area <= 0.0) return 0.0;
-  double overlap = 0.0;
-  for (const OverlapPair& p :
-       overlap_pairs(nl, design, pl, /*tolerance=*/1e-6,
-                     /*max_pairs=*/std::numeric_limits<std::size_t>::max())) {
-    const std::size_t ga = group_of[p.a];
-    const std::size_t gb = group_of[p.b];
-    if (ga != netlist::kInvalidId && gb != netlist::kInvalidId && ga != gb) {
-      overlap += p.area;
-    }
-  }
-  return overlap / cell_area;
 }
 
 namespace {

@@ -128,16 +128,6 @@ std::vector<OverlapPair> overlap_pairs(const netlist::Netlist& netlist,
                                        std::size_t max_pairs = 100000,
                                        bool* truncated = nullptr);
 
-/// Plates piled on each other: the overlap area between annotated cells
-/// of different groups, by the `overlap_pairs` row sweep (uncapped),
-/// divided by the total area of the annotated cells. Overlap inside one
-/// group and overlap with glue cells are not counted; 0 when no two groups
-/// overlap or the annotation is empty.
-double cross_group_overlap(const netlist::Netlist& netlist,
-                           const netlist::Design& design,
-                           const netlist::Placement& pl,
-                           const netlist::StructureAnnotation& groups);
-
 /// Structure alignment quality of a placement, for one annotation.
 ///
 /// For each group the score measures how tightly each bit slice hugs a

@@ -37,6 +37,8 @@ inline constexpr std::size_t kSpreadInnerIters = 10;
 /// norms at the start and doubling every outer iteration (ExtraTerm
 /// weights follow the same rule with their own factor).
 struct GpOptions {
+  /// Kept only for `flowbench`, which still names it (see
+  /// WirelengthModel).
   WirelengthModel wl_model = WirelengthModel::kWa;
   /// Stop once the hard density overflow is at or below this fraction.
   double stop_overflow = 0.08;

@@ -15,27 +15,10 @@ namespace {
 /// The gradient gather's chunk minimum, in variables.
 constexpr std::size_t kMinVarsPerChunk = 2048;
 
-/// Log-sum-exp extent and per-pin gradient for one axis of one net.
-/// `grad` receives weight * d/dc_i.
-double lse_axis(const double* coord, std::size_t n, double max_c,
-                double min_c, const double* wmax, const double* wmin,
-                double gamma, double weight, double* grad) {
-  double smax = 0.0, smin = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    smax += wmax[i];
-    smin += wmin[i];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    grad[i] = weight * (wmax[i] / smax - wmin[i] / smin);
-  }
-  (void)coord;
-  return (max_c + gamma * std::log(smax)) - (min_c - gamma * std::log(smin));
-}
-
 /// Weighted-average extent and per-pin gradient for one axis.
-double wa_axis(const double* coord, std::size_t n, double /*max_c*/,
-               double /*min_c*/, const double* wmax, const double* wmin,
-               double gamma, double weight, double* grad) {
+double wa_axis(const double* coord, std::size_t n, const double* wmax,
+               const double* wmin, double gamma, double weight,
+               double* grad) {
   double smax = 0.0, amax = 0.0, smin = 0.0, amin = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     smax += wmax[i];
@@ -83,8 +66,8 @@ void exp_weights(const double* coord, std::size_t n, double max_c,
 }  // namespace
 
 SmoothWirelength::SmoothWirelength(const netlist::Netlist& nl,
-                                   WirelengthModel model, double gamma)
-    : nl_(&nl), model_(model), gamma_(gamma), flat_(nl, 2) {
+                                   WirelengthModel /*model*/, double gamma)
+    : nl_(&nl), gamma_(gamma), flat_(nl, 2) {
   for (std::size_t kn = 0; kn < flat_.num_nets(); ++kn) {
     const std::size_t deg = flat_.net_first[kn + 1] - flat_.net_first[kn];
     max_degree_ = std::max(max_degree_, deg);
@@ -126,7 +109,6 @@ double SmoothWirelength::value(const netlist::Placement& pl,
   gpin_y_.resize(flat_.pin_cell.size());
   chunk_scratch_.resize(nchunks);
   const double gamma = gamma_;
-  const auto model = model_;
 
   auto work = [&](std::size_t k) {
     std::vector<double>& s = chunk_scratch_[k];
@@ -165,11 +147,7 @@ double SmoothWirelength::value(const netlist::Placement& pl,
         }
         exp_weights(coord, deg, max_c, min_c, imax, imin, gamma, wmax, wmin);
         double* grad = (axis == 0 ? gpin_x_.data() : gpin_y_.data()) + base;
-        net_value += model == WirelengthModel::kLse
-                         ? lse_axis(coord, deg, max_c, min_c, wmax, wmin,
-                                    gamma, weight, grad)
-                         : wa_axis(coord, deg, max_c, min_c, wmax, wmin,
-                                   gamma, weight, grad);
+        net_value += wa_axis(coord, deg, wmax, wmin, gamma, weight, grad);
       }
       total += weight * net_value;
     }

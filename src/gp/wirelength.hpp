@@ -14,18 +14,19 @@ class ThreadPool;
 
 namespace dp::gp {
 
-/// Which smooth approximation of HPWL the global placer minimizes.
+/// Kept only for `flowbench`, the end-to-end benchmark, which still names
+/// it. SmoothWirelength has one model, weighted-average.
 enum class WirelengthModel {
-  kLse,  ///< log-sum-exp (Naylor et al.), the classic analytical model
-  kWa,   ///< weighted-average (Hsu/Balabanov/Chang), tighter than LSE
+  kWa,  ///< weighted-average (Hsu/Balabanov/Chang)
 };
 
-/// Smooth wirelength objective term. The smoothing parameter gamma is
-/// annealed by the placement driver: large gamma = smooth/loose bound,
-/// small gamma = tight approximation of HPWL.
+/// Smooth wirelength objective term: the weighted-average (WA)
+/// approximation of HPWL. The smoothing parameter gamma is annealed by
+/// GlobalPlacer: large gamma = smooth/loose bound, small gamma = tight
+/// approximation of HPWL.
 ///
-/// Both models are stabilized against overflow by max-shifting the
-/// exponents, so they stay finite for any coordinates. The extreme pins'
+/// The model is stabilized against overflow by max-shifting the
+/// exponents, so it stays finite for any coordinates. The extreme pins'
 /// weights are exactly 1 and are set without calling exp() (see
 /// exp_calls()).
 ///
@@ -39,6 +40,7 @@ enum class WirelengthModel {
 /// order, so the result is bitwise identical for every thread count.
 class SmoothWirelength final : public ObjectiveTerm {
  public:
+  /// `model` is ignored (see WirelengthModel).
   SmoothWirelength(const netlist::Netlist& nl, WirelengthModel model,
                    double gamma);
 
@@ -75,7 +77,6 @@ class SmoothWirelength final : public ObjectiveTerm {
 
  private:
   const netlist::Netlist* nl_;
-  WirelengthModel model_;
   double gamma_;
   std::shared_ptr<util::ThreadPool> pool_;
 

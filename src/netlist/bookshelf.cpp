@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
+#include <vector>
 
 namespace dp::netlist {
 
@@ -53,18 +54,20 @@ std::string fmt_number(double value) {
 }
 
 /// The content lines of one input file, counted so that errors name
-/// FILE:LINE.
+/// FILE:LINE after `format`.
 class LineReader {
  public:
-  explicit LineReader(std::string path)
-      : path_(std::move(path)), in_(open_in(path_)) {}
+  explicit LineReader(std::string path, std::string format = "bookshelf")
+      : format_(std::move(format)), path_(std::move(path)), in_(path_) {
+    if (!in_) throw std::runtime_error(format_ + ": cannot read " + path_);
+  }
 
   bool next(std::string& line) {
     return next_content_line(in_, line, &line_no_);
   }
 
   [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("bookshelf: " + path_ + ":" +
+    throw std::runtime_error(format_ + ": " + path_ + ":" +
                              std::to_string(line_no_) + ": " + what);
   }
 
@@ -83,7 +86,22 @@ class LineReader {
     return value;
   }
 
+  /// The next token of `ls` as a positive integer; fails naming `what`
+  /// otherwise.
+  std::size_t count(std::istringstream& ls, const std::string& what) const {
+    std::string token;
+    ls >> token;
+    std::size_t value = 0;
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (token.empty() || ec != std::errc() || ptr != end || value == 0) {
+      fail(what + ": expected a positive integer, got '" + token + "'");
+    }
+    return value;
+  }
+
  private:
+  std::string format_;
   std::string path_;
   std::ifstream in_;
   std::size_t line_no_ = 0;
@@ -441,44 +459,66 @@ StructureAnnotation read_groups(const std::string& path,
   for (CellId c = 0; c < netlist.num_cells(); ++c) {
     by_name.emplace(netlist.cell(c).name, c);
   }
-  auto in = open_in(path);
+  LineReader in(path, "groups");
   StructureAnnotation ann;
+  // Rows read into the last group; its cells grow by one row at a time,
+  // so nothing is sized from a header before its rows are seen.
+  std::size_t rows = 0;
+  auto expect_all_rows = [&] {
+    if (ann.groups.empty()) return;
+    const StructureGroup& g = ann.groups.back();
+    if (rows != g.bits) {
+      in.fail("group " + g.name + " has " + std::to_string(rows) +
+              " rows, expected " + std::to_string(g.bits));
+    }
+  };
   std::string line;
-  StructureGroup* current = nullptr;
-  std::size_t bit = 0;
-  while (next_content_line(in, line)) {
+  while (in.next(line)) {
     std::istringstream ls(line);
     std::string first;
     ls >> first;
     if (first == "group") {
-      std::string name;
-      std::size_t bits = 0, stages = 0;
-      double conf = 1.0;
-      ls >> name >> bits >> stages >> conf;
-      ann.groups.push_back(StructureGroup::make(name, bits, stages));
-      ann.groups.back().confidence = conf;
-      current = &ann.groups.back();
-      bit = 0;
+      expect_all_rows();
+      StructureGroup g;
+      ls >> g.name;
+      g.bits = in.count(ls, "BITS of group " + g.name);
+      g.stages = in.count(ls, "STAGES of group " + g.name);
+      if (std::string conf; ls >> conf) {
+        if (!parse_double(conf, g.confidence) ||
+            !std::isfinite(g.confidence)) {
+          in.fail("confidence of group " + g.name +
+                  ": expected a finite number, got '" + conf + "'");
+        }
+      }
+      ann.groups.push_back(std::move(g));
+      rows = 0;
       continue;
     }
-    if (current == nullptr || bit >= current->bits) {
-      throw std::runtime_error("groups: row outside any group");
+    if (ann.groups.empty()) in.fail("row outside any group");
+    StructureGroup& g = ann.groups.back();
+    if (rows == g.bits) {
+      in.fail("group " + g.name + " has more than " +
+              std::to_string(g.bits) + " rows");
     }
-    std::string tok = first;
-    for (std::size_t s = 0; s < current->stages; ++s) {
-      if (s > 0 && !(ls >> tok)) {
-        throw std::runtime_error("groups: short bit row");
-      }
-      if (tok != "-") {
-        auto it = by_name.find(tok);
-        if (it == by_name.end()) {
-          throw std::runtime_error("groups: unknown cell " + tok);
-        }
-        current->at(bit, s) = it->second;
-      }
+    std::vector<std::string> tokens{first};
+    for (std::string tok; ls >> tok;) tokens.push_back(tok);
+    if (tokens.size() != g.stages) {
+      in.fail("row of group " + g.name + " has " +
+              std::to_string(tokens.size()) + " cells, expected " +
+              std::to_string(g.stages));
     }
-    ++bit;
+    for (const std::string& tok : tokens) {
+      if (tok == "-") {
+        g.cells.push_back(kInvalidId);
+        continue;
+      }
+      const auto it = by_name.find(tok);
+      if (it == by_name.end()) in.fail("unknown cell " + tok);
+      g.cells.push_back(it->second);
+    }
+    ++rows;
   }
+  expect_all_rows();
   return ann;
 }
 

@@ -37,7 +37,6 @@ CongestionMap::CongestionMap(const netlist::Netlist& nl,
 
   demand_h_.assign(nb_ * nb_, 0.0);
   demand_v_.assign(nb_ * nb_, 0.0);
-  pins_.assign(nb_ * nb_, 0.0);
 }
 
 std::size_t CongestionMap::bin_x(double x) const {
@@ -146,7 +145,6 @@ void CongestionMap::build(const netlist::Placement& pl) {
 
   std::fill(demand_h_.begin(), demand_h_.end(), 0.0);
   std::fill(demand_v_.begin(), demand_v_.end(), 0.0);
-  std::fill(pins_.begin(), pins_.end(), 0.0);
 
   // Pass 1: rasterize RUDY demand and pin surcharge per bin-row block.
   const double half_pin = kPinWeight / 2.0;
@@ -177,7 +175,6 @@ void CongestionMap::build(const netlist::Placement& pl) {
     }
     for (const std::uint32_t p : block_pins_[b]) {
       const std::size_t i = pin_bin_[p];
-      pins_[i] += 1.0;
       demand_h_[i] += half_pin;
       demand_v_[i] += half_pin;
     }

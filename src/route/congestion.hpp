@@ -99,8 +99,6 @@ class CongestionMap {
   /// pin surcharge included.
   std::span<const double> demand_h() const { return demand_h_; }
   std::span<const double> demand_v() const { return demand_v_; }
-  /// Per-bin pin count of the last build.
-  std::span<const double> pin_density() const { return pins_; }
 
   /// Combined congestion ratio of one bin:
   /// max(demand_h, demand_v) / capacity.
@@ -121,7 +119,6 @@ class CongestionMap {
 
   std::vector<double> demand_h_;  ///< row-major horizontal wire demand
   std::vector<double> demand_v_;  ///< row-major vertical wire demand
-  std::vector<double> pins_;      ///< row-major pin count
 
   /// Nets with >= 1 pin: single-pin nets still add their pin surcharge.
   netlist::FlatNets flat_;

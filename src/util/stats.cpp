@@ -1,41 +1,15 @@
 #include "util/stats.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace dp::util {
-
-double mean(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double sum = 0.0;
-  for (double x : xs) sum += x;
-  return sum / static_cast<double>(xs.size());
-}
 
 double variance(std::span<const double> xs) {
   if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
+  double sum = 0.0;
+  for (double x : xs) sum += x;
+  const double m = sum / static_cast<double>(xs.size());
   double acc = 0.0;
   for (double x : xs) acc += (x - m) * (x - m);
   return acc / static_cast<double>(xs.size());
-}
-
-double geomean(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  double acc = 0.0;
-  for (double x : xs) acc += std::log(x);
-  return std::exp(acc / static_cast<double>(xs.size()));
-}
-
-double percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  const double rank =
-      std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(xs.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
 
 }  // namespace dp::util

@@ -75,17 +75,81 @@ TEST_F(BookshelfRoundTrip, GroupsSidecarRoundTrips) {
 
 TEST(Bookshelf, MissingFileThrows) {
   EXPECT_THROW(read_bookshelf("/nonexistent/foo.aux"), std::runtime_error);
+  const auto bench = dpgen::make_benchmark("dp_add32");
+  try {
+    read_groups("/nonexistent/foo.groups", bench.netlist);
+    FAIL() << "read a missing .groups file";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "groups: cannot read /nonexistent/foo.groups");
+  }
 }
 
-TEST(Bookshelf, GroupsUnknownCellThrows) {
+// Malformed .groups sidecars. The reader must reject each, naming the file,
+// the line it stopped at, and what is wrong; "%" stands for a real cell.
+struct GroupsCase {
+  const char* name;
+  const char* text;
+  int line;
+  const char* error;  ///< expected fragment of the message
+};
+
+class MalformedGroups : public ::testing::TestWithParam<GroupsCase> {};
+
+TEST_P(MalformedGroups, RejectedWithFileAndLine) {
+  const GroupsCase& gc = GetParam();
   const auto bench = dpgen::make_benchmark("dp_add32");
-  const std::string path = ::testing::TempDir() + "bad.groups";
+  const std::string path =
+      ::testing::TempDir() + "bad_" + gc.name + ".groups";
+  std::string text = gc.text;
+  for (auto pct = text.find('%'); pct != std::string::npos;
+       pct = text.find('%')) {
+    text.replace(pct, 1, bench.netlist.cell(0).name);
+  }
   {
     std::ofstream out(path);
-    out << "group g 1 1 1.0\n  not_a_cell\n";
+    out << text;
   }
-  EXPECT_THROW(read_groups(path, bench.netlist), std::runtime_error);
+  try {
+    read_groups(path, bench.netlist);
+    FAIL() << "accepted:\n" << text;
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("groups: " + path + ":" + std::to_string(gc.line) +
+                       ": "),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find(gc.error), std::string::npos) << msg;
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Bookshelf, MalformedGroups,
+    testing::Values(
+        // BITS x STAGES wraps to 0 in 64 bits.
+        GroupsCase{"wrapping_header",
+                   "group g 4611686018427387904 4 1\n  % - - -\n", 2,
+                   "group g has 1 rows, expected 4611686018427387904"},
+        GroupsCase{"non_numeric_header", "group g x y 1\n  %\n", 1,
+                   "BITS of group g: expected a positive integer, got 'x'"},
+        GroupsCase{"zero_stages", "group g 1 0 1\n", 1,
+                   "STAGES of group g"},
+        GroupsCase{"bad_confidence", "group g 1 1 high\n  %\n", 1,
+                   "confidence of group g"},
+        GroupsCase{"short_group",
+                   "group g 2 1 1\n  %\n# next\ngroup h 1 1 1\n  -\n", 4,
+                   "group g has 1 rows, expected 2"},
+        GroupsCase{"long_group", "group g 1 1 1\n  %\n  -\n", 3,
+                   "group g has more than 1 rows"},
+        GroupsCase{"long_row", "group g 1 2 1\n  % - -\n", 2,
+                   "row of group g has 3 cells, expected 2"},
+        GroupsCase{"short_row", "group g 1 2 1\n  %\n", 2,
+                   "row of group g has 1 cells, expected 2"},
+        GroupsCase{"row_outside_group", "  %\n", 1, "row outside any group"},
+        GroupsCase{"unknown_cell", "group g 1 1 1\n  not_a_cell\n", 2,
+                   "unknown cell not_a_cell"}),
+    [](const testing::TestParamInfo<GroupsCase>& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 // Malformed .nets files: one net's NetDegree disagrees with the pins
 // listed under it. The reader must reject the file, naming the net and

@@ -138,32 +138,6 @@ TEST(OverlapPairs, RespectsPairCap) {
   EXPECT_FALSE(check_legality(nl, design, pl).overlap_truncated);
 }
 
-TEST(CrossGroupOverlap, CountsOnlyPairsFromDifferentGroups) {
-  netlist::NetlistBuilder b(netlist::standard_library());
-  const CellId a0 = b.add_cell("a0", CellFunc::kInv);
-  const CellId a1 = b.add_cell("a1", CellFunc::kInv);
-  const CellId c = b.add_cell("c", CellFunc::kInv);
-  const CellId glue = b.add_cell("glue", CellFunc::kInv);
-  const auto nl = b.take();
-  const netlist::Design design(geom::Rect{0, 0, 10, 4}, 1.0, 0.25);
-  netlist::StructureAnnotation groups;
-  groups.groups.push_back(netlist::StructureGroup::make("a", 1, 2));
-  groups.groups[0].cells = {a0, a1};
-  groups.groups.push_back(netlist::StructureGroup::make("c", 1, 1));
-  groups.groups[1].cells = {c};
-  // INVs are 0.75 wide: a0 [1, 1.75] and a1 [1.5, 2.25] overlap inside
-  // group a, c [1.75, 2.5] overlaps a1 by 0.5, and the glue overlaps c.
-  Placement pl(4);
-  pl[a0] = {1.375, 0.5};
-  pl[a1] = {1.875, 0.5};
-  pl[c] = {2.125, 0.5};
-  pl[glue] = {2.375, 0.5};
-  const double cell_area = 3 * nl.cell_width(c) * nl.cell_height(c);
-  EXPECT_NEAR(cross_group_overlap(nl, design, pl, groups), 0.5 / cell_area,
-              1e-12);
-  EXPECT_EQ(cross_group_overlap(nl, design, pl, {}), 0.0);
-}
-
 TEST(Legality, DetectsOutOfCore) {
   RowBench rb;
   Placement pl(2);
@@ -436,13 +410,12 @@ TEST(ReportJson, SchemaVersionLeadsAndEscapesHold) {
 
   core::PlaceReport report;
   const std::string json = core::report_to_json(report);
-  EXPECT_EQ(json.rfind("{\"schema_version\":4,", 0), 0u)
+  EXPECT_EQ(json.rfind("{\"schema_version\":5,", 0), 0u)
       << "schema_version must be the first key: " << json;
   EXPECT_NE(json.find("\"timing\":null"), std::string::npos)
       << "timing not measured -> null section";
   EXPECT_NE(json.find("\"stop_reason\":\"overflow_reached\""),
             std::string::npos);
-  EXPECT_NE(json.find("\"plate_overlap_gp\":0"), std::string::npos);
   report.gp_result.stop_reason = gp::GpStop::kOuterCap;
   EXPECT_NE(core::report_to_json(report).find("\"stop_reason\":\"outer_cap\""),
             std::string::npos);

@@ -29,10 +29,10 @@ struct Grads {
   std::vector<double> gx, gy;
 };
 
-Grads eval_wirelength(std::size_t threads, WirelengthModel model) {
+Grads eval_wirelength(std::size_t threads) {
   const auto& b = add32();
   const VarMap vars(b.netlist);
-  SmoothWirelength wl(b.netlist, model, 1.5);
+  SmoothWirelength wl(b.netlist, WirelengthModel::kWa, 1.5);
   wl.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
   Grads g;
   g.gx.assign(vars.num_vars(), 0.0);
@@ -63,11 +63,9 @@ void expect_bitwise_equal(const Grads& a, const Grads& b) {
 }
 
 TEST(ParallelDeterminism, WirelengthKernelBitwiseAcrossThreadCounts) {
-  for (const auto model : {WirelengthModel::kWa, WirelengthModel::kLse}) {
-    const Grads serial = eval_wirelength(1, model);
-    expect_bitwise_equal(serial, eval_wirelength(2, model));
-    expect_bitwise_equal(serial, eval_wirelength(4, model));
-  }
+  const Grads serial = eval_wirelength(1);
+  expect_bitwise_equal(serial, eval_wirelength(2));
+  expect_bitwise_equal(serial, eval_wirelength(4));
 }
 
 TEST(ParallelDeterminism, DensityKernelBitwiseAcrossThreadCounts) {
@@ -81,12 +79,9 @@ TEST(ParallelDeterminism, WirelengthValueMatchesEval) {
   // two must agree exactly.
   const auto& b = add32();
   const VarMap vars(b.netlist);
-  for (const auto model : {WirelengthModel::kWa, WirelengthModel::kLse}) {
-    SmoothWirelength wl(b.netlist, model, 1.5);
-    std::vector<double> gx(vars.num_vars(), 0.0), gy(vars.num_vars(), 0.0);
-    EXPECT_EQ(wl.value(b.placement, vars),
-              wl.eval(b.placement, vars, gx, gy));
-  }
+  SmoothWirelength wl(b.netlist, WirelengthModel::kWa, 1.5);
+  std::vector<double> gx(vars.num_vars(), 0.0), gy(vars.num_vars(), 0.0);
+  EXPECT_EQ(wl.value(b.placement, vars), wl.eval(b.placement, vars, gx, gy));
 }
 
 TEST(ParallelDeterminism, GlobalPlacerFinalHpwlIdentical1VsN) {

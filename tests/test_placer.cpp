@@ -255,38 +255,39 @@ TEST(StructurePlacer, RoutedMix25GpConverges) {
 
 // A GP that leaves plates piled on each other hands Abacus overlaps to pull
 // apart, and legalization pays for them in wirelength. On the suite designs
-// with several plates, sa-gentle's post-GP overlap between cells of
-// different groups (PlaceReport::plate_overlap_gp) stays under a ceiling:
-// about 1.3x the value measured when this test was added (dp_alu32 0.016,
-// mix50 0.186, mix75 0.269). Shrinking the plates' density area to half
-// the macro-shrink reads 0.034 / 0.434 / 0.424 and fails all three.
-struct PlateOverlap {
+// with several plates, sa-gentle's legalization HPWL growth (hpwl_legal
+// over hpwl_gp) stays under a ceiling: about 1.3x the growth above 1
+// measured when this test took this form (dp_alu32 1.053, mix50 1.027,
+// mix75 1.038). Shrinking the plates' density area to half the
+// macro-shrink piles them up and reads 1.553 / 1.236 / 1.426, failing all
+// three.
+struct LegalGrowth {
   const char* bench;
   double ceiling;
 };
 
-class GentlePlateOverlap : public ::testing::TestWithParam<PlateOverlap> {};
+class GentleLegalGrowth : public ::testing::TestWithParam<LegalGrowth> {};
 
-TEST_P(GentlePlateOverlap, PlatesDoNotPileUpInGp) {
-  const PlateOverlap& p = GetParam();
+TEST_P(GentleLegalGrowth, PlatesDoNotPileUpInGp) {
+  const LegalGrowth& p = GetParam();
   Pipe pipe(p.bench);
   PlacerConfig c;
   c.structure_aware = true;
   const PlaceReport rep = pipe.run(c);
   ASSERT_GT(rep.structure.groups.size(), 1u) << p.bench;
-  EXPECT_LT(rep.plate_overlap_gp, p.ceiling) << p.bench;
+  EXPECT_LT(rep.hpwl_legal / rep.hpwl_gp, p.ceiling) << p.bench;
 }
 
 std::string bench_name(
-    const ::testing::TestParamInfo<PlateOverlap>& param_info) {
+    const ::testing::TestParamInfo<LegalGrowth>& param_info) {
   return param_info.param.bench;
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    MultiPlate, GentlePlateOverlap,
-    ::testing::Values(PlateOverlap{"dp_alu32", 0.021},
-                      PlateOverlap{"mix50", 0.25},
-                      PlateOverlap{"mix75", 0.35}),
+    MultiPlate, GentleLegalGrowth,
+    ::testing::Values(LegalGrowth{"dp_alu32", 1.07},
+                      LegalGrowth{"mix50", 1.035},
+                      LegalGrowth{"mix75", 1.05}),
     bench_name);
 
 class SuitePlacement : public ::testing::TestWithParam<std::string> {};

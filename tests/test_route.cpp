@@ -1,4 +1,4 @@
-// route::CongestionMap (RUDY + pin density) and the cell-inflation
+// route::CongestionMap (RUDY + pin surcharge) and the cell-inflation
 // feedback: hand-computed rasterization, demand conservation, bitwise
 // determinism across thread counts (same discipline as the GP kernels),
 // report metric sanity, inflation eligibility/clamping, and the placer's
@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "core/structure_placer.hpp"
 #include "dpgen/benchmarks.hpp"
@@ -30,6 +32,13 @@ using netlist::Placement;
 
 double sum(std::span<const double> v) {
   return std::accumulate(v.begin(), v.end(), 0.0);
+}
+
+/// The row-major bin of `map` holding pin `p` at `pl`.
+std::size_t pin_bin(const CongestionMap& map, const netlist::Netlist& nl,
+                    netlist::PinId p, const Placement& pl) {
+  const geom::Point pos = nl.pin_position(p, pl);
+  return map.bin_y(pos.y) * map.bins_per_side() + map.bin_x(pos.x);
 }
 
 /// Two inverters on one weighted net inside a 10x10 core.
@@ -72,8 +81,32 @@ TEST(CongestionMap, TotalDemandConservedInsideCore) {
       static_cast<double>(f.nl->num_pins()) * kPinWeight / 2.0;
   EXPECT_NEAR(sum(map.demand_h()), 2.0 * box.width() + surcharge, 1e-9);
   EXPECT_NEAR(sum(map.demand_v()), 2.0 * box.height() + surcharge, 1e-9);
-  EXPECT_DOUBLE_EQ(sum(map.pin_density()),
-                   static_cast<double>(f.nl->num_pins()));
+}
+
+TEST(CongestionMap, PinSurchargeLandsInEachPinsBin) {
+  // On a weight-0 net the RUDY terms add +0, so every bin holds exactly
+  // kPinWeight / 2 per pin in it, in both directions.
+  TwoCellFixture f(0.0);
+  CongestionOptions opt;
+  opt.bins_per_side = 2;
+  CongestionMap map(*f.nl, *f.design, opt);
+  for (const geom::Point b_pos : {geom::Point{2.5, 2.0},    // a's bin
+                                  geom::Point{7.0, 7.0}}) {  // opposite bin
+    Placement pl(2);
+    pl[f.a] = {2.0, 2.0};
+    pl[f.b] = b_pos;
+    map.build(pl);
+    std::vector<double> expected(4, 0.0);
+    for (netlist::PinId p = 0; p < f.nl->num_pins(); ++p) {
+      expected[pin_bin(map, *f.nl, p, pl)] += kPinWeight / 2.0;
+    }
+    EXPECT_EQ(std::vector<double>(map.demand_h().begin(),
+                                  map.demand_h().end()),
+              expected);
+    EXPECT_EQ(std::vector<double>(map.demand_v().begin(),
+                                  map.demand_v().end()),
+              expected);
+  }
 }
 
 TEST(CongestionMap, HandComputedCornerToCornerSplit) {
@@ -90,17 +123,19 @@ TEST(CongestionMap, HandComputedCornerToCornerSplit) {
   map.build(pl);
 
   const geom::Rect box = f.pin_box(pl);
-  const double wire_x = box.width();  // weight 1
   const double half_pin = kPinWeight / 2.0;
-  const auto d = map.demand_h();
   // Row-major: (0,0), (1,0), (0,1), (1,1). One pin lands in bin (0,0),
   // the other in (1,1); the off-diagonal bins are pure RUDY quarters.
-  EXPECT_DOUBLE_EQ(d[1], wire_x / 4.0);
-  EXPECT_DOUBLE_EQ(d[2], wire_x / 4.0);
-  EXPECT_DOUBLE_EQ(d[0], wire_x / 4.0 + half_pin);
-  EXPECT_DOUBLE_EQ(d[3], wire_x / 4.0 + half_pin);
-  EXPECT_DOUBLE_EQ(map.pin_density()[0], 1.0);
-  EXPECT_DOUBLE_EQ(map.pin_density()[3], 1.0);
+  ASSERT_EQ(pin_bin(map, *f.nl, 0, pl), 0u);
+  ASSERT_EQ(pin_bin(map, *f.nl, 1, pl), 3u);
+  for (const auto& [d, wire] :  // weight 1
+       {std::pair{map.demand_h(), box.width()},
+        std::pair{map.demand_v(), box.height()}}) {
+    EXPECT_DOUBLE_EQ(d[1], wire / 4.0);
+    EXPECT_DOUBLE_EQ(d[2], wire / 4.0);
+    EXPECT_DOUBLE_EQ(d[0], wire / 4.0 + half_pin);
+    EXPECT_DOUBLE_EQ(d[3], wire / 4.0 + half_pin);
+  }
 }
 
 TEST(CongestionMap, SinglePinNetContributesOnlySurcharge) {
@@ -116,7 +151,9 @@ TEST(CongestionMap, SinglePinNetContributesOnlySurcharge) {
   map.build(pl);
   EXPECT_DOUBLE_EQ(sum(map.demand_h()), kPinWeight / 2.0);
   EXPECT_DOUBLE_EQ(sum(map.demand_v()), kPinWeight / 2.0);
-  EXPECT_DOUBLE_EQ(sum(map.pin_density()), 1.0);
+  const std::size_t i = pin_bin(map, nl, 0, pl);
+  EXPECT_DOUBLE_EQ(map.demand_h()[i], kPinWeight / 2.0);
+  EXPECT_DOUBLE_EQ(map.demand_v()[i], kPinWeight / 2.0);
 }
 
 TEST(CongestionMap, RebuildOverwritesPreviousGrids) {
@@ -140,11 +177,10 @@ TEST(CongestionMap, BitwiseDeterministicAcrossThreadCounts) {
     }
     map.build(bench.placement);
     struct G {
-      std::vector<double> h, v, p;
+      std::vector<double> h, v;
     } g;
     g.h.assign(map.demand_h().begin(), map.demand_h().end());
     g.v.assign(map.demand_v().begin(), map.demand_v().end());
-    g.p.assign(map.pin_density().begin(), map.pin_density().end());
     return g;
   };
   const auto serial = grids(0);  // no pool at all
@@ -156,8 +192,6 @@ TEST(CongestionMap, BitwiseDeterministicAcrossThreadCounts) {
       ASSERT_EQ(serial.h[i], par.h[i]) << "demand_h[" << i << "] threads="
                                        << threads;
       ASSERT_EQ(serial.v[i], par.v[i]) << "demand_v[" << i << "] threads="
-                                       << threads;
-      ASSERT_EQ(serial.p[i], par.p[i]) << "pins[" << i << "] threads="
                                        << threads;
     }
   }

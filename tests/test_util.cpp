@@ -62,15 +62,6 @@ TEST(Rng, UniformMeanIsCentered) {
   EXPECT_NEAR(sum / n, 0.5, 0.02);
 }
 
-TEST(Stats, MeanBasic) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(mean(xs), 2.5);
-}
-
-TEST(Stats, MeanEmptyIsZero) {
-  EXPECT_DOUBLE_EQ(mean(std::vector<double>{}), 0.0);
-}
-
 TEST(Stats, VarianceBasic) {
   const std::vector<double> xs{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
   EXPECT_DOUBLE_EQ(variance(xs), 4.0);
@@ -79,18 +70,6 @@ TEST(Stats, VarianceBasic) {
 TEST(Stats, VarianceOfConstantIsZero) {
   const std::vector<double> xs{3.0, 3.0, 3.0};
   EXPECT_DOUBLE_EQ(variance(xs), 0.0);
-}
-
-TEST(Stats, GeomeanBasic) {
-  const std::vector<double> xs{1.0, 4.0, 16.0};
-  EXPECT_NEAR(geomean(xs), 4.0, 1e-12);
-}
-
-TEST(Stats, PercentileEndpoints) {
-  std::vector<double> xs{5.0, 1.0, 3.0};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50.0), 3.0);
 }
 
 TEST(Table, RendersHeaderAndRows) {

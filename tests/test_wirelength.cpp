@@ -41,8 +41,8 @@ struct TwoCellFixture {
 
 // ---- 0-ulp reference -------------------------------------------------------
 //
-// A verbatim copy of the SmoothWirelength kernel before extreme pins'
-// weights skipped exp(): every weight of every pin is an exp() call. The
+// A copy of the SmoothWirelength kernel before extreme pins' weights
+// skipped exp(): every weight of every pin is an exp() call. The
 // optimized kernel must reproduce its value and gradient bit for bit.
 namespace reference {
 
@@ -51,26 +51,9 @@ using netlist::PinId;
 constexpr std::size_t kMinPinsPerChunk = 2048;
 constexpr std::size_t kMaxChunks = 64;
 
-double lse_axis(const double* coord, std::size_t n, double max_c,
-                double min_c, const double* wmax, const double* wmin,
-                double gamma, double weight, double* grad) {
-  double smax = 0.0, smin = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    smax += wmax[i];
-    smin += wmin[i];
-  }
-  if (grad != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      grad[i] = weight * (wmax[i] / smax - wmin[i] / smin);
-    }
-  }
-  (void)coord;
-  return (max_c + gamma * std::log(smax)) - (min_c - gamma * std::log(smin));
-}
-
-double wa_axis(const double* coord, std::size_t n, double /*max_c*/,
-               double /*min_c*/, const double* wmax, const double* wmin,
-               double gamma, double weight, double* grad) {
+double wa_axis(const double* coord, std::size_t n, const double* wmax,
+               const double* wmin, double gamma, double weight,
+               double* grad) {
   double smax = 0.0, amax = 0.0, smin = 0.0, amin = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     smax += wmax[i];
@@ -92,8 +75,7 @@ double wa_axis(const double* coord, std::size_t n, double /*max_c*/,
 
 class SmoothWirelength {
  public:
-  SmoothWirelength(const netlist::Netlist& nl, WirelengthModel model,
-                   double gamma);
+  SmoothWirelength(const netlist::Netlist& nl, double gamma);
   void set_net_weight_scale(std::span<const double> scale);
   double eval(const netlist::Placement& pl, const VarMap& vars,
               std::span<double> gx, std::span<double> gy) const;
@@ -106,7 +88,6 @@ class SmoothWirelength {
   void bind_vars(const VarMap& vars) const;
 
   const netlist::Netlist* nl_;
-  WirelengthModel model_;
   double gamma_;
   std::vector<std::uint32_t> net_first_;
   std::vector<double> net_weight_;
@@ -123,9 +104,8 @@ class SmoothWirelength {
   mutable std::vector<std::vector<double>> chunk_scratch_;
 };
 
-SmoothWirelength::SmoothWirelength(const netlist::Netlist& nl,
-                                   WirelengthModel model, double gamma)
-    : nl_(&nl), model_(model), gamma_(gamma) {
+SmoothWirelength::SmoothWirelength(const netlist::Netlist& nl, double gamma)
+    : nl_(&nl), gamma_(gamma) {
   std::size_t kept_pins = 0, kept_nets = 0;
   for (NetId n = 0; n < nl.num_nets(); ++n) {
     const std::size_t deg = nl.net(n).pins.size();
@@ -180,7 +160,6 @@ double SmoothWirelength::kernel(const netlist::Placement& pl,
   }
   chunk_scratch_.resize(nchunks);
   const double gamma = gamma_;
-  const auto model = model_;
 
   auto work = [&](std::size_t k) {
     std::vector<double>& s = chunk_scratch_[k];
@@ -220,11 +199,7 @@ double SmoothWirelength::kernel(const netlist::Placement& pl,
         if (with_grad) {
           grad = (axis == 0 ? gpin_x_.data() : gpin_y_.data()) + base;
         }
-        net_value += model == WirelengthModel::kLse
-                         ? lse_axis(coord, deg, max_c, min_c, wmax, wmin,
-                                    gamma, weight, grad)
-                         : wa_axis(coord, deg, max_c, min_c, wmax, wmin,
-                                   gamma, weight, grad);
+        net_value += wa_axis(coord, deg, wmax, wmin, gamma, weight, grad);
       }
       total += weight * net_value;
     }
@@ -278,8 +253,8 @@ double SmoothWirelength::eval(const netlist::Placement& pl,
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-/// Runs the reference and the kernel under test on `pl` with both models
-/// at 1, 2 and 4 threads, and asserts value (through eval() and value())
+/// Runs the reference and the kernel under test on `pl` at 1, 2 and 4
+/// threads, and asserts value (through eval() and value())
 /// and gradient equal to the last bit. Gradients accumulate onto a shared
 /// non-zero prefill, as the kernel's contract is +=.
 void expect_wl_bitwise(const netlist::Netlist& nl, const Placement& pl,
@@ -289,29 +264,26 @@ void expect_wl_bitwise(const netlist::Netlist& nl, const Placement& pl,
   std::vector<double> prefill(n);
   util::Rng rng(3);
   for (double& g : prefill) g = rng.uniform(-1.0, 1.0);
-  for (const auto model : {WirelengthModel::kWa, WirelengthModel::kLse}) {
-    reference::SmoothWirelength ref(nl, model, gamma);
-    if (!scale.empty()) ref.set_net_weight_scale(scale);
-    std::vector<double> rgx = prefill, rgy = prefill;
-    const double rv = ref.eval(pl, vars, rgx, rgy);
-    ASSERT_EQ(bits(ref.value(pl)), bits(rv));
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-      SCOPED_TRACE("model=" + std::to_string(static_cast<int>(model)) +
-                   " gamma=" + std::to_string(gamma) +
-                   " threads=" + std::to_string(threads));
-      SmoothWirelength wl(nl, model, gamma);
-      if (!scale.empty()) wl.set_net_weight_scale(scale);
-      wl.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
-      std::vector<double> gx = prefill, gy = prefill;
-      EXPECT_EQ(bits(wl.eval(pl, vars, gx, gy)), bits(rv));
-      EXPECT_EQ(bits(wl.value(pl, vars)), bits(rv));
-      std::size_t mismatches = 0;
-      for (std::size_t v = 0; v < n; ++v) {
-        mismatches += bits(gx[v]) != bits(rgx[v]) ||
-                      bits(gy[v]) != bits(rgy[v]);
-      }
-      EXPECT_EQ(mismatches, 0u);
+  reference::SmoothWirelength ref(nl, gamma);
+  if (!scale.empty()) ref.set_net_weight_scale(scale);
+  std::vector<double> rgx = prefill, rgy = prefill;
+  const double rv = ref.eval(pl, vars, rgx, rgy);
+  ASSERT_EQ(bits(ref.value(pl)), bits(rv));
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("gamma=" + std::to_string(gamma) +
+                 " threads=" + std::to_string(threads));
+    SmoothWirelength wl(nl, WirelengthModel::kWa, gamma);
+    if (!scale.empty()) wl.set_net_weight_scale(scale);
+    wl.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
+    std::vector<double> gx = prefill, gy = prefill;
+    EXPECT_EQ(bits(wl.eval(pl, vars, gx, gy)), bits(rv));
+    EXPECT_EQ(bits(wl.value(pl, vars)), bits(rv));
+    std::size_t mismatches = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+      mismatches += bits(gx[v]) != bits(rgx[v]) ||
+                    bits(gy[v]) != bits(rgy[v]);
     }
+    EXPECT_EQ(mismatches, 0u);
   }
 }
 
@@ -467,15 +439,6 @@ TEST(Hpwl, NetWeightScales) {
                    3.0 * eval::net_hpwl(nl, n, pl));
 }
 
-TEST(SmoothWirelength, LseUpperBoundsHpwl) {
-  TwoCellFixture f;
-  Placement pl(2);
-  pl[f.a] = {0, 0};
-  pl[f.b] = {7, 2};
-  SmoothWirelength lse(*f.nl, WirelengthModel::kLse, 1.0);
-  EXPECT_GE(lse.value(pl, VarMap(*f.nl)), eval::hpwl(*f.nl, pl) - 1e-9);
-}
-
 TEST(SmoothWirelength, WaLowerBoundsHpwl) {
   TwoCellFixture f;
   Placement pl(2);
@@ -485,17 +448,14 @@ TEST(SmoothWirelength, WaLowerBoundsHpwl) {
   EXPECT_LE(wa.value(pl, VarMap(*f.nl)), eval::hpwl(*f.nl, pl) + 1e-9);
 }
 
-class ModelConvergence
-    : public ::testing::TestWithParam<WirelengthModel> {};
-
-TEST_P(ModelConvergence, ApproachesHpwlAsGammaShrinks) {
+TEST(SmoothWirelength, ApproachesHpwlAsGammaShrinks) {
   TwoCellFixture f;
   Placement pl(2);
   pl[f.a] = {0, 0};
   pl[f.b] = {10, 6};
   const double exact = eval::hpwl(*f.nl, pl);
   const VarMap vars(*f.nl);
-  SmoothWirelength model(*f.nl, GetParam(), 4.0);
+  SmoothWirelength model(*f.nl, WirelengthModel::kWa, 4.0);
   const double loose = std::abs(model.value(pl, vars) - exact);
   model.set_gamma(0.05);
   const double tight = std::abs(model.value(pl, vars) - exact);
@@ -503,17 +463,17 @@ TEST_P(ModelConvergence, ApproachesHpwlAsGammaShrinks) {
   EXPECT_LT(tight, 0.2);
 }
 
-TEST_P(ModelConvergence, StableForDistantCells) {
+TEST(SmoothWirelength, StableForDistantCells) {
   TwoCellFixture f;
   Placement pl(2);
   pl[f.a] = {0, 0};
   pl[f.b] = {1e6, 1e6};  // would overflow exp() without max-shift
-  SmoothWirelength model(*f.nl, GetParam(), 0.5);
+  SmoothWirelength model(*f.nl, WirelengthModel::kWa, 0.5);
   EXPECT_TRUE(std::isfinite(model.value(pl, VarMap(*f.nl))));
 }
 
 /// Finite-difference gradient validation on a random small netlist.
-TEST_P(ModelConvergence, GradientMatchesFiniteDifference) {
+TEST(SmoothWirelength, GradientMatchesFiniteDifference) {
   // A small ALU slice provides multi-pin nets with shared cells.
   dpgen::Generator gen("t", 3);
   auto a = gen.input_bus("a", 4);
@@ -529,7 +489,7 @@ TEST_P(ModelConvergence, GradientMatchesFiniteDifference) {
     pl[vars.cell(v)] = {rng.uniform(0, 10), rng.uniform(0, 10)};
   }
 
-  SmoothWirelength model(nl, GetParam(), 0.8);
+  SmoothWirelength model(nl, WirelengthModel::kWa, 0.8);
   const std::size_t n = vars.num_vars();
   std::vector<double> gx(n, 0.0), gy(n, 0.0);
   model.eval(pl, vars, gx, gy);
@@ -546,44 +506,6 @@ TEST_P(ModelConvergence, GradientMatchesFiniteDifference) {
     EXPECT_NEAR(gx[v], (fp - fm) / (2 * h), 1e-4)
         << "cell " << nl.cell(c).name;
   }
-}
-
-INSTANTIATE_TEST_SUITE_P(BothModels, ModelConvergence,
-                         ::testing::Values(WirelengthModel::kLse,
-                                           WirelengthModel::kWa));
-
-TEST(SmoothWirelength, WaTighterThanLse) {
-  // The WA model's defining property (Hsu/Balabanov/Chang): a tighter
-  // approximation than LSE at equal gamma, on average.
-  dpgen::Generator gen("t", 5);
-  auto a = gen.input_bus("a", 8);
-  auto b = gen.input_bus("b", 8);
-  gen.add_pipelined_adder("add", a, b, 1);
-  const auto bench = gen.finish();
-  util::Rng rng(4);
-  netlist::Placement pl = bench.placement;
-  for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
-    if (!bench.netlist.cell(c).fixed) {
-      pl[c] = {rng.uniform(0, 20), rng.uniform(0, 20)};
-    }
-  }
-  SmoothWirelength lse(bench.netlist, WirelengthModel::kLse, 1.0);
-  SmoothWirelength wa(bench.netlist, WirelengthModel::kWa, 1.0);
-  const VarMap vars(bench.netlist);
-  // The tightness claim is statistical, not per-instance: average the
-  // approximation error over several random placements.
-  double err_lse = 0.0, err_wa = 0.0;
-  for (int trial = 0; trial < 8; ++trial) {
-    for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
-      if (!bench.netlist.cell(c).fixed) {
-        pl[c] = {rng.uniform(0, 20), rng.uniform(0, 20)};
-      }
-    }
-    const double exact = eval::hpwl(bench.netlist, pl);
-    err_lse += std::abs(lse.value(pl, vars) - exact);
-    err_wa += std::abs(wa.value(pl, vars) - exact);
-  }
-  EXPECT_LT(err_wa, err_lse);
 }
 
 }  // namespace
