@@ -1,21 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the route::CongestionMap
 // kernels: full RUDY+pin rasterization on dp_alu32-sized data, a
-// thread-count sweep of the parallel build, a grid-resolution sweep, the
-// report() metric pass, and the cell-inflation feedback. Unless the
-// caller passes --benchmark_out, results are also written to
-// BENCH_route_kernels.json (machine-readable, consumed by CI).
+// grid-resolution sweep, the report() metric pass, and the cell-inflation
+// feedback. Unless the caller passes --benchmark_out, results are also
+// written to BENCH_route_kernels.json (machine-readable, consumed by CI).
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common.hpp"
 #include "gp/quadratic.hpp"
 #include "route/congestion.hpp"
 #include "route/inflation.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -27,7 +23,7 @@ const dp::dpgen::Benchmark& bench_data() {
   return b;
 }
 
-/// Serial rasterization at the auto-selected grid resolution.
+/// Rasterization at the auto-selected grid resolution.
 void BM_CongestionBuild(benchmark::State& state) {
   const auto& b = bench_data();
   dp::route::CongestionMap map(b.netlist, b.design, {});
@@ -37,27 +33,6 @@ void BM_CongestionBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CongestionBuild);
-
-// Thread-count sweep (1/2/4/hardware) of the parallel build; results are
-// bitwise identical across the sweep, only the wall time may change.
-void thread_args(benchmark::internal::Benchmark* b) {
-  std::vector<long> counts = {1, 2, 4};
-  const long hw = static_cast<long>(std::thread::hardware_concurrency());
-  if (hw > 4) counts.push_back(hw);
-  for (const long c : counts) b->Arg(c);
-}
-
-void BM_CongestionBuildThreads(benchmark::State& state) {
-  const auto& b = bench_data();
-  dp::route::CongestionMap map(b.netlist, b.design, {});
-  map.set_thread_pool(std::make_shared<dp::util::ThreadPool>(
-      static_cast<std::size_t>(state.range(0))));
-  for (auto _ : state) {
-    map.build(b.placement);
-    benchmark::DoNotOptimize(map.demand_h().data());
-  }
-}
-BENCHMARK(BM_CongestionBuildThreads)->Apply(thread_args);
 
 /// Grid-resolution sweep: rasterization cost scales with bins touched per
 /// net, so finer grids stress the inner rasterization loop.

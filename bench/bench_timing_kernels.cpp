@@ -1,21 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the timing subsystem kernels:
 // TimingGraph construction (arc collection + levelization) on
-// dp_alu32-sized data, the full analyze() sweep, a thread-count sweep of
-// the parallel propagation (bitwise identical results, only wall time may
-// change), and the criticality -> net-weight-scale feedback pass. Unless
-// the caller passes --benchmark_out, results are also written to
-// BENCH_timing_kernels.json (machine-readable, consumed by CI).
+// dp_alu32-sized data, the full analyze() sweep, and the criticality ->
+// net-weight-scale feedback pass. Unless the caller passes
+// --benchmark_out, results are also written to BENCH_timing_kernels.json
+// (machine-readable, consumed by CI).
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common.hpp"
 #include "timing/timing_analyzer.hpp"
 #include "timing/timing_graph.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -42,7 +38,7 @@ void BM_TimingGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_TimingGraphBuild);
 
-/// Serial full analysis: net delays, arrival, required, slack,
+/// Full analysis: net delays, arrival, required, slack,
 /// criticality.
 void BM_TimingAnalyze(benchmark::State& state) {
   const auto& b = bench_data();
@@ -52,25 +48,6 @@ void BM_TimingAnalyze(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TimingAnalyze);
-
-// Thread-count sweep (1/2/4/hardware) of the parallel propagation.
-void thread_args(benchmark::internal::Benchmark* b) {
-  std::vector<long> counts = {1, 2, 4};
-  const long hw = static_cast<long>(std::thread::hardware_concurrency());
-  if (hw > 4) counts.push_back(hw);
-  for (const long c : counts) b->Arg(c);
-}
-
-void BM_TimingAnalyzeThreads(benchmark::State& state) {
-  const auto& b = bench_data();
-  dp::timing::TimingAnalyzer an(bench_graph());
-  an.set_thread_pool(std::make_shared<dp::util::ThreadPool>(
-      static_cast<std::size_t>(state.range(0))));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(&an.analyze(b.placement));
-  }
-}
-BENCHMARK(BM_TimingAnalyzeThreads)->Apply(thread_args);
 
 /// The GP feedback pass: criticality to multiplicative net-weight scale.
 void BM_NetCriticality(benchmark::State& state) {

@@ -56,8 +56,8 @@ void warn_if_capped(const char* phase, const gp::GpResult& res,
 
 /// One StructurePlacer::place run, phase by phase: the placement being
 /// produced, the report filling up, and what one phase hands the next
-/// (the run's thread pool, timing analyzer, congestion map and density
-/// scale).
+/// (the global placers' thread pool, timing analyzer, congestion map and
+/// density scale).
 class RunContext {
  public:
   RunContext(const netlist::Netlist& nl, const netlist::Design& design,
@@ -72,16 +72,12 @@ class RunContext {
     // and the final report; every build() starts from scratch.
     if (config_.congestion.enabled()) {
       cmap_.emplace(nl_, design_, config_.congestion.map);
-      cmap_->set_thread_pool(pool_);
     }
-    // The analyzer shares the run's pool: the GP outer hook runs between
-    // the placer's fork-join regions, so the pool is never entered twice.
     if (config_.timing.enabled()) {
       timed([&] {
         timing_graph_ = std::make_unique<timing::TimingGraph>(nl_);
         timing_ = std::make_unique<timing::TimingAnalyzer>(
             *timing_graph_, config_.timing.model);
-        timing_->set_thread_pool(pool_);
         if (timing_graph_->has_loops()) {
           util::Logger::warn(
               "timing: %zu pin(s) on or behind combinational loops excluded "

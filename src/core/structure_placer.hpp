@@ -32,8 +32,8 @@ struct PlacerConfig {
   gp::GpOptions gp;
 
   /// Worker threads of the run's one pool, shared by every global
-  /// placement's gradient kernels, the timing analyzer and the congestion
-  /// map (0 = hardware concurrency). Results are bitwise identical for any
+  /// placement's gradient kernels; nothing else in the run uses it
+  /// (0 = hardware concurrency). Results are bitwise identical for any
   /// value (see gp::GlobalPlacer::set_thread_pool).
   std::size_t num_threads = 1;
 

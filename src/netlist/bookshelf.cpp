@@ -20,25 +20,6 @@ std::ofstream open_out(const std::string& path) {
   return out;
 }
 
-std::ifstream open_in(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("bookshelf: cannot read " + path);
-  return in;
-}
-
-/// Strip comments and return whether any tokens remain. `line_no`, when
-/// given, counts every line read.
-bool next_content_line(std::istream& in, std::string& line,
-                       std::size_t* line_no = nullptr) {
-  while (std::getline(in, line)) {
-    if (line_no != nullptr) ++*line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    if (line.find_first_not_of(" \t\r\n") != std::string::npos) return true;
-  }
-  return false;
-}
-
 /// The whole of `token` as a double, "nan" and "inf" included.
 bool parse_double(const std::string& token, double& value) {
   const char* end = token.data() + token.size();
@@ -62,8 +43,17 @@ class LineReader {
     if (!in_) throw std::runtime_error(format_ + ": cannot read " + path_);
   }
 
+  /// The next line holding anything but a comment, comment stripped.
   bool next(std::string& line) {
-    return next_content_line(in_, line, &line_no_);
+    while (std::getline(in_, line)) {
+      ++line_no_;
+      const auto hash = line.find('#');
+      if (hash != std::string::npos) line.erase(hash);
+      if (line.find_first_not_of(" \t\r\n") != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
   }
 
   [[noreturn]] void fail(const std::string& what) const {
@@ -180,11 +170,9 @@ void write_bookshelf(const std::string& basename, const Netlist& netlist,
 Problem read_bookshelf(const std::string& aux_path) {
   std::string nodes_path, nets_path, pl_path, scl_path;
   {
-    auto in = open_in(aux_path);
+    LineReader in(aux_path);
     std::string line;
-    if (!next_content_line(in, line)) {
-      throw std::runtime_error("bookshelf: empty aux file");
-    }
+    if (!in.next(line)) in.fail("empty aux file");
     std::istringstream ls(line);
     std::string tag, colon;
     ls >> tag >> colon;
@@ -201,7 +189,8 @@ Problem read_bookshelf(const std::string& aux_path) {
     }
     if (nodes_path.empty() || nets_path.empty() || pl_path.empty() ||
         scl_path.empty()) {
-      throw std::runtime_error("bookshelf: aux file missing sections");
+      in.fail("expected a .nodes, .nets, .pl and .scl file, got '" + line +
+              "'");
     }
   }
 
@@ -213,6 +202,13 @@ Problem read_bookshelf(const std::string& aux_path) {
     bool terminal = false;
   };
   std::vector<RawNode> raw_nodes;
+  // The builder numbers cells in .nodes order, so a node's CellId is its
+  // index in raw_nodes.
+  struct NodeRec {
+    CellId cell = kInvalidId;
+    std::uint16_t next_port = 0;
+  };
+  std::unordered_map<std::string, NodeRec> by_name;
   {
     LineReader in(nodes_path);
     std::string line;
@@ -222,6 +218,10 @@ Problem read_bookshelf(const std::string& aux_path) {
       ls >> first;
       if (first == "UCLA" || first == "NumNodes" || first == "NumTerminals") {
         continue;
+      }
+      const auto cell = static_cast<CellId>(raw_nodes.size());
+      if (!by_name.try_emplace(first, NodeRec{cell, 0}).second) {
+        in.fail("node " + first + " is listed twice");
       }
       RawNode r;
       r.name = first;
@@ -254,16 +254,9 @@ Problem read_bookshelf(const std::string& aux_path) {
   }
 
   NetlistBuilder builder{std::shared_ptr<const Library>(library)};
-  struct NodeRec {
-    CellId cell = kInvalidId;
-    std::uint16_t next_port = 0;
-  };
-  std::unordered_map<std::string, NodeRec> by_name;
-  by_name.reserve(raw_nodes.size());
   for (const RawNode& r : raw_nodes) {
-    const CellId id = builder.add_cell(
-        r.name, type_by_size.at(size_key(r.w, r.h)), r.terminal);
-    by_name.emplace(r.name, NodeRec{id, 0});
+    builder.add_cell(r.name, type_by_size.at(size_key(r.w, r.h)),
+                     r.terminal);
   }
 
   // Pass 2: nets. Ports are appended to generic types on demand; since the
@@ -404,10 +397,12 @@ Problem read_bookshelf(const std::string& aux_path) {
                     row_height, site_width);
   }
 
-  // Pass 4: .pl positions (convert lower-left corners to centers).
+  // Pass 4: .pl positions (convert lower-left corners to centers). Every
+  // terminal must have one: a fixed cell cannot be placed later.
   Placement placement(netlist.num_cells());
   {
     LineReader in(pl_path);
+    std::vector<bool> positioned(netlist.num_cells(), false);
     std::string line;
     while (in.next(line)) {
       std::istringstream ls(line);
@@ -427,6 +422,12 @@ Problem read_bookshelf(const std::string& aux_path) {
       const CellId c = it->second.cell;
       placement[c] = {lx + netlist.cell_width(c) / 2.0,
                       ly + netlist.cell_height(c) / 2.0};
+      positioned[c] = true;
+    }
+    for (CellId c = 0; c < netlist.num_cells(); ++c) {
+      if (netlist.cell(c).fixed && !positioned[c]) {
+        in.fail("terminal " + netlist.cell(c).name + " has no position");
+      }
     }
   }
 

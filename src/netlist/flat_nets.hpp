@@ -9,12 +9,12 @@
 namespace dp::netlist {
 
 /// The nets with at least `min_pins` pins, flattened into contiguous CSR
-/// arrays for the chunk-parallel kernels (smooth wirelength, congestion):
-/// kept net `kn` owns the pin slots [net_first[kn], net_first[kn + 1]),
-/// in netlist net and pin order.
+/// arrays (smooth wirelength, congestion): kept net `kn` owns the pin
+/// slots [net_first[kn], net_first[kn + 1]), in netlist net and pin order.
 ///
-/// `chunk_first` splits the kept nets into fixed chunks balanced by pin
-/// count: util::num_chunks(pins, kMinPinsPerChunk) of them at most, each
+/// `chunk_first` splits the kept nets into fixed chunks for the
+/// chunk-parallel wirelength kernel, balanced by pin count:
+/// util::num_chunks(pins, kMinPinsPerChunk) of them at most, each
 /// but the last holding at least kMinPinsPerChunk pins. The bounds depend
 /// on the netlist alone, never on the thread count, so a kernel that
 /// writes per-chunk slots and reduces them in chunk order gets the same

@@ -69,22 +69,17 @@ struct CongestionReport {
 /// to its bin. Demand is compared against a per-direction capacity
 /// proportional to bin area.
 ///
-/// build() parallelizes on util::ThreadPool with the same discipline as
-/// the GP gradient kernels: netlist::FlatNets's fixed, thread-count-
-/// independent net chunks for the bbox pass, bin-row blocks with a single
-/// owner accumulating in ascending net order for the rasterization pass.
-/// Results are bitwise identical for any pool size
-/// (tests/test_route.cpp).
+/// build() runs serially: the nets in ascending order, then the pin
+/// surcharges, so every bin sums its contributions in one fixed order.
 class CongestionMap {
  public:
   CongestionMap(const netlist::Netlist& nl, const netlist::Design& design,
                 CongestionOptions options = {});
 
-  /// Attach a worker pool for parallel build(); null (the default) runs
-  /// the same passes serially with identical results.
-  void set_thread_pool(std::shared_ptr<util::ThreadPool> pool) {
-    pool_ = std::move(pool);
-  }
+  /// Does nothing: build() is serial, because on the congestion map a
+  /// pool only ever cost time. Kept only for `flowbench`, which still
+  /// calls it.
+  void set_thread_pool(std::shared_ptr<util::ThreadPool> /*pool*/) {}
 
   /// Rasterize net and pin demand at `pl`. Reusable: each call overwrites
   /// the grids.
@@ -115,8 +110,6 @@ class CongestionMap {
   double bw_ = 0.0, bh_ = 0.0;
   double cap_ = 0.0;  ///< per-bin wire capacity, each direction
 
-  std::shared_ptr<util::ThreadPool> pool_;
-
   std::vector<double> demand_h_;  ///< row-major horizontal wire demand
   std::vector<double> demand_v_;  ///< row-major vertical wire demand
 
@@ -131,8 +124,6 @@ class CongestionMap {
   };
   std::vector<NetBox> boxes_;
   std::vector<std::uint32_t> pin_bin_;  ///< bin index per flattened pin
-  std::vector<std::vector<std::uint32_t>> block_nets_;
-  std::vector<std::vector<std::uint32_t>> block_pins_;
 };
 
 }  // namespace dp::route

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "eval/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dp::timing {
 
@@ -15,22 +14,6 @@ using netlist::PinId;
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Chunk counts are fixed (independent of the thread count) and every
-/// task writes only its own slots, so all passes are bitwise
-/// deterministic for any pool size.
-constexpr std::size_t kMinNodesPerChunk = 512;
-constexpr std::size_t kMinNetsPerChunk = 2048;
-
-/// body(i) for every i in [0, count), over util::for_chunks's fixed chunks.
-template <typename Fn>
-void run_chunked(util::ThreadPool* pool, std::size_t count,
-                 std::size_t min_per_chunk, const Fn& body) {
-  util::for_chunks(pool, count, min_per_chunk,
-                   [&](std::size_t, std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) body(i);
-  });
-}
 
 }  // namespace
 
@@ -52,35 +35,28 @@ const TimingReport& TimingAnalyzer::analyze(const netlist::Placement& pl) {
   const netlist::Netlist& nl = g.netlist();
   const std::size_t num_pins = g.num_nodes();
   const std::size_t num_nets = nl.num_nets();
-  util::ThreadPool* pool = pool_.get();
 
   // Pass 0: per-net wire delay, linear in the net's HPWL at `pl`.
-  run_chunked(pool, num_nets, kMinNetsPerChunk, [&](std::size_t n) {
+  for (std::size_t n = 0; n < num_nets; ++n) {
     net_delay_[n] =
         kWireDelayPerUnit * eval::net_hpwl(nl, static_cast<NetId>(n), pl);
-  });
-  run_chunked(pool, g.num_arcs(), kMinNetsPerChunk, [&](std::size_t a) {
+  }
+  for (std::size_t a = 0; a < g.num_arcs(); ++a) {
     arc_delay_[a] = g.arc_kind()[a] == ArcKind::kCell
                         ? kGateDelay
                         : net_delay_[g.arc_net()[a]];
-  });
+  }
 
-  // Pass 1: arrival, forward per level. Arcs strictly cross levels, so
-  // nodes of one level only read already-final lower-level arrivals.
+  // Pass 1: arrival, forward in topological order. Arcs strictly cross
+  // levels, so every pin reads only already-final arrivals.
   std::fill(arrival_.begin(), arrival_.end(), 0.0);
   const std::span<const PinId> order = g.order();
-  const std::size_t levels = g.num_levels();
-  for (std::size_t l = 1; l < levels; ++l) {
-    const std::size_t first = g.level_first(l);
-    const std::size_t last = g.level_first(l + 1);
-    run_chunked(pool, last - first, kMinNodesPerChunk, [&](std::size_t i) {
-      const PinId p = order[first + i];
-      double at = 0.0;
-      for (std::size_t a = g.fanin_first(p); a < g.fanin_first(p + 1); ++a) {
-        at = std::max(at, arrival_[g.arc_src()[a]] + arc_delay_[a]);
-      }
-      arrival_[p] = at;
-    });
+  for (const PinId p : order) {
+    double at = 0.0;
+    for (std::size_t a = g.fanin_first(p); a < g.fanin_first(p + 1); ++a) {
+      at = std::max(at, arrival_[g.arc_src()[a]] + arc_delay_[a]);
+    }
+    arrival_[p] = at;
   }
 
   // Resolve the clock period: an explicit constraint, or the worst
@@ -95,25 +71,21 @@ const TimingReport& TimingAnalyzer::analyze(const netlist::Placement& pl) {
   const double period =
       options_.clock_period > 0.0 ? options_.clock_period : max_arrival;
 
-  // Pass 2: required, backward per level. Endpoints are seeded with the
-  // period; pins driving no endpoint keep +inf (unconstrained).
+  // Pass 2: required, backward in reverse topological order. Endpoints
+  // are seeded with the period; pins driving no endpoint keep +inf
+  // (unconstrained).
   std::fill(required_.begin(), required_.end(), kInf);
   for (const PinId e : g.endpoints()) {
     required_[e] = std::min(required_[e], period);
   }
-  for (std::size_t l = levels; l-- > 0;) {
-    const std::size_t first = g.level_first(l);
-    const std::size_t last = g.level_first(l + 1);
-    run_chunked(pool, last - first, kMinNodesPerChunk, [&](std::size_t i) {
-      const PinId p = order[first + i];
-      double rq = required_[p];
-      for (std::size_t a = g.fanout_first(p); a < g.fanout_first(p + 1);
-           ++a) {
-        rq = std::min(rq, required_[g.fanout_dst()[a]] -
-                              arc_delay_[g.fanout_arc()[a]]);
-      }
-      required_[p] = rq;
-    });
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const PinId p = *it;
+    double rq = required_[p];
+    for (std::size_t a = g.fanout_first(p); a < g.fanout_first(p + 1); ++a) {
+      rq = std::min(rq, required_[g.fanout_dst()[a]] -
+                            arc_delay_[g.fanout_arc()[a]]);
+    }
+    required_[p] = rq;
   }
 
   // Slack; loop pins are excluded from propagation and pinned to zero.
@@ -131,7 +103,7 @@ const TimingReport& TimingAnalyzer::analyze(const netlist::Placement& pl) {
   report_.clock_period = period;
   report_.max_arrival = max_arrival;
   report_.endpoints = g.endpoints().size();
-  report_.levels = levels;
+  report_.levels = g.num_levels();
   report_.loop_pins = g.loop_pins().size();
   double wns = kInf;
   PinId worst = netlist::kInvalidId;

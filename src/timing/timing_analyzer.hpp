@@ -72,12 +72,8 @@ struct TimingControl {
 ///
 /// analyze() runs four sweeps: per-net wire delays from HPWL, forward
 /// arrival (max over fanin), backward required (min over fanout, seeded
-/// with the clock period at endpoints), and slack. The level sweeps
-/// parallelize on util::ThreadPool with fixed thread-count-independent
-/// chunk boundaries; every task writes only its own node slots and all
-/// reductions run serially in fixed order, so the report and every
-/// per-node array are bitwise identical for any pool size (same contract
-/// as the GP and route kernels; tests/test_timing.cpp).
+/// with the clock period at endpoints), and slack. The sweeps run
+/// serially in topological order, and every reduction in a fixed order.
 ///
 /// Pins on combinational loops are excluded from propagation and carry
 /// arrival = required = slack = 0.
@@ -85,11 +81,9 @@ class TimingAnalyzer {
  public:
   TimingAnalyzer(const TimingGraph& graph, TimingOptions options = {});
 
-  /// Attach a worker pool; null (the default) runs serially with
-  /// identical results.
-  void set_thread_pool(std::shared_ptr<util::ThreadPool> pool) {
-    pool_ = std::move(pool);
-  }
+  /// Does nothing: analyze() is serial, because on the analyzer a pool
+  /// only ever cost time. Kept only for `flowbench`, which still calls it.
+  void set_thread_pool(std::shared_ptr<util::ThreadPool> /*pool*/) {}
 
   const TimingGraph& graph() const { return *graph_; }
 
@@ -123,7 +117,6 @@ class TimingAnalyzer {
  private:
   const TimingGraph* graph_;
   TimingOptions options_;
-  std::shared_ptr<util::ThreadPool> pool_;
 
   TimingReport report_;
   std::vector<double> net_delay_;   ///< per NetId

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "dpgen/benchmarks.hpp"
@@ -338,6 +340,83 @@ INSTANTIATE_TEST_SUITE_P(
     [](const testing::TestParamInfo<MalformedCase>& param_info) {
       return std::string(param_info.param.name);
     });
+
+/// The lines of `path`.
+std::vector<std::string> read_lines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+void write_lines(const std::string& path,
+                 const std::vector<std::string>& lines) {
+  std::ofstream out(path);
+  for (const std::string& line : lines) out << line << "\n";
+}
+
+/// read_bookshelf(aux) must throw, with every fragment in its message.
+void expect_rejected(const std::string& aux,
+                     const std::vector<std::string>& fragments) {
+  try {
+    read_bookshelf(aux);
+    FAIL() << "accepted " << aux;
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    for (const std::string& f : fragments) {
+      EXPECT_NE(msg.find(f), std::string::npos) << msg;
+    }
+  }
+}
+
+// A node listed twice in .nodes would load as a second cell with no pins.
+TEST(Bookshelf, DuplicateNodeRejected) {
+  const auto bench = dpgen::make_benchmark("dp_add32");
+  const std::string base = ::testing::TempDir() + "bs_dup_node";
+  write_bookshelf(base, bench.netlist, bench.design, bench.placement);
+  std::vector<std::string> lines = read_lines(base + ".nodes");
+  lines.push_back(lines.back());
+  write_lines(base + ".nodes", lines);
+  const std::string& name =
+      bench.netlist.cell(static_cast<CellId>(bench.netlist.num_cells() - 1))
+          .name;
+  expect_rejected(base + ".aux",
+                  {"bookshelf: " + base + ".nodes:" +
+                       std::to_string(lines.size()) + ": ",
+                   "node " + name + " is listed twice"});
+}
+
+// A terminal is never moved, so one that .pl does not position would stay
+// at the origin.
+TEST(Bookshelf, UnpositionedTerminalRejected) {
+  const auto bench = dpgen::make_benchmark("dp_add32");
+  const std::string base = ::testing::TempDir() + "bs_no_terminal_pl";
+  write_bookshelf(base, bench.netlist, bench.design, bench.placement);
+  std::vector<std::string> lines = read_lines(base + ".pl");
+  std::size_t target = lines.size() - 1;
+  while (target > 0 && !lines[target].ends_with("/FIXED")) --target;
+  ASSERT_TRUE(lines[target].ends_with("/FIXED"));
+  const std::string name = lines[target].substr(0, lines[target].find(' '));
+  lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(target));
+  write_lines(base + ".pl", lines);
+  expect_rejected(base + ".aux", {"bookshelf: " + base + ".pl:",
+                                  "terminal " + name + " has no position"});
+}
+
+// An .aux error names the .aux file and its line.
+TEST(Bookshelf, MalformedAuxNamesFile) {
+  const auto bench = dpgen::make_benchmark("dp_add32");
+  const std::string base = ::testing::TempDir() + "bs_bad_aux";
+  write_bookshelf(base, bench.netlist, bench.design, bench.placement);
+  write_lines(base + ".aux",
+              {"# no .scl", "RowBasedPlacement : bs_bad_aux.nodes "
+                            "bs_bad_aux.nets bs_bad_aux.pl"});
+  expect_rejected(base + ".aux", {"bookshelf: " + base + ".aux:2: ",
+                                  "expected a .nodes, .nets, .pl and .scl"});
+  write_lines(base + ".aux", {"# nothing"});
+  expect_rejected(base + ".aux",
+                  {"bookshelf: " + base + ".aux:1: empty aux file"});
+}
 
 }  // namespace
 }  // namespace dp::netlist

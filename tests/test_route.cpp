@@ -1,15 +1,14 @@
 // route::CongestionMap (RUDY + pin surcharge) and the cell-inflation
-// feedback: hand-computed rasterization, demand conservation, bitwise
-// determinism across thread counts (same discipline as the GP kernels),
-// report metric sanity, inflation eligibility/clamping, and the placer's
-// inflation inside global placement.
+// feedback: hand-computed rasterization, demand conservation, grids pinned
+// to recorded bits, report metric sanity, inflation eligibility/clamping,
+// and the placer's inflation inside global placement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -19,7 +18,6 @@
 #include "route/congestion.hpp"
 #include "route/inflation.hpp"
 #include "util/prng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dp::route {
 namespace {
@@ -168,33 +166,28 @@ TEST(CongestionMap, RebuildOverwritesPreviousGrids) {
   EXPECT_DOUBLE_EQ(sum(map.demand_h()), first);
 }
 
-TEST(CongestionMap, BitwiseDeterministicAcrossThreadCounts) {
-  const dpgen::Benchmark bench = dpgen::make_benchmark("mix50");
-  auto grids = [&](std::size_t threads) {
-    CongestionMap map(bench.netlist, bench.design, {});
-    if (threads > 0) {
-      map.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
-    }
-    map.build(bench.placement);
-    struct G {
-      std::vector<double> h, v;
-    } g;
-    g.h.assign(map.demand_h().begin(), map.demand_h().end());
-    g.v.assign(map.demand_v().begin(), map.demand_v().end());
-    return g;
-  };
-  const auto serial = grids(0);  // no pool at all
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{4}, std::size_t{7}}) {
-    const auto par = grids(threads);
-    ASSERT_EQ(serial.h.size(), par.h.size());
-    for (std::size_t i = 0; i < serial.h.size(); ++i) {
-      ASSERT_EQ(serial.h[i], par.h[i]) << "demand_h[" << i << "] threads="
-                                       << threads;
-      ASSERT_EQ(serial.v[i], par.v[i]) << "demand_v[" << i << "] threads="
-                                       << threads;
+/// FNV-1a over the bit patterns of `v`, in order.
+std::uint64_t bit_checksum(std::span<const double> v) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const double x : v) {
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    for (int k = 0; k < 8; ++k) {
+      h ^= (bits >> (8 * k)) & 0xffu;
+      h *= 1099511628211ull;
     }
   }
+  return h;
+}
+
+// Recorded from the fork-join build(): the serial nets-then-pins sweep
+// must sum every bin in the same order, so a reordered loop fails here.
+TEST(CongestionMap, GridsMatchRecordedBits) {
+  const dpgen::Benchmark bench = dpgen::make_benchmark("mix50");
+  CongestionMap map(bench.netlist, bench.design, {});
+  map.build(bench.placement);
+  EXPECT_EQ(map.bins_per_side(), 64u);
+  EXPECT_EQ(bit_checksum(map.demand_h()), 0x2054bf50481ca4c6ull);
+  EXPECT_EQ(bit_checksum(map.demand_v()), 0x73a92c25d03061d5ull);
 }
 
 TEST(CongestionReport, MetricsAreOrderedAndBounded) {

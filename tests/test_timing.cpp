@@ -1,21 +1,21 @@
 // Timing subsystem: graph construction (pin-level arcs, levelization,
 // loop detection), analyzer correctness (arrival/required/slack
-// identities), and the parallel determinism contract (bitwise identical
-// reports for every thread count; ISSUE 5 acceptance).
+// identities), and a report pinned to recorded bits.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <random>
+#include <span>
+#include <vector>
 
 #include "dpgen/benchmarks.hpp"
 #include "netlist/library.hpp"
 #include "timing/timing_analyzer.hpp"
 #include "timing/timing_graph.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dp::timing {
 namespace {
@@ -325,45 +325,49 @@ TEST(TimingAnalyzer, SomeNetIsFullyCritical) {
   EXPECT_EQ(max_crit, 1.0) << "the tightest net defines criticality 1";
 }
 
-// ---- parallel determinism --------------------------------------------------
+// ---- recorded bits ---------------------------------------------------------
 
-TEST(TimingDeterminism, ReportBitwiseAcrossThreadCounts) {
-  const auto& b = alu32();
-  const TimingGraph g(b.netlist);
-
-  auto run = [&](std::size_t threads) {
-    TimingAnalyzer an(g);
-    if (threads > 0) {
-      an.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
-    }
-    an.analyze(b.placement);
-    return std::make_unique<TimingAnalyzer>(std::move(an));
-  };
-
-  const auto serial = run(0);
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    const auto par = run(threads);
-    const TimingReport& a = serial->report();
-    const TimingReport& c = par->report();
-    EXPECT_EQ(a.wns, c.wns) << threads;
-    EXPECT_EQ(a.tns, c.tns) << threads;
-    EXPECT_EQ(a.clock_period, c.clock_period) << threads;
-    EXPECT_EQ(a.max_arrival, c.max_arrival) << threads;
-    EXPECT_EQ(a.violations, c.violations) << threads;
-    ASSERT_EQ(a.critical_path.size(), c.critical_path.size()) << threads;
-    for (std::size_t i = 0; i < a.critical_path.size(); ++i) {
-      ASSERT_EQ(a.critical_path[i].pin, c.critical_path[i].pin);
-      ASSERT_EQ(a.critical_path[i].arrival, c.critical_path[i].arrival);
-    }
-    for (std::size_t p = 0; p < g.num_nodes(); ++p) {
-      ASSERT_EQ(serial->arrival()[p], par->arrival()[p]) << "pin " << p;
-      ASSERT_EQ(serial->required()[p], par->required()[p]) << "pin " << p;
-      ASSERT_EQ(serial->slack()[p], par->slack()[p]) << "pin " << p;
-    }
-    for (std::size_t n = 0; n < b.netlist.num_nets(); ++n) {
-      ASSERT_EQ(serial->net_criticality()[n], par->net_criticality()[n]);
+/// FNV-1a over the bit patterns of `v`, in order.
+std::uint64_t bit_checksum(std::span<const double> v) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const double x : v) {
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    for (int k = 0; k < 8; ++k) {
+      h ^= (bits >> (8 * k)) & 0xffu;
+      h *= 1099511628211ull;
     }
   }
+  return h;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// Recorded from the level-chunked analyzer, under a period that leaves four
+// endpoints violating: the serial sweeps must reproduce every value.
+TEST(TimingAnalyzer, ReportMatchesRecordedBits) {
+  const auto& b = alu32();
+  const TimingGraph g(b.netlist);
+  TimingAnalyzer an(g, TimingOptions{160.0});
+  const TimingReport& r = an.analyze(b.placement);
+  EXPECT_EQ(bits(r.wns), 0xc024fe7aacbdc880ull) << r.wns;
+  EXPECT_EQ(bits(r.tns), 0xc03852bf9ec9f770ull) << r.tns;
+  EXPECT_EQ(bits(r.max_arrival), 0x40654fe7aacbdc88ull) << r.max_arrival;
+  EXPECT_EQ(r.violations, 4u);
+  EXPECT_EQ(r.endpoints, 370u);
+  EXPECT_EQ(r.levels, 111u);
+  ASSERT_EQ(r.critical_path.size(), 108u);
+  EXPECT_EQ(r.critical_path.front().pin, 6927u);
+  EXPECT_EQ(r.critical_path.back().pin, 10348u);
+  std::vector<double> path;
+  for (const PathNode& n : r.critical_path) {
+    path.push_back(static_cast<double>(n.pin));
+    path.push_back(n.arrival);
+  }
+  EXPECT_EQ(bit_checksum(path), 0xc030f9ff382b0a17ull);
+  EXPECT_EQ(bit_checksum(an.arrival()), 0x7a1f48a65fb03a3eull);
+  EXPECT_EQ(bit_checksum(an.required()), 0x162171d1629e4f5aull);
+  EXPECT_EQ(bit_checksum(an.slack()), 0x0fda319b35845257ull);
+  EXPECT_EQ(bit_checksum(an.net_criticality()), 0xbb99e780a4ed8532ull);
 }
 
 }  // namespace
