@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark): per-evaluation cost of the placer
 // kernels on dp_alu32-sized data, including thread-count sweeps for the
 // parallel gradient kernels, plus the density and wirelength kernels on a
-// spread make_scaled(4000) placement. Unless the caller passes --benchmark_out,
+// spread make_scaled(4000) placement and the quadratic start of that design.
+// Unless the caller passes --benchmark_out,
 // results are also written to BENCH_gp_kernels.json (machine-readable,
 // consumed by CI).
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include "extract/extractor.hpp"
 #include "gp/density.hpp"
 #include "gp/global_placer.hpp"
+#include "gp/quadratic.hpp"
 #include "gp/wirelength.hpp"
 #include "legal/abacus.hpp"
 #include "util/prng.hpp"
@@ -205,6 +207,21 @@ void BM_WirelengthValueSpread4k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WirelengthValueSpread4k);
+
+// The quadratic warm start of global placement on make_scaled(4000), from
+// the generated (unplaced) positions: 150 Jacobi sweeps plus the jitter.
+void BM_QuadraticStart4k(benchmark::State& state) {
+  const auto& f = spread4k();
+  const dp::gp::VarMap vars(f.bench.netlist);
+  const dp::netlist::FlatNets nets(f.bench.netlist, 2);
+  for (auto _ : state) {
+    auto pl = f.bench.placement;
+    dp::gp::quadratic_initial_placement(f.bench.netlist, f.bench.design, vars,
+                                        nets, pl);
+    benchmark::DoNotOptimize(pl.data());
+  }
+}
+BENCHMARK(BM_QuadraticStart4k)->Unit(benchmark::kMillisecond);
 
 // Abacus on the spread placement: every movable cell legalized around the
 // fixed cells, as the flows run it after global placement.

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "geom/rect.hpp"
+#include "util/lanes.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dp::gp {
@@ -84,16 +85,11 @@ inline long long window_start(double c, double r2, double lo, double wb,
   return std::clamp(k, 0LL, nb - n);
 }
 
-/// Two doubles, one per cell: passes 0 and 2 run two cells with the same
-/// window at once, each lane in exactly the arithmetic of one cell.
-using Lanes = double __attribute__((vector_size(16)));
-using LaneMask = std::int64_t __attribute__((vector_size(16)));
-
-/// `a` in the lanes where `m` is set, else `b`: a bit mask, no branch.
-inline Lanes pick(LaneMask m, Lanes a, Lanes b) {
-  return std::bit_cast<Lanes>((std::bit_cast<LaneMask>(a) & m) |
-                              (std::bit_cast<LaneMask>(b) & ~m));
-}
+// Passes 0 and 2 run two cells with the same window at once, one cell per
+// lane, each lane in exactly the arithmetic of one cell.
+using util::LaneMask;
+using util::Lanes;
+using util::pick;
 
 /// The bell constants of two cells on one axis, one cell per lane.
 struct LaneShape {

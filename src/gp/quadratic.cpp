@@ -1,14 +1,17 @@
 #include "gp/quadratic.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
+#include "util/lanes.hpp"
 #include "util/prng.hpp"
 
 namespace dp::gp {
 
 using netlist::CellId;
-using netlist::NetId;
 using netlist::PinId;
+using util::Lanes;
 
 namespace {
 constexpr std::size_t kSweeps = 150;
@@ -30,49 +33,65 @@ void quadratic_initial_placement(const netlist::Netlist& nl,
                                  netlist::Placement& pl) {
   const geom::Rect& core = design.core();
 
-  // What the cell loop reads of a net, indexed by NetId: its pin-position
-  // sums, degree and weight. Only nets of >= 2 pins (the flat ones) are
-  // read.
+  // What the cell loop reads of each kept (>= 2-pin) net: its pin-position
+  // sums {x, y} (refreshed every sweep), netlist weight and degree - 1.
   struct NetSum {
-    double x = 0.0, y = 0.0, deg = 0.0, weight = 0.0;
+    Lanes sum;
+    double weight;
+    double others;
   };
-  std::vector<NetSum> sums(nl.num_nets());
-  for (NetId n = 0; n < nl.num_nets(); ++n) {
-    sums[n].deg = static_cast<double>(nl.net(n).pins.size());
-    sums[n].weight = nl.net(n).weight;
+  std::vector<NetSum> net_sums(nets.num_nets());
+  for (std::size_t kn = 0; kn < nets.num_nets(); ++kn) {
+    const netlist::Net& net = nl.net(nets.net_id[kn]);
+    net_sums[kn] = {Lanes{0.0, 0.0}, net.weight,
+                    static_cast<double>(net.pins.size()) - 1.0};
+  }
+  // A movable cell's pins on kept nets, in cell pin order: variable v's
+  // are pin_net/pin_offset[pin_first[v] .. pin_first[v + 1]).
+  std::vector<std::uint32_t> kept(nl.num_nets(), netlist::kInvalidId);
+  for (std::uint32_t kn = 0; kn < nets.num_nets(); ++kn) {
+    kept[nets.net_id[kn]] = kn;
+  }
+  std::vector<std::uint32_t> pin_first{0}, pin_net;
+  std::vector<Lanes> pin_offset;  ///< {dx, dy} from the cell center
+  for (const CellId c : vars.movable_cells()) {
+    for (const PinId p : nl.cell(c).pins) {
+      const netlist::Pin& pin = nl.pin(p);
+      if (kept[pin.net] == netlist::kInvalidId) continue;
+      pin_net.push_back(kept[pin.net]);
+      pin_offset.push_back(Lanes{pin.offset_x, pin.offset_y});
+    }
+    pin_first.push_back(static_cast<std::uint32_t>(pin_net.size()));
   }
 
   for (std::size_t sweep = 0; sweep < kSweeps; ++sweep) {
-    // Net pin-position sums from the current placement, in net pin order.
     for (std::size_t kn = 0; kn < nets.num_nets(); ++kn) {
-      double sx = 0.0, sy = 0.0;
+      Lanes sum = {0.0, 0.0};
       for (std::uint32_t s = nets.net_first[kn]; s < nets.net_first[kn + 1];
            ++s) {
-        const CellId c = nets.pin_cell[s];
-        sx += pl[c].x + nets.pin_dx[s];
-        sy += pl[c].y + nets.pin_dy[s];
+        const geom::Point& at = pl[nets.pin_cell[s]];
+        sum += Lanes{at.x, at.y} + Lanes{nets.pin_dx[s], nets.pin_dy[s]};
       }
-      sums[nets.net_id[kn]].x = sx;
-      sums[nets.net_id[kn]].y = sy;
+      net_sums[kn].sum = sum;
     }
 
     // Jacobi update: each movable cell moves to the weighted average of
-    // its nets' other-pin centroids.
-    for (const CellId c : vars.movable_cells()) {
-      double acc_x = 0.0, acc_y = 0.0, acc_w = 0.0;
-      for (PinId p : nl.cell(c).pins) {
-        const NetSum& net = sums[nl.pin(p).net];
-        if (net.deg < 2.0) continue;
-        const geom::Point own = nl.pin_position(p, pl);
-        const double w = net.weight;
+    // its nets' other-pin centroids. Both axes share each division.
+    for (std::size_t v = 0; v < vars.num_vars(); ++v) {
+      geom::Point& at = pl[vars.cell(v)];
+      const Lanes own = {at.x, at.y};
+      Lanes acc = {0.0, 0.0};
+      double acc_w = 0.0;
+      for (std::uint32_t i = pin_first[v]; i < pin_first[v + 1]; ++i) {
+        const NetSum& net = net_sums[pin_net[i]];
         // Average position of the net's other pins.
-        acc_x += w * (net.x - own.x) / (net.deg - 1.0);
-        acc_y += w * (net.y - own.y) / (net.deg - 1.0);
-        acc_w += w;
+        acc += net.weight * (net.sum - (own + pin_offset[i])) / net.others;
+        acc_w += net.weight;
       }
       if (acc_w <= 0.0) continue;
-      pl[c].x = std::clamp(acc_x / acc_w, core.lx, core.hx);
-      pl[c].y = std::clamp(acc_y / acc_w, core.ly, core.hy);
+      const Lanes to = acc / acc_w;
+      at.x = std::clamp(to[0], core.lx, core.hx);
+      at.y = std::clamp(to[1], core.ly, core.hy);
     }
   }
 

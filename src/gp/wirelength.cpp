@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -12,55 +13,118 @@ using netlist::NetId;
 
 namespace {
 
+using util::LaneMask;
+using util::Lanes;
+using util::pick;
+
 /// The gradient gather's chunk minimum, in variables.
 constexpr std::size_t kMinVarsPerChunk = 2048;
 
-/// Weighted-average extent and per-pin gradient for one axis.
-double wa_axis(const double* coord, std::size_t n, const double* wmax,
-               const double* wmin, double gamma, double weight,
-               double* grad) {
-  double smax = 0.0, amax = 0.0, smin = 0.0, amin = 0.0;
+/// Pin slot `s`'s position: {x, y}.
+inline Lanes pin_xy(const netlist::Placement& pl, const netlist::FlatNets& f,
+                    std::uint32_t s) {
+  const geom::Point& at = pl[f.pin_cell[s]];
+  return Lanes{at.x, at.y} + Lanes{f.pin_dx[s], f.pin_dy[s]};
+}
+
+// Both kernels below evaluate one net on both axes at once: lane 0 is the
+// x axis, lane 1 the y axis, and each lane runs exactly the scalar
+// arithmetic of its axis, so every division of an axis shares one `Lanes`
+// division with the other axis. For pins c[0..n) of one axis:
+//   wmax[i] = exp((c[i] - max_c) / gamma),  wmin[i] = exp((min_c - c[i]) / gamma),
+//   hi = sum(c wmax) / sum(wmax),           lo = sum(c wmin) / sum(wmin),
+//   grad[i] = weight * (wmax[i] / sum(wmax) * (1 + (c[i] - hi) / gamma)
+//                     - wmin[i] / sum(wmin) * (1 - (c[i] - lo) / gamma)),
+// every sum accumulated from 0.0 in pin order. The kernels return hi - lo
+// and write pin i's gradient to grad[pos[i]].
+//
+// The first pin at max_c (min_c) has the argument +0 / gamma = +-0, and
+// exp(+-0) is exactly 1 (C Annex F), so its weight is 1 without an exp()
+// call; for any gamma other than 0 or NaN the weights are those of
+// calling exp() on every pin. With coordinates inside (-1e300, 1e300)
+// every axis has both extreme pins, so an axis costs 1 call on a 2-pin
+// net and 2n - 2 calls otherwise.
+
+/// A net of n >= 3 pins. `p`, `wmax` and `wmin` are scratch of n lanes.
+Lanes wa_net(const netlist::Placement& pl, const netlist::FlatNets& f,
+             std::uint32_t base, std::size_t n, Lanes gamma, Lanes weight,
+             Lanes* p, Lanes* wmax, Lanes* wmin, Lanes* grad,
+             const std::uint32_t* pos) {
+  // std::max/std::min semantics: an extreme is replaced only by a strictly
+  // larger / smaller coordinate, so max_c and min_c are the bits of the
+  // first pins that reach them.
+  Lanes max_c = {-1e300, -1e300}, min_c = {1e300, 1e300};
+  const auto none = static_cast<std::int64_t>(n);
+  LaneMask imax = {none, none}, imin = {none, none};
+  for (std::size_t i = 0; i < n; ++i) {
+    p[i] = pin_xy(pl, f, base + static_cast<std::uint32_t>(i));
+    const LaneMask up = max_c < p[i], down = p[i] < min_c;
+    const LaneMask at = {static_cast<std::int64_t>(i),
+                         static_cast<std::int64_t>(i)};
+    max_c = pick(up, p[i], max_c);
+    imax = (imax & ~up) | (at & up);
+    min_c = pick(down, p[i], min_c);
+    imin = (imin & ~down) | (at & down);
+  }
+  // The exp() arguments first, then the calls in a loop of their own, with
+  // nothing else live across them.
+  for (std::size_t i = 0; i < n; ++i) {
+    wmax[i] = (p[i] - max_c) / gamma;
+    wmin[i] = (min_c - p[i]) / gamma;
+  }
+  for (int a = 0; a < 2; ++a) {
+    const auto hi_pin = static_cast<std::size_t>(imax[a]);
+    const auto lo_pin = static_cast<std::size_t>(imin[a]);
+    for (std::size_t i = 0; i < n; ++i) {
+      wmax[i][a] = i == hi_pin ? 1.0 : std::exp(wmax[i][a]);
+      wmin[i][a] = i == lo_pin ? 1.0 : std::exp(wmin[i][a]);
+    }
+  }
+  const Lanes zero = {0.0, 0.0};
+  Lanes smax = zero, amax = zero, smin = zero, amin = zero;
   for (std::size_t i = 0; i < n; ++i) {
     smax += wmax[i];
-    amax += coord[i] * wmax[i];
+    amax += p[i] * wmax[i];
     smin += wmin[i];
-    amin += coord[i] * wmin[i];
+    amin += p[i] * wmin[i];
   }
-  const double hi = amax / smax;
-  const double lo = amin / smin;
+  const Lanes hi = amax / smax;
+  const Lanes lo = amin / smin;
   for (std::size_t i = 0; i < n; ++i) {
-    const double ghi = wmax[i] / smax * (1.0 + (coord[i] - hi) / gamma);
-    const double glo = wmin[i] / smin * (1.0 - (coord[i] - lo) / gamma);
-    grad[i] = weight * (ghi - glo);
+    const Lanes ghi = wmax[i] / smax * (1.0 + (p[i] - hi) / gamma);
+    const Lanes glo = wmin[i] / smin * (1.0 - (p[i] - lo) / gamma);
+    grad[pos[i]] = weight * (ghi - glo);
   }
   return hi - lo;
 }
 
-/// The max-shifted exponential weights of one net axis:
-///   wmax[i] = exp((coord[i] - max_c) / gamma),
-///   wmin[i] = exp((min_c - coord[i]) / gamma),
-/// bit for bit (for any gamma other than 0 or NaN), with fewer exp()
-/// calls. `imax`/`imin` are the first pins at max_c/min_c, or n if there
-/// is none. Their argument is +0 / gamma = +-0, and exp(+-0) is exactly 1
-/// (C Annex F). On a 2-pin net both remaining weights have the argument
-/// (min_c - max_c) / gamma, so one exp() serves both. With finite
-/// coordinates both extreme pins exist, so an axis costs 1 call on a
-/// 2-pin net and 2n - 2 calls otherwise.
-void exp_weights(const double* coord, std::size_t n, double max_c,
-                 double min_c, std::size_t imax, std::size_t imin,
-                 double gamma, double* wmax, double* wmin) {
-  if (n == 2 && imax < 2 && imin < 2) {
-    const double e = std::exp((min_c - max_c) / gamma);
-    wmax[imax] = 1.0;
-    wmax[1 - imax] = e;
-    wmin[imin] = 1.0;
-    wmin[1 - imin] = e;
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    wmax[i] = i == imax ? 1.0 : std::exp((coord[i] - max_c) / gamma);
-    wmin[i] = i == imin ? 1.0 : std::exp((min_c - coord[i]) / gamma);
-  }
+/// A 2-pin net, with fewer divisions. Both non-extreme weights are
+/// e = exp((min_c - max_c) / gamma), so sum(wmax) = sum(wmin) = 1 + e in
+/// either pin order (0.0 + 1 + e and 0.0 + e + 1 round alike), and the
+/// four per-pin weight divisions are 1 / s and e / s.
+Lanes wa_net2(const netlist::Placement& pl, const netlist::FlatNets& f,
+              std::uint32_t base, Lanes gamma, Lanes weight, Lanes* grad,
+              const std::uint32_t* pos) {
+  const Lanes p0 = pin_xy(pl, f, base), p1 = pin_xy(pl, f, base + 1);
+  const LaneMask up = p0 < p1;    // pin 1 is the max pin
+  const LaneMask down = p1 < p0;  // pin 1 is the min pin
+  const Lanes max_c = pick(up, p1, p0), min_c = pick(down, p1, p0);
+  const Lanes arg = (min_c - max_c) / gamma;
+  const Lanes e = {std::exp(arg[0]), std::exp(arg[1])};
+  const Lanes one = {1.0, 1.0}, zero = {0.0, 0.0};
+  const Lanes s = one + e;
+  const Lanes wmax0 = pick(up, e, one), wmax1 = pick(up, one, e);
+  const Lanes wmin0 = pick(down, e, one), wmin1 = pick(down, one, e);
+  const Lanes hi = ((zero + p0 * wmax0) + p1 * wmax1) / s;
+  const Lanes lo = ((zero + p0 * wmin0) + p1 * wmin1) / s;
+  const Lanes q1 = one / s, qe = e / s;  // the weights over s
+  const Lanes qmax0 = pick(up, qe, q1), qmax1 = pick(up, q1, qe);
+  const Lanes qmin0 = pick(down, qe, q1), qmin1 = pick(down, q1, qe);
+  grad[pos[0]] = weight * (qmax0 * (1.0 + (p0 - hi) / gamma) -
+                           qmin0 * (1.0 - (p0 - lo) / gamma));
+  grad[pos[1]] = weight * (qmax1 * (1.0 + (p1 - hi) / gamma) -
+                           qmin1 * (1.0 - (p1 - lo) / gamma));
+  return hi - lo;
 }
 
 }  // namespace
@@ -74,7 +138,9 @@ SmoothWirelength::SmoothWirelength(const netlist::Netlist& nl,
     exp_calls_ += 2 * (deg == 2 ? 1 : 2 * deg - 2);
   }
 
-  // Gather transpose: each variable's pin slots, in slot order.
+  // Gradient positions: variable v's pins, in slot order, take
+  // var_first_[v] .. var_first_[v + 1]; the pins of fixed cells follow the
+  // last variable's.
   const VarMap vars(nl);
   const std::size_t nv = vars.num_vars();
   var_first_.assign(nv + 1, 0);
@@ -83,12 +149,11 @@ SmoothWirelength::SmoothWirelength(const netlist::Netlist& nl,
     if (v != netlist::kInvalidId) ++var_first_[v + 1];
   }
   for (std::size_t v = 0; v < nv; ++v) var_first_[v + 1] += var_first_[v];
-  var_slot_.resize(var_first_[nv]);
-  std::vector<std::uint32_t> cursor(var_first_.begin(),
-                                    var_first_.end() - 1);
+  std::vector<std::uint32_t> cursor(var_first_.begin(), var_first_.end());
+  grad_pos_.resize(flat_.pin_cell.size());
   for (std::uint32_t s = 0; s < flat_.pin_cell.size(); ++s) {
     const std::uint32_t v = vars.var(flat_.pin_cell[s]);
-    if (v != netlist::kInvalidId) var_slot_[cursor[v]++] = s;
+    grad_pos_[s] = cursor[v != netlist::kInvalidId ? v : nv]++;
   }
 }
 
@@ -104,52 +169,33 @@ double SmoothWirelength::value(const netlist::Placement& pl,
                                const VarMap& /*vars*/) const {
   const std::size_t nchunks = flat_.num_chunks();
   chunk_value_.assign(nchunks, 0.0);
-  // Every slot is overwritten (not accumulated), so no zero-fill.
-  gpin_x_.resize(flat_.pin_cell.size());
-  gpin_y_.resize(flat_.pin_cell.size());
+  // Every slot is overwritten (not accumulated), so no zero-fill; chunks
+  // write disjoint slots.
+  gpin_.resize(flat_.pin_cell.size());
   chunk_scratch_.resize(nchunks);
-  const double gamma = gamma_;
+  const Lanes gamma = {gamma_, gamma_};
 
   auto work = [&](std::size_t k) {
-    std::vector<double>& s = chunk_scratch_[k];
+    std::vector<Lanes>& s = chunk_scratch_[k];
     s.resize(3 * max_degree_);
-    double* coord = s.data();
-    double* wmax = coord + max_degree_;
-    double* wmin = wmax + max_degree_;
+    Lanes* p = s.data();
+    Lanes* wmax = p + max_degree_;
+    Lanes* wmin = wmax + max_degree_;
     double total = 0.0;
     for (std::uint32_t kn = flat_.chunk_first[k];
          kn < flat_.chunk_first[k + 1]; ++kn) {
       const std::uint32_t base = flat_.net_first[kn];
       const std::size_t deg = flat_.net_first[kn + 1] - base;
-      const double weight = flat_.net_weight[kn];
-      double net_value = 0.0;
-      // Per axis: gather coords, max-shift the exponents, evaluate.
-      for (int axis = 0; axis < 2; ++axis) {
-        for (std::size_t i = 0; i < deg; ++i) {
-          const std::uint32_t c = flat_.pin_cell[base + i];
-          coord[i] = axis == 0 ? pl[c].x + flat_.pin_dx[base + i]
-                               : pl[c].y + flat_.pin_dy[base + i];
-        }
-        // std::max/std::min semantics: an extreme is replaced only by a
-        // strictly larger / smaller coordinate, so max_c and min_c are the
-        // bits of the first pins that reach them.
-        double max_c = -1e300, min_c = 1e300;
-        std::size_t imax = deg, imin = deg;  // deg: no such pin
-        for (std::size_t i = 0; i < deg; ++i) {
-          if (max_c < coord[i]) {
-            max_c = coord[i];
-            imax = i;
-          }
-          if (coord[i] < min_c) {
-            min_c = coord[i];
-            imin = i;
-          }
-        }
-        exp_weights(coord, deg, max_c, min_c, imax, imin, gamma, wmax, wmin);
-        double* grad = (axis == 0 ? gpin_x_.data() : gpin_y_.data()) + base;
-        net_value += wa_axis(coord, deg, wmax, wmin, gamma, weight, grad);
-      }
-      total += weight * net_value;
+      const double w = flat_.net_weight[kn];
+      const Lanes weight = {w, w};
+      const std::uint32_t* pos = &grad_pos_[base];
+      const Lanes extent =
+          deg == 2
+              ? wa_net2(pl, flat_, base, gamma, weight, gpin_.data(), pos)
+              : wa_net(pl, flat_, base, deg, gamma, weight, p, wmax, wmin,
+                       gpin_.data(), pos);
+      // The x extent, then the y extent, onto 0.0.
+      total += w * ((0.0 + extent[0]) + extent[1]);
     }
     chunk_value_[k] = total;
   };
@@ -166,18 +212,17 @@ double SmoothWirelength::value(const netlist::Placement& pl,
 void SmoothWirelength::gradient(std::span<double> gx, std::span<double> gy,
                                 double scale) const {
   // Gather per-pin gradients into the variables. Each variable's slots
-  // are summed in fixed CSR order, so the gather is both race-free and
-  // deterministic for any thread count.
+  // are contiguous and summed in pin-slot order, so the gather is both
+  // race-free and deterministic for any thread count.
   util::for_chunks(pool_.get(), var_first_.size() - 1, kMinVarsPerChunk,
                    [&](std::size_t, std::size_t v0, std::size_t v1) {
     for (std::size_t v = v0; v < v1; ++v) {
-      double sx = 0.0, sy = 0.0;
-      for (std::uint32_t s = var_first_[v]; s < var_first_[v + 1]; ++s) {
-        sx += gpin_x_[var_slot_[s]];
-        sy += gpin_y_[var_slot_[s]];
+      Lanes sum = {0.0, 0.0};
+      for (std::uint32_t i = var_first_[v]; i < var_first_[v + 1]; ++i) {
+        sum += gpin_[i];
       }
-      gx[v] += scale * sx;
-      gy[v] += scale * sy;
+      gx[v] += scale * sum[0];
+      gy[v] += scale * sum[1];
     }
   });
 }

@@ -7,6 +7,7 @@
 
 #include "gp/vars.hpp"
 #include "netlist/flat_nets.hpp"
+#include "util/lanes.hpp"
 
 namespace dp::util {
 class ThreadPool;
@@ -32,12 +33,16 @@ enum class WirelengthModel {
 ///
 /// The hot loop runs over a netlist::FlatNets layout built once in the
 /// constructor (nets with < 2 pins dropped), split into its fixed
-/// pin-balanced chunks. value() evaluates the chunks and keeps every pin's
-/// gradient in its own slot; gradient() gathers the slots per variable of
-/// the netlist's VarMap, over a variable -> pin-slot transpose built in
-/// the constructor too. With a thread pool attached the chunks evaluate
-/// concurrently; the gather sums each variable's slots in fixed slot
-/// order, so the result is bitwise identical for every thread count.
+/// pin-balanced chunks. Each net is evaluated on both axes at once, one
+/// axis per lane of a util::Lanes pair, so that every division of the
+/// x axis shares one instruction with its y twin; on a 2-pin net the four
+/// per-pin weight divisions of an axis are two. value() evaluates the
+/// chunks and keeps every pin's gradient in its own slot, ordered by the
+/// variable of the netlist's VarMap that owns the pin; gradient() sums
+/// each variable's contiguous slots. With a thread pool attached the
+/// chunks evaluate concurrently; the gather sums each variable's slots
+/// in fixed pin order, so the result is bitwise identical for every
+/// thread count.
 class SmoothWirelength final : public ObjectiveTerm {
  public:
   /// `model` is ignored (see WirelengthModel).
@@ -85,15 +90,17 @@ class SmoothWirelength final : public ObjectiveTerm {
   std::size_t max_degree_ = 0;
   std::uint64_t exp_calls_ = 0;
 
-  // Gather transpose (CSR): variable v's pin slots are
-  // var_slot_[var_first_[v] .. var_first_[v + 1]).
-  std::vector<std::uint32_t> var_first_, var_slot_;
+  // Gradient slots (CSR): pin slot s writes its gradient to
+  // gpin_[grad_pos_[s]]; variable v's pins, in pin-slot order, own
+  // gpin_[var_first_[v] .. var_first_[v + 1]), and the pins of fixed
+  // cells the slots after the last variable's.
+  std::vector<std::uint32_t> var_first_, grad_pos_;
 
   // Persistent evaluation scratch (one evaluation in flight at a time;
   // chunk tasks touch disjoint slots).
-  mutable std::vector<double> gpin_x_, gpin_y_;  ///< weighted per-pin grads
-  mutable std::vector<double> chunk_value_;      ///< per-chunk partial sums
-  mutable std::vector<std::vector<double>> chunk_scratch_;
+  mutable std::vector<util::Lanes> gpin_;    ///< weighted per-pin {gx, gy}
+  mutable std::vector<double> chunk_value_;  ///< per-chunk partial sums
+  mutable std::vector<std::vector<util::Lanes>> chunk_scratch_;
 };
 
 }  // namespace dp::gp

@@ -57,9 +57,17 @@ class LineReader {
   }
 
   [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error(format_ + ": " + path_ + ":" +
-                             std::to_string(line_no_) + ": " + what);
+    fail_at(line_no_, what);
   }
+
+  /// As fail(), naming line `line_no` of the file.
+  [[noreturn]] void fail_at(std::size_t line_no,
+                            const std::string& what) const {
+    throw std::runtime_error(format_ + ": " + path_ + ":" +
+                             std::to_string(line_no) + ": " + what);
+  }
+
+  std::size_t line_no() const { return line_no_; }
 
   /// The next token of `ls` as a finite number, > 0 when `positive`;
   /// fails naming `what` otherwise.
@@ -76,16 +84,20 @@ class LineReader {
     return value;
   }
 
-  /// The next token of `ls` as a positive integer; fails naming `what`
-  /// otherwise.
-  std::size_t count(std::istringstream& ls, const std::string& what) const {
+  /// The next token of `ls` as an integer, > 0 when `positive`; fails
+  /// naming `what` otherwise.
+  std::size_t count(std::istringstream& ls, const std::string& what,
+                    bool positive = true) const {
     std::string token;
     ls >> token;
     std::size_t value = 0;
     const char* end = token.data() + token.size();
     const auto [ptr, ec] = std::from_chars(token.data(), end, value);
-    if (token.empty() || ec != std::errc() || ptr != end || value == 0) {
-      fail(what + ": expected a positive integer, got '" + token + "'");
+    if (token.empty() || ec != std::errc() || ptr != end ||
+        (positive && value == 0)) {
+      fail(what + ": expected a " +
+           (positive ? "positive" : "non-negative") + " integer, got '" +
+           token + "'");
     }
     return value;
   }
@@ -95,6 +107,32 @@ class LineReader {
   std::string path_;
   std::ifstream in_;
   std::size_t line_no_ = 0;
+};
+
+/// A header count such as "NumNodes : 42", which must match what its file
+/// lists.
+struct HeaderCount {
+  const char* key;   ///< the header keyword, e.g. "NumNodes"
+  const char* what;  ///< what the file lists, e.g. "nodes"
+  std::size_t line_no = 0;  ///< 0: no header line
+  std::size_t value = 0;
+
+  /// Reads the count from the rest of the header line `ls` (": N").
+  void read(const LineReader& in, std::istringstream& ls) {
+    std::string colon;
+    ls >> colon;
+    if (colon != ":") in.fail(std::string("expected ':' after ") + key);
+    line_no = in.line_no();
+    value = in.count(ls, key, false);
+  }
+
+  /// Fails at the header line when there is one and `listed` differs.
+  void check(const LineReader& in, std::size_t listed) const {
+    if (line_no == 0 || value == listed) return;
+    in.fail_at(line_no, std::string(key) + " : " + std::to_string(value) +
+                            ", but the file lists " +
+                            std::to_string(listed) + " " + what);
+  }
 };
 
 }  // namespace
@@ -212,11 +250,20 @@ Problem read_bookshelf(const std::string& aux_path) {
   {
     LineReader in(nodes_path);
     std::string line;
+    HeaderCount num_nodes{"NumNodes", "nodes"};
+    HeaderCount num_terminals{"NumTerminals", "terminals"};
+    std::size_t terminals = 0;
     while (in.next(line)) {
       std::istringstream ls(line);
       std::string first;
       ls >> first;
-      if (first == "UCLA" || first == "NumNodes" || first == "NumTerminals") {
+      if (first == "UCLA") continue;
+      if (first == num_nodes.key) {
+        num_nodes.read(in, ls);
+        continue;
+      }
+      if (first == num_terminals.key) {
+        num_terminals.read(in, ls);
         continue;
       }
       const auto cell = static_cast<CellId>(raw_nodes.size());
@@ -230,8 +277,11 @@ Problem read_bookshelf(const std::string& aux_path) {
       std::string tail;
       ls >> tail;
       r.terminal = (tail == "terminal");
+      terminals += r.terminal ? 1 : 0;
       raw_nodes.push_back(std::move(r));
     }
+    num_nodes.check(in, raw_nodes.size());
+    num_terminals.check(in, terminals);
   }
 
   // One generic type per distinct (width, height). Pin offsets come from
@@ -283,11 +333,18 @@ Problem read_bookshelf(const std::string& aux_path) {
           " declares NetDegree " + std::to_string(degree) + " but lists " +
           std::to_string(net.pins.size()) + " pin(s)");
     };
+    HeaderCount num_nets{"NumNets", "nets"}, num_pins{"NumPins", "pins"};
     while (in.next(line)) {
       std::istringstream ls(line);
       std::string first;
       ls >> first;
-      if (first == "UCLA" || first == "NumNets" || first == "NumPins") {
+      if (first == "UCLA") continue;
+      if (first == num_nets.key) {
+        num_nets.read(in, ls);
+        continue;
+      }
+      if (first == num_pins.key) {
+        num_pins.read(in, ls);
         continue;
       }
       if (first == "NetDegree") {
@@ -331,6 +388,8 @@ Problem read_bookshelf(const std::string& aux_path) {
       offsets.push_back({pin, ox, oy});
     }
     check_degree();
+    num_nets.check(in, net_count);
+    num_pins.check(in, offsets.size());
   }
 
   Netlist netlist = builder.take();
@@ -398,7 +457,8 @@ Problem read_bookshelf(const std::string& aux_path) {
   }
 
   // Pass 4: .pl positions (convert lower-left corners to centers). Every
-  // terminal must have one: a fixed cell cannot be placed later.
+  // terminal must have one, a fixed cell cannot be placed later, and no
+  // node may have two.
   Placement placement(netlist.num_cells());
   {
     LineReader in(pl_path);
@@ -420,6 +480,7 @@ Problem read_bookshelf(const std::string& aux_path) {
       auto it = by_name.find(name);
       if (it == by_name.end()) in.fail("unknown node " + name);
       const CellId c = it->second.cell;
+      if (positioned[c]) in.fail("node " + name + " is positioned twice");
       placement[c] = {lx + netlist.cell_width(c) / 2.0,
                       ly + netlist.cell_height(c) / 2.0};
       positioned[c] = true;

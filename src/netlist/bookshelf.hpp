@@ -15,7 +15,11 @@ void write_bookshelf(const std::string& basename, const Netlist& netlist,
 
 /// Reads a Bookshelf design written by write_bookshelf (or any design in
 /// the same subset of the format). Cell functions are kGeneric since the
-/// format carries no logic information; `truth` is empty.
+/// format carries no logic information; `truth` is empty. Throws
+/// std::runtime_error naming `bookshelf: FILE:LINE` on a malformed line,
+/// a node listed twice in .nodes or positioned twice in .pl, and a
+/// NumNodes, NumTerminals, NumNets or NumPins header that disagrees with
+/// what its file lists.
 Problem read_bookshelf(const std::string& aux_path);
 
 /// Sidecar format for structure annotations:

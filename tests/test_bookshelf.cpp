@@ -336,7 +336,21 @@ INSTANTIATE_TEST_SUITE_P(
         MalformedCase{"nets_missing_y_offset", ".nets", nullptr,
                       "  % O : 0.5", "pin y offset"},
         MalformedCase{"nets_nan_y_offset", ".nets", nullptr,
-                      "  % O : 0.5 nan", "pin y offset"}),
+                      "  % O : 0.5 nan", "pin y offset"},
+        // A header count must match what the file lists.
+        MalformedCase{"nodes_numnodes_differs", ".nodes", "NumNodes",
+                      "NumNodes : 5", "NumNodes : 5, but the file lists"},
+        MalformedCase{"nodes_numterminals_differs", ".nodes",
+                      "NumTerminals", "NumTerminals : 123456",
+                      "NumTerminals : 123456, but the file lists"},
+        MalformedCase{"nodes_bad_numnodes", ".nodes", "NumNodes",
+                      "NumNodes : many", "NumNodes: expected a non-negative"},
+        MalformedCase{"nets_numnets_differs", ".nets", "NumNets",
+                      "NumNets : 5", "NumNets : 5, but the file lists"},
+        MalformedCase{"nets_numpins_differs", ".nets", "NumPins",
+                      "NumPins : 7", "NumPins : 7, but the file lists"},
+        MalformedCase{"nets_numpins_missing_colon", ".nets", "NumPins",
+                      "NumPins 7", "expected ':' after NumPins"}),
     [](const testing::TestParamInfo<MalformedCase>& param_info) {
       return std::string(param_info.param.name);
     });
@@ -384,6 +398,21 @@ TEST(Bookshelf, DuplicateNodeRejected) {
                   {"bookshelf: " + base + ".nodes:" +
                        std::to_string(lines.size()) + ": ",
                    "node " + name + " is listed twice"});
+}
+
+// A node positioned twice in .pl would silently take its last position.
+TEST(Bookshelf, NodePositionedTwiceRejected) {
+  const auto bench = dpgen::make_benchmark("dp_add32");
+  const std::string base = ::testing::TempDir() + "bs_dup_pl";
+  write_bookshelf(base, bench.netlist, bench.design, bench.placement);
+  std::vector<std::string> lines = read_lines(base + ".pl");
+  lines.push_back(lines.back());
+  write_lines(base + ".pl", lines);
+  const std::string name = lines.back().substr(0, lines.back().find(' '));
+  expect_rejected(base + ".aux",
+                  {"bookshelf: " + base + ".pl:" +
+                       std::to_string(lines.size()) + ": ",
+                   "node " + name + " is positioned twice"});
 }
 
 // A terminal is never moved, so one that .pl does not position would stay

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/alignment.hpp"
 #include "dpgen/benchmarks.hpp"
@@ -82,6 +85,127 @@ TEST(Quadratic, ImprovesHpwlFromRandomStart) {
   const double before = eval::hpwl(nl, pl);
   quadratic_initial_placement(nl, sb.bench->design, vars, pl);
   EXPECT_LT(eval::hpwl(nl, pl), before);
+}
+
+// ---- 0-ulp reference -------------------------------------------------------
+//
+// A copy of quadratic_initial_placement before its sweeps paired the x and
+// y divisions: per-net sum records indexed by NetId, read through each
+// movable cell's netlist pins. The kernel must reproduce its start
+// positions bit for bit.
+namespace reference {
+
+void quadratic_initial_placement(const netlist::Netlist& nl,
+                                 const netlist::Design& design,
+                                 const VarMap& vars,
+                                 const netlist::FlatNets& nets,
+                                 Placement& pl) {
+  const geom::Rect& core = design.core();
+  struct NetSum {
+    double x = 0.0, y = 0.0, deg = 0.0, weight = 0.0;
+  };
+  std::vector<NetSum> sums(nl.num_nets());
+  for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
+    sums[n].deg = static_cast<double>(nl.net(n).pins.size());
+    sums[n].weight = nl.net(n).weight;
+  }
+  for (std::size_t sweep = 0; sweep < 150; ++sweep) {
+    for (std::size_t kn = 0; kn < nets.num_nets(); ++kn) {
+      double sx = 0.0, sy = 0.0;
+      for (std::uint32_t s = nets.net_first[kn]; s < nets.net_first[kn + 1];
+           ++s) {
+        const CellId c = nets.pin_cell[s];
+        sx += pl[c].x + nets.pin_dx[s];
+        sy += pl[c].y + nets.pin_dy[s];
+      }
+      sums[nets.net_id[kn]].x = sx;
+      sums[nets.net_id[kn]].y = sy;
+    }
+    for (const CellId c : vars.movable_cells()) {
+      double acc_x = 0.0, acc_y = 0.0, acc_w = 0.0;
+      for (netlist::PinId p : nl.cell(c).pins) {
+        const NetSum& net = sums[nl.pin(p).net];
+        if (net.deg < 2.0) continue;
+        const geom::Point own = nl.pin_position(p, pl);
+        const double w = net.weight;
+        acc_x += w * (net.x - own.x) / (net.deg - 1.0);
+        acc_y += w * (net.y - own.y) / (net.deg - 1.0);
+        acc_w += w;
+      }
+      if (acc_w <= 0.0) continue;
+      pl[c].x = std::clamp(acc_x / acc_w, core.lx, core.hx);
+      pl[c].y = std::clamp(acc_y / acc_w, core.ly, core.hy);
+    }
+  }
+  util::Rng rng(42);
+  const double j = 0.25 * design.row_height();
+  for (const CellId c : vars.movable_cells()) {
+    pl[c].x = std::clamp(pl[c].x + rng.uniform(-j, j), core.lx, core.hx);
+    pl[c].y = std::clamp(pl[c].y + rng.uniform(-j, j), core.ly, core.hy);
+  }
+}
+
+}  // namespace reference
+
+/// Runs the reference and the kernel from `start` and asserts every
+/// cell's position equal to the last bit.
+void expect_quadratic_bitwise(const netlist::Netlist& nl,
+                              const netlist::Design& design,
+                              const Placement& start) {
+  const VarMap vars(nl);
+  const netlist::FlatNets nets(nl, 2);
+  Placement want = start, got = start;
+  reference::quadratic_initial_placement(nl, design, vars, nets, want);
+  quadratic_initial_placement(nl, design, vars, nets, got);
+  std::size_t mismatches = 0;
+  for (CellId c = 0; c < nl.num_cells(); ++c) {
+    mismatches += std::bit_cast<std::uint64_t>(got[c].x) !=
+                      std::bit_cast<std::uint64_t>(want[c].x) ||
+                  std::bit_cast<std::uint64_t>(got[c].y) !=
+                      std::bit_cast<std::uint64_t>(want[c].y);
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(QuadraticBitwise, Scaled4k) {
+  const dpgen::Benchmark b = dpgen::make_scaled(4000, 11);
+  expect_quadratic_bitwise(b.netlist, b.design, b.placement);
+}
+
+// 1-pin nets (skipped), net weights other than 1, a cell on two pins of
+// one net, fixed pads, and a movable cell whose nets all have fewer than
+// two pins (it keeps its position until the jitter).
+TEST(QuadraticBitwise, OnePinNetsWeightsAndAnUnconnectedCell) {
+  netlist::NetlistBuilder builder(netlist::standard_library());
+  std::vector<CellId> c;
+  for (int i = 0; i < 6; ++i) {
+    c.push_back(builder.add_cell(std::string("c").append(std::to_string(i)),
+                                 netlist::CellFunc::kNand2));
+  }
+  const CellId pad_a = builder.add_cell("pa", netlist::CellFunc::kInv, true);
+  const CellId pad_b = builder.add_cell("pb", netlist::CellFunc::kInv, true);
+  const auto net = [&](const char* name, double weight,
+                       std::vector<std::pair<CellId, const char*>> pins) {
+    const netlist::NetId n = builder.add_net(name, weight);
+    for (const auto& [cell, port] : pins) builder.connect(cell, port, n);
+  };
+  net("in", 2.5, {{pad_a, "Y"}, {c[0], "A"}, {c[1], "A"}});
+  net("mid", 0.75, {{c[0], "Y"}, {c[1], "B"}, {c[2], "A"}, {c[3], "A"}});
+  net("self", 1.0, {{c[2], "Y"}, {c[2], "B"}, {c[3], "B"}});
+  net("out", 3.0, {{c[3], "Y"}, {pad_b, "A"}});
+  net("dangle", 4.0, {{c[1], "Y"}});
+  // c4 and c5: only 1-pin nets.
+  net("lone_a", 1.0, {{c[4], "A"}});
+  net("lone_y", 2.0, {{c[4], "Y"}});
+  net("lone_b", 1.0, {{c[5], "B"}});
+  const netlist::Netlist nl = builder.take();
+  const netlist::Design design(geom::Rect{0, 0, 20, 8}, 1.0, 0.25);
+  Placement start(nl.num_cells());
+  util::Rng rng(13);
+  for (auto& p : start) p = {rng.uniform(0.0, 20.0), rng.uniform(0.0, 8.0)};
+  start[pad_a] = {0.0, 4.0};
+  start[pad_b] = {20.0, 1.0};
+  expect_quadratic_bitwise(nl, design, start);
 }
 
 // Every value() call spreads every cell, also at the positions of the

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/structure_placer.hpp"
 #include "dpgen/benchmarks.hpp"
@@ -115,7 +117,23 @@ TEST(StructurePlacer, GentleFlowKeepsCellsOffFixedMacro) {
   const double lx = bench.design.snap_x(core.center().x - 5.0);
   const double ly = core.ly + std::round(core.center().y - 5.0 - core.ly);
   const geom::Rect macro(lx, ly, lx + 10.0, ly + 10.0);
-  std::ofstream(base + ".nodes", std::ios::app) << "  macro 10 10 terminal\n";
+  {  // Append the macro, counted in the NumNodes and NumTerminals headers.
+    std::vector<std::string> lines;
+    {
+      std::ifstream in(base + ".nodes");
+      for (std::string line; std::getline(in, line);) lines.push_back(line);
+    }
+    for (std::string& line : lines) {
+      for (const std::string key : {"NumNodes : ", "NumTerminals : "}) {
+        if (line.starts_with(key)) {
+          line = key + std::to_string(std::stoul(line.substr(key.size())) + 1);
+        }
+      }
+    }
+    lines.push_back("  macro 10 10 terminal");
+    std::ofstream out(base + ".nodes");
+    for (const std::string& line : lines) out << line << "\n";
+  }
   std::ofstream(base + ".pl", std::ios::app)
       << "macro " << lx << " " << ly << " : N /FIXED\n";
   const netlist::Problem loaded =

@@ -394,6 +394,73 @@ TEST(WirelengthBitwise, CoincidentTiedAndOffsetExtremes) {
   expect_wl_bitwise(nl, piled, 1.0);
 }
 
+/// Two fixed chunks of INV-cell nets, each net on cells of its own, laid
+/// out around the kernel's two paths (2-pin nets and larger ones):
+///   chunk 0: twelve 3-pin nets, then 1,007 2-pin nets (an odd count);
+///   chunk 1: a 5-pin net, 1,011 2-pin nets, five 3-pin and two 4-pin nets,
+/// so a run of 2-pin nets ends chunk 0 and a larger net opens chunk 1.
+/// Every 2-pin net joins two A pins, which coincide where the cells do.
+struct ChunkEdgeNets {
+  ChunkEdgeNets() : builder(netlist::standard_library()) {
+    add(3, 12);
+    add(2, 1007);
+    add(5, 1);
+    add(2, 1011);
+    add(3, 5);
+    add(4, 2);
+    nl.emplace(builder.take());
+  }
+  /// `count` nets of `degree` pins: a driver Y pin and sinks' A pins,
+  /// except on 2-pin nets, which join two A pins.
+  void add(std::size_t degree, std::size_t count) {
+    for (std::size_t k = 0; k < count; ++k) {
+      const NetId n = builder.add_net(
+          std::string("n").append(std::to_string(builder.peek().num_nets())));
+      for (std::size_t i = 0; i < degree; ++i) {
+        const CellId c = builder.add_cell(
+            std::string("c").append(
+                std::to_string(builder.peek().num_cells())),
+            CellFunc::kInv);
+        builder.connect(c, i == 0 && degree > 2 ? "Y" : "A", n);
+        net_cells.resize(builder.peek().num_nets());
+        net_cells.back().push_back(c);
+      }
+    }
+  }
+  NetlistBuilder builder;
+  std::vector<std::vector<CellId>> net_cells;  ///< by NetId
+  std::optional<netlist::Netlist> nl;
+};
+
+TEST(WirelengthBitwise, TwoPinRunsAtChunkEdges) {
+  const ChunkEdgeNets h;
+  const auto& nl = *h.nl;
+  const SmoothWirelength probe(nl, WirelengthModel::kWa, 1.0);
+  const netlist::FlatNets& f = probe.nets();
+  ASSERT_EQ(f.num_chunks(), 2u);
+  ASSERT_EQ(f.chunk_first[1], 12u + 1007u);
+  ASSERT_EQ(f.net_first[f.chunk_first[1]] - f.net_first[f.chunk_first[1] - 1],
+            2u);
+  ASSERT_EQ(f.net_first[f.chunk_first[1] + 1] - f.net_first[f.chunk_first[1]],
+            5u);
+
+  // Random positions; every third 2-pin net coincides on both axes and
+  // every third but one on the y axis alone.
+  Placement pl(nl.num_cells());
+  util::Rng rng(21);
+  for (auto& p : pl) p = {rng.uniform(0.0, 60.0), rng.uniform(0.0, 40.0)};
+  std::size_t two_pin = 0;
+  for (const auto& cells : h.net_cells) {
+    if (cells.size() != 2) continue;
+    if (two_pin % 3 == 0) pl[cells[1]] = pl[cells[0]];
+    if (two_pin % 3 == 1) pl[cells[1]].y = pl[cells[0]].y;
+    ++two_pin;
+  }
+  for (const double gamma : {0.3, 1.0, 6.0}) {
+    expect_wl_bitwise(nl, pl, gamma);
+  }
+}
+
 TEST(WirelengthBitwise, ExpCallsFollowNetDegrees) {
   HandNets h;
   // Per axis: 1 call on each 2-pin net, 2 * 5 - 2 on the 5-pin net.
