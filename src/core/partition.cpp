@@ -71,7 +71,6 @@ netlist::StructureAnnotation partition_groups(
         const std::size_t sub_cols = c1 - c0;
         StructureGroup sub = StructureGroup::make(
             g.name + "." + std::to_string(part++), sub_lanes, sub_cols);
-        sub.confidence = g.confidence;
         std::size_t filled = 0;
         for (std::size_t lane = lane0; lane < lane1; ++lane) {
           for (std::size_t c2 = c0; c2 < c1; ++c2) {

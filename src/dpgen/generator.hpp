@@ -104,7 +104,6 @@ class Generator {
   std::vector<netlist::CellId> output_pads_;
   std::vector<netlist::NetId> control_pool_;
   std::size_t control_next_ = 0;
-  std::size_t unit_count_ = 0;
 };
 
 }  // namespace dp::dpgen

@@ -231,12 +231,17 @@ AlignmentScore alignment_score(const netlist::Netlist& nl,
   if (groups.groups.empty()) return score;
   double acc = 0.0;
   for (const auto& g : groups.groups) {
-    const double m = group_misalignment(g, pl) / netlist::kRowHeight;
+    // Standard cells are one row tall: the group's cells give the row
+    // height its spread is measured in. A group without cells spreads 0.
+    const auto cell =
+        std::find_if(g.cells.begin(), g.cells.end(),
+                     [](CellId c) { return c != netlist::kInvalidId; });
+    if (cell == g.cells.end()) continue;
+    const double m = group_misalignment(g, pl) / nl.cell_height(*cell);
     acc += m;
     score.worst_group = std::max(score.worst_group, m);
   }
   score.rms_misalignment = acc / static_cast<double>(groups.groups.size());
-  (void)nl;
   return score;
 }
 

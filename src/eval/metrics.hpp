@@ -132,7 +132,8 @@ std::vector<OverlapPair> overlap_pairs(const netlist::Netlist& netlist,
 ///
 /// For each group the score measures how tightly each bit slice hugs a
 /// common row (y spread) and each stage hugs a common column (x spread),
-/// normalized by row height; 0 = perfectly aligned arrays. Reported as the
+/// normalized by the height of the group's cells, which is the row height
+/// for standard cells; 0 = perfectly aligned arrays. Reported as the
 /// mean RMS deviation in row-height units over all slices/stages. Bits
 /// run along y, as the placer lays them out, so a group placed transposed
 /// (its stages sharing rows) scores as misaligned.

@@ -284,8 +284,6 @@ ExtractResult extract_structures(const netlist::Netlist& nl) {
       }
     }
     if (filled < kMinBits * kMinStages) continue;
-    g.confidence = static_cast<double>(filled) /
-                   static_cast<double>(lanes * columns.size());
     for (CellId c : g.cells) {
       if (c != kInvalidId) claimed[c] = true;
     }

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cmath>
-
 namespace dp::geom {
 
 /// 2-D point / vector in placement coordinates (database units are plain
@@ -36,14 +34,6 @@ struct Point {
   friend bool operator==(const Point& a, const Point& b) {
     return a.x == b.x && a.y == b.y;
   }
-
-  double norm2() const { return x * x + y * y; }
-  double norm() const { return std::sqrt(norm2()); }
 };
-
-/// Manhattan distance, the natural metric for wirelength.
-inline double manhattan(const Point& a, const Point& b) {
-  return std::abs(a.x - b.x) + std::abs(a.y - b.y);
-}
 
 }  // namespace dp::geom

@@ -48,32 +48,11 @@ struct Rect {
     hy = std::max(hy, r.hy);
   }
 
-  bool contains(const Point& p) const {
-    return p.x >= lx && p.x <= hx && p.y >= ly && p.y <= hy;
-  }
-
-  /// True iff `o` lies fully inside this rectangle, grown by `tol` on
-  /// every side.
-  bool contains(const Rect& o, double tol = 0.0) const {
-    return o.lx >= lx - tol && o.hx <= hx + tol && o.ly >= ly - tol &&
-           o.hy <= hy + tol;
-  }
-
-  bool intersects(const Rect& o) const {
-    return !empty() && !o.empty() && lx < o.hx && o.lx < hx && ly < o.hy &&
-           o.ly < hy;
-  }
-
   /// Area of the intersection with `o`; 0 when disjoint.
   double overlap_area(const Rect& o) const {
     const double w = std::min(hx, o.hx) - std::max(lx, o.lx);
     const double h = std::min(hy, o.hy) - std::max(ly, o.ly);
     return (w > 0.0 && h > 0.0) ? w * h : 0.0;
-  }
-
-  /// Nearest point inside the rectangle to `p` (p itself if contained).
-  Point clamp(const Point& p) const {
-    return {std::clamp(p.x, lx, hx), std::clamp(p.y, ly, hy)};
   }
 
   friend bool operator==(const Rect& a, const Rect& b) {

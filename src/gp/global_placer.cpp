@@ -33,10 +33,9 @@ class CompositeObjective final : public Objective {
  public:
   CompositeObjective(const netlist::Design& design, const VarMap& vars,
                      netlist::Placement& pl, std::span<const WeightedTerm> terms,
-                     const SmoothWirelength& wl, const DensityPenalty& den,
-                     EvalProfile& profile)
-      : design_(&design), vars_(&vars), pl_(&pl), terms_(terms), wl_(&wl),
-        den_(&den), profile_(&profile) {}
+                     const DensityPenalty& den, EvalProfile& profile)
+      : design_(&design), vars_(&vars), pl_(&pl), terms_(terms), den_(&den),
+        profile_(&profile) {}
 
   /// Every term's value at the core-clamped `v`, one call each.
   double value(std::span<const double> v) override {
@@ -56,9 +55,7 @@ class CompositeObjective final : public Objective {
       f += t.weight * t.term->value(*pl_, *vars_);
       t.profile->add(timer.seconds());
     }
-    profile_->wirelength_exps += wl_->exp_calls();
     profile_->density_bins += den_->bins_visited();
-    profile_->density_bells += den_->bells_evaluated();
     return f;
   }
 
@@ -80,7 +77,6 @@ class CompositeObjective final : public Objective {
   const VarMap* vars_;
   netlist::Placement* pl_;
   std::span<const WeightedTerm> terms_;
-  const SmoothWirelength* wl_;
   const DensityPenalty* den_;
   EvalProfile* profile_;
 };
@@ -158,8 +154,8 @@ GpResult GlobalPlacer::place(netlist::Placement& pl, GpResult so_far) {
   for (const ExtraTerm& e : extras_) {
     terms.push_back({e.term, 0.0, &result.profile.extra(e.name)});
   }
-  CompositeObjective objective(*design_, vars_, pl, terms, *wirelength_,
-                               *density_, result.profile);
+  CompositeObjective objective(*design_, vars_, pl, terms, *density_,
+                               result.profile);
 
   // Terms 1.. weigh base * 2^outer. The density's base is normalized
   // here, before outer 0's hook: normalizing it after the hook, like the

@@ -25,12 +25,8 @@ std::string EvalProfile::to_string() const {
     out += " | " + fmt(name.c_str(), term);
   }
   out += " | " + fmt("line-search", line_search);
-  std::snprintf(buf, sizeof buf,
-                " | gradients %zux | density-bins %llu | density-bells %llu"
-                " | wl-exps %llu",
-                gradients, static_cast<unsigned long long>(density_bins),
-                static_cast<unsigned long long>(density_bells),
-                static_cast<unsigned long long>(wirelength_exps));
+  std::snprintf(buf, sizeof buf, " | gradients %zux | density-bins %llu",
+                gradients, static_cast<unsigned long long>(density_bins));
   out += buf;
   return out;
 }

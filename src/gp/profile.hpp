@@ -29,20 +29,19 @@ struct TermProfile {
 /// without a call. `line_search` counts the Armijo probes (a subset of the
 /// evaluations; their value time is already in the per-term entries), and
 /// `gradients` the objective gradients computed: one per CG run plus one
-/// per accepted probe. `density_bins`, `density_bells` and
-/// `wirelength_exps` are work counters, bitwise reproducible for any thread
-/// count: the bins covered by the density windows, summed over the
-/// density value passes (each gradient pass visits as many again), the
-/// bell evaluations of those passes (the gradient passes evaluate none),
-/// and the exp() calls of the wirelength evaluations.
+/// per accepted probe. `density_bins` is a work counter, bitwise
+/// reproducible for any thread count: the bins covered by the density
+/// windows, summed over the density value passes (each gradient pass
+/// visits as many again). The per-evaluation bell and exp() counts are
+/// constants of a run (DensityPenalty::bells_evaluated(),
+/// SmoothWirelength::exp_calls()), so their totals are those times the
+/// calls.
 struct EvalProfile {
   TermProfile wirelength;
   TermProfile density;
   TermProfile line_search;
   std::size_t gradients = 0;
   std::uint64_t density_bins = 0;
-  std::uint64_t density_bells = 0;
-  std::uint64_t wirelength_exps = 0;
   /// Extra objective terms by name, in registration order (e.g.
   /// "alignment" in the structure-aware flow). GlobalPlacer::place()
   /// creates a run's entries before it takes their addresses.
@@ -53,8 +52,7 @@ struct EvalProfile {
 
   /// Compact one-line rendering for logs and the CLI, e.g.
   ///   "wl 812x/0.410s | density 812x/0.770s | alignment 406x/0.080s |
-  ///    line-search 590x/0.900s | gradients 310x | density-bins 75490304 |
-  ///    density-bells 9724012 | wl-exps 20973184"
+  ///    line-search 590x/0.900s | gradients 310x | density-bins 75490304"
   std::string to_string() const;
 };
 

@@ -129,9 +129,28 @@ Lanes wa_net2(const netlist::Placement& pl, const netlist::FlatNets& f,
 
 }  // namespace
 
+std::vector<std::uint32_t> wirelength_chunks(const netlist::FlatNets& nets) {
+  // Close a chunk once it holds a 1/chunks share of the pins.
+  const std::size_t pins = nets.pin_cell.size();
+  const std::size_t chunks = util::num_chunks(pins, kMinPinsPerChunk);
+  const std::size_t per_chunk = (pins + chunks - 1) / chunks;
+  std::vector<std::uint32_t> first{0};
+  std::size_t acc = 0;
+  for (std::size_t kn = 0; kn < nets.num_nets(); ++kn) {
+    acc += nets.net_first[kn + 1] - nets.net_first[kn];
+    if (acc >= per_chunk && kn + 1 < nets.num_nets()) {
+      first.push_back(static_cast<std::uint32_t>(kn + 1));
+      acc = 0;
+    }
+  }
+  first.push_back(static_cast<std::uint32_t>(nets.num_nets()));
+  return first;
+}
+
 SmoothWirelength::SmoothWirelength(const netlist::Netlist& nl,
                                    WirelengthModel /*model*/, double gamma)
-    : nl_(&nl), gamma_(gamma), flat_(nl, 2) {
+    : nl_(&nl), gamma_(gamma), flat_(nl, 2),
+      chunk_first_(wirelength_chunks(flat_)) {
   for (std::size_t kn = 0; kn < flat_.num_nets(); ++kn) {
     const std::size_t deg = flat_.net_first[kn + 1] - flat_.net_first[kn];
     max_degree_ = std::max(max_degree_, deg);
@@ -167,7 +186,7 @@ void SmoothWirelength::set_net_weight_scale(std::span<const double> scale) {
 
 double SmoothWirelength::value(const netlist::Placement& pl,
                                const VarMap& /*vars*/) const {
-  const std::size_t nchunks = flat_.num_chunks();
+  const std::size_t nchunks = chunk_first_.size() - 1;
   chunk_value_.assign(nchunks, 0.0);
   // Every slot is overwritten (not accumulated), so no zero-fill; chunks
   // write disjoint slots.
@@ -182,8 +201,8 @@ double SmoothWirelength::value(const netlist::Placement& pl,
     Lanes* wmax = p + max_degree_;
     Lanes* wmin = wmax + max_degree_;
     double total = 0.0;
-    for (std::uint32_t kn = flat_.chunk_first[k];
-         kn < flat_.chunk_first[k + 1]; ++kn) {
+    for (std::uint32_t kn = chunk_first_[k]; kn < chunk_first_[k + 1];
+         ++kn) {
       const std::uint32_t base = flat_.net_first[kn];
       const std::size_t deg = flat_.net_first[kn + 1] - base;
       const double w = flat_.net_weight[kn];

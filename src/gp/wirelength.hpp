@@ -21,6 +21,16 @@ enum class WirelengthModel {
   kWa,  ///< weighted-average (Hsu/Balabanov/Chang)
 };
 
+/// The chunk-parallel wirelength kernel's fixed chunks of `nets`: chunk k
+/// is the kept nets [first[k], first[k + 1]), balanced by pin count,
+/// util::num_chunks(pins, kMinPinsPerChunk) of them at most, each but the
+/// last holding at least kMinPinsPerChunk pins. The bounds depend on the
+/// netlist alone, never on the thread count, so a kernel that writes
+/// per-chunk slots and reduces them in chunk order gets the same bits for
+/// every pool size.
+inline constexpr std::size_t kMinPinsPerChunk = 2048;
+std::vector<std::uint32_t> wirelength_chunks(const netlist::FlatNets& nets);
+
 /// Smooth wirelength objective term: the weighted-average (WA)
 /// approximation of HPWL. The smoothing parameter gamma is annealed by
 /// GlobalPlacer: large gamma = smooth/loose bound, small gamma = tight
@@ -32,8 +42,8 @@ enum class WirelengthModel {
 /// exp_calls()).
 ///
 /// The hot loop runs over a netlist::FlatNets layout built once in the
-/// constructor (nets with < 2 pins dropped), split into its fixed
-/// pin-balanced chunks. Each net is evaluated on both axes at once, one
+/// constructor (nets with < 2 pins dropped), split into the fixed
+/// wirelength_chunks(). Each net is evaluated on both axes at once, one
 /// axis per lane of a util::Lanes pair, so that every division of the
 /// x axis shares one instruction with its y twin; on a 2-pin net the four
 /// per-pin weight divisions of an axis are two. value() evaluates the
@@ -87,6 +97,7 @@ class SmoothWirelength final : public ObjectiveTerm {
 
   /// Nets with >= 2 pins; set_net_weight_scale() rewrites net_weight.
   netlist::FlatNets flat_;
+  std::vector<std::uint32_t> chunk_first_;  ///< wirelength_chunks(flat_)
   std::size_t max_degree_ = 0;
   std::uint64_t exp_calls_ = 0;
 

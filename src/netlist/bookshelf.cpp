@@ -501,8 +501,7 @@ void write_groups(const std::string& path, const Netlist& netlist,
   auto out = open_out(path);
   out << "# dpplace structure groups\n";
   for (const auto& g : annotation.groups) {
-    out << "group " << g.name << " " << g.bits << " " << g.stages << " "
-        << g.confidence << "\n";
+    out << "group " << g.name << " " << g.bits << " " << g.stages << "\n";
     for (std::size_t b = 0; b < g.bits; ++b) {
       out << " ";
       for (std::size_t s = 0; s < g.stages; ++s) {
@@ -545,9 +544,11 @@ StructureAnnotation read_groups(const std::string& path,
       ls >> g.name;
       g.bits = in.count(ls, "BITS of group " + g.name);
       g.stages = in.count(ls, "STAGES of group " + g.name);
+      // Sidecars from older writers carry a confidence score after
+      // STAGES; it is still checked, then discarded.
       if (std::string conf; ls >> conf) {
-        if (!parse_double(conf, g.confidence) ||
-            !std::isfinite(g.confidence)) {
+        double value = 0.0;
+        if (!parse_double(conf, value) || !std::isfinite(value)) {
           in.fail("confidence of group " + g.name +
                   ": expected a finite number, got '" + conf + "'");
         }

@@ -23,15 +23,18 @@ void write_bookshelf(const std::string& basename, const Netlist& netlist,
 Problem read_bookshelf(const std::string& aux_path);
 
 /// Sidecar format for structure annotations:
-///   group <name> <bits> <stages> [<confidence>]
+///   group <name> <bits> <stages>
 ///   <bits rows of stages cell names each, "-" for holes>
+/// read_groups also accepts, and ignores, the finite fourth header token
+/// that sidecars from older writers carry.
 void write_groups(const std::string& path, const Netlist& netlist,
                   const StructureAnnotation& annotation);
 
 /// Reads a sidecar written by write_groups. Throws std::runtime_error
 /// naming `groups: FILE:LINE` on a header whose bits or stages is not a
-/// positive integer, a row without exactly `stages` entries, a group
-/// without exactly `bits` rows, or an unknown cell.
+/// positive integer or whose legacy fourth token is not a finite number,
+/// a row without exactly `stages` entries, a group without exactly `bits`
+/// rows, or an unknown cell.
 StructureAnnotation read_groups(const std::string& path,
                                 const Netlist& netlist);
 

@@ -23,14 +23,13 @@ Design::Design(geom::Rect core, double row_height, double site_width)
   }
 }
 
-Design Design::for_netlist(const Netlist& netlist, double utilization,
-                           double aspect_ratio) {
+Design Design::for_netlist(const Netlist& netlist, double utilization) {
   if (utilization <= 0.0 || utilization > 1.0) {
     throw std::invalid_argument("Design::for_netlist: utilization in (0,1]");
   }
   const double area = netlist.movable_area() / utilization;
-  // height = sqrt(area * aspect), rounded to whole rows; width from area.
-  double height = std::sqrt(area * aspect_ratio);
+  // height = sqrt(area), rounded to whole rows; width from area.
+  double height = std::sqrt(area);
   const double nrows = std::max(1.0, std::round(height / kRowHeight));
   height = nrows * kRowHeight;
   double width = area / height;

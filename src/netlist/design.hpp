@@ -23,8 +23,7 @@ class Design {
 
   /// Size a square-ish core for `netlist` at the given target utilization
   /// (movable area / core area).
-  static Design for_netlist(const Netlist& netlist, double utilization,
-                            double aspect_ratio = 1.0);
+  static Design for_netlist(const Netlist& netlist, double utilization);
 
   const geom::Rect& core() const { return core_; }
   double row_height() const { return row_height_; }

@@ -59,10 +59,6 @@ struct CellType {
 
   /// Index of the (single) output pin in `pins`, or -1 for PAD-style types.
   int output_pin = -1;
-
-  std::size_t num_inputs() const {
-    return pins.size() - (output_pin >= 0 ? 1u : 0u);
-  }
 };
 
 /// An immutable collection of cell types, indexed by CellTypeId.

@@ -19,8 +19,6 @@ struct StructureGroup {
   std::size_t stages = 0;
   /// Row-major: cell(b, s) == cells[b * stages + s].
   std::vector<CellId> cells;
-  /// Extraction confidence in [0,1]; 1 for ground truth.
-  double confidence = 1.0;
 
   CellId at(std::size_t bit, std::size_t stage) const {
     return cells[bit * stages + stage];

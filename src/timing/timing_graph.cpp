@@ -84,9 +84,8 @@ TimingGraph::TimingGraph(const netlist::Netlist& nl) : nl_(&nl) {
   }
 
   // Longest-path Kahn levelization: a pin is released once all fanin is
-  // levelized, at level max(level(src)) + 1. Every arc then strictly
-  // crosses levels, which is what makes per-level parallel propagation
-  // race-free. Pins never released sit on or downstream of a cycle.
+  // levelized, at level max(level(src)) + 1, so every arc strictly
+  // crosses levels. Pins never released sit on or downstream of a cycle.
   level_.assign(num_pins, 0);
   std::vector<std::uint32_t> pending(num_pins);
   std::vector<PinId> frontier;
@@ -95,14 +94,13 @@ TimingGraph::TimingGraph(const netlist::Netlist& nl) : nl_(&nl) {
     if (pending[p] == 0) frontier.push_back(p);
   }
   order_.reserve(num_pins);
-  level_first_.push_back(0);
   while (!frontier.empty()) {
     // frontier holds exactly the pins of the next level, ascending by id
     // (sources release destinations in id order and we re-sort below to
     // keep the invariant under mixed release order).
     std::sort(frontier.begin(), frontier.end());
     order_.insert(order_.end(), frontier.begin(), frontier.end());
-    level_first_.push_back(static_cast<std::uint32_t>(order_.size()));
+    ++num_levels_;
     std::vector<PinId> next;
     for (const PinId p : frontier) {
       for (std::size_t a = fanout_first_[p]; a < fanout_first_[p + 1]; ++a) {

@@ -35,7 +35,7 @@ struct Arc {
 ///
 /// Construction levelizes the graph with a longest-path Kahn sweep:
 /// level(dst) = max over fanin of level(src) + 1, so every arc strictly
-/// crosses levels and per-level propagation is race-free. Pins that are
+/// crosses levels and the level order is a topological order. Pins that are
 /// never released (members of a combinational cycle, plus everything
 /// downstream of one) are excluded from the topological order and
 /// reported through loop_pins().
@@ -47,16 +47,11 @@ class TimingGraph {
 
   std::size_t num_nodes() const { return level_.size(); }
   std::size_t num_arcs() const { return arc_src_.size(); }
-  std::size_t num_levels() const {
-    return level_first_.empty() ? 0 : level_first_.size() - 1;
-  }
+  std::size_t num_levels() const { return num_levels_; }
 
   /// Pins in topological order, grouped by ascending level and by
   /// ascending pin id within a level; excludes loop pins.
   std::span<const netlist::PinId> order() const { return order_; }
-  /// Index range [level_first(l), level_first(l + 1)) of level l in
-  /// order().
-  std::size_t level_first(std::size_t l) const { return level_first_[l]; }
   /// Level of a pin (0 for loop pins; check loop_pins() to distinguish).
   std::size_t level(netlist::PinId p) const { return level_[p]; }
 
@@ -101,7 +96,7 @@ class TimingGraph {
 
   std::vector<std::uint32_t> level_;  ///< longest-path level per pin
   std::vector<netlist::PinId> order_;
-  std::vector<std::uint32_t> level_first_;  ///< size num_levels + 1
+  std::size_t num_levels_ = 0;
   std::vector<netlist::PinId> loop_pins_;
   std::vector<netlist::PinId> endpoints_;
 };

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -9,6 +10,7 @@
 #include "dpgen/benchmarks.hpp"
 #include "eval/metrics.hpp"
 #include "netlist/bookshelf.hpp"
+#include "util/prng.hpp"
 
 namespace dp::netlist {
 namespace {
@@ -73,6 +75,102 @@ TEST_F(BookshelfRoundTrip, GroupsSidecarRoundTrips) {
     EXPECT_EQ(loaded.groups[g].stages, bench_->truth.groups[g].stages);
     EXPECT_EQ(loaded.groups[g].cells, bench_->truth.groups[g].cells);
   }
+}
+
+// Sidecars from older writers carry a fourth header token (a score in
+// [0,1]); it loads to the same annotation as a header without it.
+TEST_F(BookshelfRoundTrip, GroupsSidecarIgnoresLegacyScore) {
+  const std::string path = base_ + ".groups";
+  const std::string legacy = base_ + "_legacy.groups";
+  write_groups(path, bench_->netlist, bench_->truth);
+  {
+    std::ifstream in(path);
+    std::ofstream out(legacy);
+    for (std::string line; std::getline(in, line);) {
+      if (line.starts_with("group ")) {
+        std::istringstream ls(line);
+        std::vector<std::string> tokens;
+        for (std::string tok; ls >> tok;) tokens.push_back(tok);
+        EXPECT_EQ(tokens.size(), 4u) << line;
+        line += " 0.75";
+      }
+      out << line << "\n";
+    }
+  }
+  const StructureAnnotation plain = read_groups(path, bench_->netlist);
+  const StructureAnnotation old = read_groups(legacy, bench_->netlist);
+  ASSERT_EQ(old.groups.size(), plain.groups.size());
+  for (std::size_t g = 0; g < old.groups.size(); ++g) {
+    EXPECT_EQ(old.groups[g].name, plain.groups[g].name);
+    EXPECT_EQ(old.groups[g].bits, plain.groups[g].bits);
+    EXPECT_EQ(old.groups[g].stages, plain.groups[g].stages);
+    EXPECT_EQ(old.groups[g].cells, plain.groups[g].cells);
+  }
+}
+
+/// Copies Bookshelf file `from` to `to` with every length times `k`:
+/// each number but the header's version and the counts (a value after a
+/// `Num...` or `NetDegree` key).
+void scale_lengths(const std::string& from, const std::string& to,
+                   double k) {
+  std::ifstream in(from);
+  std::ofstream out(to);
+  out.precision(17);
+  std::string line;
+  std::getline(in, line);
+  out << line << "\n";
+  while (std::getline(in, line)) {
+    std::istringstream ls(line);
+    bool count = false;
+    for (std::string tok; ls >> tok;) {
+      char* end = nullptr;
+      const double v = std::strtod(tok.c_str(), &end);
+      if (*end == '\0' && !count) {
+        out << " " << v * k;
+      } else {
+        out << " " << tok;
+      }
+      if (tok != ":") count = tok.starts_with("Num") || tok == "NetDegree";
+    }
+    out << "\n";
+  }
+}
+
+// The alignment score counts rows of the design's own height: scaling a
+// placement and every cell and row by 8 leaves it unchanged.
+TEST(Bookshelf, AlignmentScoreInDesignRows) {
+  const auto bench = dpgen::make_benchmark("dp_add32");
+  Placement pl = bench.placement;
+  util::Rng rng(8);
+  const geom::Rect& core = bench.design.core();
+  for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
+    if (bench.netlist.cell(c).fixed) continue;
+    pl[c] = {rng.uniform(core.lx, core.hx), rng.uniform(core.ly, core.hy)};
+  }
+  const std::string base = ::testing::TempDir() + "bs_rows";
+  const std::string scaled = ::testing::TempDir() + "bs_rows8";
+  write_bookshelf(base, bench.netlist, bench.design, pl);
+  write_groups(base + ".groups", bench.netlist, bench.truth);
+  for (const char* ext : {".nodes", ".nets", ".pl", ".scl"}) {
+    scale_lengths(base + ext, scaled + ext, 8.0);
+  }
+  {
+    std::ofstream aux(scaled + ".aux");
+    aux << "RowBasedPlacement : bs_rows8.nodes bs_rows8.nets bs_rows8.pl "
+           "bs_rows8.scl\n";
+  }
+
+  const Problem one = read_bookshelf(base + ".aux");
+  const Problem eight = read_bookshelf(scaled + ".aux");
+  ASSERT_EQ(eight.design.row_height(), 8.0 * one.design.row_height());
+  const eval::AlignmentScore a = eval::alignment_score(
+      one.netlist, one.placement, read_groups(base + ".groups", one.netlist));
+  const eval::AlignmentScore b =
+      eval::alignment_score(eight.netlist, eight.placement,
+                            read_groups(base + ".groups", eight.netlist));
+  EXPECT_GT(a.rms_misalignment, 1.0);
+  EXPECT_DOUBLE_EQ(b.rms_misalignment, a.rms_misalignment);
+  EXPECT_DOUBLE_EQ(b.worst_group, a.worst_group);
 }
 
 TEST(Bookshelf, MissingFileThrows) {

@@ -1,9 +1,10 @@
 // Golden placements: the final HPWL of a few full placement runs, pinned
 // to the bit, plus the timing guard's veto count and the GP's CG
-// iterations and objective evaluations. Any change to the placer that
-// moves a placement -- kernel reordering, a different reduction order, a
-// new default -- fails here, and so does one that adds GP work without
-// moving it, so drift is always declared, never silent.
+// iterations and objective evaluations, each held at 1 and at 4 threads.
+// Any change to the placer that moves a placement -- kernel reordering, a
+// different reduction order, a new default -- fails here, and so does one
+// that adds GP work without moving it, so drift is always declared, never
+// silent.
 //
 // Re-recording after a declared drift: run this test, copy the "actual"
 // hex pattern and counts each failing case prints into its entry below, and
@@ -48,10 +49,11 @@ std::string hex(std::uint64_t bits) {
   return buf;
 }
 
-PlaceReport place(const Golden& g) {
+PlaceReport place(const Golden& g, std::size_t threads) {
   util::Logger::set_level(util::LogLevel::kError);
   auto b = dpgen::make_benchmark(g.bench);
   PlacerConfig c;
+  c.num_threads = threads;
   c.structure_aware = g.flow != Flow::kBaseline;
   if (g.routed) {
     c.timing.driven = true;
@@ -67,16 +69,19 @@ class GoldenPlacement : public testing::TestWithParam<Golden> {};
 
 TEST_P(GoldenPlacement, FinalHpwlBitwise) {
   const Golden& g = GetParam();
-  const PlaceReport report = place(g);
-  const double hpwl = report.hpwl_final;
-  const std::uint64_t actual = std::bit_cast<std::uint64_t>(hpwl);
-  EXPECT_EQ(hex(actual), hex(g.bits))
-      << g.bench << (g.routed ? " (timing + congestion inflation)" : "")
-      << ": hpwl_final " << hpwl << " drifted from "
-      << std::bit_cast<double>(g.bits);
-  EXPECT_EQ(report.detail_stats.profile.guard_vetoes, g.guard_vetoes);
-  EXPECT_EQ(report.gp_result.total_cg_iterations, g.cg_iterations);
-  EXPECT_EQ(report.gp_result.total_evaluations, g.evaluations);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const PlaceReport report = place(g, threads);
+    const double hpwl = report.hpwl_final;
+    const std::uint64_t actual = std::bit_cast<std::uint64_t>(hpwl);
+    EXPECT_EQ(hex(actual), hex(g.bits))
+        << g.bench << (g.routed ? " (timing + congestion inflation)" : "")
+        << ": hpwl_final " << hpwl << " drifted from "
+        << std::bit_cast<double>(g.bits);
+    EXPECT_EQ(report.detail_stats.profile.guard_vetoes, g.guard_vetoes);
+    EXPECT_EQ(report.gp_result.total_cg_iterations, g.cg_iterations);
+    EXPECT_EQ(report.gp_result.total_evaluations, g.evaluations);
+  }
 }
 
 std::string case_name(const testing::TestParamInfo<Golden>& param_info) {

@@ -96,16 +96,21 @@ TEST(TimingGraph, OrderGroupedByLevel) {
   EXPECT_FALSE(g.has_loops());
   const auto order = g.order();
   ASSERT_EQ(order.size() + g.loop_pins().size(), g.num_nodes());
-  for (std::size_t l = 0; l < g.num_levels(); ++l) {
-    for (std::size_t i = g.level_first(l); i < g.level_first(l + 1); ++i) {
-      EXPECT_EQ(g.level(order[i]), l);
-      if (i > g.level_first(l)) {
-        EXPECT_LT(order[i - 1], order[i]) << "ascending ids within a level";
-      }
+  // Levels ascend through the order, pin ids ascend within a level, and
+  // every level below num_levels() is present.
+  ASSERT_FALSE(order.empty());
+  EXPECT_EQ(g.level(order.front()), 0u);
+  EXPECT_EQ(g.level(order.back()) + 1, g.num_levels());
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const std::size_t prev = g.level(order[i - 1]);
+    const std::size_t cur = g.level(order[i]);
+    ASSERT_TRUE(cur == prev || cur == prev + 1) << "position " << i;
+    if (cur == prev) {
+      EXPECT_LT(order[i - 1], order[i]) << "ascending ids within a level";
     }
   }
-  // Every fanin arc strictly crosses levels upward (the invariant that
-  // makes per-level parallel propagation race-free).
+  // Every fanin arc strictly crosses levels upward, so the order is
+  // topological.
   for (const PinId p : order) {
     for (std::size_t a = g.fanin_first(p); a < g.fanin_first(p + 1); ++a) {
       EXPECT_LT(g.level(g.arc_src()[a]), g.level(p));

@@ -437,12 +437,11 @@ TEST(WirelengthBitwise, TwoPinRunsAtChunkEdges) {
   const auto& nl = *h.nl;
   const SmoothWirelength probe(nl, WirelengthModel::kWa, 1.0);
   const netlist::FlatNets& f = probe.nets();
-  ASSERT_EQ(f.num_chunks(), 2u);
-  ASSERT_EQ(f.chunk_first[1], 12u + 1007u);
-  ASSERT_EQ(f.net_first[f.chunk_first[1]] - f.net_first[f.chunk_first[1] - 1],
-            2u);
-  ASSERT_EQ(f.net_first[f.chunk_first[1] + 1] - f.net_first[f.chunk_first[1]],
-            5u);
+  const std::vector<std::uint32_t> chunks = wirelength_chunks(f);
+  ASSERT_EQ(chunks.size(), 3u);
+  ASSERT_EQ(chunks[1], 12u + 1007u);
+  ASSERT_EQ(f.net_first[chunks[1]] - f.net_first[chunks[1] - 1], 2u);
+  ASSERT_EQ(f.net_first[chunks[1] + 1] - f.net_first[chunks[1]], 5u);
 
   // Random positions; every third 2-pin net coincides on both axes and
   // every third but one on the y axis alone.
@@ -459,6 +458,32 @@ TEST(WirelengthBitwise, TwoPinRunsAtChunkEdges) {
   for (const double gamma : {0.3, 1.0, 6.0}) {
     expect_wl_bitwise(nl, pl, gamma);
   }
+}
+
+TEST(WirelengthChunks, PinBalanced) {
+  const dpgen::Benchmark bench = dpgen::make_scaled(4000);
+  const netlist::FlatNets flat(bench.netlist, 2);
+  ASSERT_GT(flat.pin_cell.size(), 4 * kMinPinsPerChunk);
+  const std::vector<std::uint32_t> first = wirelength_chunks(flat);
+  const std::size_t chunks = first.size() - 1;
+  ASSERT_GE(chunks, 2u);
+  EXPECT_LE(chunks, util::kMaxChunks);
+  EXPECT_EQ(first.front(), 0u);
+  EXPECT_EQ(first.back(), flat.num_nets());
+  for (std::size_t k = 0; k < chunks; ++k) {
+    ASSERT_LT(first[k], first[k + 1]);
+    if (k + 1 == chunks) continue;
+    EXPECT_GE(flat.net_first[first[k + 1]] - flat.net_first[first[k]],
+              kMinPinsPerChunk)
+        << "chunk " << k;
+  }
+
+  // One kept net makes one chunk.
+  HandNets h;
+  const netlist::FlatNets two(*h.nl, 2);
+  EXPECT_EQ(wirelength_chunks(two),
+            (std::vector<std::uint32_t>{
+                0, static_cast<std::uint32_t>(two.num_nets())}));
 }
 
 TEST(WirelengthBitwise, ExpCallsFollowNetDegrees) {
