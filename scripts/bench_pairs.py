@@ -19,7 +19,10 @@ quartiles over the pairs and the change of the median. For place_s (lower
 is better) it prints every pair, counts the pairs the change won (ties
 count for neither side), and says whether the change won at least nine
 tenths of them with a median gain larger than the distance between the
-parent's quartiles. It also reports whether each quality metric read the
+parent's quartiles. Beside that rule it prints each side's minimum
+place_s and the median and quartiles of the per-pair ratio change/parent:
+on a host whose speed drifts, both move less with the drift than the
+side medians do. It also reports whether each quality metric read the
 same bits in every run on both sides.
 
 Exit status: 0 when every run succeeded, 1 when one failed.
@@ -113,6 +116,13 @@ def main(argv):
           "quartile spread): %s" %
           ("met" if 10 * wins >= 9 * args.pairs and gain > q3_p - q1_p
            else "not met"))
+    print("%s minimum: parent %.4g, change %.4g" %
+          (METRIC, min(r[METRIC] for r in runs["parent"]),
+           min(r[METRIC] for r in runs["change"])))
+    ratio, q1_r, q3_r = summary([b[METRIC] / a[METRIC] for a, b in
+                                 zip(runs["parent"], runs["change"])])
+    print("%s per-pair ratio change/parent: median %.4f [%.4f, %.4f]" %
+          (METRIC, ratio, q1_r, q3_r))
 
     for name in QUALITY:
         values = {r[name] for side in runs.values() for r in side if name in r}

@@ -1,5 +1,6 @@
 #include "check/rules.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <unordered_map>
@@ -183,6 +184,31 @@ void rule_net_shape(const CheckContext& ctx, DiagnosticSink& sink) {
   }
 }
 
+/// Every pin lies on or inside its cell's box: |offset| is at most half
+/// the cell's width and height (plus the context's tolerance). A pin far
+/// outside its cell adds wirelength no placement can remove.
+void rule_pin_offsets(const CheckContext& ctx, DiagnosticSink& sink) {
+  const auto& nl = *ctx.netlist;
+  for (PinId p = 0; p < nl.num_pins(); ++p) {
+    const netlist::Pin& pin = nl.pin(p);
+    // netlist.pin-refs and netlist.cell-types report these.
+    if (pin.cell >= nl.num_cells() ||
+        nl.cell(pin.cell).type >= nl.library().size()) {
+      continue;
+    }
+    const double hw = nl.cell_width(pin.cell) / 2.0 + ctx.tolerance;
+    const double hh = nl.cell_height(pin.cell) / 2.0 + ctx.tolerance;
+    if (!(std::abs(pin.offset_x) <= hw && std::abs(pin.offset_y) <= hh)) {
+      sink.report(Severity::kError, "netlist.pin-offsets", Anchor::pin(p),
+                  "pin offset " + fmt("(%g, %g)", pin.offset_x,
+                                      pin.offset_y) +
+                      " lies outside its cell's " +
+                      fmt("%g x %g box", nl.cell_width(pin.cell),
+                          nl.cell_height(pin.cell)));
+    }
+  }
+}
+
 // ---- geometry: coordinate sanity ------------------------------------------
 
 /// The placement covers every cell and contains no NaN/Inf coordinate
@@ -220,6 +246,32 @@ void rule_in_core(const CheckContext& ctx, DiagnosticSink& sink) {
       sink.report(Severity::kError, "geom.in-core", Anchor::cell(c),
                   "cell at " + fmt("(%g, %g)", pl[c].x, pl[c].y) +
                       " extends outside the core");
+    }
+  }
+}
+
+/// How far outside the core, in core widths (heights), a fixed cell may
+/// sit before geom.far-terminals warns.
+constexpr double kFarTerminalSpans = 3.0;
+
+/// Fixed cells sit within kFarTerminalSpans core widths of the core in x
+/// and core heights in y. A terminal far away adds wirelength no move can
+/// remove; GP's relative stop test then stops early (a warning: the
+/// design still places).
+void rule_far_terminals(const CheckContext& ctx, DiagnosticSink& sink) {
+  const auto& nl = *ctx.netlist;
+  const auto& pl = *ctx.placement;
+  const geom::Rect& core = ctx.design->core();
+  for (CellId c = 0; c < nl.num_cells() && c < pl.size(); ++c) {
+    if (!nl.cell(c).fixed) continue;
+    const double dx = std::max({core.lx - pl[c].x, pl[c].x - core.hx, 0.0});
+    const double dy = std::max({core.ly - pl[c].y, pl[c].y - core.hy, 0.0});
+    if (dx > kFarTerminalSpans * core.width() ||
+        dy > kFarTerminalSpans * core.height()) {
+      sink.report(Severity::kWarning, "geom.far-terminals", Anchor::cell(c),
+                  "fixed cell at " + fmt("(%g, %g)", pl[c].x, pl[c].y) +
+                      fmt(" lies more than %g core spans outside the core",
+                          kFarTerminalSpans));
     }
   }
 }
@@ -532,12 +584,18 @@ constexpr Rule kRules[] = {
     {{"netlist.net-shape", kCatNetlist, true,
       "net weights are positive and nets have at most one driver"},
      rule_net_shape},
+    {{"netlist.pin-offsets", kCatNetlist, true,
+      "pin offsets lie inside their cell's box"},
+     rule_pin_offsets},
     {{"geom.finite", kCatGeometry, true,
       "placement covers all cells with finite coordinates"},
      rule_finite, /*placement=*/true},
     {{"geom.in-core", kCatGeometry, true,
       "movable cells sit inside the core region"},
      rule_in_core, /*placement=*/true, /*design=*/true},
+    {{"geom.far-terminals", kCatGeometry, true,
+      "fixed cells lie within a few core spans of the core"},
+     rule_far_terminals, /*placement=*/true, /*design=*/true},
     {{"geom.fixed-immobile", kCatGeometry, true,
       "fixed cells have not moved from the reference placement"},
      rule_fixed_immobile, /*placement=*/true, /*design=*/false,

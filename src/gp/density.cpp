@@ -1,9 +1,11 @@
 #include "gp/density.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cmath>
+#include <cstring>
 #include <type_traits>
 #include <utility>
 
@@ -17,15 +19,17 @@ using netlist::CellId;
 
 namespace {
 
-/// Chunk/block counts are fixed (independent of the thread count), so
-/// every pass produces the same floating-point result for any pool size.
+/// The cell chunks of passes 0 and 2 are fixed (independent of the
+/// thread count), so they produce the same floating-point result for any
+/// pool size.
 constexpr std::size_t kMinCellsPerChunk = 512;
 /// The penalty value is summed per group of whole bin rows, at most this
 /// many groups, and the group sums are added in order.
 constexpr std::size_t kMaxValueGroups = 64;
-/// Pass-1 accumulation blocks. Each block owns a run of whole value
-/// groups (see value()), so a cell whose window spans a few bin rows
-/// is visited once or twice per evaluation instead of once per row.
+/// The most pass-1 accumulation blocks: one per worker up to this many.
+/// Each block owns a run of whole value groups (see value()), so a cell
+/// whose window spans a few bin rows is visited once per block it
+/// reaches instead of once per row.
 constexpr std::size_t kAccumBlocks = 8;
 
 /// Smallest power of two >= x (x >= 1).
@@ -63,10 +67,16 @@ inline auto with_extents(std::size_t nx, std::size_t ny, F&& f) {
   return f(nx, ny);
 }
 
-/// The first bin of the `n`-bin window of a cell centered at `c` whose
-/// bell reaches `r2`, on an axis of `nb` bins `wb` wide starting at `lo`:
-/// the first bin where the bell or its slope is non-zero, clamped so the
-/// window lies in the grid.
+// Passes 0 and 2 run two cells with the same window at once, one cell per
+// lane, each lane in exactly the arithmetic of one cell.
+using util::LaneMask;
+using util::Lanes;
+using util::pick;
+
+/// For two cells, one per lane, centered at `c` with bells reaching `r2`:
+/// the first bin of each one's `n`-bin window on an axis of `nb` bins `wb`
+/// wide starting at `lo`, the first bin where the bell or its slope is
+/// non-zero, clamped so the window lies in the grid.
 ///
 /// Let k be (c - r2 - lo) / wb truncated. If k >= 0, bin k - 1's center
 /// lies at least wb / 2 left of c - r2 and bin k + 1's more than wb / 2
@@ -78,27 +88,31 @@ inline auto with_extents(std::size_t nx, std::size_t ny, F&& f) {
 /// past c + r2, so it holds every bin where the bell or its slope is
 /// non-zero. Clamping moves the start left only at the upper grid edge,
 /// where the window then still ends at the last bin.
-inline long long window_start(double c, double r2, double lo, double wb,
-                              long long nb, long long n) {
-  auto k = static_cast<long long>((c - r2 - lo) / wb);
-  if (c - (lo + (static_cast<double>(k) + 0.5) * wb) >= r2) ++k;
-  return std::clamp(k, 0LL, nb - n);
+inline std::array<long long, 2> window_starts(Lanes c, Lanes r2, double lo,
+                                              double wb, long long nb,
+                                              long long n) {
+  const Lanes t = (c - r2 - lo) / wb;
+  std::array<long long, 2> k = {static_cast<long long>(t[0]),
+                                static_cast<long long>(t[1])};
+  const Lanes mid = {static_cast<double>(k[0]) + 0.5,
+                     static_cast<double>(k[1]) + 0.5};
+  const LaneMask past = c - (lo + mid * wb) >= r2;  // -1 where true
+  for (std::size_t l = 0; l < 2; ++l) {
+    k[l] = std::clamp(k[l] - past[l], 0LL, nb - n);
+  }
+  return k;
 }
-
-// Passes 0 and 2 run two cells with the same window at once, one cell per
-// lane, each lane in exactly the arithmetic of one cell.
-using util::LaneMask;
-using util::Lanes;
-using util::pick;
 
 /// The bell constants of two cells on one axis, one cell per lane.
 struct LaneShape {
-  template <class BellShape>
-  LaneShape(const BellShape& x, const BellShape& y)
-      : r1{x.r1, y.r1}, r2{x.r2, y.r2}, a{x.a, y.a}, b{x.b, y.b},
-        m2a{x.m2a, y.m2a}, b2{x.b2, y.b2} {}
   Lanes r1, r2, a, b, m2a, b2;
 };
+
+template <class BellShape>
+LaneShape lane_shape(const BellShape& x, const BellShape& y) {
+  return {Lanes{x.r1, y.r1}, Lanes{x.r2, y.r2},   Lanes{x.a, y.a},
+          Lanes{x.b, y.b},   Lanes{x.m2a, y.m2a}, Lanes{x.b2, y.b2}};
+}
 
 /// Two bells, one per lane: the potential and its slope.
 struct LaneBell {
@@ -126,6 +140,71 @@ inline LaneBell lane_bell(Lanes d, const LaneShape& s) {
   return {pick(inner, 1.0 - s.a * ad * ad, pick(outer, s.b * t * t, zero)),
           pick(inner, s.m2a * d, pick(outer, s.b2 * t * sgn, zero))};
 }
+
+/// Two adjacent doubles as one vector, at any alignment.
+inline Lanes load(const double* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+inline void store(double* p, Lanes v) { std::memcpy(p, &v, sizeof v); }
+
+/// Tags for a slot of two cells and of one.
+using Paired = std::true_type;
+using Lone = std::false_type;
+
+/// A slot's bells in bells_ from `at`, for windows of nx columns and ny
+/// rows (DensityPenalty::Slot), read and written as the vectors of a pair:
+/// a lone cell reads back as the pair of itself.
+template <bool kPair, class NX, class NY>
+struct SlotBells {
+  Lanes* at;
+  NX nx;
+  NY ny;
+
+  static Lanes both(double v) { return Lanes{v, v}; }
+  void put_x(std::size_t i, const LaneBell& e) const {
+    if constexpr (kPair) {
+      at[i] = e.p;
+      at[nx + i] = e.dp;
+    } else {
+      at[i] = Lanes{e.p[0], e.dp[0]};
+    }
+  }
+  void put_y(std::size_t j, const LaneBell& e) const {
+    if constexpr (kPair) {
+      at[2 * nx + j] = e.p;
+      at[2 * nx + ny + j] = e.dp;
+    } else {
+      at[nx + j] = Lanes{e.p[0], e.dp[0]};
+    }
+  }
+  Lanes xp(std::size_t i) const {
+    if constexpr (kPair) return at[i];
+    else return both(at[i][0]);
+  }
+  Lanes xd(std::size_t i) const {
+    if constexpr (kPair) return at[nx + i];
+    else return both(at[i][1]);
+  }
+  Lanes yp(std::size_t j) const {
+    if constexpr (kPair) return at[2 * nx + j];
+    else return both(at[nx + j][0]);
+  }
+  Lanes yd(std::size_t j) const {
+    if constexpr (kPair) return at[2 * nx + ny + j];
+    else return both(at[nx + j][1]);
+  }
+  /// The first x- and y-potential of the cell in `lane`; the others
+  /// follow in every second double.
+  const double* x_of(std::size_t lane) const {
+    return reinterpret_cast<const double*>(at) + (kPair ? lane : 0);
+  }
+  const double* y_of(std::size_t lane) const {
+    return reinterpret_cast<const double*>(at + (kPair ? 2 * nx : nx)) +
+           (kPair ? lane : 0);
+  }
+};
 
 /// Adds `scale` times the exact overlap area of `r` with each bin it
 /// touches to `grid`: the row-major nb x nb grid of bw x bh bins whose
@@ -162,16 +241,6 @@ DensityPenalty::BellShape DensityPenalty::bell_shape(double wc, double wb) {
   return {wc / 2.0 + wb, wc / 2.0 + 2.0 * wb, a, b, -2.0 * a, 2.0 * b};
 }
 
-std::pair<std::uint32_t, std::uint32_t> DensityPenalty::next_pair(
-    std::size_t& at, std::size_t end) const {
-  const std::uint32_t a = order_[at++];
-  if (at == end || shapes_[order_[at]].nx != shapes_[a].nx ||
-      shapes_[order_[at]].ny != shapes_[a].ny) {
-    return {a, a};
-  }
-  return {a, order_[at++]};
-}
-
 DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
                                const netlist::Design& design,
                                std::size_t bins_per_side)
@@ -204,20 +273,31 @@ DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
     sh.nx = static_cast<std::uint32_t>(window_bins(wc, bw_, nb_));
     sh.ny = static_cast<std::uint32_t>(window_bins(hc, bh_, nb_));
   }
-  order_.resize(movable.size());
-  for (std::uint32_t v = 0; v < order_.size(); ++v) order_[v] = v;
-  std::stable_sort(order_.begin(), order_.end(),
+  // The slots: the variables sorted by window shape (stable), chunked,
+  // and paired within each chunk's runs of one shape.
+  std::vector<std::uint32_t> order(movable.size());
+  for (std::uint32_t v = 0; v < order.size(); ++v) order[v] = v;
+  std::stable_sort(order.begin(), order.end(),
                    [&](std::uint32_t a, std::uint32_t b) {
     return std::pair{shapes_[a].nx, shapes_[a].ny} <
            std::pair{shapes_[b].nx, shapes_[b].ny};
   });
-  bells_per_value_ = 0;
-  for (const std::uint32_t v : order_) {
-    shapes_[v].first_bell = static_cast<std::uint32_t>(bells_per_value_);
-    bells_per_value_ += shapes_[v].nx + shapes_[v].ny;
-  }
-  bells_.resize(bells_per_value_);
-  chunk_bins_.resize(util::num_chunks(movable.size(), kMinCellsPerChunk));
+  std::uint32_t first = 0;
+  chunk_slot_.assign(1, 0);
+  util::for_chunks(nullptr, order.size(), kMinCellsPerChunk,
+                   [&](std::size_t, std::size_t i0, std::size_t i1) {
+    for (std::size_t at = i0; at < i1;) {
+      const std::uint32_t a = order[at++];
+      const bool pair = at < i1 && shapes_[order[at]].nx == shapes_[a].nx &&
+                        shapes_[order[at]].ny == shapes_[a].ny;
+      slots_.push_back({a, pair ? order[at++] : a, first});
+      first += (pair ? 2 : 1) * (shapes_[a].nx + shapes_[a].ny);
+    }
+    chunk_slot_.push_back(static_cast<std::uint32_t>(slots_.size()));
+  });
+  bells_per_value_ = first;
+  bells_.resize(first);
+  chunk_bins_.resize(chunk_slot_.size() - 1);
   set_area_scale({});
 }
 
@@ -259,69 +339,76 @@ double DensityPenalty::value(const netlist::Placement& pl,
   const std::size_t n_mov = movable.size();
   foot_.resize(n_mov);
 
-  // Pass 0: windows, bells and per-cell normalization, two cells with the
-  // same window at a time (next_pair()). Each cell's window
-  // (window_start()) holds every bin where its bell or the bell's slope
-  // is non-zero. The window's other bins add terms to every pass that are
-  // products with a +-0 factor, so they are +-0, and x + (+-0) == x for
-  // every accumulator here: each starts at +0 or at the non-negative
-  // preload, and a sum is -0 only if both addends are.
-  util::for_chunks(pool_.get(), n_mov, kMinCellsPerChunk,
-                   [&](std::size_t k, std::size_t i0, std::size_t i1) {
-    std::uint64_t bins = 0;
-    for (std::size_t at = i0; at < i1;) {
-      const auto [a, b] = next_pair(at, i1);
-      for (const std::uint32_t v : {a, b}) {
-        const CellShape& sh = shapes_[v];
-        const geom::Point& c = pl[movable[v]];
-        Footprint& f = foot_[v];
-        f.bx0 = window_start(c.x, sh.x.r2, core.lx, bw_, nbi, sh.nx);
-        f.bx1 = f.bx0 + sh.nx - 1;
-        f.by0 = window_start(c.y, sh.y.r2, core.ly, bh_, nbi, sh.ny);
-        f.by1 = f.by0 + sh.ny - 1;
-        f.px = &bells_[sh.first_bell];
-        f.py = f.px + sh.nx;
+  // Pass 0: windows, bells and per-cell normalization, slot by slot.
+  // Each cell's window (window_starts()) holds every bin where its bell
+  // or the bell's slope is non-zero. The window's other bins add terms to
+  // every pass that are products with a +-0 factor, so they are +-0, and
+  // x + (+-0) == x for every accumulator here: each starts at +0 or at the
+  // non-negative preload, and a sum is -0 only if both addends are.
+  //
+  // spread(pair, slot) runs one slot, a pair or a lone cell (`pair`), and
+  // returns the bins of its cells that spread anywhere.
+  auto spread = [&](auto pair, const Slot& slot) {
+    constexpr bool kPair = decltype(pair)::value;
+    const CellShape& sa = shapes_[slot.a];
+    const CellShape& sb = shapes_[slot.b];
+    const geom::Point& ca = pl[movable[slot.a]];
+    const geom::Point& cb = pl[movable[slot.b]];
+    Footprint& fa = foot_[slot.a];
+    Footprint& fb = foot_[slot.b];
+    return with_extents(sa.nx, sa.ny, [&](auto nx, auto ny) {
+      const SlotBells<kPair, decltype(nx), decltype(ny)> view{
+          &bells_[slot.first], nx, ny};
+      const LaneShape shx = lane_shape(sa.x, sb.x);
+      const LaneShape shy = lane_shape(sa.y, sb.y);
+      const Lanes cx = {ca.x, cb.x};
+      const Lanes cy = {ca.y, cb.y};
+      const auto wx = static_cast<long long>(nx);
+      const auto wy = static_cast<long long>(ny);
+      const auto bx0 = window_starts(cx, shx.r2, core.lx, bw_, nbi, wx);
+      const auto by0 = window_starts(cy, shy.r2, core.ly, bh_, nbi, wy);
+      for (std::size_t lane = 0; lane < 2; ++lane) {
+        Footprint& f = lane == 0 ? fa : fb;
+        f.bx0 = bx0[lane];
+        f.bx1 = f.bx0 + wx - 1;
+        f.by0 = by0[lane];
+        f.by1 = f.by0 + wy - 1;
+        f.xp = view.x_of(lane);
+        f.yp = view.y_of(lane);
       }
-      const CellShape& sa = shapes_[a];
-      const CellShape& sb = shapes_[b];
-      const geom::Point& ca = pl[movable[a]];
-      const geom::Point& cb = pl[movable[b]];
-      Footprint& fa = foot_[a];
-      Footprint& fb = foot_[b];
-      const Lanes norm = with_extents(sa.nx, sa.ny, [&](auto nx, auto ny) {
-        // Bin k's center is lo + (k + 0.5) * w; k + 0.5 steps exactly.
-        const LaneShape shx(sa.x, sb.x);
-        const Lanes cx = {ca.x, cb.x};
-        Lanes kx = {static_cast<double>(fa.bx0) + 0.5,
-                    static_cast<double>(fb.bx0) + 0.5};
-        for (std::size_t i = 0; i < nx; ++i, kx += 1.0) {
-          const LaneBell e = lane_bell(cx - (core.lx + kx * bw_), shx);
-          fa.px[i] = {e.p[0], e.dp[0]};
-          fb.px[i] = {e.p[1], e.dp[1]};
-        }
-        const LaneShape shy(sa.y, sb.y);
-        const Lanes cy = {ca.y, cb.y};
-        Lanes ky = {static_cast<double>(fa.by0) + 0.5,
-                    static_cast<double>(fb.by0) + 0.5};
-        for (std::size_t j = 0; j < ny; ++j, ky += 1.0) {
-          const LaneBell e = lane_bell(cy - (core.ly + ky * bh_), shy);
-          fa.py[j] = {e.p[0], e.dp[0]};
-          fb.py[j] = {e.p[1], e.dp[1]};
-        }
-        Lanes sum = {0.0, 0.0};
-        for (std::size_t j = 0; j < ny; ++j) {
-          const Lanes py = {fa.py[j].p, fb.py[j].p};
-          for (std::size_t i = 0; i < nx; ++i) {
-            sum += Lanes{fa.px[i].p, fb.px[i].p} * py;
-          }
-        }
-        return sum;
-      });
-      fa.inv_norm = norm[0] > 0.0 ? sa.area / norm[0] : 0.0;
-      fb.inv_norm = norm[1] > 0.0 ? sb.area / norm[1] : 0.0;
+      // Bin k's center is lo + (k + 0.5) * w; k + 0.5 steps exactly.
+      Lanes kx = {static_cast<double>(bx0[0]) + 0.5,
+                  static_cast<double>(bx0[1]) + 0.5};
+      for (std::size_t i = 0; i < nx; ++i, kx += 1.0) {
+        view.put_x(i, lane_bell(cx - (core.lx + kx * bw_), shx));
+      }
+      Lanes ky = {static_cast<double>(by0[0]) + 0.5,
+                  static_cast<double>(by0[1]) + 0.5};
+      for (std::size_t j = 0; j < ny; ++j, ky += 1.0) {
+        view.put_y(j, lane_bell(cy - (core.ly + ky * bh_), shy));
+      }
+      Lanes norm = {0.0, 0.0};
+      for (std::size_t j = 0; j < ny; ++j) {
+        const Lanes py = view.yp(j);
+        for (std::size_t i = 0; i < nx; ++i) norm += view.xp(i) * py;
+      }
+      const Lanes zero = {0.0, 0.0};
+      const Lanes inv =
+          pick(norm > zero, Lanes{sa.area, sb.area} / norm, zero);
+      fa.inv_norm = inv[0];
+      fb.inv_norm = inv[1];
       // A cell spread nowhere is skipped by passes 1-2.
-      if (fa.inv_norm != 0.0) bins += std::uint64_t{sa.nx} * sa.ny;
-      if (b != a && fb.inv_norm != 0.0) bins += std::uint64_t{sb.nx} * sb.ny;
+      std::uint64_t bins = 0;
+      if (fa.inv_norm != 0.0) bins += std::uint64_t{nx} * ny;
+      if (kPair && fb.inv_norm != 0.0) bins += std::uint64_t{nx} * ny;
+      return bins;
+    });
+  };
+  util::run(pool_.get(), chunk_bins_.size(), [&](std::size_t k) {
+    std::uint64_t bins = 0;
+    for (std::uint32_t s = chunk_slot_[k]; s < chunk_slot_[k + 1]; ++s) {
+      bins += slots_[s].a == slots_[s].b ? spread(Lone{}, slots_[s])
+                                         : spread(Paired{}, slots_[s]);
     }
     chunk_bins_[k] = bins;
   });
@@ -329,31 +416,24 @@ double DensityPenalty::value(const netlist::Placement& pl,
   for (const std::uint64_t bins : chunk_bins_) bins_visited_ += bins;
   bells_evaluated_ = bells_per_value_;
 
-  // Pass 1: accumulate smoothed density over kAccumBlocks multi-row
-  // blocks. Every bin row has exactly one owning block, which adds
+  // Pass 1: accumulate smoothed density over multi-row blocks, one per
+  // worker up to kAccumBlocks; at one thread that is a single ascending
+  // sweep. Every bin row has exactly one owning block, which adds
   // contributions in ascending cell order -- the same order as a serial
-  // sweep, so the grid is bitwise identical for any thread count, with no
-  // reduction. The value is summed per value group (min(nb, 64) groups of
+  // sweep, so the grid is bitwise identical for any block count, with no
+  // reduction; each block takes, in one scan, the cells whose window
+  // reaches its rows. The value is summed per value group (min(nb, 64) groups of
   // whole rows, the grouping the value has always been summed in) and the
   // group sums are added in order, so the value keeps its bits too; each
   // block owns a run of whole groups.
   const std::size_t num_groups = std::min(nb_, kMaxValueGroups);
   const std::size_t rows_per_group = (nb_ + num_groups - 1) / num_groups;
-  const std::size_t groups_per_block =
-      (num_groups + kAccumBlocks - 1) / kAccumBlocks;
+  const std::size_t blocks =
+      std::min(kAccumBlocks, pool_ != nullptr ? pool_->size() : 1);
+  const std::size_t groups_per_block = (num_groups + blocks - 1) / blocks;
   const std::size_t num_blocks =
       (num_groups + groups_per_block - 1) / groups_per_block;
   const std::size_t rows_per_block = rows_per_group * groups_per_block;
-  block_cells_.resize(num_blocks);
-  for (auto& b : block_cells_) b.clear();
-  for (std::size_t v = 0; v < n_mov; ++v) {
-    if (foot_[v].inv_norm == 0.0) continue;
-    const auto b0 = static_cast<std::size_t>(foot_[v].by0) / rows_per_block;
-    const auto b1 = static_cast<std::size_t>(foot_[v].by1) / rows_per_block;
-    for (std::size_t b = b0; b <= b1; ++b) {
-      block_cells_[b].push_back(static_cast<std::uint32_t>(v));
-    }
-  }
   scaled_rows_.resize(std::max(scaled_rows_.size(), num_blocks * nb_));
 
   group_value_.assign(num_groups, 0.0);
@@ -363,18 +443,23 @@ double DensityPenalty::value(const netlist::Placement& pl,
     const auto r1 = std::min<long long>(
         nbi, static_cast<long long>((b + 1) * rows_per_block));
     double* q = &scaled_rows_[b * nb_];
-    for (const std::uint32_t v : block_cells_[b]) {
-      const Footprint& f = foot_[v];
+    for (const Footprint& f : foot_) {
+      if (f.inv_norm == 0.0 || f.by1 < r0 || f.by0 >= r1) continue;
       with_extents(f.width(), f.height(), [&](auto nx, auto) {
         // The x-row scaled once per cell: inv_norm * px * py is evaluated
         // as (inv_norm * px) * py, so q[i] * py keeps the bits.
-        for (std::size_t i = 0; i < nx; ++i) q[i] = f.inv_norm * f.px[i].p;
+        for (std::size_t i = 0; i < nx; ++i) q[i] = f.inv_norm * f.xp[2 * i];
         const long long by_lo = std::max(f.by0, r0);
         const long long by_hi = std::min(f.by1, r1 - 1);
+        // Two bins per vector, each in its own lane's scalar arithmetic.
         for (long long by = by_lo; by <= by_hi; ++by) {
-          const double py = f.py[by - f.by0].p;
+          const double py = f.yp[2 * (by - f.by0)];
           double* row = &density_[bin(f.bx0, by)];
-          for (std::size_t i = 0; i < nx; ++i) row[i] += q[i] * py;
+          std::size_t i = 0;
+          for (; i + 2 <= nx; i += 2) {
+            store(row + i, load(row + i) + load(q + i) * py);
+          }
+          if (i < nx) row[i] += q[i] * py;
         }
       });
     }
@@ -400,44 +485,49 @@ double DensityPenalty::value(const netlist::Placement& pl,
 
 void DensityPenalty::gradient(std::span<double> gx, std::span<double> gy,
                               double scale) const {
-  const std::size_t n_mov = foot_.size();
-
   // Pass 2: gradient via chain rule (normalization treated as constant,
-  // the standard NTUplace approximation), two cells with the same window
-  // at a time. Embarrassingly parallel over cells: variable v belongs to
-  // movable cell v alone.
-  util::for_chunks(pool_.get(), n_mov, kMinCellsPerChunk,
-                   [&](std::size_t, std::size_t i0, std::size_t i1) {
-    for (std::size_t at = i0; at < i1;) {
-      const auto [a, b] = next_pair(at, i1);
-      const Footprint& fa = foot_[a];
-      const Footprint& fb = foot_[b];
-      if (fa.inv_norm == 0.0 && fb.inv_norm == 0.0) continue;
-      const Lanes inv = {fa.inv_norm, fb.inv_norm};
-      const auto [ax, ay] =
-          with_extents(fa.width(), fa.height(), [&](auto nx, auto ny) {
-        Lanes sx = {0.0, 0.0}, sy = {0.0, 0.0};
-        for (std::size_t j = 0; j < ny; ++j) {
-          const Lanes pyp = {fa.py[j].p, fb.py[j].p};
-          const Lanes pyd = {fa.py[j].dp, fb.py[j].dp};
-          const double* ea = &err2_[bin(fa.bx0, fa.by0) + j * nb_];
-          const double* eb = &err2_[bin(fb.bx0, fb.by0) + j * nb_];
-          for (std::size_t i = 0; i < nx; ++i) {
-            // 2 * err * inv_norm * px * py, in that association.
-            const Lanes e = Lanes{ea[i], eb[i]} * inv;
-            sx += e * Lanes{fa.px[i].dp, fb.px[i].dp} * pyp;
-            sy += e * Lanes{fa.px[i].p, fb.px[i].p} * pyd;
-          }
+  // the standard NTUplace approximation), slot by slot. Embarrassingly
+  // parallel over cells: variable v belongs to movable cell v alone.
+  auto pull = [&](auto pair, const Slot& slot) {
+    constexpr bool kPair = decltype(pair)::value;
+    const Footprint& fa = foot_[slot.a];
+    const Footprint& fb = foot_[slot.b];
+    if (fa.inv_norm == 0.0 && fb.inv_norm == 0.0) return;
+    const Lanes inv = {fa.inv_norm, fb.inv_norm};
+    const auto [ax, ay] =
+        with_extents(fa.width(), fa.height(), [&](auto nx, auto ny) {
+      const SlotBells<kPair, decltype(nx), decltype(ny)> view{
+          &bells_[slot.first], nx, ny};
+      Lanes sx = {0.0, 0.0}, sy = {0.0, 0.0};
+      for (std::size_t j = 0; j < ny; ++j) {
+        const Lanes pyp = view.yp(j);
+        const Lanes pyd = view.yd(j);
+        const double* ea = &err2_[bin(fa.bx0, fa.by0) + j * nb_];
+        const double* eb = &err2_[bin(fb.bx0, fb.by0) + j * nb_];
+        for (std::size_t i = 0; i < nx; ++i) {
+          // 2 * err * inv_norm * px * py, in that association.
+          const Lanes e = Lanes{ea[i], eb[i]} * inv;
+          sx += e * view.xd(i) * pyp;
+          sy += e * view.xp(i) * pyd;
         }
-        return std::pair{sx, sy};
-      });
-      if (fa.inv_norm != 0.0) {
-        gx[a] += scale * ax[0];
-        gy[a] += scale * ay[0];
       }
-      if (b != a && fb.inv_norm != 0.0) {
-        gx[b] += scale * ax[1];
-        gy[b] += scale * ay[1];
+      return std::pair{sx, sy};
+    });
+    if (fa.inv_norm != 0.0) {
+      gx[slot.a] += scale * ax[0];
+      gy[slot.a] += scale * ay[0];
+    }
+    if (kPair && fb.inv_norm != 0.0) {
+      gx[slot.b] += scale * ax[1];
+      gy[slot.b] += scale * ay[1];
+    }
+  };
+  util::run(pool_.get(), chunk_bins_.size(), [&](std::size_t k) {
+    for (std::uint32_t s = chunk_slot_[k]; s < chunk_slot_[k + 1]; ++s) {
+      if (slots_[s].a == slots_[s].b) {
+        pull(Lone{}, slots_[s]);
+      } else {
+        pull(Paired{}, slots_[s]);
       }
     }
   });

@@ -8,6 +8,7 @@
 
 #include "gp/vars.hpp"
 #include "netlist/design.hpp"
+#include "util/lanes.hpp"
 
 namespace dp::util {
 class ThreadPool;
@@ -29,13 +30,16 @@ namespace dp::gp {
 /// and gradient() like every ObjectiveTerm's:
 ///  - value() runs pass 0 (per cell chunk: each cell's window, its x- and
 ///    y-bells and its normalization) and pass 1 (smoothed density,
-///    accumulated over a few fixed multi-row blocks; every bin row has
-///    exactly one owning block, which adds contributions in ascending cell
-///    order -- no reduction races, bitwise identical to the serial loop);
+///    accumulated over one multi-row block per worker, at most
+///    kAccumBlocks; every bin row has exactly one owning block, which adds
+///    contributions in ascending cell order, and the value is summed over
+///    the same fixed row groups in the same order for any block count);
 ///  - gradient() runs pass 2 (embarrassingly parallel over cells, each
 ///    writing its own variable) on the windows, bells and grid the
 ///    preceding value() left behind.
-/// Pass 0 is the only one that evaluates a bell: it keeps each cell's
+/// The cell chunks of passes 0 and 2 are fixed, so every pass's bits are
+/// independent of the thread count; the block count is not, and need not
+/// be. Pass 0 is the only one that evaluates a bell: it keeps each cell's
 /// bells in bells_, and passes 1 and 2 read them from there.
 ///
 /// The window rule: each cell spreads over a window of
@@ -49,8 +53,11 @@ namespace dp::gp {
 /// window), and passes 0 and 2, whose cells are independent, visit the
 /// cells by window shape and run two cells with the same window at once,
 /// one per lane of a two-double vector, in each cell's own arithmetic.
-/// The bell constants and scaled areas are computed once per area scale,
-/// and pass 1 stores twice each bin's error for pass 2 to read.
+/// Those pairs (slots_) are planned once in the constructor, and each
+/// pair keeps its bells lane-interleaved, so both passes move whole
+/// vectors. The bell constants and scaled areas are computed once per
+/// area scale, and pass 1 stores twice each bin's error for pass 2 to
+/// read.
 class DensityPenalty final : public ObjectiveTerm {
  public:
   DensityPenalty(const netlist::Netlist& nl, const netlist::Design& design,
@@ -117,18 +124,14 @@ class DensityPenalty final : public ObjectiveTerm {
 
   std::shared_ptr<util::ThreadPool> pool_;
 
-  /// One axis of a cell's bell potential at one bin.
-  struct Bell {
-    double p = 0.0;   ///< potential in [0, 1]
-    double dp = 0.0;  ///< d(potential)/d(cell coordinate)
-  };
-  /// A cell's window and its bells there: px[i] is bin column bx0 + i,
-  /// py[j] bin row by0 + j, both in bells_.
+  /// A cell's window and where its bells are: its potentials at bin
+  /// column bx0 + i and bin row by0 + j are xp[2 i] and yp[2 j], in
+  /// bells_ (see Slot).
   struct Footprint {
     long long bx0, bx1, by0, by1;
     double inv_norm;
-    Bell* px;
-    Bell* py;
+    const double* xp;
+    const double* yp;
     std::size_t width() const {
       return static_cast<std::size_t>(bx1 - bx0 + 1);
     }
@@ -143,24 +146,28 @@ class DensityPenalty final : public ObjectiveTerm {
     double m2a, b2;  ///< -2 a and 2 b
   };
   static BellShape bell_shape(double wc, double wb);
-  /// The variables at order_[at] and, if it has the same window, at
-  /// order_[at + 1] (below `end`); else the first twice. Advances `at`
-  /// past them.
-  std::pair<std::uint32_t, std::uint32_t> next_pair(std::size_t& at,
-                                                    std::size_t end) const;
   /// The index of bin (column bx, row by) in the row-major grids.
   std::size_t bin(long long bx, long long by) const {
     return static_cast<std::size_t>(by) * nb_ + static_cast<std::size_t>(bx);
   }
 
   /// What does not move with the cells, per variable: the bell shapes on
-  /// both axes, the window's columns and rows, where its bells are kept
-  /// in bells_ (nx x-bells, then ny y-bells), and the scaled area.
+  /// both axes, the window's columns and rows, and the scaled area.
   struct CellShape {
     BellShape x, y;
     std::uint32_t nx, ny;
-    std::uint32_t first_bell;
     double area;
+  };
+  /// Two variables with the same window that passes 0 and 2 run in the
+  /// two lanes of one vector (a != b), or one variable alone (a == b),
+  /// and where their nx x-bells and ny y-bells start in bells_. A pair
+  /// keeps 2 (nx + ny) vectors {a's, b's}: the x-potentials, the
+  /// x-slopes, the y-potentials and the y-slopes. A lone variable keeps
+  /// nx + ny vectors {potential, slope}, x first. Either way every cell
+  /// owns nx + ny vectors, and its potentials lie in every second double.
+  struct Slot {
+    std::uint32_t a, b;
+    std::uint32_t first;
   };
 
   /// Per variable of the netlist's VarMap; the areas and their sum
@@ -168,19 +175,20 @@ class DensityPenalty final : public ObjectiveTerm {
   /// set_area_scale().
   std::vector<CellShape> shapes_;
   double scaled_total_ = 0.0;
-  /// The variables sorted by window shape (stable), the order passes 0
-  /// and 2 visit them in, so a chunk's cells mostly share one shape.
-  std::vector<std::uint32_t> order_;
+  /// The slots of every pass-0/2 cell chunk: chunk k's are
+  /// slots_[chunk_slot_[k] .. chunk_slot_[k + 1]). A chunk visits its
+  /// variables by window shape (stable), so its cells mostly share one.
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> chunk_slot_;
   /// The bells of every window, evaluated by every value().
   std::uint64_t bells_per_value_ = 0;
 
   // Per-evaluation scratch, persistent to keep allocation out of the hot
   // path (one evaluation in flight at a time).
   mutable std::vector<Footprint> foot_;
-  mutable std::vector<Bell> bells_;  ///< every window's bells, in order_
+  mutable std::vector<util::Lanes> bells_;  ///< every slot's bells
   mutable std::vector<std::uint64_t> chunk_bins_;  ///< per pass-0 chunk
   mutable std::vector<double> group_value_;  ///< per value-group sums
-  mutable std::vector<std::vector<std::uint32_t>> block_cells_;
   /// Pass 1's x-row scaled by the cell's normalization, one per block.
   mutable std::vector<double> scaled_rows_;
   /// 2 * error of every bin, written by value() for gradient().

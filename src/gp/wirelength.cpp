@@ -41,9 +41,12 @@ inline Lanes pin_xy(const netlist::Placement& pl, const netlist::FlatNets& f,
 // The first pin at max_c (min_c) has the argument +0 / gamma = +-0, and
 // exp(+-0) is exactly 1 (C Annex F), so its weight is 1 without an exp()
 // call; for any gamma other than 0 or NaN the weights are those of
-// calling exp() on every pin. With coordinates inside (-1e300, 1e300)
-// every axis has both extreme pins, so an axis costs 1 call on a 2-pin
-// net and 2n - 2 calls otherwise.
+// calling exp() on every pin. The first min pin's wmax and the first max
+// pin's wmin share the argument (min_c - max_c) / gamma, so one call
+// serves both. With coordinates inside (-1e300, 1e300) every axis has
+// both extreme pins, so an axis costs 1 call on a 2-pin net and 2n - 3
+// calls otherwise (2n - 2 where all its pins coincide, as the first pin
+// is then both extremes).
 
 /// A net of n >= 3 pins. `p`, `wmax` and `wmin` are scratch of n lanes.
 Lanes wa_net(const netlist::Placement& pl, const netlist::FlatNets& f,
@@ -75,9 +78,30 @@ Lanes wa_net(const netlist::Placement& pl, const netlist::FlatNets& f,
   for (int a = 0; a < 2; ++a) {
     const auto hi_pin = static_cast<std::size_t>(imax[a]);
     const auto lo_pin = static_cast<std::size_t>(imin[a]);
-    for (std::size_t i = 0; i < n; ++i) {
-      wmax[i][a] = i == hi_pin ? 1.0 : std::exp(wmax[i][a]);
-      wmin[i][a] = i == lo_pin ? 1.0 : std::exp(wmin[i][a]);
+    // Every pin but the extreme ones, in runs around them, with no test
+    // per pin.
+    auto exps = [&](std::size_t i0, std::size_t i1) {
+      for (std::size_t i = i0; i < i1; ++i) {
+        wmax[i][a] = std::exp(wmax[i][a]);
+        wmin[i][a] = std::exp(wmin[i][a]);
+      }
+    };
+    const std::size_t first = std::min(hi_pin, lo_pin);
+    const std::size_t last = std::max(hi_pin, lo_pin);
+    exps(0, first);
+    exps(first + 1, last);
+    exps(last + 1, n);
+    // p[hi_pin] is max_c and p[lo_pin] min_c to the bit, so the max pin's
+    // wmin and the min pin's wmax share the argument (min_c - max_c) /
+    // gamma: one call serves both.
+    if (hi_pin < n) {
+      wmax[hi_pin][a] = 1.0;
+      wmin[hi_pin][a] = hi_pin == lo_pin ? 1.0 : std::exp(wmin[hi_pin][a]);
+    }
+    if (lo_pin < n && lo_pin != hi_pin) {
+      wmin[lo_pin][a] = 1.0;
+      wmax[lo_pin][a] =
+          hi_pin < n ? wmin[hi_pin][a] : std::exp(wmax[lo_pin][a]);
     }
   }
   const Lanes zero = {0.0, 0.0};
@@ -154,7 +178,7 @@ SmoothWirelength::SmoothWirelength(const netlist::Netlist& nl,
   for (std::size_t kn = 0; kn < flat_.num_nets(); ++kn) {
     const std::size_t deg = flat_.net_first[kn + 1] - flat_.net_first[kn];
     max_degree_ = std::max(max_degree_, deg);
-    exp_calls_ += 2 * (deg == 2 ? 1 : 2 * deg - 2);
+    exp_calls_ += 2 * (deg == 2 ? 1 : 2 * deg - 3);
   }
 
   // Gradient positions: variable v's pins, in slot order, take

@@ -76,7 +76,8 @@ class SmoothWirelength final : public ObjectiveTerm {
                 double scale) const override;
 
   /// Deterministic work counter: exp() calls per value(), fixed by the
-  /// net degrees.
+  /// net degrees: per axis 1 on a 2-pin net and 2d - 3 on a net of d >= 3
+  /// pins (an axis whose pins all coincide makes one call more).
   std::uint64_t exp_calls() const { return exp_calls_; }
 
   /// Rescale the effective weight of every net: the kernel uses

@@ -5,8 +5,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/structure_placer.hpp"
 #include "dpgen/benchmarks.hpp"
 #include "eval/metrics.hpp"
 #include "netlist/bookshelf.hpp"
@@ -110,9 +112,10 @@ TEST_F(BookshelfRoundTrip, GroupsSidecarIgnoresLegacyScore) {
 
 /// Copies Bookshelf file `from` to `to` with every length times `k`:
 /// each number but the header's version and the counts (a value after a
-/// `Num...` or `NetDegree` key).
-void scale_lengths(const std::string& from, const std::string& to,
-                   double k) {
+/// `Num...` or `NetDegree` key). Every position -- a .pl coordinate, a
+/// .scl row's Coordinate and SubrowOrigin -- then moves by `shift`.
+void scale_lengths(const std::string& from, const std::string& to, double k,
+                   double shift = 0.0) {
   std::ifstream in(from);
   std::ofstream out(to);
   out.precision(17);
@@ -121,19 +124,37 @@ void scale_lengths(const std::string& from, const std::string& to,
   out << line << "\n";
   while (std::getline(in, line)) {
     std::istringstream ls(line);
-    bool count = false;
-    for (std::string tok; ls >> tok;) {
+    std::string key;  ///< the token before, skipping ":"
+    std::size_t index = 0;
+    for (std::string tok; ls >> tok; ++index) {
       char* end = nullptr;
       const double v = std::strtod(tok.c_str(), &end);
+      const bool count = key.starts_with("Num") || key == "NetDegree";
+      const bool position = (from.ends_with(".pl") && index >= 1 &&
+                             index <= 2) ||
+                            key == "Coordinate" || key == "SubrowOrigin";
       if (*end == '\0' && !count) {
-        out << " " << v * k;
+        out << " " << v * k + (position ? shift : 0.0);
       } else {
         out << " " << tok;
       }
-      if (tok != ":") count = tok.starts_with("Num") || tok == "NetDegree";
+      if (tok != ":") key = tok;
     }
     out << "\n";
   }
+}
+
+/// scale_lengths() on every file of the Bookshelf set `from`, into the
+/// set `to` with its own .aux.
+void copy_bookshelf(const std::string& from, const std::string& to, double k,
+                    double shift) {
+  for (const char* ext : {".nodes", ".nets", ".pl", ".scl"}) {
+    scale_lengths(from + ext, to + ext, k, shift);
+  }
+  const std::string name = to.substr(to.find_last_of('/') + 1);
+  std::ofstream(to + ".aux") << "RowBasedPlacement : " << name << ".nodes "
+                             << name << ".nets " << name << ".pl " << name
+                             << ".scl\n";
 }
 
 // The alignment score counts rows of the design's own height: scaling a
@@ -151,14 +172,7 @@ TEST(Bookshelf, AlignmentScoreInDesignRows) {
   const std::string scaled = ::testing::TempDir() + "bs_rows8";
   write_bookshelf(base, bench.netlist, bench.design, pl);
   write_groups(base + ".groups", bench.netlist, bench.truth);
-  for (const char* ext : {".nodes", ".nets", ".pl", ".scl"}) {
-    scale_lengths(base + ext, scaled + ext, 8.0);
-  }
-  {
-    std::ofstream aux(scaled + ".aux");
-    aux << "RowBasedPlacement : bs_rows8.nodes bs_rows8.nets bs_rows8.pl "
-           "bs_rows8.scl\n";
-  }
+  copy_bookshelf(base, scaled, 8.0, 0.0);
 
   const Problem one = read_bookshelf(base + ".aux");
   const Problem eight = read_bookshelf(scaled + ".aux");
@@ -171,6 +185,49 @@ TEST(Bookshelf, AlignmentScoreInDesignRows) {
   EXPECT_GT(a.rms_misalignment, 1.0);
   EXPECT_DOUBLE_EQ(b.rms_misalignment, a.rms_misalignment);
   EXPECT_DOUBLE_EQ(b.worst_group, a.worst_group);
+}
+
+// Units and offsets do not steer the placer (ROADMAP item 18): a dp_add32
+// export, a copy with every length x8 and a copy moved by +1,000 in x and
+// y place with the same outer, CG and evaluation counts in both flows,
+// and with the HPWL scaled by the units. The x8 copy reads the same bits
+// scaled; the moved one rounds its coordinates differently, so its HPWL
+// agrees to a tolerance: measured, at most 5.4e-11 relative (sa-gentle
+// GP HPWL) and 2.2e-16 for the final HPWL. The test allows 1e-9.
+TEST(Bookshelf, PlacementInvariantToUnitsAndOffsets) {
+  const dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
+  const std::string base = ::testing::TempDir() + "units";
+  write_bookshelf(base, bench.netlist, bench.design, bench.placement);
+  copy_bookshelf(base, base + "_x8", 8.0, 0.0);
+  copy_bookshelf(base, base + "_moved", 1.0, 1000.0);
+
+  core::PlacerConfig baseline;
+  baseline.structure_aware = false;
+  for (const core::PlacerConfig& config : {baseline, core::PlacerConfig{}}) {
+    SCOPED_TRACE(config.structure_aware ? "sa-gentle" : "baseline");
+    auto place = [&](const std::string& aux) {
+      const Problem p = read_bookshelf(aux);
+      Placement pl = p.placement;
+      return core::StructurePlacer(p.netlist, p.design, config).place(pl);
+    };
+    const core::PlaceReport one = place(base + ".aux");
+    for (const auto& [suffix, k] :
+         {std::pair{"_x8", 8.0}, std::pair{"_moved", 1.0}}) {
+      SCOPED_TRACE(suffix);
+      const core::PlaceReport copy = place(base + suffix + ".aux");
+      EXPECT_EQ(copy.gp_result.trace.size(), one.gp_result.trace.size());
+      EXPECT_EQ(copy.gp_result.total_cg_iterations,
+                one.gp_result.total_cg_iterations);
+      EXPECT_EQ(copy.gp_result.total_evaluations,
+                one.gp_result.total_evaluations);
+      EXPECT_TRUE(copy.legality.legal());
+      for (const auto& [got, want] :
+           {std::pair{copy.hpwl_gp, one.hpwl_gp},
+            std::pair{copy.hpwl_final, one.hpwl_final}}) {
+        EXPECT_NEAR(got / k / want, 1.0, 1e-9) << got << " vs " << want;
+      }
+    }
+  }
 }
 
 TEST(Bookshelf, MissingFileThrows) {

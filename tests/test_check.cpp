@@ -2,10 +2,12 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "check/rules.hpp"
 #include "core/structure_placer.hpp"
 #include "dpgen/benchmarks.hpp"
+#include "netlist/bookshelf.hpp"
 #include "netlist/library.hpp"
 
 namespace dp::check {
@@ -162,6 +164,27 @@ TEST(Checker, TwoDriversWarn) {
   EXPECT_GT(sink.num_warnings(), 0u);
 }
 
+TEST(Checker, PinOffsetsSkipCellsWithoutAType) {
+  LintBench lb;
+  NetlistSurgeon(*lb.nl).cell(lb.c2).type = 9999;
+  const auto sink = lb.lint(CheckLevel::kFull, kCatNetlist);
+  EXPECT_TRUE(sink.fired("netlist.cell-types"));
+  EXPECT_FALSE(sink.fired("netlist.pin-offsets"));
+}
+
+TEST(Checker, PinOutsideCellFires) {
+  LintBench lb;
+  const netlist::PinId p = lb.nl->cell(lb.c2).pins[0];
+  EXPECT_TRUE(lb.lint().clean());
+  // On the cell's edge is inside; a pin beyond it is not.
+  NetlistSurgeon(*lb.nl).pin(p).offset_x = lb.nl->cell_width(lb.c2) / 2.0;
+  EXPECT_FALSE(lb.lint().fired("netlist.pin-offsets"));
+  NetlistSurgeon(*lb.nl).pin(p).offset_y = 1e300;
+  const auto sink = lb.lint();
+  EXPECT_TRUE(sink.fired("netlist.pin-offsets"));
+  EXPECT_EQ(sink.num_errors(), 1u) << format_text(sink, &*lb.nl);
+}
+
 // ---- geometry rules --------------------------------------------------------
 
 TEST(Checker, NaNCoordinateFires) {
@@ -194,6 +217,46 @@ TEST(Checker, MovedFixedCellFires) {
   DiagnosticSink sink;
   run_checks(ctx, sink);
   EXPECT_TRUE(sink.fired("geom.fixed-immobile"));
+}
+
+TEST(Checker, FarTerminalWarns) {
+  LintBench lb;
+  // The core is 10 x 4; a pad up to three core spans outside it is quiet.
+  lb.pl[lb.pad] = {-30.0, 2.0};
+  EXPECT_TRUE(lb.lint().clean());
+  lb.pl[lb.pad] = {-31.0, 2.0};
+  auto sink = lb.lint();
+  EXPECT_TRUE(sink.fired("geom.far-terminals"));
+  EXPECT_EQ(sink.num_errors(), 0u);
+  EXPECT_EQ(sink.num_warnings(), 1u);
+  lb.pl[lb.pad] = {5.0, 1e300};
+  sink = lb.lint();
+  EXPECT_TRUE(sink.fired("geom.far-terminals"));
+  EXPECT_EQ(sink.num_errors(), 0u);
+}
+
+// A placed dp_add32, written to Bookshelf with its groups and read back
+// (what CI's lint step checks with --strict), draws no diagnostic: its
+// pads ring the core closely and its pins lie inside their cells.
+TEST(Checker, BookshelfExportLintsClean) {
+  dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
+  Placement pl = bench.placement;
+  const core::PlaceReport report =
+      core::StructurePlacer(bench.netlist, bench.design, {}).place(pl);
+  const std::string base = ::testing::TempDir() + "lint_export";
+  netlist::write_bookshelf(base, bench.netlist, bench.design, pl);
+  netlist::write_groups(base + ".groups", bench.netlist, report.structure);
+  const netlist::Problem p = netlist::read_bookshelf(base + ".aux");
+  const netlist::StructureAnnotation groups =
+      netlist::read_groups(base + ".groups", p.netlist);
+  CheckContext ctx;
+  ctx.netlist = &p.netlist;
+  ctx.design = &p.design;
+  ctx.placement = &p.placement;
+  ctx.structure = &groups;
+  DiagnosticSink sink;
+  run_checks(ctx, sink);
+  EXPECT_TRUE(sink.clean()) << format_text(sink, &p.netlist);
 }
 
 // ---- legality rules --------------------------------------------------------

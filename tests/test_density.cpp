@@ -4,7 +4,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "dpgen/benchmarks.hpp"
 #include "geom/rect.hpp"
@@ -378,7 +381,11 @@ struct Setup {
   bool area_scale = false;
 };
 
-/// Runs reference and kernel on (pl, vars) at 1, 2 and 4 threads, and
+/// The thread counts every kernel result is compared at. Pass 1 runs one
+/// block per worker, so 3 and 5 split its 64 value groups unevenly.
+constexpr std::size_t kThreadCounts[] = {1, 2, 3, 5, 8};
+
+/// Runs reference and kernel on (pl, vars) at every kThreadCounts, and
 /// asserts value and gradient equal to the last bit -- through eval() and
 /// through value() followed by gradient(). Gradients accumulate onto a
 /// shared non-zero prefill, as the kernel's contract is +=.
@@ -404,7 +411,7 @@ void expect_bitwise(const dpgen::Benchmark& b, const Placement& pl,
   std::vector<double> rgx = prefill, rgy = prefill;
   const double rv = ref.eval(pl, vars, rgx, rgy);
 
-  for (const std::size_t threads : {1u, 2u, 4u}) {
+  for (const std::size_t threads : kThreadCounts) {
     SCOPED_TRACE(std::string(label) + " threads=" + std::to_string(threads));
     DensityPenalty den(nl, b.design, setup.bins);
     if (setup.area_scale) den.set_area_scale(scale);
@@ -481,22 +488,24 @@ TEST(DensityBitwise, FineAndOddGrids) {
 // positions built from them are exact.
 constexpr std::size_t kEdgeBins = 16;
 
-/// The bins of the fixed windows of the cells: a cell w x h covers
-/// floor(w / bw) + 5 columns -- ceil(w / bw) + 4 unless w / bw is whole,
-/// the most bin centers its bell's support of length w + 4 bw can hold --
-/// and floor(h / bh) + 5 rows, at most the whole grid.
+/// The fixed window extent of a cell `cell` wide on a kEdgeBins grid of
+/// bins `bin` wide: floor(cell / bin) + 5 -- ceil(cell / bin) + 4 unless
+/// cell / bin is whole, the most bin centers its bell's support of length
+/// cell + 4 bin can hold -- at most the whole grid.
+std::uint64_t window_extent(double cell, double bin) {
+  return std::min<std::uint64_t>(
+      kEdgeBins, static_cast<std::uint64_t>(std::floor(cell / bin)) + 5);
+}
+
+/// The bins of the fixed windows of the cells on a kEdgeBins grid.
 std::uint64_t window_rule_bins(const dpgen::Benchmark& b, const VarMap& vars) {
   const geom::Rect& core = b.design.core();
   const double bw = core.width() / kEdgeBins;
   const double bh = core.height() / kEdgeBins;
-  auto extent = [](double cell, double bin) {
-    return std::min<std::uint64_t>(
-        kEdgeBins, static_cast<std::uint64_t>(std::floor(cell / bin)) + 5);
-  };
   std::uint64_t bins = 0;
   for (const CellId c : vars.movable_cells()) {
-    bins += extent(b.netlist.cell_width(c), bw) *
-            extent(b.netlist.cell_height(c), bh);
+    bins += window_extent(b.netlist.cell_width(c), bw) *
+            window_extent(b.netlist.cell_height(c), bh);
   }
   return bins;
 }
@@ -594,11 +603,61 @@ TEST(DensityBitwise, CellsClippedAtCoreEdges) {
   expect_bitwise(b, pl, vars, {kEdgeBins, true}, "clipped area-scale");
 }
 
+// Passes 0 and 2 pair the cells of one window within a chunk, and a cell
+// left without a partner gets a slot of its own, with its own bell
+// layout. Here one chunk's window shapes leave lone cells beside pairs:
+// windows held by one cell, by three (a single pair and a lone cell) and
+// by five.
+TEST(DensityBitwise, LoneCellsAndPairTails) {
+  using netlist::CellFunc;
+  netlist::NetlistBuilder builder(netlist::standard_library());
+  const std::pair<CellFunc, std::size_t> kinds[] = {{CellFunc::kInv, 1},
+                                                    {CellFunc::kNand2, 3},
+                                                    {CellFunc::kDff, 5},
+                                                    {CellFunc::kFullAdder, 6}};
+  for (const auto& [func, count] : kinds) {
+    for (std::size_t i = 0; i < count; ++i) {
+      builder.add_cell(
+          std::string("c").append(std::to_string(builder.peek().num_cells())),
+          func);
+    }
+  }
+  netlist::Netlist nl = builder.take();
+  const netlist::Design design = netlist::Design::for_netlist(nl, 0.7);
+  const dpgen::Benchmark b{"tails", std::move(nl), design, {}, {}};
+  const VarMap vars(b.netlist);
+  const geom::Rect& core = b.design.core();
+
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::size_t> per_window;
+  for (const CellId c : vars.movable_cells()) {
+    ++per_window[{window_extent(b.netlist.cell_width(c),
+                                core.width() / kEdgeBins),
+                  window_extent(b.netlist.cell_height(c),
+                                core.height() / kEdgeBins)}];
+  }
+  bool alone = false, three = false, odd_pairs = false;
+  for (const auto& [window, cells] : per_window) {
+    alone |= cells == 1;
+    three |= cells == 3;
+    odd_pairs |= cells > 3 && cells % 2 == 1;
+  }
+  ASSERT_TRUE(alone && three && odd_pairs)
+      << per_window.size() << " window shapes";
+
+  Placement pl(b.netlist.num_cells());
+  util::Rng rng(17);
+  for (auto& p : pl) {
+    p = {rng.uniform(core.lx, core.hx), rng.uniform(core.ly, core.hy)};
+  }
+  expect_bitwise(b, pl, vars, {kEdgeBins, false}, "tails");
+  expect_bitwise(b, pl, vars, {kEdgeBins, true}, "tails area-scale");
+}
+
 TEST(DensityBitwise, BinsVisitedIsThreadIndependent) {
   const Scaled4k& s = scaled4k();
   const VarMap vars(s.bench.netlist);
   std::uint64_t serial = 0;
-  for (const std::size_t threads : {1u, 2u, 4u}) {
+  for (const std::size_t threads : kThreadCounts) {
     DensityPenalty den(s.bench.netlist, s.bench.design);
     den.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
     den.value(s.spread, vars);
@@ -653,7 +712,7 @@ TEST(DensityBitwise, GradientAfterRejectedProbe) {
   const Scaled4k& s = scaled4k();
   const VarMap vars(s.bench.netlist);
   const Expected want = reference_eval(s.bench, s.spread, vars);
-  for (const std::size_t threads : {1u, 2u, 4u}) {
+  for (const std::size_t threads : kThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     DensityPenalty den(s.bench.netlist, s.bench.design);
     den.set_thread_pool(std::make_shared<util::ThreadPool>(threads));

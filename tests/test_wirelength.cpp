@@ -394,6 +394,42 @@ TEST(WirelengthBitwise, CoincidentTiedAndOffsetExtremes) {
   expect_wl_bitwise(nl, piled, 1.0);
 }
 
+// On a net of >= 3 pins one exp() call serves the first min pin's wmax and
+// the first max pin's wmin. Each axis of HandNets' 5-pin net takes one of
+// these layouts, given as pin positions in net pin order (the driver
+// first): all pins coincident, so the first pin is both extremes
+// (hi_pin == lo_pin); two pins tied at max_c and two at min_c, the max
+// pair first; and the same ties with the min pair first and the driver
+// at the max.
+TEST(WirelengthBitwise, SharedExtremeExp) {
+  HandNets h;
+  const auto& nl = *h.nl;
+  const auto& pins = nl.net(1).pins;
+  ASSERT_EQ(pins.size(), 5u);
+  using Layout = std::vector<double>;
+  const std::vector<Layout> layouts = {{2.5, 2.5, 2.5, 2.5, 2.5},
+                                       {1.0, 4.0, 4.0, -2.0, -2.0},
+                                       {6.0, -1.0, -1.0, 6.0, 0.5}};
+  Placement pl(nl.num_cells());
+  util::Rng rng(13);
+  for (auto& p : pl) p = {rng.uniform(0.0, 8.0), rng.uniform(0.0, 8.0)};
+  for (const Layout& x : layouts) {
+    for (const Layout& y : layouts) {
+      SCOPED_TRACE("x=" + std::to_string(x[0]) + " y=" + std::to_string(y[0]));
+      for (std::size_t i = 0; i < pins.size(); ++i) {
+        const netlist::Pin& pin = nl.pin(pins[i]);
+        pl[pin.cell] = {x[i] - pin.offset_x, y[i] - pin.offset_y};
+      }
+      for (std::size_t i = 0; i < pins.size(); ++i) {
+        const geom::Point at = nl.pin_position(pins[i], pl);
+        ASSERT_EQ(at.x, x[i]);
+        ASSERT_EQ(at.y, y[i]);
+      }
+      for (const double gamma : {0.5, 3.0}) expect_wl_bitwise(nl, pl, gamma);
+    }
+  }
+}
+
 /// Two fixed chunks of INV-cell nets, each net on cells of its own, laid
 /// out around the kernel's two paths (2-pin nets and larger ones):
 ///   chunk 0: twelve 3-pin nets, then 1,007 2-pin nets (an odd count);
@@ -488,9 +524,9 @@ TEST(WirelengthChunks, PinBalanced) {
 
 TEST(WirelengthBitwise, ExpCallsFollowNetDegrees) {
   HandNets h;
-  // Per axis: 1 call on each 2-pin net, 2 * 5 - 2 on the 5-pin net.
+  // Per axis: 1 call on each 2-pin net, 2 * 5 - 3 on the 5-pin net.
   const SmoothWirelength wl(*h.nl, WirelengthModel::kWa, 1.0);
-  EXPECT_EQ(wl.exp_calls(), 2u * (1 + 8 + 1));
+  EXPECT_EQ(wl.exp_calls(), 2u * (1 + 7 + 1));
 }
 
 TEST(Hpwl, TwoPinNetExact) {
