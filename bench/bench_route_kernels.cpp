@@ -1,11 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the route::CongestionMap
 // kernels: full RUDY+pin rasterization on dp_alu32-sized data, a
 // grid-resolution sweep, the report() metric pass, and the cell-inflation
-// feedback. Unless the caller passes --benchmark_out, results are also
-// written to BENCH_route_kernels.json (machine-readable, consumed by CI).
+// feedback. A run writes a file only when given --benchmark_out=FILE; CI
+// records into BENCH_route_kernels.fresh.json and compares it with the
+// committed BENCH_route_kernels.json.
 #include <benchmark/benchmark.h>
 
-#include <string_view>
 #include <vector>
 
 #include "common.hpp"
@@ -81,29 +81,4 @@ BENCHMARK(BM_InflateCells);
 
 }  // namespace
 
-// Like BENCHMARK_MAIN(), but defaults --benchmark_out to
-// BENCH_route_kernels.json (JSON format) when the caller didn't choose an
-// output file, so a bare run always leaves a machine-readable record.
-int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]).rfind("--benchmark_out", 0) == 0) {
-      has_out = true;
-    }
-  }
-  static char out_flag[] = "--benchmark_out=BENCH_route_kernels.json";
-  static char fmt_flag[] = "--benchmark_out_format=json";
-  if (!has_out) {
-    args.push_back(out_flag);
-    args.push_back(fmt_flag);
-  }
-  int args_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&args_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(args_argc, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

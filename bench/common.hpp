@@ -72,7 +72,7 @@ inline TruthScore truth_score(const dpgen::Benchmark& bench,
   std::vector<double> lengths;
   TruthScore score;
   for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
-    for (const netlist::PinId p : nl.net(n).pins) {
+    for (const netlist::PinId p : nl.net_pins(n)) {
       if (!member[nl.pin(p).cell]) continue;
       lengths.push_back(eval::net_hpwl(nl, n, pl));
       score.datapath_hpwl += nl.net(n).weight * lengths.back();

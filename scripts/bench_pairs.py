@@ -15,15 +15,16 @@ use; a run's stderr (build output and driver logs) is printed only when
 the run fails.
 
 For every end-to-end metric the script prints each side's median and
-quartiles over the pairs and the change of the median. For place_s (lower
-is better) it prints every pair, counts the pairs the change won (ties
-count for neither side), and says whether the change won at least nine
-tenths of them with a median gain larger than the distance between the
-parent's quartiles. Beside that rule it prints each side's minimum
-place_s and the median and quartiles of the per-pair ratio change/parent:
-on a host whose speed drifts, both move less with the drift than the
-side medians do. It also reports whether each quality metric read the
-same bits in every run on both sides.
+quartiles over the pairs and the change of the median; it prints place_s
+for every pair as the pairs run. For each metric that the parent's
+BENCHMARK.json lists under end_to_end as lower-is-better, it counts the
+pairs the change won (ties count for neither side) and says whether the
+change won at least nine tenths of them with a median gain larger than
+the distance between the parent's quartiles. Beside that rule it prints
+each side's minimum and the median and quartiles of the per-pair ratio
+change/parent: on a host whose speed drifts, both move less with the
+drift than the side medians do. It also reports whether each quality
+metric read the same bits in every run on both sides.
 
 Exit status: 0 when every run succeeded, 1 when one failed.
 """
@@ -39,10 +40,13 @@ METRIC = "place_s"
 QUALITY = ("hpwl", "datapath_hpwl", "crit_delay", "cong_peak")
 
 
-def run_seconds(checkout):
-    """The run_seconds of the checkout's BENCHMARK.json."""
+def read_benchmark(checkout):
+    """The run_seconds of the checkout's BENCHMARK.json and the names of
+    its lower-is-better end-to-end metrics."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as f:
-        return json.load(f)["run_seconds"]
+        spec = json.load(f)
+    lower = [m["name"] for m in spec["end_to_end"] if m["better"] == "lower"]
+    return spec["run_seconds"], lower
 
 
 def run_once(checkout, args, seconds):
@@ -69,6 +73,26 @@ def summary(values):
     return med, q1, q3
 
 
+def gain_rule(name, parent, change):
+    """Prints the gain rule's verdict for one lower-is-better metric, with
+    each side's minimum and the per-pair ratio change/parent."""
+    wins = sum(b < a for a, b in zip(parent, change))
+    ties = sum(b == a for a, b in zip(parent, change))
+    med_p, q1_p, q3_p = summary(parent)
+    gain = med_p - summary(change)[0]
+    met = 10 * wins >= 9 * len(parent) and gain > q3_p - q1_p
+    print("%s: %s; change won %d of %d pairs (%d ties), median gain %.4g, "
+          "parent quartile spread %.4g" %
+          (name, "met" if met else "not met", wins, len(parent), ties, gain,
+           q3_p - q1_p))
+    ratio = "-"
+    if all(parent):
+        ratio = "median %.4f [%.4f, %.4f]" % summary(
+            [b / a for a, b in zip(parent, change)])
+    print("  minimum: parent %.4g, change %.4g; per-pair ratio "
+          "change/parent: %s" % (min(parent), min(change), ratio))
+
+
 def main(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent")
@@ -80,7 +104,7 @@ def main(argv):
 
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
-    seconds = run_seconds(sides["parent"])
+    seconds, lower = read_benchmark(sides["parent"])
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -102,27 +126,12 @@ def main(argv):
         delta = "%+.1f%%" % (100.0 * (cols[1][0] - base) / base) if base else "-"
         print("%-16s %-32s %-32s %s" % (name, cols[0][1], cols[1][1], delta))
 
-    wins = ties = 0
-    for a, b in zip(runs["parent"], runs["change"]):
-        ties += a[METRIC] == b[METRIC]
-        wins += b[METRIC] < a[METRIC]
-    med_p, q1_p, q3_p = summary([r[METRIC] for r in runs["parent"]])
-    med_c = summary([r[METRIC] for r in runs["change"]])[0]
-    gain = med_p - med_c
-    print("\n%s: change won %d of %d pairs (%d ties); median gain %.4g, "
-          "parent quartile spread %.4g" %
-          (METRIC, wins, args.pairs, ties, gain, q3_p - q1_p))
-    print("gain rule (won >= 9/10 of the pairs, median gain > parent "
-          "quartile spread): %s" %
-          ("met" if 10 * wins >= 9 * args.pairs and gain > q3_p - q1_p
-           else "not met"))
-    print("%s minimum: parent %.4g, change %.4g" %
-          (METRIC, min(r[METRIC] for r in runs["parent"]),
-           min(r[METRIC] for r in runs["change"])))
-    ratio, q1_r, q3_r = summary([b[METRIC] / a[METRIC] for a, b in
-                                 zip(runs["parent"], runs["change"])])
-    print("%s per-pair ratio change/parent: median %.4f [%.4f, %.4f]" %
-          (METRIC, ratio, q1_r, q3_r))
+    print("\ngain rule: won >= 9/10 of the pairs, median gain > parent "
+          "quartile spread")
+    for name in lower:
+        if name in runs["parent"][0]:
+            gain_rule(name, [r[name] for r in runs["parent"]],
+                      [r[name] for r in runs["change"]])
 
     for name in QUALITY:
         values = {r[name] for side in runs.values() for r in side if name in r}

@@ -51,21 +51,21 @@ void rule_pin_refs(const CheckContext& ctx, DiagnosticSink& sink) {
       continue;
     }
     bool in_cell = false;
-    for (PinId q : nl.cell(pin.cell).pins) in_cell |= (q == p);
+    for (PinId q : nl.cell_pins(pin.cell)) in_cell |= (q == p);
     if (!in_cell) {
       sink.report(Severity::kError, "netlist.pin-refs", Anchor::pin(p),
                   "pin not listed by its cell '" + nl.cell(pin.cell).name +
                       "'");
     }
     bool in_net = false;
-    for (PinId q : nl.net(pin.net).pins) in_net |= (q == p);
+    for (PinId q : nl.net_pins(pin.net)) in_net |= (q == p);
     if (!in_net) {
       sink.report(Severity::kError, "netlist.pin-refs", Anchor::pin(p),
                   "pin not listed by its net '" + nl.net(pin.net).name + "'");
     }
   }
   for (CellId c = 0; c < nl.num_cells(); ++c) {
-    for (PinId p : nl.cell(c).pins) {
+    for (PinId p : nl.cell_pins(c)) {
       if (p >= nl.num_pins()) {
         sink.report(Severity::kError, "netlist.pin-refs", Anchor::cell(c),
                     "cell lists nonexistent pin id " + std::to_string(p));
@@ -78,7 +78,7 @@ void rule_pin_refs(const CheckContext& ctx, DiagnosticSink& sink) {
     }
   }
   for (NetId n = 0; n < nl.num_nets(); ++n) {
-    for (PinId p : nl.net(n).pins) {
+    for (PinId p : nl.net_pins(n)) {
       if (p >= nl.num_pins()) {
         sink.report(Severity::kError, "netlist.pin-refs", Anchor::net(n),
                     "net lists nonexistent pin id " + std::to_string(p));
@@ -113,7 +113,7 @@ void rule_cell_types(const CheckContext& ctx, DiagnosticSink& sink) {
                       fmt("%gx%g", type.width, type.height));
     }
     std::unordered_map<std::uint16_t, PinId> bound;
-    for (PinId p : cell.pins) {
+    for (PinId p : nl.cell_pins(c)) {
       if (p >= nl.num_pins()) continue;  // rule_pin_refs reports these
       const netlist::Pin& pin = nl.pin(p);
       if (pin.port >= type.pins.size()) {
@@ -172,7 +172,7 @@ void rule_net_shape(const CheckContext& ctx, DiagnosticSink& sink) {
                       " is not a positive finite number");
     }
     std::size_t drivers = 0;
-    for (PinId p : net.pins) {
+    for (PinId p : nl.net_pins(n)) {
       if (p < nl.num_pins() && nl.pin(p).dir == netlist::PinDir::kOutput) {
         ++drivers;
       }
@@ -470,12 +470,12 @@ bool timing_prereqs_ok(const netlist::Netlist& nl) {
   }
   for (CellId c = 0; c < nl.num_cells(); ++c) {
     if (nl.cell(c).type >= nl.library().size()) return false;
-    for (const netlist::PinId p : nl.cell(c).pins) {
+    for (const netlist::PinId p : nl.cell_pins(c)) {
       if (p >= nl.num_pins()) return false;
     }
   }
   for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
-    for (const netlist::PinId p : nl.net(n).pins) {
+    for (const netlist::PinId p : nl.net_pins(n)) {
       if (p >= nl.num_pins()) return false;
     }
   }

@@ -120,9 +120,9 @@ class Engine {
   double optimal_position(CellId c) {
     const double half_w = nl_->cell_width(c) / 2.0;
     breakpoints_.clear();
-    for (PinId p : nl_->cell(c).pins) {
+    for (PinId p : nl_->cell_pins(c)) {
       const auto& pin = nl_->pin(p);
-      const auto& net_pins = nl_->net(pin.net).pins;
+      const auto net_pins = nl_->net_pins(pin.net);
       if (net_pins.size() < 2) continue;
       double lo = std::numeric_limits<double>::infinity(), hi = -lo;
       bool external = false;

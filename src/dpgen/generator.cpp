@@ -50,19 +50,13 @@ void Generator::output_bus(const std::string& prefix, const Bus& bus) {
 
 void Generator::add_control_block(const std::string& prefix,
                                   std::size_t num_cells) {
-  const netlist::CellId first = static_cast<netlist::CellId>(num_cells ? builder_.num_cells() : 0);
-  add_glue(prefix, num_cells, {});
-  // Pool: the output nets of a deterministic sample of the block's cells.
-  const auto last = static_cast<netlist::CellId>(builder_.num_cells());
-  for (netlist::CellId c = first; c < last; ++c) {
-    if (control_pool_.size() >= 64) break;
-    if ((c - first) % 7 != 0) continue;  // spread the sample
-    for (netlist::PinId p : builder_.peek().cell(c).pins) {
-      if (builder_.peek().pin(p).dir == netlist::PinDir::kOutput) {
-        control_pool_.push_back(builder_.peek().pin(p).net);
-        break;
-      }
-    }
+  std::vector<std::size_t> fanout;
+  const std::vector<NetId> live = grow_glue(prefix, num_cells, {}, fanout);
+  // Pool: the nets driven by a deterministic sample of the block's cells,
+  // every 7th of its two seed pads and glue cells in creation order.
+  for (std::size_t k = 0; k < live.size() && control_pool_.size() < 64;
+       k += 7) {
+    control_pool_.push_back(live[k]);
   }
 }
 
@@ -350,12 +344,26 @@ Bus Generator::add_register_file(const std::string& prefix, const Bus& data,
 std::vector<netlist::NetId> Generator::add_glue(
     const std::string& prefix, std::size_t num_cells,
     std::vector<netlist::NetId> seeds) {
+  std::vector<std::size_t> fanout;
+  const std::vector<NetId> live =
+      grow_glue(prefix, num_cells, std::move(seeds), fanout);
+  // Expose a handful of driven-but-unused nets as module outputs.
+  std::vector<NetId> outs;
+  for (std::size_t i = live.size(); i-- > 0 && outs.size() < 8;) {
+    if (fanout[i] == 0) outs.push_back(live[i]);
+  }
+  return outs;
+}
+
+std::vector<netlist::NetId> Generator::grow_glue(
+    const std::string& prefix, std::size_t num_cells,
+    std::vector<netlist::NetId> seeds, std::vector<std::size_t>& fanout) {
   if (seeds.empty()) {
     seeds.push_back(input(prefix + "_seed0"));
     seeds.push_back(input(prefix + "_seed1"));
   }
   std::vector<NetId> live = std::move(seeds);
-  std::vector<std::size_t> fanout(live.size(), 0);
+  fanout.assign(live.size(), 0);
 
   struct FuncPick {
     CellFunc func;
@@ -402,13 +410,7 @@ std::vector<netlist::NetId> Generator::add_glue(
     live.push_back(y);
     fanout.push_back(0);
   }
-
-  // Expose a handful of driven-but-unused nets as module outputs.
-  std::vector<NetId> outs;
-  for (std::size_t i = live.size(); i-- > 0 && outs.size() < 8;) {
-    if (fanout[i] == 0) outs.push_back(live[i]);
-  }
-  return outs;
+  return live;
 }
 
 Benchmark Generator::finish(double utilization) {

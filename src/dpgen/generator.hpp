@@ -94,6 +94,13 @@ class Generator {
 
  private:
   netlist::NetId fresh_net(const std::string& name);
+  /// add_glue's cells. Returns the nets they draw inputs from: `seeds` (or
+  /// two fresh seed pads' nets when it is empty), then each glue cell's
+  /// output net in creation order; `fanout` gets each one's input count.
+  std::vector<netlist::NetId> grow_glue(const std::string& prefix,
+                                        std::size_t num_cells,
+                                        std::vector<netlist::NetId> seeds,
+                                        std::vector<std::size_t>& fanout);
   netlist::CellId add_pad(const std::string& name);
 
   std::string name_;

@@ -13,7 +13,7 @@ using netlist::PinId;
 
 double net_hpwl(const netlist::Netlist& nl, NetId net,
                 const netlist::Placement& pl) {
-  const auto& pins = nl.net(net).pins;
+  const auto pins = nl.net_pins(net);
   if (pins.size() < 2) return 0.0;
   geom::Rect box;
   for (PinId p : pins) box.expand(nl.pin_position(p, pl));
@@ -32,7 +32,7 @@ MoveScorer::Score MoveScorer::move(std::span<const CellId> cells,
                                    std::span<const geom::Point> centers) {
   nets_.clear();
   for (CellId c : cells) {
-    for (PinId p : nl_->cell(c).pins) nets_.push_back({nl_->pin(p).net});
+    for (PinId p : nl_->cell_pins(c)) nets_.push_back({nl_->pin(p).net});
   }
   std::sort(nets_.begin(), nets_.end(),
             [](const NetChange& a, const NetChange& b) {
@@ -69,7 +69,7 @@ double datapath_hpwl(const netlist::Netlist& nl, const netlist::Placement& pl,
   double total = 0.0;
   for (NetId n = 0; n < nl.num_nets(); ++n) {
     bool touches = false;
-    for (PinId p : nl.net(n).pins) {
+    for (PinId p : nl.net_pins(n)) {
       if (member[nl.pin(p).cell]) {
         touches = true;
         break;

@@ -69,7 +69,7 @@ ExtractResult extract_structures(const netlist::Netlist& nl) {
   // ---- labeled adjacency with per-cell unique labels --------------------
   std::vector<std::vector<Edge>> adj(n);
   for (NetId net = 0; net < nl.num_nets(); ++net) {
-    const auto& pins = nl.net(net).pins;
+    const auto pins = nl.net_pins(net);
     if (pins.size() < 2 || pins.size() > kMaxNetDegree) continue;
     for (PinId p : pins) {
       const auto& pin = nl.pin(p);
@@ -159,7 +159,7 @@ ExtractResult extract_structures(const netlist::Netlist& nl) {
 
   // (b) Bus columns: same-port same-signature sinks of one shared net.
   for (NetId net = 0; net < nl.num_nets(); ++net) {
-    const auto& pins = nl.net(net).pins;
+    const auto pins = nl.net_pins(net);
     if (pins.size() < kMinBits || pins.size() > kMaxBusDegree) continue;
     std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<CellId>>
         by_role;

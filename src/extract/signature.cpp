@@ -46,9 +46,9 @@ std::vector<std::uint64_t> cell_signatures(const netlist::Netlist& nl) {
   for (std::size_t round = 0; round < kRounds; ++round) {
     for (CellId c = 0; c < n; ++c) {
       std::uint64_t h = hash_combine(sig[c], 0xC0DEULL + round);
-      for (PinId p : nl.cell(c).pins) {
+      for (PinId p : nl.cell_pins(c)) {
         const auto& pin = nl.pin(p);
-        const auto& net_pins = nl.net(pin.net).pins;
+        const auto net_pins = nl.net_pins(pin.net);
         std::uint64_t ph = hash_combine(0xBEEFULL, pin.port);
         if (net_pins.size() > kFanoutLimit) {
           // Control rail: only a coarse degree bucket.

@@ -42,9 +42,9 @@ void quadratic_initial_placement(const netlist::Netlist& nl,
   };
   std::vector<NetSum> net_sums(nets.num_nets());
   for (std::size_t kn = 0; kn < nets.num_nets(); ++kn) {
-    const netlist::Net& net = nl.net(nets.net_id[kn]);
-    net_sums[kn] = {Lanes{0.0, 0.0}, net.weight,
-                    static_cast<double>(net.pins.size()) - 1.0};
+    const netlist::NetId n = nets.net_id[kn];
+    net_sums[kn] = {Lanes{0.0, 0.0}, nl.net(n).weight,
+                    static_cast<double>(nl.net_pins(n).size()) - 1.0};
   }
   // A movable cell's pins on kept nets, in cell pin order: variable v's
   // are pin_net/pin_offset[pin_first[v] .. pin_first[v + 1]).
@@ -55,7 +55,7 @@ void quadratic_initial_placement(const netlist::Netlist& nl,
   std::vector<std::uint32_t> pin_first{0}, pin_net;
   std::vector<Lanes> pin_offset;  ///< {dx, dy} from the cell center
   for (const CellId c : vars.movable_cells()) {
-    for (const PinId p : nl.cell(c).pins) {
+    for (const PinId p : nl.cell_pins(c)) {
       const netlist::Pin& pin = nl.pin(p);
       if (kept[pin.net] == netlist::kInvalidId) continue;
       pin_net.push_back(kept[pin.net]);

@@ -166,9 +166,10 @@ void write_bookshelf(const std::string& basename, const Netlist& netlist,
     out << "NumNets : " << netlist.num_nets() << "\n";
     out << "NumPins : " << netlist.num_pins() << "\n";
     for (NetId n = 0; n < netlist.num_nets(); ++n) {
-      const Net& net = netlist.net(n);
-      out << "NetDegree : " << net.pins.size() << " " << net.name << "\n";
-      for (PinId p : net.pins) {
+      const auto pins = netlist.net_pins(n);
+      out << "NetDegree : " << pins.size() << " " << netlist.net(n).name
+          << "\n";
+      for (PinId p : pins) {
         const Pin& pin = netlist.pin(p);
         out << "  " << netlist.cell(pin.cell).name << " "
             << (pin.dir == PinDir::kOutput ? "O" : "I") << " : "
@@ -238,6 +239,7 @@ Problem read_bookshelf(const std::string& aux_path) {
     std::string name;
     double w = 0.0, h = 0.0;
     bool terminal = false;
+    CellTypeId type = 0;
   };
   std::vector<RawNode> raw_nodes;
   // The builder numbers cells in .nodes order, so a node's CellId is its
@@ -292,21 +294,24 @@ Problem read_bookshelf(const std::string& aux_path) {
     return static_cast<long long>(std::llround(w * 1e6)) * 1000003LL +
            static_cast<long long>(std::llround(h * 1e6));
   };
-  for (const RawNode& r : raw_nodes) {
+  for (RawNode& r : raw_nodes) {
     const long long key = size_key(r.w, r.h);
-    if (type_by_size.contains(key)) continue;
+    if (const auto it = type_by_size.find(key); it != type_by_size.end()) {
+      r.type = it->second;
+      continue;
+    }
     CellType t;
     t.name = "GEN_" + std::to_string(type_by_size.size());
     t.func = CellFunc::kGeneric;
     t.width = r.w;
     t.height = r.h;
-    type_by_size.emplace(key, library->add(std::move(t)));
+    r.type = library->add(std::move(t));
+    type_by_size.emplace(key, r.type);
   }
 
   NetlistBuilder builder{std::shared_ptr<const Library>(library)};
   for (const RawNode& r : raw_nodes) {
-    builder.add_cell(r.name, type_by_size.at(size_key(r.w, r.h)),
-                     r.terminal);
+    builder.add_cell(r.name, r.type, r.terminal);
   }
 
   // Pass 2: nets. Ports are appended to generic types on demand; since the
@@ -321,17 +326,16 @@ Problem read_bookshelf(const std::string& aux_path) {
     LineReader in(nets_path);
     std::string line;
     NetId current = kInvalidId;
+    std::string current_name;
     std::size_t net_count = 0;
-    std::size_t degree = 0;
+    std::size_t degree = 0, listed = 0;
     // The pins listed under the current net must number its NetDegree.
     auto check_degree = [&] {
-      if (current == kInvalidId) return;
-      const Net& net = builder.peek().net(current);
-      if (net.pins.size() == degree) return;
+      if (current == kInvalidId || listed == degree) return;
       throw std::runtime_error(
-          "bookshelf: net '" + net.name + "' in " + nets_path +
+          "bookshelf: net '" + current_name + "' in " + nets_path +
           " declares NetDegree " + std::to_string(degree) + " but lists " +
-          std::to_string(net.pins.size()) + " pin(s)");
+          std::to_string(listed) + " pin(s)");
     };
     HeaderCount num_nets{"NumNets", "nets"}, num_pins{"NumPins", "pins"};
     while (in.next(line)) {
@@ -349,11 +353,14 @@ Problem read_bookshelf(const std::string& aux_path) {
       }
       if (first == "NetDegree") {
         check_degree();
-        std::string colon, name;
-        degree = 0;
-        ls >> colon >> degree >> name;
-        if (name.empty()) name = "net_" + std::to_string(net_count);
-        current = builder.add_net(name);
+        std::string colon;
+        current_name.clear();
+        degree = listed = 0;
+        ls >> colon >> degree >> current_name;
+        if (current_name.empty()) {
+          current_name = "net_" + std::to_string(net_count);
+        }
+        current = builder.add_net(current_name);
         ++net_count;
         continue;
       }
@@ -375,8 +382,7 @@ Problem read_bookshelf(const std::string& aux_path) {
       }
       NodeRec& rec = it->second;
       // Grow the generic type's pin bank if this instance needs more ports.
-      const CellTypeId tid = builder.peek().cell(rec.cell).type;
-      CellType& type = library->mutable_type(tid);
+      CellType& type = library->mutable_type(raw_nodes[rec.cell].type);
       while (type.pins.size() <= rec.next_port) {
         type.pins.push_back(
             {std::string("P").append(std::to_string(type.pins.size())),
@@ -385,6 +391,7 @@ Problem read_bookshelf(const std::string& aux_path) {
       type.pins[rec.next_port].dir =
           (dir == "O") ? PinDir::kOutput : PinDir::kInput;
       const PinId pin = builder.connect(rec.cell, rec.next_port++, current);
+      ++listed;
       offsets.push_back({pin, ox, oy});
     }
     check_degree();

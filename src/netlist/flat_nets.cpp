@@ -5,7 +5,7 @@ namespace dp::netlist {
 FlatNets::FlatNets(const Netlist& nl, std::size_t min_pins) {
   net_first.push_back(0);
   for (NetId n = 0; n < nl.num_nets(); ++n) {
-    const auto& pins = nl.net(n).pins;
+    const auto pins = nl.net_pins(n);
     if (pins.size() < min_pins) continue;
     net_id.push_back(n);
     net_weight.push_back(nl.net(n).weight);

@@ -21,32 +21,31 @@ inline constexpr std::uint32_t kInvalidId =
 
 /// A cell instance. Geometry comes from its CellType; position lives in a
 /// separate Placement vector so optimizers can treat coordinates as dense
-/// arrays.
+/// arrays, and its pins are Netlist::cell_pins().
 struct Cell {
   std::string name;
   CellTypeId type = 0;
   bool fixed = false;
-  std::vector<PinId> pins;
 };
 
 /// A pin instance: the junction between one cell and one net.
 struct Pin {
-  CellId cell = kInvalidId;
-  NetId net = kInvalidId;
-  PinDir dir = PinDir::kInput;
   /// Offset from the cell center, copied from the PinSpec at creation.
   double offset_x = 0.0;
   double offset_y = 0.0;
+  CellId cell = kInvalidId;
+  NetId net = kInvalidId;
   /// Index of the pin within its cell type (the "port"); extraction keys
   /// fan-out traversal on this.
   std::uint16_t port = 0;
+  PinDir dir = PinDir::kInput;
 };
+static_assert(sizeof(Pin) == 32, "a Pin packs into 32 bytes");
 
-/// A signal net connecting two or more pins.
+/// A signal net connecting two or more pins (Netlist::net_pins()).
 struct Net {
   std::string name;
   double weight = 1.0;
-  std::vector<PinId> pins;
 };
 
 /// Cell positions (centers), indexed by CellId.
@@ -56,7 +55,11 @@ using Placement = std::vector<geom::Point>;
 ///
 /// Topology is append-only: cells/nets/pins are created through
 /// NetlistBuilder (or the Bookshelf reader) and never removed, so all ids
-/// stay stable for the lifetime of the netlist.
+/// stay stable for the lifetime of the netlist. The cell->pin and net->pin
+/// lists are two CSR arrays that NetlistBuilder::take() fills: the pins of
+/// cell c are `cell_pins_[cell_first_[c] .. cell_first_[c + 1])`, and each
+/// list is ascending by PinId, which is the order the builder connected
+/// them in.
 class Netlist {
  public:
   /// Non-owning: `library` must outlive the netlist (e.g. the static
@@ -74,6 +77,14 @@ class Netlist {
   const Cell& cell(CellId id) const { return cells_[id]; }
   const Net& net(NetId id) const { return nets_[id]; }
   const Pin& pin(PinId id) const { return pins_[id]; }
+
+  /// The pins of a cell / of a net, ascending by PinId.
+  std::span<const PinId> cell_pins(CellId id) const {
+    return pin_list(cell_first_, cell_pins_, id);
+  }
+  std::span<const PinId> net_pins(NetId id) const {
+    return pin_list(net_first_, net_pins_, id);
+  }
 
   std::size_t num_cells() const { return cells_.size(); }
   std::size_t num_nets() const { return nets_.size(); }
@@ -115,14 +126,26 @@ class Netlist {
     pins_[id].offset_y = offset_y;
   }
 
+  /// Element slots allocated but unused across the record and CSR arrays;
+  /// NetlistBuilder::take() leaves none.
+  std::size_t spare_capacity() const;
+
  private:
   friend class NetlistBuilder;
   friend class NetlistSurgeon;
+
+  static std::span<const PinId> pin_list(
+      const std::vector<std::uint32_t>& first, const std::vector<PinId>& pins,
+      std::uint32_t id) {
+    return {pins.data() + first[id], first[id + 1] - first[id]};
+  }
 
   std::shared_ptr<const Library> library_;
   std::vector<Cell> cells_;
   std::vector<Net> nets_;
   std::vector<Pin> pins_;
+  std::vector<std::uint32_t> cell_first_, net_first_;
+  std::vector<PinId> cell_pins_, net_pins_;
 };
 
 /// Deliberate-corruption escape hatch: mutable access to the topology
@@ -145,7 +168,8 @@ class NetlistSurgeon {
 };
 
 /// Incrementally constructs a Netlist. Used by the benchmark generator and
-/// the Bookshelf reader.
+/// the Bookshelf reader. Pin lists exist only once take() has built them,
+/// so the builder offers no view of the netlist under construction.
 class NetlistBuilder {
  public:
   explicit NetlistBuilder(const Library& library) : netlist_(library) {}
@@ -158,7 +182,9 @@ class NetlistBuilder {
   NetId add_net(std::string name, double weight = 1.0);
 
   /// Connect pin `port` (index into the cell type's pin list) of `cell`
-  /// to `net`. Each cell port may be connected at most once.
+  /// to `net`. Each cell port may be connected at most once. Throws
+  /// std::out_of_range on a port past the type's pins or a net never
+  /// added, and std::logic_error on a port already bound.
   PinId connect(CellId cell, std::uint16_t port, NetId net);
 
   /// Connect by port name (slower; used by readers and tests).
@@ -169,14 +195,20 @@ class NetlistBuilder {
   /// pads.
   PinId connect_dir(CellId cell, std::uint16_t port, NetId net, PinDir dir);
 
-  const Netlist& peek() const { return netlist_; }
   std::size_t num_cells() const { return netlist_.num_cells(); }
+  std::size_t num_nets() const { return netlist_.num_nets(); }
 
-  /// Finalize. The builder must not be used afterwards.
-  Netlist take() { return std::move(netlist_); }
+  /// Finalize: build the pin lists and trim every array to its size. The
+  /// builder must not be used afterwards.
+  Netlist take();
 
  private:
   Netlist netlist_;
+  /// Per cell, the last pin connected to it, and per pin, the pin of the
+  /// same cell connected before it (kInvalidId ends a chain): connect()
+  /// walks a cell's chain to refuse a port bound twice.
+  std::vector<PinId> last_cell_pin_;
+  std::vector<PinId> prev_cell_pin_;
 };
 
 }  // namespace dp::netlist

@@ -13,8 +13,8 @@ NetlistStats compute_stats(const Netlist& netlist,
   s.num_nets = netlist.num_nets();
   s.num_pins = netlist.num_pins();
   s.movable_area = netlist.movable_area();
-  for (const Net& n : netlist.nets()) {
-    s.max_net_degree = std::max(s.max_net_degree, n.pins.size());
+  for (NetId n = 0; n < s.num_nets; ++n) {
+    s.max_net_degree = std::max(s.max_net_degree, netlist.net_pins(n).size());
   }
   if (s.num_nets > 0) {
     s.avg_net_degree =

@@ -20,7 +20,7 @@ TimingGraph::TimingGraph(const netlist::Netlist& nl) : nl_(&nl) {
   for (CellId c = 0; c < nl.num_cells(); ++c) {
     const CellFunc func = nl.cell_type(c).func;
     if (func == CellFunc::kDff || func == CellFunc::kPad) continue;
-    const auto& pins = nl.cell(c).pins;
+    const auto pins = nl.cell_pins(c);
     for (const PinId in : pins) {
       if (nl.pin(in).dir != PinDir::kInput) continue;
       for (const PinId out : pins) {
@@ -32,7 +32,7 @@ TimingGraph::TimingGraph(const netlist::Netlist& nl) : nl_(&nl) {
   for (NetId n = 0; n < nl.num_nets(); ++n) {
     const PinId drv = nl.driver(n);
     if (drv == netlist::kInvalidId) continue;
-    for (const PinId sink : nl.net(n).pins) {
+    for (const PinId sink : nl.net_pins(n)) {
       if (nl.pin(sink).dir != PinDir::kInput) continue;
       arcs.push_back({drv, sink, ArcKind::kNet, n});
     }

@@ -108,7 +108,7 @@ TEST(Checker, PinRewiredToForeignNetFires) {
   LintBench lb;
   NetlistSurgeon surgeon(*lb.nl);
   // The pin now claims n1 but is still listed (only) by n2.
-  surgeon.pin(lb.nl->net(lb.n2).pins[0]).net = lb.n1;
+  surgeon.pin(lb.nl->net_pins(lb.n2)[0]).net = lb.n1;
   const auto sink = lb.lint();
   EXPECT_TRUE(sink.fired("netlist.pin-refs"));
 }
@@ -140,7 +140,7 @@ TEST(Checker, DegenerateTypeSizeFires) {
 TEST(Checker, FlippedPinDirFires) {
   LintBench lb;
   NetlistSurgeon surgeon(*lb.nl);
-  const netlist::PinId p = lb.nl->net(lb.n2).pins[0];  // c1's output "Y"
+  const netlist::PinId p = lb.nl->net_pins(lb.n2)[0];  // c1's output "Y"
   surgeon.pin(p).dir = PinDir::kInput;
   const auto sink = lb.lint();
   EXPECT_TRUE(sink.fired("netlist.pin-dirs"));
@@ -158,7 +158,7 @@ TEST(Checker, TwoDriversWarn) {
   LintBench lb;
   NetlistSurgeon surgeon(*lb.nl);
   // Make c2's input pin on n2 a second driver.
-  surgeon.pin(lb.nl->net(lb.n2).pins[1]).dir = PinDir::kOutput;
+  surgeon.pin(lb.nl->net_pins(lb.n2)[1]).dir = PinDir::kOutput;
   const auto sink = lb.lint();
   EXPECT_TRUE(sink.fired("netlist.net-shape"));
   EXPECT_GT(sink.num_warnings(), 0u);
@@ -174,7 +174,7 @@ TEST(Checker, PinOffsetsSkipCellsWithoutAType) {
 
 TEST(Checker, PinOutsideCellFires) {
   LintBench lb;
-  const netlist::PinId p = lb.nl->cell(lb.c2).pins[0];
+  const netlist::PinId p = lb.nl->cell_pins(lb.c2)[0];
   EXPECT_TRUE(lb.lint().clean());
   // On the cell's edge is inside; a pin beyond it is not.
   NetlistSurgeon(*lb.nl).pin(p).offset_x = lb.nl->cell_width(lb.c2) / 2.0;

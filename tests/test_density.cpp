@@ -618,7 +618,7 @@ TEST(DensityBitwise, LoneCellsAndPairTails) {
   for (const auto& [func, count] : kinds) {
     for (std::size_t i = 0; i < count; ++i) {
       builder.add_cell(
-          std::string("c").append(std::to_string(builder.peek().num_cells())),
+          std::string("c").append(std::to_string(builder.num_cells())),
           func);
     }
   }

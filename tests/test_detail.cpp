@@ -147,7 +147,7 @@ class Engine {
   double nets_hpwl(const std::vector<CellId>& cells) {
     scratch_nets_.clear();
     for (CellId c : cells) {
-      for (netlist::PinId p : nl_->cell(c).pins) {
+      for (netlist::PinId p : nl_->cell_pins(c)) {
         scratch_nets_.push_back(nl_->pin(p).net);
       }
     }
@@ -166,9 +166,9 @@ class Engine {
                           const std::vector<double>& rel) {
     breakpoints_.clear();
     for (std::size_t k = 0; k < cells.size(); ++k) {
-      for (netlist::PinId p : nl_->cell(cells[k]).pins) {
+      for (netlist::PinId p : nl_->cell_pins(cells[k])) {
         const auto& pin = nl_->pin(p);
-        const auto& net_pins = nl_->net(pin.net).pins;
+        const auto net_pins = nl_->net_pins(pin.net);
         if (net_pins.size() < 2) continue;
         double lo = std::numeric_limits<double>::infinity(), hi = -lo;
         bool external = false;
@@ -347,7 +347,7 @@ TEST(Detail, MoveGuardSeesMovedCellsNets) {
     std::vector<netlist::NetId> expect;
     for (CellId c = 0; c < nl.num_cells(); ++c) {
       if (pl[c].x == before[c].x && pl[c].y == before[c].y) continue;
-      for (netlist::PinId p : nl.cell(c).pins) {
+      for (netlist::PinId p : nl.cell_pins(c)) {
         expect.push_back(nl.pin(p).net);
       }
     }

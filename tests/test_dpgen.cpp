@@ -105,9 +105,8 @@ TEST(Generator, PadsFixedAndOutsideCore) {
 TEST(Generator, EveryPortConnectedOnce) {
   const Benchmark bench = make_benchmark("dp_mul16");
   for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
-    const auto& cell = bench.netlist.cell(c);
     std::set<std::uint16_t> ports;
-    for (auto p : cell.pins) {
+    for (auto p : bench.netlist.cell_pins(c)) {
       EXPECT_TRUE(ports.insert(bench.netlist.pin(p).port).second);
     }
   }
@@ -156,7 +155,7 @@ TEST_P(BenchmarkSuite, BuildsAndIsConsistent) {
   // Nets have at most one driver.
   for (netlist::NetId n = 0; n < bench.netlist.num_nets(); ++n) {
     int drivers = 0;
-    for (auto p : bench.netlist.net(n).pins) {
+    for (auto p : bench.netlist.net_pins(n)) {
       drivers +=
           bench.netlist.pin(p).dir == netlist::PinDir::kOutput ? 1 : 0;
     }

@@ -273,7 +273,7 @@ TEST(MoveScorer, MatchesNetHpwlAndUndoesBitwise) {
     const MoveScorer::Score s = scorer.move(cells, centers);
     std::vector<netlist::NetId> expect;
     for (CellId c : cells) {
-      for (netlist::PinId p : nl.cell(c).pins) expect.push_back(nl.pin(p).net);
+      for (netlist::PinId p : nl.cell_pins(c)) expect.push_back(nl.pin(p).net);
     }
     std::sort(expect.begin(), expect.end());
     expect.erase(std::unique(expect.begin(), expect.end()), expect.end());

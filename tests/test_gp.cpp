@@ -106,7 +106,7 @@ void quadratic_initial_placement(const netlist::Netlist& nl,
   };
   std::vector<NetSum> sums(nl.num_nets());
   for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
-    sums[n].deg = static_cast<double>(nl.net(n).pins.size());
+    sums[n].deg = static_cast<double>(nl.net_pins(n).size());
     sums[n].weight = nl.net(n).weight;
   }
   for (std::size_t sweep = 0; sweep < 150; ++sweep) {
@@ -123,7 +123,7 @@ void quadratic_initial_placement(const netlist::Netlist& nl,
     }
     for (const CellId c : vars.movable_cells()) {
       double acc_x = 0.0, acc_y = 0.0, acc_w = 0.0;
-      for (netlist::PinId p : nl.cell(c).pins) {
+      for (netlist::PinId p : nl.cell_pins(c)) {
         const NetSum& net = sums[nl.pin(p).net];
         if (net.deg < 2.0) continue;
         const geom::Point own = nl.pin_position(p, pl);

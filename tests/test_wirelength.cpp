@@ -108,7 +108,7 @@ SmoothWirelength::SmoothWirelength(const netlist::Netlist& nl, double gamma)
     : nl_(&nl), gamma_(gamma) {
   std::size_t kept_pins = 0, kept_nets = 0;
   for (NetId n = 0; n < nl.num_nets(); ++n) {
-    const std::size_t deg = nl.net(n).pins.size();
+    const std::size_t deg = nl.net_pins(n).size();
     if (deg < 2) continue;
     ++kept_nets;
     kept_pins += deg;
@@ -116,7 +116,7 @@ SmoothWirelength::SmoothWirelength(const netlist::Netlist& nl, double gamma)
   }
   net_first_.push_back(0);
   for (NetId n = 0; n < nl.num_nets(); ++n) {
-    const auto& pins = nl.net(n).pins;
+    const auto pins = nl.net_pins(n);
     if (pins.size() < 2) continue;
     net_weight_.push_back(nl.net(n).weight);
     net_id_.push_back(n);
@@ -384,8 +384,8 @@ TEST(WirelengthBitwise, CoincidentTiedAndOffsetExtremes) {
   const double w = nl.cell_width(c[7]);
   pl[c[7]] = {1.0, 0.0};
   pl[c[8]] = {1.0 + w / 8.0, 0.0};
-  ASSERT_GT(nl.pin_position(nl.net(2).pins[0], pl).x,
-            nl.pin_position(nl.net(2).pins[1], pl).x);
+  ASSERT_GT(nl.pin_position(nl.net_pins(2)[0], pl).x,
+            nl.pin_position(nl.net_pins(2)[1], pl).x);
   for (const double gamma : {0.5, 1.0, 7.0}) {
     expect_wl_bitwise(nl, pl, gamma);
   }
@@ -404,7 +404,7 @@ TEST(WirelengthBitwise, CoincidentTiedAndOffsetExtremes) {
 TEST(WirelengthBitwise, SharedExtremeExp) {
   HandNets h;
   const auto& nl = *h.nl;
-  const auto& pins = nl.net(1).pins;
+  const auto pins = nl.net_pins(1);
   ASSERT_EQ(pins.size(), 5u);
   using Layout = std::vector<double>;
   const std::vector<Layout> layouts = {{2.5, 2.5, 2.5, 2.5, 2.5},
@@ -451,14 +451,13 @@ struct ChunkEdgeNets {
   void add(std::size_t degree, std::size_t count) {
     for (std::size_t k = 0; k < count; ++k) {
       const NetId n = builder.add_net(
-          std::string("n").append(std::to_string(builder.peek().num_nets())));
+          std::string("n").append(std::to_string(builder.num_nets())));
       for (std::size_t i = 0; i < degree; ++i) {
         const CellId c = builder.add_cell(
-            std::string("c").append(
-                std::to_string(builder.peek().num_cells())),
+            std::string("c").append(std::to_string(builder.num_cells())),
             CellFunc::kInv);
         builder.connect(c, i == 0 && degree > 2 ? "Y" : "A", n);
-        net_cells.resize(builder.peek().num_nets());
+        net_cells.resize(builder.num_nets());
         net_cells.back().push_back(c);
       }
     }
@@ -537,7 +536,7 @@ TEST(Hpwl, TwoPinNetExact) {
   // Pin offsets shift the exact value; compute from pin positions.
   const auto& nl = *f.nl;
   geom::Rect box;
-  for (auto p : nl.net(0).pins) box.expand(nl.pin_position(p, pl));
+  for (auto p : nl.net_pins(0)) box.expand(nl.pin_position(p, pl));
   EXPECT_DOUBLE_EQ(eval::hpwl(nl, pl), box.half_perimeter());
 }
 
