@@ -2,9 +2,8 @@
 // kernels on dp_alu32-sized data, including thread-count sweeps for the
 // parallel gradient kernels, plus the density and wirelength kernels on a
 // spread make_scaled(4000) placement and the quadratic start of that design.
-// A run writes a file only when given --benchmark_out=FILE; CI records
-// into BENCH_gp_kernels.fresh.json and compares it with the committed
-// BENCH_gp_kernels.json.
+// A run writes a file only when given --benchmark_out=FILE; ctest runs
+// every row once as a smoke test.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -234,8 +233,7 @@ void BM_AbacusSpread4k(benchmark::State& state) {
 }
 BENCHMARK(BM_AbacusSpread4k);
 
-// ---- detailed-placement kernel (recorded to BENCH_detail_kernels.json by
-// the filtered CI run: --benchmark_filter='^BM_Detail') --------------------
+// ---- detailed-placement kernel (--benchmark_filter='^BM_Detail') ---------
 
 /// End-to-end detailed-placement pass throughput on legalized dp_alu32.
 void BM_DetailPass(benchmark::State& state) {

@@ -260,6 +260,7 @@ int run(int argc, char** argv) {
   if (!json_path.empty()) {
     std::ofstream json_out(json_path);
     json_out << core::report_to_json(report, &nl) << "\n";
+    json_out.close();
     if (!json_out) {
       throw std::runtime_error("report-json: cannot write " + json_path);
     }

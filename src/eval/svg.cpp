@@ -113,6 +113,8 @@ void write_svg(const std::string& path, const netlist::Netlist& nl,
         << "' r='4' fill='#d40000'/>\n";
   }
   out << "</svg>\n";
+  out.close();
+  if (!out) throw std::runtime_error("svg: cannot write " + path);
 }
 
 void write_svg(const std::string& path, const netlist::Netlist& nl,

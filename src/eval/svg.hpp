@@ -32,7 +32,7 @@ struct SvgOptions {
 /// 'cell', or 'cell dp' with a per-group color for datapath cells), and
 /// an optional critical-path polyline (class 'critpath'). Debugging and
 /// documentation aid. Throws std::runtime_error ("svg: cannot write
-/// PATH") when `path` cannot be opened.
+/// PATH") when `path` cannot be opened or written.
 void write_svg(const std::string& path, const netlist::Netlist& nl,
                const netlist::Design& design, const netlist::Placement& pl,
                const SvgOptions& options);

@@ -14,10 +14,16 @@ namespace dp::netlist {
 
 namespace {
 
-std::ofstream open_out(const std::string& path) {
+/// Writes `path` through `body`, then closes it: a file that cannot be
+/// opened, or whose buffered text cannot be flushed, is an error.
+template <class Body>
+void write_file(const std::string& path, const Body& body) {
   std::ofstream out(path);
+  if (out) {
+    body(out);
+    out.close();
+  }
   if (!out) throw std::runtime_error("bookshelf: cannot write " + path);
-  return out;
 }
 
 /// The whole of `token` as a double, "nan" and "inf" included.
@@ -139,16 +145,15 @@ struct HeaderCount {
 
 void write_bookshelf(const std::string& basename, const Netlist& netlist,
                      const Design& design, const Placement& placement) {
-  {  // .aux references sibling files by bare name, per the format.
+  // .aux references sibling files by bare name, per the format.
+  write_file(basename + ".aux", [&](std::ostream& out) {
     const auto slash = basename.find_last_of('/');
     const std::string stem =
         slash == std::string::npos ? basename : basename.substr(slash + 1);
-    auto out = open_out(basename + ".aux");
     out << "RowBasedPlacement : " << stem << ".nodes " << stem << ".nets "
         << stem << ".pl " << stem << ".scl\n";
-  }
-  {  // .nodes
-    auto out = open_out(basename + ".nodes");
+  });
+  write_file(basename + ".nodes", [&](std::ostream& out) {
     out << "UCLA nodes 1.0\n";
     std::size_t terminals = 0;
     for (const Cell& c : netlist.cells()) terminals += c.fixed ? 1u : 0u;
@@ -159,9 +164,8 @@ void write_bookshelf(const std::string& basename, const Netlist& netlist,
           << " " << netlist.cell_height(c)
           << (netlist.cell(c).fixed ? " terminal" : "") << "\n";
     }
-  }
-  {  // .nets
-    auto out = open_out(basename + ".nets");
+  });
+  write_file(basename + ".nets", [&](std::ostream& out) {
     out << "UCLA nets 1.0\n";
     out << "NumNets : " << netlist.num_nets() << "\n";
     out << "NumPins : " << netlist.num_pins() << "\n";
@@ -176,9 +180,9 @@ void write_bookshelf(const std::string& basename, const Netlist& netlist,
             << pin.offset_x << " " << pin.offset_y << "\n";
       }
     }
-  }
-  {  // .pl — lower-left corners per the format convention.
-    auto out = open_out(basename + ".pl");
+  });
+  // .pl: lower-left corners per the format convention.
+  write_file(basename + ".pl", [&](std::ostream& out) {
     out << "UCLA pl 1.0\n";
     for (CellId c = 0; c < netlist.num_cells(); ++c) {
       const double lx = placement[c].x - netlist.cell_width(c) / 2.0;
@@ -186,9 +190,8 @@ void write_bookshelf(const std::string& basename, const Netlist& netlist,
       out << netlist.cell(c).name << " " << lx << " " << ly << " : N"
           << (netlist.cell(c).fixed ? " /FIXED" : "") << "\n";
     }
-  }
-  {  // .scl
-    auto out = open_out(basename + ".scl");
+  });
+  write_file(basename + ".scl", [&](std::ostream& out) {
     out << "UCLA scl 1.0\n";
     out << "NumRows : " << design.num_rows() << "\n";
     for (std::size_t r = 0; r < design.num_rows(); ++r) {
@@ -203,7 +206,7 @@ void write_bookshelf(const std::string& basename, const Netlist& netlist,
       out << "  SubrowOrigin : " << row.lx << " NumSites : " << sites << "\n";
       out << "End\n";
     }
-  }
+  });
 }
 
 Problem read_bookshelf(const std::string& aux_path) {
@@ -505,20 +508,21 @@ Problem read_bookshelf(const std::string& aux_path) {
 
 void write_groups(const std::string& path, const Netlist& netlist,
                   const StructureAnnotation& annotation) {
-  auto out = open_out(path);
-  out << "# dpplace structure groups\n";
-  for (const auto& g : annotation.groups) {
-    out << "group " << g.name << " " << g.bits << " " << g.stages << "\n";
-    for (std::size_t b = 0; b < g.bits; ++b) {
-      out << " ";
-      for (std::size_t s = 0; s < g.stages; ++s) {
-        const CellId c = g.at(b, s);
-        out << " "
-            << (c == kInvalidId ? std::string("-") : netlist.cell(c).name);
+  write_file(path, [&](std::ostream& out) {
+    out << "# dpplace structure groups\n";
+    for (const auto& g : annotation.groups) {
+      out << "group " << g.name << " " << g.bits << " " << g.stages << "\n";
+      for (std::size_t b = 0; b < g.bits; ++b) {
+        out << " ";
+        for (std::size_t s = 0; s < g.stages; ++s) {
+          const CellId c = g.at(b, s);
+          out << " "
+              << (c == kInvalidId ? std::string("-") : netlist.cell(c).name);
+        }
+        out << "\n";
       }
-      out << "\n";
     }
-  }
+  });
 }
 
 StructureAnnotation read_groups(const std::string& path,

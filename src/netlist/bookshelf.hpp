@@ -9,7 +9,8 @@ namespace dp::netlist {
 /// Writes `basename.nodes/.nets/.pl/.scl/.aux` in the GSRC Bookshelf
 /// subset used by the ISPD placement contests. Fixed cells are emitted as
 /// terminals. Coordinates written are cell lower-left corners, per the
-/// format convention.
+/// format convention. Throws std::runtime_error ("bookshelf: cannot write
+/// PATH") when a file cannot be opened or written.
 void write_bookshelf(const std::string& basename, const Netlist& netlist,
                      const Design& design, const Placement& placement);
 
@@ -26,7 +27,9 @@ Problem read_bookshelf(const std::string& aux_path);
 ///   group <name> <bits> <stages>
 ///   <bits rows of stages cell names each, "-" for holes>
 /// read_groups also accepts, and ignores, the finite fourth header token
-/// that sidecars from older writers carry.
+/// that sidecars from older writers carry. write_groups throws
+/// std::runtime_error ("bookshelf: cannot write PATH") when `path` cannot
+/// be opened or written.
 void write_groups(const std::string& path, const Netlist& netlist,
                   const StructureAnnotation& annotation);
 

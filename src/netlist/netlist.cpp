@@ -57,6 +57,9 @@ std::size_t Netlist::spare_capacity() const {
 
 CellId NetlistBuilder::add_cell(std::string name, CellTypeId type,
                                 bool fixed) {
+  if (type >= netlist_.library().size()) {
+    throw std::out_of_range("NetlistBuilder::add_cell: bad cell type id");
+  }
   Cell c;
   c.name = std::move(name);
   c.type = type;
@@ -79,6 +82,13 @@ NetId NetlistBuilder::add_net(std::string name, double weight) {
 }
 
 PinId NetlistBuilder::connect(CellId cell, std::uint16_t port, NetId net) {
+  if (cell >= last_cell_pin_.size()) {
+    throw std::out_of_range("NetlistBuilder::connect: bad cell id");
+  }
+  return bind(cell, port, net);
+}
+
+PinId NetlistBuilder::bind(CellId cell, std::uint16_t port, NetId net) {
   const CellType& type = netlist_.cell_type(cell);
   if (port >= type.pins.size()) {
     throw std::out_of_range("NetlistBuilder::connect: bad port index");
@@ -118,10 +128,13 @@ PinId NetlistBuilder::connect_dir(CellId cell, std::uint16_t port, NetId net,
 
 PinId NetlistBuilder::connect(CellId cell, const std::string& port_name,
                               NetId net) {
+  if (cell >= last_cell_pin_.size()) {
+    throw std::out_of_range("NetlistBuilder::connect: bad cell id");
+  }
   const CellType& type = netlist_.cell_type(cell);
   for (std::size_t i = 0; i < type.pins.size(); ++i) {
     if (type.pins[i].name == port_name) {
-      return connect(cell, static_cast<std::uint16_t>(i), net);
+      return bind(cell, static_cast<std::uint16_t>(i), net);
     }
   }
   throw std::out_of_range("NetlistBuilder::connect: no port named " +

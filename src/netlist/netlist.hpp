@@ -176,6 +176,7 @@ class NetlistBuilder {
   explicit NetlistBuilder(std::shared_ptr<const Library> library)
       : netlist_(std::move(library)) {}
 
+  /// Throws std::out_of_range on a type id outside the library.
   CellId add_cell(std::string name, CellTypeId type, bool fixed = false);
   CellId add_cell(std::string name, CellFunc func, bool fixed = false);
 
@@ -183,8 +184,8 @@ class NetlistBuilder {
 
   /// Connect pin `port` (index into the cell type's pin list) of `cell`
   /// to `net`. Each cell port may be connected at most once. Throws
-  /// std::out_of_range on a port past the type's pins or a net never
-  /// added, and std::logic_error on a port already bound.
+  /// std::out_of_range on a cell or net never added or a port past the
+  /// type's pins, and std::logic_error on a port already bound.
   PinId connect(CellId cell, std::uint16_t port, NetId net);
 
   /// Connect by port name (slower; used by readers and tests).
@@ -203,6 +204,9 @@ class NetlistBuilder {
   Netlist take();
 
  private:
+  /// connect() once the cell id is known to be valid.
+  PinId bind(CellId cell, std::uint16_t port, NetId net);
+
   Netlist netlist_;
   /// Per cell, the last pin connected to it, and per pin, the pin of the
   /// same cell connected before it (kInvalidId ends a chain): connect()

@@ -128,6 +128,37 @@ TEST_F(BuilderTest, UnknownNetThrowsOutOfRange) {
   EXPECT_EQ(builder_.take().num_pins(), 0u);
 }
 
+TEST_F(BuilderTest, UnknownCellThrowsOutOfRange) {
+  const CellId inv = builder_.add_cell("u1", CellFunc::kInv);
+  const NetId n = builder_.add_net("n");
+  for (const bool by_name : {false, true}) {
+    try {
+      if (by_name) {
+        builder_.connect(inv + 1, "A", n);
+      } else {
+        builder_.connect(inv + 1, 0, n);
+      }
+      FAIL() << "cell " << inv + 1 << " of 1 did not throw";
+    } catch (const std::out_of_range& e) {
+      EXPECT_EQ(std::string(e.what()), "NetlistBuilder::connect: bad cell id");
+    }
+  }
+  EXPECT_EQ(builder_.take().num_pins(), 0u);
+}
+
+TEST_F(BuilderTest, UnknownCellTypeThrowsOutOfRange) {
+  const auto types = static_cast<CellTypeId>(standard_library().size());
+  try {
+    builder_.add_cell("u1", types);
+    FAIL() << "type " << types << " of " << types << " did not throw";
+  } catch (const std::out_of_range& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "NetlistBuilder::add_cell: bad cell type id");
+  }
+  builder_.add_cell("u1", static_cast<CellTypeId>(types - 1));
+  EXPECT_EQ(builder_.take().num_cells(), 1u);
+}
+
 TEST_F(BuilderTest, DriverFound) {
   const CellId a = builder_.add_cell("a", CellFunc::kInv);
   const CellId b = builder_.add_cell("b", CellFunc::kInv);
