@@ -10,14 +10,16 @@
 #include <thread>
 #include <vector>
 
-#include "common.hpp"
 #include "detail/detailed_placer.hpp"
+#include "dpgen/benchmarks.hpp"
+#include "eval/metrics.hpp"
 #include "extract/extractor.hpp"
 #include "gp/density.hpp"
 #include "gp/global_placer.hpp"
 #include "gp/quadratic.hpp"
 #include "gp/wirelength.hpp"
 #include "legal/abacus.hpp"
+#include "util/logger.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -25,7 +27,7 @@ namespace {
 
 const dp::dpgen::Benchmark& bench_data() {
   static const dp::dpgen::Benchmark b = [] {
-    dp::bench::quiet_logs();
+    dp::util::Logger::set_level(dp::util::LogLevel::kError);
     return dp::dpgen::make_benchmark("dp_alu32");
   }();
   return b;
@@ -126,7 +128,7 @@ struct SpreadFixture {
 
 const SpreadFixture& spread4k() {
   static const SpreadFixture f = [] {
-    dp::bench::quiet_logs();
+    dp::util::Logger::set_level(dp::util::LogLevel::kError);
     SpreadFixture s{dp::dpgen::make_scaled(4000), {}};
     dp::gp::GpOptions opt;
     opt.max_outer = 9;

@@ -28,8 +28,8 @@
 #include "check/rules.hpp"
 #include "dpgen/benchmarks.hpp"
 #include "netlist/bookshelf.hpp"
-#include "parse_number.hpp"
 #include "util/logger.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -98,7 +98,7 @@ int run(int argc, char** argv) {
     } else if (arg == "--strict") {
       strict = true;
     } else if (arg == "--max-diags") {
-      max_diags = examples::parse_number<std::size_t>(arg, next());
+      max_diags = util::parse_number<std::size_t>(arg, next());
     } else {
       return usage(argv[0]);
     }

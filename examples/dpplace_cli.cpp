@@ -59,8 +59,8 @@
 #include "dpgen/benchmarks.hpp"
 #include "eval/svg.hpp"
 #include "netlist/bookshelf.hpp"
-#include "parse_number.hpp"
 #include "util/logger.hpp"
+#include "util/parse_number.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -85,7 +85,6 @@ int usage(const char* argv0) {
 
 int run(int argc, char** argv) {
   using namespace dp;
-  using examples::parse_number;
   util::Logger::set_level(util::LogLevel::kInfo);
 
   std::string bench_name, aux_path, out_prefix, svg_path, groups_path,
@@ -98,18 +97,7 @@ int run(int argc, char** argv) {
       if (i + 1 >= argc) throw std::invalid_argument(arg + ": missing value");
       return argv[++i];
     };
-    auto number = [&]() { return parse_number<double>(arg, next()); };
-    // A count, rejected above `max` before anything is sized by it.
-    auto count = [&](std::size_t max) {
-      const std::string text = next();
-      const auto n = parse_number<std::size_t>(arg, text);
-      if (n > max) {
-        throw std::invalid_argument(arg + ": expected at most " +
-                                    std::to_string(max) + ", got '" + text +
-                                    "'");
-      }
-      return n;
-    };
+    auto number = [&]() { return util::parse_number<double>(arg, next()); };
     if (arg == "--bench") {
       bench_name = next();
     } else if (arg == "--aux") {
@@ -119,11 +107,12 @@ int run(int argc, char** argv) {
     } else if (arg == "--weight") {
       config.alignment_weight = number();
     } else if (arg == "--threads") {
-      config.num_threads = count(util::kMaxChunks);
+      config.num_threads = util::parse_count(arg, next(), util::kMaxChunks);
     } else if (arg == "--congestion") {
       config.congestion.measure = true;
     } else if (arg == "--congestion-bins") {
-      config.congestion.map.bins_per_side = count(kMaxCongestionBins);
+      config.congestion.map.bins_per_side =
+          util::parse_count(arg, next(), kMaxCongestionBins);
     } else if (arg == "--congestion-refine") {
       config.congestion.measure = true;
       config.congestion.refine = true;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "geom/rect.hpp"
+#include "util/stats.hpp"
 
 namespace dp::eval {
 
@@ -187,17 +188,6 @@ LegalityReport check_legality(const netlist::Netlist& nl,
 
 namespace {
 
-/// RMS of deviations from the mean, for one coordinate of a cell set.
-double rms_spread(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  double mean = 0.0;
-  for (double x : xs) mean += x;
-  mean /= static_cast<double>(xs.size());
-  double acc = 0.0;
-  for (double x : xs) acc += (x - mean) * (x - mean);
-  return std::sqrt(acc / static_cast<double>(xs.size()));
-}
-
 /// Mean RMS misalignment of a group: the y spread of each bit slice and
 /// the x spread of each stage.
 double group_misalignment(const netlist::StructureGroup& g,
@@ -206,7 +196,7 @@ double group_misalignment(const netlist::StructureGroup& g,
   std::size_t terms = 0;
   auto add_line = [&](const std::vector<double>& coord) {
     if (coord.size() < 2) return;
-    acc += rms_spread(coord);
+    acc += std::sqrt(util::variance(coord));
     ++terms;
   };
   for (std::size_t b = 0; b < g.bits; ++b) {

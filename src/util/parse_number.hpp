@@ -1,14 +1,15 @@
-// Numeric flag values of the example command-line tools.
+// Numeric flag values of the command-line tools (examples and benches).
 #pragma once
 
 #include <charconv>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
 
-namespace dp::examples {
+namespace dp::util {
 
 /// `text` as a number of type T: the whole token, finite and >= 0.
 /// Throws std::invalid_argument naming `flag` otherwise.
@@ -32,4 +33,17 @@ T parse_number(const std::string& flag, std::string_view text) {
   return value;
 }
 
-}  // namespace dp::examples
+/// `text` as a count of at most `max`, rejected before anything is sized
+/// by it. Throws std::invalid_argument naming `flag` otherwise.
+inline std::size_t parse_count(const std::string& flag, std::string_view text,
+                               std::size_t max) {
+  const auto n = parse_number<std::size_t>(flag, text);
+  if (n > max) {
+    throw std::invalid_argument(flag + ": expected at most " +
+                                std::to_string(max) + ", got '" +
+                                std::string(text) + "'");
+  }
+  return n;
+}
+
+}  // namespace dp::util
