@@ -1,11 +1,14 @@
 // Micro-benchmarks (google-benchmark): per-evaluation cost of the placer
 // kernels on dp_alu32-sized data, including thread-count sweeps for the
 // parallel gradient kernels, plus the density and wirelength kernels on a
-// spread make_scaled(4000) placement and the quadratic start of that design.
+// spread make_scaled(4000) placement and the quadratic start of that
+// design, and the wirelength kernel's util::exp beside std::exp.
 // A run writes a file only when given --benchmark_out=FILE; ctest runs
 // every row once as a smoke test.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "gp/quadratic.hpp"
 #include "gp/wirelength.hpp"
 #include "legal/abacus.hpp"
+#include "util/exp.hpp"
 #include "util/logger.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
@@ -207,6 +211,45 @@ void BM_WirelengthValueSpread4k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WirelengthValueSpread4k);
+
+// util::exp and std::exp over the same 4,096 arguments, uniform in
+// [-20, 0], where most WA weights lie. An item is the exp of one value:
+// util::exp takes two per call.
+const std::vector<double>& exp_args() {
+  static const std::vector<double> x = [] {
+    std::vector<double> v(4096);
+    dp::util::Rng rng(1);
+    for (double& a : v) a = rng.uniform(-20.0, 0.0);
+    return v;
+  }();
+  return x;
+}
+
+void BM_ExpLanes(benchmark::State& state) {
+  const auto& x = exp_args();
+  for (auto _ : state) {
+    dp::util::Lanes sum = {0.0, 0.0};
+    for (std::size_t i = 0; i < x.size(); i += 2) {
+      sum += dp::util::exp(dp::util::Lanes{x[i], x[i + 1]});
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_ExpLanes);
+
+void BM_StdExp(benchmark::State& state) {
+  const auto& x = exp_args();
+  for (auto _ : state) {
+    double sum = 0.0;
+    for (const double a : x) sum += std::exp(a);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_StdExp);
 
 // The quadratic warm start of global placement on make_scaled(4000), from
 // the generated (unplaced) positions: 150 Jacobi sweeps plus the jitter.

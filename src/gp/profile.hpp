@@ -32,10 +32,9 @@ struct TermProfile {
 /// per accepted probe. `density_bins` is a work counter, bitwise
 /// reproducible for any thread count: the bins covered by the density
 /// windows, summed over the density value passes (each gradient pass
-/// visits as many again). The per-evaluation bell and exp() counts are
-/// constants of a run (DensityPenalty::bells_evaluated(),
-/// SmoothWirelength::exp_calls()), so their totals are those times the
-/// calls.
+/// visits as many again). The per-evaluation bell count is a constant of
+/// a run (DensityPenalty::bells_evaluated()), so its total is that times
+/// the calls.
 struct EvalProfile {
   TermProfile wirelength;
   TermProfile density;

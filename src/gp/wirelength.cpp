@@ -1,10 +1,10 @@
 #include "gp/wirelength.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
+#include "util/exp.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dp::gp {
@@ -29,125 +29,74 @@ inline Lanes pin_xy(const netlist::Placement& pl, const netlist::FlatNets& f,
 
 // Both kernels below evaluate one net on both axes at once: lane 0 is the
 // x axis, lane 1 the y axis, and each lane runs exactly the scalar
-// arithmetic of its axis, so every division of an axis shares one `Lanes`
-// division with the other axis. For pins c[0..n) of one axis:
-//   wmax[i] = exp((c[i] - max_c) / gamma),  wmin[i] = exp((min_c - c[i]) / gamma),
-//   hi = sum(c wmax) / sum(wmax),           lo = sum(c wmin) / sum(wmin),
-//   grad[i] = weight * (wmax[i] / sum(wmax) * (1 + (c[i] - hi) / gamma)
-//                     - wmin[i] / sum(wmin) * (1 - (c[i] - lo) / gamma)),
-// every sum accumulated from 0.0 in pin order. The kernels return hi - lo
-// and write pin i's gradient to grad[pos[i]].
-//
-// The first pin at max_c (min_c) has the argument +0 / gamma = +-0, and
-// exp(+-0) is exactly 1 (C Annex F), so its weight is 1 without an exp()
-// call; for any gamma other than 0 or NaN the weights are those of
-// calling exp() on every pin. The first min pin's wmax and the first max
-// pin's wmin share the argument (min_c - max_c) / gamma, so one call
-// serves both. With coordinates inside (-1e300, 1e300) every axis has
-// both extreme pins, so an axis costs 1 call on a 2-pin net and 2n - 3
-// calls otherwise (2n - 2 where all its pins coincide, as the first pin
-// is then both extremes).
+// arithmetic of its axis, so every operation of an axis shares one `Lanes`
+// instruction with the other axis. With g = 1 / gamma and pins c[0..n) of
+// one axis:
+//   wmax[i] = exp((c[i] - max_c) g),   wmin[i] = exp((min_c - c[i]) g),
+//   rmax = 1 / sum(wmax),              rmin = 1 / sum(wmin),
+//   hi = sum(c wmax) rmax,             lo = sum(c wmin) rmin,
+//   grad[i] = weight (wmax[i] rmax (1 + (c[i] - hi) g)
+//                     - wmin[i] rmin (1 - (c[i] - lo) g)),
+// with exp = util::exp, every sum accumulated from 0.0 in pin order. The
+// kernels return hi - lo and write pin i's gradient to grad[pos[i]]. The
+// extreme pins' arguments are +0, and util::exp(+0) is exactly 1.
 
 /// A net of n >= 3 pins. `p`, `wmax` and `wmin` are scratch of n lanes.
 Lanes wa_net(const netlist::Placement& pl, const netlist::FlatNets& f,
-             std::uint32_t base, std::size_t n, Lanes gamma, Lanes weight,
+             std::uint32_t base, std::size_t n, Lanes inv_gamma, Lanes weight,
              Lanes* p, Lanes* wmax, Lanes* wmin, Lanes* grad,
              const std::uint32_t* pos) {
-  // std::max/std::min semantics: an extreme is replaced only by a strictly
-  // larger / smaller coordinate, so max_c and min_c are the bits of the
-  // first pins that reach them.
   Lanes max_c = {-1e300, -1e300}, min_c = {1e300, 1e300};
-  const auto none = static_cast<std::int64_t>(n);
-  LaneMask imax = {none, none}, imin = {none, none};
   for (std::size_t i = 0; i < n; ++i) {
     p[i] = pin_xy(pl, f, base + static_cast<std::uint32_t>(i));
-    const LaneMask up = max_c < p[i], down = p[i] < min_c;
-    const LaneMask at = {static_cast<std::int64_t>(i),
-                         static_cast<std::int64_t>(i)};
-    max_c = pick(up, p[i], max_c);
-    imax = (imax & ~up) | (at & up);
-    min_c = pick(down, p[i], min_c);
-    imin = (imin & ~down) | (at & down);
-  }
-  // The exp() arguments first, then the calls in a loop of their own, with
-  // nothing else live across them.
-  for (std::size_t i = 0; i < n; ++i) {
-    wmax[i] = (p[i] - max_c) / gamma;
-    wmin[i] = (min_c - p[i]) / gamma;
-  }
-  for (int a = 0; a < 2; ++a) {
-    const auto hi_pin = static_cast<std::size_t>(imax[a]);
-    const auto lo_pin = static_cast<std::size_t>(imin[a]);
-    // Every pin but the extreme ones, in runs around them, with no test
-    // per pin.
-    auto exps = [&](std::size_t i0, std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) {
-        wmax[i][a] = std::exp(wmax[i][a]);
-        wmin[i][a] = std::exp(wmin[i][a]);
-      }
-    };
-    const std::size_t first = std::min(hi_pin, lo_pin);
-    const std::size_t last = std::max(hi_pin, lo_pin);
-    exps(0, first);
-    exps(first + 1, last);
-    exps(last + 1, n);
-    // p[hi_pin] is max_c and p[lo_pin] min_c to the bit, so the max pin's
-    // wmin and the min pin's wmax share the argument (min_c - max_c) /
-    // gamma: one call serves both.
-    if (hi_pin < n) {
-      wmax[hi_pin][a] = 1.0;
-      wmin[hi_pin][a] = hi_pin == lo_pin ? 1.0 : std::exp(wmin[hi_pin][a]);
-    }
-    if (lo_pin < n && lo_pin != hi_pin) {
-      wmin[lo_pin][a] = 1.0;
-      wmax[lo_pin][a] =
-          hi_pin < n ? wmin[hi_pin][a] : std::exp(wmax[lo_pin][a]);
-    }
+    max_c = pick(max_c < p[i], p[i], max_c);
+    min_c = pick(p[i] < min_c, p[i], min_c);
   }
   const Lanes zero = {0.0, 0.0};
   Lanes smax = zero, amax = zero, smin = zero, amin = zero;
   for (std::size_t i = 0; i < n; ++i) {
+    wmax[i] = util::exp((p[i] - max_c) * inv_gamma);
+    wmin[i] = util::exp((min_c - p[i]) * inv_gamma);
     smax += wmax[i];
     amax += p[i] * wmax[i];
     smin += wmin[i];
     amin += p[i] * wmin[i];
   }
-  const Lanes hi = amax / smax;
-  const Lanes lo = amin / smin;
+  const Lanes rmax = 1.0 / smax, rmin = 1.0 / smin;
+  const Lanes hi = amax * rmax;
+  const Lanes lo = amin * rmin;
   for (std::size_t i = 0; i < n; ++i) {
-    const Lanes ghi = wmax[i] / smax * (1.0 + (p[i] - hi) / gamma);
-    const Lanes glo = wmin[i] / smin * (1.0 - (p[i] - lo) / gamma);
+    const Lanes ghi = wmax[i] * rmax * (1.0 + (p[i] - hi) * inv_gamma);
+    const Lanes glo = wmin[i] * rmin * (1.0 - (p[i] - lo) * inv_gamma);
     grad[pos[i]] = weight * (ghi - glo);
   }
   return hi - lo;
 }
 
-/// A 2-pin net, with fewer divisions. Both non-extreme weights are
-/// e = exp((min_c - max_c) / gamma), so sum(wmax) = sum(wmin) = 1 + e in
+/// A 2-pin net in closed form. Both non-extreme weights are
+/// e = exp((min_c - max_c) g), so sum(wmax) = sum(wmin) = s = 1 + e in
 /// either pin order (0.0 + 1 + e and 0.0 + e + 1 round alike), and the
-/// four per-pin weight divisions are 1 / s and e / s.
+/// per-pin weights times the reciprocal are q1 = 1 / s and qe = e q1.
 Lanes wa_net2(const netlist::Placement& pl, const netlist::FlatNets& f,
-              std::uint32_t base, Lanes gamma, Lanes weight, Lanes* grad,
+              std::uint32_t base, Lanes inv_gamma, Lanes weight, Lanes* grad,
               const std::uint32_t* pos) {
   const Lanes p0 = pin_xy(pl, f, base), p1 = pin_xy(pl, f, base + 1);
   const LaneMask up = p0 < p1;    // pin 1 is the max pin
   const LaneMask down = p1 < p0;  // pin 1 is the min pin
   const Lanes max_c = pick(up, p1, p0), min_c = pick(down, p1, p0);
-  const Lanes arg = (min_c - max_c) / gamma;
-  const Lanes e = {std::exp(arg[0]), std::exp(arg[1])};
+  const Lanes e = util::exp((min_c - max_c) * inv_gamma);
   const Lanes one = {1.0, 1.0}, zero = {0.0, 0.0};
-  const Lanes s = one + e;
+  const Lanes q1 = one / (one + e), qe = e * q1;
   const Lanes wmax0 = pick(up, e, one), wmax1 = pick(up, one, e);
   const Lanes wmin0 = pick(down, e, one), wmin1 = pick(down, one, e);
-  const Lanes hi = ((zero + p0 * wmax0) + p1 * wmax1) / s;
-  const Lanes lo = ((zero + p0 * wmin0) + p1 * wmin1) / s;
-  const Lanes q1 = one / s, qe = e / s;  // the weights over s
+  const Lanes hi = ((zero + p0 * wmax0) + p1 * wmax1) * q1;
+  const Lanes lo = ((zero + p0 * wmin0) + p1 * wmin1) * q1;
   const Lanes qmax0 = pick(up, qe, q1), qmax1 = pick(up, q1, qe);
   const Lanes qmin0 = pick(down, qe, q1), qmin1 = pick(down, q1, qe);
-  grad[pos[0]] = weight * (qmax0 * (1.0 + (p0 - hi) / gamma) -
-                           qmin0 * (1.0 - (p0 - lo) / gamma));
-  grad[pos[1]] = weight * (qmax1 * (1.0 + (p1 - hi) / gamma) -
-                           qmin1 * (1.0 - (p1 - lo) / gamma));
+  grad[pos[0]] = weight * (qmax0 * (1.0 + (p0 - hi) * inv_gamma) -
+                           qmin0 * (1.0 - (p0 - lo) * inv_gamma));
+  grad[pos[1]] = weight * (qmax1 * (1.0 + (p1 - hi) * inv_gamma) -
+                           qmin1 * (1.0 - (p1 - lo) * inv_gamma));
   return hi - lo;
 }
 
@@ -178,7 +127,6 @@ SmoothWirelength::SmoothWirelength(const netlist::Netlist& nl,
   for (std::size_t kn = 0; kn < flat_.num_nets(); ++kn) {
     const std::size_t deg = flat_.net_first[kn + 1] - flat_.net_first[kn];
     max_degree_ = std::max(max_degree_, deg);
-    exp_calls_ += 2 * (deg == 2 ? 1 : 2 * deg - 3);
   }
 
   // Gradient positions: variable v's pins, in slot order, take
@@ -216,7 +164,8 @@ double SmoothWirelength::value(const netlist::Placement& pl,
   // write disjoint slots.
   gpin_.resize(flat_.pin_cell.size());
   chunk_scratch_.resize(nchunks);
-  const Lanes gamma = {gamma_, gamma_};
+  const double g = 1.0 / gamma_;
+  const Lanes inv_gamma = {g, g};
 
   auto work = [&](std::size_t k) {
     std::vector<Lanes>& s = chunk_scratch_[k];
@@ -234,8 +183,8 @@ double SmoothWirelength::value(const netlist::Placement& pl,
       const std::uint32_t* pos = &grad_pos_[base];
       const Lanes extent =
           deg == 2
-              ? wa_net2(pl, flat_, base, gamma, weight, gpin_.data(), pos)
-              : wa_net(pl, flat_, base, deg, gamma, weight, p, wmax, wmin,
+              ? wa_net2(pl, flat_, base, inv_gamma, weight, gpin_.data(), pos)
+              : wa_net(pl, flat_, base, deg, inv_gamma, weight, p, wmax, wmin,
                        gpin_.data(), pos);
       // The x extent, then the y extent, onto 0.0.
       total += w * ((0.0 + extent[0]) + extent[1]);

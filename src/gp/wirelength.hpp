@@ -37,22 +37,22 @@ std::vector<std::uint32_t> wirelength_chunks(const netlist::FlatNets& nets);
 /// approximation of HPWL.
 ///
 /// The model is stabilized against overflow by max-shifting the
-/// exponents, so it stays finite for any coordinates. The extreme pins'
-/// weights are exactly 1 and are set without calling exp() (see
-/// exp_calls()).
+/// exponents, so it stays finite for any coordinates. Its exponentials
+/// are util::exp, whose bits do not depend on the host's libm.
 ///
 /// The hot loop runs over a netlist::FlatNets layout built once in the
 /// constructor (nets with < 2 pins dropped), split into the fixed
 /// wirelength_chunks(). Each net is evaluated on both axes at once, one
-/// axis per lane of a util::Lanes pair, so that every division of the
-/// x axis shares one instruction with its y twin; on a 2-pin net the four
-/// per-pin weight divisions of an axis are two. value() evaluates the
-/// chunks and keeps every pin's gradient in its own slot, ordered by the
-/// variable of the netlist's VarMap that owns the pin; gradient() sums
-/// each variable's contiguous slots. With a thread pool attached the
-/// chunks evaluate concurrently; the gather sums each variable's slots
-/// in fixed pin order, so the result is bitwise identical for every
-/// thread count.
+/// axis per lane of a util::Lanes pair, so that every operation of the
+/// x axis, util::exp included, shares one instruction with its y twin;
+/// 1 / gamma is taken once per value() and the reciprocals of a net's
+/// weight sums once per net, so no division is left per pin. value()
+/// evaluates the chunks and keeps every pin's gradient in its own slot,
+/// ordered by the variable of the netlist's VarMap that owns the pin;
+/// gradient() sums each variable's contiguous slots. With a thread pool
+/// attached the chunks evaluate concurrently; the gather sums each
+/// variable's slots in fixed pin order, so the result is bitwise
+/// identical for every thread count.
 class SmoothWirelength final : public ObjectiveTerm {
  public:
   /// `model` is ignored (see WirelengthModel).
@@ -75,11 +75,6 @@ class SmoothWirelength final : public ObjectiveTerm {
   void gradient(std::span<double> gx, std::span<double> gy,
                 double scale) const override;
 
-  /// Deterministic work counter: exp() calls per value(), fixed by the
-  /// net degrees: per axis 1 on a 2-pin net and 2d - 3 on a net of d >= 3
-  /// pins (an axis whose pins all coincide makes one call more).
-  std::uint64_t exp_calls() const { return exp_calls_; }
-
   /// Rescale the effective weight of every net: the kernel uses
   /// `netlist_weight(n) * scale[n]` (scale is indexed by NetId, so it
   /// covers dropped < 2-pin nets too). An empty span resets to the plain
@@ -100,7 +95,6 @@ class SmoothWirelength final : public ObjectiveTerm {
   netlist::FlatNets flat_;
   std::vector<std::uint32_t> chunk_first_;  ///< wirelength_chunks(flat_)
   std::size_t max_degree_ = 0;
-  std::uint64_t exp_calls_ = 0;
 
   // Gradient slots (CSR): pin slot s writes its gradient to
   // gpin_[grad_pos_[s]]; variable v's pins, in pin-slot order, own

@@ -12,6 +12,7 @@
 #include "eval/metrics.hpp"
 #include "gp/global_placer.hpp"
 #include "gp/wirelength.hpp"
+#include "util/exp.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -41,9 +42,14 @@ struct TwoCellFixture {
 
 // ---- 0-ulp reference -------------------------------------------------------
 //
-// A copy of the SmoothWirelength kernel before extreme pins' weights
-// skipped exp(): every weight of every pin is an exp() call. The
-// optimized kernel must reproduce its value and gradient bit for bit.
+// A plain copy of the SmoothWirelength kernel: one axis at a time, scalar
+// arithmetic, no 2-pin closed form, and an exp() call for every weight of
+// every pin. In its default arithmetic (Arith::kOwnExp) the exps are
+// util::exp, 1 / gamma and the reciprocals of the weight sums are taken
+// once and multiplied in, and the optimized kernel must reproduce its
+// value and gradient bit for bit. Arith::kLibmDivisions is the kernel's
+// arithmetic before it owned its exp: std::exp, and a division wherever
+// kOwnExp multiplies by a reciprocal.
 namespace reference {
 
 using netlist::PinId;
@@ -51,9 +57,14 @@ using netlist::PinId;
 constexpr std::size_t kMinPinsPerChunk = 2048;
 constexpr std::size_t kMaxChunks = 64;
 
+enum class Arith { kOwnExp, kLibmDivisions };
+
+/// util::exp of one value.
+double own_exp(double x) { return util::exp(util::Lanes{x, x})[0]; }
+
 double wa_axis(const double* coord, std::size_t n, const double* wmax,
                const double* wmin, double gamma, double weight,
-               double* grad) {
+               double* grad, Arith arith) {
   double smax = 0.0, amax = 0.0, smin = 0.0, amin = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     smax += wmax[i];
@@ -61,12 +72,26 @@ double wa_axis(const double* coord, std::size_t n, const double* wmax,
     smin += wmin[i];
     amin += coord[i] * wmin[i];
   }
-  const double hi = amax / smax;
-  const double lo = amin / smin;
+  if (arith == Arith::kLibmDivisions) {
+    const double hi = amax / smax;
+    const double lo = amin / smin;
+    if (grad != nullptr) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const double ghi = wmax[i] / smax * (1.0 + (coord[i] - hi) / gamma);
+        const double glo = wmin[i] / smin * (1.0 - (coord[i] - lo) / gamma);
+        grad[i] = weight * (ghi - glo);
+      }
+    }
+    return hi - lo;
+  }
+  const double g = 1.0 / gamma;
+  const double rmax = 1.0 / smax, rmin = 1.0 / smin;
+  const double hi = amax * rmax;
+  const double lo = amin * rmin;
   if (grad != nullptr) {
     for (std::size_t i = 0; i < n; ++i) {
-      const double ghi = wmax[i] / smax * (1.0 + (coord[i] - hi) / gamma);
-      const double glo = wmin[i] / smin * (1.0 - (coord[i] - lo) / gamma);
+      const double ghi = wmax[i] * rmax * (1.0 + (coord[i] - hi) * g);
+      const double glo = wmin[i] * rmin * (1.0 - (coord[i] - lo) * g);
       grad[i] = weight * (ghi - glo);
     }
   }
@@ -75,7 +100,8 @@ double wa_axis(const double* coord, std::size_t n, const double* wmax,
 
 class SmoothWirelength {
  public:
-  SmoothWirelength(const netlist::Netlist& nl, double gamma);
+  SmoothWirelength(const netlist::Netlist& nl, double gamma,
+                   Arith arith = Arith::kOwnExp);
   void set_net_weight_scale(std::span<const double> scale);
   double eval(const netlist::Placement& pl, const VarMap& vars,
               std::span<double> gx, std::span<double> gy) const;
@@ -89,6 +115,7 @@ class SmoothWirelength {
 
   const netlist::Netlist* nl_;
   double gamma_;
+  Arith arith_;
   std::vector<std::uint32_t> net_first_;
   std::vector<double> net_weight_;
   std::vector<netlist::NetId> net_id_;
@@ -104,8 +131,9 @@ class SmoothWirelength {
   mutable std::vector<std::vector<double>> chunk_scratch_;
 };
 
-SmoothWirelength::SmoothWirelength(const netlist::Netlist& nl, double gamma)
-    : nl_(&nl), gamma_(gamma) {
+SmoothWirelength::SmoothWirelength(const netlist::Netlist& nl, double gamma,
+                                   Arith arith)
+    : nl_(&nl), gamma_(gamma), arith_(arith) {
   std::size_t kept_pins = 0, kept_nets = 0;
   for (NetId n = 0; n < nl.num_nets(); ++n) {
     const std::size_t deg = nl.net_pins(n).size();
@@ -191,15 +219,24 @@ double SmoothWirelength::kernel(const netlist::Placement& pl,
             min_c = std::min(min_c, coord[i]);
           }
         }
-        for (std::size_t i = 0; i < deg; ++i) {
-          wmax[i] = std::exp((coord[i] - max_c) / gamma);
-          wmin[i] = std::exp((min_c - coord[i]) / gamma);
+        if (arith_ == Arith::kLibmDivisions) {
+          for (std::size_t i = 0; i < deg; ++i) {
+            wmax[i] = std::exp((coord[i] - max_c) / gamma);
+            wmin[i] = std::exp((min_c - coord[i]) / gamma);
+          }
+        } else {
+          const double g = 1.0 / gamma;
+          for (std::size_t i = 0; i < deg; ++i) {
+            wmax[i] = own_exp((coord[i] - max_c) * g);
+            wmin[i] = own_exp((min_c - coord[i]) * g);
+          }
         }
         double* grad = nullptr;
         if (with_grad) {
           grad = (axis == 0 ? gpin_x_.data() : gpin_y_.data()) + base;
         }
-        net_value += wa_axis(coord, deg, wmax, wmin, gamma, weight, grad);
+        net_value +=
+            wa_axis(coord, deg, wmax, wmin, gamma, weight, grad, arith_);
       }
       total += weight * net_value;
     }
@@ -336,6 +373,38 @@ TEST(WirelengthBitwise, PiledStartAndNetWeightScale) {
   expect_wl_bitwise(nl, s.bench.placement, 1.0, scale);
 }
 
+// The kernel's arithmetic against its arithmetic before it owned its exp
+// (std::exp and divisions), on the spread make_scaled(4000) placement:
+// util::exp is within 1 ulp of std::exp, and each reciprocal multiply
+// within 1 ulp of the division it replaced, so value and gradient move
+// by rounding alone (measured: value 2e-16, gradient 9e-14 of its largest
+// entry at gamma / 8). A gradient entry that cancels to near 0 has no
+// relative accuracy, so the gradient's bound is relative to the largest.
+TEST(WirelengthArithmetic, CloseToLibmDivisions) {
+  const Spread4k& s = spread4k();
+  const auto& nl = s.bench.netlist;
+  const VarMap vars(nl);
+  const std::size_t n = vars.num_vars();
+  for (const double gamma : {s.gamma * 4.0, s.gamma, s.gamma / 8.0}) {
+    SCOPED_TRACE("gamma=" + std::to_string(gamma));
+    const reference::SmoothWirelength old(
+        nl, gamma, reference::Arith::kLibmDivisions);
+    std::vector<double> ogx(n, 0.0), ogy(n, 0.0);
+    const double ov = old.eval(s.spread, vars, ogx, ogy);
+    const SmoothWirelength wl(nl, WirelengthModel::kWa, gamma);
+    std::vector<double> gx(n, 0.0), gy(n, 0.0);
+    const double v = wl.eval(s.spread, vars, gx, gy);
+    double gmax = 0.0, dmax = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      gmax = std::max({gmax, std::abs(ogx[i]), std::abs(ogy[i])});
+      dmax = std::max({dmax, std::abs(gx[i] - ogx[i]),
+                       std::abs(gy[i] - ogy[i])});
+    }
+    EXPECT_LE(std::abs(v - ov), 1e-14 * std::abs(ov));
+    EXPECT_LE(dmax, 1e-12 * gmax);
+  }
+}
+
 /// Hand-built nets over INV cells, whose input pin A sits left of the
 /// center and output pin Y right of it (offset_y is 0 for both).
 struct HandNets {
@@ -394,14 +463,12 @@ TEST(WirelengthBitwise, CoincidentTiedAndOffsetExtremes) {
   expect_wl_bitwise(nl, piled, 1.0);
 }
 
-// On a net of >= 3 pins one exp() call serves the first min pin's wmax and
-// the first max pin's wmin. Each axis of HandNets' 5-pin net takes one of
-// these layouts, given as pin positions in net pin order (the driver
-// first): all pins coincident, so the first pin is both extremes
-// (hi_pin == lo_pin); two pins tied at max_c and two at min_c, the max
-// pair first; and the same ties with the min pair first and the driver
-// at the max.
-TEST(WirelengthBitwise, SharedExtremeExp) {
+// Ties at the extremes of a net of >= 3 pins. Each axis of HandNets' 5-pin
+// net takes one of these layouts, given as pin positions in net pin order
+// (c2.Y first): all pins coincident, so the first pin is both extremes;
+// two pins tied at max_c and two at min_c, the max pair first; and the
+// same ties with the min pair first and c2.Y at the max.
+TEST(WirelengthBitwise, TiedExtremeLayouts) {
   HandNets h;
   const auto& nl = *h.nl;
   const auto pins = nl.net_pins(1);
@@ -519,13 +586,6 @@ TEST(WirelengthChunks, PinBalanced) {
   EXPECT_EQ(wirelength_chunks(two),
             (std::vector<std::uint32_t>{
                 0, static_cast<std::uint32_t>(two.num_nets())}));
-}
-
-TEST(WirelengthBitwise, ExpCallsFollowNetDegrees) {
-  HandNets h;
-  // Per axis: 1 call on each 2-pin net, 2 * 5 - 3 on the 5-pin net.
-  const SmoothWirelength wl(*h.nl, WirelengthModel::kWa, 1.0);
-  EXPECT_EQ(wl.exp_calls(), 2u * (1 + 7 + 1));
 }
 
 TEST(Hpwl, TwoPinNetExact) {
