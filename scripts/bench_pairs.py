@@ -26,11 +26,19 @@ change/parent: on a host whose speed drifts, both move less with the
 drift than the side medians do. It also reports whether each quality
 metric read the same bits in every run on both sides.
 
+Last it prints the no-regression verdict for every end-to-end metric,
+against the bound the parent's BENCHMARK.json gives it (a fraction of
+the parent's median): "worse" when the change's median is worse than the
+parent's by more than the bound, "unresolved" when the parent's quartile
+spread is wider than the bound (the runs cannot tell a change of that
+size from noise), both when both hold, and "ok" otherwise.
+
 Exit status: 0 when every run succeeded, 1 when one failed.
 """
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -41,12 +49,11 @@ QUALITY = ("hpwl", "datapath_hpwl", "crit_delay", "cong_peak")
 
 
 def read_benchmark(checkout):
-    """The run_seconds of the checkout's BENCHMARK.json and the names of
-    its lower-is-better end-to-end metrics."""
+    """The run_seconds of the checkout's BENCHMARK.json and its end-to-end
+    metric entries (name, better, bound)."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    lower = [m["name"] for m in spec["end_to_end"] if m["better"] == "lower"]
-    return spec["run_seconds"], lower
+    return spec["run_seconds"], spec["end_to_end"]
 
 
 def run_once(checkout, args, seconds):
@@ -93,6 +100,28 @@ def gain_rule(name, parent, change):
           "change/parent: %s" % (min(parent), min(change), ratio))
 
 
+def regression_verdict(metric, parent, change):
+    """Prints the no-regression verdict for one end-to-end metric entry of
+    BENCHMARK.json: the change of the median and the parent's quartile
+    spread, each relative to the parent's median and compared to the
+    metric's bound."""
+    med_p, q1_p, q3_p = summary(parent)
+    delta = summary(change)[0] - med_p
+    spread = q3_p - q1_p
+    if med_p:
+        delta /= abs(med_p)
+        spread /= abs(med_p)
+    elif delta:
+        delta = math.copysign(math.inf, delta)
+    worse_by = -delta if metric["better"] == "higher" else delta
+    bound = metric["bound"]
+    flags = [word for word, hit in (("worse", worse_by > bound),
+                                    ("unresolved", spread > bound)) if hit]
+    print("%-16s bound %3.0f%%: median %+7.1f%%, parent spread %5.1f%%: %s" %
+          (metric["name"], 100.0 * bound, 100.0 * delta, 100.0 * spread,
+           ", ".join(flags) or "ok"))
+
+
 def main(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent")
@@ -104,7 +133,7 @@ def main(argv):
 
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
-    seconds, lower = read_benchmark(sides["parent"])
+    seconds, end_to_end = read_benchmark(sides["parent"])
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -128,8 +157,9 @@ def main(argv):
 
     print("\ngain rule: won >= 9/10 of the pairs, median gain > parent "
           "quartile spread")
-    for name in lower:
-        if name in runs["parent"][0]:
+    for metric in end_to_end:
+        name = metric["name"]
+        if metric["better"] == "lower" and name in runs["parent"][0]:
             gain_rule(name, [r[name] for r in runs["parent"]],
                       [r[name] for r in runs["change"]])
 
@@ -138,6 +168,14 @@ def main(argv):
         print("%s bitwise equal in every run: %s" %
               (name, "yes" if len(values) == 1 else
                "NO (%d distinct values)" % len(values)))
+
+    print("\nno-regression verdict: median worse than the parent's by more "
+          "than the bound, or parent quartile spread wider than it")
+    for metric in end_to_end:
+        name = metric["name"]
+        if name in runs["parent"][0]:
+            regression_verdict(metric, [r[name] for r in runs["parent"]],
+                               [r[name] for r in runs["change"]])
     return 0
 
 

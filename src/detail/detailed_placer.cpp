@@ -74,28 +74,19 @@ class Engine {
 
  private:
   void build_rows() {
-    rows_.assign(design_->num_rows(), {});
-    for (CellId c = 0; c < nl_->num_cells(); ++c) {
-      if (nl_->cell(c).fixed) continue;
-      const double w = nl_->cell_width(c);
-      const std::size_t r = design_->nearest_row((*pl_)[c].y);
-      rows_[r].push_back({(*pl_)[c].x - w / 2.0, w, c});
-    }
-    for (const netlist::RowBlock& b :
-         netlist::fixed_row_blocks(*nl_, *design_, *pl_)) {
-      rows_[b.row].push_back({b.lx, b.hx - b.lx, kInvalidId});
-    }
-    for (auto& row : rows_) {
-      std::sort(row.begin(), row.end(),
-                [](const Entry& a, const Entry& b) { return a.lx < b.lx; });
+    const auto rows = eval::bucket_by_row(*nl_, *design_, *pl_);
+    rows_.assign(rows.size(), {});
+    for (std::size_t r = 0; r < rows.size(); ++r) {
       // Safety net: entries that overlap a predecessor or a blocked
       // interval (possible when the incoming placement is not perfectly
       // legal) are removed from the row model -- their cells keep their
       // positions and are never moved, so the detailer cannot make things
       // worse. Blocked intervals always stay; overlapping ones merge.
-      std::vector<Entry> clean;
-      clean.reserve(row.size());
-      for (const Entry& e : row) {
+      std::vector<Entry>& clean = rows_[r];
+      clean.reserve(rows[r].size());
+      for (const eval::RowEntry& p : rows[r]) {
+        const Entry e = p.fixed ? Entry{p.lx, p.hx - p.lx, kInvalidId}
+                                : Entry{p.lx, nl_->cell_width(p.cell), p.cell};
         const bool blocked = e.blocked();
         while (blocked && !clean.empty() && !clean.back().blocked() &&
                clean.back().hx() > e.lx + 1e-9) {
@@ -110,7 +101,6 @@ class Engine {
         }
         clean.push_back(e);
       }
-      row = std::move(clean);
     }
   }
 
@@ -164,9 +154,8 @@ class Engine {
         new_lx = design_->snap_x(new_lx);
         if (new_lx < lo_bound - 1e-9 || new_lx + e.width > hi_bound + 1e-9) {
           // Snapping pushed us out of the gap; try the inward site.
-          new_lx = std::clamp(new_lx, lo_bound, hi_bound - e.width);
-          const double x0 = design_->core().lx, site = design_->site_width();
-          new_lx = x0 + std::ceil((new_lx - x0) / site - 1e-9) * site;
+          new_lx = design_->site_ceil(
+              std::clamp(new_lx, lo_bound, hi_bound - e.width));
           if (new_lx + e.width > hi_bound + 1e-9) continue;
         }
         const double dx = new_lx - e.lx;

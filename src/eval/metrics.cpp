@@ -81,22 +81,10 @@ double datapath_hpwl(const netlist::Netlist& nl, const netlist::Placement& pl,
   return total;
 }
 
-namespace {
-
-struct Placed {
-  double lx, hx;
-  CellId cell;
-  bool fixed = false;
-};
-
-/// Movable cells bucketed by the row nearest their center, plus the rows'
-/// netlist::fixed_row_blocks, sorted by left edge. Shared by
-/// check_legality and overlap_pairs.
-std::vector<std::vector<Placed>> bucket_by_row(const netlist::Netlist& nl,
-                                               const netlist::Design& design,
-                                               const netlist::Placement& pl,
-                                               double tolerance) {
-  std::vector<std::vector<Placed>> rows(design.num_rows());
+std::vector<std::vector<RowEntry>> bucket_by_row(
+    const netlist::Netlist& nl, const netlist::Design& design,
+    const netlist::Placement& pl, double tolerance) {
+  std::vector<std::vector<RowEntry>> rows(design.num_rows());
   for (CellId c = 0; c < nl.num_cells(); ++c) {
     if (nl.cell(c).fixed) continue;
     const double w = nl.cell_width(c);
@@ -110,12 +98,10 @@ std::vector<std::vector<Placed>> bucket_by_row(const netlist::Netlist& nl,
   }
   for (auto& row : rows) {
     std::sort(row.begin(), row.end(),
-              [](const Placed& a, const Placed& b) { return a.lx < b.lx; });
+              [](const RowEntry& a, const RowEntry& b) { return a.lx < b.lx; });
   }
   return rows;
 }
-
-}  // namespace
 
 std::vector<OverlapPair> overlap_pairs(const netlist::Netlist& nl,
                                        const netlist::Design& design,

@@ -105,6 +105,23 @@ LegalityReport check_legality(const netlist::Netlist& netlist,
                               const netlist::Placement& pl,
                               double tolerance = 1e-6);
 
+/// One occupied interval of a row: a movable cell, or the part of the row
+/// a fixed cell blocks.
+struct RowEntry {
+  double lx = 0.0;
+  double hx = 0.0;
+  netlist::CellId cell = netlist::kInvalidId;
+  bool fixed = false;
+};
+
+/// Movable cells bucketed by the row nearest their center
+/// (Design::nearest_row), plus every netlist::fixed_row_blocks block of
+/// `tolerance`, each row sorted by left edge. The overlap sweep and the
+/// detailed placer's row model read it.
+std::vector<std::vector<RowEntry>> bucket_by_row(
+    const netlist::Netlist& netlist, const netlist::Design& design,
+    const netlist::Placement& pl, double tolerance = 1e-6);
+
 /// One overlapping pair found by the row sweep: `a` is movable, `b` is
 /// movable or a fixed cell in the core.
 struct OverlapPair {

@@ -9,6 +9,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "geom/bin_grid.hpp"
 #include "geom/rect.hpp"
 #include "util/lanes.hpp"
 #include "util/thread_pool.hpp"
@@ -32,12 +33,8 @@ constexpr std::size_t kMaxValueGroups = 64;
 /// reaches instead of once per row.
 constexpr std::size_t kAccumBlocks = 8;
 
-/// Smallest power of two >= x (x >= 1).
-std::size_t pow2_at_least(double x) {
-  std::size_t p = 1;
-  while (static_cast<double>(p) < x) p <<= 1;
-  return p;
-}
+/// The most bins per side of a grid the constructor sizes itself.
+constexpr std::size_t kMaxGridSide = 512;
 
 /// Both window extents the constant-width fast path is compiled for.
 constexpr std::size_t kFastWindow = 5;
@@ -149,61 +146,19 @@ inline Lanes load(const double* p) {
 }
 inline void store(double* p, Lanes v) { std::memcpy(p, &v, sizeof v); }
 
-/// Tags for a slot of two cells and of one.
-using Paired = std::true_type;
-using Lone = std::false_type;
-
 /// A slot's bells in bells_ from `at`, for windows of nx columns and ny
-/// rows (DensityPenalty::Slot), read and written as the vectors of a pair:
-/// a lone cell reads back as the pair of itself.
-template <bool kPair, class NX, class NY>
+/// rows (DensityPenalty::Slot): the vectors of x-potentials, x-slopes,
+/// y-potentials and y-slopes, one lane per cell.
+template <class NX, class NY>
 struct SlotBells {
   Lanes* at;
   NX nx;
   NY ny;
 
-  static Lanes both(double v) { return Lanes{v, v}; }
-  void put_x(std::size_t i, const LaneBell& e) const {
-    if constexpr (kPair) {
-      at[i] = e.p;
-      at[nx + i] = e.dp;
-    } else {
-      at[i] = Lanes{e.p[0], e.dp[0]};
-    }
-  }
-  void put_y(std::size_t j, const LaneBell& e) const {
-    if constexpr (kPair) {
-      at[2 * nx + j] = e.p;
-      at[2 * nx + ny + j] = e.dp;
-    } else {
-      at[nx + j] = Lanes{e.p[0], e.dp[0]};
-    }
-  }
-  Lanes xp(std::size_t i) const {
-    if constexpr (kPair) return at[i];
-    else return both(at[i][0]);
-  }
-  Lanes xd(std::size_t i) const {
-    if constexpr (kPair) return at[nx + i];
-    else return both(at[i][1]);
-  }
-  Lanes yp(std::size_t j) const {
-    if constexpr (kPair) return at[2 * nx + j];
-    else return both(at[nx + j][0]);
-  }
-  Lanes yd(std::size_t j) const {
-    if constexpr (kPair) return at[2 * nx + ny + j];
-    else return both(at[nx + j][1]);
-  }
-  /// The first x- and y-potential of the cell in `lane`; the others
-  /// follow in every second double.
-  const double* x_of(std::size_t lane) const {
-    return reinterpret_cast<const double*>(at) + (kPair ? lane : 0);
-  }
-  const double* y_of(std::size_t lane) const {
-    return reinterpret_cast<const double*>(at + (kPair ? 2 * nx : nx)) +
-           (kPair ? lane : 0);
-  }
+  Lanes& xp(std::size_t i) const { return at[i]; }
+  Lanes& xd(std::size_t i) const { return at[nx + i]; }
+  Lanes& yp(std::size_t j) const { return at[2 * nx + j]; }
+  Lanes& yd(std::size_t j) const { return at[2 * nx + ny + j]; }
 };
 
 /// Adds `scale` times the exact overlap area of `r` with each bin it
@@ -212,23 +167,14 @@ struct SlotBells {
 void add_overlap(std::vector<double>& grid, const geom::Rect& r,
                  double scale, const geom::Rect& core, double bw, double bh,
                  std::size_t nb) {
-  const auto nbi = static_cast<long long>(nb);
-  const auto bx0 = std::max<long long>(
-      0, static_cast<long long>(std::floor((r.lx - core.lx) / bw)));
-  const auto bx1 = std::min<long long>(
-      nbi - 1, static_cast<long long>(std::floor((r.hx - core.lx) / bw)));
-  const auto by0 = std::max<long long>(
-      0, static_cast<long long>(std::floor((r.ly - core.ly) / bh)));
-  const auto by1 = std::min<long long>(
-      nbi - 1, static_cast<long long>(std::floor((r.hy - core.ly) / bh)));
-  for (long long by = by0; by <= by1; ++by) {
-    for (long long bx = bx0; bx <= bx1; ++bx) {
+  const geom::BinSpan span = geom::bin_span(r, core, bw, bh, nb);
+  for (long long by = span.y0; by <= span.y1; ++by) {
+    for (long long bx = span.x0; bx <= span.x1; ++bx) {
       const geom::Rect bin{core.lx + static_cast<double>(bx) * bw,
                            core.ly + static_cast<double>(by) * bh,
                            core.lx + static_cast<double>(bx + 1) * bw,
                            core.ly + static_cast<double>(by + 1) * bh};
-      grid[static_cast<std::size_t>(by) * nb +
-           static_cast<std::size_t>(bx)] += r.overlap_area(bin) * scale;
+      grid[geom::bin_index(bx, by, nb)] += r.overlap_area(bin) * scale;
     }
   }
 }
@@ -245,12 +191,7 @@ DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
                                const netlist::Design& design,
                                std::size_t bins_per_side)
     : nl_(&nl), design_(&design) {
-  const std::size_t n_mov = nl.num_movable();
-  nb_ = bins_per_side != 0
-            ? bins_per_side
-            : std::clamp<std::size_t>(
-                  pow2_at_least(std::sqrt(static_cast<double>(n_mov))), 16,
-                  512);
+  nb_ = geom::grid_side(bins_per_side, nl.num_movable(), kMaxGridSide);
   const geom::Rect& core = design.core();
   bw_ = core.width() / static_cast<double>(nb_);
   bh_ = core.height() / static_cast<double>(nb_);
@@ -272,9 +213,11 @@ DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
     sh.y = bell_shape(hc, bh_);
     sh.nx = static_cast<std::uint32_t>(window_bins(wc, bw_, nb_));
     sh.ny = static_cast<std::uint32_t>(window_bins(hc, bh_, nb_));
+    bells_per_value_ += sh.nx + sh.ny;
   }
   // The slots: the variables sorted by window shape (stable), chunked,
-  // and paired within each chunk's runs of one shape.
+  // and paired within each chunk's runs of one shape; a variable left
+  // over pairs with itself.
   std::vector<std::uint32_t> order(movable.size());
   for (std::uint32_t v = 0; v < order.size(); ++v) order[v] = v;
   std::stable_sort(order.begin(), order.end(),
@@ -291,11 +234,10 @@ DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
       const bool pair = at < i1 && shapes_[order[at]].nx == shapes_[a].nx &&
                         shapes_[order[at]].ny == shapes_[a].ny;
       slots_.push_back({a, pair ? order[at++] : a, first});
-      first += (pair ? 2 : 1) * (shapes_[a].nx + shapes_[a].ny);
+      first += 2 * (shapes_[a].nx + shapes_[a].ny);
     }
     chunk_slot_.push_back(static_cast<std::uint32_t>(slots_.size()));
   });
-  bells_per_value_ = first;
   bells_.resize(first);
   chunk_bins_.resize(chunk_slot_.size() - 1);
   set_area_scale({});
@@ -336,8 +278,7 @@ double DensityPenalty::value(const netlist::Placement& pl,
   err2_.resize(nb_ * nb_);
 
   const auto movable = vars.movable_cells();
-  const std::size_t n_mov = movable.size();
-  foot_.resize(n_mov);
+  foot_.resize(movable.size());
 
   // Pass 0: windows, bells and per-cell normalization, slot by slot.
   // Each cell's window (window_starts()) holds every bin where its bell
@@ -346,10 +287,9 @@ double DensityPenalty::value(const netlist::Placement& pl,
   // x + (+-0) == x for every accumulator here: each starts at +0 or at the
   // non-negative preload, and a sum is -0 only if both addends are.
   //
-  // spread(pair, slot) runs one slot, a pair or a lone cell (`pair`), and
-  // returns the bins of its cells that spread anywhere.
-  auto spread = [&](auto pair, const Slot& slot) {
-    constexpr bool kPair = decltype(pair)::value;
+  // spread(slot) runs one slot and returns the bins of its cells that
+  // spread anywhere. A lone cell runs in both lanes and counts once.
+  auto spread = [&](const Slot& slot) {
     const CellShape& sa = shapes_[slot.a];
     const CellShape& sb = shapes_[slot.b];
     const geom::Point& ca = pl[movable[slot.a]];
@@ -357,8 +297,8 @@ double DensityPenalty::value(const netlist::Placement& pl,
     Footprint& fa = foot_[slot.a];
     Footprint& fb = foot_[slot.b];
     return with_extents(sa.nx, sa.ny, [&](auto nx, auto ny) {
-      const SlotBells<kPair, decltype(nx), decltype(ny)> view{
-          &bells_[slot.first], nx, ny};
+      const SlotBells<decltype(nx), decltype(ny)> view{&bells_[slot.first],
+                                                       nx, ny};
       const LaneShape shx = lane_shape(sa.x, sb.x);
       const LaneShape shy = lane_shape(sa.y, sb.y);
       const Lanes cx = {ca.x, cb.x};
@@ -373,19 +313,24 @@ double DensityPenalty::value(const netlist::Placement& pl,
         f.bx1 = f.bx0 + wx - 1;
         f.by0 = by0[lane];
         f.by1 = f.by0 + wy - 1;
-        f.xp = view.x_of(lane);
-        f.yp = view.y_of(lane);
+        // The cell's potentials lie in every second double from its lane.
+        f.xp = reinterpret_cast<const double*>(&view.xp(0)) + lane;
+        f.yp = reinterpret_cast<const double*>(&view.yp(0)) + lane;
       }
       // Bin k's center is lo + (k + 0.5) * w; k + 0.5 steps exactly.
       Lanes kx = {static_cast<double>(bx0[0]) + 0.5,
                   static_cast<double>(bx0[1]) + 0.5};
       for (std::size_t i = 0; i < nx; ++i, kx += 1.0) {
-        view.put_x(i, lane_bell(cx - (core.lx + kx * bw_), shx));
+        const LaneBell e = lane_bell(cx - (core.lx + kx * bw_), shx);
+        view.xp(i) = e.p;
+        view.xd(i) = e.dp;
       }
       Lanes ky = {static_cast<double>(by0[0]) + 0.5,
                   static_cast<double>(by0[1]) + 0.5};
       for (std::size_t j = 0; j < ny; ++j, ky += 1.0) {
-        view.put_y(j, lane_bell(cy - (core.ly + ky * bh_), shy));
+        const LaneBell e = lane_bell(cy - (core.ly + ky * bh_), shy);
+        view.yp(j) = e.p;
+        view.yd(j) = e.dp;
       }
       Lanes norm = {0.0, 0.0};
       for (std::size_t j = 0; j < ny; ++j) {
@@ -400,15 +345,16 @@ double DensityPenalty::value(const netlist::Placement& pl,
       // A cell spread nowhere is skipped by passes 1-2.
       std::uint64_t bins = 0;
       if (fa.inv_norm != 0.0) bins += std::uint64_t{nx} * ny;
-      if (kPair && fb.inv_norm != 0.0) bins += std::uint64_t{nx} * ny;
+      if (slot.b != slot.a && fb.inv_norm != 0.0) {
+        bins += std::uint64_t{nx} * ny;
+      }
       return bins;
     });
   };
   util::run(pool_.get(), chunk_bins_.size(), [&](std::size_t k) {
     std::uint64_t bins = 0;
     for (std::uint32_t s = chunk_slot_[k]; s < chunk_slot_[k + 1]; ++s) {
-      bins += slots_[s].a == slots_[s].b ? spread(Lone{}, slots_[s])
-                                         : spread(Paired{}, slots_[s]);
+      bins += spread(slots_[s]);
     }
     chunk_bins_[k] = bins;
   });
@@ -454,7 +400,7 @@ double DensityPenalty::value(const netlist::Placement& pl,
         // Two bins per vector, each in its own lane's scalar arithmetic.
         for (long long by = by_lo; by <= by_hi; ++by) {
           const double py = f.yp[2 * (by - f.by0)];
-          double* row = &density_[bin(f.bx0, by)];
+          double* row = &density_[geom::bin_index(f.bx0, by, nb_)];
           std::size_t i = 0;
           for (; i + 2 <= nx; i += 2) {
             store(row + i, load(row + i) + load(q + i) * py);
@@ -488,22 +434,22 @@ void DensityPenalty::gradient(std::span<double> gx, std::span<double> gy,
   // Pass 2: gradient via chain rule (normalization treated as constant,
   // the standard NTUplace approximation), slot by slot. Embarrassingly
   // parallel over cells: variable v belongs to movable cell v alone.
-  auto pull = [&](auto pair, const Slot& slot) {
-    constexpr bool kPair = decltype(pair)::value;
+  auto pull = [&](const Slot& slot) {
     const Footprint& fa = foot_[slot.a];
     const Footprint& fb = foot_[slot.b];
     if (fa.inv_norm == 0.0 && fb.inv_norm == 0.0) return;
     const Lanes inv = {fa.inv_norm, fb.inv_norm};
     const auto [ax, ay] =
         with_extents(fa.width(), fa.height(), [&](auto nx, auto ny) {
-      const SlotBells<kPair, decltype(nx), decltype(ny)> view{
-          &bells_[slot.first], nx, ny};
+      const SlotBells<decltype(nx), decltype(ny)> view{&bells_[slot.first],
+                                                       nx, ny};
       Lanes sx = {0.0, 0.0}, sy = {0.0, 0.0};
       for (std::size_t j = 0; j < ny; ++j) {
         const Lanes pyp = view.yp(j);
         const Lanes pyd = view.yd(j);
-        const double* ea = &err2_[bin(fa.bx0, fa.by0) + j * nb_];
-        const double* eb = &err2_[bin(fb.bx0, fb.by0) + j * nb_];
+        const auto row = static_cast<long long>(j);
+        const double* ea = &err2_[geom::bin_index(fa.bx0, fa.by0 + row, nb_)];
+        const double* eb = &err2_[geom::bin_index(fb.bx0, fb.by0 + row, nb_)];
         for (std::size_t i = 0; i < nx; ++i) {
           // 2 * err * inv_norm * px * py, in that association.
           const Lanes e = Lanes{ea[i], eb[i]} * inv;
@@ -517,18 +463,14 @@ void DensityPenalty::gradient(std::span<double> gx, std::span<double> gy,
       gx[slot.a] += scale * ax[0];
       gy[slot.a] += scale * ay[0];
     }
-    if (kPair && fb.inv_norm != 0.0) {
+    if (slot.b != slot.a && fb.inv_norm != 0.0) {
       gx[slot.b] += scale * ax[1];
       gy[slot.b] += scale * ay[1];
     }
   };
   util::run(pool_.get(), chunk_bins_.size(), [&](std::size_t k) {
     for (std::uint32_t s = chunk_slot_[k]; s < chunk_slot_[k + 1]; ++s) {
-      if (slots_[s].a == slots_[s].b) {
-        pull(Lone{}, slots_[s]);
-      } else {
-        pull(Paired{}, slots_[s]);
-      }
+      pull(slots_[s]);
     }
   });
 }

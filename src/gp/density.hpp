@@ -53,11 +53,11 @@ namespace dp::gp {
 /// window), and passes 0 and 2, whose cells are independent, visit the
 /// cells by window shape and run two cells with the same window at once,
 /// one per lane of a two-double vector, in each cell's own arithmetic.
-/// Those pairs (slots_) are planned once in the constructor, and each
-/// pair keeps its bells lane-interleaved, so both passes move whole
-/// vectors. The bell constants and scaled areas are computed once per
-/// area scale, and pass 1 stores twice each bin's error for pass 2 to
-/// read.
+/// Those pairs (slots_) are planned once in the constructor; a cell left
+/// without a partner pairs with itself. Each pair keeps its bells
+/// lane-interleaved, so both passes move whole vectors. The bell
+/// constants and scaled areas are computed once per area scale, and
+/// pass 1 stores twice each bin's error for pass 2 to read.
 class DensityPenalty final : public ObjectiveTerm {
  public:
   DensityPenalty(const netlist::Netlist& nl, const netlist::Design& design,
@@ -146,10 +146,6 @@ class DensityPenalty final : public ObjectiveTerm {
     double m2a, b2;  ///< -2 a and 2 b
   };
   static BellShape bell_shape(double wc, double wb);
-  /// The index of bin (column bx, row by) in the row-major grids.
-  std::size_t bin(long long bx, long long by) const {
-    return static_cast<std::size_t>(by) * nb_ + static_cast<std::size_t>(bx);
-  }
 
   /// What does not move with the cells, per variable: the bell shapes on
   /// both axes, the window's columns and rows, and the scaled area.
@@ -159,12 +155,12 @@ class DensityPenalty final : public ObjectiveTerm {
     double area;
   };
   /// Two variables with the same window that passes 0 and 2 run in the
-  /// two lanes of one vector (a != b), or one variable alone (a == b),
-  /// and where their nx x-bells and ny y-bells start in bells_. A pair
-  /// keeps 2 (nx + ny) vectors {a's, b's}: the x-potentials, the
-  /// x-slopes, the y-potentials and the y-slopes. A lone variable keeps
-  /// nx + ny vectors {potential, slope}, x first. Either way every cell
-  /// owns nx + ny vectors, and its potentials lie in every second double.
+  /// two lanes of one vector, and where their nx x-bells and ny y-bells
+  /// start in bells_. A slot keeps 2 (nx + ny) vectors {a's, b's}: the
+  /// x-potentials, the x-slopes, the y-potentials and the y-slopes, so a
+  /// cell's potentials lie in every second double. A variable without a
+  /// partner is a slot of its own (b == a): both lanes compute it, and
+  /// its bins and its gradient count once.
   struct Slot {
     std::uint32_t a, b;
     std::uint32_t first;

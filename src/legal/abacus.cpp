@@ -1,7 +1,6 @@
 #include "legal/abacus.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 namespace dp::legal {
@@ -80,8 +79,6 @@ std::vector<CellId> abacus(const netlist::Netlist& nl,
                            const std::vector<CellId>& cells,
                            const RowMap& rows) {
   std::vector<CellId> failed;
-  const double site = design.site_width();
-  const double core_lx = design.core().lx;
 
   // Materialize per-row segment states.
   std::vector<std::vector<AbacusSegment>> segs(rows.num_rows());
@@ -89,9 +86,9 @@ std::vector<CellId> abacus(const netlist::Netlist& nl,
     for (const Segment& s : rows.segments(r)) {
       AbacusSegment st;
       // Shrink to whole sites so the final snap stays inside.
-      st.lx = core_lx + std::ceil((s.lx - core_lx) / site - 1e-9) * site;
-      st.hx = core_lx + std::floor((s.hx - core_lx) / site + 1e-9) * site;
-      if (st.hx - st.lx >= site) segs[r].push_back(st);
+      st.lx = design.site_ceil(s.lx);
+      st.hx = design.site_floor(s.hx);
+      if (st.hx - st.lx >= design.site_width()) segs[r].push_back(st);
     }
   }
 
@@ -142,9 +139,7 @@ std::vector<CellId> abacus(const netlist::Netlist& nl,
     const netlist::Row& row = design.row(r);
     for (const AbacusSegment& seg : segs[r]) {
       for (const Cluster& cl : seg.clusters) {
-        double cursor =
-            core_lx + std::floor((cl.x - core_lx) / site + 1e-9) * site;
-        cursor = std::max(cursor, seg.lx);
+        double cursor = std::max(design.site_floor(cl.x), seg.lx);
         for (std::size_t i = cl.first; i < cl.first + cl.count; ++i) {
           const AbacusSegment::Cell& rc = seg.cells[i];
           pl[rc.cell] = {cursor + rc.width / 2.0,

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "geom/bin_grid.hpp"
+
 namespace dp::netlist {
 
 Design::Design(geom::Rect core, double row_height, double site_width)
@@ -46,16 +48,22 @@ Design Design::for_netlist(const Netlist& netlist, double utilization) {
 }
 
 std::size_t Design::nearest_row(double y) const {
-  const double rel = (y - core_.ly) / row_height_;
-  const auto idx = static_cast<long long>(std::floor(rel));
-  const long long clamped =
-      std::clamp<long long>(idx, 0, static_cast<long long>(rows_.size()) - 1);
-  return static_cast<std::size_t>(clamped);
+  return geom::clamped_bin(y, core_.ly, row_height_, rows_.size());
 }
 
 double Design::snap_x(double x) const {
   const double rel = (x - core_.lx) / site_width_;
   return core_.lx + std::round(rel) * site_width_;
+}
+
+double Design::site_ceil(double x) const {
+  return core_.lx + std::ceil((x - core_.lx) / site_width_ - 1e-9) *
+                        site_width_;
+}
+
+double Design::site_floor(double x) const {
+  return core_.lx + std::floor((x - core_.lx) / site_width_ + 1e-9) *
+                        site_width_;
 }
 
 std::vector<RowBlock> fixed_row_blocks(const Netlist& netlist,

@@ -38,6 +38,11 @@ class Design {
   /// Snap an x coordinate to the site grid (toward the nearest site).
   double snap_x(double x) const;
 
+  /// The first site edge at or right of `x`, and the last at or left of
+  /// it; an x within 1e-9 sites of an edge counts as on it.
+  double site_ceil(double x) const;
+  double site_floor(double x) const;
+
  private:
   geom::Rect core_;
   double row_height_ = 1.0;

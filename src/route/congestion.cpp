@@ -1,8 +1,8 @@
 #include "route/congestion.hpp"
 
 #include <algorithm>
-#include <cmath>
 
+#include "geom/bin_grid.hpp"
 #include "geom/rect.hpp"
 
 namespace dp::route {
@@ -11,11 +11,8 @@ using netlist::CellId;
 
 namespace {
 
-std::size_t pow2_at_least(double x) {
-  std::size_t p = 1;
-  while (static_cast<double>(p) < x) p <<= 1;
-  return p;
-}
+/// The most bins per side of a grid the map sizes itself.
+constexpr std::size_t kMaxGridSide = 256;
 
 }  // namespace
 
@@ -23,12 +20,8 @@ CongestionMap::CongestionMap(const netlist::Netlist& nl,
                              const netlist::Design& design,
                              CongestionOptions options)
     : nl_(&nl), design_(&design), flat_(nl, 1) {
-  const std::size_t n_mov = nl.num_movable();
-  nb_ = options.bins_per_side != 0
-            ? options.bins_per_side
-            : std::clamp<std::size_t>(
-                  pow2_at_least(std::sqrt(static_cast<double>(n_mov))), 16,
-                  256);
+  nb_ = geom::grid_side(options.bins_per_side, nl.num_movable(),
+                        kMaxGridSide);
   const geom::Rect& core = design.core();
   bw_ = core.width() / static_cast<double>(nb_);
   bh_ = core.height() / static_cast<double>(nb_);
@@ -39,32 +32,26 @@ CongestionMap::CongestionMap(const netlist::Netlist& nl,
 }
 
 std::size_t CongestionMap::bin_x(double x) const {
-  const double rel = (x - design_->core().lx) / bw_;
-  const auto b = static_cast<long long>(std::floor(rel));
-  return static_cast<std::size_t>(
-      std::clamp<long long>(b, 0, static_cast<long long>(nb_) - 1));
+  return geom::clamped_bin(x, design_->core().lx, bw_, nb_);
 }
 
 std::size_t CongestionMap::bin_y(double y) const {
-  const double rel = (y - design_->core().ly) / bh_;
-  const auto b = static_cast<long long>(std::floor(rel));
-  return static_cast<std::size_t>(
-      std::clamp<long long>(b, 0, static_cast<long long>(nb_) - 1));
+  return geom::clamped_bin(y, design_->core().ly, bh_, nb_);
 }
 
 void CongestionMap::build(const netlist::Placement& pl) {
   const geom::Rect& core = design_->core();
-  const auto nbi = static_cast<long long>(nb_);
-  const std::size_t kept_nets = flat_.num_nets();
-  boxes_.resize(kept_nets);
   pin_bin_.resize(flat_.pin_cell.size());
+  std::fill(demand_h_.begin(), demand_h_.end(), 0.0);
+  std::fill(demand_v_.begin(), demand_v_.end(), 0.0);
 
-  // Pass 0: per-net expanded bounding boxes and per-pin bin indices.
-  for (std::size_t kn = 0; kn < kept_nets; ++kn) {
-    const std::uint32_t p0 = flat_.net_first[kn];
-    const std::uint32_t p1 = flat_.net_first[kn + 1];
+  // RUDY demand in ascending kept-net order, then the pin surcharge in
+  // ascending pin-slot order, so every bin sums its nets first and its
+  // pins after.
+  for (std::size_t kn = 0; kn < flat_.num_nets(); ++kn) {
     geom::Rect box;
-    for (std::uint32_t p = p0; p < p1; ++p) {
+    for (std::uint32_t p = flat_.net_first[kn]; p < flat_.net_first[kn + 1];
+         ++p) {
       const CellId c = flat_.pin_cell[p];
       const geom::Point pos{pl[c].x + flat_.pin_dx[p],
                             pl[c].y + flat_.pin_dy[p]};
@@ -72,9 +59,8 @@ void CongestionMap::build(const netlist::Placement& pl) {
       pin_bin_[p] =
           static_cast<std::uint32_t>(bin_y(pos.y) * nb_ + bin_x(pos.x));
     }
-    NetBox nb;
-    nb.wire_x = flat_.net_weight[kn] * box.width();
-    nb.wire_y = flat_.net_weight[kn] * box.height();
+    const double wire_x = flat_.net_weight[kn] * box.width();
+    const double wire_y = flat_.net_weight[kn] * box.height();
     // Expand to at least one bin per axis (flat and point nets must
     // still land somewhere), then clip to the core.
     double lx = box.lx, hx = box.hx, ly = box.ly, hy = box.hy;
@@ -88,49 +74,23 @@ void CongestionMap::build(const netlist::Placement& pl) {
       ly = cy - bh_ / 2.0;
       hy = cy + bh_ / 2.0;
     }
-    nb.lx = std::max(lx, core.lx);
-    nb.hx = std::min(hx, core.hx);
-    nb.ly = std::max(ly, core.ly);
-    nb.hy = std::min(hy, core.hy);
-    if (nb.hx <= nb.lx || nb.hy <= nb.ly) {
-      // Entirely outside the core (e.g. a pad-only net): no demand.
-      nb.bx0 = 0;
-      nb.bx1 = -1;
-      nb.by0 = 0;
-      nb.by1 = -1;
-    } else {
-      nb.bx0 = std::max<long long>(
-          0, static_cast<long long>(std::floor((nb.lx - core.lx) / bw_)));
-      nb.bx1 = std::min<long long>(
-          nbi - 1, static_cast<long long>(std::floor((nb.hx - core.lx) / bw_)));
-      nb.by0 = std::max<long long>(
-          0, static_cast<long long>(std::floor((nb.ly - core.ly) / bh_)));
-      nb.by1 = std::min<long long>(
-          nbi - 1, static_cast<long long>(std::floor((nb.hy - core.ly) / bh_)));
-    }
-    boxes_[kn] = nb;
-  }
-
-  std::fill(demand_h_.begin(), demand_h_.end(), 0.0);
-  std::fill(demand_v_.begin(), demand_v_.end(), 0.0);
-
-  // Pass 1: RUDY demand in ascending kept-net order, then the pin
-  // surcharge in ascending pin-slot order, so every bin sums its nets
-  // first and its pins after.
-  for (const NetBox& box : boxes_) {
-    if (box.by1 < box.by0) continue;
-    const double inv_area = 1.0 / ((box.hx - box.lx) * (box.hy - box.ly));
-    for (long long by = box.by0; by <= box.by1; ++by) {
+    const geom::Rect clip{std::max(lx, core.lx), std::max(ly, core.ly),
+                          std::min(hx, core.hx), std::min(hy, core.hy)};
+    // Entirely outside the core (e.g. a pad-only net): no demand.
+    if (clip.hx <= clip.lx || clip.hy <= clip.ly) continue;
+    const geom::BinSpan bins = geom::bin_span(clip, core, bw_, bh_, nb_);
+    const double inv_area =
+        1.0 / ((clip.hx - clip.lx) * (clip.hy - clip.ly));
+    for (long long by = bins.y0; by <= bins.y1; ++by) {
       const double b_ly = core.ly + static_cast<double>(by) * bh_;
-      const double oy = std::min(box.hy, b_ly + bh_) - std::max(box.ly, b_ly);
-      for (long long bx = box.bx0; bx <= box.bx1; ++bx) {
+      const double oy = std::min(clip.hy, b_ly + bh_) - std::max(clip.ly, b_ly);
+      for (long long bx = bins.x0; bx <= bins.x1; ++bx) {
         const double b_lx = core.lx + static_cast<double>(bx) * bw_;
-        const double ox = std::min(box.hx, b_lx + bw_) - std::max(box.lx, b_lx);
+        const double ox =
+            std::min(clip.hx, b_lx + bw_) - std::max(clip.lx, b_lx);
         const double frac = ox * oy * inv_area;
-        const std::size_t i =
-            static_cast<std::size_t>(by) * nb_ + static_cast<std::size_t>(bx);
-        demand_h_[i] += frac * box.wire_x;
-        demand_v_[i] += frac * box.wire_y;
+        demand_h_[geom::bin_index(bx, by, nb_)] += frac * wire_x;
+        demand_v_[geom::bin_index(bx, by, nb_)] += frac * wire_y;
       }
     }
   }

@@ -116,14 +116,9 @@ class CongestionMap {
   /// Nets with >= 1 pin: single-pin nets still add their pin surcharge.
   netlist::FlatNets flat_;
 
-  /// Per-evaluation scratch, persistent to keep allocation out of build().
-  struct NetBox {
-    double lx, ly, hx, hy;  ///< expanded bbox, clipped to the core
-    double wire_x, wire_y;  ///< weighted span per direction
-    long long bx0, bx1, by0, by1;
-  };
-  std::vector<NetBox> boxes_;
-  std::vector<std::uint32_t> pin_bin_;  ///< bin index per flattened pin
+  /// Bin index per flattened pin; scratch, persistent to keep allocation
+  /// out of build().
+  std::vector<std::uint32_t> pin_bin_;
 };
 
 }  // namespace dp::route

@@ -13,6 +13,7 @@
 #include "eval/metrics.hpp"
 #include "netlist/bookshelf.hpp"
 #include "util/prng.hpp"
+#include "temp_dir.hpp"
 
 namespace dp::netlist {
 namespace {
@@ -21,7 +22,7 @@ class BookshelfRoundTrip : public ::testing::Test {
  protected:
   void SetUp() override {
     bench_.emplace(dpgen::make_benchmark("dp_add32"));
-    base_ = ::testing::TempDir() + "bs_test";
+    base_ = test::temp_dir() + "bs_test";
     write_bookshelf(base_, bench_->netlist, bench_->design,
                     bench_->placement);
   }
@@ -168,8 +169,8 @@ TEST(Bookshelf, AlignmentScoreInDesignRows) {
     if (bench.netlist.cell(c).fixed) continue;
     pl[c] = {rng.uniform(core.lx, core.hx), rng.uniform(core.ly, core.hy)};
   }
-  const std::string base = ::testing::TempDir() + "bs_rows";
-  const std::string scaled = ::testing::TempDir() + "bs_rows8";
+  const std::string base = test::temp_dir() + "bs_rows";
+  const std::string scaled = test::temp_dir() + "bs_rows8";
   write_bookshelf(base, bench.netlist, bench.design, pl);
   write_groups(base + ".groups", bench.netlist, bench.truth);
   copy_bookshelf(base, scaled, 8.0, 0.0);
@@ -196,7 +197,7 @@ TEST(Bookshelf, AlignmentScoreInDesignRows) {
 // GP HPWL) and 2.2e-16 for the final HPWL. The test allows 1e-9.
 TEST(Bookshelf, PlacementInvariantToUnitsAndOffsets) {
   const dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
-  const std::string base = ::testing::TempDir() + "units";
+  const std::string base = test::temp_dir() + "units";
   write_bookshelf(base, bench.netlist, bench.design, bench.placement);
   copy_bookshelf(base, base + "_x8", 8.0, 0.0);
   copy_bookshelf(base, base + "_moved", 1.0, 1000.0);
@@ -256,7 +257,7 @@ TEST_P(MalformedGroups, RejectedWithFileAndLine) {
   const GroupsCase& gc = GetParam();
   const auto bench = dpgen::make_benchmark("dp_add32");
   const std::string path =
-      ::testing::TempDir() + "bad_" + gc.name + ".groups";
+      test::temp_dir() + "bad_" + gc.name + ".groups";
   std::string text = gc.text;
   for (auto pct = text.find('%'); pct != std::string::npos;
        pct = text.find('%')) {
@@ -322,7 +323,7 @@ class NetDegreeMismatch : public ::testing::TestWithParam<DegreeCase> {};
 TEST_P(NetDegreeMismatch, RejectedWithNetAndFile) {
   const DegreeCase& dc = GetParam();
   const auto bench = dpgen::make_benchmark("dp_add32");
-  const std::string base = ::testing::TempDir() + "bs_degree_" + dc.name;
+  const std::string base = test::temp_dir() + "bs_degree_" + dc.name;
   write_bookshelf(base, bench.netlist, bench.design, bench.placement);
 
   std::vector<std::string> lines;
@@ -388,7 +389,7 @@ class Malformed : public ::testing::TestWithParam<MalformedCase> {};
 TEST_P(Malformed, RejectedWithFileAndLine) {
   const MalformedCase& mc = GetParam();
   const auto bench = dpgen::make_benchmark("dp_add32");
-  const std::string base = ::testing::TempDir() + "bs_bad_" + mc.name;
+  const std::string base = test::temp_dir() + "bs_bad_" + mc.name;
   write_bookshelf(base, bench.netlist, bench.design, bench.placement);
   const std::string path = base + mc.ext;
 
@@ -541,7 +542,7 @@ void expect_rejected(const std::string& aux,
 // A node listed twice in .nodes would load as a second cell with no pins.
 TEST(Bookshelf, DuplicateNodeRejected) {
   const auto bench = dpgen::make_benchmark("dp_add32");
-  const std::string base = ::testing::TempDir() + "bs_dup_node";
+  const std::string base = test::temp_dir() + "bs_dup_node";
   write_bookshelf(base, bench.netlist, bench.design, bench.placement);
   std::vector<std::string> lines = read_lines(base + ".nodes");
   lines.push_back(lines.back());
@@ -558,7 +559,7 @@ TEST(Bookshelf, DuplicateNodeRejected) {
 // A node positioned twice in .pl would silently take its last position.
 TEST(Bookshelf, NodePositionedTwiceRejected) {
   const auto bench = dpgen::make_benchmark("dp_add32");
-  const std::string base = ::testing::TempDir() + "bs_dup_pl";
+  const std::string base = test::temp_dir() + "bs_dup_pl";
   write_bookshelf(base, bench.netlist, bench.design, bench.placement);
   std::vector<std::string> lines = read_lines(base + ".pl");
   lines.push_back(lines.back());
@@ -574,7 +575,7 @@ TEST(Bookshelf, NodePositionedTwiceRejected) {
 // at the origin.
 TEST(Bookshelf, UnpositionedTerminalRejected) {
   const auto bench = dpgen::make_benchmark("dp_add32");
-  const std::string base = ::testing::TempDir() + "bs_no_terminal_pl";
+  const std::string base = test::temp_dir() + "bs_no_terminal_pl";
   write_bookshelf(base, bench.netlist, bench.design, bench.placement);
   std::vector<std::string> lines = read_lines(base + ".pl");
   std::size_t target = lines.size() - 1;
@@ -590,7 +591,7 @@ TEST(Bookshelf, UnpositionedTerminalRejected) {
 // An .aux error names the .aux file and its line.
 TEST(Bookshelf, MalformedAuxNamesFile) {
   const auto bench = dpgen::make_benchmark("dp_add32");
-  const std::string base = ::testing::TempDir() + "bs_bad_aux";
+  const std::string base = test::temp_dir() + "bs_bad_aux";
   write_bookshelf(base, bench.netlist, bench.design, bench.placement);
   write_lines(base + ".aux",
               {"# no .scl", "RowBasedPlacement : bs_bad_aux.nodes "

@@ -9,6 +9,7 @@
 #include "dpgen/benchmarks.hpp"
 #include "netlist/bookshelf.hpp"
 #include "netlist/library.hpp"
+#include "temp_dir.hpp"
 
 namespace dp::check {
 namespace {
@@ -243,7 +244,7 @@ TEST(Checker, BookshelfExportLintsClean) {
   Placement pl = bench.placement;
   const core::PlaceReport report =
       core::StructurePlacer(bench.netlist, bench.design, {}).place(pl);
-  const std::string base = ::testing::TempDir() + "lint_export";
+  const std::string base = test::temp_dir() + "lint_export";
   netlist::write_bookshelf(base, bench.netlist, bench.design, pl);
   netlist::write_groups(base + ".groups", bench.netlist, report.structure);
   const netlist::Problem p = netlist::read_bookshelf(base + ".aux");

@@ -603,12 +603,10 @@ TEST(DensityBitwise, CellsClippedAtCoreEdges) {
   expect_bitwise(b, pl, vars, {kEdgeBins, true}, "clipped area-scale");
 }
 
-// Passes 0 and 2 pair the cells of one window within a chunk, and a cell
-// left without a partner gets a slot of its own, with its own bell
-// layout. Here one chunk's window shapes leave lone cells beside pairs:
-// windows held by one cell, by three (a single pair and a lone cell) and
-// by five.
-TEST(DensityBitwise, LoneCellsAndPairTails) {
+/// One chunk of cells whose window shapes leave lone cells beside pairs:
+/// windows held by one cell, by three (a single pair and a lone cell) and
+/// by five.
+dpgen::Benchmark tails_benchmark() {
   using netlist::CellFunc;
   netlist::NetlistBuilder builder(netlist::standard_library());
   const std::pair<CellFunc, std::size_t> kinds[] = {{CellFunc::kInv, 1},
@@ -624,7 +622,25 @@ TEST(DensityBitwise, LoneCellsAndPairTails) {
   }
   netlist::Netlist nl = builder.take();
   const netlist::Design design = netlist::Design::for_netlist(nl, 0.7);
-  const dpgen::Benchmark b{"tails", std::move(nl), design, {}, {}};
+  return {"tails", std::move(nl), design, {}, {}};
+}
+
+/// Uniformly random centers in the core for every cell of `b`.
+Placement random_placement(const dpgen::Benchmark& b, std::uint64_t seed) {
+  const geom::Rect& core = b.design.core();
+  Placement pl(b.netlist.num_cells());
+  util::Rng rng(seed);
+  for (auto& p : pl) {
+    p = {rng.uniform(core.lx, core.hx), rng.uniform(core.ly, core.hy)};
+  }
+  return pl;
+}
+
+// Passes 0 and 2 pair the cells of one window within a chunk, and a cell
+// left without a partner pairs with itself. Here one chunk's window
+// shapes leave lone cells beside pairs.
+TEST(DensityBitwise, LoneCellsAndPairTails) {
+  const dpgen::Benchmark b = tails_benchmark();
   const VarMap vars(b.netlist);
   const geom::Rect& core = b.design.core();
 
@@ -644,13 +660,33 @@ TEST(DensityBitwise, LoneCellsAndPairTails) {
   ASSERT_TRUE(alone && three && odd_pairs)
       << per_window.size() << " window shapes";
 
-  Placement pl(b.netlist.num_cells());
-  util::Rng rng(17);
-  for (auto& p : pl) {
-    p = {rng.uniform(core.lx, core.hx), rng.uniform(core.ly, core.hy)};
-  }
+  const Placement pl = random_placement(b, 17);
   expect_bitwise(b, pl, vars, {kEdgeBins, false}, "tails");
   expect_bitwise(b, pl, vars, {kEdgeBins, true}, "tails area-scale");
+}
+
+// A lone cell runs in both lanes of its slot, but each work counter takes
+// it once: one bell per column and one per row of every cell's window,
+// and, with every cell inside the core, every bin of every window.
+TEST(Density, CountersTakeEachCellOnce) {
+  const dpgen::Benchmark b = tails_benchmark();
+  const VarMap vars(b.netlist);
+  const geom::Rect& core = b.design.core();
+  const double bw = core.width() / kEdgeBins;
+  const double bh = core.height() / kEdgeBins;
+  std::uint64_t bells = 0;
+  for (const CellId c : vars.movable_cells()) {
+    bells += window_extent(b.netlist.cell_width(c), bw) +
+             window_extent(b.netlist.cell_height(c), bh);
+  }
+  for (const std::size_t threads : kThreadCounts) {
+    DensityPenalty den(b.netlist, b.design, kEdgeBins);
+    den.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
+    den.value(random_placement(b, 17), vars);
+    EXPECT_EQ(den.bells_evaluated(), bells) << "threads=" << threads;
+    EXPECT_EQ(den.bins_visited(), window_rule_bins(b, vars))
+        << "threads=" << threads;
+  }
 }
 
 TEST(DensityBitwise, BinsVisitedIsThreadIndependent) {

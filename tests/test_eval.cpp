@@ -12,6 +12,7 @@
 #include "eval/svg.hpp"
 #include "legal/abacus.hpp"
 #include "util/prng.hpp"
+#include "temp_dir.hpp"
 
 namespace dp::eval {
 namespace {
@@ -328,7 +329,7 @@ std::size_t count_occurrences(const std::string& haystack,
 
 TEST(Svg, LayerElementCountsMatchDesign) {
   const dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
-  const std::string path = ::testing::TempDir() + "svg_layers.svg";
+  const std::string path = test::temp_dir() + "svg_layers.svg";
   write_svg(path, bench.netlist, bench.design, bench.placement,
             &bench.truth);
   const std::string content = read_and_remove(path);
@@ -356,7 +357,7 @@ TEST(Svg, LayerElementCountsMatchDesign) {
 
 TEST(Svg, HeatmapLayerTogglesOneRectPerBin) {
   const dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
-  const std::string path = ::testing::TempDir() + "svg_heat.svg";
+  const std::string path = test::temp_dir() + "svg_heat.svg";
   SvgOptions options;
   options.heatmap_bins = 4;
   options.heatmap.assign(16, 0.5);
@@ -375,7 +376,7 @@ TEST(Svg, HeatmapLayerTogglesOneRectPerBin) {
 
 TEST(Svg, CriticalPathLayerTogglesOnPoints) {
   const dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
-  const std::string path = ::testing::TempDir() + "svg_critpath.svg";
+  const std::string path = test::temp_dir() + "svg_critpath.svg";
   SvgOptions options;
   options.critical_path = {{1.0, 1.0}, {5.0, 2.0}, {9.0, 3.0}};
   write_svg(path, bench.netlist, bench.design, bench.placement, options);
@@ -393,7 +394,7 @@ TEST(Svg, CriticalPathLayerTogglesOnPoints) {
 
 TEST(Svg, UnwritablePathThrows) {
   const dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
-  const std::string path = ::testing::TempDir() + "no_such_dir/x.svg";
+  const std::string path = test::temp_dir() + "no_such_dir/x.svg";
   EXPECT_THROW(
       write_svg(path, bench.netlist, bench.design, bench.placement),
       std::runtime_error);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "geom/bin_grid.hpp"
 #include "geom/point.hpp"
 #include "geom/rect.hpp"
 #include "util/prng.hpp"
@@ -86,6 +87,45 @@ TEST(RectProperty, ExpandContainsBothInputs) {
     EXPECT_LE(a.lx, std::min(a0.lx, b.lx));
     EXPECT_GE(a.hx, std::max(a0.hx, b.hx));
   }
+}
+
+// A grid the caller does not size gets the smallest power of two at least
+// sqrt(cells), at least 16 and at most the cap: 512 for the density
+// penalty, 256 for the congestion map.
+TEST(BinGrid, GridSide) {
+  EXPECT_EQ(grid_side(0, 0, 512), 16u);
+  EXPECT_EQ(grid_side(0, 256, 512), 16u);
+  EXPECT_EQ(grid_side(0, 257, 512), 32u);
+  EXPECT_EQ(grid_side(0, 4000, 512), 64u);
+  EXPECT_EQ(grid_side(0, 65536, 256), 256u);
+  EXPECT_EQ(grid_side(0, 65537, 256), 256u);
+  EXPECT_EQ(grid_side(0, 65537, 512), 512u);
+  EXPECT_EQ(grid_side(0, 1000000, 512), 512u);
+  EXPECT_EQ(grid_side(0, 1000000, 256), 256u);
+  // A requested side is taken as it is.
+  EXPECT_EQ(grid_side(7, 1000000, 512), 7u);
+  EXPECT_EQ(grid_side(1024, 0, 256), 1024u);
+}
+
+TEST(BinGrid, SpanClampsIntoTheGrid) {
+  const Rect core{1.0, 2.0, 9.0, 10.0};  // 8 x 8 bins of 1 x 1
+  const BinSpan inside = bin_span({2.5, 3.0, 4.0, 5.5}, core, 1.0, 1.0, 8);
+  EXPECT_EQ(inside.x0, 1);
+  EXPECT_EQ(inside.x1, 3);
+  EXPECT_EQ(inside.y0, 1);
+  EXPECT_EQ(inside.y1, 3);
+  const BinSpan over = bin_span({-5.0, 9.5, 20.0, 30.0}, core, 1.0, 1.0, 8);
+  EXPECT_EQ(over.x0, 0);
+  EXPECT_EQ(over.x1, 7);
+  EXPECT_EQ(over.y0, 7);
+  EXPECT_EQ(over.y1, 7);
+  const BinSpan left = bin_span({-5.0, 3.0, -1.0, 4.0}, core, 1.0, 1.0, 8);
+  EXPECT_GT(left.x0, left.x1);
+  // A point's bin clamps at both ends; bins are stored row by row.
+  EXPECT_EQ(clamped_bin(-5.0, core.lx, 1.0, 8), 0u);
+  EXPECT_EQ(clamped_bin(3.5, core.lx, 1.0, 8), 2u);
+  EXPECT_EQ(clamped_bin(30.0, core.lx, 1.0, 8), 7u);
+  EXPECT_EQ(bin_index(3, 2, 8), 19u);
 }
 
 }  // namespace

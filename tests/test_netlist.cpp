@@ -10,6 +10,7 @@
 #include "netlist/flat_nets.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/stats.hpp"
+#include "temp_dir.hpp"
 
 namespace dp::netlist {
 namespace {
@@ -314,7 +315,7 @@ TEST(NetlistCsr, SuiteDesign) {
 
 TEST(NetlistCsr, BookshelfRoundTrip) {
   const dpgen::Benchmark bench = dpgen::make_benchmark("mix50");
-  const std::string base = ::testing::TempDir() + "csr_round_trip";
+  const std::string base = test::temp_dir() + "csr_round_trip";
   write_bookshelf(base, bench.netlist, bench.design, bench.placement);
   const Problem loaded = read_bookshelf(base + ".aux");
   expect_csr_invariants(loaded.netlist);
@@ -357,6 +358,23 @@ TEST(Design, SnapX) {
   const Design d(geom::Rect{0, 0, 10, 5}, 1.0, 0.25);
   EXPECT_DOUBLE_EQ(d.snap_x(0.3), 0.25);
   EXPECT_DOUBLE_EQ(d.snap_x(0.4), 0.5);
+}
+
+// An x within 1e-9 sites of a site edge counts as on it, from either side.
+TEST(Design, SiteCeilAndFloor) {
+  const Design d(geom::Rect{1, 0, 11, 5}, 1.0, 0.25);
+  const double edge = 1.75;  // site 3 from the core's left edge
+  for (const double x : {edge, edge - 1e-12, edge + 1e-12}) {
+    EXPECT_EQ(d.site_ceil(x), edge) << x;
+    EXPECT_EQ(d.site_floor(x), edge) << x;
+  }
+  // 4e-9 sites off the edge is off it.
+  EXPECT_EQ(d.site_ceil(edge + 1e-9), 2.0);
+  EXPECT_EQ(d.site_floor(edge + 1e-9), edge);
+  EXPECT_EQ(d.site_ceil(edge - 1e-9), edge);
+  EXPECT_EQ(d.site_floor(edge - 1e-9), 1.5);
+  EXPECT_EQ(d.site_ceil(1.8), 2.0);
+  EXPECT_EQ(d.site_floor(1.8), edge);
 }
 
 TEST(Design, ForNetlistMeetsUtilization) {

@@ -10,6 +10,7 @@
 #include "dpgen/benchmarks.hpp"
 #include "eval/metrics.hpp"
 #include "netlist/bookshelf.hpp"
+#include "temp_dir.hpp"
 
 namespace dp::core {
 namespace {
@@ -110,7 +111,7 @@ TEST(StructurePlacer, BaselineBeatsNothingOnAlignment) {
 // placement: no movable cell ends on it. The legality check sees it too.
 TEST(StructurePlacer, GentleFlowKeepsCellsOffFixedMacro) {
   const dpgen::Benchmark bench = dpgen::make_benchmark("dp_add32");
-  const std::string base = ::testing::TempDir() + "macro_in_core";
+  const std::string base = test::temp_dir() + "macro_in_core";
   netlist::write_bookshelf(base, bench.netlist, bench.design, bench.placement);
   // A 10 x 10 macro at the core's center, on the row and site grid.
   const geom::Rect& core = bench.design.core();
