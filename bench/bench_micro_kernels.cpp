@@ -3,6 +3,10 @@
 // parallel gradient kernels, plus the density and wirelength kernels on a
 // spread make_scaled(4000) placement and the quadratic start of that
 // design, and the wirelength kernel's util::exp beside std::exp.
+// The wirelength and density rows run the kernels at the widest lane
+// width of the host (util::widest_lanes()) and name it in their label;
+// the density rows call evaluate(), as value() would return its kept
+// value at the unchanged placement.
 // A run writes a file only when given --benchmark_out=FILE; ctest runs
 // every row once as a smoke test.
 #include <benchmark/benchmark.h>
@@ -23,6 +27,7 @@
 #include "gp/wirelength.hpp"
 #include "legal/abacus.hpp"
 #include "util/exp.hpp"
+#include "util/lanes.hpp"
 #include "util/logger.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
@@ -35,6 +40,36 @@ const dp::dpgen::Benchmark& bench_data() {
     return dp::dpgen::make_benchmark("dp_alu32");
   }();
   return b;
+}
+
+/// The lane width value() runs the wirelength and density kernels at.
+dp::util::LaneWidth lanes(benchmark::State& state) {
+  const dp::util::LaneWidth width = dp::util::widest_lanes();
+  state.SetLabel(dp::util::to_string(width));
+  return width;
+}
+
+/// One wirelength evaluation at `width`: value and gradient into gx, gy.
+double wl_eval(const dp::gp::SmoothWirelength& wl,
+               const dp::netlist::Placement& pl, dp::util::LaneWidth width,
+               std::vector<double>& gx, std::vector<double>& gy) {
+  std::fill(gx.begin(), gx.end(), 0.0);
+  std::fill(gy.begin(), gy.end(), 0.0);
+  const double v = wl.evaluate(pl, width);
+  wl.gradient(gx, gy, 1.0);
+  return v;
+}
+
+/// One density evaluation at `width`: value and gradient into gx, gy.
+double density_eval(const dp::gp::DensityPenalty& den,
+                    const dp::netlist::Placement& pl,
+                    const dp::gp::VarMap& vars, dp::util::LaneWidth width,
+                    std::vector<double>& gx, std::vector<double>& gy) {
+  std::fill(gx.begin(), gx.end(), 0.0);
+  std::fill(gy.begin(), gy.end(), 0.0);
+  const double v = den.evaluate(pl, vars, width);
+  den.gradient(gx, gy, 1.0);
+  return v;
 }
 
 void BM_Hpwl(benchmark::State& state) {
@@ -51,10 +86,9 @@ void BM_WirelengthGradient(benchmark::State& state) {
   dp::gp::SmoothWirelength wl(b.netlist, dp::gp::WirelengthModel::kWa, 1.0);
   std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
   auto pl = b.placement;
+  const dp::util::LaneWidth width = lanes(state);
   for (auto _ : state) {
-    std::fill(gx.begin(), gx.end(), 0.0);
-    std::fill(gy.begin(), gy.end(), 0.0);
-    benchmark::DoNotOptimize(wl.eval(pl, vars, gx, gy));
+    benchmark::DoNotOptimize(wl_eval(wl, pl, width, gx, gy));
   }
 }
 BENCHMARK(BM_WirelengthGradient);
@@ -65,10 +99,9 @@ void BM_DensityGradient(benchmark::State& state) {
   dp::gp::DensityPenalty den(b.netlist, b.design);
   std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
   auto pl = b.placement;
+  const dp::util::LaneWidth width = lanes(state);
   for (auto _ : state) {
-    std::fill(gx.begin(), gx.end(), 0.0);
-    std::fill(gy.begin(), gy.end(), 0.0);
-    benchmark::DoNotOptimize(den.eval(pl, vars, gx, gy));
+    benchmark::DoNotOptimize(density_eval(den, pl, vars, width, gx, gy));
   }
 }
 BENCHMARK(BM_DensityGradient);
@@ -91,10 +124,9 @@ void BM_WirelengthEvalThreads(benchmark::State& state) {
       static_cast<std::size_t>(state.range(0))));
   std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
   const auto& pl = b.placement;
+  const dp::util::LaneWidth width = lanes(state);
   for (auto _ : state) {
-    std::fill(gx.begin(), gx.end(), 0.0);
-    std::fill(gy.begin(), gy.end(), 0.0);
-    benchmark::DoNotOptimize(wl.eval(pl, vars, gx, gy));
+    benchmark::DoNotOptimize(wl_eval(wl, pl, width, gx, gy));
   }
 }
 BENCHMARK(BM_WirelengthEvalThreads)->Apply(thread_args);
@@ -107,10 +139,9 @@ void BM_DensityEvalThreads(benchmark::State& state) {
       static_cast<std::size_t>(state.range(0))));
   std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
   const auto& pl = b.placement;
+  const dp::util::LaneWidth width = lanes(state);
   for (auto _ : state) {
-    std::fill(gx.begin(), gx.end(), 0.0);
-    std::fill(gy.begin(), gy.end(), 0.0);
-    benchmark::DoNotOptimize(den.eval(pl, vars, gx, gy));
+    benchmark::DoNotOptimize(density_eval(den, pl, vars, width, gx, gy));
   }
 }
 BENCHMARK(BM_DensityEvalThreads)->Apply(thread_args);
@@ -152,10 +183,9 @@ void BM_DensityGradientSpread4k(benchmark::State& state) {
   const dp::gp::VarMap vars(f.bench.netlist);
   dp::gp::DensityPenalty den(f.bench.netlist, f.bench.design);
   std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
+  const dp::util::LaneWidth width = lanes(state);
   for (auto _ : state) {
-    std::fill(gx.begin(), gx.end(), 0.0);
-    std::fill(gy.begin(), gy.end(), 0.0);
-    benchmark::DoNotOptimize(den.eval(f.pl, vars, gx, gy));
+    benchmark::DoNotOptimize(density_eval(den, f.pl, vars, width, gx, gy));
   }
 }
 BENCHMARK(BM_DensityGradientSpread4k);
@@ -165,8 +195,9 @@ void BM_DensityValueSpread4k(benchmark::State& state) {
   const auto& f = spread4k();
   const dp::gp::VarMap vars(f.bench.netlist);
   dp::gp::DensityPenalty den(f.bench.netlist, f.bench.design);
+  const dp::util::LaneWidth width = lanes(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(den.value(f.pl, vars));
+    benchmark::DoNotOptimize(den.evaluate(f.pl, vars, width));
   }
 }
 BENCHMARK(BM_DensityValueSpread4k);
@@ -178,10 +209,9 @@ void BM_DensityEvalThreadsSpread4k(benchmark::State& state) {
   den.set_thread_pool(std::make_shared<dp::util::ThreadPool>(
       static_cast<std::size_t>(state.range(0))));
   std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
+  const dp::util::LaneWidth width = lanes(state);
   for (auto _ : state) {
-    std::fill(gx.begin(), gx.end(), 0.0);
-    std::fill(gy.begin(), gy.end(), 0.0);
-    benchmark::DoNotOptimize(den.eval(f.pl, vars, gx, gy));
+    benchmark::DoNotOptimize(density_eval(den, f.pl, vars, width, gx, gy));
   }
 }
 BENCHMARK(BM_DensityEvalThreadsSpread4k)->Apply(thread_args);
@@ -192,10 +222,9 @@ void BM_WirelengthEvalSpread4k(benchmark::State& state) {
   const dp::gp::SmoothWirelength wl(f.bench.netlist,
                                     dp::gp::WirelengthModel::kWa, f.gamma);
   std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
+  const dp::util::LaneWidth width = lanes(state);
   for (auto _ : state) {
-    std::fill(gx.begin(), gx.end(), 0.0);
-    std::fill(gy.begin(), gy.end(), 0.0);
-    benchmark::DoNotOptimize(wl.eval(f.pl, vars, gx, gy));
+    benchmark::DoNotOptimize(wl_eval(wl, f.pl, width, gx, gy));
   }
 }
 BENCHMARK(BM_WirelengthEvalSpread4k);
@@ -206,15 +235,16 @@ void BM_WirelengthValueSpread4k(benchmark::State& state) {
   const dp::gp::VarMap vars(f.bench.netlist);
   const dp::gp::SmoothWirelength wl(f.bench.netlist,
                                     dp::gp::WirelengthModel::kWa, f.gamma);
+  const dp::util::LaneWidth width = lanes(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(wl.value(f.pl, vars));
+    benchmark::DoNotOptimize(wl.evaluate(f.pl, width));
   }
 }
 BENCHMARK(BM_WirelengthValueSpread4k);
 
 // util::exp and std::exp over the same 4,096 arguments, uniform in
 // [-20, 0], where most WA weights lie. An item is the exp of one value:
-// util::exp takes two per call.
+// util::exp takes two per call, or four on an AVX2 host.
 const std::vector<double>& exp_args() {
   static const std::vector<double> x = [] {
     std::vector<double> v(4096);
@@ -238,6 +268,30 @@ void BM_ExpLanes(benchmark::State& state) {
                           static_cast<std::int64_t>(x.size()));
 }
 BENCHMARK(BM_ExpLanes);
+
+#if defined(__x86_64__)
+/// The sum of the four-lane util::exp of `x`, four at a time.
+__attribute__((target("avx2"))) double sum_exp_quad(
+    const std::vector<double>& x) {
+  dp::util::Quad sum = {0.0, 0.0, 0.0, 0.0};
+  for (std::size_t i = 0; i < x.size(); i += 4) {
+    sum += dp::util::exp(dp::util::Quad{x[i], x[i + 1], x[i + 2], x[i + 3]});
+  }
+  return (sum[0] + sum[1]) + (sum[2] + sum[3]);
+}
+
+void BM_ExpQuad(benchmark::State& state) {
+  if (dp::util::widest_lanes() != dp::util::LaneWidth::kFour) {
+    state.SkipWithError("the host runs no AVX2");
+    return;
+  }
+  const auto& x = exp_args();
+  for (auto _ : state) benchmark::DoNotOptimize(sum_exp_quad(x));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_ExpQuad);
+#endif
 
 void BM_StdExp(benchmark::State& state) {
   const auto& x = exp_args();

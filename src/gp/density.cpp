@@ -65,13 +65,27 @@ inline auto with_extents(std::size_t nx, std::size_t ny, F&& f) {
 }
 
 // Passes 0 and 2 run two cells with the same window at once, one cell per
-// lane, each lane in exactly the arithmetic of one cell.
-using util::LaneMask;
+// lane, each lane in exactly the arithmetic of one cell; on AVX2 hosts
+// pass 0 runs two such slots, four cells, per vector. The pass-0 helpers
+// are written once over the vector type V (util::Lanes or util::Quad)
+// and take vectors by reference: the four-lane instances are compiled
+// for AVX2 only where they are inlined into an AVX2 entry point.
+using util::Boxed;
+using util::kLanesOf;
 using util::Lanes;
-using util::pick;
 
-/// For two cells, one per lane, centered at `c` with bells reaching `r2`:
-/// the first bin of each one's `n`-bin window on an axis of `nb` bins `wb`
+/// The V {f(0), f(1), ...}, boxed.
+template <class V, class F>
+inline Boxed<V> lanes_of(F&& f) {
+  if constexpr (kLanesOf<V> == 2) {
+    return {V{f(0), f(1)}};
+  } else {
+    return {V{f(0), f(1), f(2), f(3)}};
+  }
+}
+
+/// For cells centered at `c` (one per lane) with bells reaching `r2`: the
+/// first bin of each one's `n`-bin window on an axis of `nb` bins `wb`
 /// wide starting at `lo`, the first bin where the bell or its slope is
 /// non-zero, clamped so the window lies in the grid.
 ///
@@ -85,57 +99,48 @@ using util::pick;
 /// past c + r2, so it holds every bin where the bell or its slope is
 /// non-zero. Clamping moves the start left only at the upper grid edge,
 /// where the window then still ends at the last bin.
-inline std::array<long long, 2> window_starts(Lanes c, Lanes r2, double lo,
-                                              double wb, long long nb,
-                                              long long n) {
-  const Lanes t = (c - r2 - lo) / wb;
-  std::array<long long, 2> k = {static_cast<long long>(t[0]),
-                                static_cast<long long>(t[1])};
-  const Lanes mid = {static_cast<double>(k[0]) + 0.5,
-                     static_cast<double>(k[1]) + 0.5};
-  const LaneMask past = c - (lo + mid * wb) >= r2;  // -1 where true
-  for (std::size_t l = 0; l < 2; ++l) {
+template <class V>
+inline std::array<long long, kLanesOf<V>> window_starts(
+    const V& c, const V& r2, double lo, double wb, long long nb,
+    long long n) {
+  const V t = (c - r2 - lo) / wb;
+  std::array<long long, kLanesOf<V>> k;
+  for (std::size_t l = 0; l < k.size(); ++l) {
+    k[l] = static_cast<long long>(t[l]);
+  }
+  const V mid = lanes_of<V>([&](std::size_t l) {
+                  return static_cast<double>(k[l]) + 0.5;
+                }).v;
+  const auto past = c - (lo + mid * wb) >= r2;  // -1 where true
+  for (std::size_t l = 0; l < k.size(); ++l) {
     k[l] = std::clamp(k[l] - past[l], 0LL, nb - n);
   }
   return k;
 }
 
-/// The bell constants of two cells on one axis, one cell per lane.
-struct LaneShape {
-  Lanes r1, r2, a, b, m2a, b2;
-};
-
-template <class BellShape>
-LaneShape lane_shape(const BellShape& x, const BellShape& y) {
-  return {Lanes{x.r1, y.r1}, Lanes{x.r2, y.r2},   Lanes{x.a, y.a},
-          Lanes{x.b, y.b},   Lanes{x.m2a, y.m2a}, Lanes{x.b2, y.b2}};
-}
-
-/// Two bells, one per lane: the potential and its slope.
-struct LaneBell {
-  Lanes p, dp;
-};
-
 /// `d` is the signed distance cell-center minus bin-center; `s` the shape
 /// of the cells' bells on this axis. Each lane computes both pieces of
-/// the bell and keeps the one its distance falls in:
+/// the bell and keeps the one its distance falls in, as potential `p` and
+/// slope `dp`:
 ///   |d| <= r1:  p = 1 - a d^2,        dp = -2 a d
 ///   |d| <= r2:  p = b (|d| - r2)^2,   dp = 2 b (|d| - r2) sign(d)
 ///   else:       p = dp = 0,
 /// with |d| and sign(d) as bit operations (sign(d) is copysign(1, d),
 /// which is right where it is used: d != 0 there).
-inline LaneBell lane_bell(Lanes d, const LaneShape& s) {
-  const LaneMask sign = {INT64_MIN, INT64_MIN};
-  const Lanes ad = std::bit_cast<Lanes>(std::bit_cast<LaneMask>(d) & ~sign);
-  const Lanes sgn = std::bit_cast<Lanes>(
-      std::bit_cast<LaneMask>(Lanes{1.0, 1.0}) |
-      (std::bit_cast<LaneMask>(d) & sign));
-  const Lanes t = ad - s.r2;
-  const Lanes zero = {0.0, 0.0};
-  const LaneMask inner = ad <= s.r1;
-  const LaneMask outer = ad <= s.r2;
-  return {pick(inner, 1.0 - s.a * ad * ad, pick(outer, s.b * t * t, zero)),
-          pick(inner, s.m2a * d, pick(outer, s.b2 * t * sgn, zero))};
+template <class V, class Shape>
+inline void lane_bell(const V& d, const Shape& s, V& p, V& dp) {
+  using M = decltype(d < d);
+  const M sign = M{} | INT64_MIN;
+  const M bits = __builtin_bit_cast(M, d);
+  const V zero{};
+  const V ad = __builtin_bit_cast(V, bits & ~sign);
+  const V sgn =
+      __builtin_bit_cast(V, __builtin_bit_cast(M, zero + 1.0) | (bits & sign));
+  const V t = ad - s.r2;
+  const M inner = ad <= s.r1;
+  const M outer = ad <= s.r2;
+  p = inner ? 1.0 - s.a * ad * ad : (outer ? s.b * t * t : zero);
+  dp = inner ? s.m2a * d : (outer ? s.b2 * t * sgn : zero);
 }
 
 /// Two adjacent doubles as one vector, at any alignment.
@@ -146,20 +151,47 @@ inline Lanes load(const double* p) {
 }
 inline void store(double* p, Lanes v) { std::memcpy(p, &v, sizeof v); }
 
-/// A slot's bells in bells_ from `at`, for windows of nx columns and ny
-/// rows (DensityPenalty::Slot): the vectors of x-potentials, x-slopes,
-/// y-potentials and y-slopes, one lane per cell.
-template <class NX, class NY>
+/// The bells of the slots a V spans (one slot per two lanes), each slot's
+/// from `at[k]` (DensityPenalty::Slot), for windows of nx columns and ny
+/// rows: the vectors of x-potentials, x-slopes, y-potentials and
+/// y-slopes, one lane per cell. Lanes 2k and 2k + 1 of a V are slot k's
+/// vector.
+template <class V, class NX, class NY>
 struct SlotBells {
-  Lanes* at;
+  std::array<Lanes*, kLanesOf<V> / 2> at;
   NX nx;
   NY ny;
 
-  Lanes& xp(std::size_t i) const { return at[i]; }
-  Lanes& xd(std::size_t i) const { return at[nx + i]; }
-  Lanes& yp(std::size_t j) const { return at[2 * nx + j]; }
-  Lanes& yd(std::size_t j) const { return at[2 * nx + ny + j]; }
+  std::size_t xp(std::size_t i) const { return i; }
+  std::size_t xd(std::size_t i) const { return nx + i; }
+  std::size_t yp(std::size_t j) const { return 2 * nx + j; }
+  std::size_t yd(std::size_t j) const { return 2 * nx + ny + j; }
+
+  void put(std::size_t idx, const V& v) const {
+    for (std::size_t k = 0; k < at.size(); ++k) at[k][idx] = util::half(v, k);
+  }
+  void get(std::size_t idx, V& v) const {
+    v = util::from_halves<V>([&](std::size_t k) { return at[k][idx]; }).v;
+  }
+  /// Slot 0's vector, as pass 2 reads it.
+  Lanes& operator[](std::size_t idx) const { return at[0][idx]; }
 };
+
+/// Adds row[i] += q[i] * py for i < nx, V-wide, then two-wide, then one
+/// at a time: every bin in its own lane's scalar arithmetic.
+template <class V, class NX>
+inline void add_row(double* row, const double* q, double py, NX nx) {
+  std::size_t i = 0;
+  for (; i + kLanesOf<V> <= nx; i += kLanesOf<V>) {
+    V r, qv;
+    std::memcpy(&r, row + i, sizeof r);
+    std::memcpy(&qv, q + i, sizeof qv);
+    r += qv * py;
+    std::memcpy(row + i, &r, sizeof r);
+  }
+  for (; i + 2 <= nx; i += 2) store(row + i, load(row + i) + load(q + i) * py);
+  if (i < nx) row[i] += q[i] * py;
+}
 
 /// Adds `scale` times the exact overlap area of `r` with each bin it
 /// touches to `grid`: the row-major nb x nb grid of bw x bh bins whose
@@ -181,7 +213,8 @@ void add_overlap(std::vector<double>& grid, const geom::Rect& r,
 
 }  // namespace
 
-DensityPenalty::BellShape DensityPenalty::bell_shape(double wc, double wb) {
+DensityPenalty::BellLanes<double> DensityPenalty::bell_shape(double wc,
+                                                              double wb) {
   const double a = 4.0 / ((wc + 2.0 * wb) * (wc + 4.0 * wb));
   const double b = 2.0 / (wb * (wc + 4.0 * wb));
   return {wc / 2.0 + wb, wc / 2.0 + 2.0 * wb, a, b, -2.0 * a, 2.0 * b};
@@ -206,15 +239,23 @@ DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
   const auto movable = vars.movable_cells();
   shapes_.resize(movable.size());
   for (std::size_t v = 0; v < movable.size(); ++v) {
-    const double wc = nl.cell_width(movable[v]);
-    const double hc = nl.cell_height(movable[v]);
     CellShape& sh = shapes_[v];
-    sh.x = bell_shape(wc, bw_);
-    sh.y = bell_shape(hc, bh_);
-    sh.nx = static_cast<std::uint32_t>(window_bins(wc, bw_, nb_));
-    sh.ny = static_cast<std::uint32_t>(window_bins(hc, bh_, nb_));
+    sh.nx = static_cast<std::uint32_t>(
+        window_bins(nl.cell_width(movable[v]), bw_, nb_));
+    sh.ny = static_cast<std::uint32_t>(
+        window_bins(nl.cell_height(movable[v]), bh_, nb_));
     bells_per_value_ += sh.nx + sh.ny;
   }
+  // The bell constants of a slot's cells on one axis, a's and b's.
+  auto slot_bells = [&](std::uint32_t a, std::uint32_t b,
+                        double (netlist::Netlist::*size)(CellId) const,
+                        double wb) {
+    const BellLanes<double> sa = bell_shape((nl.*size)(movable[a]), wb);
+    const BellLanes<double> sb = bell_shape((nl.*size)(movable[b]), wb);
+    return BellLanes<Lanes>{Lanes{sa.r1, sb.r1},   Lanes{sa.r2, sb.r2},
+                            Lanes{sa.a, sb.a},     Lanes{sa.b, sb.b},
+                            Lanes{sa.m2a, sb.m2a}, Lanes{sa.b2, sb.b2}};
+  };
   // The slots: the variables sorted by window shape (stable), chunked,
   // and paired within each chunk's runs of one shape; a variable left
   // over pairs with itself.
@@ -233,7 +274,10 @@ DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
       const std::uint32_t a = order[at++];
       const bool pair = at < i1 && shapes_[order[at]].nx == shapes_[a].nx &&
                         shapes_[order[at]].ny == shapes_[a].ny;
-      slots_.push_back({a, pair ? order[at++] : a, first});
+      const std::uint32_t b = pair ? order[at++] : a;
+      slots_.push_back({a, b, first,
+                        slot_bells(a, b, &netlist::Netlist::cell_width, bw_),
+                        slot_bells(a, b, &netlist::Netlist::cell_height, bh_)});
       first += 2 * (shapes_[a].nx + shapes_[a].ny);
     }
     chunk_slot_.push_back(static_cast<std::uint32_t>(slots_.size()));
@@ -245,6 +289,7 @@ DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
 
 void DensityPenalty::preload_obstacles(const netlist::Placement& pl,
                                        const VarMap& vars) {
+  kept_ = false;
   preload_.assign(nb_ * nb_, 0.0);
   for (CellId c = 0; c < nl_->num_cells(); ++c) {
     if (vars.var(c) != netlist::kInvalidId) continue;
@@ -257,6 +302,7 @@ void DensityPenalty::preload_obstacles(const netlist::Placement& pl,
 }
 
 void DensityPenalty::set_area_scale(std::vector<double> scale) {
+  kept_ = false;
   area_scale_ = std::move(scale);
   area_scale_.resize(nl_->num_cells(), 1.0);
   // Variable v is the v-th movable cell in CellId order.
@@ -270,15 +316,265 @@ void DensityPenalty::set_area_scale(std::vector<double> scale) {
   target_per_bin_ = scaled_total_ / static_cast<double>(nb_ * nb_);
 }
 
+/// The pass-0 and pass-1 kernels, written once over the vector type and
+/// instantiated two-lane for every host and four-lane for AVX2 hosts.
+struct DensityPenalty::Kernels {
+  /// What pass 0 reads besides the penalty's own state.
+  struct Spread {
+    const DensityPenalty* d;
+    const netlist::Placement* pl;
+    std::span<const CellId> movable;
+  };
+
+  /// The bell constants on one axis of the slots from `s` that one V
+  /// spans.
+  template <class V>
+  static BellLanes<V> group_bells(const Slot* s,
+                                  BellLanes<Lanes> Slot::*axis) {
+    auto join = [&](Lanes BellLanes<Lanes>::*c) {
+      return util::from_halves<V>([&](std::size_t k) {
+        return s[k].*axis.*c;
+      });
+    };
+    return {join(&BellLanes<Lanes>::r1).v,  join(&BellLanes<Lanes>::r2).v,
+            join(&BellLanes<Lanes>::a).v,   join(&BellLanes<Lanes>::b).v,
+            join(&BellLanes<Lanes>::m2a).v, join(&BellLanes<Lanes>::b2).v};
+  }
+
+  /// Pass 0 for the kLanesOf<V> / 2 slots from `s`, all with windows of
+  /// nx x ny bins: each cell's window, bells and normalization, and the
+  /// cell's position kept for value(). Returns the bins of the cells that
+  /// spread anywhere; a lone cell runs in both lanes of its slot and
+  /// counts once.
+  template <class V, class NX, class NY>
+  static std::uint64_t spread(const Spread& c, const Slot* s, NX nx, NY ny) {
+    constexpr std::size_t kN = kLanesOf<V>;
+    const DensityPenalty& d = *c.d;
+    const geom::Rect& core = d.design_->core();
+    const auto nbi = static_cast<long long>(d.nb_);
+    SlotBells<V, NX, NY> view{{}, nx, ny};
+    std::array<std::uint32_t, kN> var;
+    for (std::size_t k = 0; k < kN / 2; ++k) {
+      view.at[k] = &d.bells_[s[k].first];
+      var[2 * k] = s[k].a;
+      var[2 * k + 1] = s[k].b;
+    }
+    std::array<const geom::Point*, kN> at;
+    for (std::size_t l = 0; l < kN; ++l) {
+      at[l] = &(*c.pl)[c.movable[var[l]]];
+      d.kept_at_[var[l]] = *at[l];
+    }
+    const BellLanes<V> shx = group_bells<V>(s, &Slot::x);
+    const BellLanes<V> shy = group_bells<V>(s, &Slot::y);
+    const V cx = lanes_of<V>([&](std::size_t l) { return at[l]->x; }).v;
+    const V cy = lanes_of<V>([&](std::size_t l) { return at[l]->y; }).v;
+    const V area = lanes_of<V>([&](std::size_t l) {
+                     return d.shapes_[var[l]].area;
+                   }).v;
+    const auto wx = static_cast<long long>(nx);
+    const auto wy = static_cast<long long>(ny);
+    const auto bx0 = window_starts(cx, shx.r2, core.lx, d.bw_, nbi, wx);
+    const auto by0 = window_starts(cy, shy.r2, core.ly, d.bh_, nbi, wy);
+    for (std::size_t l = 0; l < kN; ++l) {
+      Footprint& f = d.foot_[var[l]];
+      f.bx0 = bx0[l];
+      f.bx1 = f.bx0 + wx - 1;
+      f.by0 = by0[l];
+      f.by1 = f.by0 + wy - 1;
+      // The cell's potentials lie in every second double from its lane.
+      const double* bells =
+          reinterpret_cast<const double*>(view.at[l / 2]) + l % 2;
+      f.xp = bells + 2 * view.xp(0);
+      f.yp = bells + 2 * view.yp(0);
+    }
+    // Bin k's center is lo + (k + 0.5) * w; k + 0.5 steps exactly.
+    V kx = lanes_of<V>([&](std::size_t l) {
+             return static_cast<double>(bx0[l]) + 0.5;
+           }).v;
+    V ky = lanes_of<V>([&](std::size_t l) {
+             return static_cast<double>(by0[l]) + 0.5;
+           }).v;
+    for (std::size_t i = 0; i < nx; ++i, kx += 1.0) {
+      V p, dp;
+      lane_bell(cx - (core.lx + kx * d.bw_), shx, p, dp);
+      view.put(view.xp(i), p);
+      view.put(view.xd(i), dp);
+    }
+    for (std::size_t j = 0; j < ny; ++j, ky += 1.0) {
+      V p, dp;
+      lane_bell(cy - (core.ly + ky * d.bh_), shy, p, dp);
+      view.put(view.yp(j), p);
+      view.put(view.yd(j), dp);
+    }
+    V norm{};
+    for (std::size_t j = 0; j < ny; ++j) {
+      V py;
+      view.get(view.yp(j), py);
+      for (std::size_t i = 0; i < nx; ++i) {
+        V px;
+        view.get(view.xp(i), px);
+        norm += px * py;
+      }
+    }
+    const V zero{};
+    const V inv = norm > zero ? area / norm : zero;
+    for (std::size_t l = 0; l < kN; ++l) d.foot_[var[l]].inv_norm = inv[l];
+    // A cell spread nowhere is skipped by passes 1-2.
+    std::uint64_t bins = 0;
+    for (std::size_t k = 0; k < kN / 2; ++k) {
+      if (d.foot_[s[k].a].inv_norm != 0.0) bins += std::uint64_t{nx} * ny;
+      if (s[k].b != s[k].a && d.foot_[s[k].b].inv_norm != 0.0) {
+        bins += std::uint64_t{nx} * ny;
+      }
+    }
+    return bins;
+  }
+
+  template <class V>
+  static std::uint64_t spread(const Spread& c, const Slot* s) {
+    const CellShape& sh = c.d->shapes_[s->a];
+    return with_extents(sh.nx, sh.ny, [&](auto nx, auto ny) {
+      return spread<V>(c, s, nx, ny);
+    });
+  }
+
+  /// Pass 0 over the slots of chunk k, two-lane. Each entry point has
+  /// every kernel call inlined into it (flatten), the four-lane ones so
+  /// that all of their code is compiled for AVX2.
+  __attribute__((flatten)) static std::uint64_t spread_chunk_two(
+      const Spread& c, std::size_t k) {
+    const DensityPenalty& d = *c.d;
+    std::uint64_t bins = 0;
+    for (std::uint32_t s = d.chunk_slot_[k]; s < d.chunk_slot_[k + 1]; ++s) {
+      bins += spread<Lanes>(c, &d.slots_[s]);
+    }
+    return bins;
+  }
+
+#if defined(__x86_64__)
+  /// Pass 0 over the slots of chunk k: two slots with the same window
+  /// per four-lane vector, a slot without such a neighbour two-lane.
+  __attribute__((target("avx2"), flatten)) static std::uint64_t
+  spread_chunk_four(const Spread& c, std::size_t k) {
+    const DensityPenalty& d = *c.d;
+    auto same_window = [&](const Slot& a, const Slot& b) {
+      const CellShape& sa = d.shapes_[a.a];
+      const CellShape& sb = d.shapes_[b.a];
+      return sa.nx == sb.nx && sa.ny == sb.ny;
+    };
+    std::uint64_t bins = 0;
+    const std::uint32_t last = d.chunk_slot_[k + 1];
+    for (std::uint32_t s = d.chunk_slot_[k]; s < last;) {
+      if (s + 1 < last && same_window(d.slots_[s], d.slots_[s + 1])) {
+        bins += spread<util::Quad>(c, &d.slots_[s]);
+        s += 2;
+      } else {
+        bins += spread<Lanes>(c, &d.slots_[s]);
+        ++s;
+      }
+    }
+    return bins;
+  }
+#else
+  static std::uint64_t spread_chunk_four(const Spread& c, std::size_t k) {
+    return spread_chunk_two(c, k);
+  }
+#endif
+
+  /// Pass 1's split of the grid: value groups of whole bin rows, and
+  /// blocks of whole groups.
+  struct Blocks {
+    std::size_t num_groups, rows_per_group, groups_per_block, rows_per_block;
+  };
+
+  /// Pass 1 for block b: adds every spread cell's bells into the block's
+  /// rows, V-wide, then folds the block's groups of the penalty value and
+  /// keeps 2 * error per bin for gradient().
+  template <class V>
+  static void accumulate(const DensityPenalty& d, const Blocks& p,
+                         std::size_t b) {
+    const auto r0 = static_cast<long long>(b * p.rows_per_block);
+    const auto r1 = std::min<long long>(
+        static_cast<long long>(d.nb_),
+        static_cast<long long>((b + 1) * p.rows_per_block));
+    double* q = &d.scaled_rows_[b * d.nb_];
+    for (const Footprint& f : d.foot_) {
+      if (f.inv_norm == 0.0 || f.by1 < r0 || f.by0 >= r1) continue;
+      with_extents(f.width(), f.height(), [&](auto nx, auto) {
+        // The x-row scaled once per cell: inv_norm * px * py is evaluated
+        // as (inv_norm * px) * py, so q[i] * py keeps the bits.
+        for (std::size_t i = 0; i < nx; ++i) q[i] = f.inv_norm * f.xp[2 * i];
+        const long long by_lo = std::max(f.by0, r0);
+        const long long by_hi = std::min(f.by1, r1 - 1);
+        for (long long by = by_lo; by <= by_hi; ++by) {
+          add_row<V>(&d.density_[geom::bin_index(f.bx0, by, d.nb_)], q,
+                     f.yp[2 * (by - f.by0)], nx);
+        }
+      });
+    }
+    // The block's rows are final now.
+    const std::size_t g1 =
+        std::min(p.num_groups, (b + 1) * p.groups_per_block);
+    for (std::size_t g = b * p.groups_per_block; g < g1; ++g) {
+      const std::size_t i0 = std::min(g * p.rows_per_group, d.nb_) * d.nb_;
+      const std::size_t i1 =
+          std::min((g + 1) * p.rows_per_group, d.nb_) * d.nb_;
+      double value = 0.0;
+      for (std::size_t i = i0; i < i1; ++i) {
+        const double e = d.density_[i] - d.target_per_bin_;
+        d.err2_[i] = 2.0 * e;
+        value += e * e;
+      }
+      d.group_value_[g] = value;
+    }
+  }
+
+  __attribute__((flatten)) static void accumulate_two(const DensityPenalty& d,
+                                                     const Blocks& p,
+                                                     std::size_t b) {
+    accumulate<Lanes>(d, p, b);
+  }
+
+#if defined(__x86_64__)
+  __attribute__((target("avx2"), flatten)) static void accumulate_four(
+      const DensityPenalty& d, const Blocks& p, std::size_t b) {
+    accumulate<util::Quad>(d, p, b);
+  }
+#else
+  static void accumulate_four(const DensityPenalty& d, const Blocks& p,
+                              std::size_t b) {
+    accumulate_two(d, p, b);
+  }
+#endif
+};
+
 double DensityPenalty::value(const netlist::Placement& pl,
                              const VarMap& vars) const {
-  const geom::Rect& core = design_->core();
-  const auto nbi = static_cast<long long>(nb_);
+  // Since the last evaluation only the area scale and the obstacles can
+  // have changed besides the cells, and both drop the kept value.
+  if (kept_) {
+    const auto movable = vars.movable_cells();
+    std::size_t v = 0;
+    while (v < movable.size() &&
+           std::memcmp(&pl[movable[v]], &kept_at_[v], sizeof kept_at_[v]) ==
+               0) {
+      ++v;
+    }
+    if (v == movable.size()) return kept_value_;
+  }
+  return evaluate(pl, vars, util::widest_lanes());
+}
+
+double DensityPenalty::evaluate(const netlist::Placement& pl,
+                                const VarMap& vars,
+                                util::LaneWidth width) const {
+  const bool four = width == util::LaneWidth::kFour;
   density_ = preload_;
   err2_.resize(nb_ * nb_);
 
   const auto movable = vars.movable_cells();
   foot_.resize(movable.size());
+  kept_at_.resize(movable.size());
 
   // Pass 0: windows, bells and per-cell normalization, slot by slot.
   // Each cell's window (window_starts()) holds every bin where its bell
@@ -286,77 +582,10 @@ double DensityPenalty::value(const netlist::Placement& pl,
   // every pass that are products with a +-0 factor, so they are +-0, and
   // x + (+-0) == x for every accumulator here: each starts at +0 or at the
   // non-negative preload, and a sum is -0 only if both addends are.
-  //
-  // spread(slot) runs one slot and returns the bins of its cells that
-  // spread anywhere. A lone cell runs in both lanes and counts once.
-  auto spread = [&](const Slot& slot) {
-    const CellShape& sa = shapes_[slot.a];
-    const CellShape& sb = shapes_[slot.b];
-    const geom::Point& ca = pl[movable[slot.a]];
-    const geom::Point& cb = pl[movable[slot.b]];
-    Footprint& fa = foot_[slot.a];
-    Footprint& fb = foot_[slot.b];
-    return with_extents(sa.nx, sa.ny, [&](auto nx, auto ny) {
-      const SlotBells<decltype(nx), decltype(ny)> view{&bells_[slot.first],
-                                                       nx, ny};
-      const LaneShape shx = lane_shape(sa.x, sb.x);
-      const LaneShape shy = lane_shape(sa.y, sb.y);
-      const Lanes cx = {ca.x, cb.x};
-      const Lanes cy = {ca.y, cb.y};
-      const auto wx = static_cast<long long>(nx);
-      const auto wy = static_cast<long long>(ny);
-      const auto bx0 = window_starts(cx, shx.r2, core.lx, bw_, nbi, wx);
-      const auto by0 = window_starts(cy, shy.r2, core.ly, bh_, nbi, wy);
-      for (std::size_t lane = 0; lane < 2; ++lane) {
-        Footprint& f = lane == 0 ? fa : fb;
-        f.bx0 = bx0[lane];
-        f.bx1 = f.bx0 + wx - 1;
-        f.by0 = by0[lane];
-        f.by1 = f.by0 + wy - 1;
-        // The cell's potentials lie in every second double from its lane.
-        f.xp = reinterpret_cast<const double*>(&view.xp(0)) + lane;
-        f.yp = reinterpret_cast<const double*>(&view.yp(0)) + lane;
-      }
-      // Bin k's center is lo + (k + 0.5) * w; k + 0.5 steps exactly.
-      Lanes kx = {static_cast<double>(bx0[0]) + 0.5,
-                  static_cast<double>(bx0[1]) + 0.5};
-      for (std::size_t i = 0; i < nx; ++i, kx += 1.0) {
-        const LaneBell e = lane_bell(cx - (core.lx + kx * bw_), shx);
-        view.xp(i) = e.p;
-        view.xd(i) = e.dp;
-      }
-      Lanes ky = {static_cast<double>(by0[0]) + 0.5,
-                  static_cast<double>(by0[1]) + 0.5};
-      for (std::size_t j = 0; j < ny; ++j, ky += 1.0) {
-        const LaneBell e = lane_bell(cy - (core.ly + ky * bh_), shy);
-        view.yp(j) = e.p;
-        view.yd(j) = e.dp;
-      }
-      Lanes norm = {0.0, 0.0};
-      for (std::size_t j = 0; j < ny; ++j) {
-        const Lanes py = view.yp(j);
-        for (std::size_t i = 0; i < nx; ++i) norm += view.xp(i) * py;
-      }
-      const Lanes zero = {0.0, 0.0};
-      const Lanes inv =
-          pick(norm > zero, Lanes{sa.area, sb.area} / norm, zero);
-      fa.inv_norm = inv[0];
-      fb.inv_norm = inv[1];
-      // A cell spread nowhere is skipped by passes 1-2.
-      std::uint64_t bins = 0;
-      if (fa.inv_norm != 0.0) bins += std::uint64_t{nx} * ny;
-      if (slot.b != slot.a && fb.inv_norm != 0.0) {
-        bins += std::uint64_t{nx} * ny;
-      }
-      return bins;
-    });
-  };
+  const Kernels::Spread spread{this, &pl, movable};
   util::run(pool_.get(), chunk_bins_.size(), [&](std::size_t k) {
-    std::uint64_t bins = 0;
-    for (std::uint32_t s = chunk_slot_[k]; s < chunk_slot_[k + 1]; ++s) {
-      bins += spread(slots_[s]);
-    }
-    chunk_bins_[k] = bins;
+    chunk_bins_[k] = four ? Kernels::spread_chunk_four(spread, k)
+                          : Kernels::spread_chunk_two(spread, k);
   });
   bins_visited_ = 0;
   for (const std::uint64_t bins : chunk_bins_) bins_visited_ += bins;
@@ -372,60 +601,31 @@ double DensityPenalty::value(const netlist::Placement& pl,
   // whole rows, the grouping the value has always been summed in) and the
   // group sums are added in order, so the value keeps its bits too; each
   // block owns a run of whole groups.
-  const std::size_t num_groups = std::min(nb_, kMaxValueGroups);
-  const std::size_t rows_per_group = (nb_ + num_groups - 1) / num_groups;
-  const std::size_t blocks =
+  Kernels::Blocks blocks;
+  blocks.num_groups = std::min(nb_, kMaxValueGroups);
+  blocks.rows_per_group = (nb_ + blocks.num_groups - 1) / blocks.num_groups;
+  const std::size_t workers =
       std::min(kAccumBlocks, pool_ != nullptr ? pool_->size() : 1);
-  const std::size_t groups_per_block = (num_groups + blocks - 1) / blocks;
+  blocks.groups_per_block = (blocks.num_groups + workers - 1) / workers;
   const std::size_t num_blocks =
-      (num_groups + groups_per_block - 1) / groups_per_block;
-  const std::size_t rows_per_block = rows_per_group * groups_per_block;
+      (blocks.num_groups + blocks.groups_per_block - 1) /
+      blocks.groups_per_block;
+  blocks.rows_per_block = blocks.rows_per_group * blocks.groups_per_block;
   scaled_rows_.resize(std::max(scaled_rows_.size(), num_blocks * nb_));
 
-  group_value_.assign(num_groups, 0.0);
+  group_value_.assign(blocks.num_groups, 0.0);
 
   util::run(pool_.get(), num_blocks, [&](std::size_t b) {
-    const auto r0 = static_cast<long long>(b * rows_per_block);
-    const auto r1 = std::min<long long>(
-        nbi, static_cast<long long>((b + 1) * rows_per_block));
-    double* q = &scaled_rows_[b * nb_];
-    for (const Footprint& f : foot_) {
-      if (f.inv_norm == 0.0 || f.by1 < r0 || f.by0 >= r1) continue;
-      with_extents(f.width(), f.height(), [&](auto nx, auto) {
-        // The x-row scaled once per cell: inv_norm * px * py is evaluated
-        // as (inv_norm * px) * py, so q[i] * py keeps the bits.
-        for (std::size_t i = 0; i < nx; ++i) q[i] = f.inv_norm * f.xp[2 * i];
-        const long long by_lo = std::max(f.by0, r0);
-        const long long by_hi = std::min(f.by1, r1 - 1);
-        // Two bins per vector, each in its own lane's scalar arithmetic.
-        for (long long by = by_lo; by <= by_hi; ++by) {
-          const double py = f.yp[2 * (by - f.by0)];
-          double* row = &density_[geom::bin_index(f.bx0, by, nb_)];
-          std::size_t i = 0;
-          for (; i + 2 <= nx; i += 2) {
-            store(row + i, load(row + i) + load(q + i) * py);
-          }
-          if (i < nx) row[i] += q[i] * py;
-        }
-      });
-    }
-    // The block's rows are final now; fold its groups' share of the
-    // penalty value and keep 2 * error per bin for gradient().
-    const std::size_t g1 = std::min(num_groups, (b + 1) * groups_per_block);
-    for (std::size_t g = b * groups_per_block; g < g1; ++g) {
-      const std::size_t i0 = std::min(g * rows_per_group, nb_) * nb_;
-      const std::size_t i1 = std::min((g + 1) * rows_per_group, nb_) * nb_;
-      double value = 0.0;
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double e = density_[i] - target_per_bin_;
-        err2_[i] = 2.0 * e;
-        value += e * e;
-      }
-      group_value_[g] = value;
+    if (four) {
+      Kernels::accumulate_four(*this, blocks, b);
+    } else {
+      Kernels::accumulate_two(*this, blocks, b);
     }
   });
   double value = 0.0;
   for (const double v : group_value_) value += v;
+  kept_value_ = value;
+  kept_ = true;
   return value;
 }
 
@@ -441,20 +641,20 @@ void DensityPenalty::gradient(std::span<double> gx, std::span<double> gy,
     const Lanes inv = {fa.inv_norm, fb.inv_norm};
     const auto [ax, ay] =
         with_extents(fa.width(), fa.height(), [&](auto nx, auto ny) {
-      const SlotBells<decltype(nx), decltype(ny)> view{&bells_[slot.first],
-                                                       nx, ny};
+      const SlotBells<Lanes, decltype(nx), decltype(ny)> view{
+          {&bells_[slot.first]}, nx, ny};
       Lanes sx = {0.0, 0.0}, sy = {0.0, 0.0};
       for (std::size_t j = 0; j < ny; ++j) {
-        const Lanes pyp = view.yp(j);
-        const Lanes pyd = view.yd(j);
+        const Lanes pyp = view[view.yp(j)];
+        const Lanes pyd = view[view.yd(j)];
         const auto row = static_cast<long long>(j);
         const double* ea = &err2_[geom::bin_index(fa.bx0, fa.by0 + row, nb_)];
         const double* eb = &err2_[geom::bin_index(fb.bx0, fb.by0 + row, nb_)];
         for (std::size_t i = 0; i < nx; ++i) {
           // 2 * err * inv_norm * px * py, in that association.
           const Lanes e = Lanes{ea[i], eb[i]} * inv;
-          sx += e * view.xd(i) * pyp;
-          sy += e * view.xp(i) * pyd;
+          sx += e * view[view.xd(i)] * pyp;
+          sy += e * view[view.xp(i)] * pyd;
         }
       }
       return std::pair{sx, sy};

@@ -58,6 +58,17 @@ namespace dp::gp {
 /// lane-interleaved, so both passes move whole vectors. The bell
 /// constants and scaled areas are computed once per area scale, and
 /// pass 1 stores twice each bin's error for pass 2 to read.
+///
+/// On an AVX2 host (util::widest_lanes()) pass 0 runs two consecutive
+/// slots with the same window, four cells, per four-double vector, and
+/// pass 1 adds four bins per vector; pass 2 stays two-wide. Passes 0 and 1
+/// are written once over the vector type, so every lane does the same
+/// arithmetic at either width and the bits do not depend on the host.
+///
+/// value() keeps its result with the positions it spread: a call at the
+/// positions of the last evaluation, with neither the area scale nor the
+/// obstacles changed since, returns the kept value, and its windows,
+/// bells and errors still serve gradient().
 class DensityPenalty final : public ObjectiveTerm {
  public:
   DensityPenalty(const netlist::Netlist& nl, const netlist::Design& design,
@@ -85,9 +96,18 @@ class DensityPenalty final : public ObjectiveTerm {
   void set_area_scale(std::vector<double> scale);
 
   /// Passes 0-1: the penalty value. Keeps the windows, bells and per-bin
-  /// errors for a following gradient() call.
+  /// errors for a following gradient() call. At the positions of the last
+  /// evaluation, with no set_area_scale() or preload_obstacles() since,
+  /// returns the kept value without evaluating.
   double value(const netlist::Placement& pl,
                const VarMap& vars) const override;
+
+  /// Passes 0-1 on `width`-lane vectors, always evaluated; value() takes
+  /// util::widest_lanes(). Both widths give the same bits, which tests and
+  /// benchmarks check through this entry. kFour needs an AVX2 host and
+  /// falls back to kTwo in builds for other architectures.
+  double evaluate(const netlist::Placement& pl, const VarMap& vars,
+                  util::LaneWidth width) const;
 
   /// Pass 2: the gradient from what the last value() kept.
   void gradient(std::span<double> gx, std::span<double> gy,
@@ -100,19 +120,23 @@ class DensityPenalty final : public ObjectiveTerm {
                   double target_density) const;
 
   /// Deterministic work counter: the bins in the windows of the cells
-  /// spread by the last value() call (a cell spreads nowhere when its
+  /// spread by the last evaluation (a cell spreads nowhere when its
   /// whole window lies beyond the bell). Pass 2 visits this many bins,
   /// pass 1 as many or more (a window may straddle two of its blocks).
+  /// A value() call that returns the kept value leaves it as it is.
   std::uint64_t bins_visited() const { return bins_visited_; }
 
-  /// Deterministic work counter: the bell evaluations of the last value()
-  /// call, one per column and one per row of every cell's window, so the
-  /// same for every placement. gradient() evaluates none.
+  /// Deterministic work counter: the bell evaluations of an evaluation,
+  /// one per column and one per row of every cell's window, so the same
+  /// for every placement. gradient() evaluates none.
   std::uint64_t bells_evaluated() const { return bells_evaluated_; }
 
   double bin_width() const { return bw_; }
 
  private:
+  /// Passes 0 and 1 at both vector widths (density.cpp).
+  struct Kernels;
+
   const netlist::Netlist* nl_;
   const netlist::Design* design_;
   std::size_t nb_ = 0;
@@ -139,31 +163,34 @@ class DensityPenalty final : public ObjectiveTerm {
       return static_cast<std::size_t>(by1 - by0 + 1);
     }
   };
-  /// The constants of one cell's bell on one axis: the inner and outer
-  /// radii, the two parabola coefficients, and their slope factors.
-  struct BellShape {
-    double r1, r2, a, b;
-    double m2a, b2;  ///< -2 a and 2 b
+  /// The constants of cells' bells on one axis, one cell per lane of V
+  /// (a double for one cell): the inner and outer radii, the two parabola
+  /// coefficients, and their slope factors.
+  template <class V>
+  struct BellLanes {
+    V r1, r2, a, b;
+    V m2a, b2;  ///< -2 a and 2 b
   };
-  static BellShape bell_shape(double wc, double wb);
+  static BellLanes<double> bell_shape(double wc, double wb);
 
-  /// What does not move with the cells, per variable: the bell shapes on
-  /// both axes, the window's columns and rows, and the scaled area.
+  /// What does not move with the cells, per variable: the window's
+  /// columns and rows, and the scaled area.
   struct CellShape {
-    BellShape x, y;
     std::uint32_t nx, ny;
     double area;
   };
   /// Two variables with the same window that passes 0 and 2 run in the
-  /// two lanes of one vector, and where their nx x-bells and ny y-bells
-  /// start in bells_. A slot keeps 2 (nx + ny) vectors {a's, b's}: the
-  /// x-potentials, the x-slopes, the y-potentials and the y-slopes, so a
-  /// cell's potentials lie in every second double. A variable without a
-  /// partner is a slot of its own (b == a): both lanes compute it, and
-  /// its bins and its gradient count once.
+  /// two lanes of one vector, their bell constants {a's, b's}, and where
+  /// their nx x-bells and ny y-bells start in bells_. A slot keeps
+  /// 2 (nx + ny) vectors {a's, b's}: the x-potentials, the x-slopes, the
+  /// y-potentials and the y-slopes, so a cell's potentials lie in every
+  /// second double. A variable without a partner is a slot of its own
+  /// (b == a): both lanes compute it, and its bins and its gradient count
+  /// once.
   struct Slot {
     std::uint32_t a, b;
     std::uint32_t first;
+    BellLanes<util::Lanes> x, y;
   };
 
   /// Per variable of the netlist's VarMap; the areas and their sum
@@ -191,6 +218,12 @@ class DensityPenalty final : public ObjectiveTerm {
   mutable std::vector<double> err2_;
   mutable std::uint64_t bins_visited_ = 0;
   mutable std::uint64_t bells_evaluated_ = 0;
+  /// The last evaluation's value and the positions of its variables;
+  /// `kept_` is false before the first and after a change of area scale
+  /// or obstacles.
+  mutable std::vector<geom::Point> kept_at_;
+  mutable double kept_value_ = 0.0;
+  mutable bool kept_ = false;
 };
 
 }  // namespace dp::gp

@@ -54,11 +54,14 @@ CgResult minimize_cg(Objective& objective, std::vector<double>& vars,
   ++result.evaluations;
   ++result.gradient_evals;
   for (std::size_t i = 0; i < n; ++i) dir[i] = -grad[i];
+  // dot(grad, dir) and inf_norm(dir) of the current direction; the
+  // direction update below computes both in the order of those loops.
+  double g_dot_d = dot(grad, dir);
+  double dmax = inf_norm(dir);
 
   for (std::size_t iter = 0; iter < options.max_iters; ++iter) {
     ++result.iterations;
 
-    double g_dot_d = dot(grad, dir);
     if (g_dot_d >= 0.0) {
       // Not a descent direction: restart with steepest descent.
       for (std::size_t i = 0; i < n; ++i) dir[i] = -grad[i];
@@ -67,9 +70,9 @@ CgResult minimize_cg(Objective& objective, std::vector<double>& vars,
         result.stop = CgStop::kNoDescent;
         break;
       }
+      dmax = inf_norm(dir);
     }
 
-    const double dmax = inf_norm(dir);
     if (dmax == 0.0) {
       result.stop = CgStop::kNoDescent;
       break;
@@ -114,7 +117,13 @@ CgResult minimize_cg(Objective& objective, std::vector<double>& vars,
     }
     const double beta =
         beta_den > 0.0 ? std::max(0.0, beta_num / beta_den) : 0.0;
-    for (std::size_t i = 0; i < n; ++i) dir[i] = -grad[i] + beta * dir[i];
+    g_dot_d = 0.0;
+    dmax = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      dir[i] = -grad[i] + beta * dir[i];
+      g_dot_d += grad[i] * dir[i];
+      dmax = std::max(dmax, std::abs(dir[i]));
+    }
 
     if (std::abs(f_old - f) <= options.rel_tol * (std::abs(f_old) + 1e-12)) {
       result.stop = CgStop::kTolerance;

@@ -46,7 +46,10 @@ std::vector<std::uint32_t> wirelength_chunks(const netlist::FlatNets& nets);
 /// axis per lane of a util::Lanes pair, so that every operation of the
 /// x axis, util::exp included, shares one instruction with its y twin;
 /// 1 / gamma is taken once per value() and the reciprocals of a net's
-/// weight sums once per net, so no division is left per pin. value()
+/// weight sums once per net, so no division is left per pin. On an AVX2
+/// host (util::widest_lanes()) one four-lane util::exp call takes all four
+/// weights of a pin, and two consecutive 2-pin nets share one, in the same
+/// per-lane arithmetic, so the bits do not depend on the host. value()
 /// evaluates the chunks and keeps every pin's gradient in its own slot,
 /// ordered by the variable of the netlist's VarMap that owns the pin;
 /// gradient() sums each variable's contiguous slots. With a thread pool
@@ -70,6 +73,12 @@ class SmoothWirelength final : public ObjectiveTerm {
   /// The smoothed wirelength; keeps the per-pin gradients.
   double value(const netlist::Placement& pl,
                const VarMap& vars) const override;
+
+  /// value() on `width`-lane exponentials; value() takes
+  /// util::widest_lanes(). Both widths give the same bits, which tests
+  /// and benchmarks check through this entry. kFour needs an AVX2 host
+  /// and falls back to kTwo in builds for other architectures.
+  double evaluate(const netlist::Placement& pl, util::LaneWidth width) const;
 
   /// Gathers the kept per-pin gradients into the variables.
   void gradient(std::span<double> gx, std::span<double> gy,

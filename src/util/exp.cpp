@@ -139,21 +139,23 @@ Lanes far(Lanes x) {
   // keeps the split finite.
   const Lanes lowest = {-1100.0, -1100.0};
   x = pick(x < lowest, lowest, x);
-  const Split s = split(x);
+  Lanes tmp;
+  Bits sbits;
+  split(x, tmp, sbits);
   Lanes out;
   for (int a = 0; a < 2; ++a) {
-    if (!(x[a] < kFar[a])) {
-      const double scale = std::bit_cast<double>(s.sbits[a]);
-      out[a] = scale + scale * s.tmp[a];
+    if (!(x[a] < kFar)) {
+      const double scale = std::bit_cast<double>(sbits[a]);
+      out[a] = scale + scale * tmp[a];
       continue;
     }
     // k < 0: compute at 2^1022 times the scale, then scale back down.
-    const double scale = std::bit_cast<double>(s.sbits[a] + (1022ull << 52));
-    double y = scale + scale * s.tmp[a];
+    const double scale = std::bit_cast<double>(sbits[a] + (1022ull << 52));
+    double y = scale + scale * tmp[a];
     if (y < 1.0) {
       // A subnormal result: round y to the result's precision first, so
       // the scaling below rounds only once.
-      double lo = scale - y + scale * s.tmp[a];
+      double lo = scale - y + scale * tmp[a];
       const double hi = 1.0 + y;
       lo = 1.0 - hi + y + lo;
       y = (hi + lo) - 1.0;

@@ -13,6 +13,7 @@
 #include "geom/rect.hpp"
 #include "gp/density.hpp"
 #include "gp/global_placer.hpp"
+#include "util/lanes.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -754,6 +755,207 @@ TEST(DensityBitwise, GradientAfterRejectedProbe) {
     den.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
     expect_after_probe(den, s.bench.placement, s.spread, vars, want);
   }
+}
+
+// ---- the kept value ----------------------------------------------------------
+//
+// value() at the positions of the last evaluation returns the kept value,
+// unless the area scale or the obstacles changed since.
+
+/// A fresh penalty's value and gradient at `pl`, obstacles preloaded from
+/// `pl` and `scale` applied (none when empty).
+Expected fresh_eval(const dpgen::Benchmark& b, const Placement& pl,
+                    const VarMap& vars, const std::vector<double>& scale) {
+  DensityPenalty den(b.netlist, b.design, kEdgeBins);
+  if (!scale.empty()) den.set_area_scale(scale);
+  den.preload_obstacles(pl, vars);
+  Expected e;
+  e.gx.assign(vars.num_vars(), 0.0);
+  e.gy.assign(vars.num_vars(), 0.0);
+  e.value = den.eval(pl, vars, e.gx, e.gy);
+  return e;
+}
+
+/// value() and gradient() of `den` at (pl, vars) equal `want` bitwise.
+void expect_value_and_gradient(const DensityPenalty& den, const Placement& pl,
+                               const VarMap& vars, const Expected& want) {
+  EXPECT_EQ(bits(den.value(pl, vars)), bits(want.value));
+  std::vector<double> gx(vars.num_vars(), 0.0), gy(vars.num_vars(), 0.0);
+  den.gradient(gx, gy, 1.0);
+  std::size_t mismatches = 0;
+  for (std::size_t v = 0; v < gx.size(); ++v) {
+    mismatches += bits(gx[v]) != bits(want.gx[v]) ||
+                  bits(gy[v]) != bits(want.gy[v]);
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Density, KeptValueFollowsCellsAreaScaleAndObstacles) {
+  const Scaled4k& s = scaled4k();
+  // Every odd-numbered cell fixed: obstacles inside the core.
+  const dpgen::Benchmark b = with_odd_cells_fixed(s.bench);
+  const VarMap vars(b.netlist);
+  const auto movable = vars.movable_cells();
+  ASSERT_GT(movable.size(), 0u);
+  DensityPenalty den(b.netlist, b.design, kEdgeBins);
+  den.preload_obstacles(s.spread, vars);
+
+  // The same positions again: the kept value, the counters of the
+  // evaluation, and its gradient.
+  const Expected at_spread = fresh_eval(b, s.spread, vars, {});
+  EXPECT_EQ(bits(den.value(s.spread, vars)), bits(at_spread.value));
+  const std::uint64_t bins = den.bins_visited();
+  const std::uint64_t bells = den.bells_evaluated();
+  expect_value_and_gradient(den, s.spread, vars, at_spread);
+  EXPECT_EQ(den.bins_visited(), bins);
+  EXPECT_EQ(den.bells_evaluated(), bells);
+
+  // One movable cell moved, the last one, after every other compared.
+  Placement moved = s.spread;
+  moved[movable.back()].x += den.bin_width();
+  const Expected at_moved = fresh_eval(b, moved, vars, {});
+  ASSERT_NE(bits(at_moved.value), bits(at_spread.value));
+  expect_value_and_gradient(den, moved, vars, at_moved);
+
+  // A new area scale at unchanged positions.
+  std::vector<double> scale(b.netlist.num_cells(), 0.5);
+  den.set_area_scale(scale);
+  const Expected scaled = fresh_eval(b, moved, vars, scale);
+  ASSERT_NE(bits(scaled.value), bits(at_moved.value));
+  expect_value_and_gradient(den, moved, vars, scaled);
+
+  // New obstacles: a fixed cell moved to the core's center, the movable
+  // ones not.
+  Placement obstacle = moved;
+  const CellId fixed = 1;
+  ASSERT_EQ(vars.var(fixed), netlist::kInvalidId);
+  obstacle[fixed] = b.design.core().center();
+  den.preload_obstacles(obstacle, vars);
+  const Expected blocked = fresh_eval(b, obstacle, vars, scale);
+  ASSERT_NE(bits(blocked.value), bits(scaled.value));
+  expect_value_and_gradient(den, obstacle, vars, blocked);
+}
+
+// ---- two-lane and four-lane kernels ------------------------------------------
+//
+// value() runs passes 0 and 1 four lanes wide on AVX2 hosts, two lanes wide
+// elsewhere; both must give the same bits.
+
+/// Whether the four-lane kernels run here. The tests comparing the two
+/// widths skip themselves where they do not.
+bool four_lanes() {
+  return util::widest_lanes() == util::LaneWidth::kFour;
+}
+constexpr const char* kNoFourLanes =
+    "no four-lane kernels here: they need an x86-64 build on an AVX2 host";
+
+/// Runs evaluate() at both lane widths on (pl, vars) at 1 and 3 threads
+/// and asserts equal values, gradients and bin counts.
+void expect_lane_widths_agree(const dpgen::Benchmark& b, const Placement& pl,
+                              const VarMap& vars, const Setup& setup,
+                              const char* label) {
+  std::vector<double> scale;
+  if (setup.area_scale) {
+    util::Rng rng(5);
+    for (CellId c = 0; c < b.netlist.num_cells(); ++c) {
+      scale.push_back(rng.uniform(0.3, 1.0));
+    }
+  }
+  const std::size_t n = vars.num_vars();
+  for (const std::size_t threads : {1u, 3u}) {
+    SCOPED_TRACE(std::string(label) + " threads=" + std::to_string(threads));
+    std::vector<double> values;
+    std::vector<std::uint64_t> bins;
+    std::vector<std::vector<double>> gx, gy;
+    for (const util::LaneWidth width :
+         {util::LaneWidth::kTwo, util::LaneWidth::kFour}) {
+      DensityPenalty den(b.netlist, b.design, setup.bins);
+      if (setup.area_scale) den.set_area_scale(scale);
+      den.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
+      den.preload_obstacles(pl, vars);
+      values.push_back(den.evaluate(pl, vars, width));
+      bins.push_back(den.bins_visited());
+      gx.emplace_back(n, 0.0);
+      gy.emplace_back(n, 0.0);
+      den.gradient(gx.back(), gy.back(), 1.0);
+    }
+    EXPECT_EQ(bits(values[0]), bits(values[1]));
+    EXPECT_EQ(bins[0], bins[1]);
+    std::size_t mismatches = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+      mismatches += bits(gx[0][v]) != bits(gx[1][v]) ||
+                    bits(gy[0][v]) != bits(gy[1][v]);
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
+TEST(DensityLanes, SpreadFixtureAndGenericWindows) {
+  if (!four_lanes()) GTEST_SKIP() << kNoFourLanes;
+  const Scaled4k& s = scaled4k();
+  const VarMap vars(s.bench.netlist);
+  expect_lane_widths_agree(s.bench, s.spread, vars, {}, "spread");
+  expect_lane_widths_agree(s.bench, s.spread, vars, {0, true},
+                           "spread area-scale");
+  expect_lane_widths_agree(s.bench, s.bench.placement, vars, {}, "piled");
+  // 160 bins: no cell has the 5 x 5 window.
+  expect_lane_widths_agree(s.bench, s.spread, vars, {160, false},
+                           "bins=160");
+  const dpgen::Benchmark half = with_odd_cells_fixed(s.bench);
+  const VarMap half_vars(half.netlist);
+  expect_lane_widths_agree(half, s.spread, half_vars, {}, "fixed in core");
+}
+
+// The four-lane pass 0 runs two consecutive slots of one window shape per
+// vector and a slot without such a neighbour two-lane. tails_benchmark()'s
+// one chunk holds a window shape of one cell (a lone slot with no
+// neighbour of its shape), one of three cells (a pair and a lone cell:
+// one four-lane step) and one of five (one four-lane step, then a lone
+// cell two-lane).
+TEST(DensityLanes, LoneCellsAndPairTails) {
+  if (!four_lanes()) GTEST_SKIP() << kNoFourLanes;
+  const dpgen::Benchmark b = tails_benchmark();
+  const VarMap vars(b.netlist);
+  const geom::Rect& core = b.design.core();
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::size_t> per_window;
+  for (const CellId c : vars.movable_cells()) {
+    ++per_window[{window_extent(b.netlist.cell_width(c),
+                                core.width() / kEdgeBins),
+                  window_extent(b.netlist.cell_height(c),
+                                core.height() / kEdgeBins)}];
+  }
+  std::map<std::size_t, std::size_t> shapes_of_size;
+  for (const auto& [window, cells] : per_window) ++shapes_of_size[cells];
+  ASSERT_GT(shapes_of_size[1], 0u);
+  ASSERT_GT(shapes_of_size[3], 0u);
+  ASSERT_GT(shapes_of_size[5], 0u);
+  for (const std::uint64_t seed : {17u, 18u, 19u}) {
+    const Placement pl = random_placement(b, seed);
+    expect_lane_widths_agree(b, pl, vars, {kEdgeBins, false}, "tails");
+    expect_lane_widths_agree(b, pl, vars, {kEdgeBins, true},
+                             "tails area-scale");
+  }
+}
+
+TEST(DensityLanes, CellsClippedAtCoreEdges) {
+  if (!four_lanes()) GTEST_SKIP() << kNoFourLanes;
+  SmallDesign d;
+  const dpgen::Benchmark& b = *d.bench;
+  const VarMap vars(b.netlist);
+  const geom::Rect& core = b.design.core();
+  // Cells in rotation at the corners, just outside an edge and far
+  // outside (spread nowhere), so one vector mixes clipped, inside and
+  // empty windows.
+  const std::vector<geom::Point> spots = {
+      {core.lx, core.ly},
+      core.center(),
+      {core.hx + 0.3 * core.width() / kEdgeBins, core.center().y},
+      {core.center().x, core.hy + 10.0 * core.height()},
+      {core.hx, core.hy}};
+  Placement pl = b.placement;
+  std::size_t k = 0;
+  for (const CellId c : vars.movable_cells()) pl[c] = spots[k++ % spots.size()];
+  expect_lane_widths_agree(b, pl, vars, {kEdgeBins, false}, "clipped");
 }
 
 TEST(Density, ValueNonNegativeAndFinite) {

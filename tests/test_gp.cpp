@@ -208,10 +208,9 @@ TEST(QuadraticBitwise, OnePinNetsWeightsAndAnUnconnectedCell) {
   expect_quadratic_bitwise(nl, design, start);
 }
 
-// Every value() call spreads every cell, also at the positions of the
-// call before: two calls at one placement visit the same bins and return
-// the same value.
-TEST(DensityPenalty, EveryValueCallSpreadsTheCells) {
+// A value() call at the positions of the call before returns the same
+// value and leaves the work counters of that call's evaluation.
+TEST(DensityPenalty, RepeatedValueKeepsValueAndCounters) {
   SmallBench sb;
   const auto& nl = sb.bench->netlist;
   const auto& design = sb.bench->design;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "gp/global_placer.hpp"
 #include "gp/wirelength.hpp"
 #include "util/exp.hpp"
+#include "util/lanes.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -560,6 +562,121 @@ TEST(WirelengthBitwise, TwoPinRunsAtChunkEdges) {
   for (const double gamma : {0.3, 1.0, 6.0}) {
     expect_wl_bitwise(nl, pl, gamma);
   }
+}
+
+// ---- two-lane and four-lane kernels ------------------------------------------
+//
+// value() takes a pin's four weights, and two consecutive 2-pin nets, in
+// one four-lane exp on AVX2 hosts, and two lanes at a time elsewhere; both
+// must give the same bits.
+
+/// Whether the four-lane kernels run here. The tests comparing the two
+/// widths skip themselves where they do not.
+bool four_lanes() {
+  return util::widest_lanes() == util::LaneWidth::kFour;
+}
+constexpr const char* kNoFourLanes =
+    "no four-lane kernels here: they need an x86-64 build on an AVX2 host";
+
+/// Runs evaluate() at both lane widths on `pl` at 1 and 3 threads and
+/// asserts equal values and gradients; `scale` scales the net weights.
+void expect_lane_widths_agree(const netlist::Netlist& nl, const Placement& pl,
+                              double gamma,
+                              std::span<const double> scale = {}) {
+  const VarMap vars(nl);
+  const std::size_t n = vars.num_vars();
+  for (const std::size_t threads : {1u, 3u}) {
+    SCOPED_TRACE("gamma=" + std::to_string(gamma) +
+                 " threads=" + std::to_string(threads));
+    SmoothWirelength wl(nl, WirelengthModel::kWa, gamma);
+    if (!scale.empty()) wl.set_net_weight_scale(scale);
+    wl.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
+    std::vector<double> gx2(n, 0.0), gy2(n, 0.0), gx4(n, 0.0), gy4(n, 0.0);
+    const double v2 = wl.evaluate(pl, util::LaneWidth::kTwo);
+    wl.gradient(gx2, gy2, 1.0);
+    const double v4 = wl.evaluate(pl, util::LaneWidth::kFour);
+    wl.gradient(gx4, gy4, 1.0);
+    EXPECT_EQ(bits(v2), bits(v4));
+    std::size_t mismatches = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+      mismatches += bits(gx2[v]) != bits(gx4[v]) ||
+                    bits(gy2[v]) != bits(gy4[v]);
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
+TEST(WirelengthLanes, SpreadPlacement) {
+  if (!four_lanes()) GTEST_SKIP() << kNoFourLanes;
+  const Spread4k& s = spread4k();
+  for (const double gamma : {s.gamma * 4.0, s.gamma, s.gamma / 8.0, 1e-3}) {
+    expect_lane_widths_agree(s.bench.netlist, s.spread, gamma);
+  }
+  expect_lane_widths_agree(s.bench.netlist, s.bench.placement, 1.0);
+  std::vector<double> scale(s.bench.netlist.num_nets());
+  util::Rng rng(9);
+  for (double& w : scale) w = rng.uniform(0.5, 4.0);
+  expect_lane_widths_agree(s.bench.netlist, s.spread, s.gamma, scale);
+}
+
+// 2-pin nets pair up four lanes wide only with a 2-pin successor in their
+// chunk: ChunkEdgeNets ends chunk 0 on an odd run of 2-pin nets, and
+// HandNets' 2-pin nets have no 2-pin neighbour. At gamma 0.05 most spans
+// are far below -512 gammas, so pairs mix far and near lanes.
+TEST(WirelengthLanes, TwoPinNetsAtChunkEndsAndAlone) {
+  if (!four_lanes()) GTEST_SKIP() << kNoFourLanes;
+  const ChunkEdgeNets h;
+  Placement pl(h.nl->num_cells());
+  util::Rng rng(21);
+  for (auto& p : pl) p = {rng.uniform(0.0, 60.0), rng.uniform(0.0, 40.0)};
+  // Every net weighted differently, so two nets in one vector cannot
+  // trade their weights unnoticed.
+  std::vector<double> scale(h.nl->num_nets());
+  for (double& w : scale) w = rng.uniform(0.5, 4.0);
+  for (const double gamma : {0.05, 0.3, 1.0, 6.0}) {
+    expect_lane_widths_agree(*h.nl, pl, gamma);
+    expect_lane_widths_agree(*h.nl, pl, gamma, scale);
+  }
+  const HandNets hand;
+  Placement hp(hand.nl->num_cells());
+  for (auto& p : hp) p = {rng.uniform(0.0, 8.0), rng.uniform(0.0, 8.0)};
+  for (const double gamma : {0.5, 3.0}) {
+    expect_lane_widths_agree(*hand.nl, hp, gamma);
+  }
+}
+
+// A net's weights skip exp's far test when the net's span bounds every
+// argument above -512 (util::exp_detail::kFar) and take it otherwise.
+// Here HandNets' 5-pin net spans 1000 on the x axis and 1 on the y axis,
+// and its 2-pin nets 600 and 0.5, so at gamma 1 one axis of each is far
+// and the other near: both widths, and the scalar reference, must agree.
+TEST(WirelengthLanes, SpansBeyondTheFarBound) {
+  const HandNets h;
+  const auto& nl = *h.nl;
+  const auto& c = h.cells;
+  Placement pl(nl.num_cells());
+  pl[c[0]] = {0.0, 2.0};
+  pl[c[1]] = {600.0, 2.5};
+  pl[c[2]] = {500.0, 3.0};
+  pl[c[3]] = {0.0, 3.5};
+  pl[c[4]] = {1000.0, 3.0};
+  pl[c[5]] = {250.0, 2.5};
+  pl[c[6]] = {999.0, 3.25};
+  pl[c[7]] = {10.0, 0.0};
+  pl[c[8]] = {610.0, 0.5};
+  const double gamma = 1.0;
+  for (NetId n = 0; n < nl.num_nets(); ++n) {
+    double lo = 1e300, hi = -1e300;
+    for (const netlist::PinId pin : nl.net_pins(n)) {
+      const double x = nl.pin_position(pin, pl).x;
+      lo = std::min(lo, x);
+      hi = std::max(hi, x);
+    }
+    ASSERT_LT((lo - hi) / gamma, util::exp_detail::kFar) << "net " << n;
+  }
+  expect_wl_bitwise(nl, pl, gamma);
+  if (!four_lanes()) GTEST_SKIP() << kNoFourLanes;
+  expect_lane_widths_agree(nl, pl, gamma);
 }
 
 TEST(WirelengthChunks, PinBalanced) {
