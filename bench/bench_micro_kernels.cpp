@@ -154,7 +154,7 @@ BENCHMARK(BM_DensityEvalThreads)->Apply(thread_args);
 // with the wirelength gamma of the last of them: on the traced gp-sa4k
 // benchmark run at seed 1, half of a design's evaluations have run by its
 // 9th outer iteration (the median over its eight designs, with the
-// spreading outers capped at gp::kSpreadInnerIters CG iterations).
+// spreading outers capped at gp::kSpreadInnerIters solver iterations).
 struct SpreadFixture {
   dp::dpgen::Benchmark bench;
   dp::netlist::Placement pl;
@@ -190,7 +190,7 @@ void BM_DensityGradientSpread4k(benchmark::State& state) {
 }
 BENCHMARK(BM_DensityGradientSpread4k);
 
-// Value only (passes 0-1): the cost of a rejected line-search probe.
+// Value only (passes 0-1): the cost of an evaluation without its gradient.
 void BM_DensityValueSpread4k(benchmark::State& state) {
   const auto& f = spread4k();
   const dp::gp::VarMap vars(f.bench.netlist);
@@ -229,7 +229,8 @@ void BM_WirelengthEvalSpread4k(benchmark::State& state) {
 }
 BENCHMARK(BM_WirelengthEvalSpread4k);
 
-// Value with per-pin gradients, no gather: the cost of a line-search probe.
+// Value with per-pin gradients, no gather: the cost of an evaluation
+// without its gradient gather.
 void BM_WirelengthValueSpread4k(benchmark::State& state) {
   const auto& f = spread4k();
   const dp::gp::VarMap vars(f.bench.netlist);

@@ -172,17 +172,17 @@ int run(int argc, char** argv) {
       report.legality.legal() ? "yes" : "NO",
       report.legality.overlap_truncated ? " (overlap sweep truncated)" : "");
   const gp::GpResult& gp_result = report.gp_result;
-  std::printf("gp: %zu outers, stopped by %s at overflow %.3f; %zu CG "
+  std::printf("gp: %zu outers, stopped by %s at overflow %.3f; %zu "
               "iterations, %zu evaluations; inner stops:",
               gp_result.trace.size(), gp::to_string(gp_result.stop_reason),
               gp_result.final_overflow, gp_result.total_cg_iterations,
               gp_result.total_evaluations);
-  std::array<std::size_t, gp::kNumCgStops> inner_stops{};
+  std::array<std::size_t, gp::kNumNesterovStops> inner_stops{};
   for (const gp::GpTracePoint& p : gp_result.trace) {
     ++inner_stops[static_cast<std::size_t>(p.inner_stop)];
   }
-  for (std::size_t r = 0; r < gp::kNumCgStops; ++r) {
-    std::printf(" %s=%zu", gp::to_string(static_cast<gp::CgStop>(r)),
+  for (std::size_t r = 0; r < gp::kNumNesterovStops; ++r) {
+    std::printf(" %s=%zu", gp::to_string(static_cast<gp::NesterovStop>(r)),
                 inner_stops[r]);
   }
   std::printf("\n");

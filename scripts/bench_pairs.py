@@ -2,7 +2,7 @@
 """Run alternating parent/change pairs of the end-to-end benchmark.
 
 Usage:
-    bench_pairs.py PARENT_DIR CHANGE_DIR --workload NAME --seed N [--pairs 10]
+    bench_pairs.py PARENT_DIR CHANGE_DIR --workload NAME --seed N [N ...] [--pairs 10]
 
 PARENT_DIR and CHANGE_DIR are two source checkouts. Each pair runs
 
@@ -26,12 +26,17 @@ change/parent: on a host whose speed drifts, both move less with the
 drift than the side medians do. It also reports whether each quality
 metric read the same bits in every run on both sides.
 
-Last it prints the no-regression verdict for every end-to-end metric,
+Then it prints the no-regression verdict for every end-to-end metric,
 against the bound the parent's BENCHMARK.json gives it (a fraction of
 the parent's median): "worse" when the change's median is worse than the
 parent's by more than the bound, "unresolved" when the parent's quartile
 spread is wider than the bound (the runs cannot tell a change of that
 size from noise), both when both hold, and "ok" otherwise.
+
+Given several seeds (--seed 1 2 3, or --seed repeated), it runs the pairs
+and prints all of the above for each seed in turn, and last, for each
+quality metric, the change of the median at every seed and the median of
+those changes across the seeds.
 
 Exit status: 0 when every run succeeded, 1 when one failed.
 """
@@ -56,10 +61,10 @@ def read_benchmark(checkout):
     return spec["run_seconds"], spec["end_to_end"]
 
 
-def run_once(checkout, args, seconds):
+def run_once(checkout, args, seed, seconds):
     """One untraced run in `checkout`; returns {metric name: value}."""
     cmd = [sys.executable, os.path.join("flowbench", "run.py"),
-           "--workload", args.workload, "--seed", str(args.seed),
+           "--workload", args.workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, universal_newlines=True)
@@ -70,6 +75,13 @@ def run_once(checkout, args, seconds):
                  (checkout, proc.returncode))
     metrics = json.loads(lines[-1])["metrics"]
     return {name: m["value"] for name, m in metrics.items()}
+
+
+def relative_change(parent, change):
+    """The change of the median relative to the parent's median, or None
+    when the parent's median is 0."""
+    base = summary(parent)[0]
+    return (summary(change)[0] - base) / base if base else None
 
 
 def summary(values):
@@ -122,38 +134,31 @@ def regression_verdict(metric, parent, change):
            ", ".join(flags) or "ok"))
 
 
-def main(argv):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("parent")
-    p.add_argument("change")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    args = p.parse_args(argv)
-
-    sides = {"parent": os.path.abspath(args.parent),
-             "change": os.path.abspath(args.change)}
-    seconds, end_to_end = read_benchmark(sides["parent"])
+def run_seed(args, seed, sides, seconds, end_to_end):
+    """Runs the pairs of one seed and prints its report; returns the runs
+    of each side."""
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(sides[side], args, seconds))
+            runs[side].append(run_once(sides[side], args, seed, seconds))
         print("pair %d/%d (%s first): %s parent %.4g change %.4g" %
               (i + 1, args.pairs, order[0], METRIC,
                runs["parent"][-1][METRIC], runs["change"][-1][METRIC]), flush=True)
 
-    print("\n%s seed %d, %d pairs" % (args.workload, args.seed, args.pairs))
+    print("\n%s seed %d, %d pairs" % (args.workload, seed, args.pairs))
     print("%-16s %-32s %-32s %s" % ("metric", "parent median [q1, q3]",
                                      "change median [q1, q3]", "median"))
     for name in runs["parent"][0]:
         cols = []
         for side in ("parent", "change"):
             med, q1, q3 = summary([r[name] for r in runs[side]])
-            cols.append((med, "%.6g [%.6g, %.6g]" % (med, q1, q3)))
-        base = cols[0][0]
-        delta = "%+.1f%%" % (100.0 * (cols[1][0] - base) / base) if base else "-"
-        print("%-16s %-32s %-32s %s" % (name, cols[0][1], cols[1][1], delta))
+            cols.append("%.6g [%.6g, %.6g]" % (med, q1, q3))
+        delta = relative_change([r[name] for r in runs["parent"]],
+                                [r[name] for r in runs["change"]])
+        print("%-16s %-32s %-32s %s" % (name, cols[0], cols[1],
+                                         "-" if delta is None else
+                                         "%+.1f%%" % (100.0 * delta)))
 
     print("\ngain rule: won >= 9/10 of the pairs, median gain > parent "
           "quartile spread")
@@ -176,6 +181,45 @@ def main(argv):
         if name in runs["parent"][0]:
             regression_verdict(metric, [r[name] for r in runs["parent"]],
                                [r[name] for r in runs["change"]])
+    return runs
+
+
+def main(argv):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent")
+    p.add_argument("change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, nargs="+", action="extend",
+                   required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    args = p.parse_args(argv)
+
+    sides = {"parent": os.path.abspath(args.parent),
+             "change": os.path.abspath(args.change)}
+    seconds, end_to_end = read_benchmark(sides["parent"])
+    changes = {name: [] for name in QUALITY}
+    for k, seed in enumerate(args.seed):
+        if k:
+            print("\n" + "=" * 72 + "\n")
+        runs = run_seed(args, seed, sides, seconds, end_to_end)
+        for name in QUALITY:
+            if name in runs["parent"][0]:
+                changes[name].append(relative_change(
+                    [r[name] for r in runs["parent"]],
+                    [r[name] for r in runs["change"]]))
+
+    if len(args.seed) > 1:
+        print("\nquality across seeds %s: change of the median per seed, "
+              "and the median of those changes" %
+              " ".join(str(seed) for seed in args.seed))
+        for name, deltas in changes.items():
+            known = [d for d in deltas if d is not None]
+            if not known:
+                continue
+            print("%-16s %s  median %+.2f%%" % (
+                name, " ".join("-" if d is None else "%+.2f%%" % (100.0 * d)
+                               for d in deltas),
+                100.0 * statistics.median(known)))
     return 0
 
 

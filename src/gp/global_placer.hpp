@@ -20,7 +20,7 @@ namespace dp::gp {
 
 /// The overflow above which cells are still spreading out of the
 /// quadratic start's pile-up. An outer iteration that starts above it
-/// runs at most kSpreadInnerIters CG iterations: the next outer doubles
+/// runs at most kSpreadInnerIters solver iterations: the next outer doubles
 /// the density weight and reshapes the objective anyway. The structured
 /// flow hands phase A to phase B here and inflates congested cells here.
 inline constexpr double kSpreadOverflow = 0.5;
@@ -28,10 +28,10 @@ inline constexpr std::size_t kSpreadInnerIters = 10;
 
 /// Options of one global-placement run: smooth wirelength plus a
 /// two-sided density penalty (DensityPenalty) and any extra terms, over
-/// one variable per movable cell. Fixed by the algorithm: at most 50 CG
-/// iterations per outer iteration (kSpreadInnerIters while the outer
-/// starts above kSpreadOverflow), stopped early by the first one that
-/// improves the objective by less than 1e-4 relative, the overflow
+/// one variable per movable cell. Fixed by the algorithm: at most 50
+/// Nesterov iterations per outer iteration (kSpreadInnerIters while the
+/// outer starts above kSpreadOverflow), stopped early by the first one
+/// that changes the objective by less than 3e-4 relative, the overflow
 /// measured against a bin capacity of density 1, and a density weight
 /// starting at 2 times the ratio of the L1 wirelength and density gradient
 /// norms at the start and doubling every outer iteration (ExtraTerm
@@ -53,16 +53,18 @@ struct GpOptions {
 
 /// One sample of the convergence trace (reconstructed Fig. 3 series): the
 /// placement an outer iteration ended with, its schedule and its inner
-/// CG run's work.
+/// Nesterov run's work.
 struct GpTracePoint {
   std::size_t outer = 0;
   double hpwl = 0.0;
   double overflow = 0.0;
   double lambda = 0.0;
   double gamma = 0.0;
-  std::size_t cg_iterations = 0;
+  std::size_t iterations = 0;
   std::size_t evaluations = 0;
-  CgStop inner_stop = CgStop::kIterationCap;
+  /// Why the outer's Nesterov run stopped: the tolerance, the iteration
+  /// cap (kSpreadInnerIters or 50), or a zero gradient.
+  NesterovStop inner_stop = NesterovStop::kIterationCap;
 };
 
 /// Why a global-placement run stopped.
@@ -110,8 +112,9 @@ struct ExtraTerm {
 
 /// NTUplace3-style nonlinear analytical global placer:
 ///   minimize  WL_smooth(x) + lambda * Density(x) + sum_i w_i * Extra_i(x)
-/// with conjugate gradient inner iterations and a geometric lambda ramp,
-/// until the hard density overflow is below the stop threshold.
+/// with Nesterov inner iterations (minimize_nesterov) and a geometric
+/// lambda ramp, until the hard density overflow is below the stop
+/// threshold.
 class GlobalPlacer {
  public:
   GlobalPlacer(const netlist::Netlist& nl, const netlist::Design& design,

@@ -3,17 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/timer.hpp"
-
 namespace dp::gp {
 
 namespace {
-
-double dot(std::span<const double> a, std::span<const double> b) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
-}
 
 double inf_norm(std::span<const double> a) {
   double m = 0.0;
@@ -23,115 +15,90 @@ double inf_norm(std::span<const double> a) {
 
 }  // namespace
 
-const char* to_string(CgStop stop) {
+const char* to_string(NesterovStop stop) {
   switch (stop) {
-    case CgStop::kTolerance:
+    case NesterovStop::kTolerance:
       return "tolerance";
-    case CgStop::kIterationCap:
+    case NesterovStop::kIterationCap:
       return "iteration_cap";
-    case CgStop::kLineSearchFailed:
-      return "line_search_failed";
-    case CgStop::kNoDescent:
+    case NesterovStop::kNoDescent:
       return "no_descent";
   }
   return "unknown";
 }
 
-CgResult minimize_cg(Objective& objective, std::vector<double>& vars,
-                     const CgOptions& options) {
-  CgResult result;
+NesterovResult minimize_nesterov(Objective& objective,
+                                 std::vector<double>& vars,
+                                 const NesterovOptions& options) {
+  NesterovResult result;
   const std::size_t n = vars.size();
   if (n == 0) {
-    result.stop = CgStop::kNoDescent;
+    result.stop = NesterovStop::kNoDescent;
     return result;
   }
 
-  std::vector<double> grad(n, 0.0), prev_grad(n, 0.0), dir(n, 0.0);
-  std::vector<double> trial(n, 0.0);
+  // `vars` holds the reference point, the one evaluated; `major` the
+  // major point, which is never evaluated.
+  std::vector<double>& ref = vars;
+  std::vector<double> major = ref;
+  std::vector<double> grad(n, 0.0), prev_ref(n, 0.0), prev_grad(n, 0.0);
 
-  double f = objective.value(vars);
+  double f = objective.value(ref);
   objective.gradient(grad);
   ++result.evaluations;
-  ++result.gradient_evals;
-  for (std::size_t i = 0; i < n; ++i) dir[i] = -grad[i];
-  // dot(grad, dir) and inf_norm(dir) of the current direction; the
-  // direction update below computes both in the order of those loops.
-  double g_dot_d = dot(grad, dir);
-  double dmax = inf_norm(dir);
+  double a = 1.0;  // Nesterov's momentum sequence; 1 means no momentum
 
   for (std::size_t iter = 0; iter < options.max_iters; ++iter) {
     ++result.iterations;
-
-    if (g_dot_d >= 0.0) {
-      // Not a descent direction: restart with steepest descent.
-      for (std::size_t i = 0; i < n; ++i) dir[i] = -grad[i];
-      g_dot_d = dot(grad, dir);
-      if (g_dot_d >= 0.0) {  // gradient is ~zero
-        result.stop = CgStop::kNoDescent;
-        break;
-      }
-      dmax = inf_norm(dir);
-    }
-
-    if (dmax == 0.0) {
-      result.stop = CgStop::kNoDescent;
+    const double gmax = inf_norm(grad);
+    if (gmax == 0.0) {
+      result.stop = NesterovStop::kNoDescent;
       break;
     }
-    double alpha = options.step_ref / dmax;
-
-    // Armijo backtracking.
-    double f_new = f;
-    bool accepted = false;
-    const util::Timer ls_timer;
-    for (std::size_t bt = 0; bt <= kMaxBacktracks; ++bt) {
-      for (std::size_t i = 0; i < n; ++i) trial[i] = vars[i] + alpha * dir[i];
-      f_new = objective.value(trial);
-      ++result.evaluations;
-      ++result.line_search_evals;
-      if (f_new <= f + kArmijoC1 * alpha * g_dot_d) {
-        accepted = true;
-        break;
+    const double cap = kStepCap * options.step_ref / gmax;
+    double step = options.step_ref / gmax;
+    if (iter > 0) {
+      double dv = 0.0, dg = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double x = ref[i] - prev_ref[i];
+        const double y = grad[i] - prev_grad[i];
+        dv += x * x;
+        dg += y * y;
       }
-      alpha *= 0.5;
-    }
-    result.line_search_seconds += ls_timer.seconds();
-    if (!accepted) {  // gradient likely noisy
-      result.stop = CgStop::kLineSearchFailed;
-      break;
+      step = dg > 0.0 ? std::min(cap, std::sqrt(dv / dg)) : cap;
     }
 
-    // Only the accepted probe pays for its gradient.
-    objective.gradient(prev_grad);
-    ++result.gradient_evals;
-    vars.swap(trial);
-    std::swap(grad, prev_grad);  // prev_grad now holds the OLD gradient
+    const double a_next = (1.0 + std::sqrt(4.0 * a * a + 1.0)) / 2.0;
+    const double momentum = (a - 1.0) / a_next;
+    prev_ref.swap(ref);
+    prev_grad.swap(grad);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double next = prev_ref[i] - step * prev_grad[i];
+      ref[i] = next + momentum * (next - major[i]);
+      major[i] = next;
+    }
+
+    // The caller's next evaluation is at the point the last iteration
+    // reaches, so evaluating it here would be thrown away.
+    if (result.iterations == options.max_iters) break;
+
     const double f_old = f;
-    f = f_new;
-
-    // prev_grad = old gradient, grad = new gradient (from the accepted
-    // trial evaluation above).
-    double beta_num = 0.0, beta_den = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      beta_num += grad[i] * (grad[i] - prev_grad[i]);
-      beta_den += prev_grad[i] * prev_grad[i];
-    }
-    const double beta =
-        beta_den > 0.0 ? std::max(0.0, beta_num / beta_den) : 0.0;
-    g_dot_d = 0.0;
-    dmax = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      dir[i] = -grad[i] + beta * dir[i];
-      g_dot_d += grad[i] * dir[i];
-      dmax = std::max(dmax, std::abs(dir[i]));
+    f = objective.value(ref);
+    objective.gradient(grad);
+    ++result.evaluations;
+    if (f > f_old) {  // overshot: the next step is a plain gradient step
+      ++result.restarts;
+      a = 1.0;
+    } else {
+      a = a_next;
     }
 
     if (std::abs(f_old - f) <= options.rel_tol * (std::abs(f_old) + 1e-12)) {
-      result.stop = CgStop::kTolerance;
+      result.stop = NesterovStop::kTolerance;
       break;
     }
   }
 
-  result.final_value = f;
   return result;
 }
 

@@ -6,9 +6,9 @@
 
 namespace dp::gp {
 
-/// A smooth function R^n -> R with gradient, minimized by the CG solver.
-/// The line search calls value() on every probe and asks for the gradient
-/// only once a probe is accepted, so a rejected probe costs no gradient.
+/// A smooth function R^n -> R with gradient, minimized by the Nesterov
+/// solver. The solver calls value() and then gradient() at every point
+/// it evaluates.
 class Objective {
  public:
   virtual ~Objective() = default;
@@ -21,52 +21,53 @@ class Objective {
   virtual void gradient(std::span<double> grad) = 0;
 };
 
-/// Armijo sufficient-decrease constant of the line search.
-inline constexpr double kArmijoC1 = 1e-4;
-/// Step halvings the line search tries before it gives up.
-inline constexpr std::size_t kMaxBacktracks = 12;
+/// The predicted step never moves a coordinate further than this many
+/// `step_ref` along the gradient.
+inline constexpr double kStepCap = 2.0;
 
-struct CgOptions {
+struct NesterovOptions {
   std::size_t max_iters = 100;
-  /// Stop when the objective improves by less than this relative amount
+  /// Stop when the objective changes by less than this relative amount
   /// over an iteration.
   double rel_tol = 1e-5;
-  /// Reference trial-step length: the first line-search trial moves the
-  /// fastest coordinate by this distance (typically one bin width).
+  /// Reference step length: the first step moves the fastest coordinate
+  /// by this distance (typically one bin width), and no predicted step
+  /// moves it by more than kStepCap times it.
   double step_ref = 1.0;
 };
 
-/// Why a minimize_cg run stopped.
-enum class CgStop {
-  kTolerance,         ///< an iteration improved f by less than `rel_tol`
-  kIterationCap,      ///< `max_iters` iterations ran
-  kLineSearchFailed,  ///< no Armijo step within kMaxBacktracks halvings
-  kNoDescent,         ///< the gradient offers no descent direction
+/// Why a minimize_nesterov run stopped.
+enum class NesterovStop {
+  kTolerance,     ///< an iteration changed f by less than `rel_tol`
+  kIterationCap,  ///< `max_iters` iterations ran
+  kNoDescent,     ///< the gradient is zero
 };
-inline constexpr std::size_t kNumCgStops = 4;
+inline constexpr std::size_t kNumNesterovStops = 3;
 
 /// Snake-case name of a stop reason, e.g. "iteration_cap".
-const char* to_string(CgStop stop);
+const char* to_string(NesterovStop stop);
 
-struct CgResult {
-  CgStop stop = CgStop::kIterationCap;
+struct NesterovResult {
+  NesterovStop stop = NesterovStop::kIterationCap;
   std::size_t iterations = 0;
+  /// value() calls, each followed by one gradient() call: one at the
+  /// start and one after every iteration but a last one that reaches
+  /// `max_iters`, since the caller evaluates that point next.
   std::size_t evaluations = 0;
-  double final_value = 0.0;
-  /// Probes of the Armijo backtracking loop (a subset of `evaluations`),
-  /// each a value() call, and their cumulative wall time; feeds the
-  /// line-search entry of gp::EvalProfile.
-  std::size_t line_search_evals = 0;
-  double line_search_seconds = 0.0;
-  /// Gradients computed: one at the start plus one per accepted probe.
-  /// Rejected probes cost a value only, so this is below `evaluations`
-  /// whenever a probe was rejected.
-  std::size_t gradient_evals = 0;
+  /// Iterations whose objective rose and which therefore dropped the
+  /// momentum.
+  std::size_t restarts = 0;
 };
 
-/// Polak-Ribiere+ nonlinear conjugate gradient with Armijo backtracking
-/// line search and automatic restarts. `vars` is updated in place.
-CgResult minimize_cg(Objective& objective, std::vector<double>& vars,
-                     const CgOptions& options);
+/// Nesterov's accelerated gradient method. Each iteration takes a
+/// gradient step from the reference point to the next major point, with
+/// the step predicted from the last two reference points (their distance
+/// over their gradients' distance, the inverse of a local Lipschitz
+/// constant), and extrapolates the next reference point past it. An
+/// iteration whose value rises restarts the momentum. `vars` receives the
+/// last reference point.
+NesterovResult minimize_nesterov(Objective& objective,
+                                 std::vector<double>& vars,
+                                 const NesterovOptions& options);
 
 }  // namespace dp::gp

@@ -22,14 +22,13 @@ struct TermProfile {
 /// Per-term evaluation profile of a global-placement run: how often each
 /// objective term was evaluated and how much wall time it consumed, so
 /// kernel speedups are measured instead of guessed. Every CompositeObjective
-/// evaluation -- the first one of a CG run or a line-search probe -- counts
-/// one call of wirelength, density and each extra term weighted non-zero.
-/// Every term's gradient is deferred: it runs for the first evaluation and
-/// the accepted probes alone, and its time is added to the term's seconds
-/// without a call. `line_search` counts the Armijo probes (a subset of the
-/// evaluations; their value time is already in the per-term entries), and
-/// `gradients` the objective gradients computed: one per CG run plus one
-/// per accepted probe. `density_bins` is a work counter, bitwise
+/// evaluation -- one per point the Nesterov solver evaluates -- counts one
+/// call of wirelength, density and each extra term weighted non-zero.
+/// Each evaluation's gradient follows its value, and its time is added to
+/// the term's seconds without a call, so `gradients` equals the
+/// evaluations. `line_search` reads 0: the solver has no line search, and
+/// the entry stays only because `flowbench` reports it as
+/// `gp.line_search_evals`. `density_bins` is a work counter, bitwise
 /// reproducible for any thread count: the bins covered by the density
 /// windows, summed over the density value passes (each gradient pass
 /// visits as many again). The per-evaluation bell count is a constant of
@@ -38,6 +37,7 @@ struct TermProfile {
 struct EvalProfile {
   TermProfile wirelength;
   TermProfile density;
+  /// Always 0 (no line search); kept only for `flowbench`.
   TermProfile line_search;
   std::size_t gradients = 0;
   std::uint64_t density_bins = 0;
@@ -51,7 +51,7 @@ struct EvalProfile {
 
   /// Compact one-line rendering for logs and the CLI, e.g.
   ///   "wl 812x/0.410s | density 812x/0.770s | alignment 406x/0.080s |
-  ///    line-search 590x/0.900s | gradients 310x | density-bins 75490304"
+  ///    line-search 0x/0.000s | gradients 812x | density-bins 75490304"
   std::string to_string() const;
 };
 

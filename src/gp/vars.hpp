@@ -65,8 +65,8 @@ class VarMap {
 };
 
 /// One additive term of the global-placement objective, evaluated in two
-/// steps so that a line search can reject a probe without paying for its
-/// gradient: value() first, gradient() only when asked.
+/// steps, value() first and gradient() only when asked, as the solver's
+/// Objective is.
 class ObjectiveTerm {
  public:
   virtual ~ObjectiveTerm() = default;

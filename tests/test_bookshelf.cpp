@@ -190,7 +190,7 @@ TEST(Bookshelf, AlignmentScoreInDesignRows) {
 
 // Units and offsets do not steer the placer (ROADMAP item 18): a dp_add32
 // export, a copy with every length x8 and a copy moved by +1,000 in x and
-// y place with the same outer, CG and evaluation counts in both flows,
+// y place with the same outer, iteration and evaluation counts in both flows,
 // and with the HPWL scaled by the units. The x8 copy reads the same bits
 // scaled; the moved one rounds its coordinates differently, so its HPWL
 // agrees to a tolerance: measured, at most 5.4e-11 relative (sa-gentle

@@ -704,10 +704,11 @@ TEST(DensityBitwise, BinsVisitedIsThreadIndependent) {
   EXPECT_GT(serial, 0u);
 }
 
-// ---- the line search's call order --------------------------------------------
+// ---- value() without a gradient, then another value() -----------------------
 //
-// The line search calls value() at probes it may reject and gradient() only
-// after the probe it accepts, so gradient() must see the last value() alone.
+// A caller may call value() at a point, never ask for its gradient, and
+// call value() and gradient() at another, so gradient() must see the last
+// value() alone.
 
 /// The reference value and gradient at (pl, vars), obstacles preloaded
 /// from pl, gradients accumulated onto zeros.

@@ -1,5 +1,5 @@
 // Golden placements: the final HPWL of a few full placement runs, pinned
-// to the bit, plus the timing guard's veto count and the GP's CG
+// to the bit, plus the timing guard's veto count and the GP's solver
 // iterations and objective evaluations, each held at 1 and at 4 threads.
 // Any change to the placer that moves a placement -- kernel reordering, a
 // different reduction order, a new default -- fails here, and so does one
@@ -100,12 +100,12 @@ std::string case_name(const testing::TestParamInfo<Golden>& param_info) {
 INSTANTIATE_TEST_SUITE_P(
     SaGentle, GoldenPlacement,
     testing::Values(
-        Golden{"dp_add32", Flow::kGentle, false, 0x40bdebf99999999bULL, 0,
-               69, 74},
-        Golden{"mix25", Flow::kGentle, false, 0x40e3a9da8ef93ce0ULL, 0,
-               235, 260},
-        Golden{"mix25", Flow::kGentle, true, 0x40e93342e5eabf3bULL, 703,
-               376, 413}),
+        Golden{"dp_add32", Flow::kGentle, false, 0x40bde9fdb4a62897ULL, 0,
+               66, 69},
+        Golden{"mix25", Flow::kGentle, false, 0x40e5991809a90e80ULL, 0,
+               222, 228},
+        Golden{"mix25", Flow::kGentle, true, 0x40e8ddfda1540b8dULL, 661,
+               323, 327}),
     case_name);
 
 // The structure-oblivious baseline, plain and routed (inflation in the GP,
@@ -113,10 +113,10 @@ INSTANTIATE_TEST_SUITE_P(
 INSTANTIATE_TEST_SUITE_P(
     OtherFlows, GoldenPlacement,
     testing::Values(
-        Golden{"mix25", Flow::kBaseline, false, 0x40e4ee4a36191df5ULL, 0,
-               253, 288},
-        Golden{"mix25", Flow::kBaseline, true, 0x40e862553521cfafULL, 950,
-               296, 313}),
+        Golden{"mix25", Flow::kBaseline, false, 0x40e4c977cbd57e8bULL, 0,
+               207, 213},
+        Golden{"mix25", Flow::kBaseline, true, 0x40e8983dc03dd387ULL, 892,
+               272, 278}),
     case_name);
 
 }  // namespace

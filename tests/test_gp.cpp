@@ -518,7 +518,7 @@ TEST(GlobalPlacer, ContinuedRunExtendsTheRecord) {
   std::size_t iterations = 0, evaluations = 0;
   for (std::size_t k = 0; k < res.trace.size(); ++k) {
     EXPECT_EQ(res.trace[k].outer, k);
-    iterations += res.trace[k].cg_iterations;
+    iterations += res.trace[k].iterations;
     evaluations += res.trace[k].evaluations;
   }
   EXPECT_EQ(iterations, res.total_cg_iterations);
@@ -535,7 +535,7 @@ TEST(GlobalPlacer, ContinuedRunExtendsTheRecord) {
               std::bit_cast<std::uint64_t>(b.lambda));
     EXPECT_EQ(std::bit_cast<std::uint64_t>(a.gamma),
               std::bit_cast<std::uint64_t>(b.gamma));
-    EXPECT_EQ(a.cg_iterations, b.cg_iterations);
+    EXPECT_EQ(a.iterations, b.iterations);
     EXPECT_EQ(a.evaluations, b.evaluations);
     EXPECT_EQ(a.inner_stop, b.inner_stop);
   }
@@ -545,7 +545,7 @@ TEST(GlobalPlacer, ContinuedRunExtendsTheRecord) {
 
 // The trace carries each outer's inner work: it sums to the run's totals,
 // and an outer that starts above the spread point runs at most
-// kSpreadInnerIters CG iterations. make_scaled(2000) starts piled up far
+// kSpreadInnerIters solver iterations. make_scaled(2000) starts piled up far
 // above it, so some spreading outer runs into that cap.
 TEST(GlobalPlacer, SpreadingOutersRunCappedInnerSolves) {
   const dpgen::Benchmark b = dpgen::make_scaled(2000);
@@ -562,11 +562,11 @@ TEST(GlobalPlacer, SpreadingOutersRunCappedInnerSolves) {
   std::size_t iterations = 0, evaluations = 0, capped = 0;
   for (std::size_t k = 0; k < res.trace.size(); ++k) {
     const GpTracePoint& p = res.trace[k];
-    iterations += p.cg_iterations;
+    iterations += p.iterations;
     evaluations += p.evaluations;
     if (start_overflow[k] <= kSpreadOverflow) continue;
-    EXPECT_LE(p.cg_iterations, kSpreadInnerIters) << "outer " << k;
-    if (p.inner_stop == CgStop::kIterationCap) ++capped;
+    EXPECT_LE(p.iterations, kSpreadInnerIters) << "outer " << k;
+    if (p.inner_stop == NesterovStop::kIterationCap) ++capped;
   }
   EXPECT_EQ(iterations, res.total_cg_iterations);
   EXPECT_EQ(evaluations, res.total_evaluations);

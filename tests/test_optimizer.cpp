@@ -80,94 +80,130 @@ class SplitRosenbrock final : public Objective {
   double x_ = 0.0, y_ = 0.0;
 };
 
-TEST(Cg, SplitObjectiveMatchesEvalOnly) {
-  CgOptions opt;
+TEST(Nesterov, SplitObjectiveMatchesEvalOnly) {
+  NesterovOptions opt;
   opt.max_iters = 200;
   opt.step_ref = 0.1;
   opt.rel_tol = 1e-14;
   Rosenbrock whole;
   SplitRosenbrock split;
   std::vector<double> a{-1.2, 1.0}, b{-1.2, 1.0};
-  const CgResult ra = minimize_cg(whole, a, opt);
-  const CgResult rb = minimize_cg(split, b, opt);
+  const NesterovResult ra = minimize_nesterov(whole, a, opt);
+  const NesterovResult rb = minimize_nesterov(split, b, opt);
 
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a[0]),
             std::bit_cast<std::uint64_t>(b[0]));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a[1]),
             std::bit_cast<std::uint64_t>(b[1]));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(ra.final_value),
-            std::bit_cast<std::uint64_t>(rb.final_value));
   EXPECT_EQ(ra.iterations, rb.iterations);
   EXPECT_EQ(ra.evaluations, rb.evaluations);
-  EXPECT_EQ(ra.line_search_evals, rb.line_search_evals);
-  EXPECT_EQ(ra.gradient_evals, rb.gradient_evals);
+  EXPECT_EQ(ra.restarts, rb.restarts);
 
-  // Rejected probes cost a value only: the split objective computed
-  // exactly gradient_evals gradients, fewer than there were evaluations.
-  EXPECT_EQ(split.gradients, rb.gradient_evals);
-  EXPECT_LT(rb.gradient_evals, rb.evaluations);
-  EXPECT_GT(rb.line_search_evals, rb.iterations);  // some probes rejected
+  // Every point evaluated pays for one value and one gradient, and no
+  // point is evaluated and then thrown away.
+  EXPECT_EQ(split.gradients, rb.evaluations);
+  EXPECT_LE(rb.evaluations, rb.iterations + 1);
 }
 
-TEST(Cg, SolvesQuadraticBowl) {
+TEST(Nesterov, SolvesQuadraticBowl) {
   Bowl bowl({3.0, -2.0, 7.0});
   std::vector<double> v{0.0, 0.0, 0.0};
-  CgOptions opt;
+  NesterovOptions opt;
   opt.max_iters = 200;
   opt.step_ref = 1.0;
   opt.rel_tol = 1e-12;
-  const CgResult res = minimize_cg(bowl, v, opt);
+  const NesterovResult res = minimize_nesterov(bowl, v, opt);
+  EXPECT_NE(res.stop, NesterovStop::kIterationCap);
   EXPECT_NEAR(v[0], 3.0, 1e-3);
   EXPECT_NEAR(v[1], -2.0, 1e-3);
   EXPECT_NEAR(v[2], 7.0, 1e-3);
-  EXPECT_NEAR(res.final_value, 0.0, 1e-5);
+  EXPECT_NEAR(bowl.value(v), 0.0, 1e-5);
 }
 
-TEST(Cg, ReducesRosenbrock) {
+TEST(Nesterov, ReducesRosenbrock) {
   Rosenbrock f;
   std::vector<double> v{-1.2, 1.0};
-  CgOptions opt;
+  NesterovOptions opt;
   opt.max_iters = 500;
   opt.step_ref = 0.1;
   opt.rel_tol = 1e-14;
-  const CgResult res = minimize_cg(f, v, opt);
-  EXPECT_LT(res.final_value, 1.0);  // start value is ~24.2
+  const NesterovResult res = minimize_nesterov(f, v, opt);
+  EXPECT_EQ(res.iterations, 500u);
+  EXPECT_LT(f.value(v), 1.0);  // start value is ~24.2
 }
 
-TEST(Cg, EmptyProblemIsNoop) {
+TEST(Nesterov, EmptyProblemIsNoop) {
   Bowl bowl({});
   std::vector<double> v;
-  const CgResult res = minimize_cg(bowl, v, {});
+  const NesterovResult res = minimize_nesterov(bowl, v, {});
   EXPECT_EQ(res.iterations, 0u);
-  EXPECT_EQ(res.stop, CgStop::kNoDescent);
+  EXPECT_EQ(res.evaluations, 0u);
+  EXPECT_EQ(res.stop, NesterovStop::kNoDescent);
 }
 
-TEST(Cg, AlreadyOptimalStopsQuickly) {
+TEST(Nesterov, AlreadyOptimalStopsQuickly) {
   Bowl bowl({1.0, 1.0});
   std::vector<double> v{1.0, 1.0};
-  CgOptions opt;
+  NesterovOptions opt;
   opt.max_iters = 100;
-  const CgResult res = minimize_cg(bowl, v, opt);
+  const NesterovResult res = minimize_nesterov(bowl, v, opt);
   EXPECT_LE(res.iterations, 3u);
-  EXPECT_NEAR(res.final_value, 0.0, 1e-12);
+  EXPECT_NEAR(bowl.value(v), 0.0, 1e-12);
 }
 
-TEST(Cg, MonotoneNonIncreasing) {
-  // The Armijo line search guarantees each accepted step decreases f.
+TEST(Nesterov, FirstStepMovesTheFastestCoordinateByStepRef) {
+  // One iteration is one plain gradient step of length step_ref on the
+  // fastest coordinate, taken without evaluating where it lands, so
+  // repeated one-iteration runs walk down the bowl a unit at a time.
   Bowl bowl({5.0, 5.0, 5.0, 5.0});
   std::vector<double> v{0, 0, 0, 0};
-  CgOptions opt;
+  NesterovOptions opt;
   opt.max_iters = 1;
   double prev = 100.0;  // f(0) = 100
-  for (int i = 0; i < 20; ++i) {
-    const CgResult res = minimize_cg(bowl, v, opt);
-    EXPECT_LE(res.final_value, prev + 1e-12);
-    prev = res.final_value;
+  for (int i = 0; i < 5; ++i) {
+    const NesterovResult res = minimize_nesterov(bowl, v, opt);
+    EXPECT_EQ(res.evaluations, 1u);
+    const double f = bowl.value(v);
+    EXPECT_LT(f, prev);
+    prev = f;
   }
+  EXPECT_EQ(v, (std::vector<double>{5.0, 5.0, 5.0, 5.0}));
 }
 
-/// f(x) = sum x_i^2 reporting the gradient's negation, so every direction
-/// it calls descent goes uphill.
+/// f(x, y) = x^2 + 100 y^2 recording every value it returns: a narrow
+/// valley across which the predicted step and the momentum overshoot.
+class RecordingValley final : public WholeObjective {
+ public:
+  double eval(std::span<const double> v, std::span<double> g) override {
+    g[0] = 2 * v[0];
+    g[1] = 200 * v[1];
+    values.push_back(v[0] * v[0] + 100 * v[1] * v[1]);
+    return values.back();
+  }
+  std::vector<double> values;
+};
+
+TEST(Nesterov, AnOvershootRestartsTheMomentum) {
+  RecordingValley f;
+  std::vector<double> v{10.0, 1.0};
+  NesterovOptions opt;
+  opt.max_iters = 200;
+  opt.step_ref = 1.0;
+  opt.rel_tol = 1e-12;
+  const NesterovResult res = minimize_nesterov(f, v, opt);
+  ASSERT_EQ(f.values.size(), res.evaluations);
+  std::size_t rises = 0;
+  for (std::size_t k = 1; k < f.values.size(); ++k) {
+    if (f.values[k] > f.values[k - 1]) ++rises;
+  }
+  EXPECT_GT(rises, 0u);  // the valley makes the iterates overshoot
+  EXPECT_EQ(res.restarts, rises);
+  EXPECT_NE(res.stop, NesterovStop::kIterationCap);
+  EXPECT_LT(f.values.back(), 1e-6);  // and the restarts still converge
+}
+
+/// f(x) = sum x_i^2 reporting the gradient's negation, so every step it
+/// asks for goes uphill.
 class UphillGradient final : public WholeObjective {
  public:
   double eval(std::span<const double> v, std::span<double> g) override {
@@ -180,64 +216,55 @@ class UphillGradient final : public WholeObjective {
   }
 };
 
-TEST(CgStop, ToleranceEndsTheRunBeforeTheCap) {
+TEST(NesterovStop, ToleranceEndsTheRunBeforeTheCap) {
   // A unit step from 0 towards (100, 100) gains 2% of f, under rel_tol.
   Bowl bowl({100.0, 100.0});
   std::vector<double> v{0.0, 0.0};
-  CgOptions opt;
+  NesterovOptions opt;
   opt.step_ref = 1.0;
   opt.rel_tol = 0.05;
-  const CgResult res = minimize_cg(bowl, v, opt);
-  EXPECT_EQ(res.stop, CgStop::kTolerance);
+  const NesterovResult res = minimize_nesterov(bowl, v, opt);
+  EXPECT_EQ(res.stop, NesterovStop::kTolerance);
   EXPECT_EQ(res.iterations, 1u);
   EXPECT_EQ(v, (std::vector<double>{1.0, 1.0}));
 }
 
-TEST(CgStop, IterationCapWhenStillImproving) {
+TEST(NesterovStop, IterationCapWhenStillImproving) {
   Rosenbrock f;
   std::vector<double> v{-1.2, 1.0};
-  CgOptions opt;
+  NesterovOptions opt;
   opt.max_iters = 5;
   opt.step_ref = 0.1;
   opt.rel_tol = 1e-14;
-  const CgResult res = minimize_cg(f, v, opt);
-  EXPECT_EQ(res.stop, CgStop::kIterationCap);
+  const NesterovResult res = minimize_nesterov(f, v, opt);
+  EXPECT_EQ(res.stop, NesterovStop::kIterationCap);
   EXPECT_EQ(res.iterations, 5u);
+  EXPECT_EQ(res.evaluations, 5u);  // the fifth step lands unevaluated
 }
 
-TEST(CgStop, LineSearchFailsOnAnUphillGradient) {
+TEST(NesterovStop, EveryRiseRestartsOnAnUphillGradient) {
   UphillGradient f;
   std::vector<double> v{1.0, -2.0};
-  const CgResult res = minimize_cg(f, v, {});
-  EXPECT_EQ(res.stop, CgStop::kLineSearchFailed);
-  EXPECT_EQ(res.iterations, 1u);
-  EXPECT_EQ(res.line_search_evals, kMaxBacktracks + 1);
-  EXPECT_EQ(v, (std::vector<double>{1.0, -2.0}));  // no step taken
+  NesterovOptions opt;
+  opt.max_iters = 5;
+  const NesterovResult res = minimize_nesterov(f, v, opt);
+  EXPECT_EQ(res.stop, NesterovStop::kIterationCap);
+  EXPECT_EQ(res.restarts, 4u);  // every evaluated step but the unevaluated fifth
 }
 
-TEST(CgStop, NoDescentAtAStationaryPoint) {
+TEST(NesterovStop, NoDescentAtAStationaryPoint) {
   Bowl bowl({1.0, 1.0});
   std::vector<double> v{1.0, 1.0};
-  const CgResult res = minimize_cg(bowl, v, {});
-  EXPECT_EQ(res.stop, CgStop::kNoDescent);
+  const NesterovResult res = minimize_nesterov(bowl, v, {});
+  EXPECT_EQ(res.stop, NesterovStop::kNoDescent);
   EXPECT_EQ(res.iterations, 1u);
   EXPECT_EQ(res.evaluations, 1u);
 }
 
-TEST(CgStop, NamesAreDistinct) {
-  EXPECT_STREQ(to_string(CgStop::kTolerance), "tolerance");
-  EXPECT_STREQ(to_string(CgStop::kIterationCap), "iteration_cap");
-  EXPECT_STREQ(to_string(CgStop::kLineSearchFailed), "line_search_failed");
-  EXPECT_STREQ(to_string(CgStop::kNoDescent), "no_descent");
-}
-
-TEST(Cg, CountsEvaluations) {
-  Bowl bowl({2.0});
-  std::vector<double> v{0.0};
-  CgOptions opt;
-  opt.max_iters = 10;
-  const CgResult res = minimize_cg(bowl, v, opt);
-  EXPECT_GE(res.evaluations, res.iterations);
+TEST(NesterovStop, NamesAreDistinct) {
+  EXPECT_STREQ(to_string(NesterovStop::kTolerance), "tolerance");
+  EXPECT_STREQ(to_string(NesterovStop::kIterationCap), "iteration_cap");
+  EXPECT_STREQ(to_string(NesterovStop::kNoDescent), "no_descent");
 }
 
 }  // namespace

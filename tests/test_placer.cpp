@@ -81,13 +81,13 @@ TEST(StructurePlacer, GpCountersAgreeInEveryFlow) {
     const gp::GpResult gp = pipe.run(c).gp_result;
     EXPECT_GT(gp.total_evaluations, 0u);
     EXPECT_EQ(gp.total_evaluations, gp.profile.density.calls);
-    std::size_t evaluations = 0, cg_iterations = 0;
+    std::size_t evaluations = 0, iterations = 0;
     for (const gp::GpTracePoint& p : gp.trace) {
       evaluations += p.evaluations;
-      cg_iterations += p.cg_iterations;
+      iterations += p.iterations;
     }
     EXPECT_EQ(gp.total_evaluations, evaluations);
-    EXPECT_EQ(gp.total_cg_iterations, cg_iterations);
+    EXPECT_EQ(gp.total_cg_iterations, iterations);
   }
 }
 
