@@ -5,7 +5,7 @@
 // design, and the wirelength kernel's util::exp beside std::exp.
 // The wirelength and density rows run the kernels at the widest lane
 // width of the host (util::widest_lanes()) and name it in their label;
-// the density rows call evaluate(), as value() would return its kept
+// the density rows call evaluate(), as eval() would return its kept
 // value at the unchanged placement.
 // A run writes a file only when given --benchmark_out=FILE; ctest runs
 // every row once as a smoke test.
@@ -42,7 +42,7 @@ const dp::dpgen::Benchmark& bench_data() {
   return b;
 }
 
-/// The lane width value() runs the wirelength and density kernels at.
+/// The lane width eval() runs the wirelength and density kernels at.
 dp::util::LaneWidth lanes(benchmark::State& state) {
   const dp::util::LaneWidth width = dp::util::widest_lanes();
   state.SetLabel(dp::util::to_string(width));
@@ -55,9 +55,7 @@ double wl_eval(const dp::gp::SmoothWirelength& wl,
                std::vector<double>& gx, std::vector<double>& gy) {
   std::fill(gx.begin(), gx.end(), 0.0);
   std::fill(gy.begin(), gy.end(), 0.0);
-  const double v = wl.evaluate(pl, width);
-  wl.gradient(gx, gy, 1.0);
-  return v;
+  return wl.evaluate(pl, width, gx, gy);
 }
 
 /// One density evaluation at `width`: value and gradient into gx, gy.
@@ -67,9 +65,7 @@ double density_eval(const dp::gp::DensityPenalty& den,
                     std::vector<double>& gx, std::vector<double>& gy) {
   std::fill(gx.begin(), gx.end(), 0.0);
   std::fill(gy.begin(), gy.end(), 0.0);
-  const double v = den.evaluate(pl, vars, width);
-  den.gradient(gx, gy, 1.0);
-  return v;
+  return den.evaluate(pl, vars, width, gx, gy);
 }
 
 void BM_Hpwl(benchmark::State& state) {
@@ -190,18 +186,6 @@ void BM_DensityGradientSpread4k(benchmark::State& state) {
 }
 BENCHMARK(BM_DensityGradientSpread4k);
 
-// Value only (passes 0-1): the cost of an evaluation without its gradient.
-void BM_DensityValueSpread4k(benchmark::State& state) {
-  const auto& f = spread4k();
-  const dp::gp::VarMap vars(f.bench.netlist);
-  dp::gp::DensityPenalty den(f.bench.netlist, f.bench.design);
-  const dp::util::LaneWidth width = lanes(state);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(den.evaluate(f.pl, vars, width));
-  }
-}
-BENCHMARK(BM_DensityValueSpread4k);
-
 void BM_DensityEvalThreadsSpread4k(benchmark::State& state) {
   const auto& f = spread4k();
   const dp::gp::VarMap vars(f.bench.netlist);
@@ -228,20 +212,6 @@ void BM_WirelengthEvalSpread4k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WirelengthEvalSpread4k);
-
-// Value with per-pin gradients, no gather: the cost of an evaluation
-// without its gradient gather.
-void BM_WirelengthValueSpread4k(benchmark::State& state) {
-  const auto& f = spread4k();
-  const dp::gp::VarMap vars(f.bench.netlist);
-  const dp::gp::SmoothWirelength wl(f.bench.netlist,
-                                    dp::gp::WirelengthModel::kWa, f.gamma);
-  const dp::util::LaneWidth width = lanes(state);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(wl.evaluate(f.pl, width));
-  }
-}
-BENCHMARK(BM_WirelengthValueSpread4k);
 
 // util::exp and std::exp over the same 4,096 arguments, uniform in
 // [-20, 0], where most WA weights lie. An item is the exp of one value:

@@ -33,6 +33,12 @@ parent's by more than the bound, "unresolved" when the parent's quartile
 spread is wider than the bound (the runs cannot tell a change of that
 size from noise), both when both hold, and "ok" otherwise.
 
+After a seed's pairs it runs one traced pass (--seconds 0 --trace 1) in
+each checkout and prints every deterministic per-layer metric side by
+side: those of unit "count" and the DETERMINISTIC ones below. Each is
+compared bit for bit, and one whose bits differ is flagged, so a change
+that claims to keep every counter can show it in this one command.
+
 Given several seeds (--seed 1 2 3, or --seed repeated), it runs the pairs
 and prints all of the above for each seed in turn, and last, for each
 quality metric, the change of the median at every seed and the median of
@@ -46,11 +52,14 @@ import json
 import math
 import os
 import statistics
+import struct
 import subprocess
 import sys
 
 METRIC = "place_s"
 QUALITY = ("hpwl", "datapath_hpwl", "crit_delay", "cong_peak")
+# Per-layer metrics besides the counters whose bits the placement fixes.
+DETERMINISTIC = ("gp.overflow", "legal.hpwl_growth", "eval.align_rms")
 
 
 def read_benchmark(checkout):
@@ -61,11 +70,11 @@ def read_benchmark(checkout):
     return spec["run_seconds"], spec["end_to_end"]
 
 
-def run_once(checkout, args, seed, seconds):
-    """One untraced run in `checkout`; returns {metric name: value}."""
+def run_flowbench(checkout, args, seed, seconds, trace):
+    """One run in `checkout`; returns its metrics, {name: {value, unit}}."""
     cmd = [sys.executable, os.path.join("flowbench", "run.py"),
            "--workload", args.workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, universal_newlines=True)
     lines = proc.stdout.strip().splitlines()
@@ -73,8 +82,41 @@ def run_once(checkout, args, seed, seconds):
         sys.stderr.write(proc.stderr[-4000:])
         sys.exit("bench_pairs: run failed in %s (exit %d)" %
                  (checkout, proc.returncode))
-    metrics = json.loads(lines[-1])["metrics"]
+    return json.loads(lines[-1])["metrics"]
+
+
+def run_once(checkout, args, seed, seconds):
+    """One untraced run in `checkout`; returns {metric name: value}."""
+    metrics = run_flowbench(checkout, args, seed, seconds, 0)
     return {name: m["value"] for name, m in metrics.items()}
+
+
+def same_bits(a, b):
+    return struct.pack("<d", float(a)) == struct.pack("<d", float(b))
+
+
+def compare_counters(args, seed, sides):
+    """Runs one traced pass per side and prints the deterministic per-layer
+    metrics side by side, flagging those whose bits differ."""
+    traced = {side: run_flowbench(path, args, seed, 0, 1)
+              for side, path in sides.items()}
+    parent, change = traced["parent"], traced["change"]
+    names = [name for name, m in parent.items()
+             if m["unit"] == "count" or name in DETERMINISTIC]
+    print("\ndeterministic per-layer metrics, one traced run per side")
+    print("%-24s %-24s %-24s" % ("metric", "parent", "change"))
+    differ = 0
+    for name in names:
+        p = parent[name]["value"]
+        c = change[name]["value"] if name in change else None
+        same = c is not None and same_bits(p, c)
+        differ += not same
+        print("%-24s %-24.17g %-24s%s" % (
+            name, p, "missing" if c is None else "%.17g" % c,
+            "" if same else "  DIFFERS"))
+    print("deterministic metrics bitwise equal: %s" %
+          ("yes" if not differ else "NO (%d of %d differ)" % (differ,
+                                                             len(names))))
 
 
 def relative_change(parent, change):
@@ -181,6 +223,8 @@ def run_seed(args, seed, sides, seconds, end_to_end):
         if name in runs["parent"][0]:
             regression_verdict(metric, [r[name] for r in runs["parent"]],
                                [r[name] for r in runs["change"]])
+
+    compare_counters(args, seed, sides)
     return runs
 
 

@@ -24,10 +24,9 @@ void for_lane(const StructureGroup& g, bool slice, std::size_t i, Fn&& fn) {
 
 }  // namespace
 
-double AlignmentPenalty::value(const netlist::Placement& pl,
-                               const gp::VarMap& vars) const {
-  gx_.assign(vars.num_vars(), 0.0);
-  gy_.assign(vars.num_vars(), 0.0);
+double AlignmentPenalty::eval(const netlist::Placement& pl,
+                              const gp::VarMap& vars, std::span<double> gx,
+                              std::span<double> gy, double scale) const {
   double value = 0.0;
 
   for (const StructureGroup& g : groups_->groups) {
@@ -51,11 +50,7 @@ double AlignmentPenalty::value(const netlist::Placement& pl,
           if (v == kInvalidId) return;
           const double d = (slices ? pl[c].y : pl[c].x) - mean;
           local += d * d;
-          if (slices) {
-            gy_[v] += 2.0 * d;
-          } else {
-            gx_[v] += 2.0 * d;
-          }
+          (slices ? gy : gx)[v] += scale * (2.0 * d);
         });
         value += local;
       }
@@ -65,14 +60,6 @@ double AlignmentPenalty::value(const netlist::Placement& pl,
   }
 
   return value;
-}
-
-void AlignmentPenalty::gradient(std::span<double> gx, std::span<double> gy,
-                                double scale) const {
-  for (std::size_t v = 0; v < gx_.size(); ++v) {
-    gx[v] += scale * gx_[v];
-    gy[v] += scale * gy_[v];
-  }
 }
 
 }  // namespace dp::core

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <vector>
-
 #include "gp/vars.hpp"
 #include "netlist/structure.hpp"
 
@@ -27,18 +25,14 @@ class AlignmentPenalty final : public gp::ObjectiveTerm {
   explicit AlignmentPenalty(const netlist::StructureAnnotation& groups)
       : groups_(&groups) {}
 
-  /// The penalty; keeps its gradient, computed alongside.
-  double value(const netlist::Placement& pl,
-               const gp::VarMap& vars) const override;
-
-  /// Adds `scale` times the kept gradient, over every variable.
-  void gradient(std::span<double> gx, std::span<double> gy,
-                double scale) const override;
+  /// The penalty; adds `scale` times its gradient, computed alongside,
+  /// into the cells of its lanes.
+  double eval(const netlist::Placement& pl, const gp::VarMap& vars,
+              std::span<double> gx, std::span<double> gy,
+              double scale = 1.0) const override;
 
  private:
   const netlist::StructureAnnotation* groups_;
-  /// The gradient at the last value(), per variable.
-  mutable std::vector<double> gx_, gy_;
 };
 
 }  // namespace dp::core

@@ -129,7 +129,7 @@ std::string report_to_json(const PlaceReport& report,
   append_number(out, report.gp_result.final_overflow);
   out << ",\"stop_reason\":\"" << gp::to_string(report.gp_result.stop_reason)
       << "\",\"outer_iterations\":" << report.gp_result.trace.size()
-      << ",\"cg_iterations\":" << report.gp_result.total_cg_iterations
+      << ",\"iterations\":" << report.gp_result.total_cg_iterations
       << ",\"evaluations\":" << report.gp_result.total_evaluations
       << "},\"congestion\":";
   if (report.congestion_measured) {

@@ -9,7 +9,7 @@ namespace dp::core {
 /// Schema version of report_to_json()'s output, emitted as its first
 /// key. Bump on any breaking change (renamed or retyped keys), so
 /// harvesting scripts can fail fast on stale expectations.
-inline constexpr int kReportJsonSchemaVersion = 5;
+inline constexpr int kReportJsonSchemaVersion = 6;
 
 /// Serialize a PlaceReport as a JSON object for scripted experiment
 /// harvesting (`dpplace_cli --report-json`). Covers the quality numbers

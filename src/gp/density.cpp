@@ -28,7 +28,7 @@ constexpr std::size_t kMinCellsPerChunk = 512;
 /// many groups, and the group sums are added in order.
 constexpr std::size_t kMaxValueGroups = 64;
 /// The most pass-1 accumulation blocks: one per worker up to this many.
-/// Each block owns a run of whole value groups (see value()), so a cell
+/// Each block owns a run of whole value groups (see evaluate()), so a cell
 /// whose window spans a few bin rows is visited once per block it
 /// reaches instead of once per row.
 constexpr std::size_t kAccumBlocks = 8;
@@ -244,7 +244,7 @@ DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
         window_bins(nl.cell_width(movable[v]), bw_, nb_));
     sh.ny = static_cast<std::uint32_t>(
         window_bins(nl.cell_height(movable[v]), bh_, nb_));
-    bells_per_value_ += sh.nx + sh.ny;
+    bells_per_eval_ += sh.nx + sh.ny;
   }
   // The bell constants of a slot's cells on one axis, a's and b's.
   auto slot_bells = [&](std::uint32_t a, std::uint32_t b,
@@ -343,7 +343,7 @@ struct DensityPenalty::Kernels {
 
   /// Pass 0 for the kLanesOf<V> / 2 slots from `s`, all with windows of
   /// nx x ny bins: each cell's window, bells and normalization, and the
-  /// cell's position kept for value(). Returns the bins of the cells that
+  /// cell's position kept for eval(). Returns the bins of the cells that
   /// spread anywhere; a lone cell runs in both lanes of its slot and
   /// counts once.
   template <class V, class NX, class NY>
@@ -489,7 +489,7 @@ struct DensityPenalty::Kernels {
 
   /// Pass 1 for block b: adds every spread cell's bells into the block's
   /// rows, V-wide, then folds the block's groups of the penalty value and
-  /// keeps 2 * error per bin for gradient().
+  /// keeps 2 * error per bin for pass 2.
   template <class V>
   static void accumulate(const DensityPenalty& d, const Blocks& p,
                          std::size_t b) {
@@ -548,8 +548,9 @@ struct DensityPenalty::Kernels {
 #endif
 };
 
-double DensityPenalty::value(const netlist::Placement& pl,
-                             const VarMap& vars) const {
+double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
+                            std::span<double> gx, std::span<double> gy,
+                            double scale) const {
   // Since the last evaluation only the area scale and the obstacles can
   // have changed besides the cells, and both drop the kept value.
   if (kept_) {
@@ -560,14 +561,18 @@ double DensityPenalty::value(const netlist::Placement& pl,
                0) {
       ++v;
     }
-    if (v == movable.size()) return kept_value_;
+    if (v == movable.size()) {
+      add_gradient(gx, gy, scale);
+      return kept_value_;
+    }
   }
-  return evaluate(pl, vars, util::widest_lanes());
+  return evaluate(pl, vars, util::widest_lanes(), gx, gy, scale);
 }
 
 double DensityPenalty::evaluate(const netlist::Placement& pl,
-                                const VarMap& vars,
-                                util::LaneWidth width) const {
+                                const VarMap& vars, util::LaneWidth width,
+                                std::span<double> gx, std::span<double> gy,
+                                double scale) const {
   const bool four = width == util::LaneWidth::kFour;
   density_ = preload_;
   err2_.resize(nb_ * nb_);
@@ -589,7 +594,7 @@ double DensityPenalty::evaluate(const netlist::Placement& pl,
   });
   bins_visited_ = 0;
   for (const std::uint64_t bins : chunk_bins_) bins_visited_ += bins;
-  bells_evaluated_ = bells_per_value_;
+  bells_evaluated_ = bells_per_eval_;
 
   // Pass 1: accumulate smoothed density over multi-row blocks, one per
   // worker up to kAccumBlocks; at one thread that is a single ascending
@@ -626,11 +631,12 @@ double DensityPenalty::evaluate(const netlist::Placement& pl,
   for (const double v : group_value_) value += v;
   kept_value_ = value;
   kept_ = true;
+  add_gradient(gx, gy, scale);
   return value;
 }
 
-void DensityPenalty::gradient(std::span<double> gx, std::span<double> gy,
-                              double scale) const {
+void DensityPenalty::add_gradient(std::span<double> gx,
+                                  std::span<double> gy, double scale) const {
   // Pass 2: gradient via chain rule (normalization treated as constant,
   // the standard NTUplace approximation), slot by slot. Embarrassingly
   // parallel over cells: variable v belongs to movable cell v alone.

@@ -26,17 +26,17 @@ namespace dp::gp {
 /// (movable area spread uniformly). Fixed cells inside the core contribute
 /// their exact rectangle overlap to D_b as a constant preload.
 ///
-/// Evaluation runs in three deterministic passes, split between value()
-/// and gradient() like every ObjectiveTerm's:
-///  - value() runs pass 0 (per cell chunk: each cell's window, its x- and
-///    y-bells and its normalization) and pass 1 (smoothed density,
-///    accumulated over one multi-row block per worker, at most
-///    kAccumBlocks; every bin row has exactly one owning block, which adds
-///    contributions in ascending cell order, and the value is summed over
-///    the same fixed row groups in the same order for any block count);
-///  - gradient() runs pass 2 (embarrassingly parallel over cells, each
-///    writing its own variable) on the windows, bells and grid the
-///    preceding value() left behind.
+/// An evaluation runs three deterministic passes:
+///  - pass 0, per cell chunk: each cell's window, its x- and y-bells and
+///    its normalization;
+///  - pass 1: the smoothed density, accumulated over one multi-row block
+///    per worker, at most kAccumBlocks; every bin row has exactly one
+///    owning block, which adds contributions in ascending cell order, and
+///    the value is summed over the same fixed row groups in the same order
+///    for any block count;
+///  - pass 2, the gradient: embarrassingly parallel over cells, each
+///    writing its own variable, on the windows, bells and grid passes 0
+///    and 1 left behind.
 /// The cell chunks of passes 0 and 2 are fixed, so every pass's bits are
 /// independent of the thread count; the block count is not, and need not
 /// be. Pass 0 is the only one that evaluates a bell: it keeps each cell's
@@ -65,10 +65,10 @@ namespace dp::gp {
 /// are written once over the vector type, so every lane does the same
 /// arithmetic at either width and the bits do not depend on the host.
 ///
-/// value() keeps its result with the positions it spread: a call at the
+/// eval() keeps its value with the positions it spread: a call at the
 /// positions of the last evaluation, with neither the area scale nor the
-/// obstacles changed since, returns the kept value, and its windows,
-/// bells and errors still serve gradient().
+/// obstacles changed since, skips passes 0 and 1, returns the kept value
+/// and runs pass 2 on the windows, bells and errors they kept.
 class DensityPenalty final : public ObjectiveTerm {
  public:
   DensityPenalty(const netlist::Netlist& nl, const netlist::Design& design,
@@ -95,27 +95,26 @@ class DensityPenalty final : public ObjectiveTerm {
   /// default to 1.
   void set_area_scale(std::vector<double> scale);
 
-  /// Passes 0-1: the penalty value. Keeps the windows, bells and per-bin
-  /// errors for a following gradient() call. At the positions of the last
-  /// evaluation, with no set_area_scale() or preload_obstacles() since,
-  /// returns the kept value without evaluating.
-  double value(const netlist::Placement& pl,
-               const VarMap& vars) const override;
+  /// The penalty value; adds `scale` times its gradient into gx/gy. At
+  /// the positions of the last evaluation, with no set_area_scale() or
+  /// preload_obstacles() since, returns the kept value and runs pass 2
+  /// alone.
+  double eval(const netlist::Placement& pl, const VarMap& vars,
+              std::span<double> gx, std::span<double> gy,
+              double scale = 1.0) const override;
 
-  /// Passes 0-1 on `width`-lane vectors, always evaluated; value() takes
-  /// util::widest_lanes(). Both widths give the same bits, which tests and
-  /// benchmarks check through this entry. kFour needs an AVX2 host and
-  /// falls back to kTwo in builds for other architectures.
+  /// eval() with passes 0 and 1 on `width`-lane vectors, always run (the
+  /// kept value is not consulted); eval() takes util::widest_lanes().
+  /// Both widths give the same bits, which tests and benchmarks check
+  /// through this entry. kFour needs an AVX2 host and falls back to kTwo
+  /// in builds for other architectures.
   double evaluate(const netlist::Placement& pl, const VarMap& vars,
-                  util::LaneWidth width) const;
-
-  /// Pass 2: the gradient from what the last value() kept.
-  void gradient(std::span<double> gx, std::span<double> gy,
-                double scale) const override;
+                  util::LaneWidth width, std::span<double> gx,
+                  std::span<double> gy, double scale = 1.0) const;
 
   /// Hard-overflow metric: the fraction of movable area in bins above
   /// `target` density. Computed afresh from the *exact* cell rectangles on
-  /// the same grid, not from the smoothed bells of value().
+  /// the same grid, not from the smoothed bells of eval().
   double overflow(const netlist::Placement& pl, const VarMap& vars,
                   double target_density) const;
 
@@ -123,12 +122,12 @@ class DensityPenalty final : public ObjectiveTerm {
   /// spread by the last evaluation (a cell spreads nowhere when its
   /// whole window lies beyond the bell). Pass 2 visits this many bins,
   /// pass 1 as many or more (a window may straddle two of its blocks).
-  /// A value() call that returns the kept value leaves it as it is.
+  /// An eval() call that returns the kept value leaves it as it is.
   std::uint64_t bins_visited() const { return bins_visited_; }
 
-  /// Deterministic work counter: the bell evaluations of an evaluation,
-  /// one per column and one per row of every cell's window, so the same
-  /// for every placement. gradient() evaluates none.
+  /// Deterministic work counter: the bell evaluations of an evaluation's
+  /// pass 0, one per column and one per row of every cell's window, so the
+  /// same for every placement. Passes 1 and 2 evaluate none.
   std::uint64_t bells_evaluated() const { return bells_evaluated_; }
 
   double bin_width() const { return bw_; }
@@ -136,6 +135,10 @@ class DensityPenalty final : public ObjectiveTerm {
  private:
   /// Passes 0 and 1 at both vector widths (density.cpp).
   struct Kernels;
+
+  /// Pass 2: adds `scale` times the gradient at the last evaluation.
+  void add_gradient(std::span<double> gx, std::span<double> gy,
+                    double scale) const;
 
   const netlist::Netlist* nl_;
   const netlist::Design* design_;
@@ -203,8 +206,8 @@ class DensityPenalty final : public ObjectiveTerm {
   /// variables by window shape (stable), so its cells mostly share one.
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> chunk_slot_;
-  /// The bells of every window, evaluated by every value().
-  std::uint64_t bells_per_value_ = 0;
+  /// The bells of every window, evaluated by every pass 0.
+  std::uint64_t bells_per_eval_ = 0;
 
   // Per-evaluation scratch, persistent to keep allocation out of the hot
   // path (one evaluation in flight at a time).
@@ -214,7 +217,7 @@ class DensityPenalty final : public ObjectiveTerm {
   mutable std::vector<double> group_value_;  ///< per value-group sums
   /// Pass 1's x-row scaled by the cell's normalization, one per block.
   mutable std::vector<double> scaled_rows_;
-  /// 2 * error of every bin, written by value() for gradient().
+  /// 2 * error of every bin, written by pass 1 for pass 2.
   mutable std::vector<double> err2_;
   mutable std::uint64_t bins_visited_ = 0;
   mutable std::uint64_t bells_evaluated_ = 0;

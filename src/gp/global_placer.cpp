@@ -37,8 +37,9 @@ class CompositeObjective final : public Objective {
       : design_(&design), vars_(&vars), pl_(&pl), terms_(terms), den_(&den),
         profile_(&profile) {}
 
-  /// Every term's value at the core-clamped `v`, one call each.
-  double value(std::span<const double> v) override {
+  /// Every term's value and weighted gradient at the core-clamped `v`,
+  /// one call each.
+  double eval(std::span<const double> v, std::span<double> grad) override {
     const std::size_t n = vars_->num_vars();
     // Project into the core (keeps the bell-shaped density well-defined).
     const geom::Rect& core = design_->core();
@@ -48,28 +49,17 @@ class CompositeObjective final : public Objective {
       p.y = std::clamp(v[n + i], core.ly, core.hy);
     }
 
+    std::fill(grad.begin(), grad.end(), 0.0);
     double f = 0.0;
     for (const WeightedTerm& t : terms_) {
       if (t.weight == 0.0) continue;
       const util::Timer timer;
-      f += t.weight * t.term->value(*pl_, *vars_);
+      f += t.weight * t.term->eval(*pl_, *vars_, grad.first(n),
+                                   grad.subspan(n), t.weight);
       t.profile->add(timer.seconds());
     }
     profile_->density_bins += den_->bins_visited();
     return f;
-  }
-
-  /// The weighted gradients in the order of value(), each term's time
-  /// added to its profile entry without a call.
-  void gradient(std::span<double> grad) override {
-    const std::size_t n = vars_->num_vars();
-    std::fill(grad.begin(), grad.end(), 0.0);
-    for (const WeightedTerm& t : terms_) {
-      if (t.weight == 0.0) continue;
-      const util::Timer timer;
-      t.term->gradient(grad.first(n), grad.subspan(n), t.weight);
-      t.profile->seconds += timer.seconds();
-    }
   }
 
  private:
@@ -201,7 +191,6 @@ GpResult GlobalPlacer::place(netlist::Placement& pl, GpResult so_far) {
     const NesterovResult inner = minimize_nesterov(objective, v, solver);
     result.total_cg_iterations += inner.iterations;
     result.total_evaluations += inner.evaluations;
-    result.profile.gradients += inner.evaluations;
 
     // The objective evaluates a core-clamped copy of the variables; fold
     // that projection back into the iterate so positions (and the next

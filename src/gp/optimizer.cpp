@@ -43,8 +43,7 @@ NesterovResult minimize_nesterov(Objective& objective,
   std::vector<double> major = ref;
   std::vector<double> grad(n, 0.0), prev_ref(n, 0.0), prev_grad(n, 0.0);
 
-  double f = objective.value(ref);
-  objective.gradient(grad);
+  double f = objective.eval(ref, grad);
   ++result.evaluations;
   double a = 1.0;  // Nesterov's momentum sequence; 1 means no momentum
 
@@ -83,8 +82,7 @@ NesterovResult minimize_nesterov(Objective& objective,
     if (result.iterations == options.max_iters) break;
 
     const double f_old = f;
-    f = objective.value(ref);
-    objective.gradient(grad);
+    f = objective.eval(ref, grad);
     ++result.evaluations;
     if (f > f_old) {  // overshot: the next step is a plain gradient step
       ++result.restarts;

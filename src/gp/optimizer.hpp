@@ -7,18 +7,15 @@
 namespace dp::gp {
 
 /// A smooth function R^n -> R with gradient, minimized by the Nesterov
-/// solver. The solver calls value() and then gradient() at every point
-/// it evaluates.
+/// solver, which evaluates both at every point it visits.
 class Objective {
  public:
   virtual ~Objective() = default;
 
-  /// The value at `vars`, keeping what gradient() needs.
-  virtual double value(std::span<const double> vars) = 0;
-
-  /// Writes the gradient at the point of the most recent value() call
-  /// into `grad` (overwrite, not accumulate).
-  virtual void gradient(std::span<double> grad) = 0;
+  /// The value at `vars`; writes the gradient there into `grad`
+  /// (overwrite, not accumulate).
+  virtual double eval(std::span<const double> vars,
+                      std::span<double> grad) = 0;
 };
 
 /// The predicted step never moves a coordinate further than this many
@@ -50,9 +47,9 @@ const char* to_string(NesterovStop stop);
 struct NesterovResult {
   NesterovStop stop = NesterovStop::kIterationCap;
   std::size_t iterations = 0;
-  /// value() calls, each followed by one gradient() call: one at the
-  /// start and one after every iteration but a last one that reaches
-  /// `max_iters`, since the caller evaluates that point next.
+  /// eval() calls: one at the start and one after every iteration but a
+  /// last one that reaches `max_iters`, since the caller evaluates that
+  /// point next.
   std::size_t evaluations = 0;
   /// Iterations whose objective rose and which therefore dropped the
   /// momentum.

@@ -24,9 +24,8 @@ std::string EvalProfile::to_string() const {
   for (const auto& [name, term] : extras) {
     out += " | " + fmt(name.c_str(), term);
   }
-  out += " | " + fmt("line-search", line_search);
-  std::snprintf(buf, sizeof buf, " | gradients %zux | density-bins %llu",
-                gradients, static_cast<unsigned long long>(density_bins));
+  std::snprintf(buf, sizeof buf, " | density-bins %llu",
+                static_cast<unsigned long long>(density_bins));
   out += buf;
   return out;
 }

@@ -23,23 +23,20 @@ struct TermProfile {
 /// objective term was evaluated and how much wall time it consumed, so
 /// kernel speedups are measured instead of guessed. Every CompositeObjective
 /// evaluation -- one per point the Nesterov solver evaluates -- counts one
-/// call of wirelength, density and each extra term weighted non-zero.
-/// Each evaluation's gradient follows its value, and its time is added to
-/// the term's seconds without a call, so `gradients` equals the
-/// evaluations. `line_search` reads 0: the solver has no line search, and
-/// the entry stays only because `flowbench` reports it as
+/// call, value and gradient, of wirelength, density and each extra term
+/// weighted non-zero. `line_search` reads 0: the solver has no line search,
+/// and the entry stays only because `flowbench` reports it as
 /// `gp.line_search_evals`. `density_bins` is a work counter, bitwise
 /// reproducible for any thread count: the bins covered by the density
-/// windows, summed over the density value passes (each gradient pass
-/// visits as many again). The per-evaluation bell count is a constant of
-/// a run (DensityPenalty::bells_evaluated()), so its total is that times
-/// the calls.
+/// windows, summed over the evaluations (a call that returns the kept
+/// value adds the bins of the evaluation it kept). The per-evaluation bell
+/// count is a constant of a run (DensityPenalty::bells_evaluated()), so its
+/// total is that times the calls.
 struct EvalProfile {
   TermProfile wirelength;
   TermProfile density;
   /// Always 0 (no line search); kept only for `flowbench`.
   TermProfile line_search;
-  std::size_t gradients = 0;
   std::uint64_t density_bins = 0;
   /// Extra objective terms by name, in registration order (e.g.
   /// "alignment" in the structure-aware flow). GlobalPlacer::place()
@@ -51,7 +48,7 @@ struct EvalProfile {
 
   /// Compact one-line rendering for logs and the CLI, e.g.
   ///   "wl 812x/0.410s | density 812x/0.770s | alignment 406x/0.080s |
-  ///    line-search 0x/0.000s | gradients 812x | density-bins 75490304"
+  ///    density-bins 75490304"
   std::string to_string() const;
 };
 

@@ -64,32 +64,18 @@ class VarMap {
   std::vector<std::uint32_t> var_of_;
 };
 
-/// One additive term of the global-placement objective, evaluated in two
-/// steps, value() first and gradient() only when asked, as the solver's
-/// Objective is.
+/// One additive term of the global-placement objective.
 class ObjectiveTerm {
  public:
   virtual ~ObjectiveTerm() = default;
 
-  /// The term's value at `pl`. Keeps what a following gradient() needs.
-  virtual double value(const netlist::Placement& pl,
-                       const VarMap& vars) const = 0;
-
-  /// Adds `scale` times d(term)/dx into gx and d/dy into gy, at the
-  /// placement of the most recent value() call and indexed like that
-  /// call's VarMap: one `g[v] += scale * d` per variable, so a scale of 1
-  /// adds the gradient's bits.
-  virtual void gradient(std::span<double> gx, std::span<double> gy,
-                        double scale) const = 0;
-
-  /// value() then gradient(gx, gy, 1): returns the value and adds the
-  /// gradient into gx/gy.
-  double eval(const netlist::Placement& pl, const VarMap& vars,
-              std::span<double> gx, std::span<double> gy) const {
-    const double f = value(pl, vars);
-    gradient(gx, gy, 1.0);
-    return f;
-  }
+  /// The term's value at `pl`. Adds `scale` times d(term)/dx into gx and
+  /// d/dy into gy, indexed like `vars`: each variable's derivative is
+  /// added as `g[v] += scale * d`, so a scale of 1 adds the gradient's
+  /// bits. Every override restates the default scale.
+  virtual double eval(const netlist::Placement& pl, const VarMap& vars,
+                      std::span<double> gx, std::span<double> gy,
+                      double scale = 1.0) const = 0;
 };
 
 }  // namespace dp::gp

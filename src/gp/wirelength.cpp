@@ -288,13 +288,15 @@ void SmoothWirelength::set_net_weight_scale(std::span<const double> scale) {
   }
 }
 
-double SmoothWirelength::value(const netlist::Placement& pl,
-                               const VarMap& /*vars*/) const {
-  return evaluate(pl, util::widest_lanes());
+double SmoothWirelength::eval(const netlist::Placement& pl,
+                              const VarMap& /*vars*/, std::span<double> gx,
+                              std::span<double> gy, double scale) const {
+  return evaluate(pl, util::widest_lanes(), gx, gy, scale);
 }
 
 double SmoothWirelength::evaluate(const netlist::Placement& pl,
-                                  util::LaneWidth width) const {
+                                  util::LaneWidth width, std::span<double> gx,
+                                  std::span<double> gy, double scale) const {
   const std::size_t nchunks = chunk_first_.size() - 1;
   chunk_value_.assign(nchunks, 0.0);
   // Every slot is overwritten (not accumulated), so no zero-fill; chunks
@@ -319,11 +321,7 @@ double SmoothWirelength::evaluate(const netlist::Placement& pl,
   // total independent of the thread count.
   double total = 0.0;
   for (const double v : chunk_value_) total += v;
-  return total;
-}
 
-void SmoothWirelength::gradient(std::span<double> gx, std::span<double> gy,
-                                double scale) const {
   // Gather per-pin gradients into the variables. Each variable's slots
   // are contiguous and summed in pin-slot order, so the gather is both
   // race-free and deterministic for any thread count.
@@ -338,6 +336,7 @@ void SmoothWirelength::gradient(std::span<double> gx, std::span<double> gy,
       gy[v] += scale * sum[1];
     }
   });
+  return total;
 }
 
 }  // namespace dp::gp

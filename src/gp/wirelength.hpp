@@ -45,17 +45,17 @@ std::vector<std::uint32_t> wirelength_chunks(const netlist::FlatNets& nets);
 /// wirelength_chunks(). Each net is evaluated on both axes at once, one
 /// axis per lane of a util::Lanes pair, so that every operation of the
 /// x axis, util::exp included, shares one instruction with its y twin;
-/// 1 / gamma is taken once per value() and the reciprocals of a net's
+/// 1 / gamma is taken once per evaluation and the reciprocals of a net's
 /// weight sums once per net, so no division is left per pin. On an AVX2
 /// host (util::widest_lanes()) one four-lane util::exp call takes all four
 /// weights of a pin, and two consecutive 2-pin nets share one, in the same
-/// per-lane arithmetic, so the bits do not depend on the host. value()
-/// evaluates the chunks and keeps every pin's gradient in its own slot,
-/// ordered by the variable of the netlist's VarMap that owns the pin;
-/// gradient() sums each variable's contiguous slots. With a thread pool
-/// attached the chunks evaluate concurrently; the gather sums each
-/// variable's slots in fixed pin order, so the result is bitwise
-/// identical for every thread count.
+/// per-lane arithmetic, so the bits do not depend on the host. An
+/// evaluation runs the chunks, which write every pin's gradient to its
+/// own slot, ordered by the variable of the netlist's VarMap that owns
+/// the pin, and then gathers each variable's contiguous slots into it.
+/// With a thread pool attached the chunks evaluate concurrently; the
+/// gather sums each variable's slots in fixed pin order, so the result is
+/// bitwise identical for every thread count.
 class SmoothWirelength final : public ObjectiveTerm {
  public:
   /// `model` is ignored (see WirelengthModel).
@@ -70,19 +70,19 @@ class SmoothWirelength final : public ObjectiveTerm {
     pool_ = std::move(pool);
   }
 
-  /// The smoothed wirelength; keeps the per-pin gradients.
-  double value(const netlist::Placement& pl,
-               const VarMap& vars) const override;
+  /// The smoothed wirelength; adds `scale` times its gradient into the
+  /// variables of the netlist's VarMap.
+  double eval(const netlist::Placement& pl, const VarMap& vars,
+              std::span<double> gx, std::span<double> gy,
+              double scale = 1.0) const override;
 
-  /// value() on `width`-lane exponentials; value() takes
+  /// eval() on `width`-lane exponentials; eval() takes
   /// util::widest_lanes(). Both widths give the same bits, which tests
   /// and benchmarks check through this entry. kFour needs an AVX2 host
   /// and falls back to kTwo in builds for other architectures.
-  double evaluate(const netlist::Placement& pl, util::LaneWidth width) const;
-
-  /// Gathers the kept per-pin gradients into the variables.
-  void gradient(std::span<double> gx, std::span<double> gy,
-                double scale) const override;
+  double evaluate(const netlist::Placement& pl, util::LaneWidth width,
+                  std::span<double> gx, std::span<double> gy,
+                  double scale = 1.0) const;
 
   /// Rescale the effective weight of every net: the kernel uses
   /// `netlist_weight(n) * scale[n]` (scale is indexed by NetId, so it

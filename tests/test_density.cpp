@@ -387,9 +387,10 @@ struct Setup {
 constexpr std::size_t kThreadCounts[] = {1, 2, 3, 5, 8};
 
 /// Runs reference and kernel on (pl, vars) at every kThreadCounts, and
-/// asserts value and gradient equal to the last bit -- through eval() and
-/// through value() followed by gradient(). Gradients accumulate onto a
-/// shared non-zero prefill, as the kernel's contract is +=.
+/// asserts value and gradient equal to the last bit -- through an eval()
+/// that evaluates and through a second one that returns the kept value.
+/// Gradients accumulate onto a shared non-zero prefill, as the kernel's
+/// contract is +=.
 void expect_bitwise(const dpgen::Benchmark& b, const Placement& pl,
                     const VarMap& vars, const Setup& setup,
                     const char* label) {
@@ -422,8 +423,7 @@ void expect_bitwise(const dpgen::Benchmark& b, const Placement& pl,
     std::vector<double> gx = prefill, gy = prefill;
     EXPECT_EQ(bits(den.eval(pl, vars, gx, gy)), bits(rv));
     std::vector<double> sx = prefill, sy = prefill;
-    EXPECT_EQ(bits(den.value(pl, vars)), bits(rv));
-    den.gradient(sx, sy, 1.0);
+    EXPECT_EQ(bits(den.eval(pl, vars, sx, sy)), bits(rv));
     std::size_t mismatches = 0;
     for (std::size_t v = 0; v < n; ++v) {
       mismatches += bits(gx[v]) != bits(rgx[v]) || bits(gy[v]) != bits(rgy[v]);
@@ -543,7 +543,8 @@ TEST(DensityBitwise, WindowEdgeOnBinCenter) {
   // Every cell lies inside the core, so every cell spreads over its
   // whole window.
   DensityPenalty den(nl, b.design, kEdgeBins);
-  den.value(pl, vars);
+  std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
+  den.eval(pl, vars, gx, gy);
   EXPECT_EQ(den.bins_visited(), window_rule_bins(b, vars));
 }
 
@@ -680,10 +681,11 @@ TEST(Density, CountersTakeEachCellOnce) {
     bells += window_extent(b.netlist.cell_width(c), bw) +
              window_extent(b.netlist.cell_height(c), bh);
   }
+  std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
   for (const std::size_t threads : kThreadCounts) {
     DensityPenalty den(b.netlist, b.design, kEdgeBins);
     den.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
-    den.value(random_placement(b, 17), vars);
+    den.eval(random_placement(b, 17), vars, gx, gy);
     EXPECT_EQ(den.bells_evaluated(), bells) << "threads=" << threads;
     EXPECT_EQ(den.bins_visited(), window_rule_bins(b, vars))
         << "threads=" << threads;
@@ -694,21 +696,21 @@ TEST(DensityBitwise, BinsVisitedIsThreadIndependent) {
   const Scaled4k& s = scaled4k();
   const VarMap vars(s.bench.netlist);
   std::uint64_t serial = 0;
+  std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
   for (const std::size_t threads : kThreadCounts) {
     DensityPenalty den(s.bench.netlist, s.bench.design);
     den.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
-    den.value(s.spread, vars);
+    den.eval(s.spread, vars, gx, gy);
     if (threads == 1) serial = den.bins_visited();
     EXPECT_EQ(den.bins_visited(), serial) << "threads=" << threads;
   }
   EXPECT_GT(serial, 0u);
 }
 
-// ---- value() without a gradient, then another value() -----------------------
+// ---- history independence ---------------------------------------------------
 //
-// A caller may call value() at a point, never ask for its gradient, and
-// call value() and gradient() at another, so gradient() must see the last
-// value() alone.
+// An evaluation at one placement leaves windows, bells and errors behind;
+// the next evaluation, at another placement, must not depend on them.
 
 /// The reference value and gradient at (pl, vars), obstacles preloaded
 /// from pl, gradients accumulated onto zeros.
@@ -728,16 +730,11 @@ Expected reference_eval(const dpgen::Benchmark& b, const Placement& pl,
   return e;
 }
 
-/// value() at `probe`, then value() and gradient() at `pl`, on `den` with
-/// the obstacles of (pl, vars) preloaded: both must equal `want` bitwise.
-void expect_after_probe(DensityPenalty& den, const Placement& probe,
-                        const Placement& pl, const VarMap& vars,
-                        const Expected& want) {
-  den.preload_obstacles(pl, vars);
-  den.value(probe, vars);
-  EXPECT_EQ(bits(den.value(pl, vars)), bits(want.value));
+/// The value and gradient of `den` at (pl, vars) equal `want` bitwise.
+void expect_value_and_gradient(const DensityPenalty& den, const Placement& pl,
+                               const VarMap& vars, const Expected& want) {
   std::vector<double> gx(vars.num_vars(), 0.0), gy(vars.num_vars(), 0.0);
-  den.gradient(gx, gy, 1.0);
+  EXPECT_EQ(bits(den.eval(pl, vars, gx, gy)), bits(want.value));
   std::size_t mismatches = 0;
   for (std::size_t v = 0; v < gx.size(); ++v) {
     mismatches += bits(gx[v]) != bits(want.gx[v]) ||
@@ -746,21 +743,24 @@ void expect_after_probe(DensityPenalty& den, const Placement& probe,
   EXPECT_EQ(mismatches, 0u);
 }
 
-TEST(DensityBitwise, GradientAfterRejectedProbe) {
+TEST(DensityBitwise, EvaluationAfterAnotherPlacement) {
   const Scaled4k& s = scaled4k();
   const VarMap vars(s.bench.netlist);
   const Expected want = reference_eval(s.bench, s.spread, vars);
+  std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
   for (const std::size_t threads : kThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     DensityPenalty den(s.bench.netlist, s.bench.design);
     den.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
-    expect_after_probe(den, s.bench.placement, s.spread, vars, want);
+    den.preload_obstacles(s.spread, vars);
+    den.eval(s.bench.placement, vars, gx, gy);
+    expect_value_and_gradient(den, s.spread, vars, want);
   }
 }
 
 // ---- the kept value ----------------------------------------------------------
 //
-// value() at the positions of the last evaluation returns the kept value,
+// eval() at the positions of the last evaluation returns the kept value,
 // unless the area scale or the obstacles changed since.
 
 /// A fresh penalty's value and gradient at `pl`, obstacles preloaded from
@@ -777,20 +777,6 @@ Expected fresh_eval(const dpgen::Benchmark& b, const Placement& pl,
   return e;
 }
 
-/// value() and gradient() of `den` at (pl, vars) equal `want` bitwise.
-void expect_value_and_gradient(const DensityPenalty& den, const Placement& pl,
-                               const VarMap& vars, const Expected& want) {
-  EXPECT_EQ(bits(den.value(pl, vars)), bits(want.value));
-  std::vector<double> gx(vars.num_vars(), 0.0), gy(vars.num_vars(), 0.0);
-  den.gradient(gx, gy, 1.0);
-  std::size_t mismatches = 0;
-  for (std::size_t v = 0; v < gx.size(); ++v) {
-    mismatches += bits(gx[v]) != bits(want.gx[v]) ||
-                  bits(gy[v]) != bits(want.gy[v]);
-  }
-  EXPECT_EQ(mismatches, 0u);
-}
-
 TEST(Density, KeptValueFollowsCellsAreaScaleAndObstacles) {
   const Scaled4k& s = scaled4k();
   // Every odd-numbered cell fixed: obstacles inside the core.
@@ -804,7 +790,7 @@ TEST(Density, KeptValueFollowsCellsAreaScaleAndObstacles) {
   // The same positions again: the kept value, the counters of the
   // evaluation, and its gradient.
   const Expected at_spread = fresh_eval(b, s.spread, vars, {});
-  EXPECT_EQ(bits(den.value(s.spread, vars)), bits(at_spread.value));
+  expect_value_and_gradient(den, s.spread, vars, at_spread);
   const std::uint64_t bins = den.bins_visited();
   const std::uint64_t bells = den.bells_evaluated();
   expect_value_and_gradient(den, s.spread, vars, at_spread);
@@ -839,7 +825,7 @@ TEST(Density, KeptValueFollowsCellsAreaScaleAndObstacles) {
 
 // ---- two-lane and four-lane kernels ------------------------------------------
 //
-// value() runs passes 0 and 1 four lanes wide on AVX2 hosts, two lanes wide
+// eval() runs passes 0 and 1 four lanes wide on AVX2 hosts, two lanes wide
 // elsewhere; both must give the same bits.
 
 /// Whether the four-lane kernels run here. The tests comparing the two
@@ -874,11 +860,10 @@ void expect_lane_widths_agree(const dpgen::Benchmark& b, const Placement& pl,
       if (setup.area_scale) den.set_area_scale(scale);
       den.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
       den.preload_obstacles(pl, vars);
-      values.push_back(den.evaluate(pl, vars, width));
-      bins.push_back(den.bins_visited());
       gx.emplace_back(n, 0.0);
       gy.emplace_back(n, 0.0);
-      den.gradient(gx.back(), gy.back(), 1.0);
+      values.push_back(den.evaluate(pl, vars, width, gx.back(), gy.back()));
+      bins.push_back(den.bins_visited());
     }
     EXPECT_EQ(bits(values[0]), bits(values[1]));
     EXPECT_EQ(bins[0], bins[1]);
@@ -969,6 +954,26 @@ TEST(Density, ValueNonNegativeAndFinite) {
   const double v = den.eval(pl, vars, gx, gy);
   EXPECT_GE(v, 0.0);
   EXPECT_TRUE(std::isfinite(v));
+}
+
+// A grid over no movable cell holds the fixed cells' preload alone: the
+// value is finite, no window is spread and nothing overflows.
+TEST(Density, NoMovableCells) {
+  SmallDesign d;
+  dpgen::Benchmark b = *d.bench;
+  netlist::NetlistSurgeon surgeon(b.netlist);
+  for (CellId c = 0; c < b.netlist.num_cells(); ++c) {
+    surgeon.cell(c).fixed = true;
+  }
+  const VarMap vars(b.netlist);
+  ASSERT_EQ(vars.num_vars(), 0u);
+  DensityPenalty den(b.netlist, b.design);
+  den.preload_obstacles(b.placement, vars);
+  const double v = den.eval(b.placement, vars, {}, {});
+  EXPECT_TRUE(std::isfinite(v));
+  EXPECT_GE(v, 0.0);
+  EXPECT_EQ(den.bins_visited(), 0u);
+  EXPECT_EQ(den.overflow(b.placement, vars, 1.0), 0.0);
 }
 
 TEST(Density, PiledPlacementWorseThanSpread) {

@@ -411,7 +411,7 @@ TEST(ReportJson, SchemaVersionLeadsAndEscapesHold) {
 
   core::PlaceReport report;
   const std::string json = core::report_to_json(report);
-  EXPECT_EQ(json.rfind("{\"schema_version\":5,", 0), 0u)
+  EXPECT_EQ(json.rfind("{\"schema_version\":6,", 0), 0u)
       << "schema_version must be the first key: " << json;
   EXPECT_NE(json.find("\"timing\":null"), std::string::npos)
       << "timing not measured -> null section";

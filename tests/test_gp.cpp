@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -208,7 +209,7 @@ TEST(QuadraticBitwise, OnePinNetsWeightsAndAnUnconnectedCell) {
   expect_quadratic_bitwise(nl, design, start);
 }
 
-// A value() call at the positions of the call before returns the same
+// An eval() call at the positions of the call before returns the same
 // value and leaves the work counters of that call's evaluation.
 TEST(DensityPenalty, RepeatedValueKeepsValueAndCounters) {
   SmallBench sb;
@@ -219,11 +220,12 @@ TEST(DensityPenalty, RepeatedValueKeepsValueAndCounters) {
   quadratic_initial_placement(nl, design, vars, pl);
   DensityPenalty density(nl, design);
   density.preload_obstacles(pl, vars);
-  const double first = density.value(pl, vars);
+  std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
+  const double first = density.eval(pl, vars, gx, gy);
   const std::uint64_t bins = density.bins_visited();
   const std::uint64_t bells = density.bells_evaluated();
   EXPECT_GT(bins, 0u);
-  const double again = density.value(pl, vars);
+  const double again = density.eval(pl, vars, gx, gy);
   EXPECT_EQ(density.bins_visited(), bins);
   EXPECT_EQ(density.bells_evaluated(), bells);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(again),
@@ -242,48 +244,45 @@ std::size_t mismatches(std::span<const double> a, std::span<const double> b) {
 }
 
 /// Checks, at two placements `a` and `b`, what the composite objective
-/// relies on from every term: eval() is value() then gradient(..., 1) bit
-/// for bit; gradient(gx, gy, s) adds exactly s times the gradient; and
-/// after value(a), value(b), gradient() is b's gradient.
-void expect_term_contract(const ObjectiveTerm& term, const VarMap& vars,
+/// relies on from every term that `make()` returns fresh: eval(..., s)
+/// adds exactly s times the gradient for s = 0.25 and 3, and the value and
+/// gradient at `b` do not depend on what the term evaluated before: after
+/// `a`, they are a fresh term's bits.
+template <class Make>
+void expect_term_contract(const Make& make, const VarMap& vars,
                           const Placement& a, const Placement& b) {
   const std::size_t n = vars.num_vars();
   std::vector<double> base(n);
   util::Rng rng(11);
   for (double& g : base) g = rng.uniform(-1.0, 1.0);
 
-  // b's value and gradient, added onto zero.
-  const double fb = term.value(b, vars);
+  // A fresh term's value and gradient at b, added onto zero.
   std::vector<double> gx(n, 0.0), gy(n, 0.0);
-  term.gradient(gx, gy, 1.0);
+  const double fb = make()->eval(b, vars, gx, gy);
 
-  std::vector<double> ex = base, ey = base;
-  EXPECT_EQ(bits(term.eval(b, vars, ex, ey)), bits(fb));
-  std::vector<double> sx = base, sy = base;
-  EXPECT_EQ(bits(term.value(b, vars)), bits(fb));
-  term.gradient(sx, sy, 1.0);
-  EXPECT_EQ(mismatches(ex, sx) + mismatches(ey, sy), 0u);
+  // a's gradient differs from b's, so the history check can fail.
+  const auto term = make();
+  std::vector<double> ax(n, 0.0), ay(n, 0.0);
+  term->eval(a, vars, ax, ay);
+  EXPECT_GT(mismatches(ax, gx) + mismatches(ay, gy), 0u);
+  std::vector<double> lx(n, 0.0), ly(n, 0.0);
+  EXPECT_EQ(bits(term->eval(b, vars, lx, ly)), bits(fb));
+  EXPECT_EQ(mismatches(lx, gx) + mismatches(ly, gy), 0u);
 
+  // Scaled, on a fresh term and on one that evaluated b before.
   for (const double s : {0.25, 3.0}) {
     SCOPED_TRACE("scale=" + std::to_string(s));
-    std::vector<double> tx = base, ty = base, want_x(n), want_y(n);
-    term.gradient(tx, ty, s);
+    std::vector<double> want_x(n), want_y(n);
     for (std::size_t v = 0; v < n; ++v) {
       want_x[v] = base[v] + s * gx[v];
       want_y[v] = base[v] + s * gy[v];
     }
+    std::vector<double> fx = base, fy = base, tx = base, ty = base;
+    EXPECT_EQ(bits(make()->eval(b, vars, fx, fy, s)), bits(fb));
+    EXPECT_EQ(bits(term->eval(b, vars, tx, ty, s)), bits(fb));
+    EXPECT_EQ(mismatches(fx, want_x) + mismatches(fy, want_y), 0u);
     EXPECT_EQ(mismatches(tx, want_x) + mismatches(ty, want_y), 0u);
   }
-
-  // a's gradient differs from b's, so the last check can fail.
-  term.value(a, vars);
-  std::vector<double> ax(n, 0.0), ay(n, 0.0);
-  term.gradient(ax, ay, 1.0);
-  EXPECT_GT(mismatches(ax, gx) + mismatches(ay, gy), 0u);
-  EXPECT_EQ(bits(term.value(b, vars)), bits(fb));
-  std::vector<double> lx(n, 0.0), ly(n, 0.0);
-  term.gradient(lx, ly, 1.0);
-  EXPECT_EQ(mismatches(lx, gx) + mismatches(ly, gy), 0u);
 }
 
 /// The quadratic placement of SmallBench (`a`) and a jittered copy (`b`).
@@ -306,28 +305,37 @@ struct TwoPlacements {
 TEST(ObjectiveTerm, WirelengthKeepsTheContract) {
   SmallBench sb;
   const TwoPlacements p(sb);
-  const SmoothWirelength wl(sb.bench->netlist, WirelengthModel::kWa, 1.5);
-  expect_term_contract(wl, p.vars, p.a, p.b);
+  expect_term_contract(
+      [&] {
+        return std::make_unique<SmoothWirelength>(
+            sb.bench->netlist, WirelengthModel::kWa, 1.5);
+      },
+      p.vars, p.a, p.b);
 }
 
 TEST(ObjectiveTerm, DensityWithAreaScaleKeepsTheContract) {
   SmallBench sb;
   const TwoPlacements p(sb);
   const auto& nl = sb.bench->netlist;
-  DensityPenalty density(nl, sb.bench->design);
   std::vector<double> scale(nl.num_cells(), 1.0);
   for (CellId c = 0; c < nl.num_cells(); c += 2) scale[c] = 0.6;
-  density.set_area_scale(scale);
-  density.preload_obstacles(p.a, p.vars);
-  expect_term_contract(density, p.vars, p.a, p.b);
+  expect_term_contract(
+      [&] {
+        auto density = std::make_unique<DensityPenalty>(nl, sb.bench->design);
+        density->set_area_scale(scale);
+        density->preload_obstacles(p.a, p.vars);
+        return density;
+      },
+      p.vars, p.a, p.b);
 }
 
 TEST(ObjectiveTerm, AlignmentKeepsTheContract) {
   SmallBench sb;
   const TwoPlacements p(sb);
   ASSERT_FALSE(sb.bench->truth.groups.empty());
-  const core::AlignmentPenalty alignment(sb.bench->truth);
-  expect_term_contract(alignment, p.vars, p.a, p.b);
+  expect_term_contract(
+      [&] { return std::make_unique<core::AlignmentPenalty>(sb.bench->truth); },
+      p.vars, p.a, p.b);
 }
 
 TEST(GlobalPlacer, ReducesOverflowBelowStop) {
@@ -370,25 +378,17 @@ TEST(GlobalPlacer, ExtraTermPullsThePlacement) {
   // wirelength force it must visibly drag the placement toward the corner.
   class Pull final : public ObjectiveTerm {
    public:
-    double value(const Placement& pl, const VarMap& vars) const override {
+    double eval(const Placement& pl, const VarMap& vars, std::span<double> gx,
+                std::span<double> gy, double scale = 1.0) const override {
       double f = 0.0;
-      at_.clear();
-      for (const CellId c : vars.movable_cells()) {
-        f += pl[c].x * pl[c].x + pl[c].y * pl[c].y;
-        at_.push_back(pl[c]);
+      for (std::size_t v = 0; v < vars.num_vars(); ++v) {
+        const geom::Point& at = pl[vars.cell(v)];
+        f += at.x * at.x + at.y * at.y;
+        gx[v] += scale * 2 * at.x;
+        gy[v] += scale * 2 * at.y;
       }
       return f;
     }
-    void gradient(std::span<double> gx, std::span<double> gy,
-                  double scale) const override {
-      for (std::size_t v = 0; v < at_.size(); ++v) {
-        gx[v] += scale * 2 * at_[v].x;
-        gy[v] += scale * 2 * at_[v].y;
-      }
-    }
-
-   private:
-    mutable std::vector<geom::Point> at_;  ///< positions at the last value()
   };
   Pull pull;
   GpOptions opt;

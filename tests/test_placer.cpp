@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -160,6 +162,47 @@ TEST(StructurePlacer, GentleFlowKeepsCellsOffFixedMacro) {
   pl[movable] = {lx + nl.cell_width(movable) / 2.0,
                  ly + 4.0 + nl.cell_height(movable) / 2.0};
   EXPECT_GT(eval::check_legality(nl, loaded.design, pl).overlaps, 0u);
+}
+
+// A design without a movable cell: dp_add32 at a legal placement with
+// every node a Bookshelf terminal. Both flows run no GP evaluation, move
+// nothing, stay legal and report the input's HPWL.
+TEST(StructurePlacer, DesignWithoutMovableCellsStaysPut) {
+  Pipe pipe("dp_add32");
+  PlacerConfig baseline;
+  baseline.structure_aware = false;
+  ASSERT_TRUE(pipe.run(baseline).legality.legal());
+  dpgen::Benchmark fixed = pipe.bench;
+  netlist::NetlistSurgeon surgeon(fixed.netlist);
+  for (netlist::CellId c = 0; c < fixed.netlist.num_cells(); ++c) {
+    surgeon.cell(c).fixed = true;
+  }
+  const std::string base = test::temp_dir() + "all_terminals";
+  netlist::write_bookshelf(base, fixed.netlist, fixed.design, pipe.pl);
+  const netlist::Problem loaded = netlist::read_bookshelf(base + ".aux");
+  const netlist::Netlist& nl = loaded.netlist;
+  ASSERT_EQ(nl.num_movable(), 0u);
+  const double hpwl = eval::hpwl(nl, loaded.placement);
+
+  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const bool structure_aware : {false, true}) {
+    SCOPED_TRACE(structure_aware ? "structure-aware" : "baseline");
+    PlacerConfig c;
+    c.structure_aware = structure_aware;
+    StructurePlacer placer(nl, loaded.design, c);
+    Placement pl = loaded.placement;
+    const PlaceReport rep = placer.place(pl);
+    EXPECT_EQ(rep.gp_result.total_evaluations, 0u);
+    EXPECT_TRUE(rep.gp_result.trace.empty());
+    EXPECT_TRUE(rep.legality.legal());
+    EXPECT_EQ(bits(rep.hpwl_final), bits(hpwl));
+    std::size_t moved = 0;
+    for (netlist::CellId cell = 0; cell < nl.num_cells(); ++cell) {
+      moved += bits(pl[cell].x) != bits(loaded.placement[cell].x) ||
+               bits(pl[cell].y) != bits(loaded.placement[cell].y);
+    }
+    EXPECT_EQ(moved, 0u);
+  }
 }
 
 TEST(StructurePlacer, Deterministic) {

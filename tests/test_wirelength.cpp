@@ -293,9 +293,9 @@ double SmoothWirelength::eval(const netlist::Placement& pl,
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 /// Runs the reference and the kernel under test on `pl` at 1, 2 and 4
-/// threads, and asserts value (through eval() and value())
-/// and gradient equal to the last bit. Gradients accumulate onto a shared
-/// non-zero prefill, as the kernel's contract is +=.
+/// threads, and asserts value and gradient equal to the last bit, at a
+/// kernel's first evaluation and at its second. Gradients accumulate onto
+/// a shared non-zero prefill, as the kernel's contract is +=.
 void expect_wl_bitwise(const netlist::Netlist& nl, const Placement& pl,
                        double gamma, std::span<const double> scale = {}) {
   const VarMap vars(nl);
@@ -316,11 +316,14 @@ void expect_wl_bitwise(const netlist::Netlist& nl, const Placement& pl,
     wl.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
     std::vector<double> gx = prefill, gy = prefill;
     EXPECT_EQ(bits(wl.eval(pl, vars, gx, gy)), bits(rv));
-    EXPECT_EQ(bits(wl.value(pl, vars)), bits(rv));
+    std::vector<double> sx = prefill, sy = prefill;
+    EXPECT_EQ(bits(wl.eval(pl, vars, sx, sy)), bits(rv));
     std::size_t mismatches = 0;
     for (std::size_t v = 0; v < n; ++v) {
       mismatches += bits(gx[v]) != bits(rgx[v]) ||
                     bits(gy[v]) != bits(rgy[v]);
+      mismatches += bits(sx[v]) != bits(rgx[v]) ||
+                    bits(sy[v]) != bits(rgy[v]);
     }
     EXPECT_EQ(mismatches, 0u);
   }
@@ -566,7 +569,7 @@ TEST(WirelengthBitwise, TwoPinRunsAtChunkEdges) {
 
 // ---- two-lane and four-lane kernels ------------------------------------------
 //
-// value() takes a pin's four weights, and two consecutive 2-pin nets, in
+// eval() takes a pin's four weights, and two consecutive 2-pin nets, in
 // one four-lane exp on AVX2 hosts, and two lanes at a time elsewhere; both
 // must give the same bits.
 
@@ -592,10 +595,8 @@ void expect_lane_widths_agree(const netlist::Netlist& nl, const Placement& pl,
     if (!scale.empty()) wl.set_net_weight_scale(scale);
     wl.set_thread_pool(std::make_shared<util::ThreadPool>(threads));
     std::vector<double> gx2(n, 0.0), gy2(n, 0.0), gx4(n, 0.0), gy4(n, 0.0);
-    const double v2 = wl.evaluate(pl, util::LaneWidth::kTwo);
-    wl.gradient(gx2, gy2, 1.0);
-    const double v4 = wl.evaluate(pl, util::LaneWidth::kFour);
-    wl.gradient(gx4, gy4, 1.0);
+    const double v2 = wl.evaluate(pl, util::LaneWidth::kTwo, gx2, gy2);
+    const double v4 = wl.evaluate(pl, util::LaneWidth::kFour, gx4, gy4);
     EXPECT_EQ(bits(v2), bits(v4));
     std::size_t mismatches = 0;
     for (std::size_t v = 0; v < n; ++v) {
@@ -743,13 +744,20 @@ TEST(Hpwl, NetWeightScales) {
                    3.0 * eval::net_hpwl(nl, n, pl));
 }
 
+/// The model's value at `pl`, its gradient discarded.
+double value_at(const SmoothWirelength& model, const Placement& pl,
+                const VarMap& vars) {
+  std::vector<double> gx(vars.num_vars()), gy(vars.num_vars());
+  return model.eval(pl, vars, gx, gy);
+}
+
 TEST(SmoothWirelength, WaLowerBoundsHpwl) {
   TwoCellFixture f;
   Placement pl(2);
   pl[f.a] = {0, 0};
   pl[f.b] = {7, 2};
   SmoothWirelength wa(*f.nl, WirelengthModel::kWa, 1.0);
-  EXPECT_LE(wa.value(pl, VarMap(*f.nl)), eval::hpwl(*f.nl, pl) + 1e-9);
+  EXPECT_LE(value_at(wa, pl, VarMap(*f.nl)), eval::hpwl(*f.nl, pl) + 1e-9);
 }
 
 TEST(SmoothWirelength, ApproachesHpwlAsGammaShrinks) {
@@ -760,9 +768,9 @@ TEST(SmoothWirelength, ApproachesHpwlAsGammaShrinks) {
   const double exact = eval::hpwl(*f.nl, pl);
   const VarMap vars(*f.nl);
   SmoothWirelength model(*f.nl, WirelengthModel::kWa, 4.0);
-  const double loose = std::abs(model.value(pl, vars) - exact);
+  const double loose = std::abs(value_at(model, pl, vars) - exact);
   model.set_gamma(0.05);
-  const double tight = std::abs(model.value(pl, vars) - exact);
+  const double tight = std::abs(value_at(model, pl, vars) - exact);
   EXPECT_LT(tight, loose);
   EXPECT_LT(tight, 0.2);
 }
@@ -773,7 +781,7 @@ TEST(SmoothWirelength, StableForDistantCells) {
   pl[f.a] = {0, 0};
   pl[f.b] = {1e6, 1e6};  // would overflow exp() without max-shift
   SmoothWirelength model(*f.nl, WirelengthModel::kWa, 0.5);
-  EXPECT_TRUE(std::isfinite(model.value(pl, VarMap(*f.nl))));
+  EXPECT_TRUE(std::isfinite(value_at(model, pl, VarMap(*f.nl))));
 }
 
 /// Finite-difference gradient validation on a random small netlist.
@@ -803,9 +811,9 @@ TEST(SmoothWirelength, GradientMatchesFiniteDifference) {
     const CellId c = vars.cell(v);
     const double x0 = pl[c].x;
     pl[c].x = x0 + h;
-    const double fp = model.value(pl, vars);
+    const double fp = value_at(model, pl, vars);
     pl[c].x = x0 - h;
-    const double fm = model.value(pl, vars);
+    const double fm = value_at(model, pl, vars);
     pl[c].x = x0;
     EXPECT_NEAR(gx[v], (fp - fm) / (2 * h), 1e-4)
         << "cell " << nl.cell(c).name;
