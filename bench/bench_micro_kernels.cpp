@@ -3,10 +3,9 @@
 // parallel gradient kernels, plus the density and wirelength kernels on a
 // spread make_scaled(4000) placement and the quadratic start of that
 // design, and the wirelength kernel's util::exp beside std::exp.
-// The wirelength and density rows run the kernels at the widest lane
-// width of the host (util::widest_lanes()) and name it in their label;
-// the density rows call evaluate(), as eval() would return its kept
-// value at the unchanged placement.
+// The wirelength and density rows call evaluate() at the widest lane
+// width of the host (util::widest_lanes(), the width eval() takes) and
+// name that width in their label.
 // A run writes a file only when given --benchmark_out=FILE; ctest runs
 // every row once as a smoke test.
 #include <benchmark/benchmark.h>

@@ -38,6 +38,11 @@ each checkout and prints every deterministic per-layer metric side by
 side: those of unit "count" and the DETERMINISTIC ones below. Each is
 compared bit for bit, and one whose bits differ is flagged, so a change
 that claims to keep every counter can show it in this one command.
+Below that it prints, from the same traced passes, each side's per-call
+probes (PROBES) beside each GP term's in-run cost per call, the term's
+seconds over its calls, so a probe that stops timing what a run does
+shows. One traced pass per side decides these times, so they are not
+compared.
 
 Given several seeds (--seed 1 2 3, or --seed repeated), it runs the pairs
 and prints all of the above for each seed in turn, and last, for each
@@ -60,6 +65,11 @@ METRIC = "place_s"
 QUALITY = ("hpwl", "datapath_hpwl", "crit_delay", "cong_peak")
 # Per-layer metrics besides the counters whose bits the placement fixes.
 DETERMINISTIC = ("gp.overflow", "legal.hpwl_growth", "eval.align_rms")
+# Per-call cost probes of the traced pass, in microseconds.
+PROBES = ("gp.density.eval_us", "gp.wirelength.eval_us", "route.build_us",
+          "timing.analyze_us", "eval.hpwl_us")
+# GP terms whose in-run cost per call is <term>.s over <term>.calls.
+TERMS = ("gp.density", "gp.wirelength")
 
 
 def read_benchmark(checkout):
@@ -117,6 +127,30 @@ def compare_counters(args, seed, sides):
     print("deterministic metrics bitwise equal: %s" %
           ("yes" if not differ else "NO (%d of %d differ)" % (differ,
                                                              len(names))))
+    print_probes(traced)
+
+
+def print_probes(traced):
+    """Prints each side's per-call probes and each GP term's in-run cost
+    per call, in microseconds, from one traced pass per side."""
+    def value(metrics, name):
+        return metrics[name]["value"] if name in metrics else None
+
+    def in_run_us(metrics, term):
+        seconds = value(metrics, term + ".s")
+        calls = value(metrics, term + ".calls")
+        return 1e6 * seconds / calls if seconds is not None and calls else None
+
+    rows = [(name, [value(traced[side], name) for side in traced])
+            for name in PROBES]
+    rows += [(term + ".s/calls", [in_run_us(traced[side], term)
+                                  for side in traced]) for term in TERMS]
+    print("\nper-call cost [us], one traced pass per side: probes, then the "
+          "in-run cost per call; not compared")
+    print("%-24s %-24s %-24s" % ("metric", "parent", "change"))
+    for name, values in rows:
+        print("%-24s %-24s %-24s" % (name, *("-" if v is None else "%.1f" % v
+                                             for v in values)))
 
 
 def relative_change(parent, change):

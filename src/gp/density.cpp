@@ -289,7 +289,6 @@ DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
 
 void DensityPenalty::preload_obstacles(const netlist::Placement& pl,
                                        const VarMap& vars) {
-  kept_ = false;
   preload_.assign(nb_ * nb_, 0.0);
   for (CellId c = 0; c < nl_->num_cells(); ++c) {
     if (vars.var(c) != netlist::kInvalidId) continue;
@@ -302,7 +301,6 @@ void DensityPenalty::preload_obstacles(const netlist::Placement& pl,
 }
 
 void DensityPenalty::set_area_scale(std::vector<double> scale) {
-  kept_ = false;
   area_scale_ = std::move(scale);
   area_scale_.resize(nl_->num_cells(), 1.0);
   // Variable v is the v-th movable cell in CellId order.
@@ -342,10 +340,9 @@ struct DensityPenalty::Kernels {
   }
 
   /// Pass 0 for the kLanesOf<V> / 2 slots from `s`, all with windows of
-  /// nx x ny bins: each cell's window, bells and normalization, and the
-  /// cell's position kept for eval(). Returns the bins of the cells that
-  /// spread anywhere; a lone cell runs in both lanes of its slot and
-  /// counts once.
+  /// nx x ny bins: each cell's window, bells and normalization. Returns
+  /// the bins of the cells that spread anywhere; a lone cell runs in both
+  /// lanes of its slot and counts once.
   template <class V, class NX, class NY>
   static std::uint64_t spread(const Spread& c, const Slot* s, NX nx, NY ny) {
     constexpr std::size_t kN = kLanesOf<V>;
@@ -360,10 +357,7 @@ struct DensityPenalty::Kernels {
       var[2 * k + 1] = s[k].b;
     }
     std::array<const geom::Point*, kN> at;
-    for (std::size_t l = 0; l < kN; ++l) {
-      at[l] = &(*c.pl)[c.movable[var[l]]];
-      d.kept_at_[var[l]] = *at[l];
-    }
+    for (std::size_t l = 0; l < kN; ++l) at[l] = &(*c.pl)[c.movable[var[l]]];
     const BellLanes<V> shx = group_bells<V>(s, &Slot::x);
     const BellLanes<V> shy = group_bells<V>(s, &Slot::y);
     const V cx = lanes_of<V>([&](std::size_t l) { return at[l]->x; }).v;
@@ -551,21 +545,6 @@ struct DensityPenalty::Kernels {
 double DensityPenalty::eval(const netlist::Placement& pl, const VarMap& vars,
                             std::span<double> gx, std::span<double> gy,
                             double scale) const {
-  // Since the last evaluation only the area scale and the obstacles can
-  // have changed besides the cells, and both drop the kept value.
-  if (kept_) {
-    const auto movable = vars.movable_cells();
-    std::size_t v = 0;
-    while (v < movable.size() &&
-           std::memcmp(&pl[movable[v]], &kept_at_[v], sizeof kept_at_[v]) ==
-               0) {
-      ++v;
-    }
-    if (v == movable.size()) {
-      add_gradient(gx, gy, scale);
-      return kept_value_;
-    }
-  }
   return evaluate(pl, vars, util::widest_lanes(), gx, gy, scale);
 }
 
@@ -579,7 +558,6 @@ double DensityPenalty::evaluate(const netlist::Placement& pl,
 
   const auto movable = vars.movable_cells();
   foot_.resize(movable.size());
-  kept_at_.resize(movable.size());
 
   // Pass 0: windows, bells and per-cell normalization, slot by slot.
   // Each cell's window (window_starts()) holds every bin where its bell
@@ -594,7 +572,6 @@ double DensityPenalty::evaluate(const netlist::Placement& pl,
   });
   bins_visited_ = 0;
   for (const std::uint64_t bins : chunk_bins_) bins_visited_ += bins;
-  bells_evaluated_ = bells_per_eval_;
 
   // Pass 1: accumulate smoothed density over multi-row blocks, one per
   // worker up to kAccumBlocks; at one thread that is a single ascending
@@ -629,14 +606,7 @@ double DensityPenalty::evaluate(const netlist::Placement& pl,
   });
   double value = 0.0;
   for (const double v : group_value_) value += v;
-  kept_value_ = value;
-  kept_ = true;
-  add_gradient(gx, gy, scale);
-  return value;
-}
 
-void DensityPenalty::add_gradient(std::span<double> gx,
-                                  std::span<double> gy, double scale) const {
   // Pass 2: gradient via chain rule (normalization treated as constant,
   // the standard NTUplace approximation), slot by slot. Embarrassingly
   // parallel over cells: variable v belongs to movable cell v alone.
@@ -679,6 +649,7 @@ void DensityPenalty::add_gradient(std::span<double> gx,
       pull(slots_[s]);
     }
   });
+  return value;
 }
 
 double DensityPenalty::overflow(const netlist::Placement& pl,

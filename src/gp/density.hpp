@@ -65,10 +65,8 @@ namespace dp::gp {
 /// are written once over the vector type, so every lane does the same
 /// arithmetic at either width and the bits do not depend on the host.
 ///
-/// eval() keeps its value with the positions it spread: a call at the
-/// positions of the last evaluation, with neither the area scale nor the
-/// obstacles changed since, skips passes 0 and 1, returns the kept value
-/// and runs pass 2 on the windows, bells and errors they kept.
+/// Every eval() runs all three passes: the term carries nothing from one
+/// call to the next but its scratch and its work counters.
 class DensityPenalty final : public ObjectiveTerm {
  public:
   DensityPenalty(const netlist::Netlist& nl, const netlist::Design& design,
@@ -95,19 +93,15 @@ class DensityPenalty final : public ObjectiveTerm {
   /// default to 1.
   void set_area_scale(std::vector<double> scale);
 
-  /// The penalty value; adds `scale` times its gradient into gx/gy. At
-  /// the positions of the last evaluation, with no set_area_scale() or
-  /// preload_obstacles() since, returns the kept value and runs pass 2
-  /// alone.
+  /// The penalty value; adds `scale` times its gradient into gx/gy.
   double eval(const netlist::Placement& pl, const VarMap& vars,
               std::span<double> gx, std::span<double> gy,
               double scale = 1.0) const override;
 
-  /// eval() with passes 0 and 1 on `width`-lane vectors, always run (the
-  /// kept value is not consulted); eval() takes util::widest_lanes().
-  /// Both widths give the same bits, which tests and benchmarks check
-  /// through this entry. kFour needs an AVX2 host and falls back to kTwo
-  /// in builds for other architectures.
+  /// eval() with passes 0 and 1 on `width`-lane vectors; eval() takes
+  /// util::widest_lanes(). Both widths give the same bits, which tests
+  /// and benchmarks check through this entry. kFour needs an AVX2 host
+  /// and falls back to kTwo in builds for other architectures.
   double evaluate(const netlist::Placement& pl, const VarMap& vars,
                   util::LaneWidth width, std::span<double> gx,
                   std::span<double> gy, double scale = 1.0) const;
@@ -122,23 +116,18 @@ class DensityPenalty final : public ObjectiveTerm {
   /// spread by the last evaluation (a cell spreads nowhere when its
   /// whole window lies beyond the bell). Pass 2 visits this many bins,
   /// pass 1 as many or more (a window may straddle two of its blocks).
-  /// An eval() call that returns the kept value leaves it as it is.
   std::uint64_t bins_visited() const { return bins_visited_; }
 
   /// Deterministic work counter: the bell evaluations of an evaluation's
   /// pass 0, one per column and one per row of every cell's window, so the
   /// same for every placement. Passes 1 and 2 evaluate none.
-  std::uint64_t bells_evaluated() const { return bells_evaluated_; }
+  std::uint64_t bells_evaluated() const { return bells_per_eval_; }
 
   double bin_width() const { return bw_; }
 
  private:
   /// Passes 0 and 1 at both vector widths (density.cpp).
   struct Kernels;
-
-  /// Pass 2: adds `scale` times the gradient at the last evaluation.
-  void add_gradient(std::span<double> gx, std::span<double> gy,
-                    double scale) const;
 
   const netlist::Netlist* nl_;
   const netlist::Design* design_;
@@ -220,13 +209,6 @@ class DensityPenalty final : public ObjectiveTerm {
   /// 2 * error of every bin, written by pass 1 for pass 2.
   mutable std::vector<double> err2_;
   mutable std::uint64_t bins_visited_ = 0;
-  mutable std::uint64_t bells_evaluated_ = 0;
-  /// The last evaluation's value and the positions of its variables;
-  /// `kept_` is false before the first and after a change of area scale
-  /// or obstacles.
-  mutable std::vector<geom::Point> kept_at_;
-  mutable double kept_value_ = 0.0;
-  mutable bool kept_ = false;
 };
 
 }  // namespace dp::gp

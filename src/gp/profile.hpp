@@ -28,9 +28,8 @@ struct TermProfile {
 /// and the entry stays only because `flowbench` reports it as
 /// `gp.line_search_evals`. `density_bins` is a work counter, bitwise
 /// reproducible for any thread count: the bins covered by the density
-/// windows, summed over the evaluations (a call that returns the kept
-/// value adds the bins of the evaluation it kept). The per-evaluation bell
-/// count is a constant of a run (DensityPenalty::bells_evaluated()), so its
+/// windows, summed over the evaluations. The per-evaluation bell count
+/// is a constant of a run (DensityPenalty::bells_evaluated()), so its
 /// total is that times the calls.
 struct EvalProfile {
   TermProfile wirelength;

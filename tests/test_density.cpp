@@ -388,7 +388,7 @@ constexpr std::size_t kThreadCounts[] = {1, 2, 3, 5, 8};
 
 /// Runs reference and kernel on (pl, vars) at every kThreadCounts, and
 /// asserts value and gradient equal to the last bit -- through an eval()
-/// that evaluates and through a second one that returns the kept value.
+/// and through a second full eval() at the same placement.
 /// Gradients accumulate onto a shared non-zero prefill, as the kernel's
 /// contract is +=.
 void expect_bitwise(const dpgen::Benchmark& b, const Placement& pl,
@@ -758,10 +758,11 @@ TEST(DensityBitwise, EvaluationAfterAnotherPlacement) {
   }
 }
 
-// ---- the kept value ----------------------------------------------------------
+// ---- no state survives an evaluation ----------------------------------------
 //
-// eval() at the positions of the last evaluation returns the kept value,
-// unless the area scale or the obstacles changed since.
+// Every eval() recomputes the value from the cells, the area scale and the
+// obstacles: a second call at the same positions gives the same bits, and
+// a call after any of the three changed gives a fresh penalty's bits.
 
 /// A fresh penalty's value and gradient at `pl`, obstacles preloaded from
 /// `pl` and `scale` applied (none when empty).
@@ -777,7 +778,7 @@ Expected fresh_eval(const dpgen::Benchmark& b, const Placement& pl,
   return e;
 }
 
-TEST(Density, KeptValueFollowsCellsAreaScaleAndObstacles) {
+TEST(Density, ValueFollowsCellsAreaScaleAndObstacles) {
   const Scaled4k& s = scaled4k();
   // Every odd-numbered cell fixed: obstacles inside the core.
   const dpgen::Benchmark b = with_odd_cells_fixed(s.bench);
@@ -787,8 +788,8 @@ TEST(Density, KeptValueFollowsCellsAreaScaleAndObstacles) {
   DensityPenalty den(b.netlist, b.design, kEdgeBins);
   den.preload_obstacles(s.spread, vars);
 
-  // The same positions again: the kept value, the counters of the
-  // evaluation, and its gradient.
+  // The same positions again: a second full evaluation gives the value,
+  // the counters and the gradient of the first.
   const Expected at_spread = fresh_eval(b, s.spread, vars, {});
   expect_value_and_gradient(den, s.spread, vars, at_spread);
   const std::uint64_t bins = den.bins_visited();

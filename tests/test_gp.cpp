@@ -209,9 +209,9 @@ TEST(QuadraticBitwise, OnePinNetsWeightsAndAnUnconnectedCell) {
   expect_quadratic_bitwise(nl, design, start);
 }
 
-// An eval() call at the positions of the call before returns the same
-// value and leaves the work counters of that call's evaluation.
-TEST(DensityPenalty, RepeatedValueKeepsValueAndCounters) {
+// A second full eval() at the positions of the call before returns the
+// same value and the same work counters.
+TEST(DensityPenalty, RepeatedEvalKeepsValueAndCounters) {
   SmallBench sb;
   const auto& nl = sb.bench->netlist;
   const auto& design = sb.bench->design;
