@@ -131,7 +131,13 @@ std::string report_to_json(const PlaceReport& report,
       << "\",\"outer_iterations\":" << report.gp_result.trace.size()
       << ",\"iterations\":" << report.gp_result.total_cg_iterations
       << ",\"evaluations\":" << report.gp_result.total_evaluations
-      << "},\"congestion\":";
+      << ",\"solver_s\":";
+  append_number(out, report.gp_result.profile.solver.seconds);
+  out << ",\"quadratic_s\":";
+  append_number(out, report.gp_result.profile.quadratic.seconds);
+  out << ",\"outer_scans_s\":";
+  append_number(out, report.gp_result.profile.outer_scans.seconds);
+  out << "},\"congestion\":";
   if (report.congestion_measured) {
     out << "{\"gp\":";
     append_congestion(out, report.congestion_gp);

@@ -9,11 +9,13 @@ namespace dp::core {
 /// Schema version of report_to_json()'s output, emitted as its first
 /// key. Bump on any breaking change (renamed or retyped keys), so
 /// harvesting scripts can fail fast on stale expectations.
-inline constexpr int kReportJsonSchemaVersion = 6;
+inline constexpr int kReportJsonSchemaVersion = 7;
 
 /// Serialize a PlaceReport as a JSON object for scripted experiment
 /// harvesting (`dpplace_cli --report-json`). Covers the quality numbers
-/// (HPWL per stage, datapath HPWL, alignment), stage runtimes, legality
+/// (HPWL per stage, datapath HPWL, alignment), stage runtimes, GP's
+/// counts and the seconds of its solver, quadratic start and per-outer
+/// scans (gp::EvalProfile), legality
 /// (including the overlap-sweep truncation flag), structure summary,
 /// congestion and timing reports, and the phase-check summaries. Numbers
 /// are emitted with enough digits to round-trip doubles; the leading

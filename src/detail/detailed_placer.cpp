@@ -33,8 +33,8 @@ struct Entry {
 };
 
 /// The detailed placer's engine. Every candidate move is applied and
-/// scored by eval::MoveScorer, then kept or undone; each pass ends with a
-/// full eval::hpwl for the stop test.
+/// scored by eval::MoveScorer, then kept or undone; the scorer's kept net
+/// HPWLs give the opening HPWL and each pass's stop test.
 class Engine {
  public:
   Engine(const netlist::Netlist& nl, const netlist::Design& design,
@@ -49,7 +49,7 @@ class Engine {
 
   DetailStats optimize() {
     DetailStats stats;
-    stats.hpwl_before = eval::hpwl(*nl_, *pl_);
+    stats.hpwl_before = scorer_.total_hpwl();
     double current = stats.hpwl_before;
     // Runs one pass, counted and timed in `prof`.
     auto timed_pass = [](PassProfile& prof, auto&& pass) {
@@ -61,7 +61,7 @@ class Engine {
     for (std::size_t pass = 0; pass < options_->max_passes; ++pass) {
       timed_pass(profile_.slide, [&] { slide_pass(); });
       timed_pass(profile_.swap, [&] { swap_pass(); });
-      const double next = eval::hpwl(*nl_, *pl_);
+      const double next = scorer_.total_hpwl();
       const bool converged =
           current - next <= kRelImprovementFloor * current;
       current = next;

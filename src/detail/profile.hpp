@@ -25,7 +25,8 @@ struct Profile {
   PassProfile unit_slide;
 
   /// Nets scored: one per (candidate move, net of a moved cell) pair,
-  /// each rescanned with eval::net_hpwl without and with the move.
+  /// each read from eval::MoveScorer's kept values without the move and
+  /// rescanned with eval::net_hpwl with it.
   std::size_t rescans = 0;
   /// HPWL-improving moves rejected by DetailOptions::move_guard (e.g. the
   /// timing-driven WNS-proxy guard).

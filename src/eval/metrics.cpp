@@ -29,8 +29,14 @@ double hpwl(const netlist::Netlist& nl, const netlist::Placement& pl) {
   return total;
 }
 
+MoveScorer::MoveScorer(const netlist::Netlist& nl, netlist::Placement& pl)
+    : nl_(&nl), pl_(&pl), kept_(nl.num_nets()) {
+  for (NetId n = 0; n < nl.num_nets(); ++n) kept_[n] = net_hpwl(nl, n, pl);
+}
+
 MoveScorer::Score MoveScorer::move(std::span<const CellId> cells,
                                    std::span<const geom::Point> centers) {
+  commit();
   nets_.clear();
   for (CellId c : cells) {
     for (PinId p : nl_->cell_pins(c)) nets_.push_back({nl_->pin(p).net});
@@ -44,7 +50,6 @@ MoveScorer::Score MoveScorer::move(std::span<const CellId> cells,
                             return a.net == b.net;
                           }),
               nets_.end());
-  for (NetChange& nc : nets_) nc.before = net_hpwl(*nl_, nc.net, *pl_);
   saved_.clear();
   for (std::size_t k = 0; k < cells.size(); ++k) {
     saved_.push_back({cells[k], (*pl_)[cells[k]]});
@@ -52,16 +57,39 @@ MoveScorer::Score MoveScorer::move(std::span<const CellId> cells,
   }
   Score s;
   for (NetChange& nc : nets_) {
+    nc.before = kept_[nc.net];
     nc.after = net_hpwl(*nl_, nc.net, *pl_);
     const double w = nl_->net(nc.net).weight;
     s.before += w * nc.before;
     s.after += w * nc.after;
   }
+  pending_ = true;
   return s;
 }
 
 void MoveScorer::undo() {
   for (const auto& [cell, pos] : saved_) (*pl_)[cell] = pos;
+  pending_ = false;
+}
+
+void MoveScorer::commit() {
+  if (!pending_) return;
+  for (const NetChange& nc : nets_) kept_[nc.net] = nc.after;
+  pending_ = false;
+}
+
+double MoveScorer::kept_hpwl(NetId net) {
+  commit();
+  return kept_[net];
+}
+
+double MoveScorer::total_hpwl() {
+  commit();
+  double total = 0.0;
+  for (NetId n = 0; n < nl_->num_nets(); ++n) {
+    total += nl_->net(n).weight * kept_[n];
+  }
+  return total;
 }
 
 double datapath_hpwl(const netlist::Netlist& nl, const netlist::Placement& pl,

@@ -26,13 +26,16 @@ struct NetChange {
   double after = 0.0;
 };
 
-/// Scores candidate moves by rescanning the moved cells' nets with
-/// `net_hpwl`. `move` writes the new centers into the placement, so a
-/// caller keeps a move by doing nothing and drops it with `undo`.
+/// Scores candidate moves. It keeps every net's `net_hpwl` at the
+/// placement, which must change only through it while it lives: a move's
+/// "before" values are the kept ones, and only its moved cells' nets are
+/// rescanned for the "after" values. `move` writes the new centers into
+/// the placement, so a caller keeps a move by doing nothing (its "after"
+/// values become the kept ones when the scorer is next used) and drops it
+/// with `undo`.
 class MoveScorer {
  public:
-  MoveScorer(const netlist::Netlist& netlist, netlist::Placement& pl)
-      : nl_(&netlist), pl_(&pl) {}
+  MoveScorer(const netlist::Netlist& netlist, netlist::Placement& pl);
 
   /// Weighted HPWL of the moved cells' nets without and with the move.
   struct Score {
@@ -52,9 +55,21 @@ class MoveScorer {
   /// Puts the last move's cells back at their saved positions.
   void undo();
 
+  /// The kept `net_hpwl` of `net` at the placement as it stands.
+  double kept_hpwl(netlist::NetId net);
+
+  /// `hpwl` of the placement as it stands, bit for bit: the kept values
+  /// weighted and summed in NetId order.
+  double total_hpwl();
+
  private:
+  /// Makes a kept move's "after" values the kept ones.
+  void commit();
+
   const netlist::Netlist* nl_;
   netlist::Placement* pl_;
+  std::vector<double> kept_;  ///< per NetId
+  bool pending_ = false;      ///< the last move is neither kept nor undone
   std::vector<NetChange> nets_;
   std::vector<std::pair<netlist::CellId, geom::Point>> saved_;
 };

@@ -73,6 +73,8 @@ inline auto with_extents(std::size_t nx, std::size_t ny, F&& f) {
 using util::Boxed;
 using util::kLanesOf;
 using util::Lanes;
+using util::load;
+using util::store;
 
 /// The V {f(0), f(1), ...}, boxed.
 template <class V, class F>
@@ -143,14 +145,6 @@ inline void lane_bell(const V& d, const Shape& s, V& p, V& dp) {
   dp = inner ? s.m2a * d : (outer ? s.b2 * t * sgn : zero);
 }
 
-/// Two adjacent doubles as one vector, at any alignment.
-inline Lanes load(const double* p) {
-  Lanes v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-inline void store(double* p, Lanes v) { std::memcpy(p, &v, sizeof v); }
-
 /// The bells of the slots a V spans (one slot per two lanes), each slot's
 /// from `at[k]` (DensityPenalty::Slot), for windows of nx columns and ny
 /// rows: the vectors of x-potentials, x-slopes, y-potentials and
@@ -195,18 +189,29 @@ inline void add_row(double* row, const double* q, double py, NX nx) {
 
 /// Adds `scale` times the exact overlap area of `r` with each bin it
 /// touches to `grid`: the row-major nb x nb grid of bw x bh bins whose
-/// lower left corner is `core`'s.
+/// lower left corner is `core`'s. A bin's overlap is Rect::overlap_area's
+/// product of the column's and the row's overlap, each computed once per
+/// call (`col_w` is scratch); a bin where either is not positive, which
+/// would add +0, is skipped.
 void add_overlap(std::vector<double>& grid, const geom::Rect& r,
                  double scale, const geom::Rect& core, double bw, double bh,
-                 std::size_t nb) {
+                 std::size_t nb, std::vector<double>& col_w) {
   const geom::BinSpan span = geom::bin_span(r, core, bw, bh, nb);
+  if (span.x0 > span.x1) return;
+  col_w.clear();
+  for (long long bx = span.x0; bx <= span.x1; ++bx) {
+    col_w.push_back(
+        std::min(r.hx, core.lx + static_cast<double>(bx + 1) * bw) -
+        std::max(r.lx, core.lx + static_cast<double>(bx) * bw));
+  }
   for (long long by = span.y0; by <= span.y1; ++by) {
-    for (long long bx = span.x0; bx <= span.x1; ++bx) {
-      const geom::Rect bin{core.lx + static_cast<double>(bx) * bw,
-                           core.ly + static_cast<double>(by) * bh,
-                           core.lx + static_cast<double>(bx + 1) * bw,
-                           core.ly + static_cast<double>(by + 1) * bh};
-      grid[geom::bin_index(bx, by, nb)] += r.overlap_area(bin) * scale;
+    const double h =
+        std::min(r.hy, core.ly + static_cast<double>(by + 1) * bh) -
+        std::max(r.ly, core.ly + static_cast<double>(by) * bh);
+    if (!(h > 0.0)) continue;
+    double* row = &grid[geom::bin_index(span.x0, by, nb)];
+    for (std::size_t i = 0; i < col_w.size(); ++i) {
+      if (col_w[i] > 0.0) row[i] += col_w[i] * h * scale;
     }
   }
 }
@@ -290,13 +295,14 @@ DensityPenalty::DensityPenalty(const netlist::Netlist& nl,
 void DensityPenalty::preload_obstacles(const netlist::Placement& pl,
                                        const VarMap& vars) {
   preload_.assign(nb_ * nb_, 0.0);
+  std::vector<double> col_w;
   for (CellId c = 0; c < nl_->num_cells(); ++c) {
     if (vars.var(c) != netlist::kInvalidId) continue;
     // A scale of 1 keeps the bits: x * 1.0 == x.
     add_overlap(preload_,
                 geom::Rect::from_center(pl[c], nl_->cell_width(c),
                                         nl_->cell_height(c)),
-                1.0, design_->core(), bw_, bh_, nb_);
+                1.0, design_->core(), bw_, bh_, nb_, col_w);
   }
 }
 
@@ -657,11 +663,12 @@ double DensityPenalty::overflow(const netlist::Placement& pl,
                                 double target_density) const {
   const auto& nl = *nl_;
   std::vector<double> usage = preload_;
+  std::vector<double> col_w;
   for (const CellId c : vars.movable_cells()) {
     add_overlap(usage,
                 geom::Rect::from_center(pl[c], nl.cell_width(c),
                                         nl.cell_height(c)),
-                area_scale_[c], design_->core(), bw_, bh_, nb_);
+                area_scale_[c], design_->core(), bw_, bh_, nb_, col_w);
   }
 
   const double cap = bw_ * bh_ * target_density;

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "eval/metrics.hpp"
+#include "geom/rect.hpp"
+#include "netlist/flat_nets.hpp"
 #include "util/logger.hpp"
 #include "util/timer.hpp"
 
@@ -40,6 +43,7 @@ class CompositeObjective final : public Objective {
   /// Every term's value and weighted gradient at the core-clamped `v`,
   /// one call each.
   double eval(std::span<const double> v, std::span<double> grad) override {
+    const util::Timer eval_timer;
     const std::size_t n = vars_->num_vars();
     // Project into the core (keeps the bell-shaped density well-defined).
     const geom::Rect& core = design_->core();
@@ -59,8 +63,12 @@ class CompositeObjective final : public Objective {
       t.profile->add(timer.seconds());
     }
     profile_->density_bins += den_->bins_visited();
+    seconds_ += eval_timer.seconds();
     return f;
   }
+
+  /// Wall time spent in eval() so far.
+  double seconds() const { return seconds_; }
 
  private:
   const netlist::Design* design_;
@@ -69,7 +77,26 @@ class CompositeObjective final : public Objective {
   std::span<const WeightedTerm> terms_;
   const DensityPenalty* den_;
   EvalProfile* profile_;
+  double seconds_ = 0.0;
 };
+
+/// eval::hpwl over the wirelength term's flat pin arrays: its nets are
+/// those of two or more pins (a smaller net adds +0 to eval::hpwl's sum),
+/// in NetId order, weighted by the netlist's weights rather than the
+/// term's timing-scaled ones, so the sum has eval::hpwl's bits.
+double flat_hpwl(const netlist::Netlist& nl, const netlist::FlatNets& f,
+                 const netlist::Placement& pl) {
+  double total = 0.0;
+  for (std::size_t kn = 0; kn < f.num_nets(); ++kn) {
+    geom::Rect box;
+    for (std::uint32_t s = f.net_first[kn]; s < f.net_first[kn + 1]; ++s) {
+      const geom::Point& c = pl[f.pin_cell[s]];
+      box.expand(geom::Point{c.x + f.pin_dx[s], c.y + f.pin_dy[s]});
+    }
+    total += nl.net(f.net_id[kn]).weight * box.half_perimeter();
+  }
+  return total;
+}
 
 }  // namespace
 
@@ -128,8 +155,10 @@ GpResult GlobalPlacer::place(netlist::Placement& pl, GpResult so_far) {
 
   const std::size_t first_outer = result.trace.size();
   if (first_outer == 0) {
+    const util::Timer timer;
     quadratic_initial_placement(*nl_, *design_, vars_, wirelength_->nets(),
                                 pl);
+    result.profile.quadratic.add(timer.seconds());
   }
 
   std::vector<double> v = vars_.gather(pl);
@@ -162,7 +191,12 @@ GpResult GlobalPlacer::place(netlist::Placement& pl, GpResult so_far) {
   solver.rel_tol = kInnerRelTol;
   solver.step_ref = density_->bin_width();
 
-  double overflow = density_->overflow(pl, vars_, kTargetDensity);
+  double overflow = 0.0;
+  {
+    const util::Timer timer;
+    overflow = density_->overflow(pl, vars_, kTargetDensity);
+    result.profile.outer_scans.add(timer.seconds());
+  }
 
   for (std::size_t outer = 0; outer < options_.max_outer; ++outer) {
     const TermContext ctx{outer, overflow};
@@ -188,7 +222,11 @@ GpResult GlobalPlacer::place(netlist::Placement& pl, GpResult so_far) {
 
     solver.max_iters =
         overflow > kSpreadOverflow ? kSpreadInnerIters : kInnerIters;
+    const double eval_seconds = objective.seconds();
+    const util::Timer solve_timer;
     const NesterovResult inner = minimize_nesterov(objective, v, solver);
+    result.profile.solver.add(solve_timer.seconds() -
+                              (objective.seconds() - eval_seconds));
     result.total_cg_iterations += inner.iterations;
     result.total_evaluations += inner.evaluations;
 
@@ -205,8 +243,10 @@ GpResult GlobalPlacer::place(netlist::Placement& pl, GpResult so_far) {
     }
 
     vars_.scatter(v, pl);
+    const util::Timer scan_timer;
     overflow = density_->overflow(pl, vars_, kTargetDensity);
-    const double hp = eval::hpwl(*nl_, pl);
+    const double hp = flat_hpwl(*nl_, wirelength_->nets(), pl);
+    result.profile.outer_scans.add(scan_timer.seconds());
     result.trace.push_back({first_outer + outer, hp, overflow, lambda,
                             gamma, inner.iterations, inner.evaluations,
                             inner.stop});

@@ -1,16 +1,56 @@
 #include "gp/optimizer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <tuple>
+#include <utility>
+
+#include "util/lanes.hpp"
 
 namespace dp::gp {
 
 namespace {
 
-double inf_norm(std::span<const double> a) {
-  double m = 0.0;
-  for (double x : a) m = std::max(m, std::abs(x));
-  return m;
+using util::Lanes;
+
+/// What an iteration reads of the last evaluation: the gradient's largest
+/// magnitude and, when `deltas`, the squared distances from the previous
+/// reference point and its gradient.
+struct Scan {
+  double gmax = 0.0;
+  double dv = 0.0;
+  double dg = 0.0;
+};
+
+/// One pass over the four vectors. max is exact in any order, so four
+/// accumulators take max|g|; the two sums of squares stay the index-order
+/// chains, one per lane of a vector.
+Scan scan(const std::vector<double>& ref, const std::vector<double>& prev_ref,
+          const std::vector<double>& grad,
+          const std::vector<double>& prev_grad, bool deltas) {
+  const std::size_t n = grad.size();
+  std::array<double, 4> m{};
+  Lanes sq = {0.0, 0.0};  // {dv, dg}
+  auto add = [&](std::size_t i) {
+    const Lanes d = {ref[i] - prev_ref[i], grad[i] - prev_grad[i]};
+    sq += d * d;
+  };
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      m[k] = std::max(m[k], std::abs(grad[i + k]));
+    }
+    if (deltas) {
+      for (std::size_t k = 0; k < 4; ++k) add(i + k);
+    }
+  }
+  for (; i < n; ++i) {
+    m[0] = std::max(m[0], std::abs(grad[i]));
+    if (deltas) add(i);
+  }
+  return {std::max(std::max(m[0], m[1]), std::max(m[2], m[3])), sq[0],
+          sq[1]};
 }
 
 }  // namespace
@@ -49,32 +89,38 @@ NesterovResult minimize_nesterov(Objective& objective,
 
   for (std::size_t iter = 0; iter < options.max_iters; ++iter) {
     ++result.iterations;
-    const double gmax = inf_norm(grad);
-    if (gmax == 0.0) {
+    const Scan sc = scan(ref, prev_ref, grad, prev_grad, iter > 0);
+    if (sc.gmax == 0.0) {
       result.stop = NesterovStop::kNoDescent;
       break;
     }
-    const double cap = kStepCap * options.step_ref / gmax;
-    double step = options.step_ref / gmax;
+    const double cap = kStepCap * options.step_ref / sc.gmax;
+    double step = options.step_ref / sc.gmax;
     if (iter > 0) {
-      double dv = 0.0, dg = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        const double x = ref[i] - prev_ref[i];
-        const double y = grad[i] - prev_grad[i];
-        dv += x * x;
-        dg += y * y;
-      }
-      step = dg > 0.0 ? std::min(cap, std::sqrt(dv / dg)) : cap;
+      step = sc.dg > 0.0 ? std::min(cap, std::sqrt(sc.dv / sc.dg)) : cap;
     }
 
     const double a_next = (1.0 + std::sqrt(4.0 * a * a + 1.0)) / 2.0;
     const double momentum = (a - 1.0) / a_next;
     prev_ref.swap(ref);
     prev_grad.swap(grad);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double next = prev_ref[i] - step * prev_grad[i];
-      ref[i] = next + momentum * (next - major[i]);
-      major[i] = next;
+    // Two coordinates per vector, each in the scalar arithmetic.
+    auto update = [](auto r, auto g, auto maj, auto s, auto mo) {
+      const auto next = r - s * g;
+      return std::pair{next + mo * (next - maj), next};
+    };
+    const Lanes step2 = {step, step}, momentum2 = {momentum, momentum};
+    std::size_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+      const auto [r, next] =
+          update(util::load(&prev_ref[i]), util::load(&prev_grad[i]),
+                 util::load(&major[i]), step2, momentum2);
+      util::store(&ref[i], r);
+      util::store(&major[i], next);
+    }
+    for (; i < n; ++i) {
+      std::tie(ref[i], major[i]) =
+          update(prev_ref[i], prev_grad[i], major[i], step, momentum);
     }
 
     // The caller's next evaluation is at the point the last iteration

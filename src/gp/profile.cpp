@@ -24,6 +24,9 @@ std::string EvalProfile::to_string() const {
   for (const auto& [name, term] : extras) {
     out += " | " + fmt(name.c_str(), term);
   }
+  out += " | " + fmt("solver", solver);
+  out += " | " + fmt("quadratic", quadratic);
+  out += " | " + fmt("scans", outer_scans);
   std::snprintf(buf, sizeof buf, " | density-bins %llu",
                 static_cast<unsigned long long>(density_bins));
   out += buf;

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace dp::util {
 
@@ -13,6 +14,14 @@ namespace dp::util {
 /// `divpd`, which issues as fast as one scalar `divsd`.
 using Lanes = double __attribute__((vector_size(16)));
 using LaneMask = std::int64_t __attribute__((vector_size(16)));
+
+/// Two adjacent doubles as one vector, at any alignment.
+inline Lanes load(const double* p) {
+  Lanes v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+inline void store(double* p, Lanes v) { std::memcpy(p, &v, sizeof v); }
 
 /// `a` in the lanes where `m` is set, else `b`: a bit mask, no branch.
 inline Lanes pick(LaneMask m, Lanes a, Lanes b) {

@@ -1039,6 +1039,130 @@ TEST(Density, GradientMatchesFiniteDifference) {
   }
 }
 
+// ---- overflow() against its first form ------------------------------------
+
+/// DensityPenalty::overflow() as first written, over every bin of an
+/// nb x nb grid: the fixed cells' Rect::overlap_area with each bin, then
+/// each movable cell's times its area scale, cell by cell in CellId order;
+/// the area above `target` per bin, over the movable cells' scaled area.
+double reference_overflow(const netlist::Netlist& nl,
+                          const netlist::Design& design, const Placement& pl,
+                          const VarMap& vars, std::size_t nb,
+                          const std::vector<double>& scale, double target) {
+  const geom::Rect& core = design.core();
+  const double bw = core.width() / static_cast<double>(nb);
+  const double bh = core.height() / static_cast<double>(nb);
+  auto add = [&](std::vector<double>& grid, CellId c, double factor) {
+    const geom::Rect r =
+        geom::Rect::from_center(pl[c], nl.cell_width(c), nl.cell_height(c));
+    for (std::size_t by = 0; by < nb; ++by) {
+      for (std::size_t bx = 0; bx < nb; ++bx) {
+        const geom::Rect bin{core.lx + static_cast<double>(bx) * bw,
+                             core.ly + static_cast<double>(by) * bh,
+                             core.lx + static_cast<double>(bx + 1) * bw,
+                             core.ly + static_cast<double>(by + 1) * bh};
+        grid[by * nb + bx] += r.overlap_area(bin) * factor;
+      }
+    }
+  };
+  std::vector<double> usage(nb * nb, 0.0);
+  for (CellId c = 0; c < nl.num_cells(); ++c) {
+    if (vars.var(c) == netlist::kInvalidId) add(usage, c, 1.0);
+  }
+  double total = 0.0;
+  for (CellId c = 0; c < nl.num_cells(); ++c) {
+    if (vars.var(c) == netlist::kInvalidId) continue;
+    const double s = c < scale.size() ? scale[c] : 1.0;
+    add(usage, c, s);
+    total += nl.cell_area(c) * s;
+  }
+  const double cap = bw * bh * target;
+  double over = 0.0;
+  for (const double u : usage) over += std::max(0.0, u - cap);
+  return total > 0.0 ? over / total : 0.0;
+}
+
+/// Asserts overflow() equals reference_overflow() to the last bit for the
+/// placement `pl` of `nl`, with and without a random area scale, at two
+/// target densities.
+void expect_overflow_bitwise(const netlist::Netlist& nl,
+                             const netlist::Design& design,
+                             const Placement& pl, std::size_t nb) {
+  const VarMap vars(nl);
+  std::vector<double> scale(nl.num_cells());
+  util::Rng rng(3);
+  for (double& x : scale) x = rng.uniform(0.3, 1.7);
+  for (const bool scaled : {false, true}) {
+    DensityPenalty den(nl, design, nb);
+    if (scaled) den.set_area_scale(scale);
+    den.preload_obstacles(pl, vars);
+    const std::vector<double> used =
+        scaled ? scale : std::vector<double>{};
+    for (const double target : {1.0, 0.7}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "scaled=" << scaled << " target=" << target);
+      const double want =
+          reference_overflow(nl, design, pl, vars, nb, used, target);
+      EXPECT_GT(want, 0.0);
+      EXPECT_EQ(bits(den.overflow(pl, vars, target)), bits(want));
+    }
+  }
+}
+
+// A 64 x 64 core on a 16 x 16 grid of 4 x 4 bins, with centers on a
+// 1/8 grid, piled into the lower left corner: every coordinate is exact,
+// so many cell edges fall exactly on bin boundaries. Some cells sit
+// partly or wholly outside the core, and every third cell is fixed, so
+// the preload holds obstacles too.
+TEST(DensityOverflow, MatchesPerBinOverlapsOnBinEdges) {
+  using netlist::CellFunc;
+  netlist::NetlistBuilder builder(netlist::standard_library());
+  const CellFunc funcs[] = {CellFunc::kInv, CellFunc::kNand2, CellFunc::kDff,
+                            CellFunc::kFullAdder};
+  for (std::size_t i = 0; i < 240; ++i) {
+    builder.add_cell(std::string("c").append(std::to_string(i)),
+                     funcs[i % 4], /*fixed=*/i % 3 == 2);
+  }
+  const netlist::Netlist nl = builder.take();
+  const netlist::Design design(geom::Rect{0, 0, 64, 64}, 1.0, 0.25);
+  constexpr std::size_t kBins = 16;
+  Placement pl(nl.num_cells());
+  util::Rng rng(11);
+  for (geom::Point& p : pl) {
+    p = {static_cast<double>(rng.below(8 * 20)) / 8.0,
+         static_cast<double>(rng.below(8 * 20)) / 8.0};
+  }
+  // Left edge on a bin boundary, a corner cell hanging out of the core,
+  // cells straddling each side and cells wholly outside it.
+  pl[0] = {8.0 + nl.cell_width(0) / 2.0, 12.0 + nl.cell_height(0) / 2.0};
+  pl[1] = {0.0, 0.0};
+  pl[3] = {64.0, 33.0};
+  pl[4] = {31.5, -0.25};
+  pl[5] = {20.0, 64.25};
+  pl[6] = {-10.0, 30.0};
+  pl[7] = {40.0, 90.0};
+  pl[8] = {-5.0, -5.0};  // fixed and outside: no preload
+  std::size_t on_edge = 0, outside = 0;
+  const double bw = 64.0 / kBins;
+  for (CellId c = 0; c < nl.num_cells(); ++c) {
+    const geom::Rect r = geom::Rect::from_center(pl[c], nl.cell_width(c),
+                                                 nl.cell_height(c));
+    on_edge += std::fmod(r.lx, bw) == 0.0 || std::fmod(r.hx, bw) == 0.0 ||
+               std::fmod(r.ly, bw) == 0.0 || std::fmod(r.hy, bw) == 0.0;
+    outside += r.lx < 0.0 || r.ly < 0.0 || r.hx > 64.0 || r.hy > 64.0;
+  }
+  EXPECT_GT(on_edge, 10u);
+  EXPECT_GT(outside, 5u);
+  expect_overflow_bitwise(nl, design, pl, kBins);
+}
+
+TEST(DensityOverflow, MatchesPerBinOverlapsOnScaled4k) {
+  const Scaled4k& s = scaled4k();
+  expect_overflow_bitwise(s.bench.netlist, s.bench.design, s.spread, 64);
+  const dpgen::Benchmark half = with_odd_cells_fixed(s.bench);
+  expect_overflow_bitwise(half.netlist, half.design, s.spread, 64);
+}
+
 TEST(Density, OverflowZeroForUniformSpread) {
   SmallDesign d;
   const auto& nl = d.bench->netlist;

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
 #include "core/report_json.hpp"
+#include "detail/detailed_placer.hpp"
 #include "dpgen/benchmarks.hpp"
 #include "eval/metrics.hpp"
 #include "eval/svg.hpp"
@@ -308,6 +310,122 @@ TEST(MoveScorer, MatchesNetHpwlAndUndoesBitwise) {
   EXPECT_GT(kept, 100u);
 }
 
+/// Random scatter + Abacus legalization of `bench`.
+Placement legalized_scatter(const dpgen::Benchmark& bench,
+                            std::uint64_t seed) {
+  Placement pl = bench.placement;
+  util::Rng rng(seed);
+  const geom::Rect& core = bench.design.core();
+  for (CellId c = 0; c < bench.netlist.num_cells(); ++c) {
+    if (!bench.netlist.cell(c).fixed) {
+      pl[c] = {rng.uniform(core.lx, core.hx), rng.uniform(core.ly, core.hy)};
+    }
+  }
+  legal::abacus_all(bench.netlist, bench.design, pl);
+  return pl;
+}
+
+/// Drives `sequences` random runs of 200 moves on `bench`, each move one
+/// cell's relocation within a few rows or two cells' swap, then kept,
+/// undone, or vetoed by a random guard the way the detailer vetoes an
+/// improving move. After each run every kept net HPWL is eval::net_hpwl
+/// of the placement as it stands, and the kept total is eval::hpwl, bit
+/// for bit.
+void expect_kept_hpwl_coherent(const dpgen::Benchmark& bench,
+                               std::uint64_t seed, int sequences) {
+  const netlist::Netlist& nl = bench.netlist;
+  Placement pl = legalized_scatter(bench, seed);
+  std::vector<CellId> movable;
+  for (CellId c = 0; c < nl.num_cells(); ++c) {
+    if (!nl.cell(c).fixed) movable.push_back(c);
+  }
+  MoveScorer scorer(nl, pl);
+  util::Rng rng(seed + 1);
+  std::size_t kept = 0, undone = 0, vetoed = 0;
+  for (int seq = 0; seq < sequences; ++seq) {
+    for (int m = 0; m < 200; ++m) {
+      std::vector<CellId> cells{movable[rng.index(movable.size())]};
+      std::vector<geom::Point> centers;
+      if (rng.chance(0.5)) {
+        centers.push_back({pl[cells[0]].x + rng.uniform(-8.0, 8.0),
+                           pl[cells[0]].y + rng.uniform(-3.0, 3.0)});
+      } else {
+        CellId other = cells[0];
+        while (other == cells[0]) other = movable[rng.index(movable.size())];
+        cells.push_back(other);
+        centers = {pl[other], pl[cells[0]]};
+      }
+      const MoveScorer::Score s = scorer.move(cells, centers);
+      const double roll = rng.uniform();
+      if (s.after + 1e-12 < s.before && roll < 0.6) {
+        if (rng.chance(0.5)) {  // the guard allows the move: keep it
+          ++kept;
+          continue;
+        }
+        ++vetoed;
+      } else if (roll < 0.2) {  // kept although it does not improve
+        ++kept;
+        continue;
+      } else {
+        ++undone;
+      }
+      scorer.undo();
+    }
+    // The run's last move may be kept and not yet committed: every other
+    // run reads the total before the nets, the rest after them.
+    SCOPED_TRACE(::testing::Message() << bench.name << " run " << seq);
+    const std::uint64_t total = std::bit_cast<std::uint64_t>(hpwl(nl, pl));
+    if (seq % 2 == 0) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(scorer.total_hpwl()), total);
+    }
+    for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(scorer.kept_hpwl(n)),
+                std::bit_cast<std::uint64_t>(net_hpwl(nl, n, pl)))
+          << "net " << n;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(scorer.total_hpwl()), total);
+  }
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(undone, 0u);
+  EXPECT_GT(vetoed, 0u);
+}
+
+TEST(MoveScorer, KeptHpwlFollowsKeptUndoneAndVetoedMoves) {
+  expect_kept_hpwl_coherent(dpgen::make_benchmark("dp_add32"), 3, 20);
+  expect_kept_hpwl_coherent(dpgen::make_scaled(4000), 4, 5);
+}
+
+// The detailer's opening and closing HPWL, summed from the scorer's kept
+// values, are eval::hpwl of its input and output, bit for bit, with a
+// guard that vetoes about half of the improving moves.
+TEST(MoveScorer, DetailerHpwlIsEvalHpwlOfItsOutput) {
+  for (const dpgen::Benchmark& bench :
+       {dpgen::make_benchmark("dp_add32"), dpgen::make_scaled(4000)}) {
+    SCOPED_TRACE(bench.name);
+    Placement pl = legalized_scatter(bench, 9);
+    const double start = hpwl(bench.netlist, pl);
+    util::Rng rng(10);
+    std::size_t guarded_nets = 0;
+    detail::DetailOptions opt;
+    opt.move_guard = [&](std::span<const NetChange> nets) {
+      guarded_nets += nets.size();
+      return rng.chance(0.5);
+    };
+    const detail::DetailStats stats =
+        detail::detailed_place(bench.netlist, bench.design, pl, opt);
+    const detail::Profile& p = stats.profile;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(stats.hpwl_before),
+              std::bit_cast<std::uint64_t>(start));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(stats.hpwl_after),
+              std::bit_cast<std::uint64_t>(hpwl(bench.netlist, pl)));
+    EXPECT_GT(p.guard_vetoes, 0u);
+    EXPECT_GT(p.slide.accepted + p.swap.accepted, 0u);
+    // Every candidate scores its moved cells' nets, the guarded ones too.
+    EXPECT_GE(p.rescans, guarded_nets);
+    EXPECT_GE(p.rescans, p.slide.candidates + p.swap.candidates);
+  }
+}
+
 std::string read_and_remove(const std::string& path) {
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << path;
@@ -411,7 +529,7 @@ TEST(ReportJson, SchemaVersionLeadsAndEscapesHold) {
 
   core::PlaceReport report;
   const std::string json = core::report_to_json(report);
-  EXPECT_EQ(json.rfind("{\"schema_version\":6,", 0), 0u)
+  EXPECT_EQ(json.rfind("{\"schema_version\":7,", 0), 0u)
       << "schema_version must be the first key: " << json;
   EXPECT_NE(json.find("\"timing\":null"), std::string::npos)
       << "timing not measured -> null section";
@@ -419,6 +537,13 @@ TEST(ReportJson, SchemaVersionLeadsAndEscapesHold) {
             std::string::npos);
   report.gp_result.stop_reason = gp::GpStop::kOuterCap;
   EXPECT_NE(core::report_to_json(report).find("\"stop_reason\":\"outer_cap\""),
+            std::string::npos);
+  report.gp_result.profile.solver.seconds = 0.25;
+  report.gp_result.profile.quadratic.seconds = 0.5;
+  report.gp_result.profile.outer_scans.seconds = 0.125;
+  EXPECT_NE(core::report_to_json(report).find(
+                "\"solver_s\":0.25,\"quadratic_s\":0.5,"
+                "\"outer_scans_s\":0.125}"),
             std::string::npos);
 }
 

@@ -484,6 +484,50 @@ TEST(GlobalPlacer, StopReasons) {
   EXPECT_LE(done.final_overflow, GpOptions{}.stop_overflow);
 }
 
+// Each outer's trace HPWL, summed over the wirelength term's flat pin
+// arrays, is eval::hpwl of the placement it ended with, bit for bit: with
+// netlist weights other than 1 and net weight scales set by the outer
+// hook, which the trace must not read. The profile times the solver and
+// the per-outer scans once per outer and the quadratic start once.
+TEST(GlobalPlacer, TraceHpwlIsEvalHpwlWithScaledNetWeights) {
+  SmallBench sb;
+  netlist::Netlist nl = sb.bench->netlist;
+  netlist::NetlistSurgeon surgeon(nl);
+  util::Rng rng(5);
+  for (netlist::NetId n = 0; n < nl.num_nets(); ++n) {
+    surgeon.net(n).weight = rng.uniform(0.25, 3.0);
+  }
+  std::vector<double> scale(nl.num_nets());
+  for (double& x : scale) x = rng.uniform(0.5, 4.0);
+  GpOptions opt;
+  opt.stop_overflow = 0.0;
+  opt.max_outer = 5;
+  GlobalPlacer placer(nl, sb.bench->design, opt);
+  std::vector<Placement> ended;  // the placement each outer ended with
+  placer.set_outer_hook([&](const TermContext& ctx, const Placement& pl,
+                            SmoothWirelength& wl, DensityPenalty&) {
+    if (ctx.outer > 0) ended.push_back(pl);
+    wl.set_net_weight_scale(scale);
+  });
+  Placement pl = sb.bench->placement;
+  const GpResult res = placer.place(pl);
+  ended.push_back(pl);
+  ASSERT_EQ(res.trace.size(), 5u);
+  ASSERT_EQ(ended.size(), res.trace.size());
+  for (std::size_t k = 0; k < res.trace.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(res.trace[k].hpwl),
+              std::bit_cast<std::uint64_t>(eval::hpwl(nl, ended[k])))
+        << "outer " << k;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(res.final_hpwl),
+            std::bit_cast<std::uint64_t>(eval::hpwl(nl, pl)));
+  EXPECT_EQ(res.profile.solver.calls, res.trace.size());
+  EXPECT_EQ(res.profile.outer_scans.calls, res.trace.size() + 1);
+  EXPECT_EQ(res.profile.quadratic.calls, 1u);
+  EXPECT_GE(res.profile.solver.seconds, 0.0);
+  EXPECT_GT(res.profile.quadratic.seconds, 0.0);
+}
+
 // A run handed an earlier run's record starts from the placement as given
 // (no quadratic start) and continues the record: outers numbered on, work
 // added, the earlier outers kept as they were.
